@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from . import adjoint, dynamics as dyn, scenarios
-from .coordinator import FiniteHorizonResult, Session
+from . import adjoint, scenarios
+from .coordinator import MpcConfig, Session, run_algorithm1
 from .errors import ConfigError, NumericError, PreconditionError
 from .solver import LocalProblem
 
@@ -38,14 +38,12 @@ def _cmd_run(args) -> int:
     spec = _load(args)
     out_dir = args.out or scenarios.default_out_dir(spec)
     start = time.perf_counter()
-    result = scenarios.run_scenario(spec, executor=args.executor)
+    result = scenarios.run_scenario(spec)
     wall = time.perf_counter() - start
     artifacts = scenarios.emit_results(result, spec, out_dir, wall_time=wall)
     print(json.dumps(artifacts.metrics, indent=2, sort_keys=True))
     print(f"artifacts written to {out_dir}", file=sys.stderr)
-    if isinstance(result, FiniteHorizonResult):
-        return 0 if result.converged else 3
-    return 0 if bool(result.converged.all()) else 3
+    return 0 if np.all(result.converged) else 3
 
 
 def _cmd_check(args) -> int:
@@ -55,42 +53,23 @@ def _cmd_check(args) -> int:
 
 
 def _window_problem(spec: scenarios.ScenarioSpec, agent: int, step: int):
-    """Reconstruct agent's frozen-neighbor window at MPC step `step`."""
-    if spec.mpc is not None:
-        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                          spec.mpc, spec.initial_states,
-                          leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                          seed=spec.seed, error_mask=spec.error_mask)
-        for _ in range(step):
-            session.step()
-        H = spec.mpc.N_p
-        u = session._initial_window()
-        trajs = {i: dyn.rollout(spec.models[i], session.x[i], u[i], session.t)
-                 for i in sorted(session.x)}
-        leader_traj = None
-        if session.leader_mode:
-            leader_traj = dyn.rollout(session.leader_model, session.xl,
-                                      np.zeros((H, 0)), session.t)
-        bundles = session._exchange(trajs, leader_traj, 0)
-        return (LocalProblem(agent, spec.models[agent], session.x[agent],
-                             bundles[agent], spec.cost, k0=session.t), u[agent])
-    if step != 0:
+    """Reconstruct agent's frozen-neighbor window at MPC step `step` (a
+    finite-horizon scenario has only the window at step 0)."""
+    if step < 0:
+        raise ConfigError(f"--t must be >= 0, got {step}")
+    if spec.mpc is None and step != 0:
         raise ConfigError("finite-horizon scenarios only support --t 0")
-    from .graph import neighbors
-    from .cost import NeighborBundle
-    H = spec.horizon
-    u = {i: np.zeros((H, spec.models[i].control_dim)) for i in spec.initial_states}
-    trajs = {i: dyn.rollout(spec.models[i], spec.initial_states[i], u[i], 0)
-             for i in sorted(spec.initial_states)}
-    leader_traj = None
-    if spec.topology.leader_links:
-        leader_traj = dyn.rollout(spec.leader_model, spec.leader_x0,
-                                  np.zeros((H, 0)), 0)
-    received = {j: trajs[j] for j in neighbors(spec.topology, agent)}
-    lp = leader_traj if agent in spec.topology.leader_links else None
-    nb = NeighborBundle(received, leader=lp)
-    return (LocalProblem(agent, spec.models[agent], spec.initial_states[agent],
-                         nb, spec.cost, k0=0), u[agent])
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                      spec.mpc or MpcConfig(N_p=spec.horizon, T=1),
+                      spec.initial_states,
+                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
+                      seed=spec.seed, error_mask=spec.error_mask)
+    for _ in range(step):
+        session.step()
+    u = session._initial_window()
+    _, _, bundles = session._broadcast(u, 0)
+    return (LocalProblem(agent, spec.models[agent], session.x[agent],
+                         bundles[agent], spec.cost, k0=session.t), u[agent])
 
 
 def _cmd_gradcheck(args) -> int:
@@ -133,7 +112,6 @@ def _cmd_bench(args) -> int:
     for method in methods:
         overrides = list(args.set or []) + [f"solver.method={method}"]
         mspec = scenarios.load_scenario(_resolve_source(args.scenario), overrides)
-        from .coordinator import run_algorithm1
         start = time.perf_counter()
         result = run_algorithm1(mspec.topology, mspec.models, mspec.cost,
                                 mspec.solver, horizon, mspec.initial_states,
@@ -163,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--seed", type=int, help="disturbance stream seed")
-    p_run.add_argument("--executor", choices=["thread"], default=None,
-                       help="solve agents on a thread pool")
 
     p_check = sub.add_parser("check", help="validate and echo the resolved config")
     add_common(p_check)

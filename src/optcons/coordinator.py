@@ -8,18 +8,21 @@ accelerated update on its own window.  Rounds repeat until every agent's
 control change falls under tolerance, then the first control of each
 window is applied and the horizon shifts.
 
+The one-shot finite-horizon algorithm runs the same rounds on a single
+window; only the stop rule differs (gradient norms tested before the
+round's updates are applied, instead of step norms after).
+
 All cross-agent data flows through immutable RoundMessage snapshots
-collected at a barrier, so per-agent solves may run sequentially or on a
-thread pool with bit-identical results.  Message-drop injection (for the
-disturbance experiments) draws its Bernoulli stream in a fixed order from
-a dedicated generator, keeping runs reproducible and schedule-independent;
-a dropped message makes the receiver reuse the sender's last delivered
-trajectory.
+collected at a barrier, and every update reads only its round's snapshot,
+so the order in which agents are solved does not change any result.
+Message-drop injection (for the disturbance experiments) draws its
+Bernoulli stream in a fixed receiver/sender order from a dedicated
+generator, keeping runs reproducible and schedule-independent; a dropped
+message makes the receiver reuse the sender's last delivered trajectory.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +83,8 @@ class RunResult:
 
 @dataclass
 class FiniteHorizonResult:
-    """Output of the one-shot (non-MPC) round loop."""
+    """Output of the round loop on one window; ``global_costs`` holds one
+    entry per round in one-shot runs and stays empty in MPC steps."""
 
     controls: dict
     trajectories: dict
@@ -115,44 +119,45 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     return errors, (max(errors.values()) if errors else 0.0)
 
 
-def _agent_round_update(i, model, x_i, u_i, nb, spec, cfg, r, k0, msa_eta):
-    """One update of agent i's window; returns (u_new, step_norm, eta)."""
+def _agent_round_update(i, model, x_i, u_i, traj, nb, spec, cfg, r, k0, msa_eta):
+    """One update of agent i's window from the round's rollout ``traj``;
+    returns (u_new, step_norm, grad_norm, eta)."""
     problem = LocalProblem(i, model, x_i, nb, spec, mode="auto", k0=k0)
-    traj = problem.rollout(u_i)
     lam = adjoint.costate_sweep(i, model, traj, u_i, nb, spec, mode="auto", k0=k0)
     g = adjoint.gradient(i, model, traj, u_i, lam, spec, k0=k0)
+    gnorm = float(np.linalg.norm(g))
     H, m = u_i.shape
     if cfg.method == "msa":
         taken = backtrack_step(problem.cost, u_i, g, problem.cost(u_i), msa_eta)
         if taken is None:
-            return u_i, 0.0, msa_eta
+            return u_i, 0.0, gnorm, msa_eta
         u_new, _, eta, step = taken
-        return u_new, step, eta
+        return u_new, step, gnorm, eta
     Hmat = regularize(problem.hessian(u_i, traj, lam), cfg.reg_floor)
     G = cfg.c * np.eye(H * m)
     d = ocp_direction(g, Hmat, G, r, cfg.L_max)
-    return u_i - d.reshape(H, m), float(np.linalg.norm(d)), msa_eta
+    return u_i - d.reshape(H, m), float(np.linalg.norm(d)), gnorm, msa_eta
 
 
 class Session:
-    """Receding-horizon run over a shared topology; advance with step()/run().
+    """Round loop over a shared topology: receding-horizon steps through
+    step()/run(), or one finite-horizon window through run_algorithm1.
 
-    ``executor=None`` solves agents sequentially; ``executor="thread"``
-    uses a thread pool.  Both produce bit-identical results.
+    Each round rolls out and solves the agents in ``order`` (the sorted
+    agent indices); since every update reads only that round's snapshot,
+    any order gives bit-identical results.
     """
 
     def __init__(self, topology: Topology, models: dict, spec: CostSpec,
                  solver_cfg: SolverConfig, mpc_cfg: MpcConfig, initial_states: dict,
                  leader_model: dyn.Model | None = None, leader_x0=None,
-                 seed: int = 0, executor: str | None = None, error_mask=None,
-                 record_messages: bool = False):
+                 seed: int = 0, error_mask=None, record_messages: bool = False):
         self.topology = topology
         self.models = models
         self.spec = spec
         self.cfg = solver_cfg
         self.mpc = mpc_cfg
         self.error_mask = error_mask
-        self.executor = executor
         self.record_messages = record_messages
         self.message_log = []
 
@@ -176,6 +181,7 @@ class Session:
 
         self.x = {i: np.asarray(initial_states[i], dtype=float).copy()
                   for i in range(1, topology.n + 1)}
+        self.order = sorted(self.x)
         self.leader_model = leader_model if self.leader_mode else None
         self.xl = (np.asarray(leader_x0, dtype=float).copy()
                    if self.leader_mode else None)
@@ -247,52 +253,70 @@ class Session:
             bundles[i] = NeighborBundle(received, leader=leader_payload)
         return bundles
 
-    def _solve_round(self, u, bundles, r, msa_etas):
-        agents = sorted(self.x)
+    def _broadcast(self, u, r):
+        """Roll out every agent's window u (and the leader's) and exchange;
+        returns (trajectories, leader trajectory, bundles)."""
+        trajs = {i: dyn.rollout(self.models[i], self.x[i], u[i], self.t)
+                 for i in self.order}
+        leader_traj = None
+        if self.leader_mode:
+            leader_traj = dyn.rollout(self.leader_model, self.xl,
+                                      np.zeros((self.mpc.N_p, 0)), self.t)
+        return trajs, leader_traj, self._exchange(trajs, leader_traj, r)
 
-        def work(i):
-            return _agent_round_update(i, self.models[i], self.x[i], u[i],
-                                       bundles[i], self.spec, self.cfg, r,
-                                       self.t, msa_etas[i])
+    def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
+        """Run rounds on the current window until the stop rule fires.
 
-        if self.executor == "thread":
-            with ThreadPoolExecutor(max_workers=len(agents)) as pool:
-                results = dict(zip(agents, pool.map(work, agents)))
-        else:
-            results = {i: work(i) for i in agents}
-        steps = {}
-        for i in agents:
-            u[i], steps[i], msa_etas[i] = results[i]
-        return steps
+        MPC steps stop once every agent's step norm after the update is
+        under ``eps_step`` and count that round.  One-shot runs record the
+        global cost of each round's rollout and stop once every gradient
+        norm is under ``eps_grad``, before that round's updates are applied,
+        so a consensus fixed point stops at round zero.
+        """
+        t = self.t
+        u = self._initial_window()
+        msa_etas = {i: self.cfg.msa_eta0 for i in self.x}
+        costs = []
+        converged = False
+        rounds = self.cfg.max_outer
+        for r in range(self.cfg.max_outer):
+            trajs, leader_traj, bundles = self._broadcast(u, r)
+            if one_shot:
+                costs.append(global_cost(trajs, u, self.spec, self.topology,
+                                         leader_traj=leader_traj))
+            updates = {i: _agent_round_update(i, self.models[i], self.x[i], u[i],
+                                              trajs[i], bundles[i], self.spec,
+                                              self.cfg, r, t, msa_etas[i])
+                       for i in self.order}
+            grad_norms = [updates[i][2] for i in sorted(updates)]
+            if one_shot and max(grad_norms) < self.cfg.eps_grad:
+                converged, rounds = True, r
+                break
+            steps = []
+            for i in sorted(updates):
+                u[i], step, _, msa_etas[i] = updates[i]
+                steps.append(step)
+            if not one_shot and max(steps) < self.cfg.eps_step:
+                converged, rounds = True, r + 1
+                break
+
+        return FiniteHorizonResult(
+            controls=u,
+            trajectories={i: dyn.rollout(self.models[i], self.x[i], u[i], t)
+                          for i in sorted(self.x)},
+            leader_trajectory=leader_traj, rounds=rounds, converged=converged,
+            grad_norms=np.array(grad_norms), global_costs=costs,
+        )
 
     # -- public API ---------------------------------------------------------
 
     def step(self) -> dict:
         """Advance one closed-loop step; returns a per-window summary."""
         t = self.t
-        H = self.mpc.N_p
-        u = self._initial_window()
-        msa_etas = {i: self.cfg.msa_eta0 for i in self.x}
-        leader_traj = None
-        converged = False
-        rounds = 0
-        for r in range(self.cfg.max_outer):
-            trajs = {i: dyn.rollout(self.models[i], self.x[i], u[i], t)
-                     for i in sorted(self.x)}
-            if self.leader_mode:
-                leader_traj = dyn.rollout(self.leader_model, self.xl,
-                                          np.zeros((H, 0)), t)
-            bundles = self._exchange(trajs, leader_traj, r)
-            steps = self._solve_round(u, bundles, r, msa_etas)
-            rounds = r + 1
-            if max(steps.values()) < self.cfg.eps_step:
-                converged = True
-                break
-
-        final_trajs = {i: dyn.rollout(self.models[i], self.x[i], u[i], t)
-                       for i in sorted(self.x)}
-        cost_now = global_cost(final_trajs, u, self.spec, self.topology,
-                               leader_traj=leader_traj)
+        window = self._solve_window()
+        u = window.controls
+        cost_now = global_cost(window.trajectories, u, self.spec, self.topology,
+                               leader_traj=window.leader_trajectory)
 
         for i in sorted(self.x):
             applied = u[i][0]
@@ -307,9 +331,9 @@ class Session:
         self.t += 1
         self._record_errors()
         self.window_costs.append(cost_now)
-        self.round_counts.append(rounds)
-        self.window_converged.append(converged)
-        return {"t": t, "rounds": rounds, "converged": converged,
+        self.round_counts.append(window.rounds)
+        self.window_converged.append(window.converged)
+        return {"t": t, "rounds": window.rounds, "converged": window.converged,
                 "window_cost": cost_now, "max_error": self.max_errors[-1]}
 
     def run(self, T: int | None = None) -> RunResult:
@@ -333,108 +357,30 @@ class Session:
 
 
 def run_mpc_leaderless(topology, models, spec, solver_cfg, mpc_cfg,
-                       initial_states, seed=0, executor=None,
-                       error_mask=None) -> RunResult:
+                       initial_states, seed=0, error_mask=None) -> RunResult:
     """Receding-horizon leaderless consensus (requires strong connectivity)."""
     session = Session(topology, models, spec, solver_cfg, mpc_cfg,
-                      initial_states, seed=seed, executor=executor,
-                      error_mask=error_mask)
+                      initial_states, seed=seed, error_mask=error_mask)
     return session.run()
 
 
 def run_mpc_leader_follower(topology, models, leader_model, spec, solver_cfg,
                             mpc_cfg, initial_states, leader_x0, seed=0,
-                            executor=None, error_mask=None) -> RunResult:
+                            error_mask=None) -> RunResult:
     """Receding-horizon tracking of an autonomous leader (spanning tree from
     the leader required); formation offsets ride in the cost spec."""
     session = Session(topology, models, spec, solver_cfg, mpc_cfg,
                       initial_states, leader_model=leader_model,
-                      leader_x0=leader_x0, seed=seed, executor=executor,
-                      error_mask=error_mask)
+                      leader_x0=leader_x0, seed=seed, error_mask=error_mask)
     return session.run()
 
 
 def run_algorithm1(topology, models, spec, solver_cfg, horizon, initial_states,
-                   leader_model=None, leader_x0=None,
-                   executor=None) -> FiniteHorizonResult:
-    """One-shot finite-horizon consensus: exchange / sweep / update rounds
-    until every agent's gradient norm is under tolerance.
-
-    The gradient test runs before the update, so a consensus fixed point
-    terminates at round zero with the initial controls.
-    """
-    leader_mode = bool(topology.leader_links)
-    if leader_mode:
-        if leader_model is None or leader_x0 is None:
-            raise ConfigError("topology has leader links but no leader model/state")
-        require_spanning_tree(topology)
-    else:
-        require_strongly_connected(topology)
-    p = np.asarray(next(iter(initial_states.values()))).shape[0]
-    spec.validate(topology, p, {i: models[i].control_dim for i in models})
-
-    agents = sorted(initial_states)
-    x0 = {i: np.asarray(initial_states[i], dtype=float) for i in agents}
-    u = {i: np.zeros((horizon, models[i].control_dim)) for i in agents}
-    leader_traj = None
-    if leader_mode:
-        leader_traj = dyn.rollout(leader_model, leader_x0, np.zeros((horizon, 0)), 0)
-
-    cost_history = []
-    converged = False
-    rounds = 0
-    gnorms = {}
-    msa_etas = {i: solver_cfg.msa_eta0 for i in agents}
-    for r in range(solver_cfg.max_outer):
-        trajs = {i: dyn.rollout(models[i], x0[i], u[i], 0) for i in agents}
-        bundles = {}
-        for i in agents:
-            received = {j: trajs[j] for j in neighbors(topology, i)}
-            lp = leader_traj if (leader_mode and i in topology.leader_links) else None
-            bundles[i] = NeighborBundle(received, leader=lp)
-        cost_history.append(global_cost(trajs, u, spec, topology, leader_traj))
-
-        sweeps = {}
-        for i in agents:
-            lam = adjoint.costate_sweep(i, models[i], trajs[i], u[i], bundles[i],
-                                        spec, mode="auto", k0=0)
-            g = adjoint.gradient(i, models[i], trajs[i], u[i], lam, spec, k0=0)
-            sweeps[i] = (lam, g)
-            gnorms[i] = float(np.linalg.norm(g))
-        if max(gnorms.values()) < solver_cfg.eps_grad:
-            converged = True
-            rounds = r
-            break
-
-        def work(i):
-            lam, g = sweeps[i]
-            if solver_cfg.method == "msa":
-                problem = LocalProblem(i, models[i], x0[i], bundles[i], spec)
-                taken = backtrack_step(problem.cost, u[i], g, problem.cost(u[i]),
-                                       msa_etas[i])
-                if taken is None:
-                    return u[i]
-                msa_etas[i] = taken[2]
-                return taken[0]
-            Hmat = adjoint.hessian(i, models[i], trajs[i], u[i], lam, spec,
-                                   mode="auto", k0=0)
-            Hmat = regularize(Hmat, solver_cfg.reg_floor)
-            G = solver_cfg.c * np.eye(u[i].size)
-            d = ocp_direction(g, Hmat, G, r, solver_cfg.L_max)
-            return u[i] - d.reshape(u[i].shape)
-
-        if executor == "thread":
-            with ThreadPoolExecutor(max_workers=len(agents)) as pool:
-                new_u = dict(zip(agents, pool.map(work, agents)))
-        else:
-            new_u = {i: work(i) for i in agents}
-        u = new_u
-        rounds = r + 1
-
-    trajs = {i: dyn.rollout(models[i], x0[i], u[i], 0) for i in agents}
-    return FiniteHorizonResult(
-        controls=u, trajectories=trajs, leader_trajectory=leader_traj,
-        rounds=rounds, converged=converged,
-        grad_norms=np.array([gnorms[i] for i in agents]),
-        global_costs=cost_history,
-    )
+                   leader_model=None, leader_x0=None) -> FiniteHorizonResult:
+    """One-shot finite-horizon consensus: the session's rounds on a single
+    window of length ``horizon``, until every agent's gradient norm is under
+    tolerance (a consensus fixed point stops at round zero)."""
+    session = Session(topology, models, spec, solver_cfg,
+                      MpcConfig(N_p=horizon, T=1), initial_states,
+                      leader_model=leader_model, leader_x0=leader_x0)
+    return session._solve_window(one_shot=True)

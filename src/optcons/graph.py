@@ -102,59 +102,6 @@ def _reachable(adj: dict[int, list[int]], root: int) -> set[int]:
     return seen
 
 
-def is_strongly_connected(topology: Topology) -> bool:
-    """True iff a directed path exists between every ordered pair of agents.
-
-    Tarjan's single-pass SCC algorithm (iterative); the graph is strongly
-    connected iff there is exactly one component.  The leader is excluded:
-    Assumption-style strong connectivity concerns the agent graph only.
-    """
-    adj = _flow_adjacency(topology, with_leader=False)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = 0
-    n_components = 0
-
-    for start in adj:
-        if start in index:
-            continue
-        work = [(start, iter(adj[start]))]
-        index[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adj[child])))
-                    advanced = True
-                    break
-                elif child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                n_components += 1
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    if w == node:
-                        break
-    return n_components == 1
-
-
 def has_spanning_tree(topology: Topology) -> bool:
     """True iff some root's information reaches every other node.
 
@@ -180,10 +127,19 @@ def unreachable_pair(topology: Topology) -> tuple[int, int] | None:
     return None
 
 
+def is_strongly_connected(topology: Topology) -> bool:
+    """True iff a directed path exists between every ordered pair of agents.
+
+    The leader is excluded: Assumption-style strong connectivity concerns
+    the agent graph only.
+    """
+    return unreachable_pair(topology) is None
+
+
 def require_strongly_connected(topology: Topology) -> None:
     """Raise PreconditionError naming a failing pair unless strongly connected."""
-    if not is_strongly_connected(topology):
-        pair = unreachable_pair(topology)
+    pair = unreachable_pair(topology)
+    if pair is not None:
         raise PreconditionError(
             f"communication graph is not strongly connected: no path {pair[0]} -> {pair[1]}"
         )

@@ -20,9 +20,8 @@ from importlib import resources
 import numpy as np
 
 from . import dynamics as dyn
-from .coordinator import (FiniteHorizonResult, MpcConfig, RunResult,
-                          consensus_error, run_algorithm1,
-                          run_mpc_leader_follower, run_mpc_leaderless)
+from .coordinator import (FiniteHorizonResult, MpcConfig, Session,
+                          consensus_error, run_algorithm1)
 from .cost import CostSpec
 from .errors import ConfigError
 from .graph import Topology
@@ -93,6 +92,45 @@ def _check_keys(section: dict, allowed: set, where: str, problems: list):
         problems.append(f"{where}: unknown key {key!r}")
 
 
+def _section(raw: dict, key: str, problems: list) -> dict:
+    """raw[key] as a dict ({} when absent or null); anything else is a problem."""
+    value = raw.get(key) or {}
+    if not isinstance(value, dict):
+        problems.append(f"{key}: expected an object, got {value!r}")
+        return {}
+    return value
+
+
+def _integral(value) -> bool:
+    return ((isinstance(value, int) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer()))
+
+
+def _number(section: dict, key: str, default, problems: list, where: str = "",
+            integer: bool = False):
+    """section[key] (or default) as a float, or as an int with ``integer``;
+    anything else is recorded as a problem and replaced by the default."""
+    value = section.get(key, default)
+    if integer and _integral(value):
+        return int(value)
+    if not integer and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    kind = "an integer" if integer else "a number"
+    problems.append(f"{where}{key}: expected {kind}, got {value!r}")
+    return default
+
+
+def _vector(value, where: str, problems: list) -> np.ndarray | None:
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.ndim != 1:
+        problems.append(f"{where}: expected a vector of numbers, got {value!r}")
+        return None
+    return vec
+
+
 def _build_model(cfg: dict, where: str, problems: list) -> dyn.Model | None:
     if not isinstance(cfg, dict) or "type" not in cfg:
         problems.append(f"{where}: model section needs a 'type'")
@@ -148,7 +186,11 @@ def _model_echo(cfg: dict) -> dict:
 
 
 def _weight_matrix(value, dim: int, where: str, problems: list) -> np.ndarray | None:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        problems.append(f"{where}: expected a number or a matrix, got {value!r}")
+        return None
     if arr.ndim == 0:
         return float(arr) * np.eye(dim)
     if arr.shape != (dim, dim):
@@ -243,10 +285,10 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     _check_keys(raw, _TOP_KEYS, "scenario", problems)
 
     name = raw.get("name", "scenario")
-    seed = int(raw.get("seed", 0))
+    seed = _number(raw, "seed", 0, problems, integer=True)
     out_dir = raw.get("out_dir")
     error_mask = raw.get("error_mask")
-    error_threshold = float(raw.get("error_threshold", 0.05))
+    error_threshold = _number(raw, "error_threshold", 0.05, problems)
 
     # Topology ------------------------------------------------------------
     topo_cfg = raw.get("topology")
@@ -257,9 +299,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         _check_keys(topo_cfg, _TOPOLOGY_KEYS, "topology", problems)
         try:
             topology = Topology.from_edge_list(
-                topo_cfg.get("n", 0), topo_cfg.get("edges", []),
-                topo_cfg.get("leader_links", ()))
-        except ValueError as exc:
+                _number(topo_cfg, "n", 0, problems, "topology.", integer=True),
+                topo_cfg.get("edges", []), topo_cfg.get("leader_links", ()))
+        except (TypeError, ValueError) as exc:
             problems.append(f"topology: {exc}")
     if topology is None:
         raise ConfigError(problems)
@@ -282,7 +324,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             if not 1 <= i <= n:
                 problems.append(f"initial_states: agent {i} out of range 1..{n}")
                 continue
-            initial_states[i] = np.asarray(states_cfg[key], dtype=float)
+            vec = _vector(states_cfg[key], f"initial_states[{key}]", problems)
+            if vec is not None:
+                initial_states[i] = vec
         missing = [i for i in agents if i not in initial_states]
         if missing:
             problems.append(f"initial_states: missing agents {missing}")
@@ -333,6 +377,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         problems.append("scenario: topology has leader_links but no 'leader' section")
     if not topology.leader_links and leader_cfg is not None:
         problems.append("scenario: 'leader' section given but no leader_links")
+    if leader_cfg is not None and not isinstance(leader_cfg, dict):
+        problems.append(f"leader: expected an object, got {leader_cfg!r}")
     if isinstance(leader_cfg, dict):
         _check_keys(leader_cfg, _LEADER_KEYS, "leader", problems)
         model_cfg = leader_cfg.get("model")
@@ -343,14 +389,14 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         if "x0" not in leader_cfg:
             problems.append("leader: missing 'x0'")
         else:
-            leader_x0 = np.asarray(leader_cfg["x0"], dtype=float)
-            if p is not None and leader_x0.shape != (p,):
+            leader_x0 = _vector(leader_cfg["x0"], "leader.x0", problems)
+            if leader_x0 is not None and p is not None and leader_x0.shape != (p,):
                 problems.append(f"leader: x0 has shape {leader_x0.shape}, "
                                 f"expected ({p},)")
         if leader_model is not None and leader_model.control_dim != 0:
             problems.append("leader: leader model must be autonomous (control_dim 0)")
-        if leader_model is not None:
-            leader_echo = {"model": _model_echo(model_cfg), "x0": list(map(float, leader_cfg["x0"]))}
+        if leader_model is not None and leader_x0 is not None:
+            leader_echo = {"model": _model_echo(model_cfg), "x0": leader_x0.tolist()}
 
     # Cost --------------------------------------------------------------------
     cost_cfg = raw.get("cost")
@@ -376,7 +422,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         E = _weight_table(cost_cfg.get("E", 0.0), links, agent_fmt,
                           lambda i: p, "cost.E", problems) if links else {}
         offsets = {}
-        for key, val in (cost_cfg.get("offsets") or {}).items():
+        for key, val in _section(cost_cfg, "offsets", problems).items():
             idx = 0 if key in ("l", "0") else None
             if idx is None:
                 try:
@@ -387,7 +433,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
                 if not 1 <= idx <= n:
                     problems.append(f"cost.offsets: agent {idx} out of range 1..{n}")
                     continue
-            vec = np.asarray(val, dtype=float)
+            vec = _vector(val, f"cost.offsets[{key}]", problems)
+            if vec is None:
+                continue
             if vec.shape != (p,):
                 problems.append(f"cost.offsets[{key}]: shape {vec.shape}, "
                                 f"expected ({p},)")
@@ -400,15 +448,17 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             problems.extend(exc.violations)
 
     # Solver / MPC ------------------------------------------------------------
-    solver_cfg = raw.get("solver", {})
+    solver_cfg = _section(raw, "solver", problems)
     _check_keys(solver_cfg, _SOLVER_KEYS, "solver", problems)
-    eps = float(solver_cfg.get("eps", 1e-6))
+    eps = _number(solver_cfg, "eps", 1e-6, problems, "solver.")
     solver = None
     try:
         solver = SolverConfig(
-            c=float(solver_cfg.get("c", 1.0)),
-            max_outer=int(solver_cfg.get("max_outer", 100)),
-            L_max=int(solver_cfg.get("L_max", 10)),
+            c=_number(solver_cfg, "c", 1.0, problems, "solver."),
+            max_outer=_number(solver_cfg, "max_outer", 100, problems, "solver.",
+                              integer=True),
+            L_max=_number(solver_cfg, "L_max", 10, problems, "solver.",
+                          integer=True),
             eps_grad=eps, eps_step=eps,
             stop="step" if mpc_mode else "grad",
             method=solver_cfg.get("method", "ocp"),
@@ -419,14 +469,15 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     mpc = None
     horizon = raw.get("horizon")
     if mpc_mode:
-        mpc_cfg = raw.get("mpc") or {}
+        mpc_cfg = _section(raw, "mpc", problems)
         _check_keys(mpc_cfg, _MPC_KEYS, "mpc", problems)
         try:
             mpc = MpcConfig(
-                N_p=int(mpc_cfg.get("N_p", 8)),
-                T=int(mpc_cfg.get("T", 100)),
+                N_p=_number(mpc_cfg, "N_p", 8, problems, "mpc.", integer=True),
+                T=_number(mpc_cfg, "T", 100, problems, "mpc.", integer=True),
                 warm_start=bool(mpc_cfg.get("warm_start", True)),
-                drop_probability=float(mpc_cfg.get("drop_probability", 0.0)),
+                drop_probability=_number(mpc_cfg, "drop_probability", 0.0,
+                                         problems, "mpc."),
             )
         except ValueError as exc:
             problems.append(f"mpc: {exc}")
@@ -435,11 +486,15 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     elif horizon is None:
         problems.append("scenario: needs an 'mpc' section or a 'horizon'")
     else:
-        horizon = int(horizon)
+        horizon = _number(raw, "horizon", 1, problems, integer=True)
         if horizon < 1:
             problems.append(f"scenario: horizon must be >= 1, got {horizon}")
 
-    if error_mask is not None and p is not None:
+    if error_mask is not None and (not isinstance(error_mask, list)
+                                   or not all(map(_integral, error_mask))):
+        problems.append(f"error_mask: expected a list of component indices, "
+                        f"got {error_mask!r}")
+    elif error_mask is not None and p is not None:
         bad = [c for c in error_mask if not 0 <= int(c) < p]
         if bad:
             problems.append(f"error_mask: components {bad} out of range 0..{p - 1}")
@@ -502,22 +557,17 @@ def load_preset(name: str, overrides=None) -> ScenarioSpec:
 # Execution and artifacts
 # ---------------------------------------------------------------------------
 
-def run_scenario(spec: ScenarioSpec, executor: str | None = None):
-    """Dispatch to the right runner; returns RunResult or FiniteHorizonResult."""
+def run_scenario(spec: ScenarioSpec):
+    """Run the scenario; returns RunResult (MPC) or FiniteHorizonResult."""
     if spec.mpc is not None:
-        if spec.topology.leader_links:
-            return run_mpc_leader_follower(
-                spec.topology, spec.models, spec.leader_model, spec.cost,
-                spec.solver, spec.mpc, spec.initial_states, spec.leader_x0,
-                seed=spec.seed, executor=executor, error_mask=spec.error_mask)
-        return run_mpc_leaderless(
-            spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
-            spec.initial_states, seed=spec.seed, executor=executor,
-            error_mask=spec.error_mask)
+        return Session(spec.topology, spec.models, spec.cost, spec.solver,
+                       spec.mpc, spec.initial_states,
+                       leader_model=spec.leader_model, leader_x0=spec.leader_x0,
+                       seed=spec.seed, error_mask=spec.error_mask).run()
     return run_algorithm1(
         spec.topology, spec.models, spec.cost, spec.solver, spec.horizon,
         spec.initial_states, leader_model=spec.leader_model,
-        leader_x0=spec.leader_x0, executor=executor)
+        leader_x0=spec.leader_x0)
 
 
 def steps_to_threshold(max_errors: np.ndarray, threshold: float) -> int | None:
@@ -555,39 +605,41 @@ def compute_metrics(result, spec: ScenarioSpec, wall_time: float | None = None) 
     return metrics
 
 
-def _mpc_rows(result: RunResult, spec: ScenarioSpec):
-    agents = sorted(result.states)
-    p = result.states[agents[0]].shape[1]
-    mmax = max(result.controls[i].shape[1] for i in agents)
-    T = result.states[agents[0]].shape[0] - 1
+def _trajectory_rows(states: dict, controls: dict, leader):
+    """One row per (t, agent) with its state and applied control, plus the
+    leader's state; the last time step has no control."""
+    agents = sorted(states)
+    p = states[agents[0]].shape[1]
+    mmax = max(controls[i].shape[1] for i in agents)
+    T = states[agents[0]].shape[0] - 1
     header = ["t", "agent"] + [f"x{c}" for c in range(p)] + [f"u{c}" for c in range(mmax)]
     rows = []
     for t in range(T + 1):
         for i in agents:
-            cells = [str(t), str(i)] + [_fmt(v) for v in result.states[i][t]]
+            cells = [str(t), str(i)] + [_fmt(v) for v in states[i][t]]
             if t < T:
-                u = result.controls[i][t]
+                u = controls[i][t]
                 cells += [_fmt(v) for v in u] + [""] * (mmax - len(u))
             else:
                 cells += [""] * mmax
             rows.append(cells)
-        if result.leader_states is not None:
-            cells = [str(t), "l"] + [_fmt(v) for v in result.leader_states[t]]
+        if leader is not None:
+            cells = [str(t), "l"] + [_fmt(v) for v in leader[t]]
             cells += [""] * mmax
             rows.append(cells)
     return header, rows
 
 
-def _error_rows(states_at, T: int, spec: ScenarioSpec, leader_at=None):
+def _error_rows(states: dict, leader, spec: ScenarioSpec):
     """Long-format error rows: masked norm plus per-component deviations."""
-    p = len(states_at(0)[1])
+    steps, p = states[1].shape
     header = ["t", "pair", "error"] + [f"e{c}" for c in range(p)]
     offsets = spec.cost.offsets
     rows = []
-    for t in range(T + 1):
-        states = states_at(t)
-        leader_state = None if leader_at is None else leader_at(t)
-        errs, _ = consensus_error(states, spec.topology, offsets,
+    for t in range(steps):
+        states_t = {i: x[t] for i, x in sorted(states.items())}
+        leader_state = None if leader is None else leader[t]
+        errs, _ = consensus_error(states_t, spec.topology, offsets,
                                   mask=spec.error_mask, leader_state=leader_state)
 
         def shifted(idx, x):
@@ -596,8 +648,8 @@ def _error_rows(states_at, T: int, spec: ScenarioSpec, leader_at=None):
 
         for pair in sorted(errs):
             a, b = pair.split("-")
-            za = shifted(int(a), states[int(a)])
-            zb = shifted(0, leader_state) if b == "l" else shifted(int(b), states[int(b)])
+            za = shifted(int(a), states_t[int(a)])
+            zb = shifted(0, leader_state) if b == "l" else shifted(int(b), states_t[int(b)])
             comp = np.abs(za - zb)
             rows.append([str(t), pair, _fmt(errs[pair])] + [_fmt(v) for v in comp])
     return header, rows
@@ -612,59 +664,25 @@ def emit_results(result, spec: ScenarioSpec, out_dir,
     os.makedirs(out_dir, exist_ok=True)
 
     if isinstance(result, FiniteHorizonResult):
-        agents = sorted(result.trajectories)
-        p = result.trajectories[agents[0]].shape[1]
-        mmax = max(result.controls[i].shape[1] for i in agents)
-        H = result.controls[agents[0]].shape[0]
-        header = ["t", "agent"] + [f"x{c}" for c in range(p)] + [f"u{c}" for c in range(mmax)]
-        rows = []
-        for t in range(H + 1):
-            for i in agents:
-                cells = [str(t), str(i)] + [_fmt(v) for v in result.trajectories[i][t]]
-                if t < H:
-                    u = result.controls[i][t]
-                    cells += [_fmt(v) for v in u] + [""] * (mmax - len(u))
-                else:
-                    cells += [""] * mmax
-                rows.append(cells)
-        traj_header, traj_rows = header, rows
-        err_header, err_rows = _error_rows(
-            lambda t: {i: result.trajectories[i][t] for i in agents}, H, spec,
-            leader_at=(None if result.leader_trajectory is None
-                       else lambda t: result.leader_trajectory[t]))
+        states, leader = result.trajectories, result.leader_trajectory
     else:
-        traj_header, traj_rows = _mpc_rows(result, spec)
-        agents = sorted(result.states)
-        T = result.states[agents[0]].shape[0] - 1
-        err_header, err_rows = _error_rows(
-            lambda t: {i: result.states[i][t] for i in agents}, T, spec,
-            leader_at=(None if result.leader_states is None
-                       else lambda t: result.leader_states[t]))
-
-    traj_path = os.path.join(out_dir, "trajectories.csv")
-    with open(traj_path, "w") as fh:
-        fh.write(",".join(traj_header) + "\n")
-        for row in traj_rows:
-            fh.write(",".join(row) + "\n")
-
-    err_path = os.path.join(out_dir, "errors.csv")
-    with open(err_path, "w") as fh:
-        fh.write(",".join(err_header) + "\n")
-        for row in err_rows:
-            fh.write(",".join(row) + "\n")
+        states, leader = result.states, result.leader_states
+    paths = [os.path.join(out_dir, name) for name in
+             ("trajectories.csv", "errors.csv", "metrics.json", "config.json")]
+    tables = (_trajectory_rows(states, result.controls, leader),
+              _error_rows(states, leader, spec))
+    for path, (header, rows) in zip(paths, tables):
+        with open(path, "w") as fh:
+            for row in [header] + rows:
+                fh.write(",".join(row) + "\n")
 
     metrics = compute_metrics(result, spec, wall_time)
-    metrics_path = os.path.join(out_dir, "metrics.json")
-    with open(metrics_path, "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for path, echo in zip(paths[2:], (metrics, spec.resolved)):
+        with open(path, "w") as fh:
+            json.dump(echo, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
-    config_path = os.path.join(out_dir, "config.json")
-    with open(config_path, "w") as fh:
-        json.dump(spec.resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    return RunArtifacts(traj_path, err_path, metrics_path, config_path, metrics)
+    return RunArtifacts(*paths, metrics)
 
 
 def default_out_dir(spec: ScenarioSpec) -> str:

@@ -27,9 +27,10 @@ from .errors import NumericError, PreconditionError
 class SolverConfig:
     """Knobs for the per-agent solve.
 
-    ``stop`` selects the convergence test: "grad" checks the gradient norm
-    before updating (finite-horizon algorithm flavor), "step" checks the
-    control change after updating (receding-horizon flavor).
+    ``stop`` selects the convergence test of ``ocp_solve``/``msa_solve``:
+    "grad" checks the gradient norm before updating, "step" checks the
+    control change after updating.  The coordinator's round loop takes its
+    rule from the run mode instead (one-shot or MPC).
     """
 
     c: float = 1.0

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, adjoint, scenarios
+from optcons.coordinator import Session
 from optcons.cost import NeighborBundle
 from optcons.graph import neighbors
 from optcons import dynamics as dyn
@@ -302,14 +303,22 @@ def test_criterion_9_scheduling_independence(tmp_path):
     spec = scenarios.load_preset(
         "leader_follower", overrides=["mpc.T=8", "mpc.drop_probability=0.3"])
     blobs = {}
-    for executor in (None, "thread"):
-        result = scenarios.run_scenario(spec, executor=executor)
-        arts = scenarios.emit_results(result, spec, tmp_path / str(executor))
-        blobs[executor] = tuple(
+    for reverse in (False, True):
+        # The same run with the agents solved in reverse order.
+        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                          spec.mpc, spec.initial_states,
+                          leader_model=spec.leader_model,
+                          leader_x0=spec.leader_x0, seed=spec.seed,
+                          error_mask=spec.error_mask)
+        if reverse:
+            session.order.reverse()
+        arts = scenarios.emit_results(session.run(), spec,
+                                      tmp_path / f"reverse{reverse}")
+        blobs[reverse] = tuple(
             open(p, "rb").read() for p in (arts.trajectories_csv,
                                            arts.errors_csv, arts.metrics_json,
                                            arts.config_json))
-    same = blobs[None] == blobs["thread"]
+    same = blobs[False] == blobs[True]
     elapsed = time.perf_counter() - start
     ok = same and elapsed < 30
     assert report(9, "scheduling independence", ok,

@@ -107,6 +107,9 @@ def test_gradcheck_writes_csv_and_reports_small_error(tmp_path, capsys):
 
 def test_gradcheck_agent_out_of_range(tmp_path):
     assert run_cli("gradcheck", "scalar_chain", "--agent", "9") == 1
+    assert run_cli("gradcheck", "leader_follower", "--agent", "2", "--t", "-1",
+                   "--out", str(tmp_path)) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_run_deterministic_artifacts(tmp_path):

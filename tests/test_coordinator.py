@@ -176,14 +176,19 @@ def test_consensus_error_mask_and_leader():
 
 
 def test_scheduling_independence_bitwise():
+    # Solving the agents in reverse order must not change a bit: every
+    # update reads only its round's snapshot.
     spec = scenarios.load_preset("leader_follower", overrides=["mpc.T=8"])
     runs = {}
-    for executor in (None, "thread"):
-        runs[executor] = run_mpc_leader_follower(
-            spec.topology, spec.models, spec.leader_model, spec.cost,
-            spec.solver, spec.mpc, spec.initial_states, spec.leader_x0,
-            seed=spec.seed, executor=executor)
-    a, b = runs[None], runs["thread"]
+    for reverse in (False, True):
+        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                          spec.mpc, spec.initial_states,
+                          leader_model=spec.leader_model,
+                          leader_x0=spec.leader_x0, seed=spec.seed)
+        if reverse:
+            session.order.reverse()
+        runs[reverse] = session.run()
+    a, b = runs[False], runs[True]
     for i in sorted(a.states):
         np.testing.assert_array_equal(a.states[i], b.states[i])
         np.testing.assert_array_equal(a.controls[i], b.controls[i])

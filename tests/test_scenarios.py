@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from optcons import scenarios
+from optcons import cli, scenarios
 from optcons.errors import ConfigError
 
 
@@ -166,6 +166,34 @@ def test_metrics_consistent_with_errors_csv(tmp_path):
     want = scenarios.steps_to_threshold(maxes, spec.error_threshold)
     assert artifacts.metrics["steps_to_threshold"] == want
     assert artifacts.metrics["final_max_error"] == pytest.approx(maxes[-1])
+
+
+def test_one_shot_leader_rows_in_trajectories(tmp_path):
+    raw = json.loads(open(scenarios.preset_path("leader_follower")).read())
+    del raw["mpc"]
+    raw["horizon"] = 4
+    spec = scenarios.load_scenario(raw)
+    result = scenarios.run_scenario(spec)
+    artifacts = scenarios.emit_results(result, spec, tmp_path)
+    rows = [line.split(",") for line in
+            open(artifacts.trajectories_csv).read().strip().splitlines()[1:]]
+    leader = [cells for cells in rows if cells[1] == "l"]
+    assert [int(cells[0]) for cells in leader] == list(range(5))
+    np.testing.assert_array_equal(
+        [[float(v) for v in cells[2:4]] for cells in leader],
+        result.leader_trajectory)
+
+
+@pytest.mark.parametrize("override", [
+    "seed=abc", 'error_threshold="x"', "solver=[1]", "mpc=[1]",
+    'initial_states.1="a"', 'error_mask=[0,"a"]', "error_mask=5",
+    "topology.n=4.5", "mpc.N_p=2.7", "solver.max_outer=1.5",
+])
+def test_malformed_override_raises_config_error(override, capsys):
+    with pytest.raises(ConfigError):
+        scenarios.load_preset("leader_follower", overrides=[override])
+    assert cli.main(["check", "leader_follower", "--set", override]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_mpc_trajectories_csv_shape(tmp_path):
