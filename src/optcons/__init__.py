@@ -12,7 +12,8 @@ from .graph import Topology, neighbors, is_strongly_connected, has_spanning_tree
 from .dynamics import (Model, step, linearize, fd_jacobian, rollout,
                        unicycle, unicycle_drift, linear, linear_sine, leader_sine)
 from .cost import CostSpec, NeighborBundle, local_cost, global_cost
-from .adjoint import costate_sweep, gradient, hessian, fd_gradient, fd_hessian
+from .adjoint import (linearize_window, costate_sweep, gradient, hessian,
+                      fd_gradient, fd_hessian)
 from .solver import (SolverConfig, LocalProblem, SolveResult, ocp_direction,
                      ocp_solve, msa_solve, contraction_factor)
 from .coordinator import (MpcConfig, RoundMessage, RunResult, Session,

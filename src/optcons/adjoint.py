@@ -1,5 +1,9 @@
 """Costate sweeps, exact gradients and Hessians of the local cost.
 
+The derivatives below read the window's stage Jacobians (A, B) from
+``linearize_window``; callers linearize once per update and pass the same
+pair to the costate sweep, the gradient and the Hessian.
+
 The gradient comes from one backward costate pass: the costate lambda(t)
 accumulates the cost's sensitivity to the state, and the stationarity
 residual R u(t) + lambda(t+1) df/du is exactly the derivative of the local
@@ -41,17 +45,33 @@ def _resolve_mode(i: int, spec: CostSpec, mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def costate_sweep(i: int, model: dyn.Model, traj_i, u_i, nb: NeighborBundle,
-                  spec: CostSpec, mode: str = "auto", k0: int = 0) -> np.ndarray:
+def linearize_window(model: dyn.Model, traj_i, u_i, k0: int = 0):
+    """Stage Jacobians of a window: (A, B) stacked as (H, p, p) and (H, p, m),
+    with A[t], B[t] = dyn.linearize at (x(t), u(t), k0 + t)."""
+    traj_i = np.asarray(traj_i, dtype=float)
+    u_i = np.asarray(u_i, dtype=float)
+    H = u_i.shape[0]
+    p, m = model.state_dim, model.control_dim
+    A = np.empty((H, p, p))
+    B = np.empty((H, p, m))
+    for t in range(H):
+        A[t], B[t] = dyn.linearize(model, traj_i[t], u_i[t], k0 + t)
+    return A, B
+
+
+def costate_sweep(i: int, traj_i, u_i, jac, nb: NeighborBundle,
+                  spec: CostSpec, mode: str = "auto") -> np.ndarray:
     """Backward costate recursion; returns the (H+1, p) array of lambda(t).
 
-    lambda(H) collects the terminal weights; going backward,
-    lambda(t) = sum_j Q_ij e_ij(t) [+ W_il e_il(t)] + lambda(t+1) df/dx(t).
+    ``jac`` is the window's (A, B) from ``linearize_window``.  lambda(H)
+    collects the terminal weights; going backward,
+    lambda(t) = sum_j Q_ij e_ij(t) [+ W_il e_il(t)] + lambda(t+1) A(t).
     lambda(0) is computed for completeness but unused by the gradient.
     """
     traj_i = np.asarray(traj_i, dtype=float)
     u_i = np.asarray(u_i, dtype=float)
     H = _check_horizons(i, traj_i, u_i, nb)
+    A, _ = jac
     p = traj_i.shape[1]
     use_leader = _resolve_mode(i, spec, mode)
 
@@ -78,28 +98,25 @@ def costate_sweep(i: int, model: dyn.Model, traj_i, u_i, nb: NeighborBundle,
     lambdas = np.empty((H + 1, p))
     lambdas[H] = term_src
     for t in range(H - 1, -1, -1):
-        A, _ = dyn.linearize(model, traj_i[t], u_i[t], k0 + t)
-        lambdas[t] = stage_src[t] + lambdas[t + 1] @ A
+        lambdas[t] = stage_src[t] + lambdas[t + 1] @ A[t]
     return lambdas
 
 
-def gradient(i: int, model: dyn.Model, traj_i, u_i, lambdas, spec: CostSpec,
-             k0: int = 0) -> np.ndarray:
+def gradient(i: int, u_i, jac, lambdas, spec: CostSpec) -> np.ndarray:
     """Exact local-cost gradient, flattened time-major (H*m,).
 
-    Block t is the stationarity residual R u(t) + lambda(t+1) df/du(t);
-    it vanishes at an optimal control sequence.
+    Block t is the stationarity residual R u(t) + lambda(t+1) B(t), with
+    ``jac`` the window's (A, B); it vanishes at an optimal control sequence.
     """
-    traj_i = np.asarray(traj_i, dtype=float)
     u_i = np.asarray(u_i, dtype=float)
     H, m = u_i.shape
+    _, B = jac
     if lambdas.shape[0] != H + 1:
         raise ValueError(f"costate has {lambdas.shape[0]} rows, expected {H + 1}")
     R = spec.R[i]
     g = np.empty((H, m))
     for t in range(H):
-        _, B = dyn.linearize(model, traj_i[t], u_i[t], k0 + t)
-        g[t] = R @ u_i[t] + lambdas[t + 1] @ B
+        g[t] = R @ u_i[t] + lambdas[t + 1] @ B[t]
     return g.reshape(-1)
 
 
@@ -118,15 +135,16 @@ def _state_curvatures(i: int, spec: CostSpec, p: int, use_leader: bool):
     return C_stage, C_term
 
 
-def hessian(i: int, model: dyn.Model, traj_i, u_i, lambdas, spec: CostSpec,
+def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
             mode: str = "auto", k0: int = 0, allow_fd: bool = True) -> np.ndarray:
     """Exact (H*m, H*m) Hessian of the local cost, neighbors frozen.
 
-    One forward sensitivity pass and one backward second-order adjoint pass,
-    batched over all H*m unit control perturbations; the model's
-    lambda-weighted second derivatives enter both passes.  The result is
-    symmetrized once if assembly drift exceeds 1e-12 (an error beyond
-    1e-8 relative would indicate a broken model derivative).
+    One forward sensitivity pass and one backward second-order adjoint pass
+    over the window's (A, B) ``jac``, batched over all H*m unit control
+    perturbations; the model's lambda-weighted second derivatives enter
+    both passes.  The result is symmetrized once if assembly drift exceeds
+    1e-12 (an error beyond 1e-8 relative would indicate a broken model
+    derivative).
     """
     traj_i = np.asarray(traj_i, dtype=float)
     u_i = np.asarray(u_i, dtype=float)
@@ -136,12 +154,10 @@ def hessian(i: int, model: dyn.Model, traj_i, u_i, lambdas, spec: CostSpec,
     use_leader = _resolve_mode(i, spec, mode)
     C_stage, C_term = _state_curvatures(i, spec, p, use_leader)
     R = spec.R[i]
+    A, B = jac
 
-    A = np.empty((H, p, p))
-    B = np.empty((H, p, m))
     M = np.empty((H, p + m, p + m))
     for t in range(H):
-        A[t], B[t] = dyn.linearize(model, traj_i[t], u_i[t], k0 + t)
         M[t] = dyn.second_order_action(model, traj_i[t], u_i[t], k0 + t,
                                        lambdas[t + 1], allow_fd=allow_fd)
 
@@ -210,8 +226,9 @@ def fd_hessian(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
     def grad(vec):
         u = vec.reshape(H, m)
         traj = dyn.rollout(model, x0, u, k0)
-        lam = costate_sweep(i, model, traj, u, nb, spec, mode=mode, k0=k0)
-        return gradient(i, model, traj, u, lam, spec, k0=k0)
+        jac = linearize_window(model, traj, u, k0)
+        lam = costate_sweep(i, traj, u, jac, nb, spec, mode=mode)
+        return gradient(i, u, jac, lam, spec)
 
     Hmat = np.empty((flat.size, flat.size))
     for idx in range(flat.size):

@@ -77,10 +77,10 @@ def _cmd_gradcheck(args) -> int:
     if not 1 <= args.agent <= spec.topology.n:
         raise ConfigError(f"agent {args.agent} out of range 1..{spec.topology.n}")
     problem, u = _window_problem(spec, args.agent, args.t)
-    traj, lam, g = problem.sweep(u)
+    traj, jac, lam, g = problem.sweep(u)
     g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                problem.nb, problem.spec, k0=problem.k0)
-    Hmat = problem.hessian(u, traj, lam)
+    Hmat = problem.hessian(u, traj, jac, lam)
     H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                               problem.nb, problem.spec, k0=problem.k0)
 

@@ -123,20 +123,19 @@ def _agent_round_update(i, model, x_i, u_i, traj, nb, spec, cfg, r, k0, msa_eta)
     """One update of agent i's window from the round's rollout ``traj``;
     returns (u_new, step_norm, grad_norm, eta)."""
     problem = LocalProblem(i, model, x_i, nb, spec, mode="auto", k0=k0)
-    lam = adjoint.costate_sweep(i, model, traj, u_i, nb, spec, mode="auto", k0=k0)
-    g = adjoint.gradient(i, model, traj, u_i, lam, spec, k0=k0)
+    jac = adjoint.linearize_window(model, traj, u_i, k0)
+    lam = adjoint.costate_sweep(i, traj, u_i, jac, nb, spec, mode="auto")
+    g = adjoint.gradient(i, u_i, jac, lam, spec)
     gnorm = float(np.linalg.norm(g))
-    H, m = u_i.shape
     if cfg.method == "msa":
         taken = backtrack_step(problem.cost, u_i, g, problem.cost(u_i), msa_eta)
         if taken is None:
             return u_i, 0.0, gnorm, msa_eta
         u_new, _, eta, step = taken
         return u_new, step, gnorm, eta
-    Hmat = regularize(problem.hessian(u_i, traj, lam), cfg.reg_floor)
-    G = cfg.c * np.eye(H * m)
-    d = ocp_direction(g, Hmat, G, r, cfg.L_max)
-    return u_i - d.reshape(H, m), float(np.linalg.norm(d)), gnorm, msa_eta
+    Hmat = regularize(problem.hessian(u_i, traj, jac, lam), cfg.reg_floor)
+    d = ocp_direction(g, Hmat, cfg.c, r, cfg.L_max)
+    return u_i - d.reshape(u_i.shape), float(np.linalg.norm(d)), gnorm, msa_eta
 
 
 class Session:

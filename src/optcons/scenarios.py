@@ -120,6 +120,19 @@ def _number(section: dict, key: str, default, problems: list, where: str = "",
     return default
 
 
+def _typed(section: dict, key: str, default, kind: type, problems: list,
+           where: str = ""):
+    """section[key] (or default) when it is a JSON value of ``kind`` (str or
+    bool); anything else is recorded as a problem and replaced by the
+    default."""
+    value = section.get(key, default)
+    if value is default or isinstance(value, kind):
+        return value
+    expected = "a string" if kind is str else "true or false"
+    problems.append(f"{where}{key}: expected {expected}, got {value!r}")
+    return default
+
+
 def _vector(value, where: str, problems: list) -> np.ndarray | None:
     try:
         vec = np.asarray(value, dtype=float)
@@ -284,9 +297,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     problems: list[str] = []
     _check_keys(raw, _TOP_KEYS, "scenario", problems)
 
-    name = raw.get("name", "scenario")
+    name = _typed(raw, "name", "scenario", str, problems)
     seed = _number(raw, "seed", 0, problems, integer=True)
-    out_dir = raw.get("out_dir")
+    out_dir = _typed(raw, "out_dir", None, str, problems)
     error_mask = raw.get("error_mask")
     error_threshold = _number(raw, "error_threshold", 0.05, problems)
 
@@ -475,7 +488,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             mpc = MpcConfig(
                 N_p=_number(mpc_cfg, "N_p", 8, problems, "mpc.", integer=True),
                 T=_number(mpc_cfg, "T", 100, problems, "mpc.", integer=True),
-                warm_start=bool(mpc_cfg.get("warm_start", True)),
+                warm_start=_typed(mpc_cfg, "warm_start", True, bool, problems,
+                                  "mpc."),
                 drop_probability=_number(mpc_cfg, "drop_probability", 0.0,
                                          problems, "mpc."),
             )

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import adjoint, dynamics as dyn
 from .cost import CostSpec, NeighborBundle, local_cost
@@ -77,15 +78,17 @@ class LocalProblem:
         return local_cost(self.i, self.rollout(u), u, self.nb, self.spec)
 
     def sweep(self, u):
-        """Rollout + costate + gradient in one go; returns (traj, lam, g)."""
+        """Rollout, linearization, costate and gradient in one go; returns
+        (traj, jac, lam, g) with jac the window's (A, B)."""
         traj = self.rollout(u)
-        lam = adjoint.costate_sweep(self.i, self.model, traj, u, self.nb,
-                                    self.spec, mode=self.mode, k0=self.k0)
-        g = adjoint.gradient(self.i, self.model, traj, u, lam, self.spec, k0=self.k0)
-        return traj, lam, g
+        jac = adjoint.linearize_window(self.model, traj, u, self.k0)
+        lam = adjoint.costate_sweep(self.i, traj, u, jac, self.nb, self.spec,
+                                    mode=self.mode)
+        g = adjoint.gradient(self.i, u, jac, lam, self.spec)
+        return traj, jac, lam, g
 
-    def hessian(self, u, traj, lam):
-        return adjoint.hessian(self.i, self.model, traj, u, lam, self.spec,
+    def hessian(self, u, traj, jac, lam):
+        return adjoint.hessian(self.i, self.model, traj, u, jac, lam, self.spec,
                                mode=self.mode, k0=self.k0)
 
 
@@ -107,21 +110,32 @@ def regularize(Hmat: np.ndarray, floor: float) -> np.ndarray:
     return Hmat
 
 
-def ocp_direction(g: np.ndarray, Hmat: np.ndarray, G: np.ndarray, r: int,
+def ocp_direction(g: np.ndarray, Hmat: np.ndarray, c: float, r: int,
                   L_max: int = 10) -> np.ndarray:
-    """Inner recursion producing the update direction at outer iteration r.
+    """Inner recursion producing the update direction at outer iteration r,
+    with G = c I.
 
-    One Cholesky factorization of (G + H) is reused across the
-    min(r, L_max) refinement cycles.
+    One LAPACK Cholesky factorization (dpotrf) of c I + H is reused by the
+    min(r, L_max) + 1 triangular solves (dpotrs) of d^0 = (G+H)^-1 g and
+    d^l = (G+H)^-1 (g + c d^{l-1}).  These are the routines scipy's
+    cho_factor and cho_solve call, minus their per-call wrapper overhead, so
+    d equals that recursion on the dense G exactly (an exactly zero entry
+    may differ in sign).  Non-finite input raises ValueError; c I + H not
+    positive definite raises NumericError.
     """
-    GH = G + Hmat
-    try:
-        cho = scipy.linalg.cho_factor(GH)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"G + H is not positive definite: {exc}") from exc
-    d = scipy.linalg.cho_solve(cho, g)
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    GH = np.array(Hmat, dtype=float)
+    GH.flat[::n + 1] += c
+    if not (np.isfinite(GH).all() and np.isfinite(g).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    cho, info = dpotrf(GH, clean=0)
+    if info > 0:
+        raise NumericError(f"G + H is not positive definite: {info}-th leading "
+                           f"minor of the array is not positive definite")
+    d, _ = dpotrs(cho, g)
     for _ in range(min(r, L_max)):
-        d = scipy.linalg.cho_solve(cho, g + G @ d)
+        d, _ = dpotrs(cho, g + c * d)
     return d
 
 
@@ -142,23 +156,22 @@ def ocp_solve(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     """Iterate the accelerated update until the configured stopping rule fires."""
     u = np.asarray(u0, dtype=float).copy()
     H, m = u.shape
-    G = cfg.c * np.eye(H * m)
     history = [u.reshape(-1).copy()]
     gnorm = np.inf
     for r in range(cfg.max_outer):
-        traj, lam, g = problem.sweep(u)
+        traj, jac, lam, g = problem.sweep(u)
         gnorm = float(np.linalg.norm(g))
         if cfg.stop == "grad" and gnorm < cfg.eps_grad:
             return SolveResult(u, r, gnorm, True, history=history)
-        Hmat = regularize(problem.hessian(u, traj, lam), cfg.reg_floor)
-        d = ocp_direction(g, Hmat, G, r, cfg.L_max)
+        Hmat = regularize(problem.hessian(u, traj, jac, lam), cfg.reg_floor)
+        d = ocp_direction(g, Hmat, cfg.c, r, cfg.L_max)
         u = u - d.reshape(H, m)
         history.append(u.reshape(-1).copy())
         if cfg.stop == "step" and float(np.linalg.norm(d)) < cfg.eps_step:
-            _, _, g = problem.sweep(u)
+            *_, g = problem.sweep(u)
             return SolveResult(u, r + 1, float(np.linalg.norm(g)), True,
                                history=history)
-    _, _, g = problem.sweep(u)
+    *_, g = problem.sweep(u)
     return SolveResult(u, cfg.max_outer, float(np.linalg.norm(g)), False,
                        history=history)
 
@@ -196,7 +209,7 @@ def msa_solve(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     history = [u.reshape(-1).copy()]
     J = problem.cost(u)
     for r in range(cfg.max_outer):
-        _, _, g = problem.sweep(u)
+        *_, g = problem.sweep(u)
         gnorm = float(np.linalg.norm(g))
         if cfg.stop == "grad" and gnorm < cfg.eps_grad:
             return SolveResult(u, r, gnorm, True, history=history)
@@ -207,9 +220,9 @@ def msa_solve(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
         u, J, eta, step = taken
         history.append(u.reshape(-1).copy())
         if cfg.stop == "step" and step < cfg.eps_step:
-            _, _, g = problem.sweep(u)
+            *_, g = problem.sweep(u)
             return SolveResult(u, r + 1, float(np.linalg.norm(g)), True,
                                history=history)
-    _, _, g = problem.sweep(u)
+    *_, g = problem.sweep(u)
     return SolveResult(u, cfg.max_outer, float(np.linalg.norm(g)), False,
                        history=history)

@@ -51,11 +51,11 @@ def test_criterion_1_adjoint_exactness():
     for k in range(50):
         kind = "unicycle" if k % 2 == 0 else "linear_sine"
         problem, u = random_instance(rng, kind)
-        traj, lam, g = problem.sweep(u)
+        traj, jac, lam, g = problem.sweep(u)
         g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                    problem.nb, problem.spec)
         worst_g = max(worst_g, np.linalg.norm(g - g_fd) / (1 + np.linalg.norm(g_fd)))
-        H = problem.hessian(u, traj, lam)
+        H = problem.hessian(u, traj, jac, lam)
         H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                                   problem.nb, problem.spec)
         worst_h = max(worst_h, np.linalg.norm(H - H_fd) / (1 + np.linalg.norm(H_fd)))

@@ -20,7 +20,8 @@ def test_costate_hand_sweep():
     model, spec, nb = scalar_chain_pieces()
     u = np.zeros((1, 1))
     traj = dyn.rollout(model, [1.0], u)
-    lam = adjoint.costate_sweep(1, model, traj, u, nb, spec)
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
     np.testing.assert_allclose(lam.ravel(), [2.0, 1.0])
 
 
@@ -30,7 +31,9 @@ def test_costate_zero_at_consensus():
     model = dyn.linear(np.eye(2), np.eye(2))
     traj = np.tile([0.3, -0.7], (4, 1))
     nb = NeighborBundle({2: traj.copy()})
-    lam = adjoint.costate_sweep(1, model, traj, np.zeros((3, 2)), nb, spec)
+    u = np.zeros((3, 2))
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
     np.testing.assert_array_equal(lam, np.zeros((4, 2)))
 
 
@@ -40,8 +43,9 @@ def test_costate_leader_mode_on_leader_trajectory():
     model = dyn.linear(np.eye(2), np.array([[1.0], [0.0]]))
     traj = np.tile([1.0, 2.0], (3, 1))
     nb = NeighborBundle({}, leader=traj.copy())
-    lam = adjoint.costate_sweep(1, model, traj, np.zeros((2, 1)), nb, spec,
-                                mode="leader_follower")
+    u = np.zeros((2, 1))
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec, mode="leader_follower")
     np.testing.assert_array_equal(lam, np.zeros((3, 2)))
 
 
@@ -50,23 +54,27 @@ def test_leaderless_mode_rejects_leader_weights():
     spec = CostSpec(Q={}, R={1: np.eye(1)}, W={1: np.eye(2)})
     model = dyn.linear(np.eye(2), np.array([[1.0], [0.0]]))
     traj = np.zeros((3, 2))
+    u = np.zeros((2, 1))
+    jac = adjoint.linearize_window(model, traj, u)
     with pytest.raises(ValueError, match="leaderless"):
-        adjoint.costate_sweep(1, model, traj, np.zeros((2, 1)),
-                              NeighborBundle({}), spec, mode="leaderless")
+        adjoint.costate_sweep(1, traj, u, jac, NeighborBundle({}), spec,
+                              mode="leaderless")
 
 
 def test_gradient_hand_values():
     model, spec, nb = scalar_chain_pieces()
     u = np.zeros((1, 1))
     traj = dyn.rollout(model, [1.0], u)
-    lam = adjoint.costate_sweep(1, model, traj, u, nb, spec)
-    g = adjoint.gradient(1, model, traj, u, lam, spec)
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
+    g = adjoint.gradient(1, u, jac, lam, spec)
     np.testing.assert_allclose(g, [1.0])
 
     u_star = np.array([[-0.5]])
     traj = dyn.rollout(model, [1.0], u_star)
-    lam = adjoint.costate_sweep(1, model, traj, u_star, nb, spec)
-    g = adjoint.gradient(1, model, traj, u_star, lam, spec)
+    jac = adjoint.linearize_window(model, traj, u_star)
+    lam = adjoint.costate_sweep(1, traj, u_star, jac, nb, spec)
+    g = adjoint.gradient(1, u_star, jac, lam, spec)
     np.testing.assert_allclose(g, [0.0], atol=1e-15)
 
 
@@ -75,8 +83,9 @@ def test_gradient_zero_when_stationary_sources_vanish():
     u = np.zeros((3, 1))
     traj = np.zeros((4, 1))
     nb0 = NeighborBundle({2: np.zeros((4, 1))})
-    lam = adjoint.costate_sweep(1, model, traj, u, nb0, spec)
-    g = adjoint.gradient(1, model, traj, u, lam, spec)
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb0, spec)
+    g = adjoint.gradient(1, u, jac, lam, spec)
     np.testing.assert_array_equal(g, np.zeros(3))
 
 
@@ -84,8 +93,9 @@ def test_hessian_hand_value():
     model, spec, nb = scalar_chain_pieces()
     u = np.zeros((1, 1))
     traj = dyn.rollout(model, [1.0], u)
-    lam = adjoint.costate_sweep(1, model, traj, u, nb, spec)
-    H = adjoint.hessian(1, model, traj, u, lam, spec)
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
+    H = adjoint.hessian(1, model, traj, u, jac, lam, spec)
     np.testing.assert_allclose(H, [[2.0]])
 
 
@@ -100,8 +110,9 @@ def test_hessian_constant_for_lq():
     for trial in range(2):
         u = rng.normal(size=(4, 2))
         traj = dyn.rollout(model, x0, u)
-        lam = adjoint.costate_sweep(1, model, traj, u, nb, spec)
-        H_at[trial] = adjoint.hessian(1, model, traj, u, lam, spec)
+        jac = adjoint.linearize_window(model, traj, u)
+        lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
+        H_at[trial] = adjoint.hessian(1, model, traj, u, jac, lam, spec)
     np.testing.assert_allclose(H_at[0], H_at[1], atol=1e-12)
 
 
@@ -113,8 +124,9 @@ def test_hessian_identity_for_pure_control_penalty():
     u = np.zeros((3, 2))
     traj = dyn.rollout(model, [1.0, -1.0], u)
     nb = NeighborBundle({2: np.zeros((4, 2))})
-    lam = adjoint.costate_sweep(1, model, traj, u, nb, spec)
-    H = adjoint.hessian(1, model, traj, u, lam, spec)
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
+    H = adjoint.hessian(1, model, traj, u, jac, lam, spec)
     np.testing.assert_allclose(H, np.eye(6), atol=1e-14)
 
 
@@ -132,8 +144,9 @@ def test_fd_gradient_exact_on_quadratic():
     model, spec, nb = scalar_chain_pieces()
     u = np.array([[0.3]])
     traj = dyn.rollout(model, [1.0], u)
-    lam = adjoint.costate_sweep(1, model, traj, u, nb, spec)
-    g_exact = adjoint.gradient(1, model, traj, u, lam, spec)
+    jac = adjoint.linearize_window(model, traj, u)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
+    g_exact = adjoint.gradient(1, u, jac, lam, spec)
     for h in (1e-2, 1e-4):
         g_fd = adjoint.fd_gradient(1, model, [1.0], u, nb, spec, h=h)
         np.testing.assert_allclose(g_fd, g_exact, atol=1e-9)
@@ -152,7 +165,7 @@ def test_gradient_matches_fd_on_random_instances(kind):
     rng = np.random.default_rng(1234)
     for _ in range(25):
         problem, u = random_instance(rng, kind)
-        traj, lam, g = problem.sweep(u)
+        *_, g = problem.sweep(u)
         g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                    problem.nb, problem.spec)
         assert np.linalg.norm(g - g_fd) / (1 + np.linalg.norm(g_fd)) < 1e-5
@@ -163,8 +176,8 @@ def test_hessian_matches_fd_on_random_instances(kind):
     rng = np.random.default_rng(99)
     for _ in range(10):
         problem, u = random_instance(rng, kind)
-        traj, lam, g = problem.sweep(u)
-        H = problem.hessian(u, traj, lam)
+        traj, jac, lam, g = problem.sweep(u)
+        H = problem.hessian(u, traj, jac, lam)
         H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                                   problem.nb, problem.spec)
         rel = np.linalg.norm(H - H_fd) / (1 + np.linalg.norm(H_fd))

@@ -209,6 +209,24 @@ def test_protocol_locality_instrumented():
     assert seen <= allowed
 
 
+def test_one_linearization_per_stage_per_update(monkeypatch):
+    spec = scenarios.load_preset("leader_follower")
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                      spec.mpc, spec.initial_states,
+                      leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    linearize = dyn.linearize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linearize(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "linearize", counted)
+    summary = session.step()
+    assert summary["rounds"] > 1
+    assert len(calls) == summary["rounds"] * spec.topology.n * spec.mpc.N_p
+
+
 def test_message_drops_deterministic_and_stale_reuse():
     spec = scenarios.load_preset("leader_follower",
                                  overrides=["mpc.T=6", "mpc.drop_probability=0.4"])

@@ -188,6 +188,7 @@ def test_one_shot_leader_rows_in_trajectories(tmp_path):
     "seed=abc", 'error_threshold="x"', "solver=[1]", "mpc=[1]",
     'initial_states.1="a"', 'error_mask=[0,"a"]', "error_mask=5",
     "topology.n=4.5", "mpc.N_p=2.7", "solver.max_outer=1.5",
+    "name=5", "out_dir=5", 'mpc.warm_start="false"',
 ])
 def test_malformed_override_raises_config_error(override, capsys):
     with pytest.raises(ConfigError):

@@ -5,29 +5,38 @@ import scipy.linalg
 from optcons import CostSpec
 from optcons.cost import NeighborBundle
 from optcons import dynamics as dyn
-from optcons.errors import PreconditionError
+from optcons.errors import NumericError, PreconditionError
 from optcons.solver import (LocalProblem, SolverConfig, contraction_factor,
                             msa_solve, ocp_direction, ocp_solve, regularize)
 
 from conftest import conditioned_quadratic, lq_batch_solution, random_spd
 
 
+def cho_direction(g, Hmat, c, r, L_max):
+    """Oracle: the inner recursion on scipy's cho_factor/cho_solve with the
+    dense G = c I, as ocp_direction was first written."""
+    G = c * np.eye(g.shape[0])
+    cho = scipy.linalg.cho_factor(G + Hmat)
+    d = scipy.linalg.cho_solve(cho, g)
+    for _ in range(min(r, L_max)):
+        d = scipy.linalg.cho_solve(cho, g + G @ d)
+    return d
+
+
 def test_direction_zero_gradient_fixed_point():
     rng = np.random.default_rng(0)
     H = random_spd(rng, 4)
-    G = np.eye(4)
     for r in (0, 1, 5):
-        d = ocp_direction(np.zeros(4), H, G, r)
+        d = ocp_direction(np.zeros(4), H, 1.0, r)
         np.testing.assert_array_equal(d, np.zeros(4))
 
 
 def test_direction_scalar_hand_recursion():
     g = np.array([1.0])  # gradient h*u at u=1, h=1
     H = np.array([[1.0]])
-    G = np.array([[1.0]])
-    d0 = ocp_direction(g, H, G, r=0)
+    d0 = ocp_direction(g, H, 1.0, r=0)
     assert d0[0] == pytest.approx(0.5)
-    d1 = ocp_direction(g, H, G, r=1)
+    d1 = ocp_direction(g, H, 1.0, r=1)
     assert d1[0] == pytest.approx(0.75)
     # applying d1 from u=1 lands at (c/(c+h))^2
     assert 1.0 - d1[0] == pytest.approx(0.25)
@@ -36,9 +45,8 @@ def test_direction_scalar_hand_recursion():
 def test_direction_approaches_newton():
     rng = np.random.default_rng(1)
     H = random_spd(rng, 3, scale=2.0, floor=1.0)  # rho <= 1/2, fast tail
-    G = np.eye(3)
     g = rng.normal(size=3)
-    d = ocp_direction(g, H, G, r=200, L_max=200)
+    d = ocp_direction(g, H, 1.0, r=200, L_max=200)
     newton = np.linalg.solve(H, g)
     np.testing.assert_allclose(d, newton, rtol=1e-10)
 
@@ -46,10 +54,36 @@ def test_direction_approaches_newton():
 def test_direction_r0_is_regularized_newton():
     rng = np.random.default_rng(2)
     H = random_spd(rng, 5)
-    G = 2.0 * np.eye(5)
     g = rng.normal(size=5)
-    d = ocp_direction(g, H, G, r=0)
-    np.testing.assert_allclose(d, np.linalg.solve(G + H, g), atol=1e-14)
+    d = ocp_direction(g, H, 2.0, r=0)
+    np.testing.assert_allclose(d, np.linalg.solve(2.0 * np.eye(5) + H, g), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+def test_direction_equals_cho_solve_recursion(n):
+    rng = np.random.default_rng(n)
+    L_max = 10
+    for c in (1.0, 0.3):
+        H = random_spd(rng, n, scale=5.0)
+        H[np.abs(H) < 0.5] = 0.0
+        H += (1e-3 - min(0.0, np.linalg.eigvalsh(H).min())) * np.eye(n)
+        # D H D with D = diag(+-1): same spectrum, exact zeros of either sign.
+        s = rng.choice([-1.0, 1.0], size=n)
+        H = s[:, None] * H * s
+        g = rng.normal(size=n)
+        for r in (0, 1, L_max, L_max + 3):
+            np.testing.assert_array_equal(ocp_direction(g, H, c, r, L_max),
+                                          cho_direction(g, H, c, r, L_max))
+
+
+def test_direction_errors():
+    c = 0.7
+    with pytest.raises(NumericError, match="not positive definite"):
+        ocp_direction(np.ones(3), -3.0 * c * np.eye(3), c, r=2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ocp_direction(np.array([1.0, np.nan]), np.eye(2), c, r=0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ocp_direction(np.ones(2), np.diag([1.0, np.inf]), c, r=0)
 
 
 def test_regularize_shifts_indefinite():
