@@ -1,0 +1,9 @@
+"""``python -m optcons``: the command-line front end without an installed
+console script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

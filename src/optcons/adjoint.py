@@ -7,15 +7,21 @@ pair to the costate sweep, the gradient and the Hessian.
 The gradient comes from one backward costate pass: the costate lambda(t)
 accumulates the cost's sensitivity to the state, and the stationarity
 residual R u(t) + lambda(t+1) df/du is exactly the derivative of the local
-cost with respect to u(t) (neighbors frozen).
+cost with respect to u(t) (neighbors frozen); the H residuals of a window
+are two stacked matmuls.
 
 The Hessian is the exact second derivative of the same local cost with
-respect to the flattened control sequence.  It is assembled one column
-block per control coordinate via a forward sensitivity pass (seeded at the
-perturbed stage, zero initial condition) and a backward second-order
-adjoint pass (zero terminal condition when terminal weights vanish) that
-carries the lambda-weighted dynamics curvature; all columns are propagated
-together as one batch.
+respect to the flattened control sequence, one column per control
+coordinate.  Every column is carried at once through the two recursions
+the window imposes: a forward state-sensitivity pass (zero initial
+condition; a unit control perturbation enters as a slice add of B(t) at
+its stage) and a backward second-order costate pass (seeded by the
+terminal weights) that carries the lambda-weighted dynamics curvature.
+Each recursion step is one matmul and one slice add; every other product
+is a single stacked matmul over the window's stages, and the R and
+control-curvature terms are added onto the diagonal blocks.  The stacked
+products keep the per-stage operand layouts and order of additions of a
+stage-by-stage assembly, so they give it bit for bit.
 
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
@@ -109,14 +115,11 @@ def gradient(i: int, u_i, jac, lambdas, spec: CostSpec) -> np.ndarray:
     ``jac`` the window's (A, B); it vanishes at an optimal control sequence.
     """
     u_i = np.asarray(u_i, dtype=float)
-    H, m = u_i.shape
+    H = u_i.shape[0]
     _, B = jac
     if lambdas.shape[0] != H + 1:
         raise ValueError(f"costate has {lambdas.shape[0]} rows, expected {H + 1}")
-    R = spec.R[i]
-    g = np.empty((H, m))
-    for t in range(H):
-        g[t] = R @ u_i[t] + lambdas[t + 1] @ B[t]
+    g = (spec.R[i] @ u_i[:, :, None])[..., 0] + (lambdas[1:, None, :] @ B)[:, 0, :]
     return g.reshape(-1)
 
 
@@ -139,10 +142,16 @@ def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
             mode: str = "auto", k0: int = 0, allow_fd: bool = True) -> np.ndarray:
     """Exact (H*m, H*m) Hessian of the local cost, neighbors frozen.
 
-    One forward sensitivity pass and one backward second-order adjoint pass
-    over the window's (A, B) ``jac``, batched over all H*m unit control
-    perturbations; the model's lambda-weighted second derivatives enter
-    both passes.  The result is symmetrized once if assembly drift exceeds
+    Column s*m + a is the response to a unit perturbation of u(s)[a].  Two
+    recursions over the window's (A, B) ``jac`` carry all H*m columns at
+    once: the forward state sensitivity dx(t+1) = A(t) dx(t) [+ B(t) at the
+    perturbed stage] and the backward second-order costate
+    dlam(t) = (C + Mxx(t)) dx(t) + A(t)^T dlam(t+1) [+ Mxu(t)], from
+    dlam(H) = C_term dx(H).  Each recursion step is one matmul plus a slice
+    add; the remaining products are one stacked matmul per window.  Row
+    block t is then B(t)^T dlam(t+1) + Mux(t) dx(t), plus R + Muu(t) on the
+    diagonal block.  M(t) holds the model's lambda(t+1)-weighted second
+    derivatives.  The result is symmetrized once if assembly drift exceeds
     1e-12 (an error beyond 1e-8 relative would indicate a broken model
     derivative).
     """
@@ -160,27 +169,30 @@ def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
     for t in range(H):
         M[t] = dyn.second_order_action(model, traj_i[t], u_i[t], k0 + t,
                                        lambdas[t + 1], allow_fd=allow_fd)
+    Mxx, Mxu = M[:, :p, :p], M[:, :p, p:]
+    Mux, Muu = M[:, p:, :p], M[:, p:, p:]
 
-    # V[t] holds the control perturbation of every column at stage t.
-    V = np.zeros((H, m, n))
+    dxs = np.zeros((H + 1, p, n))
     for t in range(H):
-        V[t, :, t * m:(t + 1) * m] = np.eye(m)
+        np.matmul(A[t], dxs[t], out=dxs[t + 1])
+        dxs[t + 1][:, t * m:(t + 1) * m] += B[t]
 
-    dx = np.zeros((p, n))
-    dxs = [dx]
-    for t in range(H):
-        dx = A[t] @ dx + B[t] @ V[t]
-        dxs.append(dx)
+    # dlam(0) does not enter the Hessian and is not computed.
+    src = (C_stage + Mxx[1:]) @ dxs[1:H]
+    dlam = np.empty((H + 1, p, n))
+    dlam[H] = C_term @ dxs[H]
+    for t in range(H - 1, 0, -1):
+        dlam[t] = src[t - 1] + A[t].T @ dlam[t + 1]
+        dlam[t][:, t * m:(t + 1) * m] += Mxu[t]
 
-    blocks = [None] * H
-    dlam = C_term @ dxs[H]
-    for t in range(H - 1, -1, -1):
-        Mxx, Mxu = M[t][:p, :p], M[t][:p, p:]
-        Mux, Muu = M[t][p:, :p], M[t][p:, p:]
-        blocks[t] = R @ V[t] + B[t].T @ dlam + Mux @ dxs[t] + Muu @ V[t]
-        dlam = (C_stage + Mxx) @ dxs[t] + A[t].T @ dlam + Mxu @ V[t]
+    blocks = B.transpose(0, 2, 1) @ dlam[1:]
+    diag = blocks.reshape(H, m, H, m)
+    idx = np.arange(H)
+    diag[idx, :, idx, :] += R
+    blocks += Mux @ dxs[:H]
+    diag[idx, :, idx, :] += Muu
 
-    Hmat = np.vstack(blocks)
+    Hmat = blocks.reshape(n, n)
     scale = np.linalg.norm(Hmat)
     drift = np.linalg.norm(Hmat - Hmat.T)
     if scale > 0 and drift > 1e-8 * scale:

@@ -67,7 +67,7 @@ def _window_problem(spec: scenarios.ScenarioSpec, agent: int, step: int):
     for _ in range(step):
         session.step()
     u = session._initial_window()
-    _, _, bundles = session._broadcast(u, 0)
+    _, bundles = session._broadcast(u, session._leader_window(), 0)
     return (LocalProblem(agent, spec.models[agent], session.x[agent],
                          bundles[agent], spec.cost, k0=session.t), u[agent])
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from .cost import CostSpec, NeighborBundle, global_cost
+from .cost import CostSpec, NeighborBundle, global_cost, local_cost
 from .errors import ConfigError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
@@ -128,7 +128,8 @@ def _agent_round_update(i, model, x_i, u_i, traj, nb, spec, cfg, r, k0, msa_eta)
     g = adjoint.gradient(i, u_i, jac, lam, spec)
     gnorm = float(np.linalg.norm(g))
     if cfg.method == "msa":
-        taken = backtrack_step(problem.cost, u_i, g, problem.cost(u_i), msa_eta)
+        taken = backtrack_step(problem.cost, u_i, g,
+                               local_cost(i, traj, u_i, nb, spec), msa_eta)
         if taken is None:
             return u_i, 0.0, gnorm, msa_eta
         u_new, _, eta, step = taken
@@ -252,16 +253,21 @@ class Session:
             bundles[i] = NeighborBundle(received, leader=leader_payload)
         return bundles
 
-    def _broadcast(self, u, r):
-        """Roll out every agent's window u (and the leader's) and exchange;
-        returns (trajectories, leader trajectory, bundles)."""
+    def _leader_window(self):
+        """The autonomous leader's predicted trajectory over the current
+        window (None without a leader); it depends on no agent's controls,
+        so one rollout serves every round of the window."""
+        if not self.leader_mode:
+            return None
+        return dyn.rollout(self.leader_model, self.xl,
+                           np.zeros((self.mpc.N_p, 0)), self.t)
+
+    def _broadcast(self, u, leader_traj, r):
+        """Roll out every agent's window u and exchange the rollouts with
+        the window's leader trajectory; returns (trajectories, bundles)."""
         trajs = {i: dyn.rollout(self.models[i], self.x[i], u[i], self.t)
                  for i in self.order}
-        leader_traj = None
-        if self.leader_mode:
-            leader_traj = dyn.rollout(self.leader_model, self.xl,
-                                      np.zeros((self.mpc.N_p, 0)), self.t)
-        return trajs, leader_traj, self._exchange(trajs, leader_traj, r)
+        return trajs, self._exchange(trajs, leader_traj, r)
 
     def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
         """Run rounds on the current window until the stop rule fires.
@@ -274,12 +280,13 @@ class Session:
         """
         t = self.t
         u = self._initial_window()
+        leader_traj = self._leader_window()
         msa_etas = {i: self.cfg.msa_eta0 for i in self.x}
         costs = []
         converged = False
         rounds = self.cfg.max_outer
         for r in range(self.cfg.max_outer):
-            trajs, leader_traj, bundles = self._broadcast(u, r)
+            trajs, bundles = self._broadcast(u, leader_traj, r)
             if one_shot:
                 costs.append(global_cost(trajs, u, self.spec, self.topology,
                                          leader_traj=leader_traj))

@@ -58,7 +58,7 @@ def step(model: Model, x, u, k: int = 0) -> np.ndarray:
     out = np.asarray(model.step_fn(x, u, k), dtype=float)
     if out.shape != (model.state_dim,):
         raise ValueError(f"{model.name}: step returned shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError(f"{model.name}: non-finite state at k={k}")
     return out
 

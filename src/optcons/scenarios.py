@@ -13,6 +13,7 @@ Runs are deterministic; the seed feeds only the message-drop stream.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -118,6 +119,25 @@ def _number(section: dict, key: str, default, problems: list, where: str = "",
     kind = "an integer" if integer else "a number"
     problems.append(f"{where}{key}: expected {kind}, got {value!r}")
     return default
+
+
+def _non_finite(value, where: str, problems: list):
+    """Record every non-finite number in a raw config value: JSON 1e400,
+    NaN and Infinity parse to inf or nan (and a huge integer has no float),
+    which no setting accepts."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            problems.append(f"{where}: expected a finite number, got {value!r}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _non_finite(item, f"{where}.{key}" if where else key, problems)
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            _non_finite(item, f"{where}[{idx}]", problems)
 
 
 def _typed(section: dict, key: str, default, kind: type, problems: list,
@@ -295,6 +315,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     apply_overrides(raw, overrides)
 
     problems: list[str] = []
+    _non_finite(raw, "", problems)
+    if problems:
+        raise ConfigError(problems)
     _check_keys(raw, _TOP_KEYS, "scenario", problems)
 
     name = _typed(raw, "name", "scenario", str, problems)

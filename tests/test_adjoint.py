@@ -5,7 +5,7 @@ from optcons import CostSpec, Topology, adjoint
 from optcons.cost import NeighborBundle
 from optcons import dynamics as dyn
 
-from conftest import mutual_pair_topology, random_instance
+from conftest import mutual_pair_topology, random_instance, random_psd, random_spd
 
 
 def scalar_chain_pieces():
@@ -184,3 +184,91 @@ def test_hessian_matches_fd_on_random_instances(kind):
         assert rel < 1e-3
         drift = np.linalg.norm(H - H.T)
         assert drift <= 1e-8 * max(np.linalg.norm(H), 1e-30)
+
+
+# Oracles for the stage-batched assembly: the per-stage gradient loop and the
+# dense identity-tensor (V) Hessian assembly it replaced.  The batched code
+# must reproduce them bit for bit, so that runs stay byte-identical.
+
+def loop_gradient(i, u, jac, lam, spec):
+    _, B = jac
+    H, m = u.shape
+    g = np.empty((H, m))
+    for t in range(H):
+        g[t] = spec.R[i] @ u[t] + lam[t + 1] @ B[t]
+    return g.reshape(-1)
+
+
+def dense_hessian(i, model, traj, u, jac, lam, spec, k0=0):
+    H, m = u.shape
+    p = traj.shape[1]
+    n = H * m
+    C_stage, C_term = adjoint._state_curvatures(i, spec, p, i in spec.W or i in spec.E)
+    R = spec.R[i]
+    A, B = jac
+    M = [dyn.second_order_action(model, traj[t], u[t], k0 + t, lam[t + 1])
+         for t in range(H)]
+    V = np.zeros((H, m, n))
+    for t in range(H):
+        V[t, :, t * m:(t + 1) * m] = np.eye(m)
+    dx = np.zeros((p, n))
+    dxs = [dx]
+    for t in range(H):
+        dx = A[t] @ dx + B[t] @ V[t]
+        dxs.append(dx)
+    blocks = [None] * H
+    dlam = C_term @ dxs[H]
+    for t in range(H - 1, -1, -1):
+        Mxx, Mxu = M[t][:p, :p], M[t][:p, p:]
+        Mux, Muu = M[t][p:, :p], M[t][p:, p:]
+        blocks[t] = R @ V[t] + B[t].T @ dlam + Mux @ dxs[t] + Muu @ V[t]
+        dlam = (C_stage + Mxx) @ dxs[t] + A[t].T @ dlam + Mxu @ V[t]
+    Hmat = np.vstack(blocks)
+    if np.linalg.norm(Hmat - Hmat.T) > 1e-12:
+        Hmat = 0.5 * (Hmat + Hmat.T)
+    return Hmat
+
+
+def oracle_window(kind, H, terminal, leader, seed):
+    """Agent 1's window with two out-neighbors; ``terminal`` adds D (and E
+    with ``leader``), ``leader`` adds W and a leader trajectory."""
+    rng = np.random.default_rng(seed)
+    if kind == "unicycle":
+        p, m = 3, 2
+        model = dyn.unicycle(0.05)
+        leader_model = dyn.unicycle_drift(0.05, v=0.8, omega=0.2)
+    else:
+        p, m = 2, 1
+        mode = kind.split(":")[1]
+        model = dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, mode=mode)
+        leader_model = dyn.leader_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, mode=mode)
+    edges = [(1, 2), (1, 3)]
+    Q = {e: random_psd(rng, p, scale=2.0) for e in edges}
+    D = {e: random_psd(rng, p) for e in edges} if terminal else {}
+    W = {1: random_psd(rng, p, scale=2.0)} if leader else {}
+    E = {1: random_psd(rng, p)} if leader and terminal else {}
+    spec = CostSpec(Q=Q, R={1: random_spd(rng, m, floor=0.2)}, D=D, W=W, E=E)
+    x0 = rng.normal(size=p)
+    u = rng.normal(size=(H, m)) * 0.5
+    k0 = int(rng.integers(0, 40))
+    lead = (dyn.rollout(leader_model, rng.normal(size=p), np.zeros((H, 0)), k0)
+            if leader else None)
+    nb = NeighborBundle({j: rng.normal(size=(H + 1, p)) for _, j in edges},
+                        leader=lead)
+    traj = dyn.rollout(model, x0, u, k0)
+    return model, spec, nb, traj, u, k0
+
+
+@pytest.mark.parametrize("leader", [False, True])
+@pytest.mark.parametrize("terminal", [False, True])
+@pytest.mark.parametrize("H", [1, 2, 8, 64])
+@pytest.mark.parametrize("kind", ["unicycle", "linear_sine:first", "linear_sine:diag"])
+def test_batched_derivatives_equal_stage_loop_oracles(kind, H, terminal, leader):
+    model, spec, nb, traj, u, k0 = oracle_window(kind, H, terminal, leader,
+                                                 seed=H + 10 * terminal + 100 * leader)
+    jac = adjoint.linearize_window(model, traj, u, k0)
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
+    np.testing.assert_array_equal(adjoint.gradient(1, u, jac, lam, spec),
+                                  loop_gradient(1, u, jac, lam, spec))
+    np.testing.assert_array_equal(adjoint.hessian(1, model, traj, u, jac, lam, spec, k0=k0),
+                                  dense_hessian(1, model, traj, u, jac, lam, spec, k0=k0))

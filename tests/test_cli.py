@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from optcons import cli
 
@@ -128,3 +131,13 @@ def test_run_numeric_failure_exits_2(tmp_path, capsys):
                    "--set", "mpc.T=20", "--out", str(tmp_path / "boom"))
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_python_m_optcons_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "optcons", "check", "leader_follower"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["name"] == "leader_follower"

@@ -8,7 +8,7 @@ from optcons.coordinator import (MpcConfig, RoundMessage, Session,
 from optcons import dynamics as dyn
 from optcons.errors import ConfigError, PreconditionError
 from optcons.solver import SolverConfig
-from optcons import scenarios
+from optcons import coordinator, scenarios
 
 from conftest import mutual_pair_topology
 
@@ -209,11 +209,15 @@ def test_protocol_locality_instrumented():
     assert seen <= allowed
 
 
+def leader_follower_session(overrides=()):
+    spec = scenarios.load_preset("leader_follower", overrides=list(overrides))
+    return spec, Session(spec.topology, spec.models, spec.cost, spec.solver,
+                         spec.mpc, spec.initial_states,
+                         leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+
+
 def test_one_linearization_per_stage_per_update(monkeypatch):
-    spec = scenarios.load_preset("leader_follower")
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc, spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    spec, session = leader_follower_session()
     linearize = dyn.linearize
     calls = []
 
@@ -225,6 +229,48 @@ def test_one_linearization_per_stage_per_update(monkeypatch):
     summary = session.step()
     assert summary["rounds"] > 1
     assert len(calls) == summary["rounds"] * spec.topology.n * spec.mpc.N_p
+
+
+def test_one_leader_rollout_per_window(monkeypatch):
+    spec, session = leader_follower_session()
+    rollout = dyn.rollout
+    leader_calls = []
+
+    def counted(model, *args, **kwargs):
+        if model is spec.leader_model:
+            leader_calls.append(args)
+        return rollout(model, *args, **kwargs)
+
+    monkeypatch.setattr(dyn, "rollout", counted)
+    summary = session.step()
+    assert summary["rounds"] > 1
+    assert len(leader_calls) == 1
+
+
+def test_msa_update_reuses_round_rollout(monkeypatch):
+    # Every rollout of an msa step is a round broadcast, the window's single
+    # leader rollout, a backtracking trial or the final window rollout; the
+    # cost at the current controls comes from the broadcast rollout.
+    spec, session = leader_follower_session(["solver.method=msa"])
+    rollout, backtrack = dyn.rollout, coordinator.backtrack_step
+    rollouts, trials = [], []
+
+    def counted_rollout(*args, **kwargs):
+        rollouts.append(args)
+        return rollout(*args, **kwargs)
+
+    def counted_backtrack(cost_fn, *args):
+        def cost(u):
+            trials.append(u)
+            return cost_fn(u)
+        return backtrack(cost, *args)
+
+    monkeypatch.setattr(dyn, "rollout", counted_rollout)
+    monkeypatch.setattr(coordinator, "backtrack_step", counted_backtrack)
+    summary = session.step()
+    n = spec.topology.n
+    assert summary["rounds"] > 1
+    assert len(rollouts) == summary["rounds"] * n + 1 + len(trials) + n
 
 
 def test_message_drops_deterministic_and_stale_reuse():

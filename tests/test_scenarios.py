@@ -189,6 +189,9 @@ def test_one_shot_leader_rows_in_trajectories(tmp_path):
     'initial_states.1="a"', 'error_mask=[0,"a"]', "error_mask=5",
     "topology.n=4.5", "mpc.N_p=2.7", "solver.max_outer=1.5",
     "name=5", "out_dir=5", 'mpc.warm_start="false"',
+    "solver.c=1e400", "cost.R=1e400", "solver.c=Infinity",
+    "initial_states.1=[NaN,0]",
+    pytest.param("solver.c=1" + "0" * 400, id="solver.c=10**400"),
 ])
 def test_malformed_override_raises_config_error(override, capsys):
     with pytest.raises(ConfigError):
