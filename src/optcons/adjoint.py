@@ -53,16 +53,10 @@ def _resolve_mode(i: int, spec: CostSpec, mode: str) -> bool:
 
 def linearize_window(model: dyn.Model, traj_i, u_i, k0: int = 0):
     """Stage Jacobians of a window: (A, B) stacked as (H, p, p) and (H, p, m),
-    with A[t], B[t] = dyn.linearize at (x(t), u(t), k0 + t)."""
-    traj_i = np.asarray(traj_i, dtype=float)
+    with A[t], B[t] the Jacobians at (x(t), u(t), k0 + t); one
+    dyn.linearize call."""
     u_i = np.asarray(u_i, dtype=float)
-    H = u_i.shape[0]
-    p, m = model.state_dim, model.control_dim
-    A = np.empty((H, p, p))
-    B = np.empty((H, p, m))
-    for t in range(H):
-        A[t], B[t] = dyn.linearize(model, traj_i[t], u_i[t], k0 + t)
-    return A, B
+    return dyn.linearize(model, np.asarray(traj_i, dtype=float)[:len(u_i)], u_i, k0)
 
 
 def costate_sweep(i: int, traj_i, u_i, jac, nb: NeighborBundle,
@@ -139,7 +133,7 @@ def _state_curvatures(i: int, spec: CostSpec, p: int, use_leader: bool):
 
 
 def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
-            mode: str = "auto", k0: int = 0, allow_fd: bool = True) -> np.ndarray:
+            mode: str = "auto", k0: int = 0) -> np.ndarray:
     """Exact (H*m, H*m) Hessian of the local cost, neighbors frozen.
 
     Column s*m + a is the response to a unit perturbation of u(s)[a].  Two
@@ -151,9 +145,9 @@ def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
     add; the remaining products are one stacked matmul per window.  Row
     block t is then B(t)^T dlam(t+1) + Mux(t) dx(t), plus R + Muu(t) on the
     diagonal block.  M(t) holds the model's lambda(t+1)-weighted second
-    derivatives.  The result is symmetrized once if assembly drift exceeds
-    1e-12 (an error beyond 1e-8 relative would indicate a broken model
-    derivative).
+    derivatives, all H stages from one dyn.second_order_action call.  The
+    result is symmetrized once if assembly drift exceeds 1e-12 (an error
+    beyond 1e-8 relative would indicate a broken model derivative).
     """
     traj_i = np.asarray(traj_i, dtype=float)
     u_i = np.asarray(u_i, dtype=float)
@@ -165,10 +159,7 @@ def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
     R = spec.R[i]
     A, B = jac
 
-    M = np.empty((H, p + m, p + m))
-    for t in range(H):
-        M[t] = dyn.second_order_action(model, traj_i[t], u_i[t], k0 + t,
-                                       lambdas[t + 1], allow_fd=allow_fd)
+    M = dyn.second_order_action(model, traj_i[:H], u_i, k0, lambdas[1:])
     Mxx, Mxu = M[:, :p, :p], M[:, :p, p:]
     Mux, Muu = M[:, p:, :p], M[:, p:, p:]
 

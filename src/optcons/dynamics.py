@@ -7,6 +7,10 @@ Conventions used package-wide:
   (``controls.reshape(-1)``, u(0) first);
 * ``step(x, u, k)`` maps state x and control u at time index k to the next
   state; k only matters for time-varying (leader) models;
+* derivatives are taken a window at a time: ``linearize`` and
+  ``second_order_action`` read the stage states X = traj[:H] and controls U
+  of a window whose stage t sits at time k0 + t, and return one stacked
+  array per quantity, stage t first;
 * a costate is a length-p vector that multiplies Jacobians from the left
   (``lam @ A``).
 """
@@ -14,29 +18,35 @@ Conventions used package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import CapabilityError, NumericError
+from .errors import NumericError
 
 
 @dataclass(frozen=True)
 class Model:
     """Discrete-time dynamics with first- and second-order information.
 
-    ``second_order_fn(x, u, k, lam)`` returns the (p+m, p+m) matrix of
-    lam-weighted second derivatives, ordered state-then-control; it may be
-    None, in which case callers fall back to differencing the analytic
-    Jacobians.
+    ``step_fn(x, u, k)`` returns the next state as a (p,) float array.  The
+    derivative functions work on a window's stage states X (H, p) and
+    controls U (H, m), with stage t at time k0 + t:
+
+    * ``jac_fn(X, U, k0)`` returns the stage Jacobians df/dx and df/du
+      stacked as (H, p, p) and (H, p, m);
+    * ``second_order_fn(X, U, k0, Lam)`` returns the (H, p+m, p+m) stack of
+      Lam[t]-weighted second derivatives of f at stage t, ordered
+      state-then-control.
+
+    Both return fresh C-contiguous arrays.
     """
 
     state_dim: int
     control_dim: int
     step_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    jac_x_fn: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
-    jac_u_fn: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
-    second_order_fn: Optional[Callable[[np.ndarray, np.ndarray, int, np.ndarray], np.ndarray]] = None
+    jac_fn: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+    second_order_fn: Callable[[np.ndarray, np.ndarray, int, np.ndarray], np.ndarray]
     name: str = "model"
 
 
@@ -52,6 +62,19 @@ def _check_dims(model: Model, x, u):
     return x, u
 
 
+def _check_window(model: Model, X, U, *extra):
+    """The window's stage inputs as float arrays; X (H, p), U (H, m) and
+    every extra array (H, p)."""
+    arrays = [np.asarray(a, dtype=float) for a in (X, U) + extra]
+    H, p = len(arrays[0]), model.state_dim
+    expected = ((H, p), (H, model.control_dim)) + ((H, p),) * len(extra)
+    shapes = tuple(a.shape for a in arrays)
+    if shapes != expected:
+        raise ValueError(f"{model.name}: window inputs have shapes {shapes}, "
+                         f"expected {expected}")
+    return arrays
+
+
 def step(model: Model, x, u, k: int = 0) -> np.ndarray:
     """Evaluate x(k+1) = f(x, u, k), validating shapes and finiteness."""
     x, u = _check_dims(model, x, u)
@@ -63,22 +86,20 @@ def step(model: Model, x, u, k: int = 0) -> np.ndarray:
     return out
 
 
-def linearize(model: Model, x, u, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Return (df/dx, df/du) at (x, u, k); falls back to differencing."""
-    x, u = _check_dims(model, x, u)
-    if model.jac_x_fn is None or model.jac_u_fn is None:
-        return fd_jacobian(model, x, u, k)
-    A = np.asarray(model.jac_x_fn(x, u, k), dtype=float)
-    B = np.asarray(model.jac_u_fn(x, u, k), dtype=float)
-    if A.shape != (model.state_dim, model.state_dim):
-        raise ValueError(f"{model.name}: jac_x returned shape {A.shape}")
-    if B.shape != (model.state_dim, model.control_dim):
-        raise ValueError(f"{model.name}: jac_u returned shape {B.shape}")
+def linearize(model: Model, X, U, k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Stage Jacobians of a window: (df/dx, df/du) at (X[t], U[t], k0 + t),
+    stacked as (H, p, p) and (H, p, m)."""
+    X, U = _check_window(model, X, U)
+    H, p, m = len(X), model.state_dim, model.control_dim
+    A, B = model.jac_fn(X, U, k0)
+    if (A.shape, B.shape) != ((H, p, p), (H, p, m)):
+        raise ValueError(f"{model.name}: jac returned shapes {A.shape} and {B.shape}")
     return A, B
 
 
 def fd_jacobian(model: Model, x, u, k: int = 0, h: float = 1e-6):
-    """Central-difference Jacobians of step; oracle for linearize."""
+    """Central-difference Jacobians of step at one stage; oracle for
+    linearize."""
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
     x, u = _check_dims(model, x, u)
@@ -96,67 +117,51 @@ def fd_jacobian(model: Model, x, u, k: int = 0, h: float = 1e-6):
     return A, B
 
 
-def second_order_action(model: Model, x, u, k, lam, allow_fd: bool = True) -> np.ndarray:
-    """(p+m, p+m) matrix of lam-weighted second derivatives of step.
-
-    Uses the model's analytic second-order data when available, else
-    central differences of the analytic Jacobians with step 1e-5*(1+|z|).
-    """
-    x, u = _check_dims(model, x, u)
-    lam = np.asarray(lam, dtype=float)
-    p, m = model.state_dim, model.control_dim
-    if model.second_order_fn is not None:
-        M = np.asarray(model.second_order_fn(x, u, k, lam), dtype=float)
-        if M.shape != (p + m, p + m):
-            raise ValueError(f"{model.name}: second_order returned shape {M.shape}")
-        return M
-    if not allow_fd:
-        raise CapabilityError(
-            f"{model.name} has no second-order information and the fallback is disabled")
-
-    # Row r(z) = [lam @ df/dx, lam @ df/du]; the action matrix is dr/dz.
-    def row(xv, uv):
-        A, B = linearize(model, xv, uv, k)
-        return np.concatenate([lam @ A, lam @ B])
-
-    M = np.empty((p + m, p + m))
-    for a in range(p + m):
-        if a < p:
-            h = 1e-5 * (1.0 + abs(x[a]))
-            e = np.zeros(p)
-            e[a] = h
-            M[a, :] = (row(x + e, u) - row(x - e, u)) / (2.0 * h)
-        else:
-            h = 1e-5 * (1.0 + abs(u[a - p]))
-            e = np.zeros(m)
-            e[a - p] = h
-            M[a, :] = (row(x, u + e) - row(x, u - e)) / (2.0 * h)
-    return 0.5 * (M + M.T)
+def second_order_action(model: Model, X, U, k0: int, Lam) -> np.ndarray:
+    """(H, p+m, p+m) stack of the Lam[t]-weighted second derivatives of f at
+    (X[t], U[t], k0 + t); Lam is the window's lambda(1..H)."""
+    X, U, Lam = _check_window(model, X, U, Lam)
+    n = model.state_dim + model.control_dim
+    M = model.second_order_fn(X, U, k0, Lam)
+    if M.shape != (len(X), n, n):
+        raise ValueError(f"{model.name}: second_order returned shape {M.shape}")
+    return M
 
 
 def rollout(model: Model, x0, controls, k0: int = 0) -> np.ndarray:
-    """Simulate H steps from x0; returns the (H+1, p) state trajectory."""
+    """Simulate H steps from x0; returns the (H+1, p) state trajectory.
+
+    ``step_fn`` runs once per stage, its output shape compared each time;
+    finiteness is checked once for the whole window.  Floating-point
+    warnings are held back while stepping: the first stage whose state is
+    not finite is evaluated again so that its own warnings surface, and the
+    error names it.
+    """
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 2 or controls.shape[1] != model.control_dim:
         controls = controls.reshape(-1, model.control_dim)
+    x0 = np.asarray(x0, dtype=float)
+    shape = (model.state_dim,)
+    if x0.shape != shape:
+        raise ValueError(f"{model.name}: initial state has shape {x0.shape}, "
+                         f"expected {shape}")
     H = controls.shape[0]
+    f = model.step_fn
     states = np.empty((H + 1, model.state_dim))
-    states[0] = np.asarray(x0, dtype=float)
-    for t in range(H):
-        try:
-            states[t + 1] = step(model, states[t], controls[t], k0 + t)
-        except NumericError as exc:
-            raise NumericError(f"rollout failed at step {t}: {exc}") from exc
+    states[0] = x0
+    with np.errstate(all="ignore"):
+        for t in range(H):
+            out = f(states[t], controls[t], k0 + t)
+            if out.shape != shape:
+                raise ValueError(f"{model.name}: step returned shape {out.shape}")
+            states[t + 1] = out
+    finite = np.isfinite(states[1:])
+    if not finite.all():
+        t = int(np.argmin(finite.all(axis=1)))
+        f(states[t], controls[t], k0 + t)
+        raise NumericError(f"rollout failed at step {t}: {model.name}: "
+                           f"non-finite state at k={k0 + t}")
     return states
-
-
-def flatten_controls(controls: np.ndarray) -> np.ndarray:
-    """Time-major flattening, u(0) block first."""
-    return np.asarray(controls, dtype=float).reshape(-1)
-
-
-def unflatten_controls(vec: np.ndarray, H: int, m: int) -> np.ndarray:
-    return np.asarray(vec, dtype=float).reshape(H, m)
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +181,29 @@ def unicycle(delta: float = 0.05) -> Model:
                          py + delta * v * np.sin(th),
                          th + delta * w])
 
-    def jx(x, u, k):
-        _, _, th = x
-        v, _ = u
-        return np.array([[1.0, 0.0, -delta * v * np.sin(th)],
-                         [0.0, 1.0, delta * v * np.cos(th)],
-                         [0.0, 0.0, 1.0]])
+    def jac(X, U, k0):
+        v = U[:, 0]
+        s, c = np.sin(X[:, 2]), np.cos(X[:, 2])
+        A = np.zeros((len(X), 3, 3))
+        A[:, [0, 1, 2], [0, 1, 2]] = 1.0
+        A[:, 0, 2] = -delta * v * s
+        A[:, 1, 2] = delta * v * c
+        B = np.zeros((len(X), 3, 2))
+        B[:, 0, 0] = delta * c
+        B[:, 1, 0] = delta * s
+        B[:, 2, 1] = delta
+        return A, B
 
-    def ju(x, u, k):
-        _, _, th = x
-        return np.array([[delta * np.cos(th), 0.0],
-                         [delta * np.sin(th), 0.0],
-                         [0.0, delta]])
-
-    def so(x, u, k, lam):
-        _, _, th = x
-        v, _ = u
-        M = np.zeros((5, 5))
-        s, c = np.sin(th), np.cos(th)
+    def so(X, U, k0, Lam):
+        v = U[:, 0]
+        s, c = np.sin(X[:, 2]), np.cos(X[:, 2])
+        M = np.zeros((len(X), 5, 5))
         # d2f1/dth2 = -dv*c, d2f2/dth2 = -dv*s; cross terms with v.
-        M[2, 2] = lam[0] * (-delta * v * c) + lam[1] * (-delta * v * s)
-        M[2, 3] = M[3, 2] = lam[0] * (-delta * s) + lam[1] * (delta * c)
+        M[:, 2, 2] = Lam[:, 0] * (-delta * v * c) + Lam[:, 1] * (-delta * v * s)
+        M[:, 2, 3] = M[:, 3, 2] = Lam[:, 0] * (-delta * s) + Lam[:, 1] * (delta * c)
         return M
 
-    return Model(3, 2, f, jx, ju, so, name=f"unicycle(d={delta})")
+    return Model(3, 2, f, jac, so, name=f"unicycle(d={delta})")
 
 
 def unicycle_drift(delta: float = 0.05, v: float = 0.5, omega: float = 0.0) -> Model:
@@ -210,16 +214,15 @@ def unicycle_drift(delta: float = 0.05, v: float = 0.5, omega: float = 0.0) -> M
     def f(x, u, k):
         return base.step_fn(x, uc, k)
 
-    def jx(x, u, k):
-        return base.jac_x_fn(x, uc, k)
+    def jac(X, U, k0):
+        A, _ = base.jac_fn(X, np.tile(uc, (len(X), 1)), k0)
+        return A, np.zeros((len(X), 3, 0))
 
-    def ju(x, u, k):
-        return np.zeros((3, 0))
+    def so(X, U, k0, Lam):
+        M = base.second_order_fn(X, np.tile(uc, (len(X), 1)), k0, Lam)
+        return np.ascontiguousarray(M[:, :3, :3])
 
-    def so(x, u, k, lam):
-        return base.second_order_fn(x, uc, k, lam)[:3, :3]
-
-    return Model(3, 0, f, jx, ju, so, name=f"unicycle_drift(v={v},w={omega})")
+    return Model(3, 0, f, jac, so, name=f"unicycle_drift(v={v},w={omega})")
 
 
 def linear(A, B) -> Model:
@@ -233,38 +236,59 @@ def linear(A, B) -> Model:
     return Model(
         p, m,
         step_fn=lambda x, u, k: A @ x + B @ u,
-        jac_x_fn=lambda x, u, k: A,
-        jac_u_fn=lambda x, u, k: B,
-        second_order_fn=lambda x, u, k, lam: np.zeros((p + m, p + m)),
+        jac_fn=lambda X, U, k0: (np.repeat(A[None], len(X), axis=0),
+                                 np.repeat(B[None], len(X), axis=0)),
+        second_order_fn=lambda X, U, k0, Lam: np.zeros((len(X), p + m, p + m)),
         name="linear",
     )
 
 
-def _sine_forcing(mode: str, amp: float, p: int):
-    """Scalar forcing value, its gradient, and per-component curvature mask."""
-    if mode == "sum":
-        comps = list(range(p))
-    elif mode == "first":
-        comps = [0]
-    else:
+def _sine_model(A, b, amp: float, mode: str, m: int):
+    """The sine forcing value(x) and the window jac_fn and second_order_fn
+    shared by linear_sine (m=1) and leader_sine (m=0).  The control and the
+    leader's time forcing enter linearly, so only the forcing, described at
+    linear_sine, curves f."""
+    if mode not in ("sum", "first", "diag"):
         raise ValueError(f"unknown sine mode {mode!r}")
+    p = A.shape[0]
+    idx = np.arange(p)
+    comps = [0] if mode == "first" else list(range(p))
 
     def value(x):
         return amp * sum(np.sin(x[a]) for a in comps)
 
-    def grad(x):
-        g = np.zeros(p)
-        for a in comps:
-            g[a] = amp * np.cos(x[a])
-        return g
+    def jac_u(H):
+        return np.repeat(b[None, :, None], H, axis=0) if m else np.zeros((H, p, 0))
 
-    def curv(x):
-        c = np.zeros(p)
-        for a in comps:
-            c[a] = -amp * np.sin(x[a])
-        return c
+    if mode == "diag":
+        def jac(X, U, k0):
+            J = np.repeat(A[None], len(X), axis=0)
+            J[:, idx, idx] += b * (amp * np.cos(X))
+            return J, jac_u(len(X))
 
-    return value, grad, curv
+        def so(X, U, k0, Lam):
+            M = np.zeros((len(X), p + m, p + m))
+            M[:, idx, idx] = Lam * b * (-amp * np.sin(X))
+            return M
+
+        return value, jac, so
+
+    def jac(X, U, k0):
+        G = np.zeros((len(X), p))
+        G[:, comps] = amp * np.cos(X[:, comps])
+        return A + b[:, None] * G[:, None, :], jac_u(len(X))
+
+    def so(X, U, k0, Lam):
+        C = np.zeros((len(X), p))
+        C[:, comps] = -amp * np.sin(X[:, comps])
+        # One dot product per stage (Lam[t] @ b), summed as the stage-wise
+        # lam @ b is; a matrix-vector Lam @ b can round differently.
+        lb = (Lam[:, None, :] @ b[:, None])[:, 0]
+        M = np.zeros((len(X), p + m, p + m))
+        M[:, idx, idx] = lb * C
+        return M
+
+    return value, jac, so
 
 
 def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
@@ -281,47 +305,18 @@ def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     p = A.shape[0]
+    value, jac, so = _sine_model(A, b, amp, mode, 1)
 
     if mode == "diag":
         Bd = np.diag(b)
 
         def f(x, u, k):
             return A @ x + Bd @ (u[0] * np.ones(p) + amp * np.sin(x))
+    else:
+        def f(x, u, k):
+            return A @ x + b * (u[0] + value(x))
 
-        def jx(x, u, k):
-            return A + Bd @ np.diag(amp * np.cos(x))
-
-        def ju(x, u, k):
-            return b[:, None].copy()
-
-        def so(x, u, k, lam):
-            M = np.zeros((p + 1, p + 1))
-            for a in range(p):
-                M[a, a] = lam[a] * b[a] * (-amp * np.sin(x[a]))
-            return M
-
-        return Model(p, 1, f, jx, ju, so, name=f"linear_sine(diag,amp={amp})")
-
-    value, grad, curv = _sine_forcing(mode, amp, p)
-
-    def f(x, u, k):
-        return A @ x + b * (u[0] + value(x))
-
-    def jx(x, u, k):
-        return A + np.outer(b, grad(x))
-
-    def ju(x, u, k):
-        return b[:, None].copy()
-
-    def so(x, u, k, lam):
-        M = np.zeros((p + 1, p + 1))
-        lb = float(lam @ b)
-        c = curv(x)
-        for a in range(p):
-            M[a, a] = lb * c[a]
-        return M
-
-    return Model(p, 1, f, jx, ju, so, name=f"linear_sine({mode},amp={amp})")
+    return Model(p, 1, f, jac, so, name=f"linear_sine({mode},amp={amp})")
 
 
 def leader_sine(A, b, amp: float = 0.01, h_amp: float = 0.1,
@@ -330,6 +325,7 @@ def leader_sine(A, b, amp: float = 0.01, h_amp: float = 0.1,
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     p = A.shape[0]
+    value, jac, so = _sine_model(A, b, amp, mode, 0)
 
     def h(k):
         return h_amp * np.sin(h_freq * k)
@@ -339,37 +335,11 @@ def leader_sine(A, b, amp: float = 0.01, h_amp: float = 0.1,
 
         def f(x, u, k):
             return A @ x + Bd @ (amp * np.sin(x) + h(k) * np.ones(p))
+    else:
+        def f(x, u, k):
+            return A @ x + b * (value(x) + h(k))
 
-        def jx(x, u, k):
-            return A + Bd @ np.diag(amp * np.cos(x))
-
-        def so(x, u, k, lam):
-            M = np.zeros((p, p))
-            for a in range(p):
-                M[a, a] = lam[a] * b[a] * (-amp * np.sin(x[a]))
-            return M
-
-        return Model(p, 0, f, jx, lambda x, u, k: np.zeros((p, 0)), so,
-                     name=f"leader_sine(diag,amp={amp})")
-
-    value, grad, curv = _sine_forcing(mode, amp, p)
-
-    def f(x, u, k):
-        return A @ x + b * (value(x) + h(k))
-
-    def jx(x, u, k):
-        return A + np.outer(b, grad(x))
-
-    def so(x, u, k, lam):
-        M = np.zeros((p, p))
-        lb = float(lam @ b)
-        c = curv(x)
-        for a in range(p):
-            M[a, a] = lb * c[a]
-        return M
-
-    return Model(p, 0, f, jx, lambda x, u, k: np.zeros((p, 0)), so,
-                 name=f"leader_sine({mode},amp={amp})")
+    return Model(p, 0, f, jac, so, name=f"leader_sine({mode},amp={amp})")
 
 
 # Matrices printed for the leader-follower experiment; shared by presets

@@ -21,7 +21,3 @@ class PreconditionError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric computation produced non-finite values or an unsolvable system."""
-
-
-class CapabilityError(RuntimeError):
-    """A model lacks information (e.g. second-order data) required by the operation."""

@@ -43,6 +43,13 @@ _MODEL_KEYS = {
     "linear_sine": {"A", "B", "amp", "mode"},
     "leader_sine": {"A", "B", "amp", "h_amp", "h_freq", "mode"},
 }
+_MODEL_DEFAULTS = {
+    "unicycle": {"delta": 0.05},
+    "unicycle_drift": {"delta": 0.05, "v": 0.5, "omega": 0.0},
+    "linear": {},
+    "linear_sine": {"amp": 0.01, "mode": "sum"},
+    "leader_sine": {"amp": 0.01, "h_amp": 0.1, "h_freq": 0.05, "mode": "sum"},
+}
 
 
 @dataclass
@@ -153,10 +160,17 @@ def _typed(section: dict, key: str, default, kind: type, problems: list,
     return default
 
 
+def _numbers(value) -> bool:
+    """True when value is a JSON number or a (nested) list of numbers."""
+    if isinstance(value, list):
+        return all(_numbers(item) for item in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _vector(value, where: str, problems: list) -> np.ndarray | None:
     try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        vec = np.asarray(value, dtype=float) if _numbers(value) else None
+    except ValueError:
         vec = None
     if vec is None or vec.ndim != 1:
         problems.append(f"{where}: expected a vector of numbers, got {value!r}")
@@ -174,28 +188,29 @@ def _build_model(cfg: dict, where: str, problems: list) -> dyn.Model | None:
         return None
     _check_keys({k: v for k, v in cfg.items() if k != "type"},
                 _MODEL_KEYS[kind], where, problems)
+    known = len(problems)
+    args = {}
+    for key in sorted(_MODEL_KEYS[kind]):
+        if key in ("A", "B"):
+            if key in cfg and not _numbers(cfg[key]):
+                problems.append(f"{where}.{key}: expected numbers, got {cfg[key]!r}")
+        elif key == "mode":
+            args[key] = _typed(cfg, key, _MODEL_DEFAULTS[kind][key], str, problems,
+                               f"{where}.")
+        else:
+            args[key] = _number(cfg, key, _MODEL_DEFAULTS[kind][key], problems,
+                                f"{where}.")
+    if len(problems) > known:
+        return None
+    # Each model type is named after its factory in dynamics.
     try:
-        if kind == "unicycle":
-            return dyn.unicycle(delta=float(cfg.get("delta", 0.05)))
-        if kind == "unicycle_drift":
-            return dyn.unicycle_drift(delta=float(cfg.get("delta", 0.05)),
-                                      v=float(cfg.get("v", 0.5)),
-                                      omega=float(cfg.get("omega", 0.0)))
+        if kind in ("unicycle", "unicycle_drift"):
+            return getattr(dyn, kind)(**args)
+        A = np.array(cfg["A"], dtype=float)
+        B = np.array(cfg["B"], dtype=float)
         if kind == "linear":
-            return dyn.linear(np.array(cfg["A"], dtype=float),
-                              np.array(cfg["B"], dtype=float))
-        if kind == "linear_sine":
-            return dyn.linear_sine(np.array(cfg["A"], dtype=float),
-                                   np.array(cfg["B"], dtype=float).reshape(-1),
-                                   amp=float(cfg.get("amp", 0.01)),
-                                   mode=cfg.get("mode", "sum"))
-        if kind == "leader_sine":
-            return dyn.leader_sine(np.array(cfg["A"], dtype=float),
-                                   np.array(cfg["B"], dtype=float).reshape(-1),
-                                   amp=float(cfg.get("amp", 0.01)),
-                                   h_amp=float(cfg.get("h_amp", 0.1)),
-                                   h_freq=float(cfg.get("h_freq", 0.05)),
-                                   mode=cfg.get("mode", "sum"))
+            return dyn.linear(A, B)
+        return getattr(dyn, kind)(A, B.reshape(-1), **args)
     except (KeyError, ValueError, TypeError) as exc:
         problems.append(f"{where}: bad model parameters ({exc})")
     return None
@@ -204,24 +219,20 @@ def _build_model(cfg: dict, where: str, problems: list) -> dyn.Model | None:
 def _model_echo(cfg: dict) -> dict:
     kind = cfg["type"]
     out = {"type": kind}
-    defaults = {"unicycle": {"delta": 0.05},
-                "unicycle_drift": {"delta": 0.05, "v": 0.5, "omega": 0.0},
-                "linear": {},
-                "linear_sine": {"amp": 0.01, "mode": "sum"},
-                "leader_sine": {"amp": 0.01, "h_amp": 0.1, "h_freq": 0.05,
-                                "mode": "sum"}}
     for key in sorted(_MODEL_KEYS[kind]):
         if key in cfg:
             out[key] = cfg[key]
-        elif key in defaults[kind]:
-            out[key] = defaults[kind][key]
+        elif key in _MODEL_DEFAULTS[kind]:
+            out[key] = _MODEL_DEFAULTS[kind][key]
     return out
 
 
 def _weight_matrix(value, dim: int, where: str, problems: list) -> np.ndarray | None:
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float) if _numbers(value) else None
+    except ValueError:
+        arr = None
+    if arr is None:
         problems.append(f"{where}: expected a number or a matrix, got {value!r}")
         return None
     if arr.ndim == 0:

@@ -206,8 +206,7 @@ def dense_hessian(i, model, traj, u, jac, lam, spec, k0=0):
     C_stage, C_term = adjoint._state_curvatures(i, spec, p, i in spec.W or i in spec.E)
     R = spec.R[i]
     A, B = jac
-    M = [dyn.second_order_action(model, traj[t], u[t], k0 + t, lam[t + 1])
-         for t in range(H)]
+    M = dyn.second_order_action(model, traj[:H], u, k0, lam[1:])
     V = np.zeros((H, m, n))
     for t in range(H):
         V[t, :, t * m:(t + 1) * m] = np.eye(m)

@@ -1,0 +1,45 @@
+"""The benchmark's per-layer tracer must keep finding the functions it wraps.
+
+perfbench/tracer.py patches package functions by name from outside the
+program and publishes one span per function.  A refactor that stops
+calling one of them, or calls it a different number of times per update,
+would silently zero or skew a published metric; this test fails instead.
+The tracer module is only read: it is imported without writing bytecode
+next to it.
+"""
+
+import importlib.util
+import os
+import sys
+
+from optcons import scenarios
+from optcons.coordinator import Session
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+def load_tracer(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_session_step_calls_every_published_span(monkeypatch):
+    tracer_mod = load_tracer(monkeypatch)
+    spec = scenarios.load_preset("leader_follower")
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                          spec.mpc, spec.initial_states,
+                          leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+        summary = session.step()
+    assert summary["rounds"] > 1
+    calls = {span: tracer.stats[span][0] for span in tracer_mod.PUBLISHED_SPANS}
+    layers = ("coordinator.", "dynamics.", "adjoint.", "solver.")
+    missing = [span for span, n in calls.items() if span.startswith(layers) and n == 0]
+    assert not missing
+    assert calls["dynamics.linearize"] == calls["adjoint.costate_sweep"]
+    assert calls["dynamics.second_order_action"] == calls["adjoint.hessian"]

@@ -216,19 +216,20 @@ def leader_follower_session(overrides=()):
                          leader_model=spec.leader_model, leader_x0=spec.leader_x0)
 
 
-def test_one_linearization_per_stage_per_update(monkeypatch):
+def test_one_linearization_per_update(monkeypatch):
+    # One window-level linearization and one window-level curvature call per
+    # agent update, each covering the update's N_p stages.
     spec, session = leader_follower_session()
-    linearize = dyn.linearize
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return linearize(*args, **kwargs)
-
-    monkeypatch.setattr(dyn, "linearize", counted)
+    calls = {"linearize": [], "second_order_action": []}
+    for name, seen in calls.items():
+        def counted(model, X, *args, _fn=getattr(dyn, name), _seen=seen):
+            _seen.append(len(X))
+            return _fn(model, X, *args)
+        monkeypatch.setattr(dyn, name, counted)
     summary = session.step()
     assert summary["rounds"] > 1
-    assert len(calls) == summary["rounds"] * spec.topology.n * spec.mpc.N_p
+    for seen in calls.values():
+        assert seen == [spec.mpc.N_p] * (summary["rounds"] * spec.topology.n)
 
 
 def test_one_leader_rollout_per_window(monkeypatch):

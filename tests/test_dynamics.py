@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,25 +37,26 @@ def test_linear_jacobians_constant():
     B = rng.normal(size=(3, 2))
     m = dyn.linear(A, B)
     for _ in range(3):
-        Ax, Bu = dyn.linearize(m, rng.normal(size=3), rng.normal(size=2))
-        np.testing.assert_array_equal(Ax, A)
-        np.testing.assert_array_equal(Bu, B)
+        Ax, Bu = dyn.linearize(m, rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
+        for t in range(4):
+            np.testing.assert_array_equal(Ax[t], A)
+            np.testing.assert_array_equal(Bu[t], B)
 
 
 def test_unicycle_linearize_hand_values():
     m = dyn.unicycle(0.05)
-    A, B = dyn.linearize(m, [0.0, 0.0, 0.0], [1.0, 0.0])
-    np.testing.assert_allclose(A, [[1, 0, 0], [0, 1, 0.05], [0, 0, 1]])
-    np.testing.assert_allclose(B, [[0.05, 0], [0, 0], [0, 0.05]])
+    A, B = dyn.linearize(m, [[0.0, 0.0, 0.0]], [[1.0, 0.0]])
+    np.testing.assert_allclose(A[0], [[1, 0, 0], [0, 1, 0.05], [0, 0, 1]])
+    np.testing.assert_allclose(B[0], [[0.05, 0], [0, 0], [0, 0.05]])
 
 
 def test_follower_linearize_structure():
     # d/dx of b*(u + amp(sin x1 + sin x2)) at 0 adds amp * b per column.
     m = dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, amp=0.01, mode="sum")
-    A, B = dyn.linearize(m, [0.0, 0.0], [0.0])
+    A, B = dyn.linearize(m, [[0.0, 0.0]], [[0.0]])
     expected = dyn.FOLLOWER_A + np.outer(dyn.FOLLOWER_B, [0.01, 0.01])
-    np.testing.assert_allclose(A, expected)
-    np.testing.assert_allclose(B, dyn.FOLLOWER_B[:, None])
+    np.testing.assert_allclose(A[0], expected)
+    np.testing.assert_allclose(B[0], dyn.FOLLOWER_B[:, None])
 
 
 def test_fd_jacobian_exact_on_linear():
@@ -69,10 +72,10 @@ def test_fd_jacobian_exact_on_linear():
 
 def test_fd_jacobian_matches_analytic_unicycle():
     m = dyn.unicycle(0.05)
-    A, B = dyn.linearize(m, [0.0, 0.0, 0.0], [1.0, 0.0])
+    A, B = dyn.linearize(m, [[0.0, 0.0, 0.0]], [[1.0, 0.0]])
     Af, Bf = dyn.fd_jacobian(m, [0.0, 0.0, 0.0], [1.0, 0.0], h=1e-6)
-    np.testing.assert_allclose(Af, A, atol=1e-8)
-    np.testing.assert_allclose(Bf, B, atol=1e-8)
+    np.testing.assert_allclose(Af, A[0], atol=1e-8)
+    np.testing.assert_allclose(Bf, B[0], atol=1e-8)
 
 
 def test_fd_jacobian_rejects_bad_step():
@@ -90,13 +93,39 @@ def test_fd_jacobian_rejects_bad_step():
 def test_jacobian_consistency_random_points(factory, p, m_dim):
     model = factory()
     rng = np.random.default_rng(123)
+    X, U = [], []
     for _ in range(100):
-        x = rng.normal(size=p)
-        u = rng.normal(size=m_dim)
-        A, B = dyn.linearize(model, x, u)
-        Af, Bf = dyn.fd_jacobian(model, x, u)
-        assert np.linalg.norm(A - Af) / (1 + np.linalg.norm(Af)) < 1e-5
-        assert np.linalg.norm(B - Bf) / (1 + np.linalg.norm(Bf)) < 1e-5
+        X.append(rng.normal(size=p))
+        U.append(rng.normal(size=m_dim))
+    A, B = dyn.linearize(model, X, U)
+    for t in range(100):
+        Af, Bf = dyn.fd_jacobian(model, X[t], U[t], k=t)
+        assert np.linalg.norm(A[t] - Af) / (1 + np.linalg.norm(Af)) < 1e-5
+        assert np.linalg.norm(B[t] - Bf) / (1 + np.linalg.norm(Bf)) < 1e-5
+
+
+def fd_second_order(model, x, u, k, lam):
+    """Central differences of the row [lam @ df/dx, lam @ df/du] of the
+    analytic Jacobians, step 1e-5*(1+|z|); the second-order oracle."""
+    p, m = model.state_dim, model.control_dim
+
+    def row(xv, uv):
+        A, B = dyn.linearize(model, xv[None], uv[None], k)
+        return np.concatenate([lam @ A[0], lam @ B[0]])
+
+    M = np.empty((p + m, p + m))
+    for a in range(p + m):
+        if a < p:
+            h = 1e-5 * (1.0 + abs(x[a]))
+            e = np.zeros(p)
+            e[a] = h
+            M[a, :] = (row(x + e, u) - row(x - e, u)) / (2.0 * h)
+        else:
+            h = 1e-5 * (1.0 + abs(u[a - p]))
+            e = np.zeros(m)
+            e[a - p] = h
+            M[a, :] = (row(x, u + e) - row(x, u - e)) / (2.0 * h)
+    return 0.5 * (M + M.T)
 
 
 @pytest.mark.parametrize("factory,p,m_dim", [
@@ -109,25 +138,16 @@ def test_jacobian_consistency_random_points(factory, p, m_dim):
 def test_second_order_action_matches_fd(factory, p, m_dim):
     model = factory()
     rng = np.random.default_rng(5)
-    stripped = dyn.Model(model.state_dim, model.control_dim, model.step_fn,
-                         model.jac_x_fn, model.jac_u_fn, None, model.name)
+    X, U, Lam = [], [], []
     for _ in range(20):
-        x = rng.normal(size=p)
-        u = rng.normal(size=m_dim)
-        lam = rng.normal(size=p)
-        M = dyn.second_order_action(model, x, u, 3, lam)
-        Mfd = dyn.second_order_action(stripped, x, u, 3, lam)
-        assert np.abs(M - Mfd).max() < 1e-6
-        np.testing.assert_allclose(M, M.T)
-
-
-def test_second_order_capability_error():
-    m = dyn.Model(1, 1, lambda x, u, k: x + u,
-                  lambda x, u, k: np.eye(1), lambda x, u, k: np.eye(1))
-    from optcons.errors import CapabilityError
-    dyn.second_order_action(m, [0.0], [0.0], 0, [1.0])  # fd fallback works
-    with pytest.raises(CapabilityError):
-        dyn.second_order_action(m, [0.0], [0.0], 0, [1.0], allow_fd=False)
+        X.append(rng.normal(size=p))
+        U.append(rng.normal(size=m_dim))
+        Lam.append(rng.normal(size=p))
+    M = dyn.second_order_action(model, X, U, 3, Lam)
+    for t in range(20):
+        Mfd = fd_second_order(model, X[t], U[t], 3 + t, Lam[t])
+        assert np.abs(M[t] - Mfd).max() < 1e-6
+        np.testing.assert_allclose(M[t], M[t].T)
 
 
 def test_rollout_fixed_point():
@@ -168,12 +188,39 @@ def test_rollout_deterministic():
 
 def test_nonfinite_state_raises_with_context():
     bad = dyn.Model(1, 1, lambda x, u, k: x * np.inf,
-                    lambda x, u, k: np.eye(1), lambda x, u, k: np.eye(1),
+                    lambda X, U, k0: (np.ones((len(X), 1, 1)), np.ones((len(X), 1, 1))),
+                    lambda X, U, k0, Lam: np.zeros((len(X), 2, 2)),
                     name="exploder")
     with pytest.raises(NumericError, match="exploder"):
         dyn.step(bad, [1.0], [0.0], k=7)
     with pytest.raises(NumericError, match="step 0"):
         dyn.rollout(bad, [1.0], np.zeros((2, 1)))
+
+
+def test_rollout_failure_names_first_bad_stage_and_keeps_its_warnings():
+    # Stage 1 overflows the heading; stage 2 would take sin(inf).  The error
+    # names stage 1, and the only warnings are the ones stage 1 raises when
+    # stepped on its own.
+    m = dyn.unicycle(1.0)
+    u = np.array([[0.0, 1e308], [0.0, 1e308], [1.0, 0.0]])
+    x1 = dyn.step(m, [0.0, 0.0, 0.0], u[0])
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        m.step_fn(x1, u[1], 5)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as exc:
+            dyn.rollout(m, [0.0, 0.0, 0.0], u, k0=4)
+    assert str(exc.value) == f"rollout failed at step 1: {m.name}: non-finite state at k=5"
+    assert alone
+    assert [str(w.message) for w in seen] == [str(w.message) for w in alone]
+
+
+def test_rollout_rejects_misshapen_initial_state():
+    m = dyn.unicycle()
+    for x0 in ([1.0], 1.0, np.zeros(4), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="initial state"):
+            dyn.rollout(m, x0, np.zeros((2, 2)))
 
 
 def test_step_dimension_mismatch():
@@ -184,10 +231,122 @@ def test_step_dimension_mismatch():
         dyn.step(m, [0.0, 0.0, 0.0], [0.0])
 
 
-def test_flatten_roundtrip():
-    rng = np.random.default_rng(4)
-    u = rng.normal(size=(5, 2))
-    flat = dyn.flatten_controls(u)
-    assert flat.shape == (10,)
-    np.testing.assert_array_equal(flat[:2], u[0])
-    np.testing.assert_array_equal(dyn.unflatten_controls(flat, 5, 2), u)
+# The per-stage formulas that the window functions replaced, kept as
+# oracles.  Each returns (df/dx, df/du, lam-weighted second derivatives) at
+# one stage; the window stacks must equal them bit for bit, signs of zeros
+# included, so that runs stay byte-identical.
+
+def stage_unicycle(delta, v_fixed=None):
+    def at(x, u, k, lam):
+        _, _, th = x
+        v = u[0] if v_fixed is None else v_fixed
+        jx = np.array([[1.0, 0.0, -delta * v * np.sin(th)],
+                       [0.0, 1.0, delta * v * np.cos(th)],
+                       [0.0, 0.0, 1.0]])
+        ju = np.array([[delta * np.cos(th), 0.0],
+                       [delta * np.sin(th), 0.0],
+                       [0.0, delta]])
+        M = np.zeros((5, 5))
+        s, c = np.sin(th), np.cos(th)
+        M[2, 2] = lam[0] * (-delta * v * c) + lam[1] * (-delta * v * s)
+        M[2, 3] = M[3, 2] = lam[0] * (-delta * s) + lam[1] * (delta * c)
+        if v_fixed is None:
+            return jx, ju, M
+        return jx, np.zeros((3, 0)), M[:3, :3]
+    return at
+
+
+def stage_linear(A, B):
+    p, m = B.shape
+    return lambda x, u, k, lam: (A, B, np.zeros((p + m, p + m)))
+
+
+def stage_sine(A, b, amp, mode, m):
+    p = A.shape[0]
+    comps = [0] if mode == "first" else range(p)
+
+    def at(x, u, k, lam):
+        M = np.zeros((p + m, p + m))
+        if mode == "diag":
+            jx = A + np.diag(b) @ np.diag(amp * np.cos(x))
+            for a in range(p):
+                M[a, a] = lam[a] * b[a] * (-amp * np.sin(x[a]))
+        else:
+            g, c = np.zeros(p), np.zeros(p)
+            for a in comps:
+                g[a] = amp * np.cos(x[a])
+                c[a] = -amp * np.sin(x[a])
+            jx = A + np.outer(b, g)
+            lb = float(lam @ b)
+            for a in range(p):
+                M[a, a] = lb * c[a]
+        ju = b[:, None].copy() if m else np.zeros((p, 0))
+        return jx, ju, M
+    return at
+
+
+LIN_A = np.array([[0.5, 0.0, -1.25], [2.0, 1.0, 0.0], [0.0, -0.75, 1.0]])
+LIN_B = np.array([[1.0, 0.0], [0.0, -2.0], [0.5, 0.25]])
+FA, FB = dyn.FOLLOWER_A, dyn.FOLLOWER_B
+WINDOW_MODELS = {
+    "unicycle": lambda: (dyn.unicycle(0.05), stage_unicycle(0.05)),
+    "unicycle_drift": lambda: (dyn.unicycle_drift(0.05, v=-0.8, omega=0.2),
+                               stage_unicycle(0.05, v_fixed=np.float64(-0.8))),
+    "linear": lambda: (dyn.linear(LIN_A, LIN_B), stage_linear(LIN_A, LIN_B)),
+    **{f"linear_sine:{mode}": (lambda mode=mode: (
+        dyn.linear_sine(FA, FB, amp=0.01, mode=mode), stage_sine(FA, FB, 0.01, mode, 1)))
+       for mode in ("sum", "first", "diag")},
+    **{f"leader_sine:{mode}": (lambda mode=mode: (
+        dyn.leader_sine(FA, FB, amp=0.01, mode=mode), stage_sine(FA, FB, 0.01, mode, 0)))
+       for mode in ("sum", "first", "diag")},
+}
+
+
+def assert_bits_equal(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def signed_with_zeros(rng, shape, scale):
+    """Normal draws of either sign with about a fifth exact +0 or -0."""
+    out = rng.normal(size=shape) * scale
+    zero = rng.random(shape) < 0.2
+    out[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return out
+
+
+@pytest.mark.parametrize("H", [1, 2, 8, 64])
+@pytest.mark.parametrize("kind", list(WINDOW_MODELS))
+def test_window_derivatives_equal_stage_formulas(kind, H):
+    model, at = WINDOW_MODELS[kind]()
+    p, m = model.state_dim, model.control_dim
+    rng = np.random.default_rng(H)
+    X = signed_with_zeros(rng, (H, p), 3.0)
+    U = signed_with_zeros(rng, (H, m), 2.0)
+    Lam = signed_with_zeros(rng, (H, p), 10.0)
+    k0 = int(rng.integers(0, 40))
+    A, B = dyn.linearize(model, X, U, k0)
+    M = dyn.second_order_action(model, X, U, k0, Lam)
+    assert A.shape == (H, p, p) and B.shape == (H, p, m)
+    assert M.shape == (H, p + m, p + m)
+    assert A.flags.c_contiguous and B.flags.c_contiguous and M.flags.c_contiguous
+    for t in range(H):
+        jx, ju, Mt = at(X[t], U[t], k0 + t, Lam[t])
+        assert_bits_equal(A[t], jx)
+        assert_bits_equal(B[t], ju)
+        assert_bits_equal(M[t], Mt)
+
+
+def test_window_shapes_checked():
+    m = dyn.unicycle()
+    with pytest.raises(ValueError, match="window inputs"):
+        dyn.linearize(m, np.zeros((3, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="window inputs"):
+        dyn.second_order_action(m, np.zeros((2, 3)), np.zeros((2, 2)), 0, np.zeros((2, 2)))
+    broken = dyn.Model(3, 2, m.step_fn, lambda X, U, k0: m.jac_fn(X[:1], U[:1], k0),
+                       lambda X, U, k0, Lam: np.zeros((len(X), 5, 4)), name="broken")
+    with pytest.raises(ValueError, match="broken: jac returned"):
+        dyn.linearize(broken, np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="broken: second_order returned"):
+        dyn.second_order_action(broken, np.zeros((2, 3)), np.zeros((2, 2)), 0,
+                                np.zeros((2, 3)))

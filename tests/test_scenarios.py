@@ -192,11 +192,21 @@ def test_one_shot_leader_rows_in_trajectories(tmp_path):
     "solver.c=1e400", "cost.R=1e400", "solver.c=Infinity",
     "initial_states.1=[NaN,0]",
     pytest.param("solver.c=1" + "0" * 400, id="solver.c=10**400"),
+    'models.default.amp="1e400"', 'models.default.amp="inf"',
+    'models.default.A=[["1","0"],["0","1"]]', "models.default.B=[true,1]",
+    "models.default.mode=5", 'leader.model.h_amp="0.1"', "leader.model.h_freq=[1]",
+    'initial_states.1=["nan",0]', 'leader.x0=["1",2]', 'cost.Q="inf"',
+    'cost.offsets.1=["1","0"]',
+    'formation:models.default.delta="0.05"', "formation:leader.model.v=true",
+    "formation:leader.model.omega=null",
 ])
 def test_malformed_override_raises_config_error(override, capsys):
+    preset = "leader_follower"
+    if override.startswith("formation:"):
+        preset, override = override.split(":", 1)
     with pytest.raises(ConfigError):
-        scenarios.load_preset("leader_follower", overrides=[override])
-    assert cli.main(["check", "leader_follower", "--set", override]) == 1
+        scenarios.load_preset(preset, overrides=[override])
+    assert cli.main(["check", preset, "--set", override]) == 1
     assert "error:" in capsys.readouterr().err
 
 
