@@ -14,11 +14,10 @@ from .dynamics import (Model, step, linearize, fd_jacobian, rollout,
 from .cost import CostSpec, NeighborBundle, local_cost, global_cost
 from .adjoint import (linearize_window, costate_sweep, gradient, hessian,
                       fd_gradient, fd_hessian)
-from .solver import (SolverConfig, LocalProblem, SolveResult, ocp_direction,
-                     ocp_solve, msa_solve, contraction_factor)
-from .coordinator import (MpcConfig, RoundMessage, RunResult, Session,
-                          consensus_error, run_algorithm1, run_mpc_leaderless,
-                          run_mpc_leader_follower)
+from .solver import SolverConfig, LocalProblem, ocp_direction, contraction_factor
+from .coordinator import (MpcConfig, RoundMessage, RunResult, Session, SolveResult,
+                          consensus_error, solve_local, run_algorithm1,
+                          run_mpc_leaderless, run_mpc_leader_follower)
 from .scenarios import (ScenarioSpec, RunArtifacts, load_scenario, load_preset,
                         list_presets, run_scenario, emit_results)
 

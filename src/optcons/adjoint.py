@@ -36,21 +36,6 @@ from .cost import CostSpec, NeighborBundle, local_cost, _check_horizons
 from .errors import NumericError
 
 
-def _resolve_mode(i: int, spec: CostSpec, mode: str) -> bool:
-    """Return True when leader terms participate for agent i."""
-    has_leader_terms = i in spec.W or i in spec.E
-    if mode == "auto":
-        return has_leader_terms
-    if mode == "leaderless":
-        if has_leader_terms:
-            raise ValueError(
-                f"agent {i} has leader weights but the sweep runs in leaderless mode")
-        return False
-    if mode == "leader_follower":
-        return has_leader_terms
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def linearize_window(model: dyn.Model, traj_i, u_i, k0: int = 0):
     """Stage Jacobians of a window: (A, B) stacked as (H, p, p) and (H, p, m),
     with A[t], B[t] the Jacobians at (x(t), u(t), k0 + t); one
@@ -60,7 +45,7 @@ def linearize_window(model: dyn.Model, traj_i, u_i, k0: int = 0):
 
 
 def costate_sweep(i: int, traj_i, u_i, jac, nb: NeighborBundle,
-                  spec: CostSpec, mode: str = "auto") -> np.ndarray:
+                  spec: CostSpec) -> np.ndarray:
     """Backward costate recursion; returns the (H+1, p) array of lambda(t).
 
     ``jac`` is the window's (A, B) from ``linearize_window``.  lambda(H)
@@ -73,7 +58,6 @@ def costate_sweep(i: int, traj_i, u_i, jac, nb: NeighborBundle,
     H = _check_horizons(i, traj_i, u_i, nb)
     A, _ = jac
     p = traj_i.shape[1]
-    use_leader = _resolve_mode(i, spec, mode)
 
     z_i = traj_i - spec.offset(i, p)
     stage_src = np.zeros((H + 1, p))
@@ -84,12 +68,11 @@ def costate_sweep(i: int, traj_i, u_i, jac, nb: NeighborBundle,
         e = z_i - (np.asarray(nb.trajectories[j], dtype=float) - spec.offset(j, p))
         stage_src += e @ Q
         term_src += D @ e[H]
-    if use_leader:
+    W, E = spec.leader_terms(i)
+    if W is not None or E is not None:
         if nb.leader is None:
             raise ValueError(f"agent {i} has leader weights but no leader trajectory")
         el = z_i - (np.asarray(nb.leader, dtype=float) - spec.offset(0, p))
-        W = spec.W.get(i)
-        E = spec.E.get(i)
         if W is not None:
             stage_src += el @ W
         if E is not None:
@@ -117,23 +100,23 @@ def gradient(i: int, u_i, jac, lambdas, spec: CostSpec) -> np.ndarray:
     return g.reshape(-1)
 
 
-def _state_curvatures(i: int, spec: CostSpec, p: int, use_leader: bool):
+def _state_curvatures(i: int, spec: CostSpec, p: int):
     """Constant stage and terminal state curvature of the local cost."""
     C_stage = np.zeros((p, p))
     C_term = np.zeros((p, p))
     for j, Q, D in spec.edge_terms(i, p):
         C_stage += Q
         C_term += D
-    if use_leader:
-        if i in spec.W:
-            C_stage += spec.W[i]
-        if i in spec.E:
-            C_term += spec.E[i]
+    W, E = spec.leader_terms(i)
+    if W is not None:
+        C_stage += W
+    if E is not None:
+        C_term += E
     return C_stage, C_term
 
 
 def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
-            mode: str = "auto", k0: int = 0) -> np.ndarray:
+            k0: int = 0) -> np.ndarray:
     """Exact (H*m, H*m) Hessian of the local cost, neighbors frozen.
 
     Column s*m + a is the response to a unit perturbation of u(s)[a].  Two
@@ -154,8 +137,7 @@ def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
     H, m = u_i.shape
     p = traj_i.shape[1]
     n = H * m
-    use_leader = _resolve_mode(i, spec, mode)
-    C_stage, C_term = _state_curvatures(i, spec, p, use_leader)
+    C_stage, C_term = _state_curvatures(i, spec, p)
     R = spec.R[i]
     A, B = jac
 
@@ -218,7 +200,7 @@ def fd_gradient(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
 
 
 def fd_hessian(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
-               spec: CostSpec, mode: str = "auto", k0: int = 0, h=None) -> np.ndarray:
+               spec: CostSpec, k0: int = 0, h=None) -> np.ndarray:
     """Central differences of the sweep gradient; the Hessian's oracle."""
     u_i = np.asarray(u_i, dtype=float)
     H, m = u_i.shape
@@ -230,7 +212,7 @@ def fd_hessian(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
         u = vec.reshape(H, m)
         traj = dyn.rollout(model, x0, u, k0)
         jac = linearize_window(model, traj, u, k0)
-        lam = costate_sweep(i, traj, u, jac, nb, spec, mode=mode)
+        lam = costate_sweep(i, traj, u, jac, nb, spec)
         return gradient(i, u, jac, lam, spec)
 
     Hmat = np.empty((flat.size, flat.size))

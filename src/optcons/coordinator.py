@@ -10,7 +10,8 @@ window is applied and the horizon shifts.
 
 The one-shot finite-horizon algorithm runs the same rounds on a single
 window; only the stop rule differs (gradient norms tested before the
-round's updates are applied, instead of step norms after).
+round's updates are applied, instead of step norms after).  ``solve_local``
+iterates the same per-agent update on one frozen-neighbor window.
 
 All cross-agent data flows through immutable RoundMessage snapshots
 collected at a barrier, and every update reads only its round's snapshot,
@@ -23,18 +24,17 @@ message makes the receiver reuse the sender's last delivered trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dynamics as dyn
-from .cost import CostSpec, NeighborBundle, global_cost, local_cost
+from .cost import CostSpec, NeighborBundle, global_cost
 from .errors import ConfigError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
 from .solver import (SolverConfig, LocalProblem, backtrack_step,
                      ocp_direction, regularize)
-from . import adjoint
 
 
 @dataclass(frozen=True)
@@ -119,24 +119,52 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     return errors, (max(errors.values()) if errors else 0.0)
 
 
-def _agent_round_update(i, model, x_i, u_i, traj, nb, spec, cfg, r, k0, msa_eta):
-    """One update of agent i's window from the round's rollout ``traj``;
-    returns (u_new, step_norm, grad_norm, eta)."""
-    problem = LocalProblem(i, model, x_i, nb, spec, mode="auto", k0=k0)
-    jac = adjoint.linearize_window(model, traj, u_i, k0)
-    lam = adjoint.costate_sweep(i, traj, u_i, jac, nb, spec, mode="auto")
-    g = adjoint.gradient(i, u_i, jac, lam, spec)
+def _agent_round_update(problem: LocalProblem, u, traj, cfg: SolverConfig, r: int,
+                        eta: float):
+    """One update of agent i's window u from its rollout ``traj``, at outer
+    iteration r with the baseline's current step size eta (``problem``
+    holds i, its model, x0, neighbor bundle, cost spec and k0); returns
+    (u_new, step_norm, grad_norm, eta), a zero step when the baseline's
+    backtracking collapses."""
+    _, jac, lam, g = problem.sweep(u, traj)
     gnorm = float(np.linalg.norm(g))
     if cfg.method == "msa":
-        taken = backtrack_step(problem.cost, u_i, g,
-                               local_cost(i, traj, u_i, nb, spec), msa_eta)
+        taken = backtrack_step(problem.cost, u, g, problem.cost(u, traj), eta)
         if taken is None:
-            return u_i, 0.0, gnorm, msa_eta
+            return u, 0.0, gnorm, eta
         u_new, _, eta, step = taken
         return u_new, step, gnorm, eta
-    Hmat = regularize(problem.hessian(u_i, traj, jac, lam), cfg.reg_floor)
+    Hmat = regularize(problem.hessian(u, traj, jac, lam), cfg.reg_floor)
     d = ocp_direction(g, Hmat, cfg.c, r, cfg.L_max)
-    return u_i - d.reshape(u_i.shape), float(np.linalg.norm(d)), gnorm, msa_eta
+    return u - d.reshape(u.shape), float(np.linalg.norm(d)), gnorm, eta
+
+
+@dataclass
+class SolveResult:
+    u: np.ndarray
+    iterations: int
+    grad_norm: float
+    converged: bool
+    stagnated: bool = False
+    history: list = field(default_factory=list)
+
+
+def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
+    """Iterate the round loop's update on one frozen-neighbor window until
+    the gradient norm, tested before each update, is under ``eps_grad``;
+    ``cfg.method`` picks the update, ``history`` holds every iterate."""
+    u = np.asarray(u0, dtype=float).copy()
+    eta = cfg.msa_eta0
+    history = [u.reshape(-1).copy()]
+    for r in range(cfg.max_outer + 1):
+        u_new, step, gnorm, eta = _agent_round_update(problem, u, problem.rollout(u),
+                                                      cfg, r, eta)
+        if gnorm < cfg.eps_grad or r == cfg.max_outer:
+            return SolveResult(u, r, gnorm, gnorm < cfg.eps_grad, history=history)
+        if step == 0.0:
+            return SolveResult(u, r, gnorm, False, stagnated=True, history=history)
+        u = u_new
+        history.append(u.reshape(-1).copy())
 
 
 class Session:
@@ -176,7 +204,7 @@ class Session:
         if len(dims) != 1:
             raise ConfigError(f"agents must share one state dimension, got {dims}")
         self.p = dims.pop()[0]
-        control_dims = {i: models[i].control_dim for i in models}
+        control_dims = {i: models[i].control_dim for i in agents}
         spec.validate(topology, self.p, control_dims)
 
         self.x = {i: np.asarray(initial_states[i], dtype=float).copy()
@@ -290,10 +318,9 @@ class Session:
             if one_shot:
                 costs.append(global_cost(trajs, u, self.spec, self.topology,
                                          leader_traj=leader_traj))
-            updates = {i: _agent_round_update(i, self.models[i], self.x[i], u[i],
-                                              trajs[i], bundles[i], self.spec,
-                                              self.cfg, r, t, msa_etas[i])
-                       for i in self.order}
+            updates = {i: _agent_round_update(
+                LocalProblem(i, self.models[i], self.x[i], bundles[i], self.spec, t),
+                u[i], trajs[i], self.cfg, r, msa_etas[i]) for i in self.order}
             grad_norms = [updates[i][2] for i in sorted(updates)]
             if one_shot and max(grad_norms) < self.cfg.eps_grad:
                 converged, rounds = True, r

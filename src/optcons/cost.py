@@ -74,9 +74,18 @@ class CostSpec:
         return [(j, self.Q.get((i, j), zero), self.D.get((i, j), zero))
                 for j in sorted(js)]
 
+    def leader_terms(self, i: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(W_i, E_i), None where absent: agent i's local cost has leader
+        terms exactly when either is present."""
+        return self.W.get(i), self.E.get(i)
+
     def validate(self, topology: Topology, state_dim: int,
                  control_dims: dict[int, int]) -> None:
-        """Check PSD/PD-ness, symmetry, and cross references; symmetrize in place."""
+        """Check PSD/PD-ness, symmetry, and cross references; symmetrize in place.
+
+        R is checked for the agents that ``control_dims`` maps to their
+        control dimension.
+        """
         problems = []
 
         def sym_psd(name, key, M, strict):
@@ -106,13 +115,13 @@ class CostSpec:
             if tuple(edge) not in topology.edges:
                 problems.append(f"D references non-edge {tuple(edge)}")
             self.D[edge] = sym_psd("D", edge, self.D[edge], strict=False)
-        for i in range(1, topology.n + 1):
+        for i in sorted(control_dims):
             if i not in self.R:
                 problems.append(f"R missing for agent {i}")
             else:
                 self.R[i] = sym_psd("R", i, self.R[i], strict=True)
-                want = control_dims.get(i)
-                if want is not None and self.R[i].shape != (want, want):
+                want = control_dims[i]
+                if self.R[i].shape != (want, want):
                     problems.append(f"R[{i}] has shape {self.R[i].shape}, agent has m={want}")
         for name, table in (("W", self.W), ("E", self.E)):
             for i in list(table):
@@ -147,13 +156,6 @@ class NeighborBundle:
         return (lengths.pop() - 1) if lengths else -1
 
 
-def _leader_terms(i: int, spec: CostSpec):
-    """(W_i, E_i) or (None, None); both None when i has no leader weights."""
-    W = spec.W.get(i)
-    E = spec.E.get(i)
-    return W, E
-
-
 def _check_horizons(i, traj_i, u_i, nb: NeighborBundle):
     H = u_i.shape[0]
     if traj_i.shape[0] != H + 1:
@@ -185,7 +187,7 @@ def local_cost(i: int, traj_i, u_i, nb: NeighborBundle, spec: CostSpec) -> float
         total += float(np.einsum("tp,pq,tq->", e[:H], Q, e[:H]))
         total += float(e[H] @ D @ e[H])
 
-    W, E = _leader_terms(i, spec)
+    W, E = spec.leader_terms(i)
     if W is not None or E is not None:
         if nb.leader is None:
             raise ValueError(f"agent {i} has leader weights but no leader trajectory")

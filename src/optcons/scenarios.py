@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
@@ -109,9 +110,21 @@ def _section(raw: dict, key: str, problems: list) -> dict:
     return value
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number (JSON true and false parse to bool, an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integral(value) -> bool:
     return ((isinstance(value, int) and not isinstance(value, bool))
             or (isinstance(value, float) and value.is_integer()))
+
+
+def _edge_row(row) -> bool:
+    """True for a JSON edge row [i, j] or [i, j, a_ij]: integer agent
+    indices and a numeric weight."""
+    return (isinstance(row, list) and len(row) in (2, 3)
+            and all(map(_integral, row[:2])) and all(map(_is_number, row[2:])))
 
 
 def _number(section: dict, key: str, default, problems: list, where: str = "",
@@ -121,7 +134,7 @@ def _number(section: dict, key: str, default, problems: list, where: str = "",
     value = section.get(key, default)
     if integer and _integral(value):
         return int(value)
-    if not integer and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if not integer and _is_number(value):
         return float(value)
     kind = "an integer" if integer else "a number"
     problems.append(f"{where}{key}: expected {kind}, got {value!r}")
@@ -132,7 +145,7 @@ def _non_finite(value, where: str, problems: list):
     """Record every non-finite number in a raw config value: JSON 1e400,
     NaN and Infinity parse to inf or nan (and a huge integer has no float),
     which no setting accepts."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         try:
             finite = math.isfinite(value)
         except OverflowError:
@@ -164,7 +177,7 @@ def _numbers(value) -> bool:
     """True when value is a JSON number or a (nested) list of numbers."""
     if isinstance(value, list):
         return all(_numbers(item) for item in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_number(value)
 
 
 def _vector(value, where: str, problems: list) -> np.ndarray | None:
@@ -333,6 +346,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
 
     name = _typed(raw, "name", "scenario", str, problems)
     seed = _number(raw, "seed", 0, problems, integer=True)
+    if seed < 0:
+        problems.append(f"seed: expected a non-negative integer, got {seed}")
     out_dir = _typed(raw, "out_dir", None, str, problems)
     error_mask = raw.get("error_mask")
     error_threshold = _number(raw, "error_threshold", 0.05, problems)
@@ -344,16 +359,26 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         problems.append("scenario: missing 'topology' section")
     else:
         _check_keys(topo_cfg, _TOPOLOGY_KEYS, "topology", problems)
-        try:
-            topology = Topology.from_edge_list(
-                _number(topo_cfg, "n", 0, problems, "topology.", integer=True),
-                topo_cfg.get("edges", []), topo_cfg.get("leader_links", ()))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"topology: {exc}")
+        known = len(problems)
+        n = _number(topo_cfg, "n", 0, problems, "topology.", integer=True)
+        edges = topo_cfg.get("edges", [])
+        links = topo_cfg.get("leader_links", [])
+        for row in (edges if isinstance(edges, list) else [edges]):
+            if not _edge_row(row):
+                problems.append(f"topology.edges: expected rows [i, j] or [i, j, a_ij] "
+                                f"of agent indices and a weight, got {row!r}")
+                break
+        if not (isinstance(links, list) and all(map(_integral, links))):
+            problems.append(f"topology.leader_links: expected a list of agent "
+                            f"indices, got {links!r}")
+        if len(problems) == known:
+            try:
+                topology = Topology.from_edge_list(n, edges, links)
+            except ValueError as exc:
+                problems.append(f"topology: {exc}")
     if topology is None:
         raise ConfigError(problems)
     n = topology.n
-    agents = list(range(1, n + 1))
 
     # Initial states --------------------------------------------------------
     states_cfg = raw.get("initial_states")
@@ -374,14 +399,23 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             vec = _vector(states_cfg[key], f"initial_states[{key}]", problems)
             if vec is not None:
                 initial_states[i] = vec
-        missing = [i for i in agents if i not in initial_states]
+        missing = n - len(initial_states)
         if missing:
-            problems.append(f"initial_states: missing agents {missing}")
+            first = list(islice((i for i in range(1, n + 1)
+                                 if i not in initial_states), 5))
+            more = f" and {missing - len(first)} more" if missing > len(first) else ""
+            problems.append(f"initial_states: {len(initial_states)} of {n} agents "
+                            f"given, missing agents {first}{more}")
         dims = {v.shape for v in initial_states.values()}
         if len(dims) > 1:
             problems.append(f"initial_states: inconsistent dimensions {sorted(dims)}")
         elif dims:
             p = dims.pop()[0]
+
+    # Models, weights and the echo cover the agents with an initial state,
+    # which are all n agents once the config is valid; a topology.n that the
+    # initial states do not back costs no per-agent work.
+    agents = sorted(initial_states)
 
     # Models ----------------------------------------------------------------
     models_cfg = raw.get("models")
@@ -447,7 +481,6 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
 
     # Cost --------------------------------------------------------------------
     cost_cfg = raw.get("cost")
-    mpc_mode = "mpc" in raw
     cost = None
     if not isinstance(cost_cfg, dict):
         problems.append("scenario: missing 'cost' section")
@@ -507,7 +540,6 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             L_max=_number(solver_cfg, "L_max", 10, problems, "solver.",
                           integer=True),
             eps_grad=eps, eps_step=eps,
-            stop="step" if mpc_mode else "grad",
             method=solver_cfg.get("method", "ocp"),
         )
     except ValueError as exc:
@@ -515,7 +547,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
 
     mpc = None
     horizon = raw.get("horizon")
-    if mpc_mode:
+    if "mpc" in raw:
         mpc_cfg = _section(raw, "mpc", problems)
         _check_keys(mpc_cfg, _MPC_KEYS, "mpc", problems)
         try:

@@ -1,5 +1,6 @@
-"""Newton-type control updates, the slow first-order baseline, and the
-contraction diagnostic.
+"""The pieces of the per-agent update, which ``coordinator`` assembles:
+the frozen-neighbor window problem, the Newton-type direction, the slow
+first-order baseline's backtracking step, and the contraction diagnostic.
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:
@@ -13,7 +14,7 @@ superlinear; ``contraction_factor`` computes that spectral radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,13 +27,8 @@ from .errors import NumericError, PreconditionError
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the per-agent solve.
-
-    ``stop`` selects the convergence test of ``ocp_solve``/``msa_solve``:
-    "grad" checks the gradient norm before updating, "step" checks the
-    control change after updating.  The coordinator's round loop takes its
-    rule from the run mode instead (one-shot or MPC).
-    """
+    """Knobs for the per-agent update; ``method`` picks the accelerated
+    update ("ocp") or the backtracking gradient baseline ("msa")."""
 
     c: float = 1.0
     max_outer: int = 100
@@ -40,7 +36,6 @@ class SolverConfig:
     eps_grad: float = 1e-6
     eps_step: float = 1e-6
     reg_floor: float = 1e-8
-    stop: str = "grad"
     method: str = "ocp"
     msa_eta0: float = 0.7
 
@@ -53,8 +48,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.L_max < 0:
             raise ValueError(f"L_max must be >= 0, got {self.L_max}")
-        if self.stop not in ("grad", "step"):
-            raise ValueError(f"unknown stop rule {self.stop!r}")
         if self.method not in ("ocp", "msa"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -68,38 +61,31 @@ class LocalProblem:
     x0: np.ndarray
     nb: NeighborBundle
     spec: CostSpec
-    mode: str = "auto"
     k0: int = 0
 
     def rollout(self, u):
         return dyn.rollout(self.model, self.x0, u, self.k0)
 
-    def cost(self, u) -> float:
-        return local_cost(self.i, self.rollout(u), u, self.nb, self.spec)
+    def cost(self, u, traj=None) -> float:
+        """Local cost at u, rolling u out unless its rollout ``traj`` is given."""
+        if traj is None:
+            traj = self.rollout(u)
+        return local_cost(self.i, traj, u, self.nb, self.spec)
 
-    def sweep(self, u):
-        """Rollout, linearization, costate and gradient in one go; returns
-        (traj, jac, lam, g) with jac the window's (A, B)."""
-        traj = self.rollout(u)
+    def sweep(self, u, traj=None):
+        """Linearization, costate and gradient at u, rolling u out unless
+        its rollout ``traj`` is given; returns (traj, jac, lam, g) with jac
+        the window's (A, B)."""
+        if traj is None:
+            traj = self.rollout(u)
         jac = adjoint.linearize_window(self.model, traj, u, self.k0)
-        lam = adjoint.costate_sweep(self.i, traj, u, jac, self.nb, self.spec,
-                                    mode=self.mode)
+        lam = adjoint.costate_sweep(self.i, traj, u, jac, self.nb, self.spec)
         g = adjoint.gradient(self.i, u, jac, lam, self.spec)
         return traj, jac, lam, g
 
     def hessian(self, u, traj, jac, lam):
         return adjoint.hessian(self.i, self.model, traj, u, jac, lam, self.spec,
-                               mode=self.mode, k0=self.k0)
-
-
-@dataclass
-class SolveResult:
-    u: np.ndarray
-    iterations: int
-    grad_norm: float
-    converged: bool
-    stagnated: bool = False
-    history: list = field(default_factory=list)
+                               k0=self.k0)
 
 
 def regularize(Hmat: np.ndarray, floor: float) -> np.ndarray:
@@ -152,30 +138,6 @@ def contraction_factor(Hmat: np.ndarray, G: np.ndarray) -> float:
     return float(np.max(np.abs(w)))
 
 
-def ocp_solve(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
-    """Iterate the accelerated update until the configured stopping rule fires."""
-    u = np.asarray(u0, dtype=float).copy()
-    H, m = u.shape
-    history = [u.reshape(-1).copy()]
-    gnorm = np.inf
-    for r in range(cfg.max_outer):
-        traj, jac, lam, g = problem.sweep(u)
-        gnorm = float(np.linalg.norm(g))
-        if cfg.stop == "grad" and gnorm < cfg.eps_grad:
-            return SolveResult(u, r, gnorm, True, history=history)
-        Hmat = regularize(problem.hessian(u, traj, jac, lam), cfg.reg_floor)
-        d = ocp_direction(g, Hmat, cfg.c, r, cfg.L_max)
-        u = u - d.reshape(H, m)
-        history.append(u.reshape(-1).copy())
-        if cfg.stop == "step" and float(np.linalg.norm(d)) < cfg.eps_step:
-            *_, g = problem.sweep(u)
-            return SolveResult(u, r + 1, float(np.linalg.norm(g)), True,
-                               history=history)
-    *_, g = problem.sweep(u)
-    return SolveResult(u, cfg.max_outer, float(np.linalg.norm(g)), False,
-                       history=history)
-
-
 def backtrack_step(cost_fn, u, g, J, eta):
     """One gradient step with Armijo backtracking.
 
@@ -201,28 +163,3 @@ def backtrack_step(cost_fn, u, g, J, eta):
             return None
     return u_try, J_try, eta, float(np.linalg.norm(eta * g))
 
-
-def msa_solve(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
-    """Gradient descent with backtracking on cost increase (slow baseline)."""
-    u = np.asarray(u0, dtype=float).copy()
-    eta = cfg.msa_eta0
-    history = [u.reshape(-1).copy()]
-    J = problem.cost(u)
-    for r in range(cfg.max_outer):
-        *_, g = problem.sweep(u)
-        gnorm = float(np.linalg.norm(g))
-        if cfg.stop == "grad" and gnorm < cfg.eps_grad:
-            return SolveResult(u, r, gnorm, True, history=history)
-        taken = backtrack_step(problem.cost, u, g, J, eta)
-        if taken is None:
-            return SolveResult(u, r, gnorm, False, stagnated=True,
-                               history=history)
-        u, J, eta, step = taken
-        history.append(u.reshape(-1).copy())
-        if cfg.stop == "step" and step < cfg.eps_step:
-            *_, g = problem.sweep(u)
-            return SolveResult(u, r + 1, float(np.linalg.norm(g)), True,
-                               history=history)
-    *_, g = problem.sweep(u)
-    return SolveResult(u, cfg.max_outer, float(np.linalg.norm(g)), False,
-                       history=history)

@@ -21,17 +21,17 @@ to zero settles below its ``error_threshold`` within the 200-step budget.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from optcons import CostSpec, adjoint, scenarios
-from optcons.coordinator import Session
+from optcons.coordinator import Session, solve_local
 from optcons.cost import NeighborBundle
 from optcons.graph import neighbors
 from optcons import dynamics as dyn
-from optcons.solver import (LocalProblem, SolverConfig, contraction_factor,
-                            msa_solve, ocp_solve)
+from optcons.solver import LocalProblem, SolverConfig, contraction_factor
 
 from conftest import conditioned_quadratic, lq_batch_solution, random_instance, random_spd
 
@@ -83,8 +83,8 @@ def test_criterion_2_lq_oracle():
     spec = CostSpec(Q={(1, 2): Q}, R={1: R}, D={(1, 2): D})
     problem = LocalProblem(1, dyn.linear(A, B), x0,
                            NeighborBundle({2: np.zeros((H + 1, p))}), spec)
-    res = ocp_solve(problem, np.zeros((H, m)),
-                    SolverConfig(c=1.0, eps_grad=1e-11, max_outer=20))
+    res = solve_local(problem, np.zeros((H, m)),
+                      SolverConfig(c=1.0, eps_grad=1e-11, max_outer=20))
     u_star = lq_batch_solution(A, B, Q, R, D, x0, H)
     gap = np.abs(res.u.reshape(-1) - u_star).max()
     elapsed = time.perf_counter() - start
@@ -100,8 +100,8 @@ def test_criterion_3_superlinear_rate():
     problem, Hmat, u_star = conditioned_quadratic()
     rho = contraction_factor(Hmat, np.eye(2))
 
-    res = ocp_solve(problem, np.zeros((1, 2)),
-                    SolverConfig(c=1.0, eps_grad=1e-12, max_outer=40, L_max=100))
+    res = solve_local(problem, np.zeros((1, 2)),
+                      SolverConfig(c=1.0, eps_grad=1e-12, max_outer=40, L_max=100))
     errs = [np.linalg.norm(h - u_star) for h in res.history]
     ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1)
               if errs[k] > 1e-10]
@@ -111,8 +111,8 @@ def test_criterion_3_superlinear_rate():
                   for r, ratio in enumerate(ratios))
 
     cfg = SolverConfig(eps_grad=1e-8, max_outer=20000, L_max=50)
-    fast = ocp_solve(problem, np.zeros((1, 2)), cfg)
-    slow = msa_solve(problem, np.zeros((1, 2)), cfg)
+    fast = solve_local(problem, np.zeros((1, 2)), cfg)
+    slow = solve_local(problem, np.zeros((1, 2)), replace(cfg, method="msa"))
     ratio = slow.iterations / fast.iterations
     elapsed = time.perf_counter() - start
     ok = (decreasing and bounded and len(ratios) >= 4
@@ -250,7 +250,7 @@ def test_criterion_7_unified_reduction():
     states = {1: [1.0, 0.0], 2: [-1.0, 0.5], 3: [0.0, -0.5]}
     from optcons.coordinator import MpcConfig
     mpc = MpcConfig(N_p=5, T=12)
-    cfg = SolverConfig(stop="step", eps_step=1e-8)
+    cfg = SolverConfig(eps_step=1e-8)
     a = run_mpc_leaderless(top, models, spec, cfg, mpc, states, seed=1)
     b = run_mpc_leader_follower(top, models, None, spec, cfg, mpc, states,
                                 None, seed=1)

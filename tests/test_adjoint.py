@@ -45,20 +45,8 @@ def test_costate_leader_mode_on_leader_trajectory():
     nb = NeighborBundle({}, leader=traj.copy())
     u = np.zeros((2, 1))
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec, mode="leader_follower")
+    lam = adjoint.costate_sweep(1, traj, u, jac, nb, spec)
     np.testing.assert_array_equal(lam, np.zeros((3, 2)))
-
-
-def test_leaderless_mode_rejects_leader_weights():
-    top = Topology.from_edge_list(2, [[2, 1, 1.0]], leader_links=[1])
-    spec = CostSpec(Q={}, R={1: np.eye(1)}, W={1: np.eye(2)})
-    model = dyn.linear(np.eye(2), np.array([[1.0], [0.0]]))
-    traj = np.zeros((3, 2))
-    u = np.zeros((2, 1))
-    jac = adjoint.linearize_window(model, traj, u)
-    with pytest.raises(ValueError, match="leaderless"):
-        adjoint.costate_sweep(1, traj, u, jac, NeighborBundle({}), spec,
-                              mode="leaderless")
 
 
 def test_gradient_hand_values():
@@ -203,7 +191,7 @@ def dense_hessian(i, model, traj, u, jac, lam, spec, k0=0):
     H, m = u.shape
     p = traj.shape[1]
     n = H * m
-    C_stage, C_term = adjoint._state_curvatures(i, spec, p, i in spec.W or i in spec.E)
+    C_stage, C_term = adjoint._state_curvatures(i, spec, p)
     R = spec.R[i]
     A, B = jac
     M = dyn.second_order_action(model, traj[:H], u, k0, lam[1:])

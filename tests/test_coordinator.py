@@ -4,10 +4,11 @@ import pytest
 from optcons import CostSpec, Topology
 from optcons.coordinator import (MpcConfig, RoundMessage, Session,
                                  consensus_error, run_algorithm1,
-                                 run_mpc_leader_follower, run_mpc_leaderless)
+                                 run_mpc_leader_follower, run_mpc_leaderless,
+                                 solve_local)
 from optcons import dynamics as dyn
 from optcons.errors import ConfigError, PreconditionError
-from optcons.solver import SolverConfig
+from optcons.solver import LocalProblem, SolverConfig
 from optcons import coordinator, scenarios
 
 from conftest import mutual_pair_topology
@@ -62,7 +63,7 @@ def test_algorithm1_requires_strong_connectivity():
 def test_mpc_consensus_start_is_a_fixed_point():
     top, spec, models = integrator_pair()
     mpc = MpcConfig(N_p=4, T=5)
-    res = run_mpc_leaderless(top, models, spec, SolverConfig(stop="step"),
+    res = run_mpc_leaderless(top, models, spec, SolverConfig(),
                              mpc, {1: [3.0], 2: [3.0]})
     for i in (1, 2):
         np.testing.assert_array_equal(res.controls[i], np.zeros((5, 1)))
@@ -74,7 +75,7 @@ def test_mpc_integrators_reach_consensus_with_monotone_window_costs():
     top, spec, models = integrator_pair(q=4.0, r=1.0)
     mpc = MpcConfig(N_p=5, T=25)
     res = run_mpc_leaderless(top, models, spec,
-                             SolverConfig(stop="step", eps_step=1e-8),
+                             SolverConfig(eps_step=1e-8),
                              mpc, {1: [1.0], 2: [-1.0]})
     assert res.max_errors[-1] < 1e-3
     for a, b in zip(res.window_costs, res.window_costs[1:]):
@@ -84,7 +85,7 @@ def test_mpc_integrators_reach_consensus_with_monotone_window_costs():
 def test_run_result_history_lengths():
     top, spec, models = integrator_pair()
     mpc = MpcConfig(N_p=3, T=7)
-    res = run_mpc_leaderless(top, models, spec, SolverConfig(stop="step"),
+    res = run_mpc_leaderless(top, models, spec, SolverConfig(),
                              mpc, {1: [1.0], 2: [0.0]})
     for i in (1, 2):
         assert res.states[i].shape == (8, 1)
@@ -108,7 +109,7 @@ def test_leader_follower_zero_error_on_leader_trajectory():
     x0 = np.array([0.4, -1.2])
     mpc = MpcConfig(N_p=4, T=6)
     res = run_mpc_leader_follower(top, models, leader, spec,
-                                  SolverConfig(stop="step"), mpc,
+                                  SolverConfig(), mpc,
                                   {i: x0.copy() for i in range(1, 5)}, x0)
     for i in range(1, 5):
         np.testing.assert_array_equal(res.controls[i], np.zeros((6, 1)))
@@ -120,7 +121,7 @@ def test_leader_follower_requires_leader_data():
     top, spec, models, leader = leader_chain_setup()
     with pytest.raises(ConfigError, match="leader"):
         run_mpc_leader_follower(top, models, None, spec,
-                                SolverConfig(stop="step"), MpcConfig(N_p=3, T=2),
+                                SolverConfig(), MpcConfig(N_p=3, T=2),
                                 {i: [0.0, 0.0] for i in range(1, 5)}, None)
 
 
@@ -132,7 +133,7 @@ def test_leader_follower_requires_spanning_tree():
     leader = dyn.leader_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
     with pytest.raises(PreconditionError, match="spanning tree"):
         run_mpc_leader_follower(top, {i: follower for i in range(1, 5)}, leader,
-                                spec, SolverConfig(stop="step"),
+                                spec, SolverConfig(),
                                 MpcConfig(N_p=3, T=2),
                                 {i: [0.0, 0.0] for i in range(1, 5)}, [0.0, 0.0])
 
@@ -140,7 +141,7 @@ def test_leader_follower_requires_spanning_tree():
 def test_unified_reduction_leaderless_equals_leader_runner_bitwise():
     top, spec, models = integrator_pair(q=3.0, r=0.5)
     mpc = MpcConfig(N_p=4, T=10)
-    cfg = SolverConfig(stop="step", eps_step=1e-7)
+    cfg = SolverConfig(eps_step=1e-7)
     states = {1: [1.0], 2: [-2.0]}
     a = run_mpc_leaderless(top, models, spec, cfg, mpc, states, seed=3)
     b = run_mpc_leader_follower(top, models, None, spec, cfg, mpc, states,
@@ -274,6 +275,25 @@ def test_msa_update_reuses_round_rollout(monkeypatch):
     assert len(rollouts) == summary["rounds"] * n + 1 + len(trials) + n
 
 
+@pytest.mark.parametrize("method", ["ocp", "msa"])
+def test_round_update_is_first_iterate_of_solve_local(method):
+    # The round loop and solve_local run one update: a session's first round
+    # moves every agent's window exactly where solve_local's first iterate
+    # does on the same frozen-neighbor problem and starting controls.
+    spec, session = leader_follower_session(
+        [f"solver.method={method}", "solver.max_outer=1"])
+    u0 = session._initial_window()
+    _, bundles = session._broadcast(u0, session._leader_window(), 0)
+    problems = {i: LocalProblem(i, spec.models[i], session.x[i], bundles[i],
+                                spec.cost, session.t) for i in session.order}
+    summary = session.step()
+    assert summary["rounds"] == 1
+    for i, problem in problems.items():
+        res = solve_local(problem, u0[i], spec.solver)
+        assert len(res.history) == 2
+        np.testing.assert_array_equal(session.u_prev[i].reshape(-1), res.history[1])
+
+
 def test_message_drops_deterministic_and_stale_reuse():
     spec = scenarios.load_preset("leader_follower",
                                  overrides=["mpc.T=6", "mpc.drop_probability=0.4"])
@@ -298,7 +318,7 @@ def test_message_drops_deterministic_and_stale_reuse():
 def test_drop_probability_zero_ignores_seed():
     top, spec, models = integrator_pair(q=2.0)
     mpc = MpcConfig(N_p=3, T=5, drop_probability=0.0)
-    cfg = SolverConfig(stop="step")
+    cfg = SolverConfig()
     a = run_mpc_leaderless(top, models, spec, cfg, mpc, {1: [1.0], 2: [0.0]}, seed=1)
     b = run_mpc_leaderless(top, models, spec, cfg, mpc, {1: [1.0], 2: [0.0]}, seed=99)
     np.testing.assert_array_equal(a.states[1], b.states[1])
@@ -312,7 +332,7 @@ def test_round_message_immutable_payload():
 
 def test_stepwise_session_api():
     top, spec, models = integrator_pair(q=2.0)
-    session = Session(top, models, spec, SolverConfig(stop="step"),
+    session = Session(top, models, spec, SolverConfig(),
                       MpcConfig(N_p=3, T=4), {1: [1.0], 2: [0.0]})
     info = session.step()
     assert info["t"] == 0 and info["rounds"] >= 1

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -199,6 +200,11 @@ def test_one_shot_leader_rows_in_trajectories(tmp_path):
     'cost.offsets.1=["1","0"]',
     'formation:models.default.delta="0.05"', "formation:leader.model.v=true",
     "formation:leader.model.omega=null",
+    'topology.edges=[[2,1,"1.0"],[3,2,1.0],[4,3,1.0]]',
+    "topology.edges=[[2,true],[3,2],[4,3]]", 'topology.edges=["21","32","43"]',
+    "topology.edges=[[2,1,[1.0]],[3,2],[4,3]]", "topology.edges=5",
+    'topology.leader_links="1"', "topology.leader_links=[true]",
+    "topology.leader_links=[1.5]", "seed=-1",
 ])
 def test_malformed_override_raises_config_error(override, capsys):
     preset = "leader_follower"
@@ -208,6 +214,23 @@ def test_malformed_override_raises_config_error(override, capsys):
         scenarios.load_preset(preset, overrides=[override])
     assert cli.main(["check", preset, "--set", override]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seed_run_exits_one(tmp_path, capsys):
+    assert cli.main(["run", "leader_follower", "--seed", "-1", "--set", "mpc.T=1",
+                     "--out", str(tmp_path)]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
+def test_topology_n_beyond_initial_states_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("leader_follower", overrides=["topology.n=1000000"])
+    elapsed = time.perf_counter() - start
+    text = str(err.value)
+    assert elapsed < 1.0
+    assert len(text) < 1000
+    assert "4 of 1000000 agents given" in text
 
 
 def test_mpc_trajectories_csv_shape(tmp_path):

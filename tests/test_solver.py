@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,9 +7,10 @@ import scipy.linalg
 from optcons import CostSpec
 from optcons.cost import NeighborBundle
 from optcons import dynamics as dyn
+from optcons.coordinator import solve_local
 from optcons.errors import NumericError, PreconditionError
 from optcons.solver import (LocalProblem, SolverConfig, contraction_factor,
-                            msa_solve, ocp_direction, ocp_solve, regularize)
+                            ocp_direction, regularize)
 
 from conftest import conditioned_quadratic, lq_batch_solution, random_spd
 
@@ -94,24 +97,24 @@ def test_regularize_shifts_indefinite():
     np.testing.assert_array_equal(regularize(H_ok, 1e-8), H_ok)
 
 
-def test_ocp_solve_stationary_start(scalar_chain):
+def test_solve_local_stationary_start(scalar_chain):
     u_star = np.array([[-0.5]])
-    res = ocp_solve(scalar_chain, u_star, SolverConfig(eps_grad=1e-8))
+    res = solve_local(scalar_chain, u_star, SolverConfig(eps_grad=1e-8))
     assert res.iterations == 0
     np.testing.assert_array_equal(res.u, u_star)
     assert res.converged
 
 
-def test_ocp_solve_scalar_chain(scalar_chain):
-    res = ocp_solve(scalar_chain, np.zeros((1, 1)),
-                    SolverConfig(c=1.0, eps_grad=1e-8))
+def test_solve_local_scalar_chain(scalar_chain):
+    res = solve_local(scalar_chain, np.zeros((1, 1)),
+                      SolverConfig(c=1.0, eps_grad=1e-8))
     assert res.converged and res.iterations <= 15
     assert abs(res.u[0, 0] + 0.5) < 1e-8
     # the returned iterate itself satisfies the stationarity tolerance
     assert res.grad_norm <= 1e-8
 
 
-def test_ocp_solve_matches_lq_oracle():
+def test_solve_local_matches_lq_oracle():
     rng = np.random.default_rng(2024)
     p, m, H = 2, 2, 10
     A = rng.normal(size=(p, p)) * 0.5
@@ -126,22 +129,23 @@ def test_ocp_solve_matches_lq_oracle():
     nb = NeighborBundle({2: np.zeros((H + 1, p))})
     problem = LocalProblem(1, model, x0, nb, spec)
 
-    res = ocp_solve(problem, np.zeros((H, m)),
-                    SolverConfig(c=1.0, eps_grad=1e-11, max_outer=20))
+    res = solve_local(problem, np.zeros((H, m)),
+                      SolverConfig(c=1.0, eps_grad=1e-11, max_outer=20))
     assert res.converged and res.iterations <= 20
     u_star = lq_batch_solution(A, B, Q, R, D, x0, H)
     assert np.abs(res.u.reshape(-1) - u_star).max() < 1e-8
 
 
 def test_msa_stationary_start(scalar_chain):
-    res = msa_solve(scalar_chain, np.array([[-0.5]]), SolverConfig(eps_grad=1e-8))
+    res = solve_local(scalar_chain, np.array([[-0.5]]),
+                      SolverConfig(eps_grad=1e-8, method="msa"))
     assert res.iterations == 0 and res.converged
 
 
 def test_msa_slower_than_ocp_on_scalar_chain(scalar_chain):
     cfg = SolverConfig(eps_grad=1e-8, max_outer=10000)
-    fast = ocp_solve(scalar_chain, np.zeros((1, 1)), cfg)
-    slow = msa_solve(scalar_chain, np.zeros((1, 1)), cfg)
+    fast = solve_local(scalar_chain, np.zeros((1, 1)), cfg)
+    slow = solve_local(scalar_chain, np.zeros((1, 1)), replace(cfg, method="msa"))
     assert fast.converged and slow.converged
     assert abs(slow.u[0, 0] + 0.5) < 1e-7
     assert slow.iterations > fast.iterations
@@ -151,8 +155,8 @@ def test_msa_ocp_ratio_on_conditioned_instance():
     problem, H, u_star = conditioned_quadratic()
     cfg = SolverConfig(eps_grad=1e-8, max_outer=20000, L_max=50)
     u0 = np.zeros((1, 2))
-    fast = ocp_solve(problem, u0, cfg)
-    slow = msa_solve(problem, u0, cfg)
+    fast = solve_local(problem, u0, cfg)
+    slow = solve_local(problem, u0, replace(cfg, method="msa"))
     assert fast.converged and slow.converged
     assert slow.iterations / fast.iterations > 5.0
 
@@ -169,8 +173,8 @@ def test_monotone_descent_on_convex_instances():
         H = 6
         nb = NeighborBundle({2: rng.normal(size=(H + 1, p))})
         problem = LocalProblem(1, model, rng.normal(size=p), nb, spec)
-        res = ocp_solve(problem, rng.normal(size=(H, p)),
-                        SolverConfig(eps_grad=1e-9, max_outer=50))
+        res = solve_local(problem, rng.normal(size=(H, p)),
+                          SolverConfig(eps_grad=1e-9, max_outer=50))
         costs = [problem.cost(u.reshape(H, p)) for u in res.history]
         for a, b in zip(costs, costs[1:]):
             assert b <= a + 1e-12
@@ -180,7 +184,7 @@ def test_superlinear_ratio_decay():
     problem, Hmat, u_star = conditioned_quadratic()
     rho = contraction_factor(Hmat, np.eye(2))
     cfg = SolverConfig(c=1.0, eps_grad=1e-12, max_outer=40, L_max=100)
-    res = ocp_solve(problem, np.zeros((1, 2)), cfg)
+    res = solve_local(problem, np.zeros((1, 2)), cfg)
     errs = [np.linalg.norm(h - u_star) for h in res.history]
     ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1)
               if errs[k] > 1e-10]
