@@ -1,8 +1,11 @@
 """Costate sweeps, exact gradients and Hessians of the local cost.
 
-The derivatives below read the window's stage Jacobians (A, B) from
-``linearize_window``; callers linearize once per update and pass the same
-pair to the costate sweep, the gradient and the Hessian.
+The derivatives below take a stack of K agents of one model, windows
+along a leading axis; every recursion runs once for the stack, and a row
+equals that agent's stack of one bit for bit.  They read the windows'
+stage Jacobians (A, B) from ``linearize_window``; callers linearize once
+per update and pass the same pair to the costate sweep, the gradient and
+the Hessian.
 
 The gradient comes from one backward costate pass: the costate lambda(t)
 accumulates the cost's sensitivity to the state, and the stationarity
@@ -36,68 +39,72 @@ from .cost import CostSpec, NeighborBundle, local_cost, _check_horizons
 from .errors import NumericError
 
 
-def linearize_window(model: dyn.Model, traj_i, u_i, k0: int = 0):
-    """Stage Jacobians of a window: (A, B) stacked as (H, p, p) and (H, p, m),
-    with A[t], B[t] the Jacobians at (x(t), u(t), k0 + t); one
-    dyn.linearize call."""
-    u_i = np.asarray(u_i, dtype=float)
-    return dyn.linearize(model, np.asarray(traj_i, dtype=float)[:len(u_i)], u_i, k0)
+def linearize_window(model: dyn.Model, trajs, us, k0: int = 0):
+    """Stage Jacobians of a stack of windows: (A, B) stacked as
+    (K, H, p, p) and (K, H, p, m), with A[a, t], B[a, t] the Jacobians at
+    (x_a(t), u_a(t), k0 + t); one dyn.linearize call."""
+    us = np.asarray(us, dtype=float)
+    return dyn.linearize(model, np.asarray(trajs, dtype=float)[:, :us.shape[1]], us, k0)
 
 
-def costate_sweep(i: int, traj_i, u_i, jac, nb: NeighborBundle,
-                  spec: CostSpec) -> np.ndarray:
-    """Backward costate recursion; returns the (H+1, p) array of lambda(t).
+def costate_sweep(agents, trajs, us, jac, bundles, spec: CostSpec) -> np.ndarray:
+    """Backward costate recursion of a stack of agents; returns the
+    (K, H+1, p) array of lambda(t), one row per agent.
 
-    ``jac`` is the window's (A, B) from ``linearize_window``.  lambda(H)
-    collects the terminal weights; going backward,
+    ``agents`` and ``bundles`` give each row's agent and neighbor bundle,
+    ``jac`` the windows' (A, B) from ``linearize_window``.  lambda(H)
+    collects the terminal weights; going backward, in one stacked step,
     lambda(t) = sum_j Q_ij e_ij(t) [+ W_il e_il(t)] + lambda(t+1) A(t).
     lambda(0) is computed for completeness but unused by the gradient.
     """
-    traj_i = np.asarray(traj_i, dtype=float)
-    u_i = np.asarray(u_i, dtype=float)
-    H = _check_horizons(i, traj_i, u_i, nb)
+    trajs = np.asarray(trajs, dtype=float)
+    us = np.asarray(us, dtype=float)
     A, _ = jac
-    p = traj_i.shape[1]
+    K, H, p = trajs.shape[0], us.shape[1], trajs.shape[2]
 
-    z_i = traj_i - spec.offset(i, p)
-    stage_src = np.zeros((H + 1, p))
-    term_src = np.zeros(p)
-    for j, Q, D in spec.edge_terms(i, p):
-        if j not in nb.trajectories:
-            raise ValueError(f"agent {i}: bundle is missing neighbor {j}")
-        e = z_i - (np.asarray(nb.trajectories[j], dtype=float) - spec.offset(j, p))
-        stage_src += e @ Q
-        term_src += D @ e[H]
-    W, E = spec.leader_terms(i)
-    if W is not None or E is not None:
-        if nb.leader is None:
-            raise ValueError(f"agent {i} has leader weights but no leader trajectory")
-        el = z_i - (np.asarray(nb.leader, dtype=float) - spec.offset(0, p))
-        if W is not None:
-            stage_src += el @ W
-        if E is not None:
-            term_src += E @ el[H]
+    stage_src = np.zeros((K, H + 1, p))
+    lambdas = np.empty((K, H + 1, p))
+    for a, (i, nb) in enumerate(zip(agents, bundles)):
+        _check_horizons(i, trajs[a], us[a], nb)
+        z_i = trajs[a] - spec.offset(i, p)
+        term_src = np.zeros(p)
+        for j, Q, D in spec.edge_terms(i, p):
+            if j not in nb.trajectories:
+                raise ValueError(f"agent {i}: bundle is missing neighbor {j}")
+            e = z_i - (np.asarray(nb.trajectories[j], dtype=float) - spec.offset(j, p))
+            stage_src[a] += e @ Q
+            term_src += D @ e[H]
+        W, E = spec.leader_terms(i)
+        if W is not None or E is not None:
+            if nb.leader is None:
+                raise ValueError(f"agent {i} has leader weights but no leader trajectory")
+            el = z_i - (np.asarray(nb.leader, dtype=float) - spec.offset(0, p))
+            if W is not None:
+                stage_src[a] += el @ W
+            if E is not None:
+                term_src += E @ el[H]
+        lambdas[a, H] = term_src
 
-    lambdas = np.empty((H + 1, p))
-    lambdas[H] = term_src
     for t in range(H - 1, -1, -1):
-        lambdas[t] = stage_src[t] + lambdas[t + 1] @ A[t]
+        lambdas[:, t] = stage_src[:, t] + (lambdas[:, t + 1, None] @ A[:, t])[:, 0]
     return lambdas
 
 
-def gradient(i: int, u_i, jac, lambdas, spec: CostSpec) -> np.ndarray:
-    """Exact local-cost gradient, flattened time-major (H*m,).
+def gradient(agents, us, jac, lambdas, spec: CostSpec) -> np.ndarray:
+    """Exact local-cost gradients of a stack of agents, (K, H*m), each row
+    flattened time-major.
 
     Block t is the stationarity residual R u(t) + lambda(t+1) B(t), with
-    ``jac`` the window's (A, B); it vanishes at an optimal control sequence.
+    ``jac`` the windows' (A, B); it vanishes at an optimal control sequence.
     """
-    u_i = np.asarray(u_i, dtype=float)
-    H = u_i.shape[0]
+    us = np.asarray(us, dtype=float)
+    K, H, _ = us.shape
     _, B = jac
-    if lambdas.shape[0] != H + 1:
-        raise ValueError(f"costate has {lambdas.shape[0]} rows, expected {H + 1}")
-    g = (spec.R[i] @ u_i[:, :, None])[..., 0] + (lambdas[1:, None, :] @ B)[:, 0, :]
-    return g.reshape(-1)
+    if lambdas.shape[1] != H + 1:
+        raise ValueError(f"costate has {lambdas.shape[1]} rows, expected {H + 1}")
+    R = np.array([spec.R[i] for i in agents])
+    g = (R[:, None] @ us[..., None])[..., 0] + (lambdas[:, 1:, None, :] @ B)[..., 0, :]
+    return g.reshape(K, -1)
 
 
 def _state_curvatures(i: int, spec: CostSpec, p: int):
@@ -115,65 +122,66 @@ def _state_curvatures(i: int, spec: CostSpec, p: int):
     return C_stage, C_term
 
 
-def hessian(i: int, model: dyn.Model, traj_i, u_i, jac, lambdas, spec: CostSpec,
+def hessian(agents, model: dyn.Model, trajs, us, jac, lambdas, spec: CostSpec,
             k0: int = 0) -> np.ndarray:
-    """Exact (H*m, H*m) Hessian of the local cost, neighbors frozen.
+    """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
+    neighbors frozen, as a (K, H*m, H*m) array.
 
     Column s*m + a is the response to a unit perturbation of u(s)[a].  Two
-    recursions over the window's (A, B) ``jac`` carry all H*m columns at
-    once: the forward state sensitivity dx(t+1) = A(t) dx(t) [+ B(t) at the
-    perturbed stage] and the backward second-order costate
+    recursions over the windows' (A, B) ``jac`` carry all H*m columns of
+    every agent at once: the forward state sensitivity dx(t+1) = A(t) dx(t)
+    [+ B(t) at the perturbed stage] and the backward second-order costate
     dlam(t) = (C + Mxx(t)) dx(t) + A(t)^T dlam(t+1) [+ Mxu(t)], from
     dlam(H) = C_term dx(H).  Each recursion step is one matmul plus a slice
-    add; the remaining products are one stacked matmul per window.  Row
-    block t is then B(t)^T dlam(t+1) + Mux(t) dx(t), plus R + Muu(t) on the
+    add; the remaining products are one stacked matmul each.  Row block t
+    is then B(t)^T dlam(t+1) + Mux(t) dx(t), plus R + Muu(t) on the
     diagonal block.  M(t) holds the model's lambda(t+1)-weighted second
-    derivatives, all H stages from one dyn.second_order_action call.  The
-    result is symmetrized once if assembly drift exceeds 1e-12 (an error
-    beyond 1e-8 relative would indicate a broken model derivative).
+    derivatives, all from one dyn.second_order_action call.  Each matrix
+    is symmetrized once if assembly drift exceeds 1e-12 (an error beyond
+    1e-8 relative would indicate a broken model derivative).
     """
-    traj_i = np.asarray(traj_i, dtype=float)
-    u_i = np.asarray(u_i, dtype=float)
-    H, m = u_i.shape
-    p = traj_i.shape[1]
+    trajs = np.asarray(trajs, dtype=float)
+    us = np.asarray(us, dtype=float)
+    K, H, m = us.shape
+    p = trajs.shape[2]
     n = H * m
-    C_stage, C_term = _state_curvatures(i, spec, p)
-    R = spec.R[i]
+    C_stage, C_term = map(np.array, zip(*(_state_curvatures(i, spec, p) for i in agents)))
+    R = np.array([spec.R[i] for i in agents])
     A, B = jac
 
-    M = dyn.second_order_action(model, traj_i[:H], u_i, k0, lambdas[1:])
-    Mxx, Mxu = M[:, :p, :p], M[:, :p, p:]
-    Mux, Muu = M[:, p:, :p], M[:, p:, p:]
+    M = dyn.second_order_action(model, trajs[:, :H], us, k0, lambdas[:, 1:])
+    Mxx, Mxu = M[..., :p, :p], M[..., :p, p:]
+    Mux, Muu = M[..., p:, :p], M[..., p:, p:]
 
-    dxs = np.zeros((H + 1, p, n))
+    dxs = np.zeros((K, H + 1, p, n))
     for t in range(H):
-        np.matmul(A[t], dxs[t], out=dxs[t + 1])
-        dxs[t + 1][:, t * m:(t + 1) * m] += B[t]
+        np.matmul(A[:, t], dxs[:, t], out=dxs[:, t + 1])
+        dxs[:, t + 1, :, t * m:(t + 1) * m] += B[:, t]
 
     # dlam(0) does not enter the Hessian and is not computed.
-    src = (C_stage + Mxx[1:]) @ dxs[1:H]
-    dlam = np.empty((H + 1, p, n))
-    dlam[H] = C_term @ dxs[H]
+    src = (C_stage[:, None] + Mxx[:, 1:]) @ dxs[:, 1:H]
+    dlam = np.empty((K, H + 1, p, n))
+    dlam[:, H] = C_term @ dxs[:, H]
     for t in range(H - 1, 0, -1):
-        dlam[t] = src[t - 1] + A[t].T @ dlam[t + 1]
-        dlam[t][:, t * m:(t + 1) * m] += Mxu[t]
+        dlam[:, t] = src[:, t - 1] + A[:, t].transpose(0, 2, 1) @ dlam[:, t + 1]
+        dlam[:, t, :, t * m:(t + 1) * m] += Mxu[:, t]
 
-    blocks = B.transpose(0, 2, 1) @ dlam[1:]
-    diag = blocks.reshape(H, m, H, m)
-    idx = np.arange(H)
-    diag[idx, :, idx, :] += R
-    blocks += Mux @ dxs[:H]
-    diag[idx, :, idx, :] += Muu
+    blocks = B.transpose(0, 1, 3, 2) @ dlam[:, 1:]
+    diag = blocks.reshape(K, H, m, H, m)
+    rows, idx = np.arange(K)[:, None], np.arange(H)
+    diag[rows, idx, :, idx, :] += R[:, None]
+    blocks += Mux @ dxs[:, :H]
+    diag[rows, idx, :, idx, :] += Muu
 
-    Hmat = blocks.reshape(n, n)
-    scale = np.linalg.norm(Hmat)
-    drift = np.linalg.norm(Hmat - Hmat.T)
-    if scale > 0 and drift > 1e-8 * scale:
-        raise NumericError(
-            f"agent {i}: Hessian asymmetry {drift / scale:.2e} exceeds tolerance")
-    if drift > 1e-12:
-        Hmat = 0.5 * (Hmat + Hmat.T)
-    return Hmat
+    Hs = blocks.reshape(K, n, n)
+    for a, i in enumerate(agents):
+        scale, drift = np.linalg.norm(Hs[a]), np.linalg.norm(Hs[a] - Hs[a].T)
+        if scale > 0 and drift > 1e-8 * scale:
+            raise NumericError(
+                f"agent {i}: Hessian asymmetry {drift / scale:.2e} exceeds tolerance")
+        if drift > 1e-12:
+            Hs[a] = 0.5 * (Hs[a] + Hs[a].T)
+    return Hs
 
 
 def fd_gradient(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
@@ -187,7 +195,7 @@ def fd_gradient(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
 
     def value(vec):
         u = vec.reshape(H, m)
-        traj = dyn.rollout(model, x0, u, k0)
+        traj = dyn.rollout(model, [x0], u[None], k0)[0]
         return local_cost(i, traj, u, nb, spec)
 
     g = np.empty(flat.size)
@@ -209,11 +217,11 @@ def fd_hessian(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
         raise ValueError(f"finite-difference step must be positive, got {h}")
 
     def grad(vec):
-        u = vec.reshape(H, m)
-        traj = dyn.rollout(model, x0, u, k0)
+        u = vec.reshape(1, H, m)
+        traj = dyn.rollout(model, [x0], u, k0)
         jac = linearize_window(model, traj, u, k0)
-        lam = costate_sweep(i, traj, u, jac, nb, spec)
-        return gradient(i, u, jac, lam, spec)
+        lam = costate_sweep([i], traj, u, jac, [nb], spec)
+        return gradient([i], u, jac, lam, spec)[0]
 
     Hmat = np.empty((flat.size, flat.size))
     for idx in range(flat.size):

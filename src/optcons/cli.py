@@ -15,10 +15,10 @@ import time
 
 import numpy as np
 
-from . import adjoint, scenarios
+from . import adjoint, dynamics as dyn, scenarios
 from .coordinator import MpcConfig, Session, run_algorithm1
 from .errors import ConfigError, NumericError, PreconditionError
-from .solver import LocalProblem
+from .solver import LocalProblem, sweep
 
 
 def _resolve_source(token: str) -> str:
@@ -77,10 +77,13 @@ def _cmd_gradcheck(args) -> int:
     if not 1 <= args.agent <= spec.topology.n:
         raise ConfigError(f"agent {args.agent} out of range 1..{spec.topology.n}")
     problem, u = _window_problem(spec, args.agent, args.t)
-    traj, jac, lam, g = problem.sweep(u)
+    us = u[None]
+    trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
+    jac, lam, (g,) = sweep([problem], us, trajs)
     g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                problem.nb, problem.spec, k0=problem.k0)
-    Hmat = problem.hessian(u, traj, jac, lam)
+    Hmat = adjoint.hessian([problem.i], problem.model, trajs, us, jac, lam,
+                           problem.spec, k0=problem.k0)[0]
     H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                               problem.nb, problem.spec, k0=problem.k0)
 

@@ -1,4 +1,4 @@
-"""Synchronous round protocol: trajectory exchange, per-agent updates, and
+"""Synchronous round protocol: trajectory exchange, agent updates, and
 the receding-horizon closed loop for leaderless and leader-follower runs.
 
 Within a round every agent rolls out its current window controls,
@@ -11,11 +11,13 @@ window is applied and the horizon shifts.
 The one-shot finite-horizon algorithm runs the same rounds on a single
 window; only the stop rule differs (gradient norms tested before the
 round's updates are applied, instead of step norms after).  ``solve_local``
-iterates the same per-agent update on one frozen-neighbor window.
+iterates the same update on one frozen-neighbor window.
 
 All cross-agent data flows through immutable RoundMessage snapshots
 collected at a barrier, and every update reads only its round's snapshot,
-so the order in which agents are solved does not change any result.
+so the order in which agents are solved does not change any result, and
+agents that share one Model object (a model group) are rolled out, swept
+and given their Hessians as one stack.
 Message-drop injection (for the disturbance experiments) draws its
 Bernoulli stream in a fixed receiver/sender order from a dedicated
 generator, keeping runs reproducible and schedule-independent; a dropped
@@ -28,13 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics as dyn
+from . import adjoint, dynamics as dyn
 from .cost import CostSpec, NeighborBundle, global_cost
 from .errors import ConfigError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
 from .solver import (SolverConfig, LocalProblem, backtrack_step,
-                     ocp_direction, regularize)
+                     ocp_direction, regularize, sweep)
 
 
 @dataclass(frozen=True)
@@ -119,24 +121,27 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     return errors, (max(errors.values()) if errors else 0.0)
 
 
-def _agent_round_update(problem: LocalProblem, u, traj, cfg: SolverConfig, r: int,
-                        eta: float):
-    """One update of agent i's window u from its rollout ``traj``, at outer
-    iteration r with the baseline's current step size eta (``problem``
-    holds i, its model, x0, neighbor bundle, cost spec and k0); returns
-    (u_new, step_norm, grad_norm, eta), a zero step when the baseline's
-    backtracking collapses."""
-    _, jac, lam, g = problem.sweep(u, traj)
-    gnorm = float(np.linalg.norm(g))
+def _round_update(problems, us, trajs, swept, cfg: SolverConfig, r: int, etas):
+    """One update of a model group's windows us (K, H, m) from their
+    rollouts and ``sweep`` at outer iteration r; returns (new windows, step
+    norms), a step zero when the baseline's backtracking collapses.
+    ``etas`` maps agents to the baseline's step sizes, updated in place."""
+    jac, lam, g = swept
     if cfg.method == "msa":
-        taken = backtrack_step(problem.cost, u, g, problem.cost(u, traj), eta)
-        if taken is None:
-            return u, 0.0, gnorm, eta
-        u_new, _, eta, step = taken
-        return u_new, step, gnorm, eta
-    Hmat = regularize(problem.hessian(u, traj, jac, lam), cfg.reg_floor)
-    d = ocp_direction(g, Hmat, cfg.c, r, cfg.L_max)
-    return u - d.reshape(u.shape), float(np.linalg.norm(d)), gnorm, eta
+        new, steps = us.copy(), []
+        for a, problem in enumerate(problems):
+            taken = backtrack_step(problem.cost, us[a], g[a],
+                                   problem.cost(us[a], trajs[a]), etas[problem.i])
+            if taken is not None:
+                new[a], _, etas[problem.i], _ = taken
+            steps.append(0.0 if taken is None else taken[3])
+        return new, steps
+    head = problems[0]
+    Hs = adjoint.hessian([problem.i for problem in problems], head.model, trajs, us,
+                         jac, lam, head.spec, k0=head.k0)
+    d = [ocp_direction(g[a], regularize(Hs[a], cfg.reg_floor), cfg.c, r, cfg.L_max)
+         for a in range(len(problems))]
+    return us - np.reshape(d, us.shape), [float(np.linalg.norm(da)) for da in d]
 
 
 @dataclass
@@ -150,20 +155,24 @@ class SolveResult:
 
 
 def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
-    """Iterate the round loop's update on one frozen-neighbor window until
-    the gradient norm, tested before each update, is under ``eps_grad``;
-    ``cfg.method`` picks the update, ``history`` holds every iterate."""
+    """Iterate the round loop's update (a stack of one) on one
+    frozen-neighbor window until the gradient norm, tested before each
+    update, is under ``eps_grad``; ``cfg.method`` picks the update,
+    ``history`` holds every iterate."""
     u = np.asarray(u0, dtype=float).copy()
-    eta = cfg.msa_eta0
+    etas = {problem.i: cfg.msa_eta0}
     history = [u.reshape(-1).copy()]
     for r in range(cfg.max_outer + 1):
-        u_new, step, gnorm, eta = _agent_round_update(problem, u, problem.rollout(u),
-                                                      cfg, r, eta)
+        us = u[None]
+        trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
+        swept = sweep([problem], us, trajs)
+        gnorm = float(np.linalg.norm(swept[2][0]))
         if gnorm < cfg.eps_grad or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps_grad, history=history)
+        new, (step,) = _round_update([problem], us, trajs, swept, cfg, r, etas)
         if step == 0.0:
             return SolveResult(u, r, gnorm, False, stagnated=True, history=history)
-        u = u_new
+        u = new[0]
         history.append(u.reshape(-1).copy())
 
 
@@ -172,8 +181,8 @@ class Session:
     step()/run(), or one finite-horizon window through run_algorithm1.
 
     Each round rolls out and solves the agents in ``order`` (the sorted
-    agent indices); since every update reads only that round's snapshot,
-    any order gives bit-identical results.
+    agent indices), stacked by model group; since every update reads only
+    that round's snapshot, any order gives bit-identical results.
     """
 
     def __init__(self, topology: Topology, models: dict, spec: CostSpec,
@@ -287,14 +296,29 @@ class Session:
         so one rollout serves every round of the window."""
         if not self.leader_mode:
             return None
-        return dyn.rollout(self.leader_model, self.xl,
-                           np.zeros((self.mpc.N_p, 0)), self.t)
+        return dyn.rollout(self.leader_model, [self.xl],
+                           np.zeros((1, self.mpc.N_p, 0)), self.t)[0]
+
+    def _groups(self):
+        """[(model, agents)]: the agents in ``order`` grouped by model object."""
+        groups = {}
+        for i in self.order:
+            groups.setdefault(id(self.models[i]), (self.models[i], []))[1].append(i)
+        return list(groups.values())
+
+    def _rollouts(self, u):
+        """Every agent's rollout of its window u, one rollout per model group."""
+        trajs = {}
+        for model, agents in self._groups():
+            stack = dyn.rollout(model, [self.x[i] for i in agents],
+                                [u[i] for i in agents], self.t)
+            trajs.update(zip(agents, stack))
+        return trajs
 
     def _broadcast(self, u, leader_traj, r):
         """Roll out every agent's window u and exchange the rollouts with
         the window's leader trajectory; returns (trajectories, bundles)."""
-        trajs = {i: dyn.rollout(self.models[i], self.x[i], u[i], self.t)
-                 for i in self.order}
+        trajs = self._rollouts(u)
         return trajs, self._exchange(trajs, leader_traj, r)
 
     def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
@@ -303,12 +327,13 @@ class Session:
         MPC steps stop once every agent's step norm after the update is
         under ``eps_step`` and count that round.  One-shot runs record the
         global cost of each round's rollout and stop once every gradient
-        norm is under ``eps_grad``, before that round's updates are applied,
-        so a consensus fixed point stops at round zero.
+        norm is under ``eps_grad``, tested after the sweeps and before the
+        round's updates, so a consensus fixed point stops at round zero.
         """
         t = self.t
         u = self._initial_window()
         leader_traj = self._leader_window()
+        groups = self._groups()
         msa_etas = {i: self.cfg.msa_eta0 for i in self.x}
         costs = []
         converged = False
@@ -318,25 +343,28 @@ class Session:
             if one_shot:
                 costs.append(global_cost(trajs, u, self.spec, self.topology,
                                          leader_traj=leader_traj))
-            updates = {i: _agent_round_update(
-                LocalProblem(i, self.models[i], self.x[i], bundles[i], self.spec, t),
-                u[i], trajs[i], self.cfg, r, msa_etas[i]) for i in self.order}
-            grad_norms = [updates[i][2] for i in sorted(updates)]
+            stacks = []
+            for model, agents in groups:
+                problems = [LocalProblem(i, model, self.x[i], bundles[i], self.spec, t)
+                            for i in agents]
+                us = np.array([u[i] for i in agents])
+                group_trajs = np.array([trajs[i] for i in agents])
+                stacks.append((problems, us, group_trajs, sweep(problems, us, group_trajs)))
+            grad_norms = [float(np.linalg.norm(g)) for *_, (_, _, G) in stacks for g in G]
             if one_shot and max(grad_norms) < self.cfg.eps_grad:
                 converged, rounds = True, r
                 break
             steps = []
-            for i in sorted(updates):
-                u[i], step, _, msa_etas[i] = updates[i]
-                steps.append(step)
+            for problems, *stack in stacks:
+                new, group_steps = _round_update(problems, *stack, self.cfg, r, msa_etas)
+                u.update(zip([problem.i for problem in problems], new))
+                steps += group_steps
             if not one_shot and max(steps) < self.cfg.eps_step:
                 converged, rounds = True, r + 1
                 break
 
         return FiniteHorizonResult(
-            controls=u,
-            trajectories={i: dyn.rollout(self.models[i], self.x[i], u[i], t)
-                          for i in sorted(self.x)},
+            controls=u, trajectories=self._rollouts(u),
             leader_trajectory=leader_traj, rounds=rounds, converged=converged,
             grad_norms=np.array(grad_norms), global_costs=costs,
         )

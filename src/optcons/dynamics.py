@@ -5,12 +5,15 @@ Conventions used package-wide:
 * a state trajectory is an ``(H+1, p)`` array, a control sequence an
   ``(H, m)`` array with ``H`` controls; flattening is time-major
   (``controls.reshape(-1)``, u(0) first);
+* ``rollout``, the window functions and a Model's own functions take a
+  stack of K agents along a leading axis, e.g. windows ``(K, H, m)``;
+  one agent is a stack of one;
 * ``step(x, u, k)`` maps state x and control u at time index k to the next
   state; k only matters for time-varying (leader) models;
 * derivatives are taken a window at a time: ``linearize`` and
-  ``second_order_action`` read the stage states X = traj[:H] and controls U
-  of a window whose stage t sits at time k0 + t, and return one stacked
-  array per quantity, stage t first;
+  ``second_order_action`` read the stage states X = traj[:, :H] and
+  controls U of windows whose stage t sits at time k0 + t, and return one
+  stacked array per quantity, agent first, then stage;
 * a costate is a length-p vector that multiplies Jacobians from the left
   (``lam @ A``).
 """
@@ -29,14 +32,15 @@ from .errors import NumericError
 class Model:
     """Discrete-time dynamics with first- and second-order information.
 
-    ``step_fn(x, u, k)`` returns the next state as a (p,) float array.  The
-    derivative functions work on a window's stage states X (H, p) and
-    controls U (H, m), with stage t at time k0 + t:
+    Every function takes a stack of K agents.  ``step_fn(x, u, k)`` maps
+    states x (K, p) and controls u (K, m) at time k to the next states as a
+    (K, p) float array.  The derivative functions work on the windows' stage
+    states X (K, H, p) and controls U (K, H, m), with stage t at time k0 + t:
 
     * ``jac_fn(X, U, k0)`` returns the stage Jacobians df/dx and df/du
-      stacked as (H, p, p) and (H, p, m);
-    * ``second_order_fn(X, U, k0, Lam)`` returns the (H, p+m, p+m) stack of
-      Lam[t]-weighted second derivatives of f at stage t, ordered
+      stacked as (K, H, p, p) and (K, H, p, m);
+    * ``second_order_fn(X, U, k0, Lam)`` returns the (K, H, p+m, p+m) stack
+      of Lam[a, t]-weighted second derivatives of f, ordered
       state-then-control.
 
     Both return fresh C-contiguous arrays.
@@ -63,36 +67,37 @@ def _check_dims(model: Model, x, u):
 
 
 def _check_window(model: Model, X, U, *extra):
-    """The window's stage inputs as float arrays; X (H, p), U (H, m) and
-    every extra array (H, p)."""
+    """The windows' stage inputs as float arrays; X (K, H, p), U (K, H, m)
+    and every extra array (K, H, p).  Returns (K, H) and the arrays."""
     arrays = [np.asarray(a, dtype=float) for a in (X, U) + extra]
-    H, p = len(arrays[0]), model.state_dim
-    expected = ((H, p), (H, model.control_dim)) + ((H, p),) * len(extra)
+    KH, p = arrays[0].shape[:2], model.state_dim
+    expected = (KH + (p,), KH + (model.control_dim,)) + (KH + (p,),) * len(extra)
     shapes = tuple(a.shape for a in arrays)
     if shapes != expected:
         raise ValueError(f"{model.name}: window inputs have shapes {shapes}, "
                          f"expected {expected}")
-    return arrays
+    return KH, arrays
 
 
 def step(model: Model, x, u, k: int = 0) -> np.ndarray:
-    """Evaluate x(k+1) = f(x, u, k), validating shapes and finiteness."""
+    """Evaluate x(k+1) = f(x, u, k) for one agent, validating shapes and
+    finiteness."""
     x, u = _check_dims(model, x, u)
-    out = np.asarray(model.step_fn(x, u, k), dtype=float)
-    if out.shape != (model.state_dim,):
+    out = np.asarray(model.step_fn(x[None], u[None], k), dtype=float)
+    if out.shape != (1, model.state_dim):
         raise ValueError(f"{model.name}: step returned shape {out.shape}")
     if not np.isfinite(out).all():
         raise NumericError(f"{model.name}: non-finite state at k={k}")
-    return out
+    return out[0]
 
 
 def linearize(model: Model, X, U, k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Stage Jacobians of a window: (df/dx, df/du) at (X[t], U[t], k0 + t),
-    stacked as (H, p, p) and (H, p, m)."""
-    X, U = _check_window(model, X, U)
-    H, p, m = len(X), model.state_dim, model.control_dim
+    """Stage Jacobians of a stack of windows: (df/dx, df/du) at
+    (X[a, t], U[a, t], k0 + t), stacked as (K, H, p, p) and (K, H, p, m)."""
+    KH, (X, U) = _check_window(model, X, U)
+    p, m = model.state_dim, model.control_dim
     A, B = model.jac_fn(X, U, k0)
-    if (A.shape, B.shape) != ((H, p, p), (H, p, m)):
+    if (A.shape, B.shape) != (KH + (p, p), KH + (p, m)):
         raise ValueError(f"{model.name}: jac returned shapes {A.shape} and {B.shape}")
     return A, B
 
@@ -118,47 +123,49 @@ def fd_jacobian(model: Model, x, u, k: int = 0, h: float = 1e-6):
 
 
 def second_order_action(model: Model, X, U, k0: int, Lam) -> np.ndarray:
-    """(H, p+m, p+m) stack of the Lam[t]-weighted second derivatives of f at
-    (X[t], U[t], k0 + t); Lam is the window's lambda(1..H)."""
-    X, U, Lam = _check_window(model, X, U, Lam)
+    """(K, H, p+m, p+m) stack of the Lam[a, t]-weighted second derivatives
+    of f at (X[a, t], U[a, t], k0 + t); Lam holds lambda(1..H)."""
+    KH, (X, U, Lam) = _check_window(model, X, U, Lam)
     n = model.state_dim + model.control_dim
     M = model.second_order_fn(X, U, k0, Lam)
-    if M.shape != (len(X), n, n):
+    if M.shape != KH + (n, n):
         raise ValueError(f"{model.name}: second_order returned shape {M.shape}")
     return M
 
 
 def rollout(model: Model, x0, controls, k0: int = 0) -> np.ndarray:
-    """Simulate H steps from x0; returns the (H+1, p) state trajectory.
+    """Simulate H steps of a stack of K agents from x0 (K, p) under controls
+    (K, H, m); returns the (K, H+1, p) state trajectories.
 
-    ``step_fn`` runs once per stage, its output shape compared each time;
-    finiteness is checked once for the whole window.  Floating-point
-    warnings are held back while stepping: the first stage whose state is
-    not finite is evaluated again so that its own warnings surface, and the
-    error names it.
+    ``step_fn`` runs once per stage on the whole stack, its output shape
+    compared each time; finiteness is checked once for all windows.
+    Floating-point warnings are held back while stepping: the first stage
+    with a state that is not finite is evaluated again so that its own
+    warnings surface, and the error names it.
     """
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim != 2 or controls.shape[1] != model.control_dim:
-        controls = controls.reshape(-1, model.control_dim)
     x0 = np.asarray(x0, dtype=float)
-    shape = (model.state_dim,)
-    if x0.shape != shape:
-        raise ValueError(f"{model.name}: initial state has shape {x0.shape}, "
-                         f"expected {shape}")
-    H = controls.shape[0]
+    controls = np.asarray(controls, dtype=float)
+    K, p = len(x0) if x0.ndim else 0, model.state_dim
+    if x0.shape != (K, p):
+        raise ValueError(f"{model.name}: initial states have shape {x0.shape}, "
+                         f"expected (K, {p})")
+    if controls.ndim != 3 or controls.shape[::2] != (K, model.control_dim):
+        raise ValueError(f"{model.name}: controls have shape {controls.shape}, "
+                         f"expected ({K}, H, {model.control_dim})")
+    H = controls.shape[1]
     f = model.step_fn
-    states = np.empty((H + 1, model.state_dim))
-    states[0] = x0
+    states = np.empty((K, H + 1, p))
+    states[:, 0] = x0
     with np.errstate(all="ignore"):
         for t in range(H):
-            out = f(states[t], controls[t], k0 + t)
-            if out.shape != shape:
+            out = f(states[:, t], controls[:, t], k0 + t)
+            if out.shape != (K, p):
                 raise ValueError(f"{model.name}: step returned shape {out.shape}")
-            states[t + 1] = out
-    finite = np.isfinite(states[1:])
+            states[:, t + 1] = out
+    finite = np.isfinite(states[:, 1:]).all(axis=(0, 2))
     if not finite.all():
-        t = int(np.argmin(finite.all(axis=1)))
-        f(states[t], controls[t], k0 + t)
+        t = int(np.argmin(finite))
+        f(states[:, t], controls[:, t], k0 + t)
         raise NumericError(f"rollout failed at step {t}: {model.name}: "
                            f"non-finite state at k={k0 + t}")
     return states
@@ -175,32 +182,31 @@ def unicycle(delta: float = 0.05) -> Model:
     """
 
     def f(x, u, k):
-        px, py, th = x
-        v, w = u
-        return np.array([px + delta * v * np.cos(th),
-                         py + delta * v * np.sin(th),
-                         th + delta * w])
+        th, v = x[:, 2], u[:, 0]
+        return np.stack([x[:, 0] + delta * v * np.cos(th),
+                         x[:, 1] + delta * v * np.sin(th),
+                         th + delta * u[:, 1]], axis=1)
 
     def jac(X, U, k0):
-        v = U[:, 0]
-        s, c = np.sin(X[:, 2]), np.cos(X[:, 2])
-        A = np.zeros((len(X), 3, 3))
-        A[:, [0, 1, 2], [0, 1, 2]] = 1.0
-        A[:, 0, 2] = -delta * v * s
-        A[:, 1, 2] = delta * v * c
-        B = np.zeros((len(X), 3, 2))
-        B[:, 0, 0] = delta * c
-        B[:, 1, 0] = delta * s
-        B[:, 2, 1] = delta
+        v = U[..., 0]
+        s, c = np.sin(X[..., 2]), np.cos(X[..., 2])
+        A = np.zeros(X.shape[:2] + (3, 3))
+        A[..., [0, 1, 2], [0, 1, 2]] = 1.0
+        A[..., 0, 2] = -delta * v * s
+        A[..., 1, 2] = delta * v * c
+        B = np.zeros(X.shape[:2] + (3, 2))
+        B[..., 0, 0] = delta * c
+        B[..., 1, 0] = delta * s
+        B[..., 2, 1] = delta
         return A, B
 
     def so(X, U, k0, Lam):
-        v = U[:, 0]
-        s, c = np.sin(X[:, 2]), np.cos(X[:, 2])
-        M = np.zeros((len(X), 5, 5))
+        v = U[..., 0]
+        s, c = np.sin(X[..., 2]), np.cos(X[..., 2])
+        M = np.zeros(X.shape[:2] + (5, 5))
         # d2f1/dth2 = -dv*c, d2f2/dth2 = -dv*s; cross terms with v.
-        M[:, 2, 2] = Lam[:, 0] * (-delta * v * c) + Lam[:, 1] * (-delta * v * s)
-        M[:, 2, 3] = M[:, 3, 2] = Lam[:, 0] * (-delta * s) + Lam[:, 1] * (delta * c)
+        M[..., 2, 2] = Lam[..., 0] * (-delta * v * c) + Lam[..., 1] * (-delta * v * s)
+        M[..., 2, 3] = M[..., 3, 2] = Lam[..., 0] * (-delta * s) + Lam[..., 1] * (delta * c)
         return M
 
     return Model(3, 2, f, jac, so, name=f"unicycle(d={delta})")
@@ -212,17 +218,22 @@ def unicycle_drift(delta: float = 0.05, v: float = 0.5, omega: float = 0.0) -> M
     uc = np.array([v, omega])
 
     def f(x, u, k):
-        return base.step_fn(x, uc, k)
+        return base.step_fn(x, np.broadcast_to(uc, (len(x), 2)), k)
 
     def jac(X, U, k0):
-        A, _ = base.jac_fn(X, np.tile(uc, (len(X), 1)), k0)
-        return A, np.zeros((len(X), 3, 0))
+        A, _ = base.jac_fn(X, np.broadcast_to(uc, X.shape[:2] + (2,)), k0)
+        return A, np.zeros(X.shape[:2] + (3, 0))
 
     def so(X, U, k0, Lam):
-        M = base.second_order_fn(X, np.tile(uc, (len(X), 1)), k0, Lam)
-        return np.ascontiguousarray(M[:, :3, :3])
+        M = base.second_order_fn(X, np.broadcast_to(uc, X.shape[:2] + (2,)), k0, Lam)
+        return np.ascontiguousarray(M[..., :3, :3])
 
     return Model(3, 0, f, jac, so, name=f"unicycle_drift(v={v},w={omega})")
+
+
+def _mv(M, x):
+    """M @ x[a] for each row, one matrix-vector product each (same rounding)."""
+    return (M @ x[..., None])[..., 0]
 
 
 def linear(A, B) -> Model:
@@ -235,10 +246,10 @@ def linear(A, B) -> Model:
 
     return Model(
         p, m,
-        step_fn=lambda x, u, k: A @ x + B @ u,
-        jac_fn=lambda X, U, k0: (np.repeat(A[None], len(X), axis=0),
-                                 np.repeat(B[None], len(X), axis=0)),
-        second_order_fn=lambda X, U, k0, Lam: np.zeros((len(X), p + m, p + m)),
+        step_fn=lambda x, u, k: _mv(A, x) + _mv(B, u),
+        jac_fn=lambda X, U, k0: (np.tile(A, X.shape[:2] + (1, 1)),
+                                 np.tile(B, X.shape[:2] + (1, 1))),
+        second_order_fn=lambda X, U, k0, Lam: np.zeros(X.shape[:2] + (p + m, p + m)),
         name="linear",
     )
 
@@ -255,37 +266,37 @@ def _sine_model(A, b, amp: float, mode: str, m: int):
     comps = [0] if mode == "first" else list(range(p))
 
     def value(x):
-        return amp * sum(np.sin(x[a]) for a in comps)
+        return amp * sum(np.sin(x[:, a:a + 1]) for a in comps)
 
-    def jac_u(H):
-        return np.repeat(b[None, :, None], H, axis=0) if m else np.zeros((H, p, 0))
+    def jac_u(KH):
+        return np.tile(b[:, None], KH + (1, 1)) if m else np.zeros(KH + (p, 0))
 
     if mode == "diag":
         def jac(X, U, k0):
-            J = np.repeat(A[None], len(X), axis=0)
-            J[:, idx, idx] += b * (amp * np.cos(X))
-            return J, jac_u(len(X))
+            J = np.tile(A, X.shape[:2] + (1, 1))
+            J[..., idx, idx] += b * (amp * np.cos(X))
+            return J, jac_u(X.shape[:2])
 
         def so(X, U, k0, Lam):
-            M = np.zeros((len(X), p + m, p + m))
-            M[:, idx, idx] = Lam * b * (-amp * np.sin(X))
+            M = np.zeros(X.shape[:2] + (p + m, p + m))
+            M[..., idx, idx] = Lam * b * (-amp * np.sin(X))
             return M
 
         return value, jac, so
 
     def jac(X, U, k0):
-        G = np.zeros((len(X), p))
-        G[:, comps] = amp * np.cos(X[:, comps])
-        return A + b[:, None] * G[:, None, :], jac_u(len(X))
+        G = np.zeros(X.shape)
+        G[..., comps] = amp * np.cos(X[..., comps])
+        return A + b[:, None] * G[..., None, :], jac_u(X.shape[:2])
 
     def so(X, U, k0, Lam):
-        C = np.zeros((len(X), p))
-        C[:, comps] = -amp * np.sin(X[:, comps])
-        # One dot product per stage (Lam[t] @ b), summed as the stage-wise
+        C = np.zeros(X.shape)
+        C[..., comps] = -amp * np.sin(X[..., comps])
+        # One dot product per stage (Lam[a, t] @ b), summed as the stage-wise
         # lam @ b is; a matrix-vector Lam @ b can round differently.
-        lb = (Lam[:, None, :] @ b[:, None])[:, 0]
-        M = np.zeros((len(X), p + m, p + m))
-        M[:, idx, idx] = lb * C
+        lb = (Lam[..., None, :] @ b[:, None])[..., 0]
+        M = np.zeros(X.shape[:2] + (p + m, p + m))
+        M[..., idx, idx] = lb * C
         return M
 
     return value, jac, so
@@ -311,10 +322,10 @@ def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
         Bd = np.diag(b)
 
         def f(x, u, k):
-            return A @ x + Bd @ (u[0] * np.ones(p) + amp * np.sin(x))
+            return _mv(A, x) + _mv(Bd, u[:, :1] * np.ones(p) + amp * np.sin(x))
     else:
         def f(x, u, k):
-            return A @ x + b * (u[0] + value(x))
+            return _mv(A, x) + b * (u[:, :1] + value(x))
 
     return Model(p, 1, f, jac, so, name=f"linear_sine({mode},amp={amp})")
 
@@ -334,10 +345,10 @@ def leader_sine(A, b, amp: float = 0.01, h_amp: float = 0.1,
         Bd = np.diag(b)
 
         def f(x, u, k):
-            return A @ x + Bd @ (amp * np.sin(x) + h(k) * np.ones(p))
+            return _mv(A, x) + _mv(Bd, amp * np.sin(x) + h(k) * np.ones(p))
     else:
         def f(x, u, k):
-            return A @ x + b * (value(x) + h(k))
+            return _mv(A, x) + b * (value(x) + h(k))
 
     return Model(p, 0, f, jac, so, name=f"leader_sine({mode},amp={amp})")
 

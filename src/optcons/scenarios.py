@@ -196,7 +196,7 @@ def _build_model(cfg: dict, where: str, problems: list) -> dyn.Model | None:
         problems.append(f"{where}: model section needs a 'type'")
         return None
     kind = cfg["type"]
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         problems.append(f"{where}: unknown model type {kind!r}")
         return None
     _check_keys({k: v for k, v in cfg.items() if k != "type"},
@@ -435,6 +435,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
                 continue
             if not 1 <= i <= n:
                 problems.append(f"models: agent {i} out of range 1..{n}")
+        # Agents with one resolved model config share a Model: rounds stack them.
+        shared = {}
         for i in agents:
             cfg = models_cfg.get(str(i), default_cfg)
             if cfg is None:
@@ -442,8 +444,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
                 continue
             model = _build_model(cfg, f"models[{i}]", problems)
             if model is not None:
-                models[i] = model
                 model_echo[str(i)] = _model_echo(cfg)
+                models[i] = shared.setdefault(json.dumps(model_echo[str(i)]), model)
         for i, model in models.items():
             if p is not None and model.state_dim != p:
                 problems.append(f"models[{i}]: state dim {model.state_dim} "

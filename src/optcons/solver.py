@@ -1,6 +1,7 @@
-"""The pieces of the per-agent update, which ``coordinator`` assembles:
-the frozen-neighbor window problem, the Newton-type direction, the slow
-first-order baseline's backtracking step, and the contraction diagnostic.
+"""The pieces of the update, which ``coordinator`` assembles: the
+frozen-neighbor window problem, the stacked sweep over a model group's
+problems, the per-agent Newton-type direction, the slow first-order
+baseline's backtracking step, and the contraction diagnostic.
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:
@@ -63,29 +64,24 @@ class LocalProblem:
     spec: CostSpec
     k0: int = 0
 
-    def rollout(self, u):
-        return dyn.rollout(self.model, self.x0, u, self.k0)
-
     def cost(self, u, traj=None) -> float:
         """Local cost at u, rolling u out unless its rollout ``traj`` is given."""
         if traj is None:
-            traj = self.rollout(u)
+            traj = dyn.rollout(self.model, [self.x0], np.asarray(u, dtype=float)[None],
+                               self.k0)[0]
         return local_cost(self.i, traj, u, self.nb, self.spec)
 
-    def sweep(self, u, traj=None):
-        """Linearization, costate and gradient at u, rolling u out unless
-        its rollout ``traj`` is given; returns (traj, jac, lam, g) with jac
-        the window's (A, B)."""
-        if traj is None:
-            traj = self.rollout(u)
-        jac = adjoint.linearize_window(self.model, traj, u, self.k0)
-        lam = adjoint.costate_sweep(self.i, traj, u, jac, self.nb, self.spec)
-        g = adjoint.gradient(self.i, u, jac, lam, self.spec)
-        return traj, jac, lam, g
 
-    def hessian(self, u, traj, jac, lam):
-        return adjoint.hessian(self.i, self.model, traj, u, jac, lam, self.spec,
-                               k0=self.k0)
+def sweep(problems, us, trajs):
+    """Linearization, costates and gradients (one row each) of subproblems
+    that share one model and k0, at windows us (K, H, m) with rollouts
+    trajs (K, H+1, p); returns (jac, lam, g), jac the windows' (A, B)."""
+    head = problems[0]
+    agents = [problem.i for problem in problems]
+    jac = adjoint.linearize_window(head.model, trajs, us, head.k0)
+    lam = adjoint.costate_sweep(agents, trajs, us, jac,
+                                [problem.nb for problem in problems], head.spec)
+    return jac, lam, adjoint.gradient(agents, us, jac, lam, head.spec)
 
 
 def regularize(Hmat: np.ndarray, floor: float) -> np.ndarray:

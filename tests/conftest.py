@@ -92,8 +92,8 @@ def random_instance(rng, kind="unicycle"):
     nb_trajs = {j: rng.normal(size=(H + 1, p)) for j in {e[1] for e in edges}}
     leader_traj = None
     if with_leader:
-        leader_traj = dyn.rollout(leader_model, rng.normal(size=p),
-                                  np.zeros((H, 0)), 0)
+        leader_traj = dyn.rollout(leader_model, [rng.normal(size=p)],
+                                  np.zeros((1, H, 0)), 0)[0]
     nb = NeighborBundle(nb_trajs, leader=leader_traj)
     return LocalProblem(i, model, x0, nb, spec), u
 

@@ -31,7 +31,7 @@ from optcons.coordinator import Session, solve_local
 from optcons.cost import NeighborBundle
 from optcons.graph import neighbors
 from optcons import dynamics as dyn
-from optcons.solver import LocalProblem, SolverConfig, contraction_factor
+from optcons.solver import LocalProblem, SolverConfig, contraction_factor, sweep
 
 from conftest import conditioned_quadratic, lq_batch_solution, random_instance, random_spd
 
@@ -51,11 +51,14 @@ def test_criterion_1_adjoint_exactness():
     for k in range(50):
         kind = "unicycle" if k % 2 == 0 else "linear_sine"
         problem, u = random_instance(rng, kind)
-        traj, jac, lam, g = problem.sweep(u)
+        traj = dyn.rollout(problem.model, [problem.x0], u[None])
+        jac, lam, g = sweep([problem], u[None], traj)
+        g = g[0]
         g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                    problem.nb, problem.spec)
         worst_g = max(worst_g, np.linalg.norm(g - g_fd) / (1 + np.linalg.norm(g_fd)))
-        H = problem.hessian(u, traj, jac, lam)
+        H = adjoint.hessian([problem.i], problem.model, traj, u[None], jac, lam,
+                            problem.spec)[0]
         H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                                   problem.nb, problem.spec)
         worst_h = max(worst_h, np.linalg.norm(H - H_fd) / (1 + np.linalg.norm(H_fd)))
@@ -165,8 +168,8 @@ def test_criterion_5_rendezvous_position_errors(rendezvous_run):
     worst_g, min_eig = 0.0, np.inf
     for i in agents:
         nb = NeighborBundle({
-            j: dyn.rollout(spec.models[j], final[j],
-                           np.zeros((N_p, spec.models[j].control_dim)), T)
+            j: dyn.rollout(spec.models[j], [final[j]],
+                           np.zeros((1, N_p, spec.models[j].control_dim)), T)[0]
             for j in neighbors(spec.topology, i)})
         u0 = np.zeros((N_p, spec.models[i].control_dim))
         g = adjoint.fd_gradient(i, spec.models[i], final[i], u0, nb, spec.cost, k0=T)

@@ -1,3 +1,7 @@
+import json
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,18 +223,20 @@ def leader_follower_session(overrides=()):
 
 def test_one_linearization_per_update(monkeypatch):
     # One window-level linearization and one window-level curvature call per
-    # agent update, each covering the update's N_p stages.
+    # model group and round, each covering the N_p stages of every agent in
+    # the group; the preset's agents all take the `default` model, so they
+    # form one group.
     spec, session = leader_follower_session()
     calls = {"linearize": [], "second_order_action": []}
     for name, seen in calls.items():
         def counted(model, X, *args, _fn=getattr(dyn, name), _seen=seen):
-            _seen.append(len(X))
+            _seen.append(np.shape(X)[:2])
             return _fn(model, X, *args)
         monkeypatch.setattr(dyn, name, counted)
     summary = session.step()
     assert summary["rounds"] > 1
     for seen in calls.values():
-        assert seen == [spec.mpc.N_p] * (summary["rounds"] * spec.topology.n)
+        assert seen == [(spec.topology.n, spec.mpc.N_p)] * summary["rounds"]
 
 
 def test_one_leader_rollout_per_window(monkeypatch):
@@ -250,9 +256,10 @@ def test_one_leader_rollout_per_window(monkeypatch):
 
 
 def test_msa_update_reuses_round_rollout(monkeypatch):
-    # Every rollout of an msa step is a round broadcast, the window's single
-    # leader rollout, a backtracking trial or the final window rollout; the
-    # cost at the current controls comes from the broadcast rollout.
+    # Every rollout of an msa step is a round broadcast (one per model
+    # group), the window's single leader rollout, a backtracking trial or the
+    # final window rollout (one per group); the cost at the current controls
+    # comes from the broadcast rollout.
     spec, session = leader_follower_session(["solver.method=msa"])
     rollout, backtrack = dyn.rollout, coordinator.backtrack_step
     rollouts, trials = [], []
@@ -270,9 +277,10 @@ def test_msa_update_reuses_round_rollout(monkeypatch):
     monkeypatch.setattr(dyn, "rollout", counted_rollout)
     monkeypatch.setattr(coordinator, "backtrack_step", counted_backtrack)
     summary = session.step()
-    n = spec.topology.n
+    groups = len(session._groups())
+    assert groups == 1
     assert summary["rounds"] > 1
-    assert len(rollouts) == summary["rounds"] * n + 1 + len(trials) + n
+    assert len(rollouts) == summary["rounds"] * groups + 1 + len(trials) + groups
 
 
 @pytest.mark.parametrize("method", ["ocp", "msa"])
@@ -351,3 +359,86 @@ def test_formation_offsets_reach_shape():
     assert (res.max_errors[20:] < 0.06).all()
     settled = scenarios.steps_to_threshold(res.max_errors, 0.05)
     assert settled is not None and settled <= 300
+
+
+# -- model groups: stacking must not change a bit ---------------------------
+
+def run_grouped(spec, models, out_dir):
+    """Run spec's MPC session on ``models`` and write its artifacts; returns
+    the session, the result and the stale deliveries it saw (payloads that
+    differ from the sender's trajectory of that round)."""
+    session = Session(spec.topology, models, spec.cost, spec.solver, spec.mpc,
+                      spec.initial_states, leader_model=spec.leader_model,
+                      leader_x0=spec.leader_x0, seed=spec.seed,
+                      error_mask=spec.error_mask)
+    exchange, stale = session._exchange, []
+
+    def counted(trajs, leader_traj, r):
+        bundles = exchange(trajs, leader_traj, r)
+        stale.extend((i, j) for i, b in bundles.items()
+                     for j, payload in b.trajectories.items()
+                     if not np.array_equal(payload, trajs[j]))
+        return bundles
+
+    session._exchange = counted
+    result = session.run()
+    scenarios.emit_results(result, spec, out_dir)
+    return session, result, stale
+
+
+MIXED_DIAG = {"type": "linear_sine", "A": [[0.898, 0.056], [0.968, -0.084]],
+              "B": [0.87, -1.8], "amp": 0.02, "mode": "diag"}
+
+
+@pytest.mark.parametrize("name,overrides,groups", [
+    # Drops make receivers reuse stale trajectories; only agent 1 has a
+    # leader link.
+    ("formation", ["mpc.T=6", "mpc.drop_probability=0.2", "seed=3"], [[1, 2, 3, 4]]),
+    # Agent 1 has no neighbors, only the leader.
+    ("leader_follower", ["mpc.T=8"], [[1, 2, 3, 4]]),
+    # Agents 3 and 4 share a second model config: two groups.
+    ("leader_follower", ["mpc.T=8", f"models.3={json.dumps(MIXED_DIAG)}",
+                         f"models.4={json.dumps(MIXED_DIAG)}"], [[1, 2], [3, 4]]),
+])
+def test_shared_models_equal_groups_of_one(tmp_path, name, overrides, groups):
+    spec = scenarios.load_preset(name, overrides=overrides)
+    alone = {i: replace(model) for i, model in spec.models.items()}
+    shared, a, stale_a = run_grouped(spec, spec.models, tmp_path / "shared")
+    single, b, stale_b = run_grouped(spec, alone, tmp_path / "alone")
+    assert [agents for _, agents in shared._groups()] == groups
+    assert [agents for _, agents in single._groups()] == [[1], [2], [3], [4]]
+    if spec.mpc.drop_probability > 0:
+        assert stale_a
+    assert stale_a == stale_b
+    for i in sorted(a.states):
+        np.testing.assert_array_equal(a.states[i], b.states[i])
+        np.testing.assert_array_equal(a.controls[i], b.controls[i])
+    for field_name in ("max_errors", "window_costs", "rounds", "converged"):
+        np.testing.assert_array_equal(getattr(a, field_name), getattr(b, field_name))
+    files = sorted(os.listdir(tmp_path / "shared"))
+    assert files == sorted(os.listdir(tmp_path / "alone")) and len(files) == 4
+    for f in files:
+        assert (tmp_path / "shared" / f).read_bytes() == (tmp_path / "alone" / f).read_bytes()
+
+
+def test_one_shot_stop_rule_runs_before_the_hessians(monkeypatch, scalar_chain):
+    # The gradient stop rule is tested after the round's sweeps, so the
+    # converged round builds no Hessian: the one-shot scalar chain stops at
+    # round 7 after 7 rounds x 2 agents of updates, and so does every
+    # solve_local iteration count.
+    calls = []
+    regularize = coordinator.regularize
+
+    def counted(*args):
+        calls.append(args)
+        return regularize(*args)
+
+    monkeypatch.setattr(coordinator, "regularize", counted)
+    spec = scenarios.load_preset("scalar_chain")
+    res = scenarios.run_scenario(spec)
+    assert res.converged and res.rounds == 7
+    assert len(calls) == res.rounds * spec.topology.n == 14
+    calls.clear()
+    local = solve_local(scalar_chain, np.zeros((1, 1)), SolverConfig(eps_grad=1e-12))
+    assert local.converged and local.iterations >= 1
+    assert len(calls) == local.iterations

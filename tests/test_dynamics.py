@@ -37,26 +37,27 @@ def test_linear_jacobians_constant():
     B = rng.normal(size=(3, 2))
     m = dyn.linear(A, B)
     for _ in range(3):
-        Ax, Bu = dyn.linearize(m, rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
-        for t in range(4):
-            np.testing.assert_array_equal(Ax[t], A)
-            np.testing.assert_array_equal(Bu[t], B)
+        Ax, Bu = dyn.linearize(m, rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 2)))
+        for a in range(2):
+            for t in range(4):
+                np.testing.assert_array_equal(Ax[a, t], A)
+                np.testing.assert_array_equal(Bu[a, t], B)
 
 
 def test_unicycle_linearize_hand_values():
     m = dyn.unicycle(0.05)
-    A, B = dyn.linearize(m, [[0.0, 0.0, 0.0]], [[1.0, 0.0]])
-    np.testing.assert_allclose(A[0], [[1, 0, 0], [0, 1, 0.05], [0, 0, 1]])
-    np.testing.assert_allclose(B[0], [[0.05, 0], [0, 0], [0, 0.05]])
+    A, B = dyn.linearize(m, [[[0.0, 0.0, 0.0]]], [[[1.0, 0.0]]])
+    np.testing.assert_allclose(A[0, 0], [[1, 0, 0], [0, 1, 0.05], [0, 0, 1]])
+    np.testing.assert_allclose(B[0, 0], [[0.05, 0], [0, 0], [0, 0.05]])
 
 
 def test_follower_linearize_structure():
     # d/dx of b*(u + amp(sin x1 + sin x2)) at 0 adds amp * b per column.
     m = dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, amp=0.01, mode="sum")
-    A, B = dyn.linearize(m, [[0.0, 0.0]], [[0.0]])
+    A, B = dyn.linearize(m, [[[0.0, 0.0]]], [[[0.0]]])
     expected = dyn.FOLLOWER_A + np.outer(dyn.FOLLOWER_B, [0.01, 0.01])
-    np.testing.assert_allclose(A[0], expected)
-    np.testing.assert_allclose(B[0], dyn.FOLLOWER_B[:, None])
+    np.testing.assert_allclose(A[0, 0], expected)
+    np.testing.assert_allclose(B[0, 0], dyn.FOLLOWER_B[:, None])
 
 
 def test_fd_jacobian_exact_on_linear():
@@ -72,10 +73,10 @@ def test_fd_jacobian_exact_on_linear():
 
 def test_fd_jacobian_matches_analytic_unicycle():
     m = dyn.unicycle(0.05)
-    A, B = dyn.linearize(m, [[0.0, 0.0, 0.0]], [[1.0, 0.0]])
+    A, B = dyn.linearize(m, [[[0.0, 0.0, 0.0]]], [[[1.0, 0.0]]])
     Af, Bf = dyn.fd_jacobian(m, [0.0, 0.0, 0.0], [1.0, 0.0], h=1e-6)
-    np.testing.assert_allclose(Af, A[0], atol=1e-8)
-    np.testing.assert_allclose(Bf, B[0], atol=1e-8)
+    np.testing.assert_allclose(Af, A[0, 0], atol=1e-8)
+    np.testing.assert_allclose(Bf, B[0, 0], atol=1e-8)
 
 
 def test_fd_jacobian_rejects_bad_step():
@@ -97,7 +98,7 @@ def test_jacobian_consistency_random_points(factory, p, m_dim):
     for _ in range(100):
         X.append(rng.normal(size=p))
         U.append(rng.normal(size=m_dim))
-    A, B = dyn.linearize(model, X, U)
+    A, B = (J[0] for J in dyn.linearize(model, [X], [U]))
     for t in range(100):
         Af, Bf = dyn.fd_jacobian(model, X[t], U[t], k=t)
         assert np.linalg.norm(A[t] - Af) / (1 + np.linalg.norm(Af)) < 1e-5
@@ -110,8 +111,8 @@ def fd_second_order(model, x, u, k, lam):
     p, m = model.state_dim, model.control_dim
 
     def row(xv, uv):
-        A, B = dyn.linearize(model, xv[None], uv[None], k)
-        return np.concatenate([lam @ A[0], lam @ B[0]])
+        A, B = dyn.linearize(model, xv[None, None], uv[None, None], k)
+        return np.concatenate([lam @ A[0, 0], lam @ B[0, 0]])
 
     M = np.empty((p + m, p + m))
     for a in range(p + m):
@@ -143,7 +144,7 @@ def test_second_order_action_matches_fd(factory, p, m_dim):
         X.append(rng.normal(size=p))
         U.append(rng.normal(size=m_dim))
         Lam.append(rng.normal(size=p))
-    M = dyn.second_order_action(model, X, U, 3, Lam)
+    M = dyn.second_order_action(model, [X], [U], 3, [Lam])[0]
     for t in range(20):
         Mfd = fd_second_order(model, X[t], U[t], 3 + t, Lam[t])
         assert np.abs(M[t] - Mfd).max() < 1e-6
@@ -152,35 +153,35 @@ def test_second_order_action_matches_fd(factory, p, m_dim):
 
 def test_rollout_fixed_point():
     m = dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
-    traj = dyn.rollout(m, [0.0, 0.0], np.zeros((5, 1)))
-    np.testing.assert_array_equal(traj, np.zeros((6, 2)))
+    traj = dyn.rollout(m, [[0.0, 0.0]], np.zeros((1, 5, 1)))
+    np.testing.assert_array_equal(traj, np.zeros((1, 6, 2)))
 
 
 def test_rollout_scalar_integrator():
     m = dyn.linear([[1.0]], [[1.0]])
-    traj = dyn.rollout(m, [1.0], np.ones((3, 1)))
+    traj = dyn.rollout(m, [[1.0]], np.ones((1, 3, 1)))
     np.testing.assert_allclose(traj.ravel(), [1, 2, 3, 4])
 
 
 def test_rollout_unicycle_two_steps():
     m = dyn.unicycle(0.05)
-    traj = dyn.rollout(m, [0.0, 0.0, 0.0], np.array([[1.0, 0.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(traj, [[0, 0, 0], [0.05, 0, 0], [0.1, 0, 0]])
+    traj = dyn.rollout(m, [[0.0, 0.0, 0.0]], np.array([[[1.0, 0.0], [1.0, 0.0]]]))
+    np.testing.assert_allclose(traj, [[[0, 0, 0], [0.05, 0, 0], [0.1, 0, 0]]])
 
 
 def test_rollout_length_invariant():
     m = dyn.unicycle()
     rng = np.random.default_rng(2)
     for H in (1, 4, 9):
-        traj = dyn.rollout(m, rng.normal(size=3), rng.normal(size=(H, 2)))
-        assert traj.shape == (H + 1, 3)
+        traj = dyn.rollout(m, rng.normal(size=(2, 3)), rng.normal(size=(2, H, 2)))
+        assert traj.shape == (2, H + 1, 3)
 
 
 def test_rollout_deterministic():
     m = dyn.unicycle(0.05)
     rng = np.random.default_rng(3)
-    x0 = rng.normal(size=3)
-    u = rng.normal(size=(6, 2))
+    x0 = rng.normal(size=(2, 3))
+    u = rng.normal(size=(2, 6, 2))
     t1 = dyn.rollout(m, x0, u)
     t2 = dyn.rollout(m, x0, u)
     assert (t1 == t2).all()
@@ -188,13 +189,14 @@ def test_rollout_deterministic():
 
 def test_nonfinite_state_raises_with_context():
     bad = dyn.Model(1, 1, lambda x, u, k: x * np.inf,
-                    lambda X, U, k0: (np.ones((len(X), 1, 1)), np.ones((len(X), 1, 1))),
-                    lambda X, U, k0, Lam: np.zeros((len(X), 2, 2)),
+                    lambda X, U, k0: (np.ones(X.shape[:2] + (1, 1)),
+                                      np.ones(X.shape[:2] + (1, 1))),
+                    lambda X, U, k0, Lam: np.zeros(X.shape[:2] + (2, 2)),
                     name="exploder")
     with pytest.raises(NumericError, match="exploder"):
         dyn.step(bad, [1.0], [0.0], k=7)
     with pytest.raises(NumericError, match="step 0"):
-        dyn.rollout(bad, [1.0], np.zeros((2, 1)))
+        dyn.rollout(bad, [[1.0]], np.zeros((1, 2, 1)))
 
 
 def test_rollout_failure_names_first_bad_stage_and_keeps_its_warnings():
@@ -206,11 +208,11 @@ def test_rollout_failure_names_first_bad_stage_and_keeps_its_warnings():
     x1 = dyn.step(m, [0.0, 0.0, 0.0], u[0])
     with warnings.catch_warnings(record=True) as alone:
         warnings.simplefilter("always")
-        m.step_fn(x1, u[1], 5)
+        m.step_fn(x1[None], u[1][None], 5)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(NumericError) as exc:
-            dyn.rollout(m, [0.0, 0.0, 0.0], u, k0=4)
+            dyn.rollout(m, [[0.0, 0.0, 0.0]], u[None], k0=4)
     assert str(exc.value) == f"rollout failed at step 1: {m.name}: non-finite state at k=5"
     assert alone
     assert [str(w.message) for w in seen] == [str(w.message) for w in alone]
@@ -218,9 +220,9 @@ def test_rollout_failure_names_first_bad_stage_and_keeps_its_warnings():
 
 def test_rollout_rejects_misshapen_initial_state():
     m = dyn.unicycle()
-    for x0 in ([1.0], 1.0, np.zeros(4), np.zeros((1, 3))):
+    for x0 in ([1.0], 1.0, np.zeros(4), np.zeros((1, 4)), np.zeros(3)):
         with pytest.raises(ValueError, match="initial state"):
-            dyn.rollout(m, x0, np.zeros((2, 2)))
+            dyn.rollout(m, x0, np.zeros((1, 2, 2)))
 
 
 def test_step_dimension_mismatch():
@@ -321,32 +323,117 @@ def test_window_derivatives_equal_stage_formulas(kind, H):
     model, at = WINDOW_MODELS[kind]()
     p, m = model.state_dim, model.control_dim
     rng = np.random.default_rng(H)
-    X = signed_with_zeros(rng, (H, p), 3.0)
-    U = signed_with_zeros(rng, (H, m), 2.0)
-    Lam = signed_with_zeros(rng, (H, p), 10.0)
+    K = 3
+    X = signed_with_zeros(rng, (K, H, p), 3.0)
+    U = signed_with_zeros(rng, (K, H, m), 2.0)
+    Lam = signed_with_zeros(rng, (K, H, p), 10.0)
     k0 = int(rng.integers(0, 40))
     A, B = dyn.linearize(model, X, U, k0)
     M = dyn.second_order_action(model, X, U, k0, Lam)
-    assert A.shape == (H, p, p) and B.shape == (H, p, m)
-    assert M.shape == (H, p + m, p + m)
+    assert A.shape == (K, H, p, p) and B.shape == (K, H, p, m)
+    assert M.shape == (K, H, p + m, p + m)
     assert A.flags.c_contiguous and B.flags.c_contiguous and M.flags.c_contiguous
-    for t in range(H):
-        jx, ju, Mt = at(X[t], U[t], k0 + t, Lam[t])
-        assert_bits_equal(A[t], jx)
-        assert_bits_equal(B[t], ju)
-        assert_bits_equal(M[t], Mt)
+    for a in range(K):
+        for t in range(H):
+            jx, ju, Mt = at(X[a, t], U[a, t], k0 + t, Lam[a, t])
+            assert_bits_equal(A[a, t], jx)
+            assert_bits_equal(B[a, t], ju)
+            assert_bits_equal(M[a, t], Mt)
 
 
 def test_window_shapes_checked():
     m = dyn.unicycle()
     with pytest.raises(ValueError, match="window inputs"):
-        dyn.linearize(m, np.zeros((3, 3)), np.zeros((2, 2)))
+        dyn.linearize(m, np.zeros((1, 3, 3)), np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="window inputs"):
-        dyn.second_order_action(m, np.zeros((2, 3)), np.zeros((2, 2)), 0, np.zeros((2, 2)))
-    broken = dyn.Model(3, 2, m.step_fn, lambda X, U, k0: m.jac_fn(X[:1], U[:1], k0),
-                       lambda X, U, k0, Lam: np.zeros((len(X), 5, 4)), name="broken")
+        dyn.linearize(m, np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="window inputs"):
+        dyn.second_order_action(m, np.zeros((1, 2, 3)), np.zeros((1, 2, 2)), 0,
+                                np.zeros((1, 2, 2)))
+    broken = dyn.Model(3, 2, m.step_fn,
+                       lambda X, U, k0: m.jac_fn(X[:, :1], U[:, :1], k0),
+                       lambda X, U, k0, Lam: np.zeros(X.shape[:2] + (5, 4)), name="broken")
     with pytest.raises(ValueError, match="broken: jac returned"):
-        dyn.linearize(broken, np.zeros((2, 3)), np.zeros((2, 2)))
+        dyn.linearize(broken, np.zeros((1, 2, 3)), np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="broken: second_order returned"):
-        dyn.second_order_action(broken, np.zeros((2, 3)), np.zeros((2, 2)), 0,
-                                np.zeros((2, 3)))
+        dyn.second_order_action(broken, np.zeros((1, 2, 3)), np.zeros((1, 2, 2)), 0,
+                                np.zeros((1, 2, 3)))
+
+
+# The per-agent step formulas that the stacked step functions replaced, kept
+# as oracles: a rollout of a stack of agents must equal, row for row and bit
+# for bit, stepping each agent alone through these.
+
+def step_unicycle(delta, v_fixed=None, w_fixed=None):
+    def f(x, u, k):
+        px, py, th = x
+        v, w = (u if v_fixed is None else (v_fixed, w_fixed))
+        return np.array([px + delta * v * np.cos(th),
+                         py + delta * v * np.sin(th),
+                         th + delta * w])
+    return f
+
+
+def step_sine(A, b, amp, mode, leader, h_amp=0.1, h_freq=0.05):
+    p = A.shape[0]
+    comps = [0] if mode == "first" else list(range(p))
+
+    def f(x, u, k):
+        drive = h_amp * np.sin(h_freq * k) if leader else u[0]
+        if mode == "diag":
+            forcing = amp * np.sin(x)
+            return A @ x + np.diag(b) @ ((forcing + drive * np.ones(p)) if leader
+                                         else (drive * np.ones(p) + forcing))
+        value = amp * sum(np.sin(x[a]) for a in comps)
+        return A @ x + b * ((value + drive) if leader else (drive + value))
+    return f
+
+
+STEP_ORACLES = {
+    "unicycle": lambda: (dyn.unicycle(0.05), step_unicycle(0.05)),
+    "unicycle_drift": lambda: (dyn.unicycle_drift(0.05, v=-0.8, omega=0.2),
+                               step_unicycle(0.05, -0.8, 0.2)),
+    "linear": lambda: (dyn.linear(LIN_A, LIN_B), lambda x, u, k: LIN_A @ x + LIN_B @ u),
+    **{f"linear_sine:{mode}": (lambda mode=mode: (
+        dyn.linear_sine(FA, FB, amp=0.01, mode=mode), step_sine(FA, FB, 0.01, mode, False)))
+       for mode in ("sum", "first", "diag")},
+    **{f"leader_sine:{mode}": (lambda mode=mode: (
+        dyn.leader_sine(FA, FB, amp=0.01, mode=mode), step_sine(FA, FB, 0.01, mode, True)))
+       for mode in ("sum", "first", "diag")},
+}
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("kind", list(STEP_ORACLES))
+def test_stacked_rollout_equals_per_agent_steps(kind, K):
+    model, f = STEP_ORACLES[kind]()
+    p, m = model.state_dim, model.control_dim
+    rng = np.random.default_rng(K)
+    H, k0 = 16, int(rng.integers(0, 40))
+    x0 = signed_with_zeros(rng, (K, p), 2.0)
+    u = signed_with_zeros(rng, (K, H, m), 1.0)
+    trajs = dyn.rollout(model, x0, u, k0)
+    assert trajs.shape == (K, H + 1, p)
+    for a in range(K):
+        x = x0[a]
+        assert_bits_equal(trajs[a, 0], x)
+        for t in range(H):
+            x = f(x, u[a, t], k0 + t)
+            assert_bits_equal(trajs[a, t + 1], x)
+        assert_bits_equal(dyn.step(model, trajs[a, H - 1], u[a, H - 1], k0 + H - 1),
+                          trajs[a, H])
+
+
+def test_rollout_rejects_misshapen_controls():
+    # Controls are never reshaped: an (8, 1) window on the 2-input unicycle
+    # is not 4 stages, and a (2, 3) window on a 1-input model is not 6.
+    uni = dyn.unicycle()
+    lin = dyn.linear([[1.0]], [[1.0]])
+    for model, x0, controls in ((uni, [[0.0, 0.0, 0.0]], np.zeros((1, 8, 1))),
+                                (uni, [[0.0, 0.0, 0.0]], np.zeros((8, 1))),
+                                (uni, [[0.0, 0.0, 0.0]], np.zeros((1, 4, 2, 1))),
+                                (lin, [[0.0]], np.zeros((1, 2, 3))),
+                                (lin, [[0.0]], np.zeros((2, 3))),
+                                (lin, [[0.0], [1.0]], np.zeros((1, 2, 1)))):
+        with pytest.raises(ValueError, match="controls have shape"):
+            dyn.rollout(model, x0, controls)
