@@ -28,7 +28,7 @@ rho = contraction_factor(hessian, np.eye(2))
 print(f"contraction factor rho((G+H)^-1 G) = {rho:.4f}")
 
 res = solve_local(problem, np.zeros((1, 2)),
-                  SolverConfig(c=1.0, eps_grad=1e-12, max_outer=40, L_max=100))
+                  SolverConfig(c=1.0, eps=1e-12, max_outer=40, L_max=100))
 errs = [np.linalg.norm(h - u_star) for h in res.history]
 print("\n  r   ||u^r - u*||    ratio      rho^(r+1)")
 for r in range(len(errs) - 1):
@@ -37,7 +37,7 @@ for r in range(len(errs) - 1):
     print(f"  {r:2d}   {errs[r]:11.3e}   {errs[r + 1] / errs[r]:.3e}"
           f"   {rho ** (r + 1):.3e}")
 
-cfg = SolverConfig(eps_grad=1e-8, max_outer=20000, L_max=50)
+cfg = SolverConfig(eps=1e-8, max_outer=20000, L_max=50)
 fast = solve_local(problem, np.zeros((1, 2)), cfg)
 slow = solve_local(problem, np.zeros((1, 2)), replace(cfg, method="msa"))
 print(f"\naccelerated update: {fast.iterations} iterations to 1e-8")

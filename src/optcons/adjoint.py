@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dynamics as dyn
-from .cost import CostSpec, NeighborBundle, local_cost, _check_horizons
+from .cost import CostSpec, NeighborBundle, local_cost, local_errors
 from .errors import NumericError
 
 
@@ -54,8 +54,9 @@ def costate_sweep(agents, trajs, us, jac, bundles, spec: CostSpec) -> np.ndarray
     ``agents`` and ``bundles`` give each row's agent and neighbor bundle,
     ``jac`` the windows' (A, B) from ``linearize_window``.  lambda(H)
     collects the terminal weights; going backward, in one stacked step,
-    lambda(t) = sum_j Q_ij e_ij(t) [+ W_il e_il(t)] + lambda(t+1) A(t).
-    lambda(0) is computed for completeness but unused by the gradient.
+    lambda(t) = sum_j Q_ij e_ij(t) + lambda(t+1) A(t), the leader being
+    neighbour 0.  lambda(0) is computed for completeness but unused by the
+    gradient.
     """
     trajs = np.asarray(trajs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -63,27 +64,11 @@ def costate_sweep(agents, trajs, us, jac, bundles, spec: CostSpec) -> np.ndarray
     K, H, p = trajs.shape[0], us.shape[1], trajs.shape[2]
 
     stage_src = np.zeros((K, H + 1, p))
-    lambdas = np.empty((K, H + 1, p))
+    lambdas = np.zeros((K, H + 1, p))
     for a, (i, nb) in enumerate(zip(agents, bundles)):
-        _check_horizons(i, trajs[a], us[a], nb)
-        z_i = trajs[a] - spec.offset(i, p)
-        term_src = np.zeros(p)
-        for j, Q, D in spec.edge_terms(i, p):
-            if j not in nb.trajectories:
-                raise ValueError(f"agent {i}: bundle is missing neighbor {j}")
-            e = z_i - (np.asarray(nb.trajectories[j], dtype=float) - spec.offset(j, p))
+        for e, Q, D in local_errors(i, trajs[a], us[a], nb, spec):
             stage_src[a] += e @ Q
-            term_src += D @ e[H]
-        W, E = spec.leader_terms(i)
-        if W is not None or E is not None:
-            if nb.leader is None:
-                raise ValueError(f"agent {i} has leader weights but no leader trajectory")
-            el = z_i - (np.asarray(nb.leader, dtype=float) - spec.offset(0, p))
-            if W is not None:
-                stage_src[a] += el @ W
-            if E is not None:
-                term_src += E @ el[H]
-        lambdas[a, H] = term_src
+            lambdas[a, H] += D @ e[H]
 
     for t in range(H - 1, -1, -1):
         lambdas[:, t] = stage_src[:, t] + (lambdas[:, t + 1, None] @ A[:, t])[:, 0]
@@ -111,14 +96,9 @@ def _state_curvatures(i: int, spec: CostSpec, p: int):
     """Constant stage and terminal state curvature of the local cost."""
     C_stage = np.zeros((p, p))
     C_term = np.zeros((p, p))
-    for j, Q, D in spec.edge_terms(i, p):
+    for _, Q, D in spec.terms(i, p):
         C_stage += Q
         C_term += D
-    W, E = spec.leader_terms(i)
-    if W is not None:
-        C_stage += W
-    if E is not None:
-        C_term += E
     return C_stage, C_term
 
 

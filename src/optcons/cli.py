@@ -22,9 +22,15 @@ from .solver import LocalProblem, sweep
 
 
 def _resolve_source(token: str) -> str:
-    if os.path.exists(token):
+    """An existing scenario file, else a preset name; a directory named
+    like a preset does not shadow it."""
+    if os.path.isfile(token):
         return token
-    return scenarios.preset_path(token)
+    presets = scenarios.list_presets()
+    if token in presets:
+        return scenarios.preset_path(token)
+    raise ConfigError(f"{token!r} is neither a scenario file nor a preset "
+                      f"(presets: {', '.join(presets)})")
 
 
 def _load(args) -> scenarios.ScenarioSpec:

@@ -35,8 +35,8 @@ from .cost import CostSpec, NeighborBundle, global_cost
 from .errors import ConfigError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
-from .solver import (SolverConfig, LocalProblem, backtrack_step,
-                     ocp_direction, regularize, sweep)
+from .solver import (MSA_ETA0, REG_FLOOR, SolverConfig, LocalProblem,
+                     backtrack_step, ocp_direction, regularize, sweep)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class RunResult:
     states: dict
     controls: dict
     leader_states: np.ndarray | None
-    edge_errors: list
     max_errors: np.ndarray
     window_costs: np.ndarray
     rounds: np.ndarray
@@ -97,27 +96,32 @@ class FiniteHorizonResult:
     global_costs: list
 
 
-def consensus_error(states: dict, topology: Topology, offsets: dict | None = None,
-                    mask=None, leader_state=None) -> tuple[dict, float]:
-    """Offset-corrected disagreement per directed edge (and per leader link).
-
-    Returns ({"i-j": error, ..., "i-l": error, ...}, max over entries);
-    ``mask`` restricts the norm to the given state components.
-    """
+def deviations(states: dict, topology: Topology, offsets: dict | None = None,
+               leader_state=None) -> dict:
+    """Offset-corrected deviation z_i - z_j, z = x - d, per directed edge
+    ("i-j") and, given the leader's state, per leader link ("i-l")."""
     offsets = offsets or {}
 
-    def shifted(idx, x):
+    def z(idx, x):
         d = offsets.get(idx)
-        z = np.asarray(x, dtype=float) if d is None else np.asarray(x, dtype=float) - d
-        return z if mask is None else z[list(mask)]
+        return np.asarray(x, dtype=float) if d is None else np.asarray(x, dtype=float) - d
 
-    errors = {}
-    for (i, j) in sorted(topology.edges):
-        errors[f"{i}-{j}"] = float(np.linalg.norm(shifted(i, states[i]) - shifted(j, states[j])))
+    out = {f"{i}-{j}": z(i, states[i]) - z(j, states[j])
+           for (i, j) in sorted(topology.edges)}
     if leader_state is not None:
-        zl = shifted(LEADER, leader_state)
+        zl = z(LEADER, leader_state)
         for i in sorted(topology.leader_links):
-            errors[f"{i}-l"] = float(np.linalg.norm(shifted(i, states[i]) - zl))
+            out[f"{i}-l"] = z(i, states[i]) - zl
+    return out
+
+
+def consensus_error(states: dict, topology: Topology, offsets: dict | None = None,
+                    mask=None, leader_state=None) -> tuple[dict, float]:
+    """Norms of the ``deviations``: ({"i-j": error, ..., "i-l": error, ...},
+    max over entries); ``mask`` restricts the norm to the given state
+    components."""
+    errors = {pair: float(np.linalg.norm(dev if mask is None else dev[list(mask)]))
+              for pair, dev in deviations(states, topology, offsets, leader_state).items()}
     return errors, (max(errors.values()) if errors else 0.0)
 
 
@@ -139,7 +143,7 @@ def _round_update(problems, us, trajs, swept, cfg: SolverConfig, r: int, etas):
     head = problems[0]
     Hs = adjoint.hessian([problem.i for problem in problems], head.model, trajs, us,
                          jac, lam, head.spec, k0=head.k0)
-    d = [ocp_direction(g[a], regularize(Hs[a], cfg.reg_floor), cfg.c, r, cfg.L_max)
+    d = [ocp_direction(g[a], regularize(Hs[a], REG_FLOOR), cfg.c, r, cfg.L_max)
          for a in range(len(problems))]
     return us - np.reshape(d, us.shape), [float(np.linalg.norm(da)) for da in d]
 
@@ -157,18 +161,18 @@ class SolveResult:
 def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     """Iterate the round loop's update (a stack of one) on one
     frozen-neighbor window until the gradient norm, tested before each
-    update, is under ``eps_grad``; ``cfg.method`` picks the update,
+    update, is under ``cfg.eps``; ``cfg.method`` picks the update,
     ``history`` holds every iterate."""
     u = np.asarray(u0, dtype=float).copy()
-    etas = {problem.i: cfg.msa_eta0}
+    etas = {problem.i: MSA_ETA0}
     history = [u.reshape(-1).copy()]
     for r in range(cfg.max_outer + 1):
         us = u[None]
         trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
         swept = sweep([problem], us, trajs)
         gnorm = float(np.linalg.norm(swept[2][0]))
-        if gnorm < cfg.eps_grad or r == cfg.max_outer:
-            return SolveResult(u, r, gnorm, gnorm < cfg.eps_grad, history=history)
+        if gnorm < cfg.eps or r == cfg.max_outer:
+            return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
         new, (step,) = _round_update([problem], us, trajs, swept, cfg, r, etas)
         if step == 0.0:
             return SolveResult(u, r, gnorm, False, stagnated=True, history=history)
@@ -230,7 +234,6 @@ class Session:
         self.state_hist = {i: [self.x[i].copy()] for i in self.x}
         self.control_hist = {i: [] for i in self.x}
         self.leader_hist = [self.xl.copy()] if self.xl is not None else None
-        self.edge_errors = []
         self.max_errors = []
         self.window_costs = []
         self.round_counts = []
@@ -240,9 +243,8 @@ class Session:
     # -- internal helpers ---------------------------------------------------
 
     def _record_errors(self):
-        errs, mx = consensus_error(self.x, self.topology, self.spec.offsets,
-                                   mask=self.error_mask, leader_state=self.xl)
-        self.edge_errors.append(errs)
+        _, mx = consensus_error(self.x, self.topology, self.spec.offsets,
+                                mask=self.error_mask, leader_state=self.xl)
         self.max_errors.append(mx)
 
     def _initial_window(self):
@@ -325,16 +327,16 @@ class Session:
         """Run rounds on the current window until the stop rule fires.
 
         MPC steps stop once every agent's step norm after the update is
-        under ``eps_step`` and count that round.  One-shot runs record the
+        under ``cfg.eps`` and count that round.  One-shot runs record the
         global cost of each round's rollout and stop once every gradient
-        norm is under ``eps_grad``, tested after the sweeps and before the
+        norm is under ``cfg.eps``, tested after the sweeps and before the
         round's updates, so a consensus fixed point stops at round zero.
         """
         t = self.t
         u = self._initial_window()
         leader_traj = self._leader_window()
         groups = self._groups()
-        msa_etas = {i: self.cfg.msa_eta0 for i in self.x}
+        msa_etas = {i: MSA_ETA0 for i in self.x}
         costs = []
         converged = False
         rounds = self.cfg.max_outer
@@ -351,7 +353,7 @@ class Session:
                 group_trajs = np.array([trajs[i] for i in agents])
                 stacks.append((problems, us, group_trajs, sweep(problems, us, group_trajs)))
             grad_norms = [float(np.linalg.norm(g)) for *_, (_, _, G) in stacks for g in G]
-            if one_shot and max(grad_norms) < self.cfg.eps_grad:
+            if one_shot and max(grad_norms) < self.cfg.eps:
                 converged, rounds = True, r
                 break
             steps = []
@@ -359,7 +361,7 @@ class Session:
                 new, group_steps = _round_update(problems, *stack, self.cfg, r, msa_etas)
                 u.update(zip([problem.i for problem in problems], new))
                 steps += group_steps
-            if not one_shot and max(steps) < self.cfg.eps_step:
+            if not one_shot and max(steps) < self.cfg.eps:
                 converged, rounds = True, r + 1
                 break
 
@@ -409,7 +411,6 @@ class Session:
             controls={i: np.array(h).reshape(len(h), -1)
                       for i, h in self.control_hist.items()},
             leader_states=None if self.leader_hist is None else np.array(self.leader_hist),
-            edge_errors=list(self.edge_errors),
             max_errors=np.array(self.max_errors),
             window_costs=np.array(self.window_costs),
             rounds=np.array(self.round_counts, dtype=int),

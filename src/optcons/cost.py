@@ -6,9 +6,9 @@ factors of two (R u and Q (x_i - x_j) are exactly the derivatives of the
 halved forms).  Minimizers are unaffected.
 
 Agent ``i``'s *local* cost contains only the terms in which the outer sum
-index equals ``i`` (its own edges, leader term, and control penalty), with
-neighbor trajectories frozen; the global cost is the sum of the local
-slices, each directed edge counted once.
+index equals ``i`` (its own edges, the leader link as an edge to neighbour
+0, and its control penalty), with neighbor trajectories frozen; the global
+cost is the sum of the local slices, each directed edge counted once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Topology, neighbors
+from .graph import LEADER, Topology, neighbors
 
 
 def _as_weight(value, dim: int) -> np.ndarray:
@@ -36,8 +36,8 @@ class CostSpec:
     """Weight matrices and formation offsets for one scenario.
 
     Q, D are keyed by directed edge (i, j); R by agent; W, E by
-    leader-linked agent; offsets by agent (key 0 = leader offset).
-    Missing D/E/offsets entries default to zero.
+    leader-linked agent, as the leader's Q and D; offsets by agent (key
+    0 = leader offset).  Missing D/E/offsets entries default to zero.
     """
 
     Q: dict = field(default_factory=dict)
@@ -63,21 +63,22 @@ class CostSpec:
         d = self.offsets.get(i)
         return np.zeros(p) if d is None else np.asarray(d, dtype=float)
 
-    def edge_terms(self, i: int, p: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Sorted (j, Q_ij, D_ij) for every edge leaving i that carries weight.
+    def terms(self, i: int, p: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Agent i's error terms (j, stage weight, terminal weight): the
+        sorted (j, Q_ij, D_ij) of every edge leaving i that carries weight,
+        then, last, (LEADER, W_i, E_i) when i has leader weights.
 
-        An edge present in only one of Q / D gets a zero matrix for the
+        The leader is neighbour 0 with W and E as its Q and D.  A term
+        present in only one of its two tables gets a zero matrix for the
         other, so terminal-only (or stage-only) couplings still count.
         """
         js = {j for (a, j) in self.Q if a == i} | {j for (a, j) in self.D if a == i}
         zero = np.zeros((p, p))
-        return [(j, self.Q.get((i, j), zero), self.D.get((i, j), zero))
-                for j in sorted(js)]
-
-    def leader_terms(self, i: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(W_i, E_i), None where absent: agent i's local cost has leader
-        terms exactly when either is present."""
-        return self.W.get(i), self.E.get(i)
+        out = [(j, self.Q.get((i, j), zero), self.D.get((i, j), zero))
+               for j in sorted(js)]
+        if i in self.W or i in self.E:
+            out.append((LEADER, self.W.get(i, zero), self.E.get(i, zero)))
+        return out
 
     def validate(self, topology: Topology, state_dim: int,
                  control_dims: dict[int, int]) -> None:
@@ -156,7 +157,15 @@ class NeighborBundle:
         return (lengths.pop() - 1) if lengths else -1
 
 
-def _check_horizons(i, traj_i, u_i, nb: NeighborBundle):
+def local_errors(i: int, traj_i, u_i, nb: NeighborBundle, spec: CostSpec):
+    """Agent i's errors against its frozen neighbours, one (e, stage
+    weight, terminal weight) per term of ``spec.terms``.
+
+    e = (x_i - d_i) - (x_j - d_j) over the window's H+1 stages, with x_j
+    neighbour j's trajectory from the bundle (``nb.leader`` for j =
+    LEADER) and d the formation offsets.  Raises ValueError on mismatched
+    horizons or when the bundle lacks a trajectory a term needs.
+    """
     H = u_i.shape[0]
     if traj_i.shape[0] != H + 1:
         raise ValueError(f"agent {i}: trajectory has {traj_i.shape[0]} rows, "
@@ -164,38 +173,29 @@ def _check_horizons(i, traj_i, u_i, nb: NeighborBundle):
     nbH = nb.horizon()
     if nbH >= 0 and nbH != H:
         raise ValueError(f"agent {i}: neighbor horizon {nbH} != control horizon {H}")
-    return H
+    p = traj_i.shape[1]
+    z_i = traj_i - spec.offset(i, p)
+    out = []
+    for j, Q, D in spec.terms(i, p):
+        x_j = nb.leader if j == LEADER else nb.trajectories.get(j)
+        if x_j is None:
+            raise ValueError(f"agent {i} has leader weights but no leader trajectory"
+                             if j == LEADER else
+                             f"agent {i}: bundle is missing neighbor {j}")
+        out.append((z_i - (np.asarray(x_j, dtype=float) - spec.offset(j, p)), Q, D))
+    return out
 
 
 def local_cost(i: int, traj_i, u_i, nb: NeighborBundle, spec: CostSpec) -> float:
-    """Agent i's slice of the consensus cost, neighbors frozen.
-
-    Leader terms are included exactly when the spec carries W (or E)
-    entries for i; the bundle must then provide the leader trajectory.
-    """
+    """Agent i's slice of the consensus cost, neighbors frozen; the
+    bundle must carry every trajectory that i's terms name."""
     traj_i = np.asarray(traj_i, dtype=float)
     u_i = np.asarray(u_i, dtype=float)
-    H = _check_horizons(i, traj_i, u_i, nb)
-    p = traj_i.shape[1]
-
-    z_i = traj_i - spec.offset(i, p)
+    H = u_i.shape[0]
     total = 0.0
-    for j, Q, D in spec.edge_terms(i, p):
-        if j not in nb.trajectories:
-            raise ValueError(f"agent {i}: bundle is missing neighbor {j}")
-        e = z_i - (np.asarray(nb.trajectories[j], dtype=float) - spec.offset(j, p))
+    for e, Q, D in local_errors(i, traj_i, u_i, nb, spec):
         total += float(np.einsum("tp,pq,tq->", e[:H], Q, e[:H]))
         total += float(e[H] @ D @ e[H])
-
-    W, E = spec.leader_terms(i)
-    if W is not None or E is not None:
-        if nb.leader is None:
-            raise ValueError(f"agent {i} has leader weights but no leader trajectory")
-        el = z_i - (np.asarray(nb.leader, dtype=float) - spec.offset(0, p))
-        if W is not None:
-            total += float(np.einsum("tp,pq,tq->", el[:H], W, el[:H]))
-        if E is not None:
-            total += float(el[H] @ E @ el[H])
 
     R = spec.R[i]
     total += float(np.einsum("tp,pq,tq->", u_i, R, u_i))

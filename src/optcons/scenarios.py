@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .coordinator import (FiniteHorizonResult, MpcConfig, Session,
-                          consensus_error, run_algorithm1)
+                          consensus_error, deviations, run_algorithm1)
 from .cost import CostSpec
 from .errors import ConfigError
 from .graph import Topology
@@ -319,14 +319,19 @@ def list_presets() -> list[str]:
 
 
 def load_scenario(source, overrides=None) -> ScenarioSpec:
-    """Load and validate a scenario from a path, JSON text, or raw dict."""
+    """Load and validate a scenario from a path, JSON text, or raw dict;
+    a path that cannot be read raises ConfigError."""
     if isinstance(source, dict):
         raw = json.loads(json.dumps(source))
     else:
         text = None
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            with open(source) as fh:
-                text = fh.read()
+        if isinstance(source, os.PathLike) or (isinstance(source, str)
+                                               and os.path.exists(source)):
+            try:
+                with open(source) as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read scenario {os.fspath(source)!r}: {exc}")
         elif isinstance(source, str):
             text = source
         try:
@@ -532,7 +537,6 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     # Solver / MPC ------------------------------------------------------------
     solver_cfg = _section(raw, "solver", problems)
     _check_keys(solver_cfg, _SOLVER_KEYS, "solver", problems)
-    eps = _number(solver_cfg, "eps", 1e-6, problems, "solver.")
     solver = None
     try:
         solver = SolverConfig(
@@ -541,7 +545,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
                               integer=True),
             L_max=_number(solver_cfg, "L_max", 10, problems, "solver.",
                           integer=True),
-            eps_grad=eps, eps_step=eps,
+            eps=_number(solver_cfg, "eps", 1e-6, problems, "solver."),
             method=solver_cfg.get("method", "ocp"),
         )
     except ValueError as exc:
@@ -604,7 +608,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             "offsets": {("l" if i == 0 else str(i)): v.tolist()
                         for i, v in sorted(cost.offsets.items())},
         },
-        "solver": {"c": solver.c, "L_max": solver.L_max, "eps": eps,
+        "solver": {"c": solver.c, "L_max": solver.L_max, "eps": solver.eps,
                    "max_outer": solver.max_outer, "method": solver.method},
         "initial_states": {str(i): initial_states[i].tolist() for i in agents},
     }
@@ -716,24 +720,16 @@ def _error_rows(states: dict, leader, spec: ScenarioSpec):
     """Long-format error rows: masked norm plus per-component deviations."""
     steps, p = states[1].shape
     header = ["t", "pair", "error"] + [f"e{c}" for c in range(p)]
-    offsets = spec.cost.offsets
     rows = []
     for t in range(steps):
         states_t = {i: x[t] for i, x in sorted(states.items())}
         leader_state = None if leader is None else leader[t]
-        errs, _ = consensus_error(states_t, spec.topology, offsets,
+        errs, _ = consensus_error(states_t, spec.topology, spec.cost.offsets,
                                   mask=spec.error_mask, leader_state=leader_state)
-
-        def shifted(idx, x):
-            d = offsets.get(idx)
-            return np.asarray(x, dtype=float) if d is None else np.asarray(x) - d
-
+        devs = deviations(states_t, spec.topology, spec.cost.offsets, leader_state)
         for pair in sorted(errs):
-            a, b = pair.split("-")
-            za = shifted(int(a), states_t[int(a)])
-            zb = shifted(0, leader_state) if b == "l" else shifted(int(b), states_t[int(b)])
-            comp = np.abs(za - zb)
-            rows.append([str(t), pair, _fmt(errs[pair])] + [_fmt(v) for v in comp])
+            rows.append([str(t), pair, _fmt(errs[pair])]
+                        + [_fmt(v) for v in np.abs(devs[pair])])
     return header, rows
 
 

@@ -26,27 +26,32 @@ from .cost import CostSpec, NeighborBundle, local_cost
 from .errors import NumericError, PreconditionError
 
 
+# Smallest Hessian eigenvalue ``regularize`` lets through, and the msa
+# baseline's first step size.
+REG_FLOOR = 1e-8
+MSA_ETA0 = 0.7
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the per-agent update; ``method`` picks the accelerated
-    update ("ocp") or the backtracking gradient baseline ("msa")."""
+    update ("ocp") or the backtracking gradient baseline ("msa").  ``eps``
+    bounds the step norms that end an MPC step and the gradient norms that
+    end a one-shot run or ``solve_local``."""
 
     c: float = 1.0
     max_outer: int = 100
     L_max: int = 10
-    eps_grad: float = 1e-6
-    eps_step: float = 1e-6
-    reg_floor: float = 1e-8
+    eps: float = 1e-6
     method: str = "ocp"
-    msa_eta0: float = 0.7
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"G scale c must be positive, got {self.c}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if not (self.eps_grad > 0 and self.eps_step > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.eps > 0:
+            raise ValueError(f"tolerance eps must be positive, got {self.eps}")
         if self.L_max < 0:
             raise ValueError(f"L_max must be >= 0, got {self.L_max}")
         if self.method not in ("ocp", "msa"):

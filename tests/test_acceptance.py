@@ -87,7 +87,7 @@ def test_criterion_2_lq_oracle():
     problem = LocalProblem(1, dyn.linear(A, B), x0,
                            NeighborBundle({2: np.zeros((H + 1, p))}), spec)
     res = solve_local(problem, np.zeros((H, m)),
-                      SolverConfig(c=1.0, eps_grad=1e-11, max_outer=20))
+                      SolverConfig(c=1.0, eps=1e-11, max_outer=20))
     u_star = lq_batch_solution(A, B, Q, R, D, x0, H)
     gap = np.abs(res.u.reshape(-1) - u_star).max()
     elapsed = time.perf_counter() - start
@@ -104,7 +104,7 @@ def test_criterion_3_superlinear_rate():
     rho = contraction_factor(Hmat, np.eye(2))
 
     res = solve_local(problem, np.zeros((1, 2)),
-                      SolverConfig(c=1.0, eps_grad=1e-12, max_outer=40, L_max=100))
+                      SolverConfig(c=1.0, eps=1e-12, max_outer=40, L_max=100))
     errs = [np.linalg.norm(h - u_star) for h in res.history]
     ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1)
               if errs[k] > 1e-10]
@@ -113,7 +113,7 @@ def test_criterion_3_superlinear_rate():
     bounded = all(ratio <= 1.05 * c1 * rho ** (r + 1)
                   for r, ratio in enumerate(ratios))
 
-    cfg = SolverConfig(eps_grad=1e-8, max_outer=20000, L_max=50)
+    cfg = SolverConfig(eps=1e-8, max_outer=20000, L_max=50)
     fast = solve_local(problem, np.zeros((1, 2)), cfg)
     slow = solve_local(problem, np.zeros((1, 2)), replace(cfg, method="msa"))
     ratio = slow.iterations / fast.iterations
@@ -253,7 +253,7 @@ def test_criterion_7_unified_reduction():
     states = {1: [1.0, 0.0], 2: [-1.0, 0.5], 3: [0.0, -0.5]}
     from optcons.coordinator import MpcConfig
     mpc = MpcConfig(N_p=5, T=12)
-    cfg = SolverConfig(eps_step=1e-8)
+    cfg = SolverConfig(eps=1e-8)
     a = run_mpc_leaderless(top, models, spec, cfg, mpc, states, seed=1)
     b = run_mpc_leader_follower(top, models, None, spec, cfg, mpc, states,
                                 None, seed=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, Topology, adjoint
-from optcons.cost import NeighborBundle
+from optcons.cost import NeighborBundle, local_cost
 from optcons import dynamics as dyn
 from optcons.solver import sweep
 
@@ -188,24 +188,27 @@ def test_hessian_matches_fd_on_random_instances(kind):
 # recursion, the per-stage gradient loop and the dense identity-tensor (V)
 # Hessian assembly.  Each takes one agent's window with its own (A, B).  The
 # stacked code must reproduce them row for row, bit for bit, so that runs
-# stay byte-identical.
+# stay byte-identical.  The costate oracle reads the raw Q, D, W and E tables
+# and skips absent weights, so it also checks that the zero matrices which
+# CostSpec.terms fills in change nothing.
 
 def loop_costate(i, traj, u, jac, nb, spec):
     A, _ = jac
     H, p = u.shape[0], traj.shape[1]
     z = traj - spec.offset(i, p)
     stage_src, term_src = np.zeros((H + 1, p)), np.zeros(p)
-    for j, Q, D in spec.edge_terms(i, p):
+    for j in sorted({j for (a, j) in list(spec.Q) + list(spec.D) if a == i}):
         e = z - (nb.trajectories[j] - spec.offset(j, p))
-        stage_src += e @ Q
-        term_src += D @ e[H]
-    W, E = spec.leader_terms(i)
-    if W is not None or E is not None:
+        if (i, j) in spec.Q:
+            stage_src += e @ spec.Q[(i, j)]
+        if (i, j) in spec.D:
+            term_src += spec.D[(i, j)] @ e[H]
+    if i in spec.W or i in spec.E:
         el = z - (nb.leader - spec.offset(0, p))
-        if W is not None:
-            stage_src += el @ W
-        if E is not None:
-            term_src += E @ el[H]
+        if i in spec.W:
+            stage_src += el @ spec.W[i]
+        if i in spec.E:
+            term_src += spec.E[i] @ el[H]
     lam = np.empty((H + 1, p))
     lam[H] = term_src
     for t in range(H - 1, -1, -1):
@@ -343,3 +346,43 @@ def test_stacked_derivatives_equal_per_agent_oracles(kind, H):
         np.testing.assert_array_equal(g[a], loop_gradient(i, u[a], one, lam[a], spec))
         np.testing.assert_array_equal(
             Hs[a], dense_hessian(i, model, traj[a], u[a], one, lam[a], spec, k0=k0))
+
+
+@pytest.mark.parametrize("weights", ["WE", "W", "E"])
+@pytest.mark.parametrize("kind", ["unicycle", "linear_sine:first"])
+def test_leader_is_neighbour_zero(kind, weights):
+    """An agent's leader terms equal an ordinary last neighbour's with
+    Q = W, D = E and the leader's offset, bit for bit."""
+    rng = np.random.default_rng(7)
+    p, m, model, leader_model = window_models(kind)
+    H, k0 = 8, 3
+    edges = [(1, 2), (1, 3)]
+    W = {1: random_psd(rng, p, scale=2.0)} if "W" in weights else {}
+    E = {1: random_psd(rng, p)} if "E" in weights else {}
+    offsets = {j: rng.normal(size=p) for j in range(4)}
+    base = dict(Q={e: random_psd(rng, p, scale=2.0) for e in edges},
+                R={1: random_spd(rng, m, floor=0.2)}, D={(1, 2): random_psd(rng, p)})
+    lead = dyn.rollout(leader_model, [rng.normal(size=p)], np.zeros((1, H, 0)), k0)[0]
+    others = {j: rng.normal(size=(H + 1, p)) for j in (2, 3)}
+    with_leader = CostSpec(**base, W=W, E=E, offsets=offsets)
+    twin_Q, twin_D = dict(base["Q"]), dict(base["D"])
+    if W:
+        twin_Q[(1, 4)] = W[1]
+    if E:
+        twin_D[(1, 4)] = E[1]
+    twin = CostSpec(Q=twin_Q, R=base["R"], D=twin_D, offsets={**offsets, 4: offsets[0]})
+    u = rng.normal(size=(1, H, m)) * 0.5
+    traj = dyn.rollout(model, [rng.normal(size=p)], u, k0)
+    jac = adjoint.linearize_window(model, traj, u, k0)
+
+    def derivatives(spec, nb):
+        lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
+        return (local_cost(1, traj[0], u[0], nb, spec), lam,
+                adjoint.gradient([1], u, jac, lam, spec),
+                adjoint.hessian([1], model, traj, u, jac, lam, spec, k0=k0))
+
+    got = derivatives(with_leader, NeighborBundle(others, leader=lead))
+    want = derivatives(twin, NeighborBundle({**others, 4: lead}))
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(a, b)

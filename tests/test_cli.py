@@ -1,9 +1,13 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
-from optcons import cli
+import pytest
+
+from optcons import cli, scenarios
+from optcons.errors import ConfigError
 
 
 def run_cli(*args):
@@ -141,3 +145,37 @@ def test_python_m_optcons_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["name"] == "leader_follower"
+
+
+def test_directory_named_like_a_preset_does_not_shadow_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "leader_follower").mkdir()
+    assert run_cli("check", "leader_follower") == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "leader_follower"
+
+
+def test_existing_file_wins_over_preset_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
+    raw["name"] = "from_file"
+    (tmp_path / "leader_follower").write_text(json.dumps(raw))
+    assert run_cli("check", "leader_follower") == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "from_file"
+
+
+@pytest.mark.parametrize("token", ["leader_folower", "missing.json", "."])
+def test_unknown_scenario_token_names_token_and_presets(tmp_path, monkeypatch, capsys,
+                                                        token):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", token) == 1
+    err = capsys.readouterr().err
+    assert repr(token) in err
+    assert all(name in err for name in scenarios.list_presets())
+    assert "parse error" not in err
+
+
+@pytest.mark.parametrize("source", [pathlib.Path("missing.json"), pathlib.Path("."), "."])
+def test_unreadable_scenario_path_raises_config_error(tmp_path, monkeypatch, source):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="cannot read scenario"):
+        scenarios.load_scenario(source)

@@ -37,7 +37,7 @@ def test_algorithm1_consensus_start_terminates_immediately():
 def test_algorithm1_mirror_symmetry():
     # Coupling soft enough that the simultaneous rounds contract.
     top, spec, models = integrator_pair(q=0.5, r=2.0, d=0.25)
-    res = run_algorithm1(top, models, spec, SolverConfig(eps_grad=1e-10),
+    res = run_algorithm1(top, models, spec, SolverConfig(eps=1e-10),
                          horizon=5, initial_states={1: [1.0], 2: [-1.0]})
     assert res.converged
     np.testing.assert_array_equal(res.controls[1], -res.controls[2])
@@ -46,7 +46,7 @@ def test_algorithm1_mirror_symmetry():
 
 def test_algorithm1_global_cost_decreases_on_agv_instance():
     spec = scenarios.load_preset("agv_rendezvous")
-    cfg = SolverConfig(c=2.0, eps_grad=1e-6, max_outer=50)
+    cfg = SolverConfig(c=2.0, eps=1e-6, max_outer=50)
     res = run_algorithm1(spec.topology, spec.models, spec.cost, cfg,
                          horizon=8, initial_states=spec.initial_states)
     costs = res.global_costs
@@ -79,7 +79,7 @@ def test_mpc_integrators_reach_consensus_with_monotone_window_costs():
     top, spec, models = integrator_pair(q=4.0, r=1.0)
     mpc = MpcConfig(N_p=5, T=25)
     res = run_mpc_leaderless(top, models, spec,
-                             SolverConfig(eps_step=1e-8),
+                             SolverConfig(eps=1e-8),
                              mpc, {1: [1.0], 2: [-1.0]})
     assert res.max_errors[-1] < 1e-3
     for a, b in zip(res.window_costs, res.window_costs[1:]):
@@ -145,7 +145,7 @@ def test_leader_follower_requires_spanning_tree():
 def test_unified_reduction_leaderless_equals_leader_runner_bitwise():
     top, spec, models = integrator_pair(q=3.0, r=0.5)
     mpc = MpcConfig(N_p=4, T=10)
-    cfg = SolverConfig(eps_step=1e-7)
+    cfg = SolverConfig(eps=1e-7)
     states = {1: [1.0], 2: [-2.0]}
     a = run_mpc_leaderless(top, models, spec, cfg, mpc, states, seed=3)
     b = run_mpc_leader_follower(top, models, None, spec, cfg, mpc, states,
@@ -439,6 +439,6 @@ def test_one_shot_stop_rule_runs_before_the_hessians(monkeypatch, scalar_chain):
     assert res.converged and res.rounds == 7
     assert len(calls) == res.rounds * spec.topology.n == 14
     calls.clear()
-    local = solve_local(scalar_chain, np.zeros((1, 1)), SolverConfig(eps_grad=1e-12))
+    local = solve_local(scalar_chain, np.zeros((1, 1)), SolverConfig(eps=1e-12))
     assert local.converged and local.iterations >= 1
     assert len(calls) == local.iterations

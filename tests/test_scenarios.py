@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -251,3 +252,17 @@ def test_default_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("OPTCONS_OUT_DIR", str(tmp_path / "outs"))
     out = scenarios.default_out_dir(spec)
     assert out == os.path.join(str(tmp_path / "outs"), "scalar_chain")
+
+
+@pytest.mark.parametrize("name, overrides", [("leader_follower", ["mpc.T=5"]),
+                                             ("scalar_chain", [])])
+def test_emitted_config_reloads_to_identical_artifacts(tmp_path, name, overrides):
+    """Reloading an emitted config.json from disk and running it again
+    reproduces all four artifacts byte for byte."""
+    spec = scenarios.load_preset(name, overrides)
+    first = scenarios.emit_results(scenarios.run_scenario(spec), spec, tmp_path / "a")
+    again = scenarios.load_scenario(pathlib.Path(first.config_json))
+    second = scenarios.emit_results(scenarios.run_scenario(again), again, tmp_path / "b")
+    for field in ("trajectories_csv", "errors_csv", "metrics_json", "config_json"):
+        a, b = getattr(first, field), getattr(second, field)
+        assert open(a, "rb").read() == open(b, "rb").read(), field

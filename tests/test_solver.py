@@ -99,7 +99,7 @@ def test_regularize_shifts_indefinite():
 
 def test_solve_local_stationary_start(scalar_chain):
     u_star = np.array([[-0.5]])
-    res = solve_local(scalar_chain, u_star, SolverConfig(eps_grad=1e-8))
+    res = solve_local(scalar_chain, u_star, SolverConfig(eps=1e-8))
     assert res.iterations == 0
     np.testing.assert_array_equal(res.u, u_star)
     assert res.converged
@@ -107,7 +107,7 @@ def test_solve_local_stationary_start(scalar_chain):
 
 def test_solve_local_scalar_chain(scalar_chain):
     res = solve_local(scalar_chain, np.zeros((1, 1)),
-                      SolverConfig(c=1.0, eps_grad=1e-8))
+                      SolverConfig(c=1.0, eps=1e-8))
     assert res.converged and res.iterations <= 15
     assert abs(res.u[0, 0] + 0.5) < 1e-8
     # the returned iterate itself satisfies the stationarity tolerance
@@ -130,7 +130,7 @@ def test_solve_local_matches_lq_oracle():
     problem = LocalProblem(1, model, x0, nb, spec)
 
     res = solve_local(problem, np.zeros((H, m)),
-                      SolverConfig(c=1.0, eps_grad=1e-11, max_outer=20))
+                      SolverConfig(c=1.0, eps=1e-11, max_outer=20))
     assert res.converged and res.iterations <= 20
     u_star = lq_batch_solution(A, B, Q, R, D, x0, H)
     assert np.abs(res.u.reshape(-1) - u_star).max() < 1e-8
@@ -138,12 +138,12 @@ def test_solve_local_matches_lq_oracle():
 
 def test_msa_stationary_start(scalar_chain):
     res = solve_local(scalar_chain, np.array([[-0.5]]),
-                      SolverConfig(eps_grad=1e-8, method="msa"))
+                      SolverConfig(eps=1e-8, method="msa"))
     assert res.iterations == 0 and res.converged
 
 
 def test_msa_slower_than_ocp_on_scalar_chain(scalar_chain):
-    cfg = SolverConfig(eps_grad=1e-8, max_outer=10000)
+    cfg = SolverConfig(eps=1e-8, max_outer=10000)
     fast = solve_local(scalar_chain, np.zeros((1, 1)), cfg)
     slow = solve_local(scalar_chain, np.zeros((1, 1)), replace(cfg, method="msa"))
     assert fast.converged and slow.converged
@@ -153,7 +153,7 @@ def test_msa_slower_than_ocp_on_scalar_chain(scalar_chain):
 
 def test_msa_ocp_ratio_on_conditioned_instance():
     problem, H, u_star = conditioned_quadratic()
-    cfg = SolverConfig(eps_grad=1e-8, max_outer=20000, L_max=50)
+    cfg = SolverConfig(eps=1e-8, max_outer=20000, L_max=50)
     u0 = np.zeros((1, 2))
     fast = solve_local(problem, u0, cfg)
     slow = solve_local(problem, u0, replace(cfg, method="msa"))
@@ -174,7 +174,7 @@ def test_monotone_descent_on_convex_instances():
         nb = NeighborBundle({2: rng.normal(size=(H + 1, p))})
         problem = LocalProblem(1, model, rng.normal(size=p), nb, spec)
         res = solve_local(problem, rng.normal(size=(H, p)),
-                          SolverConfig(eps_grad=1e-9, max_outer=50))
+                          SolverConfig(eps=1e-9, max_outer=50))
         costs = [problem.cost(u.reshape(H, p)) for u in res.history]
         for a, b in zip(costs, costs[1:]):
             assert b <= a + 1e-12
@@ -183,7 +183,7 @@ def test_monotone_descent_on_convex_instances():
 def test_superlinear_ratio_decay():
     problem, Hmat, u_star = conditioned_quadratic()
     rho = contraction_factor(Hmat, np.eye(2))
-    cfg = SolverConfig(c=1.0, eps_grad=1e-12, max_outer=40, L_max=100)
+    cfg = SolverConfig(c=1.0, eps=1e-12, max_outer=40, L_max=100)
     res = solve_local(problem, np.zeros((1, 2)), cfg)
     errs = [np.linalg.norm(h - u_star) for h in res.history]
     ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1)
