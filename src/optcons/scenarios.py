@@ -320,11 +320,11 @@ def list_presets() -> list[str]:
 
 def load_scenario(source, overrides=None) -> ScenarioSpec:
     """Load and validate a scenario from a path, JSON text, or raw dict;
-    a path that cannot be read raises ConfigError."""
+    a path that cannot be read, or a source of another type, raises
+    ConfigError."""
     if isinstance(source, dict):
         raw = json.loads(json.dumps(source))
     else:
-        text = None
         if isinstance(source, os.PathLike) or (isinstance(source, str)
                                                and os.path.exists(source)):
             try:
@@ -334,6 +334,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
                 raise ConfigError(f"cannot read scenario {os.fspath(source)!r}: {exc}")
         elif isinstance(source, str):
             text = source
+        else:
+            raise ConfigError("scenario source must be a dict, JSON text or a path, "
+                              f"got {type(source).__name__}")
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -90,10 +90,31 @@ def sweep(problems, us, trajs):
 
 
 def regularize(Hmat: np.ndarray, floor: float) -> np.ndarray:
-    """Shift H so its smallest eigenvalue is at least ``floor``."""
+    """Shift H so its smallest eigenvalue is at least ``floor``.
+
+    The eigenvalue path shifts by floor - lo, lo the smallest eigenvalue
+    ``eigvalsh`` computes from H's lower triangle, and returns H itself (the
+    same object) when lo >= floor.  One Cholesky factorization (dpotrf) of
+    the lower triangle of H - (floor + delta) I, delta = 2 n^2 eps
+    max|H_ij|, runs first and skips that path when it completes: it then
+    proves lambda_min(H) >= floor + n^2 eps max|H_ij|, since the rounding
+    error of a completed Cholesky, gamma_{n+1} tr H (Rump, "Verification of
+    positive definiteness", BIT 2006), is below n^2 eps max|H_ij|; and
+    eigvalsh, backward stable to n eps ||H||_2 <= n^2 eps max|H_ij|, would
+    find lo >= floor.  Every other H (certificate failed, or an entry not
+    finite) takes the eigenvalue path, so the output is that path's in
+    every case.
+    """
+    n = Hmat.shape[0]
+    scale = abs(Hmat).max()
+    if scale < np.inf:
+        M = np.array(Hmat, dtype=float, order="F")
+        M.flat[::n + 1] -= floor + 2 * n * n * np.finfo(float).eps * scale
+        if dpotrf(M, lower=1, clean=0, overwrite_a=1)[1] == 0:
+            return Hmat
     lo = float(np.linalg.eigvalsh(Hmat).min())
     if lo < floor:
-        Hmat = Hmat + (floor - lo) * np.eye(Hmat.shape[0])
+        Hmat = Hmat + (floor - lo) * np.eye(n)
     return Hmat
 
 

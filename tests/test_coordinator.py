@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from optcons.coordinator import (MpcConfig, RoundMessage, Session,
 from optcons import dynamics as dyn
 from optcons.errors import ConfigError, PreconditionError
 from optcons.solver import LocalProblem, SolverConfig
-from optcons import coordinator, scenarios
+from optcons import coordinator, scenarios, solver
 
 from conftest import mutual_pair_topology
 
@@ -237,6 +238,28 @@ def test_one_linearization_per_update(monkeypatch):
     assert summary["rounds"] > 1
     for seen in calls.values():
         assert seen == [(spec.topology.n, spec.mpc.N_p)] * summary["rounds"]
+
+
+def test_definite_hessians_skip_eigvalsh(monkeypatch):
+    # Every window Hessian of the preset is >= R = I, so regularize's
+    # Cholesky certificate passes on each and no eigvalsh runs; an
+    # indefinite Hessian still takes the eigenvalue path, once.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == solver.__name__:
+            calls.append(args)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    spec, session = leader_follower_session()
+    summary = session.step()
+    assert summary["rounds"] > 1 and calls == []
+    H = np.diag([1.0, -0.5])
+    out = solver.regularize(H, solver.REG_FLOOR)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(out, H + (solver.REG_FLOOR + 0.5) * np.eye(2))
 
 
 def test_one_leader_rollout_per_window(monkeypatch):

@@ -82,6 +82,12 @@ def test_parse_error_reports_line():
         scenarios.load_scenario('{"name": "x",\n  broken\n}')
 
 
+@pytest.mark.parametrize("source", [b"{}", 5, None])
+def test_load_scenario_rejects_other_source_types(source):
+    with pytest.raises(ConfigError, match="dict, JSON text or a path"):
+        scenarios.load_scenario(source)
+
+
 def test_leader_section_consistency():
     raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
     raw["leader"] = {"model": {"type": "leader_sine", "A": [[1.0]], "B": [1.0]},

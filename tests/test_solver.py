@@ -97,6 +97,74 @@ def test_regularize_shifts_indefinite():
     np.testing.assert_array_equal(regularize(H_ok, 1e-8), H_ok)
 
 
+def eigvalsh_regularize(Hmat, floor):
+    """Oracle: regularize as first written, one eigvalsh per call."""
+    lo = float(np.linalg.eigvalsh(Hmat).min())
+    if lo < floor:
+        Hmat = Hmat + (floor - lo) * np.eye(Hmat.shape[0])
+    return Hmat
+
+
+def certificate_cases(rng, n, floor):
+    """Matrices around every decision regularize makes: Q diag(eigs) Q^T
+    (not exactly symmetric), exactly singular ones, non-finite ones, and
+    one whose two triangles disagree."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+
+    def spectrum(lo, hi=1.0):
+        return (Q * np.r_[lo, np.linspace(hi, 10 * hi, n - 1)]) @ Q.T
+
+    cases = [spectrum(0.1), spectrum(-1.0), spectrum(-1e-12), np.zeros((n, n))]
+    singular = random_spd(rng, n)
+    singular[-1], singular[:, -1] = 0.0, 0.0
+    cases.append(singular)
+    for lo in (floor * (1 - 1e-6), floor * (1 + 1e-6), floor - 1e-14, floor + 1e-14,
+               floor, 0.0):
+        cases += [spectrum(lo), spectrum(lo, hi=1e6)]
+    # Entries up to ~1e8: lambda_min within eigvalsh's rounding of the floor,
+    # where a certificate without its margin passes about one matrix in ten
+    # that eigvalsh shifts (n = 16, 64).
+    for hi in 10 ** rng.uniform(0, 7, size=100):
+        k = rng.uniform(-20, 20)
+        cases.append(spectrum(floor + k * hi * np.finfo(float).eps, hi=hi))
+    symmetric = [0.5 * (H + H.T) for H in cases]
+    # eigvalsh reads the lower triangle: here indefinite (2 ones - I), while
+    # the upper one reads I.
+    cases.append(np.eye(n) + np.tril(np.full((n, n), 2.0), -1))
+    for bad in (np.nan, np.inf, -np.inf):
+        for idx in ((0, 0), (n - 1, 0), (0, n - 1)):
+            H = random_spd(rng, n)
+            H[idx] = bad
+            cases.append(H)
+    return cases + symmetric
+
+
+def outcome(fn, Hmat, floor):
+    try:
+        return fn(Hmat, floor)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_regularize_certificate_equals_eigvalsh_path(n):
+    floor = 1e-8
+    rng = np.random.default_rng(n)
+    for Hmat in certificate_cases(rng, n, floor):
+        before = Hmat.copy()
+        with np.errstate(invalid="ignore"):
+            want = outcome(eigvalsh_regularize, Hmat, floor)
+            got = outcome(regularize, Hmat, floor)
+        np.testing.assert_array_equal(Hmat, before)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        # perfbench's tracer counts a shift as `out is not Hmat`.
+        assert (got is Hmat) == (want is Hmat)
+
+
 def test_solve_local_stationary_start(scalar_chain):
     u_star = np.array([[-0.5]])
     res = solve_local(scalar_chain, u_star, SolverConfig(eps=1e-8))
