@@ -32,7 +32,7 @@ import numpy as np
 
 from . import adjoint, dynamics as dyn
 from .cost import CostSpec, NeighborBundle, global_cost
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
 from .solver import (MSA_ETA0, REG_FLOOR, SolverConfig, LocalProblem,
@@ -140,12 +140,13 @@ def _round_update(problems, us, trajs, swept, cfg: SolverConfig, r: int, etas):
                 new[a], _, etas[problem.i], _ = taken
             steps.append(0.0 if taken is None else taken[3])
         return new, steps
-    head = problems[0]
-    Hs = adjoint.hessian([problem.i for problem in problems], head.model, trajs, us,
-                         jac, lam, head.spec, k0=head.k0)
-    d = [ocp_direction(g[a], regularize(Hs[a], REG_FLOOR), cfg.c, r, cfg.L_max)
-         for a in range(len(problems))]
-    return us - np.reshape(d, us.shape), [float(np.linalg.norm(da)) for da in d]
+    Hs = adjoint.hessian([problem.i for problem in problems], problems[0].model, trajs,
+                         us, jac, lam, problems[0].spec, k0=problems[0].k0)
+    try:
+        d = ocp_direction(g, [regularize(H, REG_FLOOR) for H in Hs], cfg.c, r, cfg.L_max)
+    except NumericError as exc:
+        raise NumericError(f"agent {problems[exc.row].i}, round {r}: {exc}") from exc
+    return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
 
 
 @dataclass

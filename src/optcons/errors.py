@@ -21,3 +21,7 @@ class PreconditionError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric computation produced non-finite values or an unsolvable system."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row  # the failing row of a stack, when known

@@ -1,7 +1,7 @@
 """The pieces of the update, which ``coordinator`` assembles: the
 frozen-neighbor window problem, the stacked sweep over a model group's
-problems, the per-agent Newton-type direction, the slow first-order
-baseline's backtracking step, and the contraction diagnostic.
+problems, their Newton-type directions (triangular solves or an inverse), the
+slow first-order baseline's backtracking step, and the contraction diagnostic.
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:
@@ -26,10 +26,11 @@ from .cost import CostSpec, NeighborBundle, local_cost
 from .errors import NumericError, PreconditionError
 
 
-# Smallest Hessian eigenvalue ``regularize`` lets through, and the msa
-# baseline's first step size.
+# Smallest Hessian eigenvalue ``regularize`` lets through, the msa baseline's
+# first step size, and ``ocp_direction``'s measured inverse threshold.
 REG_FLOOR = 1e-8
 MSA_ETA0 = 0.7
+INVERSE_N_PER_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -118,33 +119,42 @@ def regularize(Hmat: np.ndarray, floor: float) -> np.ndarray:
     return Hmat
 
 
-def ocp_direction(g: np.ndarray, Hmat: np.ndarray, c: float, r: int,
-                  L_max: int = 10) -> np.ndarray:
-    """Inner recursion producing the update direction at outer iteration r,
-    with G = c I.
+def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.ndarray:
+    """Inner recursion producing a model group's directions d (K, n) from
+    gradients g (K, n) and Hessians Hs (K, n, n) at outer iteration r, G = c I.
 
-    One LAPACK Cholesky factorization (dpotrf) of c I + H is reused by the
-    min(r, L_max) + 1 triangular solves (dpotrs) of d^0 = (G+H)^-1 g and
-    d^l = (G+H)^-1 (g + c d^{l-1}).  These are the routines scipy's
-    cho_factor and cho_solve call, minus their per-call wrapper overhead, so
-    d equals that recursion on the dense G exactly (an exactly zero entry
-    may differ in sign).  Non-finite input raises ValueError; c I + H not
-    positive definite raises NumericError.
+    Each row's Cholesky factor (dpotrf) of c I + H serves min(r, L_max) + 1
+    applications of (G+H)^-1: below n / INVERSE_N_PER_DEPTH, cho_solve's
+    triangular solves (dpotrs), which d equals bit for bit up to signed zeros;
+    else stacked matvecs with (G+H)^-1 (dpotrs on I), equal to rounding.
+    Non-finite input raises ValueError; a row whose c I + H is not positive
+    definite raises NumericError with that ``row``.
     """
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    GH = np.array(Hmat, dtype=float)
-    GH.flat[::n + 1] += c
+    g = np.asarray(g, dtype=float)[..., None]
+    K, n, _ = g.shape
+    inverse = INVERSE_N_PER_DEPTH * (min(r, L_max) + 1) >= n
+    eye = np.eye(n)
+    GH = np.add(Hs, c * eye)
     if not (np.isfinite(GH).all() and np.isfinite(g).all()):
         raise ValueError("array must not contain infs or NaNs")
-    cho, info = dpotrf(GH, clean=0)
-    if info > 0:
-        raise NumericError(f"G + H is not positive definite: {info}-th leading "
-                           f"minor of the array is not positive definite")
-    d, _ = dpotrs(cho, g)
-    for _ in range(min(r, L_max)):
-        d, _ = dpotrs(cho, g + c * d)
-    return d
+    d = np.empty_like(g)
+    for a in range(K):
+        cho, info = dpotrf(GH[a], clean=0)
+        if info > 0:
+            raise NumericError(f"G + H is not positive definite: {info}-th leading "
+                               f"minor of the array is not positive definite", row=a)
+        if inverse:
+            GH[a] = dpotrs(cho, eye)[0]
+            continue
+        d[a], _ = dpotrs(cho, g[a])
+        for _ in range(min(r, L_max)):
+            d[a], _ = dpotrs(cho, g[a] + c * d[a])
+    if inverse:
+        b = GH @ g
+        P, d = c * GH, b
+        for _ in range(min(r, L_max)):
+            d = P @ d + b
+    return d[..., 0]
 
 
 def contraction_factor(Hmat: np.ndarray, G: np.ndarray) -> float:

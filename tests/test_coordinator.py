@@ -12,7 +12,7 @@ from optcons.coordinator import (MpcConfig, RoundMessage, Session,
                                  run_mpc_leader_follower, run_mpc_leaderless,
                                  solve_local)
 from optcons import dynamics as dyn
-from optcons.errors import ConfigError, PreconditionError
+from optcons.errors import ConfigError, NumericError, PreconditionError
 from optcons.solver import LocalProblem, SolverConfig
 from optcons import coordinator, scenarios, solver
 
@@ -465,3 +465,53 @@ def test_one_shot_stop_rule_runs_before_the_hessians(monkeypatch, scalar_chain):
     local = solve_local(scalar_chain, np.zeros((1, 1)), SolverConfig(eps=1e-12))
     assert local.converged and local.iterations >= 1
     assert len(calls) == local.iterations
+
+
+def count_direction_calls(monkeypatch, models):
+    """Step the leader_follower preset once with ``models``; returns (rounds,
+    ocp_direction calls, regularize calls)."""
+    calls = {"ocp_direction": 0, "regularize": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(coordinator, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(coordinator, name, counted)
+    spec = scenarios.load_preset("leader_follower")
+    session = Session(spec.topology, models(spec.models), spec.cost, spec.solver,
+                      spec.mpc, spec.initial_states, leader_model=spec.leader_model,
+                      leader_x0=spec.leader_x0)
+    return session.step()["rounds"], calls["ocp_direction"], calls["regularize"]
+
+
+def test_one_direction_per_group_and_round(monkeypatch):
+    # A model group's Newton directions are one ocp_direction call on its
+    # stack; regularize still runs once per agent.
+    n = scenarios.load_preset("leader_follower").topology.n
+    rounds, directions, regularized = count_direction_calls(monkeypatch, dict)
+    assert rounds > 1
+    assert directions == rounds and regularized == n * rounds
+    monkeypatch.undo()
+    rounds, directions, regularized = count_direction_calls(
+        monkeypatch, lambda models: {i: replace(m) for i, m in models.items()})
+    assert directions == regularized == n * rounds
+
+
+def test_numeric_failure_names_the_agent_and_round(monkeypatch):
+    # Agents 1-3 form a 3-stack; a Hessian that is not positive definite in
+    # its middle row (agent 2) fails in the first round.
+    spec = scenarios.load_preset("leader_follower", overrides=[
+        "mpc.T=2", f"models.4={json.dumps(MIXED_DIAG)}"])
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
+                      spec.initial_states, leader_model=spec.leader_model,
+                      leader_x0=spec.leader_x0)
+    assert [agents for _, agents in session._groups()] == [[1, 2, 3], [4]]
+    calls = []
+
+    def indefinite_second(Hmat, floor):
+        calls.append(Hmat)
+        return -3.0 * spec.solver.c * np.eye(len(Hmat)) if len(calls) == 2 else Hmat
+
+    monkeypatch.setattr(coordinator, "regularize", indefinite_second)
+    with pytest.raises(NumericError, match=r"^agent 2, round 0: G \+ H is not "
+                                           r"positive definite: 1-th leading minor"):
+        session.step()

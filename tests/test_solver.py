@@ -9,6 +9,7 @@ from optcons.cost import NeighborBundle
 from optcons import dynamics as dyn
 from optcons.coordinator import solve_local
 from optcons.errors import NumericError, PreconditionError
+from optcons import solver
 from optcons.solver import (LocalProblem, SolverConfig, contraction_factor,
                             ocp_direction, regularize)
 
@@ -26,20 +27,28 @@ def cho_direction(g, Hmat, c, r, L_max):
     return d
 
 
+def uses_inverse(n, r, L_max):
+    return solver.INVERSE_N_PER_DEPTH * (min(r, L_max) + 1) >= n
+
+
+def assert_close_rel(got, want, rtol=1e-12):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
 def test_direction_zero_gradient_fixed_point():
     rng = np.random.default_rng(0)
     H = random_spd(rng, 4)
     for r in (0, 1, 5):
-        d = ocp_direction(np.zeros(4), H, 1.0, r)
+        d = ocp_direction(np.zeros(4)[None], H[None], 1.0, r)[0]
         np.testing.assert_array_equal(d, np.zeros(4))
 
 
 def test_direction_scalar_hand_recursion():
     g = np.array([1.0])  # gradient h*u at u=1, h=1
     H = np.array([[1.0]])
-    d0 = ocp_direction(g, H, 1.0, r=0)
+    d0 = ocp_direction(g[None], H[None], 1.0, r=0)[0]
     assert d0[0] == pytest.approx(0.5)
-    d1 = ocp_direction(g, H, 1.0, r=1)
+    d1 = ocp_direction(g[None], H[None], 1.0, r=1)[0]
     assert d1[0] == pytest.approx(0.75)
     # applying d1 from u=1 lands at (c/(c+h))^2
     assert 1.0 - d1[0] == pytest.approx(0.25)
@@ -49,7 +58,7 @@ def test_direction_approaches_newton():
     rng = np.random.default_rng(1)
     H = random_spd(rng, 3, scale=2.0, floor=1.0)  # rho <= 1/2, fast tail
     g = rng.normal(size=3)
-    d = ocp_direction(g, H, 1.0, r=200, L_max=200)
+    d = ocp_direction(g[None], H[None], 1.0, r=200, L_max=200)[0]
     newton = np.linalg.solve(H, g)
     np.testing.assert_allclose(d, newton, rtol=1e-10)
 
@@ -58,35 +67,82 @@ def test_direction_r0_is_regularized_newton():
     rng = np.random.default_rng(2)
     H = random_spd(rng, 5)
     g = rng.normal(size=5)
-    d = ocp_direction(g, H, 2.0, r=0)
+    d = ocp_direction(g[None], H[None], 2.0, r=0)[0]
     np.testing.assert_allclose(d, np.linalg.solve(2.0 * np.eye(5) + H, g), atol=1e-14)
+
+
+def signed_zero_hessian(rng, n):
+    """SPD H with exact zeros of either sign (D H D with D = diag(+-1): same
+    spectrum)."""
+    H = random_spd(rng, n, scale=5.0)
+    H[np.abs(H) < 0.5] = 0.0
+    H += (1e-3 - min(0.0, np.linalg.eigvalsh(H).min())) * np.eye(n)
+    s = rng.choice([-1.0, 1.0], size=n)
+    return s[:, None] * H * s
 
 
 @pytest.mark.parametrize("n", [1, 16, 64])
 def test_direction_equals_cho_solve_recursion(n):
+    # Bit for bit on the triangular-solve path; the inverse path reorders the
+    # floating-point operations, so there it agrees to rounding.
     rng = np.random.default_rng(n)
     L_max = 10
     for c in (1.0, 0.3):
-        H = random_spd(rng, n, scale=5.0)
-        H[np.abs(H) < 0.5] = 0.0
-        H += (1e-3 - min(0.0, np.linalg.eigvalsh(H).min())) * np.eye(n)
-        # D H D with D = diag(+-1): same spectrum, exact zeros of either sign.
-        s = rng.choice([-1.0, 1.0], size=n)
-        H = s[:, None] * H * s
+        H = signed_zero_hessian(rng, n)
         g = rng.normal(size=n)
         for r in (0, 1, L_max, L_max + 3):
-            np.testing.assert_array_equal(ocp_direction(g, H, c, r, L_max),
-                                          cho_direction(g, H, c, r, L_max))
+            got = ocp_direction(g[None], H[None], c, r, L_max)[0]
+            want = cho_direction(g, H, c, r, L_max)
+            if uses_inverse(n, r, L_max):
+                assert_close_rel(got, want)
+            else:
+                np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("K", [1, 3, 4])
+@pytest.mark.parametrize("n", [1, 16, 32, 64])
+def test_direction_stack_rows_equal_cho_solve_recursion(K, n):
+    # L_max = 20 puts some depths of every n > 1 on either side of the switch
+    # from the solves to the inverse; each row of a stack also equals its own
+    # stack of one bit for bit.
+    rng = np.random.default_rng(100 * K + n)
+    L_max, c = 20, 0.5
+    g = rng.normal(size=(K, n))
+    Hs = np.array([signed_zero_hessian(rng, n) for _ in range(K)])
+    paths = set()
+    for r in (0, 1, 2, 3, L_max, L_max + 3):
+        paths.add(uses_inverse(n, r, L_max))
+        d = ocp_direction(g, Hs, c, r, L_max)
+        assert d.shape == (K, n)
+        for a in range(K):
+            assert_close_rel(d[a], cho_direction(g[a], Hs[a], c, r, L_max))
+            np.testing.assert_array_equal(
+                d[a], ocp_direction(g[a:a + 1], Hs[a:a + 1], c, r, L_max)[0])
+    assert paths == ({True} if n == 1 else {False, True})
 
 
 def test_direction_errors():
     c = 0.7
     with pytest.raises(NumericError, match="not positive definite"):
-        ocp_direction(np.ones(3), -3.0 * c * np.eye(3), c, r=2)
+        ocp_direction(np.ones((1, 3)), -3.0 * c * np.eye(3)[None], c, r=2)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        ocp_direction(np.array([1.0, np.nan]), np.eye(2), c, r=0)
+        ocp_direction(np.array([[1.0, np.nan]]), np.eye(2)[None], c, r=0)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        ocp_direction(np.ones(2), np.diag([1.0, np.inf]), c, r=0)
+        ocp_direction(np.ones((1, 2)), np.diag([1.0, np.inf])[None], c, r=0)
+
+
+@pytest.mark.parametrize("r", [0, 20])
+def test_direction_error_names_the_indefinite_row(r):
+    # Both paths factor every row first and report the first row whose
+    # c I + H is not positive definite, with its leading-minor index.
+    n, L_max = 16, 20
+    Hs = np.array([np.eye(n)] * 3)
+    Hs[1, 1, 1] = -5.0
+    assert uses_inverse(n, r, L_max) == (r > 0)
+    with pytest.raises(NumericError, match="2-th leading minor of the array is "
+                                           "not positive definite") as exc:
+        ocp_direction(np.ones((3, n)), Hs, 1.0, r, L_max)
+    assert exc.value.row == 1
 
 
 def test_regularize_shifts_indefinite():
