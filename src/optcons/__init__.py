@@ -1,8 +1,8 @@
 """Distributed optimal consensus for nonlinear multi-agent systems.
 
 Each agent minimizes its local consensus cost over a finite horizon via
-backward costate sweeps (exact gradients), exact second-order sweeps
-(Hessians), and a superlinearly convergent regularized-Newton update,
+backward costate sweeps (exact gradients), Hessians condensed from
+forward sensitivities (exact), and a superlinearly convergent regularized-Newton update,
 exchanging predicted trajectories with neighbors in synchronous rounds.
 Leaderless, leader-follower, and formation scenarios run under one
 receding-horizon coordinator.

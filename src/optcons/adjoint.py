@@ -14,17 +14,14 @@ cost with respect to u(t) (neighbors frozen); the H residuals of a window
 are two stacked matmuls.
 
 The Hessian is the exact second derivative of the same local cost with
-respect to the flattened control sequence, one column per control
-coordinate.  Every column is carried at once through the two recursions
-the window imposes: a forward state-sensitivity pass (zero initial
-condition; a unit control perturbation enters as a slice add of B(t) at
-its stage) and a backward second-order costate pass (seeded by the
-terminal weights) that carries the lambda-weighted dynamics curvature.
-Each recursion step is one matmul and one slice add; every other product
-is a single stacked matmul over the window's stages, and the R and
-control-curvature terms are added onto the diagonal blocks.  The stacked
-products keep the per-stage operand layouts and order of additions of a
-stage-by-stage assembly, so they give it bit for bit.
+respect to the flattened control sequence, assembled by condensing (Bock
+and Plitt, IFAC 1984): one forward state-sensitivity pass carries every
+control coordinate's column at once (zero initial condition; a unit
+control perturbation enters as a slice add of B(t) at its stage), and the
+Hessian is S^T W S over the stacked sensitivities S, plus the
+control-state curvature cross terms and the R and control-curvature
+diagonal blocks, one stacked matmul per term.  It equals the stage-by-stage
+assembly with a backward second-order costate pass to rounding.
 
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
@@ -107,18 +104,18 @@ def hessian(agents, model: dyn.Model, trajs, us, jac, lambdas, spec: CostSpec,
     """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
     neighbors frozen, as a (K, H*m, H*m) array.
 
-    Column s*m + a is the response to a unit perturbation of u(s)[a].  Two
-    recursions over the windows' (A, B) ``jac`` carry all H*m columns of
+    Column s*m + a is the response to a unit perturbation of u(s)[a].  One
+    recursion over the windows' (A, B) ``jac`` carries all H*m columns of
     every agent at once: the forward state sensitivity dx(t+1) = A(t) dx(t)
-    [+ B(t) at the perturbed stage] and the backward second-order costate
-    dlam(t) = (C + Mxx(t)) dx(t) + A(t)^T dlam(t+1) [+ Mxu(t)], from
-    dlam(H) = C_term dx(H).  Each recursion step is one matmul plus a slice
-    add; the remaining products are one stacked matmul each.  Row block t
-    is then B(t)^T dlam(t+1) + Mux(t) dx(t), plus R + Muu(t) on the
-    diagonal block.  M(t) holds the model's lambda(t+1)-weighted second
-    derivatives, all from one dyn.second_order_action call.  Each matrix
-    is symmetrized once if assembly drift exceeds 1e-12 (an error beyond
-    1e-8 relative would indicate a broken model derivative).
+    [+ B(t) at the perturbed stage], one matmul plus a slice add per step.
+    With S = dx(1..H) stacked as (K, H*p, H*m) and the state curvatures
+    W(t) = C_stage + Mxx(t) for t < H, W(H) = C_term, the Hessian is
+    S^T (W S) + Mux dx(0..H-1) + dx(0..H-1)^T Mxu, plus R + Muu(t) on the
+    diagonal blocks; M(t) holds the model's lambda(t+1)-weighted second
+    derivatives, all from one dyn.second_order_action call.  The cross term
+    reads both Mux and Mxu, so a model whose M is not symmetric makes H
+    asymmetric: beyond 1e-8 relative that is a broken model derivative and
+    raises NumericError.  Every matrix is then symmetrized.
     """
     trajs = np.asarray(trajs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -138,30 +135,23 @@ def hessian(agents, model: dyn.Model, trajs, us, jac, lambdas, spec: CostSpec,
         np.matmul(A[:, t], dxs[:, t], out=dxs[:, t + 1])
         dxs[:, t + 1, :, t * m:(t + 1) * m] += B[:, t]
 
-    # dlam(0) does not enter the Hessian and is not computed.
-    src = (C_stage[:, None] + Mxx[:, 1:]) @ dxs[:, 1:H]
-    dlam = np.empty((K, H + 1, p, n))
-    dlam[:, H] = C_term @ dxs[:, H]
-    for t in range(H - 1, 0, -1):
-        dlam[:, t] = src[:, t - 1] + A[:, t].transpose(0, 2, 1) @ dlam[:, t + 1]
-        dlam[:, t, :, t * m:(t + 1) * m] += Mxu[:, t]
-
-    blocks = B.transpose(0, 1, 3, 2) @ dlam[:, 1:]
-    diag = blocks.reshape(K, H, m, H, m)
+    W = np.concatenate([C_stage[:, None] + Mxx[:, 1:], C_term[:, None]], axis=1)
+    S = dxs[:, 1:].reshape(K, H * p, n)
+    Hs = S.transpose(0, 2, 1) @ (W @ dxs[:, 1:]).reshape(K, H * p, n)
+    Hs += (Mux @ dxs[:, :H]).reshape(K, n, n)
+    Hs += (Mxu.transpose(0, 1, 3, 2) @ dxs[:, :H]).reshape(K, n, n).transpose(0, 2, 1)
+    diag = Hs.reshape(K, H, m, H, m)
     rows, idx = np.arange(K)[:, None], np.arange(H)
-    diag[rows, idx, :, idx, :] += R[:, None]
-    blocks += Mux @ dxs[:, :H]
-    diag[rows, idx, :, idx, :] += Muu
+    diag[rows, idx, :, idx, :] += R[:, None] + Muu
 
-    Hs = blocks.reshape(K, n, n)
-    for a, i in enumerate(agents):
-        scale, drift = np.linalg.norm(Hs[a]), np.linalg.norm(Hs[a] - Hs[a].T)
-        if scale > 0 and drift > 1e-8 * scale:
-            raise NumericError(
-                f"agent {i}: Hessian asymmetry {drift / scale:.2e} exceeds tolerance")
-        if drift > 1e-12:
-            Hs[a] = 0.5 * (Hs[a] + Hs[a].T)
-    return Hs
+    scale = np.linalg.norm(Hs, axis=(1, 2))
+    drift = np.linalg.norm(Hs - Hs.transpose(0, 2, 1), axis=(1, 2))
+    bad = np.flatnonzero((scale > 0) & (drift > 1e-8 * scale))
+    if bad.size:
+        a = bad[0]
+        raise NumericError(f"agent {agents[a]}: Hessian asymmetry "
+                           f"{drift[a] / scale[a]:.2e} exceeds tolerance")
+    return 0.5 * (Hs + Hs.transpose(0, 2, 1))
 
 
 def fd_gradient(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,

@@ -20,6 +20,7 @@ to zero settles below its ``error_threshold`` within the 200-step budget.
 """
 
 import json
+import pathlib
 import time
 from dataclasses import replace
 
@@ -318,7 +319,7 @@ def test_criterion_9_scheduling_independence(tmp_path):
         arts = scenarios.emit_results(session.run(), spec,
                                       tmp_path / f"reverse{reverse}")
         blobs[reverse] = tuple(
-            open(p, "rb").read() for p in (arts.trajectories_csv,
+            pathlib.Path(p).read_bytes() for p in (arts.trajectories_csv,
                                            arts.errors_csv, arts.metrics_json,
                                            arts.config_json))
     same = blobs[False] == blobs[True]

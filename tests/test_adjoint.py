@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from optcons import CostSpec, Topology, adjoint
 from optcons.cost import NeighborBundle, local_cost
 from optcons import dynamics as dyn
+from optcons.errors import NumericError
 from optcons.solver import sweep
 
 from conftest import mutual_pair_topology, random_instance, random_psd, random_spd
@@ -186,11 +189,17 @@ def test_hessian_matches_fd_on_random_instances(kind):
 
 # Per-agent oracles for the stacked assembly: the single-agent costate
 # recursion, the per-stage gradient loop and the dense identity-tensor (V)
-# Hessian assembly.  Each takes one agent's window with its own (A, B).  The
-# stacked code must reproduce them row for row, bit for bit, so that runs
-# stay byte-identical.  The costate oracle reads the raw Q, D, W and E tables
-# and skips absent weights, so it also checks that the zero matrices which
-# CostSpec.terms fills in change nothing.
+# Hessian assembly with its backward second-order costate pass.  Each takes
+# one agent's window with its own (A, B).  The stacked costate and gradient
+# must reproduce them row for row, bit for bit.  The condensed Hessian
+# S^T W S sums in another order, so it matches the stage assembly to
+# HESSIAN_RTOL in the Frobenius norm; it is exactly symmetric, and a row of a
+# stack equals that agent's stack of one bit for bit.  The costate oracle
+# reads the raw Q, D, W and E tables and skips absent weights, so it also
+# checks that the zero matrices which CostSpec.terms fills in change nothing.
+
+HESSIAN_RTOL = 1e-13
+
 
 def loop_costate(i, traj, u, jac, nb, spec):
     A, _ = jac
@@ -254,6 +263,10 @@ def dense_hessian(i, model, traj, u, jac, lam, spec, k0=0):
     return Hmat
 
 
+def assert_hessian_close(H, oracle):
+    assert np.linalg.norm(H - oracle) <= HESSIAN_RTOL * np.linalg.norm(oracle)
+
+
 def window_models(kind):
     if kind == "unicycle":
         return 3, 2, dyn.unicycle(0.05), dyn.unicycle_drift(0.05, v=0.8, omega=0.2)
@@ -297,9 +310,9 @@ def test_batched_derivatives_equal_stage_loop_oracles(kind, H, terminal, leader)
     np.testing.assert_array_equal(lam[0], loop_costate(1, traj, u, one, nb, spec))
     np.testing.assert_array_equal(adjoint.gradient([1], u[None], jac, lam, spec)[0],
                                   loop_gradient(1, u, one, lam[0], spec))
-    np.testing.assert_array_equal(
-        adjoint.hessian([1], model, traj[None], u[None], jac, lam, spec, k0=k0)[0],
-        dense_hessian(1, model, traj, u, one, lam[0], spec, k0=k0))
+    Hs = adjoint.hessian([1], model, traj[None], u[None], jac, lam, spec, k0=k0)
+    assert_hessian_close(Hs[0], dense_hessian(1, model, traj, u, one, lam[0], spec, k0=k0))
+    np.testing.assert_array_equal(Hs, Hs.transpose(0, 2, 1))
 
 
 def oracle_stack(kind, H, seed):
@@ -344,8 +357,13 @@ def test_stacked_derivatives_equal_per_agent_oracles(kind, H):
         one = (jac[0][a], jac[1][a])
         np.testing.assert_array_equal(lam[a], loop_costate(i, traj[a], u[a], one, nb, spec))
         np.testing.assert_array_equal(g[a], loop_gradient(i, u[a], one, lam[a], spec))
+        assert_hessian_close(Hs[a], dense_hessian(i, model, traj[a], u[a], one, lam[a],
+                                                  spec, k0=k0))
+        row = (jac[0][a:a + 1], jac[1][a:a + 1])
         np.testing.assert_array_equal(
-            Hs[a], dense_hessian(i, model, traj[a], u[a], one, lam[a], spec, k0=k0))
+            Hs[a], adjoint.hessian([i], model, traj[a:a + 1], u[a:a + 1], row,
+                                   lam[a:a + 1], spec, k0=k0)[0])
+    np.testing.assert_array_equal(Hs, Hs.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("weights", ["WE", "W", "E"])
@@ -386,3 +404,21 @@ def test_leader_is_neighbour_zero(kind, weights):
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a, b)
+
+
+def test_hessian_asymmetry_names_the_agent():
+    """A model whose second_order_fn breaks Mxu = Mux^T (by 1e-3 relative) on
+    one row of a stack makes the assembled Hessian asymmetric there."""
+    model, spec, agents, bundles, x0, u, k0 = oracle_stack("unicycle", 8, seed=8)
+
+    def skewed(X, U, k0, Lam):
+        M = model.second_order_fn(X, U, k0, Lam)
+        M[1, :, :3, 3:] *= 1.0 + 1e-3
+        return M
+
+    broken = dataclasses.replace(model, second_order_fn=skewed)
+    traj = dyn.rollout(broken, x0, u, k0)
+    jac = adjoint.linearize_window(broken, traj, u, k0)
+    lam = adjoint.costate_sweep(agents, traj, u, jac, bundles, spec)
+    with pytest.raises(NumericError, match=r"^agent 2: Hessian asymmetry"):
+        adjoint.hessian(agents, broken, traj, u, jac, lam, spec, k0=k0)

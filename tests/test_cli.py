@@ -156,7 +156,7 @@ def test_directory_named_like_a_preset_does_not_shadow_it(tmp_path, monkeypatch,
 
 def test_existing_file_wins_over_preset_name(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
+    raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
     raw["name"] = "from_file"
     (tmp_path / "leader_follower").write_text(json.dumps(raw))
     assert run_cli("check", "leader_follower") == 0

@@ -44,14 +44,14 @@ def test_all_presets_load():
 
 
 def test_dangling_cost_edge_named_in_error():
-    raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
+    raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
     raw["cost"]["Q"] = {"default": 1, "1-5": 2}
     with pytest.raises(ConfigError, match="1-5"):
         scenarios.load_scenario(raw)
 
 
 def test_unknown_keys_rejected():
-    raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
+    raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
     raw["extra_section"] = {}
     raw["solver"]["typo_key"] = 1
     with pytest.raises(ConfigError) as err:
@@ -89,7 +89,7 @@ def test_load_scenario_rejects_other_source_types(source):
 
 
 def test_leader_section_consistency():
-    raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
+    raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
     raw["leader"] = {"model": {"type": "leader_sine", "A": [[1.0]], "B": [1.0]},
                      "x0": [0.0]}
     with pytest.raises(ConfigError, match="leader_links"):
@@ -113,7 +113,7 @@ def test_override_changes_exactly_one_field():
 
 
 def test_scalar_weight_shorthand_and_matrix_forms():
-    raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
+    raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
     raw["cost"]["Q"] = [[2.5]]
     spec = scenarios.load_scenario(raw)
     np.testing.assert_array_equal(spec.cost.Q[(1, 2)], [[2.5]])
@@ -127,7 +127,7 @@ def test_emit_results_zero_step_run(tmp_path):
     spec = scenarios.load_preset("scalar_chain")
     result = scenarios.run_scenario(spec)
     artifacts = scenarios.emit_results(result, spec, tmp_path)
-    rows = open(artifacts.trajectories_csv).read().strip().splitlines()
+    rows = pathlib.Path(artifacts.trajectories_csv).read_text().strip().splitlines()
     assert rows[0] == "t,agent,x0,u0"
     assert len(rows) == 1 + 2 * 2  # header + 2 agents x (H+1) rows
     assert artifacts.metrics["mode"] == "finite_horizon"
@@ -135,14 +135,14 @@ def test_emit_results_zero_step_run(tmp_path):
 
 
 def test_emit_results_consensus_run_all_zero_errors(tmp_path):
-    raw = json.loads(open(scenarios.preset_path("scalar_chain")).read())
+    raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
     raw["initial_states"] = {"1": [2.0], "2": [2.0]}
     del raw["horizon"]
     raw["mpc"] = {"N_p": 3, "T": 4}
     spec = scenarios.load_scenario(raw)
     result = scenarios.run_scenario(spec)
     artifacts = scenarios.emit_results(result, spec, tmp_path)
-    rows = open(artifacts.errors_csv).read().strip().splitlines()[1:]
+    rows = pathlib.Path(artifacts.errors_csv).read_text().strip().splitlines()[1:]
     assert len(rows) == 5 * 2  # (T+1) x 2 directed edges
     for row in rows:
         assert float(row.split(",")[2]) == 0.0
@@ -154,7 +154,7 @@ def test_emit_results_deterministic_bytes(tmp_path):
     for sub in ("a", "b"):
         result = scenarios.run_scenario(spec)
         arts = scenarios.emit_results(result, spec, tmp_path / sub)
-        blobs.append(tuple(open(p, "rb").read() for p in
+        blobs.append(tuple(pathlib.Path(p).read_bytes() for p in
                            (arts.trajectories_csv, arts.errors_csv,
                             arts.config_json)))
     assert blobs[0] == blobs[1]
@@ -166,7 +166,7 @@ def test_metrics_consistent_with_errors_csv(tmp_path):
     artifacts = scenarios.emit_results(result, spec, tmp_path)
     # recompute steps-to-threshold from the emitted file
     per_t = {}
-    for line in open(artifacts.errors_csv).read().strip().splitlines()[1:]:
+    for line in pathlib.Path(artifacts.errors_csv).read_text().strip().splitlines()[1:]:
         cells = line.split(",")
         t = int(cells[0])
         per_t[t] = max(per_t.get(t, 0.0), float(cells[2]))
@@ -177,14 +177,14 @@ def test_metrics_consistent_with_errors_csv(tmp_path):
 
 
 def test_one_shot_leader_rows_in_trajectories(tmp_path):
-    raw = json.loads(open(scenarios.preset_path("leader_follower")).read())
+    raw = json.loads(pathlib.Path(scenarios.preset_path("leader_follower")).read_text())
     del raw["mpc"]
     raw["horizon"] = 4
     spec = scenarios.load_scenario(raw)
     result = scenarios.run_scenario(spec)
     artifacts = scenarios.emit_results(result, spec, tmp_path)
     rows = [line.split(",") for line in
-            open(artifacts.trajectories_csv).read().strip().splitlines()[1:]]
+            pathlib.Path(artifacts.trajectories_csv).read_text().strip().splitlines()[1:]]
     leader = [cells for cells in rows if cells[1] == "l"]
     assert [int(cells[0]) for cells in leader] == list(range(5))
     np.testing.assert_array_equal(
@@ -244,7 +244,7 @@ def test_mpc_trajectories_csv_shape(tmp_path):
     spec = scenarios.load_preset("leader_follower", overrides=["mpc.T=4"])
     result = scenarios.run_scenario(spec)
     artifacts = scenarios.emit_results(result, spec, tmp_path)
-    rows = open(artifacts.trajectories_csv).read().strip().splitlines()
+    rows = pathlib.Path(artifacts.trajectories_csv).read_text().strip().splitlines()
     header = rows[0].split(",")
     assert header == ["t", "agent", "x0", "x1", "u0"]
     # 5 time rows x (4 agents + leader)
@@ -271,4 +271,4 @@ def test_emitted_config_reloads_to_identical_artifacts(tmp_path, name, overrides
     second = scenarios.emit_results(scenarios.run_scenario(again), again, tmp_path / "b")
     for field in ("trajectories_csv", "errors_csv", "metrics_json", "config_json"):
         a, b = getattr(first, field), getattr(second, field)
-        assert open(a, "rb").read() == open(b, "rb").read(), field
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes(), field
