@@ -11,7 +11,7 @@ receding-horizon coordinator.
 from .graph import Topology, neighbors, is_strongly_connected, has_spanning_tree, LEADER
 from .dynamics import (Model, step, linearize, fd_jacobian, rollout,
                        unicycle, unicycle_drift, linear, linear_sine, leader_sine)
-from .cost import CostSpec, NeighborBundle, local_cost, global_cost
+from .cost import CostSpec, GroupTerms, NeighborBundle, local_cost, global_cost
 from .adjoint import (linearize_window, costate_sweep, gradient, hessian,
                       fd_gradient, fd_hessian)
 from .solver import SolverConfig, LocalProblem, ocp_direction, contraction_factor

@@ -73,7 +73,7 @@ def _window_problem(spec: scenarios.ScenarioSpec, agent: int, step: int):
     for _ in range(step):
         session.step()
     u = session._initial_window()
-    _, bundles = session._broadcast(u, session._leader_window(), 0)
+    bundles = session._exchange(session._rollouts(u)[1], session._leader_window(), 0)
     return (LocalProblem(agent, spec.models[agent], session.x[agent],
                          bundles[agent], spec.cost, k0=session.t), u[agent])
 
@@ -85,11 +85,11 @@ def _cmd_gradcheck(args) -> int:
     problem, u = _window_problem(spec, args.agent, args.t)
     us = u[None]
     trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-    jac, lam, (g,) = sweep([problem], us, trajs)
+    jac, lam, (g,) = sweep([problem], us, trajs, problem.terms)
     g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                problem.nb, problem.spec, k0=problem.k0)
-    Hmat = adjoint.hessian([problem.i], problem.model, trajs, us, jac, lam,
-                           problem.spec, k0=problem.k0)[0]
+    Hmat = adjoint.hessian(problem.terms, problem.model, trajs, us, jac, lam,
+                           k0=problem.k0)[0]
     H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                               problem.nb, problem.spec, k0=problem.k0)
 

@@ -27,6 +27,7 @@ message makes the receiver reuse the sender's last delivered trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,11 +126,12 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     return errors, (max(errors.values()) if errors else 0.0)
 
 
-def _round_update(problems, us, trajs, swept, cfg: SolverConfig, r: int, etas):
+def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, etas):
     """One update of a model group's windows us (K, H, m) from their
-    rollouts and ``sweep`` at outer iteration r; returns (new windows, step
-    norms), a step zero when the baseline's backtracking collapses.
-    ``etas`` maps agents to the baseline's step sizes, updated in place."""
+    rollouts and ``sweep`` at outer iteration r, ``terms`` the group's
+    cost-term table; returns (new windows, step norms), a step zero when the
+    baseline's backtracking collapses.  ``etas`` maps agents to the
+    baseline's step sizes, updated in place."""
     jac, lam, g = swept
     if cfg.method == "msa":
         new, steps = us.copy(), []
@@ -140,13 +142,18 @@ def _round_update(problems, us, trajs, swept, cfg: SolverConfig, r: int, etas):
                 new[a], _, etas[problem.i], _ = taken
             steps.append(0.0 if taken is None else taken[3])
         return new, steps
-    Hs = adjoint.hessian([problem.i for problem in problems], problems[0].model, trajs,
-                         us, jac, lam, problems[0].spec, k0=problems[0].k0)
+    Hs = adjoint.hessian(terms, problems[0].model, trajs, us, jac, lam, k0=problems[0].k0)
     try:
         d = ocp_direction(g, [regularize(H, REG_FLOOR) for H in Hs], cfg.c, r, cfg.L_max)
     except NumericError as exc:
         raise NumericError(f"agent {problems[exc.row].i}, round {r}: {exc}") from exc
     return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
+
+
+def _grad_norms(sweeps):
+    """Every agent's gradient norm, one ``norm`` per row, from a round's
+    per-group tuples whose last entry is the group's ``sweep``."""
+    return [float(np.linalg.norm(g)) for *_, (_, _, G) in sweeps for g in G]
 
 
 @dataclass
@@ -170,11 +177,12 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     for r in range(cfg.max_outer + 1):
         us = u[None]
         trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-        swept = sweep([problem], us, trajs)
+        swept = sweep([problem], us, trajs, problem.terms)
         gnorm = float(np.linalg.norm(swept[2][0]))
         if gnorm < cfg.eps or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
-        new, (step,) = _round_update([problem], us, trajs, swept, cfg, r, etas)
+        new, (step,) = _round_update([problem], problem.terms, us, trajs, swept, cfg, r,
+                                     etas)
         if step == 0.0:
             return SolveResult(u, r, gnorm, False, stagnated=True, history=history)
         u = new[0]
@@ -302,27 +310,26 @@ class Session:
         return dyn.rollout(self.leader_model, [self.xl],
                            np.zeros((1, self.mpc.N_p, 0)), self.t)[0]
 
-    def _groups(self):
-        """[(model, agents)]: the agents in ``order`` grouped by model object."""
+    @cached_property
+    def groups(self):
+        """[(model, agents, terms)]: the agents in ``order`` grouped by model
+        object, with their cost-term table (built at the first window)."""
         groups = {}
         for i in self.order:
             groups.setdefault(id(self.models[i]), (self.models[i], []))[1].append(i)
-        return list(groups.values())
+        return [(model, agents, self.spec.group_terms(agents, self.p))
+                for model, agents in groups.values()]
 
     def _rollouts(self, u):
-        """Every agent's rollout of its window u, one rollout per model group."""
-        trajs = {}
-        for model, agents in self._groups():
-            stack = dyn.rollout(model, [self.x[i] for i in agents],
-                                [u[i] for i in agents], self.t)
+        """Each model group's stacked windows u and rollouts, as (us, trajs)
+        pairs in ``groups`` order, and every agent's rollout by index."""
+        stacks, trajs = [], {}
+        for model, agents, _ in self.groups:
+            us = np.array([u[i] for i in agents])
+            stack = dyn.rollout(model, [self.x[i] for i in agents], us, self.t)
+            stacks.append((us, stack))
             trajs.update(zip(agents, stack))
-        return trajs
-
-    def _broadcast(self, u, leader_traj, r):
-        """Roll out every agent's window u and exchange the rollouts with
-        the window's leader trajectory; returns (trajectories, bundles)."""
-        trajs = self._rollouts(u)
-        return trajs, self._exchange(trajs, leader_traj, r)
+        return stacks, trajs
 
     def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
         """Run rounds on the current window until the stop rule fires.
@@ -332,33 +339,32 @@ class Session:
         global cost of each round's rollout and stop once every gradient
         norm is under ``cfg.eps``, tested after the sweeps and before the
         round's updates, so a consensus fixed point stops at round zero.
+        The result's gradient norms are the last round's.
         """
         t = self.t
         u = self._initial_window()
         leader_traj = self._leader_window()
-        groups = self._groups()
         msa_etas = {i: MSA_ETA0 for i in self.x}
         costs = []
         converged = False
         rounds = self.cfg.max_outer
         for r in range(self.cfg.max_outer):
-            trajs, bundles = self._broadcast(u, leader_traj, r)
+            stacks, trajs = self._rollouts(u)
+            bundles = self._exchange(trajs, leader_traj, r)
             if one_shot:
-                costs.append(global_cost(trajs, u, self.spec, self.topology,
-                                         leader_traj=leader_traj))
-            stacks = []
-            for model, agents in groups:
+                costs.append(global_cost([terms for *_, terms in self.groups], trajs, u,
+                                         self.topology, leader_traj=leader_traj))
+            sweeps = []
+            for (model, agents, terms), (us, group_trajs) in zip(self.groups, stacks):
                 problems = [LocalProblem(i, model, self.x[i], bundles[i], self.spec, t)
                             for i in agents]
-                us = np.array([u[i] for i in agents])
-                group_trajs = np.array([trajs[i] for i in agents])
-                stacks.append((problems, us, group_trajs, sweep(problems, us, group_trajs)))
-            grad_norms = [float(np.linalg.norm(g)) for *_, (_, _, G) in stacks for g in G]
-            if one_shot and max(grad_norms) < self.cfg.eps:
+                sweeps.append((problems, terms, us, group_trajs,
+                              sweep(problems, us, group_trajs, terms)))
+            if one_shot and max(_grad_norms(sweeps)) < self.cfg.eps:
                 converged, rounds = True, r
                 break
             steps = []
-            for problems, *stack in stacks:
+            for problems, *stack in sweeps:
                 new, group_steps = _round_update(problems, *stack, self.cfg, r, msa_etas)
                 u.update(zip([problem.i for problem in problems], new))
                 steps += group_steps
@@ -367,9 +373,9 @@ class Session:
                 break
 
         return FiniteHorizonResult(
-            controls=u, trajectories=self._rollouts(u),
+            controls=u, trajectories=self._rollouts(u)[1],
             leader_trajectory=leader_traj, rounds=rounds, converged=converged,
-            grad_norms=np.array(grad_norms), global_costs=costs,
+            grad_norms=np.array(_grad_norms(sweeps)), global_costs=costs,
         )
 
     # -- public API ---------------------------------------------------------
@@ -379,8 +385,8 @@ class Session:
         t = self.t
         window = self._solve_window()
         u = window.controls
-        cost_now = global_cost(window.trajectories, u, self.spec, self.topology,
-                               leader_traj=window.leader_trajectory)
+        cost_now = global_cost([terms for *_, terms in self.groups], window.trajectories,
+                               u, self.topology, leader_traj=window.leader_trajectory)
 
         for i in sorted(self.x):
             applied = u[i][0]

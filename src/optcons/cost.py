@@ -9,6 +9,9 @@ Agent ``i``'s *local* cost contains only the terms in which the outer sum
 index equals ``i`` (its own edges, the leader link as an edge to neighbour
 0, and its control penalty), with neighbor trajectories frozen; the global
 cost is the sum of the local slices, each directed edge counted once.
+``CostSpec.group_terms`` tabulates a stack of agents' terms once, as
+stacked weights and offsets, and ``local_errors`` forms all of a stack's
+errors from it in one expression, for the costates and both costs.
 """
 
 from __future__ import annotations
@@ -80,6 +83,32 @@ class CostSpec:
             out.append((LEADER, self.W.get(i, zero), self.E.get(i, zero)))
         return out
 
+    def group_terms(self, agents, p: int) -> GroupTerms:
+        """The error-term table of a stack of agents (rows in ``agents``
+        order, each row's terms in ``terms`` order); one ``terms`` walk per
+        agent."""
+        senders, rows, Q, D, d_i, d_j = [], [], [], [], [], []
+        for a, i in enumerate(agents):
+            terms = self.terms(i, p)
+            senders.append(tuple(j for j, _, _ in terms))
+            for j, Q_ij, D_ij in terms:
+                rows.append(a)
+                Q.append(Q_ij)
+                D.append(D_ij)
+                d_i.append(self.offset(i, p))
+                d_j.append(self.offset(j, p))
+        T = len(rows)
+        rows = np.array(rows, dtype=np.intp)
+        Q, D = (np.array(M, dtype=float).reshape(T, p, p) for M in (Q, D))
+        C_stage, C_term = np.zeros((2, len(senders), p, p))
+        np.add.at(C_stage, rows, Q)
+        np.add.at(C_term, rows, D)
+        return GroupTerms(
+            agents=tuple(agents), senders=tuple(senders), rows=rows, Q=Q, D=D,
+            d_i=np.array(d_i, dtype=float).reshape(T, 1, p),
+            d_j=np.array(d_j, dtype=float).reshape(T, 1, p),
+            C_stage=C_stage, C_term=C_term, R=np.array([self.R[i] for i in agents]))
+
     def validate(self, topology: Topology, state_dim: int,
                  control_dims: dict[int, int]) -> None:
         """Check PSD/PD-ness, symmetry, and cross references; symmetrize in place.
@@ -138,6 +167,29 @@ class CostSpec:
 
 
 @dataclass(frozen=True)
+class GroupTerms:
+    """The cost terms of a stack of K agents, from ``CostSpec.group_terms``.
+
+    Row a is agent ``agents[a]``, and ``senders[a]`` lists its terms'
+    senders.  Term k couples row ``rows[k]`` to its sender, with weights
+    Q[k], D[k] (T, p, p) and the two ends' offsets d_i[k], d_j[k] (T, 1, p);
+    terms run row by row, each row's in ``CostSpec.terms`` order.  C_stage,
+    C_term (K, p, p) are each row's state curvatures, its Q and D summed in
+    term order, and R (K, m, m) its control weights."""
+
+    agents: tuple
+    senders: tuple
+    rows: np.ndarray
+    Q: np.ndarray
+    D: np.ndarray
+    d_i: np.ndarray
+    d_j: np.ndarray
+    C_stage: np.ndarray
+    C_term: np.ndarray
+    R: np.ndarray
+
+
+@dataclass(frozen=True)
 class NeighborBundle:
     """Frozen neighbor (and optionally leader) trajectories for one window.
 
@@ -148,71 +200,70 @@ class NeighborBundle:
     trajectories: dict
     leader: np.ndarray | None = None
 
-    def horizon(self) -> int:
-        lengths = {traj.shape[0] for traj in self.trajectories.values()}
-        if self.leader is not None:
-            lengths.add(self.leader.shape[0])
-        if len(lengths) > 1:
-            raise ValueError(f"inconsistent trajectory lengths {sorted(lengths)}")
-        return (lengths.pop() - 1) if lengths else -1
 
-
-def local_errors(i: int, traj_i, u_i, nb: NeighborBundle, spec: CostSpec):
-    """Agent i's errors against its frozen neighbours, one (e, stage
-    weight, terminal weight) per term of ``spec.terms``.
-
-    e = (x_i - d_i) - (x_j - d_j) over the window's H+1 stages, with x_j
-    neighbour j's trajectory from the bundle (``nb.leader`` for j =
-    LEADER) and d the formation offsets.  Raises ValueError on mismatched
-    horizons or when the bundle lacks a trajectory a term needs.
+def local_errors(terms: GroupTerms, trajs, us, bundles) -> np.ndarray:
+    """A stack's errors against its frozen neighbours, (T, H+1, p), one per
+    term of ``terms``: e = (x_i - d_i) - (x_j - d_j) over the H+1 stages,
+    x_i the term's row of ``trajs`` (K, H+1, p), x_j sender j's trajectory
+    in that row's bundle (``nb.leader`` for j = LEADER), d the offsets.
+    Raises ValueError when a horizon differs from the windows us (K, H, m)
+    or a bundle lacks a trajectory that a term needs.
     """
-    H = u_i.shape[0]
-    if traj_i.shape[0] != H + 1:
-        raise ValueError(f"agent {i}: trajectory has {traj_i.shape[0]} rows, "
-                         f"expected H+1={H + 1}")
-    nbH = nb.horizon()
-    if nbH >= 0 and nbH != H:
-        raise ValueError(f"agent {i}: neighbor horizon {nbH} != control horizon {H}")
-    p = traj_i.shape[1]
-    z_i = traj_i - spec.offset(i, p)
-    out = []
-    for j, Q, D in spec.terms(i, p):
-        x_j = nb.leader if j == LEADER else nb.trajectories.get(j)
-        if x_j is None:
-            raise ValueError(f"agent {i} has leader weights but no leader trajectory"
-                             if j == LEADER else
-                             f"agent {i}: bundle is missing neighbor {j}")
-        out.append((z_i - (np.asarray(x_j, dtype=float) - spec.offset(j, p)), Q, D))
-    return out
+    H = us.shape[1]
+    if trajs.shape[1] != H + 1:
+        raise ValueError(f"agent {terms.agents[0]}: trajectory has {trajs.shape[1]} "
+                         f"rows, expected H+1={H + 1}")
+    payloads = []
+    for i, nb, senders in zip(terms.agents, bundles, terms.senders, strict=True):
+        for j in senders:
+            x_j = nb.leader if j == LEADER else nb.trajectories.get(j)
+            if x_j is None:
+                raise ValueError(f"agent {i} has leader weights but no leader trajectory"
+                                 if j == LEADER else
+                                 f"agent {i}: bundle is missing neighbor {j}")
+            if len(x_j) != H + 1:
+                raise ValueError(f"agent {i}: neighbor horizon {len(x_j) - 1} "
+                                 f"!= control horizon {H}")
+            payloads.append(x_j)
+    X_j = np.array(payloads, dtype=float).reshape(len(terms.rows), H + 1, trajs.shape[2])
+    return (trajs[terms.rows] - terms.d_i) - (X_j - terms.d_j)
+
+
+def local_costs(terms: GroupTerms, trajs, us, bundles) -> list:
+    """Each row's slice of the consensus cost, neighbors frozen: trajs
+    (K, H+1, p), windows us (K, H, m); every bundle must carry the
+    trajectories that its row's terms name."""
+    H = us.shape[1]
+    totals = [0.0] * len(terms.agents)
+    for a, e, Q, D in zip(terms.rows, local_errors(terms, trajs, us, bundles),
+                          terms.Q, terms.D):
+        totals[a] += float(np.einsum("tp,pq,tq->", e[:H], Q, e[:H]))
+        totals[a] += float(e[H] @ D @ e[H])
+    values = []
+    for total, u, R in zip(totals, us, terms.R):
+        value = 0.5 * (total + float(np.einsum("tp,pq,tq->", u, R, u)))
+        if value < -1e-12:
+            raise AssertionError(f"negative cost {value} with PSD weights")
+        values.append(max(value, 0.0))
+    return values
 
 
 def local_cost(i: int, traj_i, u_i, nb: NeighborBundle, spec: CostSpec) -> float:
-    """Agent i's slice of the consensus cost, neighbors frozen; the
-    bundle must carry every trajectory that i's terms name."""
-    traj_i = np.asarray(traj_i, dtype=float)
-    u_i = np.asarray(u_i, dtype=float)
-    H = u_i.shape[0]
-    total = 0.0
-    for e, Q, D in local_errors(i, traj_i, u_i, nb, spec):
-        total += float(np.einsum("tp,pq,tq->", e[:H], Q, e[:H]))
-        total += float(e[H] @ D @ e[H])
-
-    R = spec.R[i]
-    total += float(np.einsum("tp,pq,tq->", u_i, R, u_i))
-    value = 0.5 * total
-    if value < -1e-12:
-        raise AssertionError(f"negative cost {value} with PSD weights")
-    return max(value, 0.0)
+    """Agent i's slice of the consensus cost, from a table of one."""
+    traj_i, u_i = np.asarray(traj_i, dtype=float), np.asarray(u_i, dtype=float)
+    return local_costs(spec.group_terms([i], traj_i.shape[1]), traj_i[None], u_i[None],
+                       [nb])[0]
 
 
-def global_cost(trajectories: dict, controls: dict, spec: CostSpec,
-                topology: Topology, leader_traj=None) -> float:
-    """Sum of all agents' local slices; each directed edge counted once."""
-    total = 0.0
-    for i in range(1, topology.n + 1):
-        nb = NeighborBundle(
-            trajectories={j: trajectories[j] for j in neighbors(topology, i)},
-            leader=leader_traj,
-        )
-        total += local_cost(i, trajectories[i], controls[i], nb, spec)
-    return total
+def global_cost(tables, trajectories: dict, controls: dict, topology: Topology,
+                leader_traj=None) -> float:
+    """Sum of all agents' local slices, each directed edge counted once;
+    ``tables`` holds cost-term tables whose rows cover agents 1..n once."""
+    costs = {}
+    for terms in tables:
+        bundles = [NeighborBundle({j: trajectories[j] for j in neighbors(topology, i)},
+                                  leader=leader_traj) for i in terms.agents]
+        costs.update(zip(terms.agents, local_costs(
+            terms, np.array([trajectories[i] for i in terms.agents], dtype=float),
+            np.array([controls[i] for i in terms.agents], dtype=float), bundles)))
+    return sum(costs[i] for i in range(1, topology.n + 1))

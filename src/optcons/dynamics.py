@@ -183,9 +183,11 @@ def unicycle(delta: float = 0.05) -> Model:
 
     def f(x, u, k):
         th, v = x[:, 2], u[:, 0]
-        return np.stack([x[:, 0] + delta * v * np.cos(th),
-                         x[:, 1] + delta * v * np.sin(th),
-                         th + delta * u[:, 1]], axis=1)
+        out = np.empty((len(x), 3))
+        out[:, 0] = x[:, 0] + delta * v * np.cos(th)
+        out[:, 1] = x[:, 1] + delta * v * np.sin(th)
+        out[:, 2] = th + delta * u[:, 1]
+        return out
 
     def jac(X, U, k0):
         v = U[..., 0]

@@ -16,13 +16,14 @@ superlinear; ``contraction_factor`` computes that spectral radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import adjoint, dynamics as dyn
-from .cost import CostSpec, NeighborBundle, local_cost
+from .cost import CostSpec, GroupTerms, NeighborBundle, local_costs
 from .errors import NumericError, PreconditionError
 
 
@@ -70,24 +71,28 @@ class LocalProblem:
     spec: CostSpec
     k0: int = 0
 
+    @cached_property
+    def terms(self) -> GroupTerms:
+        """The problem's cost-term table, a stack of one."""
+        return self.spec.group_terms([self.i], self.model.state_dim)
+
     def cost(self, u, traj=None) -> float:
         """Local cost at u, rolling u out unless its rollout ``traj`` is given."""
-        if traj is None:
-            traj = dyn.rollout(self.model, [self.x0], np.asarray(u, dtype=float)[None],
-                               self.k0)[0]
-        return local_cost(self.i, traj, u, self.nb, self.spec)
+        us = np.asarray(u, dtype=float)[None]
+        trajs = (dyn.rollout(self.model, [self.x0], us, self.k0) if traj is None
+                 else np.asarray(traj, dtype=float)[None])
+        return local_costs(self.terms, trajs, us, [self.nb])[0]
 
 
-def sweep(problems, us, trajs):
+def sweep(problems, us, trajs, terms):
     """Linearization, costates and gradients (one row each) of subproblems
     that share one model and k0, at windows us (K, H, m) with rollouts
-    trajs (K, H+1, p); returns (jac, lam, g), jac the windows' (A, B)."""
+    trajs (K, H+1, p) and the problems' cost-term table ``terms``; returns
+    (jac, lam, g), jac the windows' (A, B)."""
     head = problems[0]
-    agents = [problem.i for problem in problems]
     jac = adjoint.linearize_window(head.model, trajs, us, head.k0)
-    lam = adjoint.costate_sweep(agents, trajs, us, jac,
-                                [problem.nb for problem in problems], head.spec)
-    return jac, lam, adjoint.gradient(agents, us, jac, lam, head.spec)
+    lam = adjoint.costate_sweep(terms, trajs, us, jac, [problem.nb for problem in problems])
+    return jac, lam, adjoint.gradient(terms, us, jac, lam)
 
 
 def regularize(Hmat: np.ndarray, floor: float) -> np.ndarray:

@@ -53,13 +53,12 @@ def test_criterion_1_adjoint_exactness():
         kind = "unicycle" if k % 2 == 0 else "linear_sine"
         problem, u = random_instance(rng, kind)
         traj = dyn.rollout(problem.model, [problem.x0], u[None])
-        jac, lam, g = sweep([problem], u[None], traj)
+        jac, lam, g = sweep([problem], u[None], traj, problem.terms)
         g = g[0]
         g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                    problem.nb, problem.spec)
         worst_g = max(worst_g, np.linalg.norm(g - g_fd) / (1 + np.linalg.norm(g_fd)))
-        H = adjoint.hessian([problem.i], problem.model, traj, u[None], jac, lam,
-                            problem.spec)[0]
+        H = adjoint.hessian(problem.terms, problem.model, traj, u[None], jac, lam)[0]
         H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                                   problem.nb, problem.spec)
         worst_h = max(worst_h, np.linalg.norm(H - H_fd) / (1 + np.linalg.norm(H_fd)))

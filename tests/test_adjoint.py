@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from optcons import CostSpec, Topology, adjoint
 from optcons.cost import NeighborBundle, local_cost
 from optcons import dynamics as dyn
 from optcons.errors import NumericError
+from optcons.graph import LEADER
 from optcons.solver import sweep
 
 from conftest import mutual_pair_topology, random_instance, random_psd, random_spd
@@ -20,12 +22,18 @@ def scalar_chain_pieces():
     return model, spec, nb
 
 
+def table(spec, p, agents=(1,)):
+    """The stack's cost-term table: agent 1 alone unless ``agents`` says."""
+    return spec.group_terms(list(agents), p)
+
+
 def test_costate_hand_sweep():
     model, spec, nb = scalar_chain_pieces()
+    terms = table(spec, 1)
     u = np.zeros((1, 1, 1))
     traj = dyn.rollout(model, [[1.0]], u)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
+    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
     np.testing.assert_allclose(lam.ravel(), [2.0, 1.0])
 
 
@@ -37,7 +45,7 @@ def test_costate_zero_at_consensus():
     nb = NeighborBundle({2: traj[0].copy()})
     u = np.zeros((1, 3, 2))
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
+    lam = adjoint.costate_sweep(table(spec, 2), traj, u, jac, [nb])
     np.testing.assert_array_equal(lam, np.zeros((1, 4, 2)))
 
 
@@ -49,45 +57,48 @@ def test_costate_leader_mode_on_leader_trajectory():
     nb = NeighborBundle({}, leader=traj[0].copy())
     u = np.zeros((1, 2, 1))
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
+    lam = adjoint.costate_sweep(table(spec, 2), traj, u, jac, [nb])
     np.testing.assert_array_equal(lam, np.zeros((1, 3, 2)))
 
 
 def test_gradient_hand_values():
     model, spec, nb = scalar_chain_pieces()
+    terms = table(spec, 1)
     u = np.zeros((1, 1, 1))
     traj = dyn.rollout(model, [[1.0]], u)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
-    g = adjoint.gradient([1], u, jac, lam, spec)
+    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+    g = adjoint.gradient(terms, u, jac, lam)
     np.testing.assert_allclose(g, [[1.0]])
 
     u_star = np.array([[[-0.5]]])
     traj = dyn.rollout(model, [[1.0]], u_star)
     jac = adjoint.linearize_window(model, traj, u_star)
-    lam = adjoint.costate_sweep([1], traj, u_star, jac, [nb], spec)
-    g = adjoint.gradient([1], u_star, jac, lam, spec)
+    lam = adjoint.costate_sweep(terms, traj, u_star, jac, [nb])
+    g = adjoint.gradient(terms, u_star, jac, lam)
     np.testing.assert_allclose(g, [[0.0]], atol=1e-15)
 
 
 def test_gradient_zero_when_stationary_sources_vanish():
     model, spec, nb = scalar_chain_pieces()
+    terms = table(spec, 1)
     u = np.zeros((1, 3, 1))
     traj = np.zeros((1, 4, 1))
     nb0 = NeighborBundle({2: np.zeros((4, 1))})
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep([1], traj, u, jac, [nb0], spec)
-    g = adjoint.gradient([1], u, jac, lam, spec)
+    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb0])
+    g = adjoint.gradient(terms, u, jac, lam)
     np.testing.assert_array_equal(g, np.zeros((1, 3)))
 
 
 def test_hessian_hand_value():
     model, spec, nb = scalar_chain_pieces()
+    terms = table(spec, 1)
     u = np.zeros((1, 1, 1))
     traj = dyn.rollout(model, [[1.0]], u)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
-    H = adjoint.hessian([1], model, traj, u, jac, lam, spec)
+    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+    H = adjoint.hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H, [[[2.0]]])
 
 
@@ -98,13 +109,14 @@ def test_hessian_constant_for_lq():
     model = dyn.linear(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
     nb = NeighborBundle({2: rng.normal(size=(5, 2))})
     x0 = rng.normal(size=2)
+    terms = table(spec, 2)
     H_at = {}
     for trial in range(2):
         u = rng.normal(size=(1, 4, 2))
         traj = dyn.rollout(model, [x0], u)
         jac = adjoint.linearize_window(model, traj, u)
-        lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
-        H_at[trial] = adjoint.hessian([1], model, traj, u, jac, lam, spec)
+        lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+        H_at[trial] = adjoint.hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H_at[0], H_at[1], atol=1e-12)
 
 
@@ -116,9 +128,10 @@ def test_hessian_identity_for_pure_control_penalty():
     u = np.zeros((1, 3, 2))
     traj = dyn.rollout(model, [[1.0, -1.0]], u)
     nb = NeighborBundle({2: np.zeros((4, 2))})
+    terms = table(spec, 2)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
-    H = adjoint.hessian([1], model, traj, u, jac, lam, spec)
+    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+    H = adjoint.hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H[0], np.eye(6), atol=1e-14)
 
 
@@ -126,9 +139,9 @@ def stack_of_one(problem, u):
     """The stacked sweep and Hessian of one subproblem at u: (traj, jac, lam,
     g, Hessian), the agent axis dropped from all but jac."""
     traj = dyn.rollout(problem.model, [problem.x0], u[None], problem.k0)
-    jac, lam, g = sweep([problem], u[None], traj)
-    Hmat = adjoint.hessian([problem.i], problem.model, traj, u[None], jac, lam,
-                           problem.spec, k0=problem.k0)
+    jac, lam, g = sweep([problem], u[None], traj, problem.terms)
+    Hmat = adjoint.hessian(problem.terms, problem.model, traj, u[None], jac, lam,
+                           k0=problem.k0)
     return traj[0], jac, lam[0], g[0], Hmat[0]
 
 
@@ -144,11 +157,12 @@ def test_fd_oracles_hand_values():
 def test_fd_gradient_exact_on_quadratic():
     # Central differences are exact on quadratics regardless of h.
     model, spec, nb = scalar_chain_pieces()
+    terms = table(spec, 1)
     u = np.array([[0.3]])
     traj = dyn.rollout(model, [[1.0]], u[None])
     jac = adjoint.linearize_window(model, traj, u[None])
-    lam = adjoint.costate_sweep([1], traj, u[None], jac, [nb], spec)
-    g_exact = adjoint.gradient([1], u[None], jac, lam, spec)[0]
+    lam = adjoint.costate_sweep(terms, traj, u[None], jac, [nb])
+    g_exact = adjoint.gradient(terms, u[None], jac, lam)[0]
     for h in (1e-2, 1e-4):
         g_fd = adjoint.fd_gradient(1, model, [1.0], u, nb, spec, h=h)
         np.testing.assert_allclose(g_fd, g_exact, atol=1e-9)
@@ -225,6 +239,21 @@ def loop_costate(i, traj, u, jac, nb, spec):
     return lam
 
 
+def terms_costate(i, traj, u, jac, nb, spec):
+    """The costate from a walk over ``CostSpec.terms``, one error per term."""
+    A, _ = jac
+    H, p = u.shape[0], traj.shape[1]
+    stage_src, lam = np.zeros((H + 1, p)), np.zeros((H + 1, p))
+    for j, Q, D in spec.terms(i, p):
+        x_j = nb.leader if j == LEADER else nb.trajectories[j]
+        e = (traj - spec.offset(i, p)) - (x_j - spec.offset(j, p))
+        stage_src += e @ Q
+        lam[H] += D @ e[H]
+    for t in range(H - 1, -1, -1):
+        lam[t] = stage_src[t] + lam[t + 1] @ A[t]
+    return lam
+
+
 def loop_gradient(i, u, jac, lam, spec):
     _, B = jac
     H, m = u.shape
@@ -238,7 +267,10 @@ def dense_hessian(i, model, traj, u, jac, lam, spec, k0=0):
     H, m = u.shape
     p = traj.shape[1]
     n = H * m
-    C_stage, C_term = adjoint._state_curvatures(i, spec, p)
+    C_stage, C_term = np.zeros((p, p)), np.zeros((p, p))
+    for _, Q, D in spec.terms(i, p):
+        C_stage += Q
+        C_term += D
     R = spec.R[i]
     A, B = jac
     M = dyn.second_order_action(model, traj[None, :H], u[None], k0, lam[None, 1:])[0]
@@ -305,12 +337,13 @@ def test_batched_derivatives_equal_stage_loop_oracles(kind, H, terminal, leader)
     model, spec, nb, traj, u, k0 = oracle_window(kind, H, terminal, leader,
                                                  seed=H + 10 * terminal + 100 * leader)
     jac = adjoint.linearize_window(model, traj[None], u[None], k0)
-    lam = adjoint.costate_sweep([1], traj[None], u[None], jac, [nb], spec)
+    terms = table(spec, traj.shape[1])
+    lam = adjoint.costate_sweep(terms, traj[None], u[None], jac, [nb])
     one = (jac[0][0], jac[1][0])
     np.testing.assert_array_equal(lam[0], loop_costate(1, traj, u, one, nb, spec))
-    np.testing.assert_array_equal(adjoint.gradient([1], u[None], jac, lam, spec)[0],
+    np.testing.assert_array_equal(adjoint.gradient(terms, u[None], jac, lam)[0],
                                   loop_gradient(1, u, one, lam[0], spec))
-    Hs = adjoint.hessian([1], model, traj[None], u[None], jac, lam, spec, k0=k0)
+    Hs = adjoint.hessian(terms, model, traj[None], u[None], jac, lam, k0=k0)
     assert_hessian_close(Hs[0], dense_hessian(1, model, traj, u, one, lam[0], spec, k0=k0))
     np.testing.assert_array_equal(Hs, Hs.transpose(0, 2, 1))
 
@@ -318,16 +351,18 @@ def test_batched_derivatives_equal_stage_loop_oracles(kind, H, terminal, leader)
 def oracle_stack(kind, H, seed):
     """Three agents of one model on a 4-agent graph, with different weights,
     offsets and bundles: agent 1 has two neighbors, terminal weights and
-    leader terms, agent 2 one neighbor and no leader, agent 4 only a leader
-    link (no neighbors).  Returns the model, spec, agents, bundles, x0 (3, p),
-    windows u (3, H, m) and k0."""
+    leader terms (3 terms), agent 2 one neighbor and no leader (1 term),
+    agent 4 a terminal-only edge (D, no Q) and a stage-only leader link (2
+    terms).  Returns the model, spec, agents, bundles, x0 (3, p), windows
+    u (3, H, m) and k0."""
     rng = np.random.default_rng(seed)
     p, m, model, leader_model = window_models(kind)
     agents = [1, 2, 4]
     edges = [(1, 2), (1, 3), (2, 3)]
     spec = CostSpec(Q={e: random_psd(rng, p, scale=2.0) for e in edges},
                     R={i: random_spd(rng, m, floor=0.2) for i in agents},
-                    D={(1, 2): random_psd(rng, p), (2, 3): random_psd(rng, p)},
+                    D={(1, 2): random_psd(rng, p), (2, 3): random_psd(rng, p),
+                       (4, 3): random_psd(rng, p)},
                     W={1: random_psd(rng, p, scale=2.0), 4: random_psd(rng, p)},
                     E={1: random_psd(rng, p)},
                     offsets={j: rng.normal(size=p) for j in range(5)})
@@ -336,7 +371,7 @@ def oracle_stack(kind, H, seed):
     others = {j: rng.normal(size=(H + 1, p)) for j in (2, 3)}
     bundles = [NeighborBundle({2: others[2], 3: others[3]}, leader=lead),
                NeighborBundle({3: others[3]}),
-               NeighborBundle({}, leader=lead)]
+               NeighborBundle({3: others[3]}, leader=lead)]
     x0 = rng.normal(size=(3, p))
     u = rng.normal(size=(3, H, m)) * 0.5
     return model, spec, agents, bundles, x0, u, k0
@@ -348,21 +383,28 @@ def test_stacked_derivatives_equal_per_agent_oracles(kind, H):
     model, spec, agents, bundles, x0, u, k0 = oracle_stack(kind, H, seed=H)
     traj = dyn.rollout(model, x0, u, k0)
     jac = adjoint.linearize_window(model, traj, u, k0)
-    lam = adjoint.costate_sweep(agents, traj, u, jac, bundles, spec)
-    g = adjoint.gradient(agents, u, jac, lam, spec)
-    Hs = adjoint.hessian(agents, model, traj, u, jac, lam, spec, k0=k0)
+    terms = table(spec, traj.shape[2], agents)
+    assert [len(senders) for senders in terms.senders] == [3, 1, 2]
+    lam = adjoint.costate_sweep(terms, traj, u, jac, bundles)
+    g = adjoint.gradient(terms, u, jac, lam)
+    Hs = adjoint.hessian(terms, model, traj, u, jac, lam, k0=k0)
     for a, (i, nb) in enumerate(zip(agents, bundles)):
         np.testing.assert_array_equal(traj[a], dyn.rollout(model, x0[a:a + 1], u[a:a + 1],
                                                            k0)[0])
         one = (jac[0][a], jac[1][a])
         np.testing.assert_array_equal(lam[a], loop_costate(i, traj[a], u[a], one, nb, spec))
+        np.testing.assert_array_equal(lam[a], terms_costate(i, traj[a], u[a], one, nb, spec))
         np.testing.assert_array_equal(g[a], loop_gradient(i, u[a], one, lam[a], spec))
         assert_hessian_close(Hs[a], dense_hessian(i, model, traj[a], u[a], one, lam[a],
                                                   spec, k0=k0))
         row = (jac[0][a:a + 1], jac[1][a:a + 1])
+        alone = table(spec, traj.shape[2], [i])
+        lam_a = adjoint.costate_sweep(alone, traj[a:a + 1], u[a:a + 1], row, [nb])
+        np.testing.assert_array_equal(lam_a[0], lam[a])
+        np.testing.assert_array_equal(adjoint.gradient(alone, u[a:a + 1], row, lam_a)[0], g[a])
         np.testing.assert_array_equal(
-            Hs[a], adjoint.hessian([i], model, traj[a:a + 1], u[a:a + 1], row,
-                                   lam[a:a + 1], spec, k0=k0)[0])
+            Hs[a], adjoint.hessian(alone, model, traj[a:a + 1], u[a:a + 1], row, lam_a,
+                                   k0=k0)[0])
     np.testing.assert_array_equal(Hs, Hs.transpose(0, 2, 1))
 
 
@@ -394,16 +436,38 @@ def test_leader_is_neighbour_zero(kind, weights):
     jac = adjoint.linearize_window(model, traj, u, k0)
 
     def derivatives(spec, nb):
-        lam = adjoint.costate_sweep([1], traj, u, jac, [nb], spec)
+        terms = table(spec, p)
+        lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
         return (local_cost(1, traj[0], u[0], nb, spec), lam,
-                adjoint.gradient([1], u, jac, lam, spec),
-                adjoint.hessian([1], model, traj, u, jac, lam, spec, k0=k0))
+                adjoint.gradient(terms, u, jac, lam),
+                adjoint.hessian(terms, model, traj, u, jac, lam, k0=k0))
 
     got = derivatives(with_leader, NeighborBundle(others, leader=lead))
     want = derivatives(twin, NeighborBundle({**others, 4: lead}))
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a, b)
+
+
+def test_costate_sweep_names_the_agent_of_a_bad_bundle():
+    """Every window check of the stacked errors raises ValueError naming its
+    agent, row by row in stack order."""
+    model, spec, agents, bundles, x0, u, k0 = oracle_stack("unicycle", 4, seed=4)
+    traj = dyn.rollout(model, x0, u, k0)
+    jac = adjoint.linearize_window(model, traj, u, k0)
+    terms = table(spec, traj.shape[2], agents)
+    nb1, nb2, nb4 = bundles
+    cases = [
+        (traj[:, :-1], bundles, "agent 1: trajectory has 4 rows, expected H+1=5"),
+        (traj, [nb1, NeighborBundle({3: nb2.trajectories[3][:-1]}), nb4],
+         "agent 2: neighbor horizon 3 != control horizon 4"),
+        (traj, [nb1, NeighborBundle({}), nb4], "agent 2: bundle is missing neighbor 3"),
+        (traj, [nb1, nb2, NeighborBundle(nb4.trajectories)],
+         "agent 4 has leader weights but no leader trajectory"),
+    ]
+    for trajs, bad, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            adjoint.costate_sweep(terms, trajs, u, jac, bad)
 
 
 def test_hessian_asymmetry_names_the_agent():
@@ -419,6 +483,7 @@ def test_hessian_asymmetry_names_the_agent():
     broken = dataclasses.replace(model, second_order_fn=skewed)
     traj = dyn.rollout(broken, x0, u, k0)
     jac = adjoint.linearize_window(broken, traj, u, k0)
-    lam = adjoint.costate_sweep(agents, traj, u, jac, bundles, spec)
+    terms = table(spec, traj.shape[2], agents)
+    lam = adjoint.costate_sweep(terms, traj, u, jac, bundles)
     with pytest.raises(NumericError, match=r"^agent 2: Hessian asymmetry"):
-        adjoint.hessian(agents, broken, traj, u, jac, lam, spec, k0=k0)
+        adjoint.hessian(terms, broken, traj, u, jac, lam, k0=k0)

@@ -240,6 +240,27 @@ def test_one_linearization_per_update(monkeypatch):
         assert seen == [(spec.topology.n, spec.mpc.N_p)] * summary["rounds"]
 
 
+def test_cost_terms_walks_do_not_grow_with_rounds(monkeypatch):
+    # Each model group's cost-term table is built once, at the first window,
+    # and the sweeps, Hessians and global_cost read it: one CostSpec.terms
+    # walk per agent and session, however many rounds a step takes.
+    walks = []
+    terms = CostSpec.terms
+
+    def counted(self, i, p):
+        walks.append(i)
+        return terms(self, i, p)
+
+    monkeypatch.setattr(CostSpec, "terms", counted)
+    rounds = {}
+    for max_outer in (1, 100):
+        spec, session = leader_follower_session([f"solver.max_outer={max_outer}"])
+        walks.clear()
+        rounds[max_outer] = [session.step()["rounds"] for _ in range(2)]
+        assert sorted(walks) == session.order
+    assert rounds[1] == [1, 1] and min(rounds[100]) > 1
+
+
 def test_definite_hessians_skip_eigvalsh(monkeypatch):
     # Every window Hessian of the preset is >= R = I, so regularize's
     # Cholesky certificate passes on each and no eigvalsh runs; an
@@ -300,7 +321,7 @@ def test_msa_update_reuses_round_rollout(monkeypatch):
     monkeypatch.setattr(dyn, "rollout", counted_rollout)
     monkeypatch.setattr(coordinator, "backtrack_step", counted_backtrack)
     summary = session.step()
-    groups = len(session._groups())
+    groups = len(session.groups)
     assert groups == 1
     assert summary["rounds"] > 1
     assert len(rollouts) == summary["rounds"] * groups + 1 + len(trials) + groups
@@ -314,7 +335,7 @@ def test_round_update_is_first_iterate_of_solve_local(method):
     spec, session = leader_follower_session(
         [f"solver.method={method}", "solver.max_outer=1"])
     u0 = session._initial_window()
-    _, bundles = session._broadcast(u0, session._leader_window(), 0)
+    bundles = session._exchange(session._rollouts(u0)[1], session._leader_window(), 0)
     problems = {i: LocalProblem(i, spec.models[i], session.x[i], bundles[i],
                                 spec.cost, session.t) for i in session.order}
     summary = session.step()
@@ -428,8 +449,8 @@ def test_shared_models_equal_groups_of_one(tmp_path, name, overrides, groups):
     alone = {i: replace(model) for i, model in spec.models.items()}
     shared, a, stale_a = run_grouped(spec, spec.models, tmp_path / "shared")
     single, b, stale_b = run_grouped(spec, alone, tmp_path / "alone")
-    assert [agents for _, agents in shared._groups()] == groups
-    assert [agents for _, agents in single._groups()] == [[1], [2], [3], [4]]
+    assert [agents for _, agents, _ in shared.groups] == groups
+    assert [agents for _, agents, _ in single.groups] == [[1], [2], [3], [4]]
     if spec.mpc.drop_probability > 0:
         assert stale_a
     assert stale_a == stale_b
@@ -504,7 +525,7 @@ def test_numeric_failure_names_the_agent_and_round(monkeypatch):
     session = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
                       spec.initial_states, leader_model=spec.leader_model,
                       leader_x0=spec.leader_x0)
-    assert [agents for _, agents in session._groups()] == [[1, 2, 3], [4]]
+    assert [agents for _, agents, _ in session.groups] == [[1, 2, 3], [4]]
     calls = []
 
     def indefinite_second(Hmat, floor):

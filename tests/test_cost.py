@@ -41,10 +41,13 @@ def test_global_cost_unfolds_to_locals():
     rng = np.random.default_rng(0)
     trajs = {1: rng.normal(size=(3, 1)), 2: rng.normal(size=(3, 1))}
     us = {1: rng.normal(size=(2, 1)), 2: rng.normal(size=(2, 1))}
-    total = global_cost(trajs, us, spec, top)
+    total = global_cost([spec.group_terms([1, 2], 1)], trajs, us, top)
     l1 = local_cost(1, trajs[1], us[1], NeighborBundle({2: trajs[2]}), spec)
     l2 = local_cost(2, trajs[2], us[2], NeighborBundle({1: trajs[1]}), spec)
     assert total == pytest.approx(l1 + l2)
+    # Any split of the agents into tables sums the same slices in agent order.
+    split = [spec.group_terms([2], 1), spec.group_terms([1], 1)]
+    assert global_cost(split, trajs, us, top) == total
 
 
 def test_global_cost_single_sided_graph():
@@ -54,7 +57,7 @@ def test_global_cost_single_sided_graph():
                     D={(1, 2): np.eye(1)})
     trajs = {1: np.ones((2, 1)), 2: np.zeros((2, 1))}
     us = {1: np.zeros((1, 1)), 2: np.zeros((1, 1))}
-    assert global_cost(trajs, us, spec, top) == pytest.approx(1.0)
+    assert global_cost([spec.group_terms([1, 2], 1)], trajs, us, top) == pytest.approx(1.0)
 
 
 def test_nonnegative_on_random_inputs():
