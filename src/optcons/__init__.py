@@ -16,8 +16,7 @@ from .adjoint import (linearize_window, costate_sweep, gradient, hessian,
                       fd_gradient, fd_hessian)
 from .solver import SolverConfig, LocalProblem, ocp_direction, contraction_factor
 from .coordinator import (MpcConfig, RoundMessage, RunResult, Session, SolveResult,
-                          consensus_error, solve_local, run_algorithm1,
-                          run_mpc_leaderless, run_mpc_leader_follower)
+                          consensus_error, solve_local, run_algorithm1)
 from .scenarios import (ScenarioSpec, RunArtifacts, load_scenario, load_preset,
                         list_presets, run_scenario, emit_results)
 

@@ -55,8 +55,8 @@ class RoundMessage:
 
 @dataclass(frozen=True)
 class MpcConfig:
-    N_p: int
-    T: int
+    N_p: int = 8
+    T: int = 100
     warm_start: bool = True
     drop_probability: float = 0.0
 
@@ -232,6 +232,7 @@ class Session:
         self.x = {i: np.asarray(initial_states[i], dtype=float).copy()
                   for i in range(1, topology.n + 1)}
         self.order = sorted(self.x)
+        self.neighbors = {i: neighbors(topology, i) for i in self.order}
         self.leader_model = leader_model if self.leader_mode else None
         self.xl = (np.asarray(leader_x0, dtype=float).copy()
                    if self.leader_mode else None)
@@ -293,8 +294,8 @@ class Session:
             return msg.payload
 
         bundles = {}
-        for i in range(1, self.topology.n + 1):
-            received = {j: deliver(i, j) for j in neighbors(self.topology, i)}
+        for i, senders in self.neighbors.items():
+            received = {j: deliver(i, j) for j in senders}
             leader_payload = None
             if self.leader_mode and i in self.topology.leader_links:
                 leader_payload = deliver(i, LEADER)
@@ -423,25 +424,6 @@ class Session:
             rounds=np.array(self.round_counts, dtype=int),
             converged=np.array(self.window_converged, dtype=bool),
         )
-
-
-def run_mpc_leaderless(topology, models, spec, solver_cfg, mpc_cfg,
-                       initial_states, seed=0, error_mask=None) -> RunResult:
-    """Receding-horizon leaderless consensus (requires strong connectivity)."""
-    session = Session(topology, models, spec, solver_cfg, mpc_cfg,
-                      initial_states, seed=seed, error_mask=error_mask)
-    return session.run()
-
-
-def run_mpc_leader_follower(topology, models, leader_model, spec, solver_cfg,
-                            mpc_cfg, initial_states, leader_x0, seed=0,
-                            error_mask=None) -> RunResult:
-    """Receding-horizon tracking of an autonomous leader (spanning tree from
-    the leader required); formation offsets ride in the cost spec."""
-    session = Session(topology, models, spec, solver_cfg, mpc_cfg,
-                      initial_states, leader_model=leader_model,
-                      leader_x0=leader_x0, seed=seed, error_mask=error_mask)
-    return session.run()
 
 
 def run_algorithm1(topology, models, spec, solver_cfg, horizon, initial_states,

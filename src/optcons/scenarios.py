@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import islice
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,27 +30,30 @@ from .errors import ConfigError
 from .graph import Topology
 from .solver import SolverConfig
 
-_TOP_KEYS = {"name", "seed", "out_dir", "error_mask", "error_threshold",
-             "topology", "models", "leader", "cost", "solver", "mpc",
-             "horizon", "initial_states"}
-_TOPOLOGY_KEYS = {"n", "edges", "leader_links"}
-_LEADER_KEYS = {"model", "x0"}
-_COST_KEYS = {"Q", "R", "D", "W", "E", "offsets"}
-_SOLVER_KEYS = {"c", "L_max", "eps", "max_outer", "method"}
-_MPC_KEYS = {"N_p", "T", "warm_start", "drop_probability"}
-_MODEL_KEYS = {
-    "unicycle": {"delta"},
-    "unicycle_drift": {"delta", "v", "omega"},
-    "linear": {"A", "B"},
-    "linear_sine": {"A", "B", "amp", "mode"},
-    "leader_sine": {"A", "B", "amp", "h_amp", "h_freq", "mode"},
-}
-_MODEL_DEFAULTS = {
+# Every scalar setting as key -> (kind, default): the loader's unknown-key
+# check, type check, default and echo all read these tables.  The top-level
+# keys are ScenarioSpec fields; the solver and MPC tables are their config
+# dataclasses' fields.
+_TOP = {"name": (str, "scenario"), "seed": (int, 0), "out_dir": (str, None),
+        "error_threshold": (float, 0.05)}
+
+
+def _fields(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
+
+
+_SOLVER = _fields(SolverConfig)
+_MPC = _fields(MpcConfig)
+# Model parameters per type, key -> default; a default of None marks a
+# required matrix.  Each type is named after its factory in dynamics.
+_MODELS = {
     "unicycle": {"delta": 0.05},
     "unicycle_drift": {"delta": 0.05, "v": 0.5, "omega": 0.0},
-    "linear": {},
-    "linear_sine": {"amp": 0.01, "mode": "sum"},
-    "leader_sine": {"amp": 0.01, "h_amp": 0.1, "h_freq": 0.05, "mode": "sum"},
+    "linear": {"A": None, "B": None},
+    "linear_sine": {"A": None, "B": None, "amp": 0.01, "mode": "sum"},
+    "leader_sine": {"A": None, "B": None, "amp": 0.01, "h_amp": 0.1, "h_freq": 0.05,
+                    "mode": "sum"},
 }
 
 
@@ -95,17 +99,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_keys(section: dict, allowed: set, where: str, problems: list):
-    unknown = set(section) - allowed
-    for key in sorted(unknown):
+def _check_keys(section: dict, allowed, where: str, problems: list):
+    for key in sorted(section.keys() - allowed):
         problems.append(f"{where}: unknown key {key!r}")
 
 
-def _section(raw: dict, key: str, problems: list) -> dict:
+def _section(raw: dict, key: str, problems: list, where: str = "") -> dict:
     """raw[key] as a dict ({} when absent or null); anything else is a problem."""
-    value = raw.get(key) or {}
+    value = raw.get(key)
+    if value is None:
+        return {}
     if not isinstance(value, dict):
-        problems.append(f"{key}: expected an object, got {value!r}")
+        problems.append(f"{where}{key}: expected an object, got {value!r}")
         return {}
     return value
 
@@ -127,18 +132,51 @@ def _edge_row(row) -> bool:
             and all(map(_integral, row[:2])) and all(map(_is_number, row[2:])))
 
 
-def _number(section: dict, key: str, default, problems: list, where: str = "",
-            integer: bool = False):
-    """section[key] (or default) as a float, or as an int with ``integer``;
-    anything else is recorded as a problem and replaced by the default."""
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _scalar(section: dict, key: str, kind: type, default, problems: list,
+            where: str = ""):
+    """section[key] as a JSON value of ``kind`` (int, float, str or bool),
+    the default when absent (or null where the default is null); anything
+    else is recorded as a problem and replaced by the default."""
     value = section.get(key, default)
-    if integer and _integral(value):
-        return int(value)
-    if not integer and _is_number(value):
-        return float(value)
-    kind = "an integer" if integer else "a number"
-    problems.append(f"{where}{key}: expected {kind}, got {value!r}")
+    if value is default:
+        return value
+    if kind is int:
+        ok = _integral(value)
+    elif kind is float:
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, kind)
+    if ok:
+        return kind(value)
+    problems.append(f"{where}{key}: expected {_EXPECTED[kind]}, got {value!r}")
     return default
+
+
+def _scalars(section: dict, table: dict, where: str, problems: list) -> dict:
+    """Every key of a (kind, default) table read from a section that holds
+    no other keys."""
+    _check_keys(section, table.keys(), where, problems)
+    return {key: _scalar(section, key, kind, default, problems, f"{where}.")
+            for key, (kind, default) in table.items()}
+
+
+def _agent_key(key: str, n: int, where: str, problems: list) -> int | None:
+    """The agent that a table key names, in decimal form "1".."n"; anything
+    else is recorded as a problem."""
+    try:
+        i = int(key)
+    except ValueError:
+        i = None
+    if i is None or str(i) != key:
+        problems.append(f"{where}: bad agent key {key!r}")
+        return None
+    if not 1 <= i <= n:
+        problems.append(f"{where}: agent {i} out of range 1..{n}")
+        return None
+    return i
 
 
 def _non_finite(value, where: str, problems: list):
@@ -158,19 +196,6 @@ def _non_finite(value, where: str, problems: list):
     elif isinstance(value, list):
         for idx, item in enumerate(value):
             _non_finite(item, f"{where}[{idx}]", problems)
-
-
-def _typed(section: dict, key: str, default, kind: type, problems: list,
-           where: str = ""):
-    """section[key] (or default) when it is a JSON value of ``kind`` (str or
-    bool); anything else is recorded as a problem and replaced by the
-    default."""
-    value = section.get(key, default)
-    if value is default or isinstance(value, kind):
-        return value
-    expected = "a string" if kind is str else "true or false"
-    problems.append(f"{where}{key}: expected {expected}, got {value!r}")
-    return default
 
 
 def _numbers(value) -> bool:
@@ -196,26 +221,19 @@ def _build_model(cfg: dict, where: str, problems: list) -> dyn.Model | None:
         problems.append(f"{where}: model section needs a 'type'")
         return None
     kind = cfg["type"]
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODELS:
         problems.append(f"{where}: unknown model type {kind!r}")
         return None
-    _check_keys({k: v for k, v in cfg.items() if k != "type"},
-                _MODEL_KEYS[kind], where, problems)
+    _check_keys(cfg, _MODELS[kind].keys() | {"type"}, where, problems)
     known = len(problems)
     args = {}
-    for key in sorted(_MODEL_KEYS[kind]):
-        if key in ("A", "B"):
-            if key in cfg and not _numbers(cfg[key]):
-                problems.append(f"{where}.{key}: expected numbers, got {cfg[key]!r}")
-        elif key == "mode":
-            args[key] = _typed(cfg, key, _MODEL_DEFAULTS[kind][key], str, problems,
-                               f"{where}.")
-        else:
-            args[key] = _number(cfg, key, _MODEL_DEFAULTS[kind][key], problems,
-                                f"{where}.")
+    for key, default in sorted(_MODELS[kind].items()):
+        if default is not None:
+            args[key] = _scalar(cfg, key, type(default), default, problems, f"{where}.")
+        elif key in cfg and not _numbers(cfg[key]):
+            problems.append(f"{where}.{key}: expected numbers, got {cfg[key]!r}")
     if len(problems) > known:
         return None
-    # Each model type is named after its factory in dynamics.
     try:
         if kind in ("unicycle", "unicycle_drift"):
             return getattr(dyn, kind)(**args)
@@ -231,13 +249,9 @@ def _build_model(cfg: dict, where: str, problems: list) -> dyn.Model | None:
 
 def _model_echo(cfg: dict) -> dict:
     kind = cfg["type"]
-    out = {"type": kind}
-    for key in sorted(_MODEL_KEYS[kind]):
-        if key in cfg:
-            out[key] = cfg[key]
-        elif key in _MODEL_DEFAULTS[kind]:
-            out[key] = _MODEL_DEFAULTS[kind][key]
-    return out
+    return {"type": kind, **{key: cfg.get(key, default)
+                             for key, default in _MODELS[kind].items()
+                             if key in cfg or default is not None}}
 
 
 def _weight_matrix(value, dim: int, where: str, problems: list) -> np.ndarray | None:
@@ -350,15 +364,14 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     _non_finite(raw, "", problems)
     if problems:
         raise ConfigError(problems)
-    _check_keys(raw, _TOP_KEYS, "scenario", problems)
-
-    name = _typed(raw, "name", "scenario", str, problems)
-    seed = _number(raw, "seed", 0, problems, integer=True)
-    if seed < 0:
-        problems.append(f"seed: expected a non-negative integer, got {seed}")
-    out_dir = _typed(raw, "out_dir", None, str, problems)
+    _check_keys(raw, _TOP.keys() | {"error_mask", "topology", "models", "leader", "cost",
+                                    "solver", "mpc", "horizon", "initial_states"},
+                "scenario", problems)
+    top = {key: _scalar(raw, key, kind, default, problems)
+           for key, (kind, default) in _TOP.items()}
+    if top["seed"] < 0:
+        problems.append(f"seed: expected a non-negative integer, got {top['seed']}")
     error_mask = raw.get("error_mask")
-    error_threshold = _number(raw, "error_threshold", 0.05, problems)
 
     # Topology ------------------------------------------------------------
     topo_cfg = raw.get("topology")
@@ -366,9 +379,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     if not isinstance(topo_cfg, dict):
         problems.append("scenario: missing 'topology' section")
     else:
-        _check_keys(topo_cfg, _TOPOLOGY_KEYS, "topology", problems)
+        _check_keys(topo_cfg, {"n", "edges", "leader_links"}, "topology", problems)
         known = len(problems)
-        n = _number(topo_cfg, "n", 0, problems, "topology.", integer=True)
+        n = _scalar(topo_cfg, "n", int, 0, problems, "topology.")
         edges = topo_cfg.get("edges", [])
         links = topo_cfg.get("leader_links", [])
         for row in (edges if isinstance(edges, list) else [edges]):
@@ -396,15 +409,9 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         problems.append("scenario: missing 'initial_states' section")
     else:
         for key in sorted(states_cfg):
-            try:
-                i = int(key)
-            except ValueError:
-                problems.append(f"initial_states: bad agent key {key!r}")
-                continue
-            if not 1 <= i <= n:
-                problems.append(f"initial_states: agent {i} out of range 1..{n}")
-                continue
-            vec = _vector(states_cfg[key], f"initial_states[{key}]", problems)
+            i = _agent_key(key, n, "initial_states", problems)
+            vec = None if i is None else _vector(states_cfg[key],
+                                                 f"initial_states[{key}]", problems)
             if vec is not None:
                 initial_states[i] = vec
         missing = n - len(initial_states)
@@ -434,15 +441,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     else:
         default_cfg = models_cfg.get("default")
         for key in models_cfg:
-            if key == "default":
-                continue
-            try:
-                i = int(key)
-            except ValueError:
-                problems.append(f"models: bad agent key {key!r}")
-                continue
-            if not 1 <= i <= n:
-                problems.append(f"models: agent {i} out of range 1..{n}")
+            if key != "default":
+                _agent_key(key, n, "models", problems)
         # Agents with one resolved model config share a Model: rounds stack them.
         shared = {}
         for i in agents:
@@ -471,7 +471,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     if leader_cfg is not None and not isinstance(leader_cfg, dict):
         problems.append(f"leader: expected an object, got {leader_cfg!r}")
     if isinstance(leader_cfg, dict):
-        _check_keys(leader_cfg, _LEADER_KEYS, "leader", problems)
+        _check_keys(leader_cfg, {"model", "x0"}, "leader", problems)
         model_cfg = leader_cfg.get("model")
         if model_cfg is None:
             problems.append("leader: missing 'model'")
@@ -495,7 +495,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     if not isinstance(cost_cfg, dict):
         problems.append("scenario: missing 'cost' section")
     elif p is not None and models:
-        _check_keys(cost_cfg, _COST_KEYS, "cost", problems)
+        _check_keys(cost_cfg, {"Q", "R", "D", "W", "E", "offsets"}, "cost", problems)
         edges = sorted(topology.edges)
         links = sorted(topology.leader_links)
         edge_fmt = lambda e: f"{e[0]}-{e[1]}"
@@ -512,17 +512,10 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         E = _weight_table(cost_cfg.get("E", 0.0), links, agent_fmt,
                           lambda i: p, "cost.E", problems) if links else {}
         offsets = {}
-        for key, val in _section(cost_cfg, "offsets", problems).items():
-            idx = 0 if key in ("l", "0") else None
+        for key, val in _section(cost_cfg, "offsets", problems, "cost.").items():
+            idx = 0 if key == "l" else _agent_key(key, n, "cost.offsets", problems)
             if idx is None:
-                try:
-                    idx = int(key)
-                except ValueError:
-                    problems.append(f"cost.offsets: bad key {key!r}")
-                    continue
-                if not 1 <= idx <= n:
-                    problems.append(f"cost.offsets: agent {idx} out of range 1..{n}")
-                    continue
+                continue
             vec = _vector(val, f"cost.offsets[{key}]", problems)
             if vec is None:
                 continue
@@ -538,36 +531,19 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             problems.extend(exc.violations)
 
     # Solver / MPC ------------------------------------------------------------
-    solver_cfg = _section(raw, "solver", problems)
-    _check_keys(solver_cfg, _SOLVER_KEYS, "solver", problems)
-    solver = None
+    # Each config's echo is the table's values that it is built from.
+    solver, mpc = None, None
+    solver_cfg = _scalars(_section(raw, "solver", problems), _SOLVER, "solver", problems)
     try:
-        solver = SolverConfig(
-            c=_number(solver_cfg, "c", 1.0, problems, "solver."),
-            max_outer=_number(solver_cfg, "max_outer", 100, problems, "solver.",
-                              integer=True),
-            L_max=_number(solver_cfg, "L_max", 10, problems, "solver.",
-                          integer=True),
-            eps=_number(solver_cfg, "eps", 1e-6, problems, "solver."),
-            method=solver_cfg.get("method", "ocp"),
-        )
+        solver = SolverConfig(**solver_cfg)
     except ValueError as exc:
         problems.append(f"solver: {exc}")
 
-    mpc = None
     horizon = raw.get("horizon")
     if "mpc" in raw:
-        mpc_cfg = _section(raw, "mpc", problems)
-        _check_keys(mpc_cfg, _MPC_KEYS, "mpc", problems)
+        mpc_cfg = _scalars(_section(raw, "mpc", problems), _MPC, "mpc", problems)
         try:
-            mpc = MpcConfig(
-                N_p=_number(mpc_cfg, "N_p", 8, problems, "mpc.", integer=True),
-                T=_number(mpc_cfg, "T", 100, problems, "mpc.", integer=True),
-                warm_start=_typed(mpc_cfg, "warm_start", True, bool, problems,
-                                  "mpc."),
-                drop_probability=_number(mpc_cfg, "drop_probability", 0.0,
-                                         problems, "mpc."),
-            )
+            mpc = MpcConfig(**mpc_cfg)
         except ValueError as exc:
             problems.append(f"mpc: {exc}")
         if horizon is not None:
@@ -575,16 +551,23 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     elif horizon is None:
         problems.append("scenario: needs an 'mpc' section or a 'horizon'")
     else:
-        horizon = _number(raw, "horizon", 1, problems, integer=True)
+        horizon = _scalar(raw, "horizon", int, 1, problems)
         if horizon < 1:
             problems.append(f"scenario: horizon must be >= 1, got {horizon}")
 
+    mask = None
     if error_mask is not None and (not isinstance(error_mask, list)
                                    or not all(map(_integral, error_mask))):
         problems.append(f"error_mask: expected a list of component indices, "
                         f"got {error_mask!r}")
-    elif error_mask is not None and p is not None:
-        bad = [c for c in error_mask if not 0 <= int(c) < p]
+    elif error_mask is not None:
+        mask = [int(c) for c in error_mask]
+        if not mask:
+            problems.append("error_mask: expected at least one component index, got []")
+        repeated = sorted({c for c in mask if mask.count(c) > 1})
+        if repeated:
+            problems.append(f"error_mask: repeated components {repeated}")
+        bad = [c for c in error_mask if p is not None and not 0 <= int(c) < p]
         if bad:
             problems.append(f"error_mask: components {bad} out of range 0..{p - 1}")
 
@@ -592,9 +575,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         raise ConfigError(problems)
 
     resolved = {
-        "name": name,
-        "seed": seed,
-        "error_threshold": error_threshold,
+        **{key: value for key, value in top.items() if value is not None},
         "topology": {
             "n": n,
             "edges": [[i, j, topology.weights[(i, j)]]
@@ -611,27 +592,20 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             "offsets": {("l" if i == 0 else str(i)): v.tolist()
                         for i, v in sorted(cost.offsets.items())},
         },
-        "solver": {"c": solver.c, "L_max": solver.L_max, "eps": solver.eps,
-                   "max_outer": solver.max_outer, "method": solver.method},
+        "solver": solver_cfg,
         "initial_states": {str(i): initial_states[i].tolist() for i in agents},
     }
-    if out_dir is not None:
-        resolved["out_dir"] = out_dir
-    if error_mask is not None:
-        resolved["error_mask"] = [int(c) for c in error_mask]
+    if mask is not None:
+        resolved["error_mask"] = mask
     if leader_echo is not None:
         resolved["leader"] = leader_echo
     if mpc is not None:
-        resolved["mpc"] = {"N_p": mpc.N_p, "T": mpc.T,
-                           "warm_start": mpc.warm_start,
-                           "drop_probability": mpc.drop_probability}
+        resolved["mpc"] = mpc_cfg
     else:
         resolved["horizon"] = horizon
 
     return ScenarioSpec(
-        name=name, seed=seed, out_dir=out_dir,
-        error_mask=None if error_mask is None else [int(c) for c in error_mask],
-        error_threshold=error_threshold, topology=topology, models=models,
+        **top, error_mask=mask, topology=topology, models=models,
         leader_model=leader_model, leader_x0=leader_x0, cost=cost,
         solver=solver, mpc=mpc, horizon=horizon,
         initial_states=initial_states, resolved=resolved,

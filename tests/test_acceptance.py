@@ -242,7 +242,6 @@ def test_criterion_6_leader_follower_tracking():
 # -- criterion 7: unified-framework reduction ---------------------------------
 
 def test_criterion_7_unified_reduction():
-    from optcons.coordinator import run_mpc_leaderless, run_mpc_leader_follower
     from optcons.graph import Topology
     start = time.perf_counter()
     top = Topology.from_edge_list(3, [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0],
@@ -254,9 +253,9 @@ def test_criterion_7_unified_reduction():
     from optcons.coordinator import MpcConfig
     mpc = MpcConfig(N_p=5, T=12)
     cfg = SolverConfig(eps=1e-8)
-    a = run_mpc_leaderless(top, models, spec, cfg, mpc, states, seed=1)
-    b = run_mpc_leader_follower(top, models, None, spec, cfg, mpc, states,
-                                None, seed=1)
+    a = Session(top, models, spec, cfg, mpc, states, seed=1).run()
+    b = Session(top, models, spec, cfg, mpc, states, leader_model=None,
+                leader_x0=None, seed=1).run()
     same = (all(np.array_equal(a.states[i], b.states[i]) for i in a.states)
             and all(np.array_equal(a.controls[i], b.controls[i]) for i in a.controls)
             and np.array_equal(a.window_costs, b.window_costs)

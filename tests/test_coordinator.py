@@ -8,9 +8,7 @@ import pytest
 
 from optcons import CostSpec, Topology
 from optcons.coordinator import (MpcConfig, RoundMessage, Session,
-                                 consensus_error, run_algorithm1,
-                                 run_mpc_leader_follower, run_mpc_leaderless,
-                                 solve_local)
+                                 consensus_error, run_algorithm1, solve_local)
 from optcons import dynamics as dyn
 from optcons.errors import ConfigError, NumericError, PreconditionError
 from optcons.solver import LocalProblem, SolverConfig
@@ -68,8 +66,7 @@ def test_algorithm1_requires_strong_connectivity():
 def test_mpc_consensus_start_is_a_fixed_point():
     top, spec, models = integrator_pair()
     mpc = MpcConfig(N_p=4, T=5)
-    res = run_mpc_leaderless(top, models, spec, SolverConfig(),
-                             mpc, {1: [3.0], 2: [3.0]})
+    res = Session(top, models, spec, SolverConfig(), mpc, {1: [3.0], 2: [3.0]}).run()
     for i in (1, 2):
         np.testing.assert_array_equal(res.controls[i], np.zeros((5, 1)))
     np.testing.assert_array_equal(res.max_errors, np.zeros(6))
@@ -79,9 +76,8 @@ def test_mpc_consensus_start_is_a_fixed_point():
 def test_mpc_integrators_reach_consensus_with_monotone_window_costs():
     top, spec, models = integrator_pair(q=4.0, r=1.0)
     mpc = MpcConfig(N_p=5, T=25)
-    res = run_mpc_leaderless(top, models, spec,
-                             SolverConfig(eps=1e-8),
-                             mpc, {1: [1.0], 2: [-1.0]})
+    res = Session(top, models, spec, SolverConfig(eps=1e-8), mpc,
+                  {1: [1.0], 2: [-1.0]}).run()
     assert res.max_errors[-1] < 1e-3
     for a, b in zip(res.window_costs, res.window_costs[1:]):
         assert b <= a * (1 + 1e-6) + 1e-12
@@ -90,8 +86,7 @@ def test_mpc_integrators_reach_consensus_with_monotone_window_costs():
 def test_run_result_history_lengths():
     top, spec, models = integrator_pair()
     mpc = MpcConfig(N_p=3, T=7)
-    res = run_mpc_leaderless(top, models, spec, SolverConfig(),
-                             mpc, {1: [1.0], 2: [0.0]})
+    res = Session(top, models, spec, SolverConfig(), mpc, {1: [1.0], 2: [0.0]}).run()
     for i in (1, 2):
         assert res.states[i].shape == (8, 1)
         assert res.controls[i].shape == (7, 1)
@@ -113,9 +108,9 @@ def test_leader_follower_zero_error_on_leader_trajectory():
     top, spec, models, leader = leader_chain_setup(h_amp=0.0)
     x0 = np.array([0.4, -1.2])
     mpc = MpcConfig(N_p=4, T=6)
-    res = run_mpc_leader_follower(top, models, leader, spec,
-                                  SolverConfig(), mpc,
-                                  {i: x0.copy() for i in range(1, 5)}, x0)
+    res = Session(top, models, spec, SolverConfig(), mpc,
+                  {i: x0.copy() for i in range(1, 5)}, leader_model=leader,
+                  leader_x0=x0).run()
     for i in range(1, 5):
         np.testing.assert_array_equal(res.controls[i], np.zeros((6, 1)))
         np.testing.assert_array_equal(res.states[i], res.leader_states)
@@ -125,9 +120,9 @@ def test_leader_follower_zero_error_on_leader_trajectory():
 def test_leader_follower_requires_leader_data():
     top, spec, models, leader = leader_chain_setup()
     with pytest.raises(ConfigError, match="leader"):
-        run_mpc_leader_follower(top, models, None, spec,
-                                SolverConfig(), MpcConfig(N_p=3, T=2),
-                                {i: [0.0, 0.0] for i in range(1, 5)}, None)
+        Session(top, models, spec, SolverConfig(), MpcConfig(N_p=3, T=2),
+                {i: [0.0, 0.0] for i in range(1, 5)}, leader_model=None,
+                leader_x0=None).run()
 
 
 def test_leader_follower_requires_spanning_tree():
@@ -137,10 +132,9 @@ def test_leader_follower_requires_spanning_tree():
     follower = dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
     leader = dyn.leader_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
     with pytest.raises(PreconditionError, match="spanning tree"):
-        run_mpc_leader_follower(top, {i: follower for i in range(1, 5)}, leader,
-                                spec, SolverConfig(),
-                                MpcConfig(N_p=3, T=2),
-                                {i: [0.0, 0.0] for i in range(1, 5)}, [0.0, 0.0])
+        Session(top, {i: follower for i in range(1, 5)}, spec, SolverConfig(),
+                MpcConfig(N_p=3, T=2), {i: [0.0, 0.0] for i in range(1, 5)},
+                leader_model=leader, leader_x0=[0.0, 0.0]).run()
 
 
 def test_unified_reduction_leaderless_equals_leader_runner_bitwise():
@@ -148,9 +142,9 @@ def test_unified_reduction_leaderless_equals_leader_runner_bitwise():
     mpc = MpcConfig(N_p=4, T=10)
     cfg = SolverConfig(eps=1e-7)
     states = {1: [1.0], 2: [-2.0]}
-    a = run_mpc_leaderless(top, models, spec, cfg, mpc, states, seed=3)
-    b = run_mpc_leader_follower(top, models, None, spec, cfg, mpc, states,
-                                None, seed=3)
+    a = Session(top, models, spec, cfg, mpc, states, seed=3).run()
+    b = Session(top, models, spec, cfg, mpc, states, leader_model=None,
+                leader_x0=None, seed=3).run()
     for i in (1, 2):
         np.testing.assert_array_equal(a.states[i], b.states[i])
         np.testing.assert_array_equal(a.controls[i], b.controls[i])
@@ -213,6 +207,31 @@ def test_protocol_locality_instrumented():
     seen = {(rcv, snd) for (_, _, rcv, snd) in session.message_log}
     assert seen  # something was exchanged
     assert seen <= allowed
+
+
+def test_exchange_lists_each_agents_senders_once(monkeypatch):
+    """A session builds every agent's neighbour list once, and each round
+    still delivers in receiver order, then sender order, the leader last,
+    the order in which the drop stream is drawn."""
+    calls = []
+    real = coordinator.neighbors
+    monkeypatch.setattr(coordinator, "neighbors",
+                        lambda topology, i: calls.append(i) or real(topology, i))
+    spec = scenarios.load_preset("leader_follower",
+                                 overrides=["mpc.T=3", "mpc.drop_probability=0.3"])
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                      spec.mpc, spec.initial_states,
+                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
+                      record_messages=True)
+    session.run()
+    assert calls == [1, 2, 3, 4]
+    want = [(i, j) for i in range(1, 5)
+            for j in real(spec.topology, i) + [0] * (i in spec.topology.leader_links)]
+    rounds = {}
+    for t, r, rcv, snd in session.message_log:
+        rounds.setdefault((t, r), []).append((rcv, snd))
+    assert len(rounds) > 3
+    assert all(order == want for order in rounds.values())
 
 
 def leader_follower_session(overrides=()):
@@ -371,8 +390,8 @@ def test_drop_probability_zero_ignores_seed():
     top, spec, models = integrator_pair(q=2.0)
     mpc = MpcConfig(N_p=3, T=5, drop_probability=0.0)
     cfg = SolverConfig()
-    a = run_mpc_leaderless(top, models, spec, cfg, mpc, {1: [1.0], 2: [0.0]}, seed=1)
-    b = run_mpc_leaderless(top, models, spec, cfg, mpc, {1: [1.0], 2: [0.0]}, seed=99)
+    a = Session(top, models, spec, cfg, mpc, {1: [1.0], 2: [0.0]}, seed=1).run()
+    b = Session(top, models, spec, cfg, mpc, {1: [1.0], 2: [0.0]}, seed=99).run()
     np.testing.assert_array_equal(a.states[1], b.states[1])
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from optcons import cli, scenarios
 from optcons.errors import ConfigError
+from optcons.solver import SolverConfig
 
 
 def test_agv_preset_resolves_paper_parameters():
@@ -212,6 +214,8 @@ def test_one_shot_leader_rows_in_trajectories(tmp_path):
     "topology.edges=[[2,1,[1.0]],[3,2],[4,3]]", "topology.edges=5",
     'topology.leader_links="1"', "topology.leader_links=[true]",
     "topology.leader_links=[1.5]", "seed=-1",
+    "solver=[]", "mpc=0", "cost.offsets=[]", "solver.method=5",
+    "error_mask=[]", "error_mask=[0,0]",
 ])
 def test_malformed_override_raises_config_error(override, capsys):
     preset = "leader_follower"
@@ -221,6 +225,77 @@ def test_malformed_override_raises_config_error(override, capsys):
         scenarios.load_preset(preset, overrides=[override])
     assert cli.main(["check", preset, "--set", override]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("solver=[]", "solver: expected an object, got []"),
+    ("solver=false", "solver: expected an object, got False"),
+    ('solver=""', "solver: expected an object, got ''"),
+    ("mpc=0", "mpc: expected an object, got 0"),
+    ("cost.offsets=[]", "cost.offsets: expected an object, got []"),
+    ("solver.method=5", "solver.method: expected a string, got 5"),
+    ("error_mask=[]", "error_mask: expected at least one component index, got []"),
+    ("error_mask=[1,0,1.0]", "error_mask: repeated components [1]"),
+])
+def test_malformed_override_message(override, message):
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("leader_follower", overrides=[override])
+    assert err.value.violations == [message]
+
+
+def test_null_section_takes_the_defaults():
+    spec = scenarios.load_preset("leader_follower", overrides=["solver=null"])
+    assert spec.solver == SolverConfig()
+
+
+@pytest.mark.parametrize("table", ["initial_states", "models", "cost.offsets"])
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "1_0", "+1", "1.0", "x"])
+def test_agent_keys_take_only_the_decimal_form(table, key):
+    """A key that int() reads but that is not "1".."n" names no agent: it is
+    reported, never ignored or merged with the agent's own entry."""
+    raw = json.loads(pathlib.Path(scenarios.preset_path("formation")).read_text())
+    node = raw
+    for part in table.split("."):
+        node = node[part]
+    node[key] = node.get("1", node.get("default"))
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_scenario(raw)
+    assert err.value.violations == [f"{table}: bad agent key {key!r}"]
+
+
+def test_offsets_name_the_leader_l_only():
+    raw = json.loads(pathlib.Path(scenarios.preset_path("formation")).read_text())
+    raw["cost"]["offsets"]["l"] = [0.0, 0.0, 0.0]
+    assert 0 in scenarios.load_scenario(raw).cost.offsets
+    raw["cost"]["offsets"]["0"] = [0.0, 0.0, 0.0]
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_scenario(raw)
+    assert err.value.violations == ["cost.offsets: agent 0 out of range 1..4"]
+
+
+def test_readme_key_table_matches_the_loader_tables():
+    """README's "Scenario files" table lists exactly the loader's scalar keys,
+    with their kinds and defaults."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == ["section", "key", "kind", "default"]
+    got = []
+    for where, key, kind, default in rows[1:]:
+        named = re.findall(r"`([^`]*)`", where)
+        value = None if default == "required" else json.loads(
+            re.search(r"`([^`]*)`", default).group(1))
+        got.append(((named or [""])[0], key.strip("`"), kind, value, type(value)))
+    want = [(where, key, kind.__name__, default, type(default))
+            for where, table in (("", scenarios._TOP), ("solver", scenarios._SOLVER),
+                                 ("mpc", scenarios._MPC))
+            for key, (kind, default) in table.items()]
+    want += [(model, key, "matrix" if default is None else type(default).__name__,
+              default, type(default))
+             for model, table in scenarios._MODELS.items()
+             for key, default in table.items()]
+    assert got == want
 
 
 def test_negative_seed_run_exits_one(tmp_path, capsys):
