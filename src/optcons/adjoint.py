@@ -2,12 +2,13 @@
 
 The derivatives below take a stack of K agents of one model, windows
 along a leading axis, and the stack's cost-term table (``GroupTerms``);
-every recursion runs once for the stack, and a row equals that agent's
-stack of one bit for bit.  They read the windows' stage Jacobians (A, B)
-from ``linearize_window``; callers linearize once per update and pass the
-same pair to the costate sweep, the gradient and the Hessian.
+each recursion over the stages is one banded solve for the stack, and a
+row equals that agent's stack of one bit for bit.  They read the windows'
+stage Jacobians (A, B) from ``linearize_window``; callers linearize once
+per update and pass the same pair to the costate sweep, the gradient and
+the Hessian.  L below is unit lower block-bidiagonal, -A(t) at (t+1, t).
 
-The gradient comes from one backward costate pass, whose sources are
+The gradient comes from the costate lambda = L^-T src, whose sources are
 summed per row from all of the stack's errors at once: the costate lambda(t)
 accumulates the cost's sensitivity to the state, and the stationarity
 residual R u(t) + lambda(t+1) df/du is exactly the derivative of the local
@@ -16,13 +17,13 @@ are two stacked matmuls.
 
 The Hessian is the exact second derivative of the same local cost with
 respect to the flattened control sequence, assembled by condensing (Bock
-and Plitt, IFAC 1984): one forward state-sensitivity pass carries every
-control coordinate's column at once (zero initial condition; a unit
-control perturbation enters as a slice add of B(t) at its stage), and the
-Hessian is S^T W S over the stacked sensitivities S, plus the
-control-state curvature cross terms and the R and control-curvature
-diagonal blocks, one stacked matmul per term.  It equals the stage-by-stage
-assembly with a backward second-order costate pass to rounding.
+and Plitt, IFAC 1984): the forward state sensitivities of every control
+coordinate are one solve with L (zero initial condition; a unit control
+perturbation enters as B(t) at its stage), and the Hessian is S^T W S over
+the stacked sensitivities S, plus the control-state curvature cross terms
+and the R and control-curvature diagonal blocks, one stacked matmul per
+term.  It equals the stage-by-stage assembly with a backward second-order
+costate pass to rounding.
 
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
@@ -31,6 +32,7 @@ the tests and as a debugging aid.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from . import dynamics as dyn
 from .cost import CostSpec, GroupTerms, NeighborBundle, local_cost, local_errors
@@ -45,6 +47,27 @@ def linearize_window(model: dyn.Model, trajs, us, k0: int = 0):
     return dyn.linearize(model, np.asarray(trajs, dtype=float)[:, :us.shape[1]], us, k0)
 
 
+def _band_solve(A, rhs, trans: str) -> np.ndarray:
+    """Solve L x = rhs, or L^T x = rhs with trans "T", for the stack's rows
+    of H+1 states set block-diagonally: one dtbtrs (kd = 2p-1).  ``rhs`` and
+    the result are F-ordered (K (H+1) p, r) arrays."""
+    K, H, p, _ = A.shape
+    # ab.reshape(-1, 2p).T is the band, band[d, c] = L[c + d, c]: in state
+    # t's (p, 2p) block, -A[a, t, i, j] sits at 2p j + p + i - j.
+    ab = np.zeros((K, H + 1, p, 2 * p))
+    band = ab.reshape(K, H + 1, -1)[:, :H, p:].reshape(K, H, p, 2 * p - 1)[..., :p]
+    np.negative(A.transpose(0, 1, 3, 2), out=band)
+    x, info = dtbtrs(ab.reshape(-1, 2 * p).T, rhs, uplo="L", trans=trans, diag="U")
+    if info:
+        raise NumericError(f"banded solve failed: dtbtrs info={info}")
+    if K > 1 and not np.isfinite(x).all():
+        # Rows meet only at zeros of the band, and 0 * nan is nan: solve
+        # each row alone so that a non-finite row stays in that row.
+        rows = np.split(rhs, K)
+        x = np.concatenate([_band_solve(A[a:a + 1], rows[a], trans) for a in range(K)])
+    return x
+
+
 def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
     """Backward costate recursion of a stack of agents; returns the
     (K, H+1, p) array of lambda(t), one row per agent.
@@ -52,10 +75,10 @@ def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
     ``terms`` is the stack's table from ``CostSpec.group_terms``,
     ``bundles`` gives each row's neighbor bundle and ``jac`` the windows'
     (A, B) from ``linearize_window``.  lambda(H) collects the terminal
-    weights; going backward, in one stacked step, lambda(t) = sum_j Q_ij
-    e_ij(t) + lambda(t+1) A(t), the leader being neighbour 0.  Each row's
-    sources are summed in term order from all of the stack's errors at once.
-    lambda(0) is computed for completeness but unused by the gradient.
+    weights and lambda(t) = sum_j Q_ij e_ij(t) + lambda(t+1) A(t) for t < H,
+    the leader being neighbour 0: one banded solve with L^T for the stack.
+    Each row's sources are summed in term order from all of the stack's
+    errors at once; lambda(0) is computed but unused by the gradient.
     """
     trajs = np.asarray(trajs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -63,14 +86,11 @@ def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
     K, H, p = trajs.shape[0], us.shape[1], trajs.shape[2]
 
     E = local_errors(terms, trajs, us, bundles)
-    stage_src = np.zeros((K, H + 1, p))
-    lambdas = np.zeros((K, H + 1, p))
-    np.add.at(stage_src, terms.rows, E @ terms.Q)
-    np.add.at(lambdas[:, H], terms.rows, (terms.D @ E[:, H, :, None])[..., 0])
-
-    for t in range(H - 1, -1, -1):
-        lambdas[:, t] = stage_src[:, t] + (lambdas[:, t + 1, None] @ A[:, t])[:, 0]
-    return lambdas
+    src = np.zeros((K, H + 1, p))
+    np.add.at(src, terms.rows, E @ terms.Q)
+    src[:, H] = 0.0
+    np.add.at(src[:, H], terms.rows, (terms.D @ E[:, H, :, None])[..., 0])
+    return _band_solve(A, src.reshape(-1, 1), "T").reshape(K, H + 1, p)
 
 
 def gradient(terms: GroupTerms, us, jac, lambdas) -> np.ndarray:
@@ -96,10 +116,11 @@ def hessian(terms: GroupTerms, model: dyn.Model, trajs, us, jac, lambdas,
     """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
     neighbors frozen, as a (K, H*m, H*m) array.
 
-    Column s*m + a is the response to a unit perturbation of u(s)[a].  One
-    recursion over the windows' (A, B) ``jac`` carries all H*m columns of
-    every agent at once: the forward state sensitivity dx(t+1) = A(t) dx(t)
-    [+ B(t) at the perturbed stage], one matmul plus a slice add per step.
+    Column s*m + a is the response to a unit perturbation of u(s)[a].  The
+    forward state sensitivities dx(t+1) = A(t) dx(t) [+ B(t) at the
+    perturbed stage] over the windows' (A, B) ``jac``, all H*m columns of
+    every agent, are one banded solve with L whose right-hand side holds
+    B(t) in state t+1's rows and stage t's columns.
     With S = dx(1..H) stacked as (K, H*p, H*m) and the state curvatures
     W(t) = C_stage + Mxx(t) for t < H, W(H) = C_term (C_stage, C_term and R
     from ``terms``), the Hessian is
@@ -121,10 +142,10 @@ def hessian(terms: GroupTerms, model: dyn.Model, trajs, us, jac, lambdas,
     Mxx, Mxu = M[..., :p, :p], M[..., :p, p:]
     Mux, Muu = M[..., p:, :p], M[..., p:, p:]
 
-    dxs = np.zeros((K, H + 1, p, n))
-    for t in range(H):
-        np.matmul(A[:, t], dxs[:, t], out=dxs[:, t + 1])
-        dxs[:, t + 1, :, t * m:(t + 1) * m] += B[:, t]
+    rhs = np.zeros((H, m, K, H + 1, p))  # B(t) in stage t's columns, state t+1's rows
+    rhs[np.arange(H), :, :, np.arange(1, H + 1)] = B.transpose(1, 3, 0, 2)
+    dxs = _band_solve(A, rhs.reshape(n, -1).T, "N").T.reshape(n, K, H + 1, p)
+    dxs = np.ascontiguousarray(dxs.transpose(1, 2, 3, 0))
 
     W = np.concatenate([terms.C_stage[:, None] + Mxx[:, 1:], terms.C_term[:, None]],
                        axis=1)

@@ -237,7 +237,7 @@ class Session:
         self.xl = (np.asarray(leader_x0, dtype=float).copy()
                    if self.leader_mode else None)
         self.t = 0
-        self.u_prev = None
+        self.last_window = None  # the previous window's result, kept to warm-start
         self.stale = {}
         self.rng = np.random.default_rng(seed)
 
@@ -259,9 +259,9 @@ class Session:
 
     def _initial_window(self):
         H = self.mpc.N_p
-        if self.mpc.warm_start and self.u_prev is not None:
+        if self.last_window is not None:
             out = {}
-            for i, u in self.u_prev.items():
+            for i, u in self.last_window.controls.items():
                 shifted = np.zeros_like(u)
                 shifted[:-1] = u[1:]
                 out[i] = shifted
@@ -302,14 +302,16 @@ class Session:
             bundles[i] = NeighborBundle(received, leader=leader_payload)
         return bundles
 
-    def _leader_window(self):
+    def _leader_window(self, last=None):
         """The autonomous leader's predicted trajectory over the current
         window (None without a leader); it depends on no agent's controls,
-        so one rollout serves every round of the window."""
+        so one rollout serves every round of the window.  Given ``last``,
+        only the new last stage is stepped, as in ``_rollouts``."""
         if not self.leader_mode:
             return None
+        known = None if last is None else last.leader_trajectory[None, 2:]
         return dyn.rollout(self.leader_model, [self.xl],
-                           np.zeros((1, self.mpc.N_p, 0)), self.t)[0]
+                           np.zeros((1, self.mpc.N_p, 0)), self.t, known)[0]
 
     @cached_property
     def groups(self):
@@ -321,13 +323,17 @@ class Session:
         return [(model, agents, self.spec.group_terms(agents, self.p))
                 for model, agents in groups.values()]
 
-    def _rollouts(self, u):
+    def _rollouts(self, u, last=None):
         """Each model group's stacked windows u and rollouts, as (us, trajs)
-        pairs in ``groups`` order, and every agent's rollout by index."""
+        pairs in ``groups`` order, and every agent's rollout by index.  Given
+        ``last``, the previous window's result, u is its controls shifted by
+        a stage: x is its stage 1, so its stages 2..H are stages 1..H-1 bit
+        for bit and only the new last stage is stepped."""
         stacks, trajs = [], {}
         for model, agents, _ in self.groups:
             us = np.array([u[i] for i in agents])
-            stack = dyn.rollout(model, [self.x[i] for i in agents], us, self.t)
+            known = None if last is None else [last.trajectories[i][2:] for i in agents]
+            stack = dyn.rollout(model, [self.x[i] for i in agents], us, self.t, known)
             stacks.append((us, stack))
             trajs.update(zip(agents, stack))
         return stacks, trajs
@@ -344,13 +350,13 @@ class Session:
         """
         t = self.t
         u = self._initial_window()
-        leader_traj = self._leader_window()
+        leader_traj = self._leader_window(self.last_window)
         msa_etas = {i: MSA_ETA0 for i in self.x}
         costs = []
         converged = False
         rounds = self.cfg.max_outer
         for r in range(self.cfg.max_outer):
-            stacks, trajs = self._rollouts(u)
+            stacks, trajs = self._rollouts(u, self.last_window if r == 0 else None)
             bundles = self._exchange(trajs, leader_traj, r)
             if one_shot:
                 costs.append(global_cost([terms for *_, terms in self.groups], trajs, u,
@@ -398,7 +404,7 @@ class Session:
             self.xl = dyn.step(self.leader_model, self.xl, np.zeros(0), t)
             self.leader_hist.append(self.xl.copy())
 
-        self.u_prev = u
+        self.last_window = window if self.mpc.warm_start else None
         self.t += 1
         self._record_errors()
         self.window_costs.append(cost_now)

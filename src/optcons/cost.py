@@ -118,46 +118,55 @@ class CostSpec:
         """
         problems = []
 
-        def sym_psd(name, key, M, strict):
-            M = np.asarray(M, dtype=float)
-            if M.shape[0] != M.shape[1]:
-                problems.append(f"{name}[{key}] is not square")
-                return M
-            drift = np.max(np.abs(M - M.T)) if M.size else 0.0
-            if drift > 1e-9:
-                problems.append(f"{name}[{key}] is asymmetric (max drift {drift:.2e})")
-            M = 0.5 * (M + M.T)
-            if M.size:
-                lo = np.linalg.eigvalsh(M).min()
-                if strict and lo <= 0.0:
-                    problems.append(f"{name}[{key}] must be positive definite "
-                                    f"(min eigenvalue {lo:.2e})")
-                elif not strict and lo < -1e-10:
-                    problems.append(f"{name}[{key}] must be positive semidefinite "
-                                    f"(min eigenvalue {lo:.2e})")
-            return M
+        def sym_psd(name, table, keys, strict):
+            """Symmetrize table[key] in place for each key; returns each key's
+            problems, from one stacked check per shape of matrix."""
+            found, shapes = {key: [] for key in keys}, {}
+            for key in keys:
+                table[key] = np.asarray(table[key], dtype=float)
+                shapes.setdefault(table[key].shape, []).append(key)
+            for (rows, cols), same in shapes.items():
+                if rows != cols:
+                    for key in same:
+                        found[key].append(f"{name}[{key}] is not square")
+                    continue
+                S = np.stack([table[k] for k in same])
+                drifts = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+                S = 0.5 * (S + S.transpose(0, 2, 1))
+                lows = np.linalg.eigvalsh(S).min(axis=1) if rows else [np.inf] * len(same)
+                for key, M, drift, lo in zip(same, S, drifts, lows):
+                    table[key] = M
+                    if drift > 1e-9:
+                        found[key].append(f"{name}[{key}] is asymmetric "
+                                          f"(max drift {drift:.2e})")
+                    if lo <= 0.0 if strict else lo < -1e-10:
+                        kind = "definite" if strict else "semidefinite"
+                        found[key].append(f"{name}[{key}] must be positive {kind} "
+                                          f"(min eigenvalue {lo:.2e})")
+            return found
 
-        for edge in list(self.Q):
-            if tuple(edge) not in topology.edges:
-                problems.append(f"Q references non-edge {tuple(edge)}")
-            self.Q[edge] = sym_psd("Q", edge, self.Q[edge], strict=False)
-        for edge in list(self.D):
-            if tuple(edge) not in topology.edges:
-                problems.append(f"D references non-edge {tuple(edge)}")
-            self.D[edge] = sym_psd("D", edge, self.D[edge], strict=False)
+        for name, table in (("Q", self.Q), ("D", self.D)):
+            found = sym_psd(name, table, list(table), strict=False)
+            for edge in found:
+                if tuple(edge) not in topology.edges:
+                    problems.append(f"{name} references non-edge {tuple(edge)}")
+                problems += found[edge]
+        found = sym_psd("R", self.R, [i for i in sorted(control_dims) if i in self.R],
+                        strict=True)
         for i in sorted(control_dims):
             if i not in self.R:
                 problems.append(f"R missing for agent {i}")
             else:
-                self.R[i] = sym_psd("R", i, self.R[i], strict=True)
+                problems += found[i]
                 want = control_dims[i]
                 if self.R[i].shape != (want, want):
                     problems.append(f"R[{i}] has shape {self.R[i].shape}, agent has m={want}")
         for name, table in (("W", self.W), ("E", self.E)):
-            for i in list(table):
+            found = sym_psd(name, table, list(table), strict=False)
+            for i in found:
                 if i not in topology.leader_links:
                     problems.append(f"{name}[{i}] given but agent {i} has no leader link")
-                table[i] = sym_psd(name, i, table[i], strict=False)
+                problems += found[i]
         for i, d in self.offsets.items():
             if np.asarray(d).shape != (state_dim,):
                 problems.append(f"offset[{i}] has shape {np.asarray(d).shape}, "

@@ -133,12 +133,14 @@ def second_order_action(model: Model, X, U, k0: int, Lam) -> np.ndarray:
     return M
 
 
-def rollout(model: Model, x0, controls, k0: int = 0) -> np.ndarray:
+def rollout(model: Model, x0, controls, k0: int = 0, known=None) -> np.ndarray:
     """Simulate H steps of a stack of K agents from x0 (K, p) under controls
     (K, H, m); returns the (K, H+1, p) state trajectories.
 
-    ``step_fn`` runs once per stage on the whole stack, its output shape
-    compared each time; finiteness is checked once for all windows.
+    ``known`` (K, s, p), s < H, gives stages 1..s when they are already
+    known (a warm window's shifted predecessor); stepping starts at stage s.
+    ``step_fn`` runs once per stepped stage on the whole stack, its output
+    shape compared each time; finiteness is checked once for all windows.
     Floating-point warnings are held back while stepping: the first stage
     with a state that is not finite is evaluated again so that its own
     warnings surface, and the error names it.
@@ -156,8 +158,11 @@ def rollout(model: Model, x0, controls, k0: int = 0) -> np.ndarray:
     f = model.step_fn
     states = np.empty((K, H + 1, p))
     states[:, 0] = x0
+    s = 0 if known is None else len(known[0])
+    if s:
+        states[:, 1:s + 1] = known
     with np.errstate(all="ignore"):
-        for t in range(H):
+        for t in range(s, H):
             out = f(states[:, t], controls[:, t], k0 + t)
             if out.shape != (K, p):
                 raise ValueError(f"{model.name}: step returned shape {out.shape}")

@@ -292,10 +292,10 @@ def _weight_table(value, keys: list, key_fmt, dim_of, where: str, problems: list
             if M is not None:
                 out[k] = M
     else:
-        for k in keys:
-            M = _weight_matrix(value, dim_of(k), where, problems)
-            if M is not None:
-                out[k] = M
+        # One matrix, and a malformed weight's one problem, per dimension.
+        by_dim = {dim: _weight_matrix(value, dim, where, problems)
+                  for dim in dict.fromkeys(map(dim_of, keys))}
+        out = {k: by_dim[dim_of(k)].copy() for k in keys if by_dim[dim_of(k)] is not None}
     return out
 
 
@@ -500,6 +500,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         links = sorted(topology.leader_links)
         edge_fmt = lambda e: f"{e[0]}-{e[1]}"
         agent_fmt = str
+        known = len(problems)
         Q = _weight_table(cost_cfg.get("Q", 0.0), edges, edge_fmt,
                           lambda e: p, "cost.Q", problems)
         D = _weight_table(cost_cfg.get("D", 0.0), edges, edge_fmt,
@@ -511,6 +512,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
                           lambda i: p, "cost.W", problems) if links else {}
         E = _weight_table(cost_cfg.get("E", 0.0), links, agent_fmt,
                           lambda i: p, "cost.E", problems) if links else {}
+        tables_ok = len(problems) == known
         offsets = {}
         for key, val in _section(cost_cfg, "offsets", problems, "cost.").items():
             idx = 0 if key == "l" else _agent_key(key, n, "cost.offsets", problems)
@@ -526,7 +528,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             offsets[idx] = vec
         cost = CostSpec(Q=Q, R=R, D=D, W=W, E=E, offsets=offsets)
         try:
-            cost.validate(topology, p, {i: m.control_dim for i, m in models.items()})
+            if tables_ok:  # else entries are missing: validate adds only follow-ons
+                cost.validate(topology, p, {i: m.control_dim for i, m in models.items()})
         except ConfigError as exc:
             problems.extend(exc.violations)
 

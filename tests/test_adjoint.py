@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, Topology, adjoint
-from optcons.cost import NeighborBundle, local_cost
+from optcons.cost import NeighborBundle, local_cost, local_errors
 from optcons import dynamics as dyn
 from optcons.errors import NumericError
 from optcons.graph import LEADER
@@ -487,3 +487,91 @@ def test_hessian_asymmetry_names_the_agent():
     lam = adjoint.costate_sweep(terms, traj, u, jac, bundles)
     with pytest.raises(NumericError, match=r"^agent 2: Hessian asymmetry"):
         adjoint.hessian(terms, broken, traj, u, jac, lam, k0=k0)
+
+
+# The costate and the forward sensitivities are banded triangular solves
+# (one dtbtrs per stack).  The references below are the stage loops they
+# replace; for p <= 3 the band's dot products and axpys add the same
+# products in the same order, so the two agree bit for bit.
+
+def stage_loop_costate(terms, trajs, us, jac, bundles):
+    A, _ = jac
+    K, H, p = trajs.shape[0], us.shape[1], trajs.shape[2]
+    E = local_errors(terms, trajs, us, bundles)
+    stage_src, lam = np.zeros((K, H + 1, p)), np.zeros((K, H + 1, p))
+    np.add.at(stage_src, terms.rows, E @ terms.Q)
+    np.add.at(lam[:, H], terms.rows, (terms.D @ E[:, H, :, None])[..., 0])
+    for t in range(H - 1, -1, -1):
+        lam[:, t] = stage_src[:, t] + (lam[:, t + 1, None] @ A[:, t])[:, 0]
+    return lam
+
+
+def stage_loop_hessian(terms, model, trajs, us, jac, lam, k0):
+    K, H, m = us.shape
+    p, n = trajs.shape[2], H * m
+    A, B = jac
+    M = dyn.second_order_action(model, trajs[:, :H], us, k0, lam[:, 1:])
+    Mxx, Mxu, Mux, Muu = M[..., :p, :p], M[..., :p, p:], M[..., p:, :p], M[..., p:, p:]
+    dxs = np.zeros((K, H + 1, p, n))
+    for t in range(H):
+        np.matmul(A[:, t], dxs[:, t], out=dxs[:, t + 1])
+        dxs[:, t + 1, :, t * m:(t + 1) * m] += B[:, t]
+    W = np.concatenate([terms.C_stage[:, None] + Mxx[:, 1:], terms.C_term[:, None]],
+                       axis=1)
+    S = dxs[:, 1:].reshape(K, H * p, n)
+    Hs = S.transpose(0, 2, 1) @ (W @ dxs[:, 1:]).reshape(K, H * p, n)
+    Hs += (Mux @ dxs[:, :H]).reshape(K, n, n)
+    Hs += (Mxu.transpose(0, 1, 3, 2) @ dxs[:, :H]).reshape(K, n, n).transpose(0, 2, 1)
+    diag = Hs.reshape(K, H, m, H, m)
+    rows, idx = np.arange(K)[:, None], np.arange(H)
+    diag[rows, idx, :, idx, :] += terms.R[:, None] + Muu
+    return 0.5 * (Hs + Hs.transpose(0, 2, 1))
+
+
+def banded_case(K, H, p, m, seed):
+    """K agents of a linear model, each with two neighbours, and random
+    windows with their own (A, B) on every row and stage."""
+    rng = np.random.default_rng(seed)
+    agents = list(range(1, K + 1))
+    edges = [(i, j) for i in agents for j in (K + 1, K + 2)]
+    spec = CostSpec(Q={e: random_psd(rng, p, scale=2.0) for e in edges},
+                    R={i: random_spd(rng, m, floor=0.2) for i in agents},
+                    D={e: random_psd(rng, p) for e in edges})
+    model = dyn.linear(rng.normal(size=(p, p)), rng.normal(size=(p, m)))
+    others = {j: rng.normal(size=(H + 1, p)) for j in (K + 1, K + 2)}
+    trajs = rng.normal(size=(K, H + 1, p))
+    us = rng.normal(size=(K, H, m))
+    jac = (0.5 * rng.normal(size=(K, H, p, p)), rng.normal(size=(K, H, p, m)))
+    return (spec.group_terms(agents, p), model, trajs, us, jac,
+            [NeighborBundle(others)] * K)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("H", [1, 2, 8, 64])
+@pytest.mark.parametrize("K", [1, 3])
+def test_banded_kernels_equal_stage_loops(K, H, p, m):
+    terms, model, trajs, us, jac, bundles = banded_case(K, H, p, m, seed=K + H + p + m)
+    lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
+    np.testing.assert_array_equal(lam, stage_loop_costate(terms, trajs, us, jac, bundles))
+    np.testing.assert_array_equal(
+        adjoint.hessian(terms, model, trajs, us, jac, lam, k0=3),
+        stage_loop_hessian(terms, model, trajs, us, jac, lam, k0=3))
+
+
+@pytest.mark.parametrize("t", [0, 7])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_nan_in_one_row_stays_in_that_row(row, t):
+    """The rows of the stacked band meet only at its zero entries; a nan in
+    one row's A does not cross them into the neighbouring rows."""
+    terms, model, trajs, us, (A, B), bundles = banded_case(3, 8, 2, 1, seed=5)
+    lam_ok = adjoint.costate_sweep(terms, trajs, us, (A, B), bundles)
+    A = A.copy()
+    A[row, t, 1, 0] = np.nan
+    lam = adjoint.costate_sweep(terms, trajs, us, (A, B), bundles)
+    Hs = adjoint.hessian(terms, model, trajs, us, (A, B), lam_ok, k0=0)
+    want = stage_loop_hessian(terms, model, trajs, us, (A, B), lam_ok, k0=0)
+    others = [a for a in range(3) if a != row]
+    np.testing.assert_array_equal(lam[others], lam_ok[others])
+    np.testing.assert_array_equal(Hs[others], want[others])
+    assert np.isnan(lam[row]).any() and np.isnan(Hs[row]).any()

@@ -234,11 +234,15 @@ def test_exchange_lists_each_agents_senders_once(monkeypatch):
     assert all(order == want for order in rounds.values())
 
 
-def leader_follower_session(overrides=()):
-    spec = scenarios.load_preset("leader_follower", overrides=list(overrides))
-    return spec, Session(spec.topology, spec.models, spec.cost, spec.solver,
+def preset_session(name, overrides=(), models=None):
+    spec = scenarios.load_preset(name, overrides=list(overrides))
+    return spec, Session(spec.topology, models or spec.models, spec.cost, spec.solver,
                          spec.mpc, spec.initial_states,
                          leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+
+
+def leader_follower_session(overrides=()):
+    return preset_session("leader_follower", overrides)
 
 
 def test_one_linearization_per_update(monkeypatch):
@@ -362,7 +366,7 @@ def test_round_update_is_first_iterate_of_solve_local(method):
     for i, problem in problems.items():
         res = solve_local(problem, u0[i], spec.solver)
         assert len(res.history) == 2
-        np.testing.assert_array_equal(session.u_prev[i].reshape(-1), res.history[1])
+        np.testing.assert_array_equal(session.last_window.controls[i].reshape(-1), res.history[1])
 
 
 def test_message_drops_deterministic_and_stale_reuse():
@@ -555,3 +559,78 @@ def test_numeric_failure_names_the_agent_and_round(monkeypatch):
     with pytest.raises(NumericError, match=r"^agent 2, round 0: G \+ H is not "
                                            r"positive definite: 1-th leading minor"):
         session.step()
+
+
+def spy_known_stages(monkeypatch):
+    """Each dyn.rollout call's ``known`` stages (None for a full rollout)."""
+    rollout, calls = dyn.rollout, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[4] if len(args) > 4 else kwargs.get("known"))
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "rollout", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["formation", "leader_follower"])
+def test_warm_round_zero_rollouts_equal_fresh_ones(monkeypatch, name):
+    # A warm window's round 0 continues the last window's final rollouts,
+    # shifted by one stage plus one new stage, and so does the leader's
+    # window; both equal full rollouts from the current states bit for bit.
+    spec, session = preset_session(name)
+    rollout, H = dyn.rollout, spec.mpc.N_p
+    calls = spy_known_stages(monkeypatch)
+    seen, exchange = [], session._exchange
+
+    def round_zero(trajs, leader_traj, r):
+        if r == 0:
+            seen.append((trajs, leader_traj))
+        return exchange(trajs, leader_traj, r)
+
+    monkeypatch.setattr(session, "_exchange", round_zero)
+    for step in range(3):
+        u0, x, xl, t = session._initial_window(), dict(session.x), session.xl, session.t
+        calls.clear()
+        session.step()
+        shifted = [k for k in calls if k is not None]
+        assert len(shifted) == (0 if step == 0 else len(session.groups) + 1)
+        assert all(np.shape(k)[1] == H - 1 for k in shifted)
+        trajs, leader_traj = seen[-1]
+        for i, traj in trajs.items():
+            np.testing.assert_array_equal(
+                traj, rollout(spec.models[i], [x[i]], u0[i][None], t)[0])
+        np.testing.assert_array_equal(
+            leader_traj, rollout(spec.leader_model, [xl], np.zeros((1, H, 0)), t)[0])
+
+
+def test_cold_windows_take_full_rollouts(monkeypatch):
+    spec, session = leader_follower_session(["mpc.warm_start=false"])
+    calls = spy_known_stages(monkeypatch)
+    for _ in range(2):
+        session.step()
+    assert calls and all(k is None for k in calls)
+
+
+def test_non_finite_new_stage_fails_like_a_fresh_rollout():
+    # The model blows up from k = N_p on: the first window never steps
+    # there, and the second fails at its new last stage with the message a
+    # full rollout of the same window gives.
+    spec = scenarios.load_preset("leader_follower")
+    H, model = spec.mpc.N_p, spec.models[1]
+
+    def blows_up(x, u, k):
+        out = model.step_fn(x, u, k)
+        return np.full_like(out, np.inf) if k >= H else out
+
+    broken = replace(model, step_fn=blows_up)
+    _, session = preset_session("leader_follower", models={i: broken for i in spec.models})
+    session.step()
+    u0 = session._initial_window()
+    with pytest.raises(NumericError) as fresh:
+        dyn.rollout(broken, [session.x[1]], u0[1][None], session.t)
+    with pytest.raises(NumericError) as warm:
+        session.step()
+    assert str(warm.value) == str(fresh.value)
+    assert str(warm.value) == (f"rollout failed at step {H - 1}: {model.name}: "
+                               f"non-finite state at k={session.t + H - 1}")

@@ -149,6 +149,35 @@ def test_validate_rejects_dangling_edge_and_collects_all():
     assert "R missing for agent 2" in text  # both violations reported
 
 
+def test_validate_keeps_problem_order_with_one_eigvalsh_per_shape(monkeypatch):
+    # Each entry's cross-reference problem comes before its own; the
+    # eigenvalues come from one eigvalsh per table and matrix shape.
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return eigvalsh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    top = mutual_pair_topology()
+    spec = CostSpec(Q={(1, 2): np.array([[1.0, 0.5], [0.0, 1.0]]), (2, 1): -np.eye(2),
+                       (1, 5): np.eye(2)},
+                    R={1: np.zeros((1, 1)), 2: np.eye(2)}, W={1: -np.eye(2)})
+    with pytest.raises(ConfigError) as err:
+        spec.validate(top, 2, {1: 1, 2: 1})
+    assert err.value.violations == [
+        "Q[(1, 2)] is asymmetric (max drift 5.00e-01)",
+        "Q[(2, 1)] must be positive semidefinite (min eigenvalue -1.00e+00)",
+        "Q references non-edge (1, 5)",
+        "R[1] must be positive definite (min eigenvalue 0.00e+00)",
+        "R[2] has shape (2, 2), agent has m=1",
+        "W[1] given but agent 1 has no leader link",
+        "W[1] must be positive semidefinite (min eigenvalue -1.00e+00)",
+    ]
+    assert shapes == [(3, 2, 2), (1, 1, 1), (1, 2, 2), (1, 2, 2)]
+
+
 def test_tiny_symmetrization_applied_silently():
     top = mutual_pair_topology()
     nearly = np.eye(2)

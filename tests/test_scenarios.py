@@ -243,6 +243,18 @@ def test_malformed_override_message(override, message):
     assert err.value.violations == [message]
 
 
+@pytest.mark.parametrize("override, message", [
+    ("cost.Q=[[1,2]]", "cost.Q: expected a scalar or 3x3 matrix, got shape (1, 2)"),
+    ('cost.R="x"', "cost.R: expected a number or a matrix, got 'x'"),
+])
+def test_malformed_weight_reported_once(override, message):
+    # Once per distinct dimension, not per edge or agent, and without the
+    # validation follow-ons of the entries it leaves out.
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("formation", overrides=[override])
+    assert err.value.violations == [message]
+
+
 def test_null_section_takes_the_defaults():
     spec = scenarios.load_preset("leader_follower", overrides=["solver=null"])
     assert spec.solver == SolverConfig()
