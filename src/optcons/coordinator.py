@@ -97,23 +97,58 @@ class FiniteHorizonResult:
     global_costs: list
 
 
+@dataclass(frozen=True)
+class EdgeTable:
+    """The pairs whose deviations the consensus error measures, from
+    ``edge_table``: the sorted edges (receiver i, sender j), then, with a
+    leader, the sorted leader links with sender 0.  ``offsets`` (n+1, p)
+    holds every node's offset, row 0 the leader's and zero where none is
+    given; ``mask`` the state components that the norms read (None: all)."""
+
+    pairs: tuple
+    receivers: np.ndarray
+    senders: np.ndarray
+    offsets: np.ndarray
+    mask: np.ndarray | None
+
+
+def edge_table(topology: Topology, p: int, offsets: dict | None = None, mask=None,
+               leader: bool = False) -> EdgeTable:
+    """The ``EdgeTable`` of a topology; leader links only with ``leader``."""
+    edges = sorted(topology.edges)
+    links = sorted(topology.leader_links) if leader else []
+    D = np.zeros((topology.n + 1, p))
+    for idx, d in (offsets or {}).items():
+        if 0 <= idx <= topology.n:
+            D[idx] = d
+    return EdgeTable(
+        pairs=tuple(f"{i}-{j}" for i, j in edges) + tuple(f"{i}-l" for i in links),
+        receivers=np.array([i for i, _ in edges] + links, dtype=np.intp),
+        senders=np.array([j for _, j in edges] + [LEADER] * len(links), dtype=np.intp),
+        offsets=D, mask=None if mask is None else np.arange(p)[list(mask)])
+
+
+def edge_errors(table: EdgeTable, states: dict, leader=None) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations (..., E, p) and their masked norms (..., E) of the table's
+    pairs, from the agents' states (``states[i]`` (p,), or (T, p) for T
+    steps at once) and the leader's (None without one): the offset-corrected
+    z_i - z_j, z = x - d, and per pair the square root of one dot product,
+    bit for bit ``np.linalg.norm`` of the masked vector."""
+    agents = [states[i] for i in range(1, len(table.offsets))]
+    nodes = [np.zeros_like(agents[0]) if leader is None else leader] + agents
+    Z = np.array(nodes, dtype=float).swapaxes(0, -2) - table.offsets
+    dev = Z[..., table.receivers, :] - Z[..., table.senders, :]
+    M = dev if table.mask is None else dev[..., table.mask]
+    return dev, np.sqrt((M[..., None, :] @ M[..., :, None])[..., 0, 0])
+
+
 def deviations(states: dict, topology: Topology, offsets: dict | None = None,
                leader_state=None) -> dict:
     """Offset-corrected deviation z_i - z_j, z = x - d, per directed edge
     ("i-j") and, given the leader's state, per leader link ("i-l")."""
-    offsets = offsets or {}
-
-    def z(idx, x):
-        d = offsets.get(idx)
-        return np.asarray(x, dtype=float) if d is None else np.asarray(x, dtype=float) - d
-
-    out = {f"{i}-{j}": z(i, states[i]) - z(j, states[j])
-           for (i, j) in sorted(topology.edges)}
-    if leader_state is not None:
-        zl = z(LEADER, leader_state)
-        for i in sorted(topology.leader_links):
-            out[f"{i}-l"] = z(i, states[i]) - zl
-    return out
+    table = edge_table(topology, np.shape(states[1])[-1], offsets,
+                       leader=leader_state is not None)
+    return dict(zip(table.pairs, edge_errors(table, states, leader_state)[0]))
 
 
 def consensus_error(states: dict, topology: Topology, offsets: dict | None = None,
@@ -121,8 +156,9 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     """Norms of the ``deviations``: ({"i-j": error, ..., "i-l": error, ...},
     max over entries); ``mask`` restricts the norm to the given state
     components."""
-    errors = {pair: float(np.linalg.norm(dev if mask is None else dev[list(mask)]))
-              for pair, dev in deviations(states, topology, offsets, leader_state).items()}
+    table = edge_table(topology, np.shape(states[1])[-1], offsets, mask,
+                       leader=leader_state is not None)
+    errors = dict(zip(table.pairs, edge_errors(table, states, leader_state)[1].tolist()))
     return errors, (max(errors.values()) if errors else 0.0)
 
 
@@ -232,6 +268,8 @@ class Session:
         self.x = {i: np.asarray(initial_states[i], dtype=float).copy()
                   for i in range(1, topology.n + 1)}
         self.order = sorted(self.x)
+        self.error_table = edge_table(topology, self.p, spec.offsets, error_mask,
+                                      leader=self.leader_mode)
         self.neighbors = {i: neighbors(topology, i) for i in self.order}
         self.leader_model = leader_model if self.leader_mode else None
         self.xl = (np.asarray(leader_x0, dtype=float).copy()
@@ -253,9 +291,8 @@ class Session:
     # -- internal helpers ---------------------------------------------------
 
     def _record_errors(self):
-        _, mx = consensus_error(self.x, self.topology, self.spec.offsets,
-                                mask=self.error_mask, leader_state=self.xl)
-        self.max_errors.append(mx)
+        _, norms = edge_errors(self.error_table, self.x, self.xl)
+        self.max_errors.append(max(norms.tolist(), default=0.0))
 
     def _initial_window(self):
         H = self.mpc.N_p
@@ -422,7 +459,7 @@ class Session:
     def result(self) -> RunResult:
         return RunResult(
             states={i: np.array(h) for i, h in self.state_hist.items()},
-            controls={i: np.array(h).reshape(len(h), -1)
+            controls={i: np.array(h).reshape(len(h), self.models[i].control_dim)
                       for i, h in self.control_hist.items()},
             leader_states=None if self.leader_hist is None else np.array(self.leader_hist),
             max_errors=np.array(self.max_errors),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .graph import LEADER, Topology, neighbors
+from .graph import LEADER, Topology
 
 
 def _as_weight(value, dim: int) -> np.ndarray:
@@ -49,6 +49,8 @@ class CostSpec:
     W: dict = field(default_factory=dict)
     E: dict = field(default_factory=dict)
     offsets: dict = field(default_factory=dict)
+    # The arguments and table snapshot of the last validate call that passed.
+    _validated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def uniform(cls, topology: Topology, p: int, q, r, d=0.0, w=0.0, e=0.0,
@@ -114,8 +116,13 @@ class CostSpec:
         """Check PSD/PD-ness, symmetry, and cross references; symmetrize in place.
 
         R is checked for the agents that ``control_dims`` maps to their
-        control dimension.
+        control dimension.  A call whose arguments and tables (keys, types
+        and bytes) equal those that the last passing call left behind
+        returns at once.
         """
+        if (self._validated is not None
+                and self._snapshot(topology, state_dim, control_dims) == self._validated):
+            return
         problems = []
 
         def sym_psd(name, table, keys, strict):
@@ -173,6 +180,19 @@ class CostSpec:
                                 f"expected ({state_dim},)")
         if problems:
             raise ConfigError(problems)
+        self._validated = self._snapshot(topology, state_dim, control_dims)
+
+    def _snapshot(self, topology, state_dim, control_dims):
+        """validate's arguments and every table's entries as (key, type,
+        dtype, shape, bytes)."""
+        tables = []
+        for table in (self.Q, self.R, self.D, self.W, self.E, self.offsets):
+            entries = []
+            for k, value in table.items():
+                arr = np.asarray(value)
+                entries.append((k, type(value), arr.dtype.str, arr.shape, arr.tobytes()))
+            tables.append(tuple(entries))
+        return topology, state_dim, tuple(sorted(control_dims.items())), tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -241,16 +261,21 @@ def local_errors(terms: GroupTerms, trajs, us, bundles) -> np.ndarray:
 def local_costs(terms: GroupTerms, trajs, us, bundles) -> list:
     """Each row's slice of the consensus cost, neighbors frozen: trajs
     (K, H+1, p), windows us (K, H, m); every bundle must carry the
-    trajectories that its row's terms name."""
+    trajectories that its row's terms name.  Every term's stage and
+    terminal forms, and every row's control form, are one stacked product
+    each; a row's total adds its terms' values in term order."""
     H = us.shape[1]
+    E = local_errors(terms, trajs, us, bundles)
+    stage = np.einsum("ktp,kpq,ktq->k", E[:, :H], terms.Q, E[:, :H]).tolist()
+    final = ((E[:, H, None, :] @ terms.D) @ E[:, H, :, None])[:, 0, 0].tolist()
+    control = np.einsum("ktp,kpq,ktq->k", us, terms.R, us).tolist()
     totals = [0.0] * len(terms.agents)
-    for a, e, Q, D in zip(terms.rows, local_errors(terms, trajs, us, bundles),
-                          terms.Q, terms.D):
-        totals[a] += float(np.einsum("tp,pq,tq->", e[:H], Q, e[:H]))
-        totals[a] += float(e[H] @ D @ e[H])
+    for a, s, f in zip(terms.rows.tolist(), stage, final):
+        totals[a] += s
+        totals[a] += f
     values = []
-    for total, u, R in zip(totals, us, terms.R):
-        value = 0.5 * (total + float(np.einsum("tp,pq,tq->", u, R, u)))
+    for total, c in zip(totals, control):
+        value = 0.5 * (total + c)
         if value < -1e-12:
             raise AssertionError(f"negative cost {value} with PSD weights")
         values.append(max(value, 0.0))
@@ -267,11 +292,12 @@ def local_cost(i: int, traj_i, u_i, nb: NeighborBundle, spec: CostSpec) -> float
 def global_cost(tables, trajectories: dict, controls: dict, topology: Topology,
                 leader_traj=None) -> float:
     """Sum of all agents' local slices, each directed edge counted once;
-    ``tables`` holds cost-term tables whose rows cover agents 1..n once."""
+    ``tables`` holds cost-term tables whose rows cover agents 1..n once.
+    Each row's bundle carries its terms' senders, the leader as sender 0."""
     costs = {}
     for terms in tables:
-        bundles = [NeighborBundle({j: trajectories[j] for j in neighbors(topology, i)},
-                                  leader=leader_traj) for i in terms.agents]
+        bundles = [NeighborBundle({j: trajectories[j] for j in senders if j != LEADER},
+                                  leader=leader_traj) for senders in terms.senders]
         costs.update(zip(terms.agents, local_costs(
             terms, np.array([trajectories[i] for i in terms.agents], dtype=float),
             np.array([controls[i] for i in terms.agents], dtype=float), bundles)))

@@ -23,8 +23,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import dynamics as dyn
-from .coordinator import (FiniteHorizonResult, MpcConfig, Session,
-                          consensus_error, deviations, run_algorithm1)
+from .coordinator import (FiniteHorizonResult, MpcConfig, Session, edge_errors,
+                          edge_table, run_algorithm1)
 from .cost import CostSpec
 from .errors import ConfigError
 from .graph import Topology
@@ -697,19 +697,20 @@ def _trajectory_rows(states: dict, controls: dict, leader):
 
 
 def _error_rows(states: dict, leader, spec: ScenarioSpec):
-    """Long-format error rows: masked norm plus per-component deviations."""
+    """Long-format error rows: masked norm plus per-component deviations,
+    every time step's from one stacked ``edge_errors`` call."""
     steps, p = states[1].shape
     header = ["t", "pair", "error"] + [f"e{c}" for c in range(p)]
+    table = edge_table(spec.topology, p, spec.cost.offsets, spec.error_mask,
+                       leader=leader is not None)
+    devs, errs = edge_errors(table, states, leader)
+    devs, errs = np.abs(devs).tolist(), errs.tolist()
+    order = sorted(range(len(table.pairs)), key=table.pairs.__getitem__)
     rows = []
     for t in range(steps):
-        states_t = {i: x[t] for i, x in sorted(states.items())}
-        leader_state = None if leader is None else leader[t]
-        errs, _ = consensus_error(states_t, spec.topology, spec.cost.offsets,
-                                  mask=spec.error_mask, leader_state=leader_state)
-        devs = deviations(states_t, spec.topology, spec.cost.offsets, leader_state)
-        for pair in sorted(errs):
-            rows.append([str(t), pair, _fmt(errs[pair])]
-                        + [_fmt(v) for v in np.abs(devs[pair])])
+        for e in order:
+            rows.append([str(t), table.pairs[e], _fmt(errs[t][e])]
+                        + [_fmt(v) for v in devs[t][e]])
     return header, rows
 
 

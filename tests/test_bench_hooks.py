@@ -43,3 +43,23 @@ def test_traced_session_step_calls_every_published_span(monkeypatch):
     assert not missing
     assert calls["dynamics.linearize"] == calls["adjoint.costate_sweep"]
     assert calls["dynamics.second_order_action"] == calls["adjoint.hessian"]
+
+
+def test_traced_leaderless_run_calls_every_published_span(monkeypatch, tmp_path):
+    # The leaderless path, from loading to the artifacts, with the rounds
+    # capped so that window 0's cold start stays short: every published
+    # span must be called, the per-agent dynamics.step of Session.step and
+    # the window cost's cost.global_cost among them.
+    tracer_mod = load_tracer(monkeypatch)
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        spec = scenarios.load_preset("agv_rendezvous",
+                                     ["solver.max_outer=3", "mpc.T=2"])
+        result = scenarios.run_scenario(spec)
+        scenarios.emit_results(result, spec, str(tmp_path))
+    assert spec.leader_model is None and list(result.rounds) == [3, 3]
+    calls = {span: tracer.stats[span][0] for span in tracer_mod.PUBLISHED_SPANS}
+    assert [span for span, n in calls.items() if n == 0] == []
+    assert calls["cost.global_cost"] == 2
+    assert calls["dynamics.linearize"] == calls["adjoint.costate_sweep"]
+    assert calls["dynamics.second_order_action"] == calls["adjoint.hessian"]

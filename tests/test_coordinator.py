@@ -418,6 +418,20 @@ def test_stepwise_session_api():
     assert full.states[1].shape == (5, 1)
 
 
+@pytest.mark.parametrize("name, m", [("leader_follower", 1), ("agv_rendezvous", 2)])
+def test_result_before_any_step(name, m):
+    # A fresh session's result holds the initial states and no controls,
+    # each agent's shaped (0, m).
+    spec, session = preset_session(name)
+    res = session.result()
+    for i in session.order:
+        assert res.controls[i].shape == (0, m)
+        np.testing.assert_array_equal(res.states[i], [spec.initial_states[i]])
+    assert (res.leader_states is None) == (spec.leader_model is None)
+    assert res.max_errors.shape == (1,) and res.window_costs.shape == (0,)
+    assert res.rounds.shape == (0,) and res.converged.shape == (0,)
+
+
 def test_formation_offsets_reach_shape():
     spec = scenarios.load_preset("formation", overrides=["mpc.T=60"])
     res = scenarios.run_scenario(spec)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from optcons import CostSpec, Topology, global_cost, local_cost
+from optcons import CostSpec, Topology, global_cost, local_cost, scenarios
+from optcons.coordinator import Session
 from optcons.cost import NeighborBundle
 from optcons.errors import ConfigError
 
@@ -176,6 +177,46 @@ def test_validate_keeps_problem_order_with_one_eigvalsh_per_shape(monkeypatch):
         "W[1] must be positive semidefinite (min eigenvalue -1.00e+00)",
     ]
     assert shapes == [(3, 2, 2), (1, 1, 1), (1, 2, 2), (1, 2, 2)]
+
+
+def test_validate_repeats_only_on_changed_tables(monkeypatch):
+    # A passing call is remembered with its arguments and a snapshot of the
+    # symmetrized tables: the same call again runs no check, while new
+    # arguments or a changed entry run the full check.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return eigvalsh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    top = mutual_pair_topology()
+    nearly = np.eye(2)
+    nearly[0, 1] = 1e-12
+    spec = CostSpec(Q={(1, 2): nearly, (2, 1): np.eye(2)}, R={1: np.eye(1), 2: np.eye(1)})
+    spec.validate(top, 2, {1: 1, 2: 1})
+    first = len(calls)
+    assert first > 0
+    spec.validate(top, 2, {1: 1, 2: 1})
+    assert len(calls) == first
+    with pytest.raises(ConfigError, match="R\\[2\\] has shape"):
+        spec.validate(top, 2, {1: 1, 2: 2})
+    spec.Q[(2, 1)] = 2.0 * np.eye(2)
+    spec.validate(top, 2, {1: 1, 2: 1})
+    assert len(calls) > first
+    spec.Q[(2, 1)][0, 0] = -1.0      # mutated in place
+    with pytest.raises(ConfigError, match="must be positive semidefinite"):
+        spec.validate(top, 2, {1: 1, 2: 1})
+
+
+def test_session_rechecks_a_weight_mutated_after_loading():
+    spec = scenarios.load_preset("formation")
+    spec.cost.Q[min(spec.topology.edges)][0, 0] = -5.0
+    with pytest.raises(ConfigError, match="must be positive semidefinite"):
+        Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
+                spec.initial_states, leader_model=spec.leader_model,
+                leader_x0=spec.leader_x0)
 
 
 def test_tiny_symmetrization_applied_silently():
