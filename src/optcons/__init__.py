@@ -15,8 +15,8 @@ from .cost import CostSpec, GroupTerms, NeighborBundle, local_cost, global_cost
 from .adjoint import (linearize_window, costate_sweep, gradient, hessian,
                       fd_gradient, fd_hessian)
 from .solver import SolverConfig, LocalProblem, ocp_direction, contraction_factor
-from .coordinator import (MpcConfig, RoundMessage, RunResult, Session, SolveResult,
-                          consensus_error, solve_local, run_algorithm1)
+from .coordinator import (MpcConfig, RunResult, Session, SolveResult, consensus_error,
+                          solve_local, run_algorithm1)
 from .scenarios import (ScenarioSpec, RunArtifacts, load_scenario, load_preset,
                         list_presets, run_scenario, emit_results)
 

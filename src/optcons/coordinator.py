@@ -13,15 +13,16 @@ window; only the stop rule differs (gradient norms tested before the
 round's updates are applied, instead of step norms after).  ``solve_local``
 iterates the same update on one frozen-neighbor window.
 
-All cross-agent data flows through immutable RoundMessage snapshots
-collected at a barrier, and every update reads only its round's snapshot,
-so the order in which agents are solved does not change any result, and
-agents that share one Model object (a model group) are rolled out, swept
-and given their Hessians as one stack.
-Message-drop injection (for the disturbance experiments) draws its
-Bernoulli stream in a fixed receiver/sender order from a dedicated
-generator, keeping runs reproducible and schedule-independent; a dropped
-message makes the receiver reuse the sender's last delivered trajectory.
+All cross-agent data flows through read-only copies of the round's
+broadcasts, taken at a barrier, and every update reads only its round's
+copies, so the order in which agents are solved does not change any
+result, and agents that share one Model object (a model group) are rolled
+out, swept and given their Hessians as one stack.
+Message-drop injection (for the disturbance experiments) draws one
+Bernoulli number per (receiver, sender) pair of the session's delivery
+list, in its fixed order, from a dedicated generator, keeping runs
+reproducible and schedule-independent; a dropped message makes the
+receiver reuse the sender's last delivered trajectory.
 """
 
 from __future__ import annotations
@@ -38,19 +39,6 @@ from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
 from .solver import (MSA_ETA0, REG_FLOOR, SolverConfig, LocalProblem,
                      backtrack_step, ocp_direction, regularize, sweep)
-
-
-@dataclass(frozen=True)
-class RoundMessage:
-    """One trajectory broadcast: immutable once emitted."""
-
-    sender: int
-    r: int
-    t_k: int
-    payload: np.ndarray
-
-    def __post_init__(self):
-        self.payload.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -237,15 +225,13 @@ class Session:
     def __init__(self, topology: Topology, models: dict, spec: CostSpec,
                  solver_cfg: SolverConfig, mpc_cfg: MpcConfig, initial_states: dict,
                  leader_model: dyn.Model | None = None, leader_x0=None,
-                 seed: int = 0, error_mask=None, record_messages: bool = False):
+                 seed: int = 0, error_mask=None):
         self.topology = topology
         self.models = models
         self.spec = spec
         self.cfg = solver_cfg
         self.mpc = mpc_cfg
         self.error_mask = error_mask
-        self.record_messages = record_messages
-        self.message_log = []
 
         self.leader_mode = bool(topology.leader_links)
         if self.leader_mode:
@@ -258,10 +244,23 @@ class Session:
         agents = set(range(1, topology.n + 1))
         if set(initial_states) != agents or not agents <= set(models):
             raise ConfigError("models and initial states must cover agents 1..n")
-        dims = {np.asarray(initial_states[i]).shape for i in agents}
-        if len(dims) != 1:
-            raise ConfigError(f"agents must share one state dimension, got {dims}")
-        self.p = dims.pop()[0]
+        shapes = {np.shape(initial_states[i]) for i in agents}
+        if len(shapes) != 1 or len(*shapes) != 1:
+            raise ConfigError(f"initial states must be vectors of one length, "
+                              f"got shapes {sorted(shapes)}")
+        [(self.p,)] = shapes
+        problems = [f"agent {i}: model state_dim {models[i].state_dim} != {self.p}"
+                    for i in sorted(agents) if models[i].state_dim != self.p]
+        if self.leader_mode:
+            if (leader_model.state_dim, leader_model.control_dim) != (self.p, 0):
+                problems.append(f"leader model must be autonomous (control_dim 0) with "
+                                f"state_dim {self.p}, got {leader_model.name} with "
+                                f"{leader_model.state_dim}, {leader_model.control_dim}")
+            if np.shape(leader_x0) != (self.p,):
+                problems.append(f"leader x0 has shape {np.shape(leader_x0)}, "
+                                f"expected ({self.p},)")
+        if problems:
+            raise ConfigError(problems)
         control_dims = {i: models[i].control_dim for i in agents}
         spec.validate(topology, self.p, control_dims)
 
@@ -270,13 +269,17 @@ class Session:
         self.order = sorted(self.x)
         self.error_table = edge_table(topology, self.p, spec.offsets, error_mask,
                                       leader=self.leader_mode)
-        self.neighbors = {i: neighbors(topology, i) for i in self.order}
+        # Every (receiver, sender) pair, in the order the drop stream is
+        # drawn: receivers ascending, each one's senders ascending, the
+        # leader last.
+        self.links = [(i, j) for i in self.order for j in
+                      neighbors(topology, i) + [LEADER] * (i in topology.leader_links)]
+        self.held = {}  # each pair's last delivered payload
         self.leader_model = leader_model if self.leader_mode else None
         self.xl = (np.asarray(leader_x0, dtype=float).copy()
                    if self.leader_mode else None)
         self.t = 0
         self.last_window = None  # the previous window's result, kept to warm-start
-        self.stale = {}
         self.rng = np.random.default_rng(seed)
 
         self.state_hist = {i: [self.x[i].copy()] for i in self.x}
@@ -306,38 +309,32 @@ class Session:
         return {i: np.zeros((H, self.models[i].control_dim)) for i in self.x}
 
     def _exchange(self, trajs, leader_traj, r):
-        """Barrier exchange with optional message dropping; returns bundles.
+        """Barrier exchange with optional message dropping; returns each
+        agent's ``NeighborBundle``.
 
-        Broadcasts are snapshotted into immutable RoundMessages first; drop
-        decisions are drawn here, in fixed receiver/sender order, so they
-        are independent of how the solves are scheduled afterwards.  A
-        dropped message falls back to the sender's last delivered one (or
-        is delivered anyway when nothing stale exists yet).
+        Each broadcast becomes one read-only copy, shared by its receivers.
+        With drops, one number per pair of ``links`` is drawn here, in that
+        order, so the drops are independent of how the solves are scheduled
+        afterwards.  A dropped message falls back to the pair's last
+        delivered payload, the same array object (or is delivered anyway
+        when nothing was delivered yet).  ``r`` is unused; it stays because
+        the benchmark's tracer (perfbench/tracer.py) binds this signature.
         """
-        msgs = {j: RoundMessage(j, r, self.t, trajs[j].copy()) for j in trajs}
+        sent = {j: traj.copy() for j, traj in trajs.items()}
         if leader_traj is not None:
-            msgs[LEADER] = RoundMessage(LEADER, r, self.t, leader_traj.copy())
+            sent[LEADER] = leader_traj.copy()
+        for payload in sent.values():
+            payload.setflags(write=False)
         drop_p = self.mpc.drop_probability
-
-        def deliver(i, j):
-            dropped = drop_p > 0.0 and self.rng.random() < drop_p
-            if dropped and (i, j) in self.stale:
-                msg = self.stale[(i, j)]
-            else:
-                msg = msgs[j]
-                self.stale[(i, j)] = msg
-            if self.record_messages:
-                self.message_log.append((self.t, r, i, msg.sender))
-            return msg.payload
-
-        bundles = {}
-        for i, senders in self.neighbors.items():
-            received = {j: deliver(i, j) for j in senders}
-            leader_payload = None
-            if self.leader_mode and i in self.topology.leader_links:
-                leader_payload = deliver(i, LEADER)
-            bundles[i] = NeighborBundle(received, leader=leader_payload)
-        return bundles
+        dropped = ((self.rng.random(len(self.links)) < drop_p).tolist() if drop_p > 0.0
+                   else [False] * len(self.links))
+        received = {i: {} for i in self.order}
+        for (i, j), drop in zip(self.links, dropped):
+            if not (drop and (i, j) in self.held):
+                self.held[(i, j)] = sent[j]
+            received[i][j] = self.held[(i, j)]
+        return {i: NeighborBundle(got, leader=got.pop(LEADER, None))
+                for i, got in received.items()}
 
     def _leader_window(self, last=None):
         """The autonomous leader's predicted trajectory over the current

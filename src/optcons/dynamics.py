@@ -219,23 +219,34 @@ def unicycle(delta: float = 0.05) -> Model:
     return Model(3, 2, f, jac, so, name=f"unicycle(d={delta})")
 
 
-def unicycle_drift(delta: float = 0.05, v: float = 0.5, omega: float = 0.0) -> Model:
-    """Autonomous unicycle moving at fixed speed and turn rate (leader use)."""
-    base = unicycle(delta)
-    uc = np.array([v, omega])
+def _autonomous(base: Model, control: Callable, name: str) -> Model:
+    """The autonomous model (control_dim 0) that drives ``base`` with the
+    input ``control(k)``, shaped (m,) for a time k and (H, m) for an array
+    of H stage times (or anything that broadcasts to them)."""
+    p, m = base.state_dim, base.control_dim
+
+    def schedule(X, k0):
+        return np.broadcast_to(control(k0 + np.arange(X.shape[1])), X.shape[:2] + (m,))
 
     def f(x, u, k):
-        return base.step_fn(x, np.broadcast_to(uc, (len(x), 2)), k)
+        return base.step_fn(x, np.broadcast_to(control(k), (len(x), m)), k)
 
     def jac(X, U, k0):
-        A, _ = base.jac_fn(X, np.broadcast_to(uc, X.shape[:2] + (2,)), k0)
-        return A, np.zeros(X.shape[:2] + (3, 0))
+        A, _ = base.jac_fn(X, schedule(X, k0), k0)
+        return A, np.zeros(X.shape[:2] + (p, 0))
 
     def so(X, U, k0, Lam):
-        M = base.second_order_fn(X, np.broadcast_to(uc, X.shape[:2] + (2,)), k0, Lam)
-        return np.ascontiguousarray(M[..., :3, :3])
+        M = base.second_order_fn(X, schedule(X, k0), k0, Lam)
+        return np.ascontiguousarray(M[..., :p, :p])
 
-    return Model(3, 0, f, jac, so, name=f"unicycle_drift(v={v},w={omega})")
+    return Model(p, 0, f, jac, so, name=name)
+
+
+def unicycle_drift(delta: float = 0.05, v: float = 0.5, omega: float = 0.0) -> Model:
+    """Autonomous unicycle moving at fixed speed and turn rate (leader use):
+    the unicycle under the fixed input (v, omega)."""
+    uc = np.array([v, omega])
+    return _autonomous(unicycle(delta), lambda k: uc, f"unicycle_drift(v={v},w={omega})")
 
 
 def _mv(M, x):
@@ -261,54 +272,6 @@ def linear(A, B) -> Model:
     )
 
 
-def _sine_model(A, b, amp: float, mode: str, m: int):
-    """The sine forcing value(x) and the window jac_fn and second_order_fn
-    shared by linear_sine (m=1) and leader_sine (m=0).  The control and the
-    leader's time forcing enter linearly, so only the forcing, described at
-    linear_sine, curves f."""
-    if mode not in ("sum", "first", "diag"):
-        raise ValueError(f"unknown sine mode {mode!r}")
-    p = A.shape[0]
-    idx = np.arange(p)
-    comps = [0] if mode == "first" else list(range(p))
-
-    def value(x):
-        return amp * sum(np.sin(x[:, a:a + 1]) for a in comps)
-
-    def jac_u(KH):
-        return np.tile(b[:, None], KH + (1, 1)) if m else np.zeros(KH + (p, 0))
-
-    if mode == "diag":
-        def jac(X, U, k0):
-            J = np.tile(A, X.shape[:2] + (1, 1))
-            J[..., idx, idx] += b * (amp * np.cos(X))
-            return J, jac_u(X.shape[:2])
-
-        def so(X, U, k0, Lam):
-            M = np.zeros(X.shape[:2] + (p + m, p + m))
-            M[..., idx, idx] = Lam * b * (-amp * np.sin(X))
-            return M
-
-        return value, jac, so
-
-    def jac(X, U, k0):
-        G = np.zeros(X.shape)
-        G[..., comps] = amp * np.cos(X[..., comps])
-        return A + b[:, None] * G[..., None, :], jac_u(X.shape[:2])
-
-    def so(X, U, k0, Lam):
-        C = np.zeros(X.shape)
-        C[..., comps] = -amp * np.sin(X[..., comps])
-        # One dot product per stage (Lam[a, t] @ b), summed as the stage-wise
-        # lam @ b is; a matrix-vector Lam @ b can round differently.
-        lb = (Lam[..., None, :] @ b[:, None])[..., 0]
-        M = np.zeros(X.shape[:2] + (p + m, p + m))
-        M[..., idx, idx] = lb * C
-        return M
-
-    return value, jac, so
-
-
 def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
     """Follower model x+ = A x + b (u + forcing(x)) with scalar control.
 
@@ -319,45 +282,66 @@ def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
     * ``"first"`` - forcing = amp * sin x_1
     * ``"diag"``  - b is reinterpreted as diag(b) acting on the state-wise
       sine vector: x+ = A x + diag(b) (u * 1 + amp sin(x))
+
+    The control enters linearly, so only the forcing curves f.
     """
+    if mode not in ("sum", "first", "diag"):
+        raise ValueError(f"unknown sine mode {mode!r}")
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     p = A.shape[0]
-    value, jac, so = _sine_model(A, b, amp, mode, 1)
+    idx = np.arange(p)
+
+    def jac_u(X):
+        return np.tile(b[:, None], X.shape[:2] + (1, 1))
 
     if mode == "diag":
         Bd = np.diag(b)
 
         def f(x, u, k):
             return _mv(A, x) + _mv(Bd, u[:, :1] * np.ones(p) + amp * np.sin(x))
+
+        def jac(X, U, k0):
+            J = np.tile(A, X.shape[:2] + (1, 1))
+            J[..., idx, idx] += b * (amp * np.cos(X))
+            return J, jac_u(X)
+
+        def so(X, U, k0, Lam):
+            M = np.zeros(X.shape[:2] + (p + 1, p + 1))
+            M[..., idx, idx] = Lam * b * (-amp * np.sin(X))
+            return M
     else:
+        comps = [0] if mode == "first" else list(range(p))
+
         def f(x, u, k):
-            return _mv(A, x) + b * (u[:, :1] + value(x))
+            forcing = amp * sum(np.sin(x[:, a:a + 1]) for a in comps)
+            return _mv(A, x) + b * (u[:, :1] + forcing)
+
+        def jac(X, U, k0):
+            G = np.zeros(X.shape)
+            G[..., comps] = amp * np.cos(X[..., comps])
+            return A + b[:, None] * G[..., None, :], jac_u(X)
+
+        def so(X, U, k0, Lam):
+            C = np.zeros(X.shape)
+            C[..., comps] = -amp * np.sin(X[..., comps])
+            # One dot product per stage (Lam[a, t] @ b), summed as the stage-wise
+            # lam @ b is; a matrix-vector Lam @ b can round differently.
+            lb = (Lam[..., None, :] @ b[:, None])[..., 0]
+            M = np.zeros(X.shape[:2] + (p + 1, p + 1))
+            M[..., idx, idx] = lb * C
+            return M
 
     return Model(p, 1, f, jac, so, name=f"linear_sine({mode},amp={amp})")
 
 
 def leader_sine(A, b, amp: float = 0.01, h_amp: float = 0.1,
                 h_freq: float = 0.05, mode: str = "sum") -> Model:
-    """Autonomous leader x+ = A x + b (forcing(x) + h_amp sin(h_freq k))."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    p = A.shape[0]
-    value, jac, so = _sine_model(A, b, amp, mode, 0)
-
-    def h(k):
-        return h_amp * np.sin(h_freq * k)
-
-    if mode == "diag":
-        Bd = np.diag(b)
-
-        def f(x, u, k):
-            return _mv(A, x) + _mv(Bd, amp * np.sin(x) + h(k) * np.ones(p))
-    else:
-        def f(x, u, k):
-            return _mv(A, x) + b * (value(x) + h(k))
-
-    return Model(p, 0, f, jac, so, name=f"leader_sine({mode},amp={amp})")
+    """Autonomous leader x+ = A x + b (forcing(x) + h_amp sin(h_freq k)): the
+    ``linear_sine`` follower under the input h_amp sin(h_freq k)."""
+    return _autonomous(linear_sine(A, b, amp, mode),
+                       lambda k: h_amp * np.sin(h_freq * k)[..., None],
+                       f"leader_sine({mode},amp={amp})")
 
 
 # Matrices printed for the leader-follower experiment; shared by presets

@@ -12,6 +12,8 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
+
 from optcons import scenarios
 from optcons.coordinator import Session
 
@@ -63,3 +65,30 @@ def test_traced_leaderless_run_calls_every_published_span(monkeypatch, tmp_path)
     assert calls["cost.global_cost"] == 2
     assert calls["dynamics.linearize"] == calls["adjoint.costate_sweep"]
     assert calls["dynamics.second_order_action"] == calls["adjoint.hessian"]
+
+
+def test_traced_exchange_counts_stale_deliveries(monkeypatch):
+    # The tracer counts a delivery as stale when its payload is the very
+    # object the pair got before, so a dropped message must re-deliver that
+    # object; a fresh copy would zero coordinator.stale_delivery_frac.
+    tracer_mod = load_tracer(monkeypatch)
+    spec = scenarios.load_preset("leader_follower",
+                                 ["mpc.drop_probability=0.3", "mpc.T=3"])
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                          spec.mpc, spec.initial_states,
+                          leader_model=spec.leader_model, leader_x0=spec.leader_x0,
+                          seed=spec.seed)
+        result = session.run()
+    rounds = int(result.rounds.sum())
+    assert tracer.stats["coordinator.exchange"][0] == rounds
+    # Every pair has had a delivery after round 0, so from then on each of
+    # its drops re-delivers.
+    rng, links = np.random.default_rng(spec.seed), session.links
+    drops = [rng.random(len(links)) < spec.mpc.drop_probability for _ in range(rounds)]
+    replayed = int(sum(d.sum() for d in drops[1:]))
+    assert tracer.counts["stale"] > 0
+    assert tracer.counts["stale"] == replayed
+    assert tracer.counts["delivered"] == rounds * len(links)
+    assert tracer.counts["messages"] == rounds * (spec.topology.n + 1)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, Topology
-from optcons.coordinator import (MpcConfig, RoundMessage, Session,
-                                 consensus_error, run_algorithm1, solve_local)
+from optcons.coordinator import (MpcConfig, Session, consensus_error, run_algorithm1,
+                                 solve_local)
 from optcons import dynamics as dyn
 from optcons.errors import ConfigError, NumericError, PreconditionError
 from optcons.solver import LocalProblem, SolverConfig
@@ -125,6 +125,42 @@ def test_leader_follower_requires_leader_data():
                 leader_x0=None).run()
 
 
+def pair_kwargs(**changes):
+    top, spec, models = integrator_pair()
+    return dict(dict(topology=top, models=models, spec=spec, solver_cfg=SolverConfig(),
+                     mpc_cfg=MpcConfig(N_p=3, T=2), initial_states={1: [1.0], 2: [0.0]}),
+                **changes)
+
+
+def chain_kwargs(**changes):
+    top, spec, models, leader = leader_chain_setup()
+    return dict(dict(topology=top, models=models, spec=spec, solver_cfg=SolverConfig(),
+                     mpc_cfg=MpcConfig(N_p=3, T=2),
+                     initial_states={i: [0.0, 0.0] for i in range(1, 5)},
+                     leader_model=leader, leader_x0=[0.1, 0.0]), **changes)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (lambda: pair_kwargs(initial_states={1: 1.0, 2: 0.0}), "vectors of one length"),
+    (lambda: pair_kwargs(initial_states={1: [1.0], 2: [0.0, 0.0]}), "vectors of one length"),
+    (lambda: pair_kwargs(initial_states={1: [1.0, 0.0], 2: [0.0, 0.0]}),
+     r"agent 1: model state_dim 1 != 2; agent 2"),
+    (lambda: chain_kwargs(leader_x0=[0.1]), r"leader x0 has shape \(1,\), expected \(2,\)"),
+    (lambda: chain_kwargs(leader_x0=[[0.1, 0.0]]), r"leader x0 has shape \(1, 2\)"),
+    (lambda: chain_kwargs(leader_x0=0.1), r"leader x0 has shape \(\)"),
+    (lambda: chain_kwargs(leader_model=dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B)),
+     r"leader model must be autonomous .* got linear_sine\(sum,amp=0.01\) with 2, 1"),
+    (lambda: chain_kwargs(leader_model=dyn.unicycle_drift()),
+     r"leader model must be autonomous .*state_dim 2, got unicycle_drift.* with 3, 0"),
+])
+def test_session_rejects_malformed_inputs_early(kwargs, match):
+    # Shapes and dimensions are checked before anything is built, with a
+    # ConfigError that names the problem, instead of failing later inside
+    # the set-up or at the first step.
+    with pytest.raises(ConfigError, match=match):
+        Session(**kwargs())
+
+
 def test_leader_follower_requires_spanning_tree():
     # agent 4 unreachable from the leader
     top = Topology.from_edge_list(4, [[2, 1, 1.0], [3, 2, 1.0]], leader_links=[1])
@@ -196,23 +232,54 @@ def test_scheduling_independence_bitwise():
     np.testing.assert_array_equal(a.rounds, b.rounds)
 
 
+def watch_exchange(session):
+    """Wrap ``session._exchange``; returns the list that collects, per round,
+    (trajs, leader_traj, deliveries), the deliveries (i, j, payload) in
+    bundle order with the leader (j = 0) last."""
+    rounds, exchange = [], session._exchange
+
+    def watched(trajs, leader_traj, r):
+        bundles = exchange(trajs, leader_traj, r)
+        rounds.append((trajs, leader_traj, [
+            (i, j, payload) for i, b in bundles.items()
+            for j, payload in [*b.trajectories.items(),
+                               *[(0, b.leader)] * (b.leader is not None)]]))
+        return bundles
+
+    session._exchange = watched
+    return rounds
+
+
+def stale_deliveries(rounds):
+    """(round, i, j) of every delivery whose payload is the pair's previous
+    payload object, the rounds counted across steps."""
+    last, stale = {}, []
+    for r, (*_, deliveries) in enumerate(rounds):
+        for i, j, payload in deliveries:
+            if last.get((i, j)) is payload:
+                stale.append((r, i, j))
+            last[(i, j)] = payload
+    return stale
+
+
 def test_protocol_locality_instrumented():
     spec = scenarios.load_preset("leader_follower", overrides=["mpc.T=3"])
     session = Session(spec.topology, spec.models, spec.cost, spec.solver,
                       spec.mpc, spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                      record_messages=True)
+                      leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    rounds = watch_exchange(session)
     session.run()
     allowed = set(spec.topology.edges) | {(i, 0) for i in spec.topology.leader_links}
-    seen = {(rcv, snd) for (_, _, rcv, snd) in session.message_log}
+    seen = {(i, j) for *_, deliveries in rounds for i, j, _ in deliveries}
     assert seen  # something was exchanged
     assert seen <= allowed
 
 
 def test_exchange_lists_each_agents_senders_once(monkeypatch):
-    """A session builds every agent's neighbour list once, and each round
-    still delivers in receiver order, then sender order, the leader last,
-    the order in which the drop stream is drawn."""
+    """A session builds every agent's neighbour list once, and its delivery
+    list is in receiver order, then sender order, the leader last: the
+    order in which each round delivers and draws the drop stream, one
+    number per pair."""
     calls = []
     real = coordinator.neighbors
     monkeypatch.setattr(coordinator, "neighbors",
@@ -222,16 +289,25 @@ def test_exchange_lists_each_agents_senders_once(monkeypatch):
     session = Session(spec.topology, spec.models, spec.cost, spec.solver,
                       spec.mpc, spec.initial_states,
                       leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                      record_messages=True)
+                      seed=spec.seed)
+    rounds = watch_exchange(session)
     session.run()
     assert calls == [1, 2, 3, 4]
     want = [(i, j) for i in range(1, 5)
             for j in real(spec.topology, i) + [0] * (i in spec.topology.leader_links)]
-    rounds = {}
-    for t, r, rcv, snd in session.message_log:
-        rounds.setdefault((t, r), []).append((rcv, snd))
+    assert session.links == want
     assert len(rounds) > 3
-    assert all(order == want for order in rounds.values())
+    assert all([(i, j) for i, j, _ in deliveries] == want for *_, deliveries in rounds)
+    # Replaying the seed's stream over the list, a pair's message dropped
+    # once it has had one delivered, gives exactly the stale deliveries.
+    rng, delivered, replayed = np.random.default_rng(spec.seed), set(), []
+    for r in range(len(rounds)):
+        for pair, x in zip(want, rng.random(len(want))):
+            if x < spec.mpc.drop_probability and pair in delivered:
+                replayed.append((r, *pair))
+            delivered.add(pair)
+    assert replayed
+    assert stale_deliveries(rounds) == replayed
 
 
 def preset_session(name, overrides=(), models=None):
@@ -377,14 +453,15 @@ def test_message_drops_deterministic_and_stale_reuse():
         s = Session(spec.topology, spec.models, spec.cost, spec.solver,
                     spec.mpc, spec.initial_states,
                     leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                    seed=seed, record_messages=True)
-        return s.run(), s
+                    seed=seed)
+        rounds = watch_exchange(s)
+        return s.run(), stale_deliveries(rounds)
 
-    (a, sa), (b, sb) = run(5), run(5)
+    (a, stale_a), (b, stale_b) = run(5), run(5)
     for i in sorted(a.states):
         np.testing.assert_array_equal(a.states[i], b.states[i])
-    assert sa.message_log == sb.message_log
-    (c, sc), _ = run(6), None
+    assert stale_a and stale_a == stale_b
+    c, _ = run(6)
     assert any(not np.array_equal(a.states[i], c.states[i]) for i in a.states)
     # errors still head to zero despite drops
     assert c.max_errors[-1] < a.max_errors[0]
@@ -399,10 +476,22 @@ def test_drop_probability_zero_ignores_seed():
     np.testing.assert_array_equal(a.states[1], b.states[1])
 
 
-def test_round_message_immutable_payload():
-    msg = RoundMessage(1, 0, 0, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        msg.payload[0, 0] = 1.0
+def test_delivered_payloads_are_read_only_copies():
+    spec = scenarios.load_preset("leader_follower",
+                                 overrides=["mpc.T=3", "mpc.drop_probability=0.3"])
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                      spec.mpc, spec.initial_states,
+                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
+                      seed=spec.seed)
+    rounds = watch_exchange(session)
+    session.run()
+    assert stale_deliveries(rounds)
+    for trajs, leader_traj, deliveries in rounds:
+        for i, j, payload in deliveries:
+            assert not payload.flags.writeable
+            with pytest.raises(ValueError):
+                payload[0, 0] = 1.0
+            assert not np.shares_memory(payload, leader_traj if j == 0 else trajs[j])
 
 
 def test_stepwise_session_api():

@@ -437,3 +437,105 @@ def test_rollout_rejects_misshapen_controls():
                                 (lin, [[0.0], [1.0]], np.zeros((1, 2, 1)))):
         with pytest.raises(ValueError, match="controls have shape"):
             dyn.rollout(model, x0, controls)
+
+
+# The leader factories as they were written before the leaders became
+# followers under a fixed input, kept as oracles: the driven followers must
+# equal them bit for bit.
+
+def old_unicycle_drift(delta=0.05, v=0.5, omega=0.0):
+    base = dyn.unicycle(delta)
+    uc = np.array([v, omega])
+
+    def f(x, u, k):
+        return base.step_fn(x, np.broadcast_to(uc, (len(x), 2)), k)
+
+    def jac(X, U, k0):
+        A, _ = base.jac_fn(X, np.broadcast_to(uc, X.shape[:2] + (2,)), k0)
+        return A, np.zeros(X.shape[:2] + (3, 0))
+
+    def so(X, U, k0, Lam):
+        M = base.second_order_fn(X, np.broadcast_to(uc, X.shape[:2] + (2,)), k0, Lam)
+        return np.ascontiguousarray(M[..., :3, :3])
+
+    return f, jac, so
+
+
+def old_leader_sine(A, b, amp=0.01, h_amp=0.1, h_freq=0.05, mode="sum"):
+    p = A.shape[0]
+    idx = np.arange(p)
+    comps = [0] if mode == "first" else list(range(p))
+
+    def value(x):
+        return amp * sum(np.sin(x[:, a:a + 1]) for a in comps)
+
+    def h(k):
+        return h_amp * np.sin(h_freq * k)
+
+    if mode == "diag":
+        Bd = np.diag(b)
+
+        def f(x, u, k):
+            return dyn._mv(A, x) + dyn._mv(Bd, amp * np.sin(x) + h(k) * np.ones(p))
+
+        def jac(X, U, k0):
+            J = np.tile(A, X.shape[:2] + (1, 1))
+            J[..., idx, idx] += b * (amp * np.cos(X))
+            return J, np.zeros(X.shape[:2] + (p, 0))
+
+        def so(X, U, k0, Lam):
+            M = np.zeros(X.shape[:2] + (p, p))
+            M[..., idx, idx] = Lam * b * (-amp * np.sin(X))
+            return M
+
+        return f, jac, so
+
+    def f(x, u, k):
+        return dyn._mv(A, x) + b * (value(x) + h(k))
+
+    def jac(X, U, k0):
+        G = np.zeros(X.shape)
+        G[..., comps] = amp * np.cos(X[..., comps])
+        return A + b[:, None] * G[..., None, :], np.zeros(X.shape[:2] + (p, 0))
+
+    def so(X, U, k0, Lam):
+        C = np.zeros(X.shape)
+        C[..., comps] = -amp * np.sin(X[..., comps])
+        lb = (Lam[..., None, :] @ b[:, None])[..., 0]
+        M = np.zeros(X.shape[:2] + (p, p))
+        M[..., idx, idx] = lb * C
+        return M
+
+    return f, jac, so
+
+
+LEADER_ORACLES = {
+    "unicycle_drift": lambda amp: (dyn.unicycle_drift(0.05, v=-0.8, omega=0.2),
+                                   old_unicycle_drift(0.05, v=-0.8, omega=0.2)),
+    **{f"leader_sine:{mode}": (lambda amp, mode=mode: (
+        dyn.leader_sine(FA, FB, amp=amp, h_amp=0.3, mode=mode),
+        old_leader_sine(FA, FB, amp=amp, h_amp=0.3, mode=mode)))
+       for mode in ("sum", "first", "diag")},
+}
+
+
+@pytest.mark.parametrize("amp", [0.01, 0.7])
+@pytest.mark.parametrize("kind", list(LEADER_ORACLES))
+def test_driven_leaders_equal_old_factories(kind, amp):
+    model, (f, jac, so) = LEADER_ORACLES[kind](amp)
+    p = model.state_dim
+    assert model.control_dim == 0
+    rng = np.random.default_rng(int(amp * 100))
+    for _ in range(200):
+        K, H, k0 = int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(0, 500))
+        x = signed_with_zeros(rng, (K, p), 3.0)
+        X = signed_with_zeros(rng, (K, H, p), 3.0)
+        Lam = signed_with_zeros(rng, (K, H, p), 10.0)
+        U = np.zeros((K, H, 0))
+        assert_bits_equal(model.step_fn(x, np.zeros((K, 0)), k0), f(x, None, k0))
+        for new, old in zip(model.jac_fn(X, U, k0), jac(X, U, k0)):
+            assert new.shape == old.shape
+            assert_bits_equal(new, old)
+        new, old = model.second_order_fn(X, U, k0, Lam), so(X, U, k0, Lam)
+        assert new.shape == old.shape and new.flags.c_contiguous
+        assert_bits_equal(new, old)
