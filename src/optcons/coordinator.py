@@ -153,18 +153,19 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
 def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, etas):
     """One update of a model group's windows us (K, H, m) from their
     rollouts and ``sweep`` at outer iteration r, ``terms`` the group's
-    cost-term table; returns (new windows, step norms), a step zero when the
-    baseline's backtracking collapses.  ``etas`` maps agents to the
-    baseline's step sizes, updated in place."""
+    cost-term table; returns (new windows, step norms).  ``etas`` maps
+    agents to the baseline's step sizes, updated in place.  A failed
+    direction or backtracking raises NumericError naming agent and round."""
     jac, lam, g = swept
     if cfg.method == "msa":
-        new, steps = us.copy(), []
+        new, steps = us.copy(), [0.0] * len(problems)
         for a, problem in enumerate(problems):
-            taken = backtrack_step(problem.cost, us[a], g[a],
-                                   problem.cost(us[a], trajs[a]), etas[problem.i])
-            if taken is not None:
-                new[a], _, etas[problem.i], _ = taken
-            steps.append(0.0 if taken is None else taken[3])
+            J = problem.cost(us[a], trajs[a])
+            try:
+                new[a], _, etas[problem.i], steps[a] = backtrack_step(
+                    problem.cost, us[a], g[a], J, etas[problem.i])
+            except NumericError as exc:
+                raise NumericError(f"agent {problem.i}, round {r}: {exc}") from exc
         return new, steps
     Hs = adjoint.hessian(terms, problems[0].model, trajs, us, jac, lam, k0=problems[0].k0)
     try:
@@ -186,7 +187,6 @@ class SolveResult:
     iterations: int
     grad_norm: float
     converged: bool
-    stagnated: bool = False
     history: list = field(default_factory=list)
 
 
@@ -205,17 +205,48 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
         gnorm = float(np.linalg.norm(swept[2][0]))
         if gnorm < cfg.eps or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
-        new, (step,) = _round_update([problem], problem.terms, us, trajs, swept, cfg, r,
-                                     etas)
-        if step == 0.0:
-            return SolveResult(u, r, gnorm, False, stagnated=True, history=history)
+        new, _ = _round_update([problem], problem.terms, us, trajs, swept, cfg, r, etas)
         u = new[0]
         history.append(u.reshape(-1).copy())
 
 
+def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSpec | None,
+                   leader_model=None, leader_x0=None, error_mask=None) -> list[str]:
+    """The problems that span a run's inputs, for ``Session`` and the loader:
+    the agents' ``models`` and the leader of state dimension p, the leader
+    autonomous with an x0 of shape (p,), an error mask of distinct components
+    in 0..p-1, and ``spec.validate``'s.  Checks that need p are skipped while
+    it is None; pass a leader and a spec only where they exist."""
+    problems = [f"agent {i}: model state_dim {model.state_dim} != {p}" for i, model in
+                sorted(models.items()) if p is not None and model.state_dim != p]
+    if leader_model is not None and p is not None and (
+            (leader_model.state_dim, leader_model.control_dim) != (p, 0)):
+        problems.append(f"leader model must be autonomous (control_dim 0) with "
+                        f"state_dim {p}, got {leader_model.name} with "
+                        f"{leader_model.state_dim}, {leader_model.control_dim}")
+    if leader_x0 is not None and p is not None and np.shape(leader_x0) != (p,):
+        problems.append(f"leader x0 has shape {np.shape(leader_x0)}, expected ({p},)")
+    mask = [] if error_mask is None else list(error_mask)
+    if error_mask is not None and not mask:
+        problems.append("error_mask: expected at least one component index, got []")
+    repeated = sorted({c for c in mask if mask.count(c) > 1})
+    if repeated:
+        problems.append(f"error_mask: repeated components {repeated}")
+    bad = [c for c in mask if p is not None and c not in range(p)]
+    if bad:
+        problems.append(f"error_mask: components {bad} out of range 0..{p - 1}")
+    if spec is not None and p is not None:
+        try:
+            spec.validate(topology, p, {i: m.control_dim for i, m in models.items()})
+        except ConfigError as exc:
+            problems += exc.violations
+    return problems
+
+
 class Session:
     """Round loop over a shared topology: receding-horizon steps through
-    step()/run(), or one finite-horizon window through run_algorithm1.
+    step()/run(), or one finite-horizon window through run_algorithm1.  The
+    loader's checks are its own: the graph assumption and ``input_problems``.
 
     Each round rolls out and solves the agents in ``order`` (the sorted
     agent indices), stacked by model group; since every update reads only
@@ -240,6 +271,7 @@ class Session:
             require_spanning_tree(topology)
         else:
             require_strongly_connected(topology)
+            leader_model = leader_x0 = None
 
         agents = set(range(1, topology.n + 1))
         if set(initial_states) != agents or not agents <= set(models):
@@ -249,20 +281,10 @@ class Session:
             raise ConfigError(f"initial states must be vectors of one length, "
                               f"got shapes {sorted(shapes)}")
         [(self.p,)] = shapes
-        problems = [f"agent {i}: model state_dim {models[i].state_dim} != {self.p}"
-                    for i in sorted(agents) if models[i].state_dim != self.p]
-        if self.leader_mode:
-            if (leader_model.state_dim, leader_model.control_dim) != (self.p, 0):
-                problems.append(f"leader model must be autonomous (control_dim 0) with "
-                                f"state_dim {self.p}, got {leader_model.name} with "
-                                f"{leader_model.state_dim}, {leader_model.control_dim}")
-            if np.shape(leader_x0) != (self.p,):
-                problems.append(f"leader x0 has shape {np.shape(leader_x0)}, "
-                                f"expected ({self.p},)")
+        problems = input_problems(topology, {i: models[i] for i in agents}, self.p,
+                                  spec, leader_model, leader_x0, error_mask)
         if problems:
             raise ConfigError(problems)
-        control_dims = {i: models[i].control_dim for i in agents}
-        spec.validate(topology, self.p, control_dims)
 
         self.x = {i: np.asarray(initial_states[i], dtype=float).copy()
                   for i in range(1, topology.n + 1)}
@@ -275,9 +297,8 @@ class Session:
         self.links = [(i, j) for i in self.order for j in
                       neighbors(topology, i) + [LEADER] * (i in topology.leader_links)]
         self.held = {}  # each pair's last delivered payload
-        self.leader_model = leader_model if self.leader_mode else None
-        self.xl = (np.asarray(leader_x0, dtype=float).copy()
-                   if self.leader_mode else None)
+        self.leader_model = leader_model
+        self.xl = None if leader_x0 is None else np.asarray(leader_x0, dtype=float).copy()
         self.t = 0
         self.last_window = None  # the previous window's result, kept to warm-start
         self.rng = np.random.default_rng(seed)

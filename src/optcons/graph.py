@@ -108,12 +108,12 @@ def has_spanning_tree(topology: Topology) -> bool:
     Reachability runs along the information-flow direction (reverse of the
     listens-to edges).  When leader links exist the leader participates as
     an extra node with out-edges to its links; since no agent can reach the
-    leader, the check then reduces to "the leader reaches every agent".
+    leader, only the leader can be the root, and one walk from it decides.
     """
     with_leader = bool(topology.leader_links)
     adj = _flow_adjacency(topology, with_leader)
-    nodes = set(adj)
-    return any(_reachable(adj, root) == nodes for root in adj)
+    roots = [LEADER] if with_leader else list(adj)
+    return any(_reachable(adj, root) == set(adj) for root in roots)
 
 
 def unreachable_pair(topology: Topology) -> tuple[int, int] | None:

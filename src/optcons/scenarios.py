@@ -5,7 +5,8 @@ examples).  Weight entries accept a scalar-times-identity shorthand
 (``"Q": 10`` means 10*I on every edge), an explicit matrix applied
 everywhere, or a table keyed by edge ``"i-j"`` / agent ``"i"`` with an
 optional ``"default"``.  Validation gathers every violation before
-failing, and unknown keys are rejected rather than ignored.
+failing, and unknown keys are rejected rather than ignored; the checks that
+span sections are ``Session``'s (``coordinator.input_problems``, the graph's).
 
 Runs are deterministic; the seed feeds only the message-drop stream.
 """
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import dynamics as dyn
 from .coordinator import (FiniteHorizonResult, MpcConfig, Session, edge_errors,
-                          edge_table, run_algorithm1)
+                          edge_table, input_problems, run_algorithm1)
 from .cost import CostSpec
-from .errors import ConfigError
-from .graph import Topology
+from .errors import ConfigError, PreconditionError
+from .graph import Topology, require_spanning_tree, require_strongly_connected
 from .solver import SolverConfig
 
 # Every scalar setting as key -> (kind, default): the loader's unknown-key
@@ -454,10 +455,6 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             if model is not None:
                 model_echo[str(i)] = _model_echo(cfg)
                 models[i] = shared.setdefault(json.dumps(model_echo[str(i)]), model)
-        for i, model in models.items():
-            if p is not None and model.state_dim != p:
-                problems.append(f"models[{i}]: state dim {model.state_dim} "
-                                f"!= initial state dim {p}")
 
     # Leader ----------------------------------------------------------------
     leader_cfg = raw.get("leader")
@@ -481,17 +478,12 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             problems.append("leader: missing 'x0'")
         else:
             leader_x0 = _vector(leader_cfg["x0"], "leader.x0", problems)
-            if leader_x0 is not None and p is not None and leader_x0.shape != (p,):
-                problems.append(f"leader: x0 has shape {leader_x0.shape}, "
-                                f"expected ({p},)")
-        if leader_model is not None and leader_model.control_dim != 0:
-            problems.append("leader: leader model must be autonomous (control_dim 0)")
         if leader_model is not None and leader_x0 is not None:
             leader_echo = {"model": _model_echo(model_cfg), "x0": leader_x0.tolist()}
 
     # Cost --------------------------------------------------------------------
     cost_cfg = raw.get("cost")
-    cost = None
+    cost, tables_ok = None, False
     if not isinstance(cost_cfg, dict):
         problems.append("scenario: missing 'cost' section")
     elif p is not None and models:
@@ -499,39 +491,26 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         edges = sorted(topology.edges)
         links = sorted(topology.leader_links)
         edge_fmt = lambda e: f"{e[0]}-{e[1]}"
-        agent_fmt = str
         known = len(problems)
         Q = _weight_table(cost_cfg.get("Q", 0.0), edges, edge_fmt,
                           lambda e: p, "cost.Q", problems)
         D = _weight_table(cost_cfg.get("D", 0.0), edges, edge_fmt,
                           lambda e: p, "cost.D", problems)
-        R = _weight_table(cost_cfg.get("R", 1.0), agents, agent_fmt,
+        R = _weight_table(cost_cfg.get("R", 1.0), agents, str,
                           lambda i: models[i].control_dim if i in models else 1,
                           "cost.R", problems)
-        W = _weight_table(cost_cfg.get("W", 0.0), links, agent_fmt,
+        W = _weight_table(cost_cfg.get("W", 0.0), links, str,
                           lambda i: p, "cost.W", problems) if links else {}
-        E = _weight_table(cost_cfg.get("E", 0.0), links, agent_fmt,
+        E = _weight_table(cost_cfg.get("E", 0.0), links, str,
                           lambda i: p, "cost.E", problems) if links else {}
         tables_ok = len(problems) == known
         offsets = {}
         for key, val in _section(cost_cfg, "offsets", problems, "cost.").items():
             idx = 0 if key == "l" else _agent_key(key, n, "cost.offsets", problems)
-            if idx is None:
-                continue
-            vec = _vector(val, f"cost.offsets[{key}]", problems)
-            if vec is None:
-                continue
-            if vec.shape != (p,):
-                problems.append(f"cost.offsets[{key}]: shape {vec.shape}, "
-                                f"expected ({p},)")
-                continue
-            offsets[idx] = vec
+            vec = None if idx is None else _vector(val, f"cost.offsets[{key}]", problems)
+            if vec is not None:
+                offsets[idx] = vec
         cost = CostSpec(Q=Q, R=R, D=D, W=W, E=E, offsets=offsets)
-        try:
-            if tables_ok:  # else entries are missing: validate adds only follow-ons
-                cost.validate(topology, p, {i: m.control_dim for i, m in models.items()})
-        except ConfigError as exc:
-            problems.extend(exc.violations)
 
     # Solver / MPC ------------------------------------------------------------
     # Each config's echo is the table's values that it is built from.
@@ -559,20 +538,21 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
             problems.append(f"scenario: horizon must be >= 1, got {horizon}")
 
     mask = None
-    if error_mask is not None and (not isinstance(error_mask, list)
-                                   or not all(map(_integral, error_mask))):
+    if isinstance(error_mask, list) and all(map(_integral, error_mask)):
+        mask = [int(c) for c in error_mask]
+    elif error_mask is not None:
         problems.append(f"error_mask: expected a list of component indices, "
                         f"got {error_mask!r}")
-    elif error_mask is not None:
-        mask = [int(c) for c in error_mask]
-        if not mask:
-            problems.append("error_mask: expected at least one component index, got []")
-        repeated = sorted({c for c in mask if mask.count(c) > 1})
-        if repeated:
-            problems.append(f"error_mask: repeated components {repeated}")
-        bad = [c for c in error_mask if p is not None and not 0 <= int(c) < p]
-        if bad:
-            problems.append(f"error_mask: components {bad} out of range 0..{p - 1}")
+
+    # Session's checks (cost: only with whole weight tables; graph: only with all n states).
+    problems += input_problems(topology, models, p, cost if tables_ok else None,
+                               leader_model, leader_x0, mask)
+    if len(initial_states) == n:
+        try:
+            (require_spanning_tree if topology.leader_links
+             else require_strongly_connected)(topology)
+        except PreconditionError as exc:
+            problems.append(f"topology: {exc}")
 
     if problems:
         raise ConfigError(problems)

@@ -182,7 +182,7 @@ def backtrack_step(cost_fn, u, g, J, eta):
     predicted decrease drops below the floating-point resolution of J the
     test is unverifiable, so the step is accepted on mere non-increase (to
     within the same resolution) instead of halving eta into the ground.
-    Returns (u_new, J_new, eta, step_norm) or None when eta collapses.
+    Returns (u_new, J_new, eta, step_norm); eta below 1e-15 raises NumericError.
     """
     gnorm2 = float(g.reshape(-1) @ g.reshape(-1))
     while True:
@@ -197,6 +197,6 @@ def backtrack_step(cost_fn, u, g, J, eta):
             break
         eta *= 0.5
         if eta < 1e-15:
-            return None
+            raise NumericError(f"backtracking step size fell below 1e-15 at cost {J:.3e}")
     return u_try, J_try, eta, float(np.linalg.norm(eta * g))
 

@@ -22,6 +22,17 @@ def test_check_preset_prints_resolved_config(capsys):
     assert resolved["solver"]["method"] == "ocp"
 
 
+BENCH_SCENARIOS = sorted((pathlib.Path(__file__).parents[1] / "perfbench" / "scenarios")
+                         .glob("*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_SCENARIOS, ids=lambda path: path.stem)
+def test_check_accepts_benchmark_scenarios(path, capsys):
+    # The benchmark's frozen scenarios stay valid inputs of the loader.
+    assert run_cli("check", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["name"]
+
+
 def test_check_bad_config_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x", "unknown_key": 1}')

@@ -152,6 +152,11 @@ def chain_kwargs(**changes):
      r"leader model must be autonomous .* got linear_sine\(sum,amp=0.01\) with 2, 1"),
     (lambda: chain_kwargs(leader_model=dyn.unicycle_drift()),
      r"leader model must be autonomous .*state_dim 2, got unicycle_drift.* with 3, 0"),
+    (lambda: chain_kwargs(error_mask=[]),
+     r"^error_mask: expected at least one component index, got \[\]$"),
+    (lambda: chain_kwargs(error_mask=[5]), r"^error_mask: components \[5\] out of range 0..1$"),
+    (lambda: chain_kwargs(error_mask=[-1]), r"^error_mask: components \[-1\] out of range 0..1$"),
+    (lambda: chain_kwargs(error_mask=[0, 0]), r"^error_mask: repeated components \[0\]$"),
 ])
 def test_session_rejects_malformed_inputs_early(kwargs, match):
     # Shapes and dimensions are checked before anything is built, with a
@@ -424,6 +429,20 @@ def test_msa_update_reuses_round_rollout(monkeypatch):
     assert groups == 1
     assert summary["rounds"] > 1
     assert len(rollouts) == summary["rounds"] * groups + 1 + len(trials) + groups
+
+
+def test_msa_backtracking_collapse_names_agent_and_round(monkeypatch, scalar_chain):
+    # Under a cost that always rises, the first agent's backtracking collapses
+    # in round 0: the session and solve_local both raise, naming the agent and
+    # the round.
+    backtrack = coordinator.backtrack_step
+    monkeypatch.setattr(coordinator, "backtrack_step", lambda cost_fn, u, g, J, eta:
+                        backtrack(lambda v: J + 1.0, u, g, J, eta))
+    _, session = leader_follower_session(["solver.method=msa"])
+    with pytest.raises(NumericError, match=r"^agent 1, round 0: backtracking step size"):
+        session.step()
+    with pytest.raises(NumericError, match=r"^agent 1, round 0: backtracking step size"):
+        solve_local(scalar_chain, np.zeros((1, 1)), SolverConfig(method="msa"))
 
 
 @pytest.mark.parametrize("method", ["ocp", "msa"])

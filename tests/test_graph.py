@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from optcons import graph
 from optcons.errors import PreconditionError
-from optcons.graph import (Topology, has_spanning_tree, is_strongly_connected,
+from optcons.graph import (LEADER, Topology, has_spanning_tree, is_strongly_connected,
                            neighbors, require_strongly_connected,
                            unreachable_pair)
 
@@ -86,6 +87,20 @@ def test_leader_rooted_spanning_tree():
     assert has_spanning_tree(t)
     orphan = top(3, [(2, 1)], links=[1])  # 3 unreachable
     assert not has_spanning_tree(orphan)
+
+
+@pytest.mark.parametrize("last_edge, expected", [(True, True), (False, False)])
+def test_leader_spanning_tree_walks_from_the_leader_only(monkeypatch, last_edge, expected):
+    # No agent reaches the leader, so only the leader can root the tree: one
+    # reachability walk, not one per node.
+    n = 50
+    edges = [(i + 1, i) for i in range(1, n - 1 + last_edge)]
+    calls = []
+    walk = graph._reachable
+    monkeypatch.setattr(graph, "_reachable", lambda adj, root: calls.append(root)
+                        or walk(adj, root))
+    assert has_spanning_tree(top(n, edges, links=[1])) is expected
+    assert calls == [LEADER]
 
 
 def test_unreachable_pair_named():

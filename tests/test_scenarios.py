@@ -216,15 +216,25 @@ def test_one_shot_leader_rows_in_trajectories(tmp_path):
     "topology.leader_links=[1.5]", "seed=-1",
     "solver=[]", "mpc=0", "cost.offsets=[]", "solver.method=5",
     "error_mask=[]", "error_mask=[0,0]",
+    "solver.c=0", "solver.max_outer=0", "solver.eps=0", "solver.L_max=-1",
+    'solver.method="x"', "mpc.N_p=0", "mpc.T=0", "mpc.drop_probability=1",
+    "horizon=3", "leader.model=null", "initial_states.1=[0,0,0]",
+    'leader.model={"type":"unicycle_drift"}', "topology.edges=[[2,1],[3,2]]",
+    "agv_rendezvous:topology.edges=[[1,2],[2,1],[3,4],[4,3]]",
+    "error_mask=[2]", "cost.offsets.1=[1,2,3]",
 ])
 def test_malformed_override_raises_config_error(override, capsys):
-    preset = "leader_follower"
-    if override.startswith("formation:"):
-        preset, override = override.split(":", 1)
+    preset, override = _on_preset(override)
     with pytest.raises(ConfigError):
         scenarios.load_preset(preset, overrides=[override])
     assert cli.main(["check", preset, "--set", override]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _on_preset(override):
+    """(preset, override) from "preset:key=value", leader_follower by default."""
+    head, sep, rest = override.partition(":")
+    return (head, rest) if sep and "=" not in head else ("leader_follower", override)
 
 
 @pytest.mark.parametrize("override, message", [
@@ -236,10 +246,24 @@ def test_malformed_override_raises_config_error(override, capsys):
     ("solver.method=5", "solver.method: expected a string, got 5"),
     ("error_mask=[]", "error_mask: expected at least one component index, got []"),
     ("error_mask=[1,0,1.0]", "error_mask: repeated components [1]"),
+    ("error_mask=[2]", "error_mask: components [2] out of range 0..1"),
+    ("cost.offsets.1=[1,2,3]", "offset[1] has shape (3,), expected (2,)"),
+    ('models.1={"type":"unicycle"}', "agent 1: model state_dim 3 != 2"),
+    ("leader.x0=[1,2,3]", "leader x0 has shape (3,), expected (2,)"),
+    ('leader.model={"type":"unicycle_drift"}',
+     "leader model must be autonomous (control_dim 0) with state_dim 2, "
+     "got unicycle_drift(v=0.5,w=0.0) with 3, 0"),
+    ("topology.edges=[[2,1],[3,2]]",
+     "topology: communication graph has no spanning tree rooted at the leader"),
+    ("agv_rendezvous:topology.edges=[[1,2],[2,1],[3,4],[4,3]]",
+     "topology: communication graph is not strongly connected: no path 1 -> 3"),
 ])
 def test_malformed_override_message(override, message):
+    # The checks that span sections are Session's (coordinator.input_problems
+    # and the graph assumptions), so `check` refuses what `run` would.
+    preset, override = _on_preset(override)
     with pytest.raises(ConfigError) as err:
-        scenarios.load_preset("leader_follower", overrides=[override])
+        scenarios.load_preset(preset, overrides=[override])
     assert err.value.violations == [message]
 
 

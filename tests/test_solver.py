@@ -266,6 +266,13 @@ def test_msa_stationary_start(scalar_chain):
     assert res.iterations == 0 and res.converged
 
 
+def test_backtracking_collapse_raises():
+    # A cost that rises along every step size halves eta into the ground; that
+    # is a numeric failure, never a zero step that reads as convergence.
+    with pytest.raises(NumericError, match="step size fell below 1e-15 at cost 2.500e-01"):
+        solver.backtrack_step(lambda u: 1.25, np.zeros((2, 1)), np.ones((2, 1)), 0.25, 0.7)
+
+
 def test_msa_slower_than_ocp_on_scalar_chain(scalar_chain):
     cfg = SolverConfig(eps=1e-8, max_outer=10000)
     fast = solve_local(scalar_chain, np.zeros((1, 1)), cfg)
