@@ -25,11 +25,20 @@ and the R and control-curvature diagonal blocks, one stacked matmul per
 term.  It equals the stage-by-stage assembly with a backward second-order
 costate pass to rounding.
 
+The Newton step needs only (c I + H)^-1, and that has a form without H:
+(c I + H) d = b is the KKT system of the quadratic model over (u, x) with
+the linearized dynamics as constraints.  In stage order it is banded, its
+bandwidth independent of H (Wright, JOTA 1993; Rao, Wright and Rawlings,
+JOTA 1998); ``stage_blocks`` are its Lagrangian curvature blocks and
+``kkt_band`` writes a stack's system as one LAPACK band.
+
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -111,8 +120,90 @@ def gradient(terms: GroupTerms, us, jac, lambdas) -> np.ndarray:
     return g.reshape(K, -1)
 
 
+def stage_blocks(terms: GroupTerms, M) -> np.ndarray:
+    """The curvature blocks of the local cost's Lagrangian in (x, u), one
+    per stage, (K, H, p+m, p+m): [[W(t), Mxu(t)], [Mux(t), R + Muu(t)]] for
+    t >= 1, with W(t) = C_stage + Mxx(t), and at t = 0, whose state x(0) is
+    fixed, [[C_term, 0], [0, R + Muu(0)]]: the terminal curvature W(H) takes
+    the free slot, so that each window's Lagrangian Hessian is the blocks'
+    direct sum."""
+    p = terms.C_stage.shape[-1]
+    blocks = np.array(M, dtype=float)
+    blocks[:, 1:, :p, :p] += terms.C_stage[:, None]
+    blocks[:, 0, :p, :p] = terms.C_term
+    blocks[:, 0, :p, p:] = 0.0
+    blocks[:, 0, p:, :p] = 0.0
+    blocks[..., p:, p:] += terms.R[:, None]
+    return blocks
+
+
+@functools.lru_cache(maxsize=8)
+def _kkt_layout(K: int, H: int, p: int, m: int):
+    """Where ``kkt_band`` puts things: the constant band (the -I between
+    each nu(t+1) and x(t+1)), the flat band positions of the per-round
+    entries in ``kkt_band``'s order, those of the u rows' diagonals, and
+    the u unknowns' indices in g's (K, H*m) order."""
+    s = m + 2 * p
+    kl = s - 1
+    ld = 3 * kl + 1
+    u = (np.arange(K)[:, None] * H + np.arange(H)) * s    # first unknown of stage t
+    nu, x = u + m, u + m + p                               # nu(t+1), x(t+1)
+    ur = u[..., None] + np.arange(m)
+    nur = nu[..., None] + np.arange(p)
+    xr = x[..., None] + np.arange(p)
+    xu = np.concatenate([xr[:, :-1], ur[:, 1:]], axis=-1)  # [x(t), u(t)], t >= 1
+
+    def at(rows, cols):
+        # A[i, j] sits at band[j, 2 kl + i - j] of the (N, ld) C-ordered
+        # band, the transpose of LAPACK's (ld, N) general band storage.
+        rows, cols = rows[..., :, None], cols[..., None, :]
+        return (cols * ld + 2 * kl + rows - cols).ravel()
+
+    template = np.zeros((K * H * s, ld))
+    template.flat[at(nur[..., None], xr[..., None])] = -1.0
+    template.flat[at(xr[..., None], nur[..., None])] = -1.0
+    index = np.concatenate([at(xu, xu), at(xr[:, -1:], xr[:, -1:]), at(ur[:, :1], ur[:, :1]),
+                            at(ur, nur), at(nur, ur),
+                            at(nur[:, 1:], xr[:, :-1]), at(xr[:, :-1], nur[:, 1:])])
+    layout = template, index, (ur * ld + 2 * kl).ravel(), ur.ravel()
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def kkt_band(blocks, jac, c: float):
+    """The Newton systems (c I + H) d = b of a stack's windows as one banded
+    KKT system, without forming H.
+
+    Row a's unknowns run stage by stage as [u(t) (m), nu(t+1) (p), x(t+1)
+    (p)], with x the state sensitivities (x(0) = 0) and nu their
+    multipliers; the stack's rows follow one another, so the system is
+    block diagonal with half-bandwidth kl = m + 2p - 1.  Its entries are
+    the ``stage_blocks`` (the u(t) diagonal plus c), B(t)^T and B(t)
+    between u(t) and nu(t+1), A(t) and A(t)^T between nu(t+1) and x(t), and
+    -I between nu(t+1) and x(t+1).  Eliminating x and nu leaves exactly
+    c I + H, the un-symmetrized Hessian of ``hessian``, on the u unknowns.
+
+    Returns (band, kl, rows): ``band`` in LAPACK's general band storage for
+    dgbtrf, (3 kl + 1, N) and F-ordered, and ``rows`` the u unknowns'
+    indices in g's (K, H*m) order.  The layout is built once per (K, H, p,
+    m); each call copies its constant part and assigns the rest at once.
+    """
+    A, B = jac
+    K, H, p, m = B.shape
+    template, index, diag, rows = _kkt_layout(K, H, p, m)
+    band = template.copy()
+    flat = band.reshape(-1)
+    flat[index] = np.concatenate([
+        blocks[:, 1:].ravel(), blocks[:, :1, :p, :p].ravel(), blocks[:, :1, p:, p:].ravel(),
+        B.transpose(0, 1, 3, 2).ravel(), B.ravel(),
+        A[:, 1:].ravel(), A[:, 1:].transpose(0, 1, 3, 2).ravel()])
+    flat[diag] += c
+    return band.T, m + 2 * p - 1, rows
+
+
 def hessian(terms: GroupTerms, model: dyn.Model, trajs, us, jac, lambdas,
-            k0: int = 0) -> np.ndarray:
+            k0: int = 0, M=None) -> np.ndarray:
     """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
     neighbors frozen, as a (K, H*m, H*m) array.
 
@@ -126,10 +217,11 @@ def hessian(terms: GroupTerms, model: dyn.Model, trajs, us, jac, lambdas,
     from ``terms``), the Hessian is
     S^T (W S) + Mux dx(0..H-1) + dx(0..H-1)^T Mxu, plus R + Muu(t) on the
     diagonal blocks; M(t) holds the model's lambda(t+1)-weighted second
-    derivatives, all from one dyn.second_order_action call.  The cross term
-    reads both Mux and Mxu, so a model whose M is not symmetric makes H
-    asymmetric: beyond 1e-8 relative that is a broken model derivative and
-    raises NumericError.  Every matrix is then symmetrized.
+    derivatives, all from one dyn.second_order_action call unless the caller
+    passes its output as ``M``.  The cross term reads both Mux and Mxu, so a
+    model whose M is not symmetric makes H asymmetric: beyond 1e-8 relative
+    that is a broken model derivative and raises NumericError.  Every matrix
+    is then symmetrized.
     """
     trajs = np.asarray(trajs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -138,7 +230,8 @@ def hessian(terms: GroupTerms, model: dyn.Model, trajs, us, jac, lambdas,
     n = H * m
     A, B = jac
 
-    M = dyn.second_order_action(model, trajs[:, :H], us, k0, lambdas[:, 1:])
+    if M is None:
+        M = dyn.second_order_action(model, trajs[:, :H], us, k0, lambdas[:, 1:])
     Mxx, Mxu = M[..., :p, :p], M[..., :p, p:]
     Mux, Muu = M[..., p:, :p], M[..., p:, p:]
 

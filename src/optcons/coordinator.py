@@ -37,8 +37,8 @@ from .cost import CostSpec, NeighborBundle, global_cost
 from .errors import ConfigError, NumericError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
-from .solver import (MSA_ETA0, REG_FLOOR, SolverConfig, LocalProblem,
-                     backtrack_step, ocp_direction, regularize, sweep)
+from .solver import (MSA_ETA0, REG_FLOOR, SolverConfig, LocalProblem, backtrack_step,
+                     banded_direction, banded_pays, ocp_direction, regularize, sweep)
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,13 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
     rollouts and ``sweep`` at outer iteration r, ``terms`` the group's
     cost-term table; returns (new windows, step norms).  ``etas`` maps
     agents to the baseline's step sizes, updated in place.  A failed
-    direction or backtracking raises NumericError naming agent and round."""
+    direction or backtracking raises NumericError naming agent and round.
+
+    Where ``banded_pays`` for the window size and depth, the rows that
+    ``banded_direction`` certifies get its directions, from the one
+    second-order action of the group-round, and the rest get the dense
+    path's on the same inputs and that M: Hessians, ``regularize`` and
+    ``ocp_direction``, on a stack of just those rows."""
     jac, lam, g = swept
     if cfg.method == "msa":
         new, steps = us.copy(), [0.0] * len(problems)
@@ -167,12 +173,35 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
             except NumericError as exc:
                 raise NumericError(f"agent {problem.i}, round {r}: {exc}") from exc
         return new, steps
-    Hs = adjoint.hessian(terms, problems[0].model, trajs, us, jac, lam, k0=problems[0].k0)
+    K, H, m = us.shape
+    rest = range(K)  # the rows for the dense path
+    M = None
+    if banded_pays(H * m, r, cfg.L_max):
+        M = dyn.second_order_action(problems[0].model, trajs[:, :H], us, problems[0].k0,
+                                    lam[:, 1:])
+        d, solved = banded_direction(g, terms, jac, M, cfg.c, r, cfg.L_max)
+        rest = np.flatnonzero(~solved)
+    if len(rest) == K:
+        d = _dense_direction(problems, terms, us, trajs, swept, M, cfg, r)
+    elif len(rest):
+        A, B = jac
+        sub = [problems[a] for a in rest]
+        d[rest] = _dense_direction(
+            sub, problems[0].spec.group_terms([problem.i for problem in sub], trajs.shape[2]),
+            us[rest], trajs[rest], ((A[rest], B[rest]), lam[rest], g[rest]), M[rest], cfg, r)
+    return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
+
+
+def _dense_direction(problems, terms, us, trajs, swept, M, cfg: SolverConfig, r: int):
+    """The directions of ``_round_update``'s dense path: the windows'
+    Hessians (from the second-order action M when given), ``regularize``
+    and ``ocp_direction``; a failure names the agent and the round."""
+    jac, lam, g = swept
+    Hs = adjoint.hessian(terms, problems[0].model, trajs, us, jac, lam, k0=problems[0].k0, M=M)
     try:
-        d = ocp_direction(g, [regularize(H, REG_FLOOR) for H in Hs], cfg.c, r, cfg.L_max)
+        return ocp_direction(g, [regularize(H, REG_FLOOR) for H in Hs], cfg.c, r, cfg.L_max)
     except NumericError as exc:
         raise NumericError(f"agent {problems[exc.row].i}, round {r}: {exc}") from exc
-    return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
 
 
 def _grad_norms(sweeps):
@@ -214,9 +243,10 @@ def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSp
                    leader_model=None, leader_x0=None, error_mask=None) -> list[str]:
     """The problems that span a run's inputs, for ``Session`` and the loader:
     the agents' ``models`` and the leader of state dimension p, the leader
-    autonomous with an x0 of shape (p,), an error mask of distinct components
-    in 0..p-1, and ``spec.validate``'s.  Checks that need p are skipped while
-    it is None; pass a leader and a spec only where they exist."""
+    autonomous with an x0 of shape (p,), an error mask of distinct integer
+    components in 0..p-1 (a bool is not one), and ``spec.validate``'s.
+    Checks that need p are skipped while it is None; pass a leader and a
+    spec only where they exist."""
     problems = [f"agent {i}: model state_dim {model.state_dim} != {p}" for i, model in
                 sorted(models.items()) if p is not None and model.state_dim != p]
     if leader_model is not None and p is not None and (
@@ -229,6 +259,11 @@ def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSp
     mask = [] if error_mask is None else list(error_mask)
     if error_mask is not None and not mask:
         problems.append("error_mask: expected at least one component index, got []")
+    integral = [isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in mask]
+    odd = [c for c, ok in zip(mask, integral) if not ok]
+    if odd:
+        problems.append(f"error_mask: components {odd} are not integers")
+    mask = [c for c, ok in zip(mask, integral) if ok]
     repeated = sorted({c for c in mask if mask.count(c) > 1})
     if repeated:
         problems.append(f"error_mask: repeated components {repeated}")

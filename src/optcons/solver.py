@@ -1,7 +1,11 @@
 """The pieces of the update, which ``coordinator`` assembles: the
 frozen-neighbor window problem, the stacked sweep over a model group's
-problems, their Newton-type directions (triangular solves or an inverse), the
-slow first-order baseline's backtracking step, and the contraction diagnostic.
+problems, their Newton-type directions, the slow first-order baseline's
+backtracking step, and the contraction diagnostic.  A direction comes from
+the dense Hessians (``regularize`` and ``ocp_direction``: triangular solves
+or an inverse) or, for long windows (``banded_pays``) whose Hessians a
+certificate proves need no shift (``banded_certificate``), from one banded
+KKT factorization per group that never forms them (``banded_direction``).
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:
@@ -20,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotrs
 
 from . import adjoint, dynamics as dyn
 from .cost import CostSpec, GroupTerms, NeighborBundle, local_costs
@@ -28,10 +32,13 @@ from .errors import NumericError, PreconditionError
 
 
 # Smallest Hessian eigenvalue ``regularize`` lets through, the msa baseline's
-# first step size, and ``ocp_direction``'s measured inverse threshold.
+# first step size, ``ocp_direction``'s measured inverse threshold, and the
+# measured switch to ``banded_direction`` (see ``banded_pays``).
 REG_FLOOR = 1e-8
 MSA_ETA0 = 0.7
 INVERSE_N_PER_DEPTH = 4
+BANDED_MIN_N = 32
+BANDED_N_PER_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,99 @@ def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.nd
         for _ in range(min(r, L_max)):
             d = P @ d + b
     return d[..., 0]
+
+
+def banded_pays(n: int, r: int, L_max: int) -> bool:
+    """The switch between the dense and the banded direction, measured per
+    group-round on stacks of 1 and 4 windows with n = H*m = 16..128: the
+    banded path pays for n >= BANDED_MIN_N while n >= BANDED_N_PER_DEPTH
+    (min(r, L_max) + 1), since each of its min(r, L_max) + 1 applications
+    of (G+H)^-1 is one dgbtrs, and the Hessian it avoids grows faster than
+    n.  It reads n and the depth only."""
+    return n >= max(BANDED_MIN_N, BANDED_N_PER_DEPTH * (min(r, L_max) + 1))
+
+
+def banded_certificate(blocks: np.ndarray, m: int, floor: float) -> np.ndarray:
+    """Which windows of a stack (K,) the ``adjoint.stage_blocks`` (K, H,
+    p+m, p+m), u their last m coordinates, prove to have a Hessian H with
+    lambda_min(H) >= 2 floor, so that ``regularize`` need not shift it.
+
+    The blocks' direct sum is the window's Lagrangian Hessian L in (x, u),
+    and H = Z^T L Z with Z the sensitivities stacked over the identity, so
+    L - 2 floor P_u >= 0 (P_u on the u coordinates) gives u^T H u >=
+    2 floor |u|^2.  One batched Cholesky tests every block B of L - 2 floor
+    P_u shifted by delta = 2 s^2 eps max|B_ij| over its window (s = p+m);
+    it completes only if lambda_min(B) >= -2 delta, since the rounding error
+    of a completed Cholesky is below s^2 eps max|B_ij| (see ``regularize``).
+    So a merely semidefinite block, a zero terminal weight among them,
+    passes, and H is held to within its own rounding of the 2 floor bound,
+    a floor above what ``regularize`` needs: a shift that the dense path
+    could still apply is smaller than the rounding of its H, and the two
+    directions agree to rounding.  Non-finite windows fail; when any block
+    fails, each window is tested alone.
+    """
+    K, H, s = blocks.shape[:2] + blocks.shape[-1:]
+    B = blocks.copy()
+    diag = B.reshape(K, H, s * s)[..., ::s + 1]
+    diag[..., s - m:] -= 2 * floor
+    scale = abs(B).reshape(K, H * s * s).max(axis=1)
+    ok = scale < np.inf
+    diag += (2 * s * s * np.finfo(float).eps * np.where(ok, scale, 0.0))[:, None, None]
+    try:
+        np.linalg.cholesky(B[ok])
+    except np.linalg.LinAlgError:
+        for a in np.flatnonzero(ok):
+            try:
+                np.linalg.cholesky(B[a])
+            except np.linalg.LinAlgError:
+                ok[a] = False
+    return ok
+
+
+def banded_direction(g: np.ndarray, terms: GroupTerms, jac, M: np.ndarray, c: float,
+                     r: int, L_max: int = 10):
+    """``ocp_direction``'s inner recursion on a model group's windows
+    without their Hessians, at outer iteration r, G = c I: returns (d, ok),
+    the directions (K, n) of the rows that ``ok`` (K,) marks, from
+    gradients g (K, n), the group's cost-term table, the windows' (A, B)
+    ``jac`` and their second-order action M (``dyn.second_order_action``).
+
+    One dgbtrf factors the solved rows' ``adjoint.kkt_band``, and each of
+    the min(r, L_max) + 1 applications of (G+H)^-1 is one dgbtrs with
+    g + c d in the u rows.  d equals ``ocp_direction(g, [regularize(H,
+    REG_FLOOR) ...])`` to rounding (within 1e-12 relative on the built-in
+    models).  A row is left to the dense path, its d zero, when its M is not
+    exactly symmetric, its ``banded_certificate`` fails, an entry is not
+    finite or dgbtrf finds a zero pivot in it; so a row's outcome, like its
+    d, equals its stack of one's bit for bit.
+    """
+    A, B = jac
+    K, H, p, m = B.shape
+    g = np.asarray(g, dtype=float)
+    blocks = adjoint.stage_blocks(terms, M)
+    ok = ((M == M.swapaxes(-1, -2)).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=1)
+          & np.isfinite(A.reshape(K, -1)).all(axis=1) & np.isfinite(B.reshape(K, -1)).all(axis=1))
+    ok[ok] = banded_certificate(blocks[ok], m, REG_FLOOR)
+    rows = np.flatnonzero(ok)
+    while rows.size:
+        band, kl, u = adjoint.kkt_band(blocks[rows], (A[rows], B[rows]), c)
+        lu, piv, info = dgbtrf(band, kl, kl, overwrite_ab=1)
+        if not info:
+            break
+        ok[rows[(info - 1) // (H * (m + 2 * p))]] = False
+        rows = np.flatnonzero(ok)
+    d = np.zeros((K, H * m))
+    if not rows.size:
+        return d, ok
+    g = g[rows].reshape(-1)
+    b = np.zeros(band.shape[1])
+    b[u] = g
+    x = dgbtrs(lu, kl, kl, b, piv)[0][u]
+    for _ in range(min(r, L_max)):
+        b[u] = g + c * x
+        x = dgbtrs(lu, kl, kl, b, piv)[0][u]
+    d[rows] = x.reshape(rows.size, H * m)
+    return d, ok
 
 
 def contraction_factor(Hmat: np.ndarray, G: np.ndarray) -> float:

@@ -1,0 +1,214 @@
+"""The banded Newton direction against the dense one.
+
+``solver.banded_direction`` solves a model group's Newton systems as one
+banded KKT system and never forms the Hessians; ``_round_update`` takes it
+for long windows (``solver.banded_pays``).  The dense path -- Hessian,
+``regularize``, ``ocp_direction`` -- is the oracle: the banded directions
+must equal it to rounding, and every row that the banded path leaves to it
+must come out of it bit for bit, error texts included.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from optcons import CostSpec, Topology, adjoint, solver
+from optcons import dynamics as dyn
+from optcons.coordinator import _round_update
+from optcons.cost import NeighborBundle
+from optcons.errors import NumericError
+from optcons.solver import (REG_FLOOR, LocalProblem, SolverConfig, banded_direction,
+                            banded_pays, ocp_direction, regularize, sweep)
+
+L_MAX = 10
+
+
+def model_of(kind):
+    if kind == "linear":
+        return dyn.linear(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
+    if kind == "unicycle":
+        return dyn.unicycle(0.05)
+    return dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, mode=kind)
+
+
+def group_window(model, K, H, seed, d=0.0):
+    """A model group of agents 1..K on a bidirectional chain of K+1 agents,
+    random windows and neighbour trajectories: (problems, terms, us, trajs,
+    swept).  d is the terminal weight; 0 leaves C_term semidefinite."""
+    rng = np.random.default_rng(seed)
+    p, m = model.state_dim, model.control_dim
+    n = K + 1
+    top = Topology.from_edge_list(n, [[i, j] for i in range(1, n + 1)
+                                      for j in (i - 1, i + 1) if 1 <= j <= n])
+    spec = CostSpec.uniform(top, p, q=30.0, r=1.0, d=d,
+                            control_dims={i: m for i in range(1, n + 1)})
+    agents = list(range(1, K + 1))
+    terms = spec.group_terms(agents, p)
+    us = 0.3 * rng.normal(size=(K, H, m))
+    x0 = 3.0 * rng.normal(size=(K, p))
+    trajs = dyn.rollout(model, x0, us, 0)
+    problems = [LocalProblem(i, model, x0[a], NeighborBundle(
+        {j: rng.normal(size=(H + 1, p)) for j in terms.senders[a]}), spec)
+        for a, i in enumerate(agents)]
+    return problems, terms, us, trajs, sweep(problems, us, trajs, terms)
+
+
+def dense_directions(problems, terms, us, trajs, swept, r):
+    jac, lam, g = swept
+    Hs = adjoint.hessian(terms, problems[0].model, trajs, us, jac, lam)
+    return ocp_direction(g, [regularize(Hm, REG_FLOOR) for Hm in Hs], 1.0, r, L_MAX)
+
+
+def banded(problems, terms, us, trajs, swept, r):
+    jac, lam, g = swept
+    M = dyn.second_order_action(problems[0].model, trajs[:, :-1], us, 0, lam[:, 1:])
+    return banded_direction(g, terms, jac, M, 1.0, r, L_MAX)
+
+
+@pytest.mark.parametrize("r", [0, 3, L_MAX])
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("H", [1, 2, 8, 64])
+@pytest.mark.parametrize("kind", ["linear", "sum", "first", "diag"])
+def test_banded_direction_equals_dense_path(kind, H, K, r):
+    # Every built-in model whose stage blocks are convex passes the
+    # certificate, and the directions agree with the dense path to 1e-12.
+    window = group_window(model_of(kind), K, H, seed=H + K)
+    d, ok = banded(*window, r)
+    want = dense_directions(*window, r)
+    assert ok.all()
+    assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("H", [1, 8, 64])
+@pytest.mark.parametrize("kind", ["linear", "first", "diag"])
+def test_banded_row_equals_its_stack_of_one(kind, H):
+    problems, terms, us, trajs, swept = group_window(model_of(kind), 4, H, seed=7)
+    jac, lam, g = swept
+    d, ok = banded(problems, terms, us, trajs, swept, 3)
+    assert ok.all()
+    for a, problem in enumerate(problems):
+        row = banded([problem], problem.terms, us[a:a + 1], trajs[a:a + 1],
+                     ((jac[0][a:a + 1], jac[1][a:a + 1]), lam[a:a + 1], g[a:a + 1]), 3)
+        assert row[1].all()
+        np.testing.assert_array_equal(row[0][0], d[a])
+
+
+def test_semidefinite_terminal_weight_is_certified_and_unicycles_are_not():
+    # A zero terminal weight leaves one stage block semidefinite, which the
+    # certificate accepts; unicycle stage blocks are not convex.
+    assert banded(*group_window(model_of("first"), 2, 16, seed=1, d=0.0), 0)[1].all()
+    assert not banded(*group_window(model_of("unicycle"), 2, 16, seed=1), 0)[1].any()
+
+
+def test_switch_rule_reads_window_size_and_depth():
+    # Windows of up to 16 controls keep the dense path at every depth.
+    assert not any(banded_pays(n, r, L_MAX) for n in (1, 8, 16) for r in range(30))
+    assert banded_pays(64, 0, L_MAX) and banded_pays(64, 40, L_MAX)
+    assert not banded_pays(32, 20, 20)
+
+
+def dense_only(monkeypatch):
+    monkeypatch.setattr(solver, "BANDED_MIN_N", 10 ** 9)
+
+
+def round_outcome(problems, terms, us, trajs, swept, r=3):
+    """_round_update's new windows, or the text of its error."""
+    try:
+        return _round_update(problems, terms, us, trajs, swept, SolverConfig(), r, {})[0]
+    except (NumericError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def curved_linear(kappa):
+    """The chain model with a hand-made second-order action: Muu =
+    kappa(x) lam . b, with kappa given per state; not f's curvature, but
+    both paths read the same M."""
+    base = dyn.linear(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
+
+    def so(X, U, k0, Lam):
+        M = np.zeros(X.shape[:2] + (3, 3))
+        M[..., 2, 2] = kappa(X) * (Lam @ dyn.FOLLOWER_B)
+        return M
+
+    return dataclasses.replace(base, second_order_fn=so, name="curved")
+
+
+def asymmetric_linear():
+    base = dyn.linear(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
+
+    def so(X, U, k0, Lam):
+        M = np.zeros(X.shape[:2] + (3, 3))
+        M[..., 2, 0] = 0.5 * Lam[..., 0]
+        return M
+
+    return dataclasses.replace(base, second_order_fn=so, name="asymmetric")
+
+
+@pytest.mark.parametrize("case", ["unicycle", "asymmetric", "nonfinite"])
+def test_rows_left_to_the_dense_path_equal_it_bit_for_bit(case, monkeypatch):
+    # A unicycle window fails the certificate, an M that breaks Mxu = Mux^T
+    # ends in the dense path's "Hessian asymmetry" and a non-finite gradient
+    # in its own error: each outcome is the dense path's exactly.
+    model = {"unicycle": model_of("unicycle"), "asymmetric": asymmetric_linear(),
+             "nonfinite": model_of("first")}[case]
+    problems, terms, us, trajs, (jac, lam, g) = group_window(model, 3, 64 // model.control_dim,
+                                                             seed=5)
+    if case == "nonfinite":
+        g[1, 5] = np.nan
+    window = (problems, terms, us, trajs, (jac, lam, g))
+    assert banded_pays(us.shape[1] * us.shape[2], 3, L_MAX)
+    assert not banded(*window, 3)[1].all()
+    got = round_outcome(*window)
+    dense_only(monkeypatch)
+    want = round_outcome(*window)
+    if case == "asymmetric":
+        assert want.startswith("NumericError: agent 1: Hessian asymmetry")
+    assert_same_outcome(got, want)
+
+
+def test_mixed_stack_rows_equal_their_stacks_of_one():
+    # Rows whose Muu breaks the certificate take the dense path and the
+    # others the banded one, within one group-round; each row's update equals
+    # its stack of one's bit for bit.
+    model = curved_linear(lambda X: np.where(X[..., :1] > 0, -40.0, 0.0)[..., 0])
+    problems, terms, us, trajs, swept = group_window(model, 4, 64, seed=2)
+    jac, lam, g = swept
+    ok = banded(problems, terms, us, trajs, swept, 3)[1]
+    assert ok.any() and not ok.all()
+    new = round_outcome(problems, terms, us, trajs, swept)
+    for a, problem in enumerate(problems):
+        one = round_outcome([problem], problem.terms, us[a:a + 1], trajs[a:a + 1],
+                            ((jac[0][a:a + 1], jac[1][a:a + 1]), lam[a:a + 1], g[a:a + 1]))
+        np.testing.assert_array_equal(one[0], new[a])
+
+
+def test_zero_pivot_row_falls_back_and_the_others_stay_banded(monkeypatch):
+    # dgbtrf reports a zero pivot in row 1 of the stack: that row is taken by
+    # the dense path, and the band of the others is factored again.
+    problems, terms, us, trajs, swept = group_window(model_of("first"), 3, 64, seed=4)
+    real = solver.dgbtrf
+    calls = []
+
+    def dgbtrf(band, kl, ku, **kw):
+        lu, piv, info = real(band, kl, ku, **kw)
+        calls.append(band.shape[1])
+        return lu, piv, (info or 64 * 5 + 1) if len(calls) == 1 else info
+
+    clean = round_outcome(problems, terms, us, trajs, swept)
+    monkeypatch.setattr(solver, "dgbtrf", dgbtrf)
+    d, ok = banded(problems, terms, us, trajs, swept, 3)
+    assert ok.tolist() == [True, False, True] and calls == [3 * 64 * 5, 2 * 64 * 5]
+    calls.clear()
+    got = round_outcome(problems, terms, us, trajs, swept)
+    dense_only(monkeypatch)
+    want = round_outcome(problems, terms, us, trajs, swept)
+    np.testing.assert_array_equal(got[1], want[1])
+    np.testing.assert_array_equal(got[[0, 2]], clean[[0, 2]])

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from optcons import cli, scenarios
+from optcons import cli, coordinator, scenarios
 from optcons.errors import ConfigError
 
 
@@ -146,6 +146,27 @@ def test_run_numeric_failure_exits_2(tmp_path, capsys):
                    "--set", "mpc.T=20", "--out", str(tmp_path / "boom"))
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_long_unicycle_window_falls_back_to_the_dense_path(tmp_path, capsys, monkeypatch):
+    # At N_p=32 the unicycle windows (n = 64 controls) reach the banded
+    # direction; at round 9 of window 0 every one fails its certificate and
+    # takes the dense path, whose error ends the run.
+    real, solved = coordinator.banded_direction, []
+
+    def spy(*args):
+        out = real(*args)
+        solved.append(out[1].any())
+        return out
+
+    monkeypatch.setattr(coordinator, "banded_direction", spy)
+    code = run_cli("run", "agv_rendezvous", "--set", "mpc.N_p=32", "--set", "mpc.T=2",
+                   "--out", str(tmp_path / "long"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: agent 2, round 9: G + H is not positive definite: "
+        "60-th leading minor of the array is not positive definite\n")
+    assert len(solved) == 10 and not solved[-1]
 
 
 def test_python_m_optcons_runs_the_cli():

@@ -157,6 +157,11 @@ def chain_kwargs(**changes):
     (lambda: chain_kwargs(error_mask=[5]), r"^error_mask: components \[5\] out of range 0..1$"),
     (lambda: chain_kwargs(error_mask=[-1]), r"^error_mask: components \[-1\] out of range 0..1$"),
     (lambda: chain_kwargs(error_mask=[0, 0]), r"^error_mask: repeated components \[0\]$"),
+    (lambda: chain_kwargs(error_mask=[1.0]), r"^error_mask: components \[1.0\] are not integers$"),
+    (lambda: chain_kwargs(error_mask=[True]), r"^error_mask: components \[True\] are not integers$"),
+    (lambda: chain_kwargs(error_mask=[0, False]),
+     r"^error_mask: components \[False\] are not integers$"),
+    (lambda: chain_kwargs(error_mask=np.array([0.0, 1.0])), r"^error_mask: components \[np"),
 ])
 def test_session_rejects_malformed_inputs_early(kwargs, match):
     # Shapes and dimensions are checked before anything is built, with a
