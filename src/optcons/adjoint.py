@@ -4,9 +4,9 @@ The derivatives below take a stack of K agents of one model, windows
 along a leading axis, and the stack's cost-term table (``GroupTerms``);
 each recursion over the stages is one banded solve for the stack, and a
 row equals that agent's stack of one bit for bit.  They read the windows'
-stage Jacobians (A, B) from ``linearize_window``; callers linearize once
-per update and pass the same pair to the costate sweep, the gradient and
-the Hessian.  L below is unit lower block-bidiagonal, -A(t) at (t+1, t).
+(A, B) from one ``linearize_window`` per update, and the Hessian also the
+update's one ``dyn.second_order_action`` M, so none calls the model.  L
+below is unit lower block-bidiagonal, -A(t) at (t+1, t).
 
 The gradient comes from the costate lambda = L^-T src, whose sources are
 summed per row from all of the stack's errors at once: the costate lambda(t)
@@ -202,8 +202,7 @@ def kkt_band(blocks, jac, c: float):
     return band.T, m + 2 * p - 1, rows
 
 
-def hessian(terms: GroupTerms, model: dyn.Model, trajs, us, jac, lambdas,
-            k0: int = 0, M=None) -> np.ndarray:
+def hessian(terms: GroupTerms, jac, M) -> np.ndarray:
     """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
     neighbors frozen, as a (K, H*m, H*m) array.
 
@@ -216,22 +215,15 @@ def hessian(terms: GroupTerms, model: dyn.Model, trajs, us, jac, lambdas,
     W(t) = C_stage + Mxx(t) for t < H, W(H) = C_term (C_stage, C_term and R
     from ``terms``), the Hessian is
     S^T (W S) + Mux dx(0..H-1) + dx(0..H-1)^T Mxu, plus R + Muu(t) on the
-    diagonal blocks; M(t) holds the model's lambda(t+1)-weighted second
-    derivatives, all from one dyn.second_order_action call unless the caller
-    passes its output as ``M``.  The cross term reads both Mux and Mxu, so a
-    model whose M is not symmetric makes H asymmetric: beyond 1e-8 relative
-    that is a broken model derivative and raises NumericError.  Every matrix
-    is then symmetrized.
+    diagonal blocks; M (K, H, p+m, p+m) holds the model's lambda(t+1)-weighted
+    second derivatives, from ``dyn.second_order_action``.  The cross term
+    reads both Mux and Mxu, so a model whose M is not symmetric makes H
+    asymmetric: beyond 1e-8 relative that is a broken model derivative and
+    raises NumericError.  Every matrix is then symmetrized.
     """
-    trajs = np.asarray(trajs, dtype=float)
-    us = np.asarray(us, dtype=float)
-    K, H, m = us.shape
-    p = trajs.shape[2]
-    n = H * m
     A, B = jac
-
-    if M is None:
-        M = dyn.second_order_action(model, trajs[:, :H], us, k0, lambdas[:, 1:])
+    K, H, p, m = B.shape
+    n = H * m
     Mxx, Mxu = M[..., :p, :p], M[..., :p, p:]
     Mux, Muu = M[..., p:, :p], M[..., p:, p:]
 

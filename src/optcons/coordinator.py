@@ -157,11 +157,12 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
     agents to the baseline's step sizes, updated in place.  A failed
     direction or backtracking raises NumericError naming agent and round.
 
+    The group-round's one ``dyn.second_order_action`` feeds both paths.
     Where ``banded_pays`` for the window size and depth, the rows that
-    ``banded_direction`` certifies get its directions, from the one
-    second-order action of the group-round, and the rest get the dense
-    path's on the same inputs and that M: Hessians, ``regularize`` and
-    ``ocp_direction``, on a stack of just those rows."""
+    ``banded_direction`` certifies get its directions; the rest get the
+    dense path's: Hessians, ``regularize`` and ``ocp_direction``, on the
+    group's own arrays when no row was certified, else on a stack of just
+    those rows."""
     jac, lam, g = swept
     if cfg.method == "msa":
         new, steps = us.copy(), [0.0] * len(problems)
@@ -174,34 +175,22 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
                 raise NumericError(f"agent {problem.i}, round {r}: {exc}") from exc
         return new, steps
     K, H, m = us.shape
-    rest = range(K)  # the rows for the dense path
-    M = None
+    M = dyn.second_order_action(problems[0].model, trajs[:, :H], us, problems[0].k0, lam[:, 1:])
+    d, solved = np.zeros((K, H * m)), np.zeros(K, dtype=bool)
     if banded_pays(H * m, r, cfg.L_max):
-        M = dyn.second_order_action(problems[0].model, trajs[:, :H], us, problems[0].k0,
-                                    lam[:, 1:])
         d, solved = banded_direction(g, terms, jac, M, cfg.c, r, cfg.L_max)
-        rest = np.flatnonzero(~solved)
-    if len(rest) == K:
-        d = _dense_direction(problems, terms, us, trajs, swept, M, cfg, r)
-    elif len(rest):
-        A, B = jac
-        sub = [problems[a] for a in rest]
-        d[rest] = _dense_direction(
-            sub, problems[0].spec.group_terms([problem.i for problem in sub], trajs.shape[2]),
-            us[rest], trajs[rest], ((A[rest], B[rest]), lam[rest], g[rest]), M[rest], cfg, r)
+    if not solved.all():
+        rest = slice(None)  # the rows for the dense path
+        if solved.any():
+            rest = np.flatnonzero(~solved)
+            terms = problems[0].spec.group_terms([terms.agents[a] for a in rest], trajs.shape[2])
+        Hs = adjoint.hessian(terms, [J[rest] for J in jac], M[rest])
+        try:
+            d[rest] = ocp_direction(g[rest], [regularize(Hmat, REG_FLOOR) for Hmat in Hs],
+                                    cfg.c, r, cfg.L_max)
+        except NumericError as exc:
+            raise NumericError(f"agent {terms.agents[exc.row]}, round {r}: {exc}") from exc
     return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
-
-
-def _dense_direction(problems, terms, us, trajs, swept, M, cfg: SolverConfig, r: int):
-    """The directions of ``_round_update``'s dense path: the windows'
-    Hessians (from the second-order action M when given), ``regularize``
-    and ``ocp_direction``; a failure names the agent and the round."""
-    jac, lam, g = swept
-    Hs = adjoint.hessian(terms, problems[0].model, trajs, us, jac, lam, k0=problems[0].k0, M=M)
-    try:
-        return ocp_direction(g, [regularize(H, REG_FLOOR) for H in Hs], cfg.c, r, cfg.L_max)
-    except NumericError as exc:
-        raise NumericError(f"agent {problems[exc.row].i}, round {r}: {exc}") from exc
 
 
 def _grad_norms(sweeps):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .graph import LEADER, Topology
 
 
@@ -143,10 +143,12 @@ class CostSpec:
                 lows = np.linalg.eigvalsh(S).min(axis=1) if rows else [np.inf] * len(same)
                 for key, M, drift, lo in zip(same, S, drifts, lows):
                     table[key] = M
+                    # eigvalsh's rounding: a few dim eps max|M_ij| below 0 is semidefinite.
+                    tol = 0.0 if lo >= 0.0 else 4 * rows * np.finfo(float).eps * abs(M).max()
                     if drift > 1e-9:
                         found[key].append(f"{name}[{key}] is asymmetric "
                                           f"(max drift {drift:.2e})")
-                    if lo <= 0.0 if strict else lo < -1e-10:
+                    if lo <= 0.0 if strict else lo < -tol:
                         kind = "definite" if strict else "semidefinite"
                         found[key].append(f"{name}[{key}] must be positive {kind} "
                                           f"(min eigenvalue {lo:.2e})")
@@ -175,6 +177,8 @@ class CostSpec:
                     problems.append(f"{name}[{i}] given but agent {i} has no leader link")
                 problems += found[i]
         for i, d in self.offsets.items():
+            if i not in range(topology.n + 1):
+                problems.append(f"offset[{i}] names no agent 1..{topology.n} or leader 0")
             if np.asarray(d).shape != (state_dim,):
                 problems.append(f"offset[{i}] has shape {np.asarray(d).shape}, "
                                 f"expected ({state_dim},)")
@@ -258,28 +262,37 @@ def local_errors(terms: GroupTerms, trajs, us, bundles) -> np.ndarray:
     return (trajs[terms.rows] - terms.d_i) - (X_j - terms.d_j)
 
 
-def local_costs(terms: GroupTerms, trajs, us, bundles) -> list:
-    """Each row's slice of the consensus cost, neighbors frozen: trajs
-    (K, H+1, p), windows us (K, H, m); every bundle must carry the
-    trajectories that its row's terms name.  Every term's stage and
-    terminal forms, and every row's control form, are one stacked product
-    each; a row's total adds its terms' values in term order."""
+def _halved_forms(terms: GroupTerms, E, Q, D, R, us) -> list:
+    """Each row's halved stage, terminal and control forms of errors E and
+    windows us with weights Q, D and R: one stacked product per kind, a
+    row's terms added in term order."""
     H = us.shape[1]
-    E = local_errors(terms, trajs, us, bundles)
-    stage = np.einsum("ktp,kpq,ktq->k", E[:, :H], terms.Q, E[:, :H]).tolist()
-    final = ((E[:, H, None, :] @ terms.D) @ E[:, H, :, None])[:, 0, 0].tolist()
-    control = np.einsum("ktp,kpq,ktq->k", us, terms.R, us).tolist()
+    stage = np.einsum("ktp,kpq,ktq->k", E[:, :H], Q, E[:, :H]).tolist()
+    final = ((E[:, H, None, :] @ D) @ E[:, H, :, None])[:, 0, 0].tolist()
+    control = np.einsum("ktp,kpq,ktq->k", us, R, us).tolist()
     totals = [0.0] * len(terms.agents)
     for a, s, f in zip(terms.rows.tolist(), stage, final):
         totals[a] += s
         totals[a] += f
-    values = []
-    for total, c in zip(totals, control):
-        value = 0.5 * (total + c)
-        if value < -1e-12:
-            raise AssertionError(f"negative cost {value} with PSD weights")
-        values.append(max(value, 0.0))
-    return values
+    return [0.5 * (total + c) for total, c in zip(totals, control)]
+
+
+def local_costs(terms: GroupTerms, trajs, us, bundles) -> list:
+    """Each row's slice of the consensus cost, neighbors frozen: trajs
+    (K, H+1, p), windows us (K, H, m); every bundle must carry the
+    trajectories that its row's terms name.  A negative slice within its
+    sum's rounding (eps times the products summed times the same forms of
+    |E|, |u| and the weights' |entries|) reads 0; beyond it, NumericError."""
+    E = local_errors(terms, trajs, us, bundles)
+    values = _halved_forms(terms, E, terms.Q, terms.D, terms.R, us)
+    if any(value < 0.0 for value in values):
+        tol = np.finfo(float).eps * E.shape[1] * (len(E) + 1) * (E.shape[2] + us.shape[2]) ** 2
+        sizes = _halved_forms(terms, abs(E), abs(terms.Q), abs(terms.D), abs(terms.R), abs(us))
+        for i, value, size in zip(terms.agents, values, sizes):
+            if value < -tol * size:
+                raise NumericError(f"agent {i}: negative cost {value:.2e} with semidefinite "
+                                   f"weights, beyond its rounding bound {tol * size:.2e}")
+    return [max(value, 0.0) for value in values]
 
 
 def local_cost(i: int, traj_i, u_i, nb: NeighborBundle, spec: CostSpec) -> float:

@@ -5,7 +5,8 @@ backtracking step, and the contraction diagnostic.  A direction comes from
 the dense Hessians (``regularize`` and ``ocp_direction``: triangular solves
 or an inverse) or, for long windows (``banded_pays``) whose Hessians a
 certificate proves need no shift (``banded_certificate``), from one banded
-KKT factorization per group that never forms them (``banded_direction``).
+KKT factorization per group that never forms them (``banded_direction``);
+both read the group-round's one second-order action M.
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:

@@ -34,7 +34,8 @@ from optcons.graph import neighbors
 from optcons import dynamics as dyn
 from optcons.solver import LocalProblem, SolverConfig, contraction_factor, sweep
 
-from conftest import conditioned_quadratic, lq_batch_solution, random_instance, random_spd
+from conftest import (conditioned_quadratic, lq_batch_solution, model_hessian,
+                      random_instance, random_spd)
 
 
 def report(num, name, ok, detail=""):
@@ -58,7 +59,7 @@ def test_criterion_1_adjoint_exactness():
         g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                    problem.nb, problem.spec)
         worst_g = max(worst_g, np.linalg.norm(g - g_fd) / (1 + np.linalg.norm(g_fd)))
-        H = adjoint.hessian(problem.terms, problem.model, traj, u[None], jac, lam)[0]
+        H = model_hessian(problem.terms, problem.model, traj, u[None], jac, lam)[0]
         H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                                   problem.nb, problem.spec)
         worst_h = max(worst_h, np.linalg.norm(H - H_fd) / (1 + np.linalg.norm(H_fd)))

@@ -11,7 +11,8 @@ from optcons.errors import NumericError
 from optcons.graph import LEADER
 from optcons.solver import sweep
 
-from conftest import mutual_pair_topology, random_instance, random_psd, random_spd
+from conftest import (model_hessian, mutual_pair_topology, random_instance, random_psd,
+                      random_spd)
 
 
 def scalar_chain_pieces():
@@ -98,7 +99,7 @@ def test_hessian_hand_value():
     traj = dyn.rollout(model, [[1.0]], u)
     jac = adjoint.linearize_window(model, traj, u)
     lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
-    H = adjoint.hessian(terms, model, traj, u, jac, lam)
+    H = model_hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H, [[[2.0]]])
 
 
@@ -116,7 +117,7 @@ def test_hessian_constant_for_lq():
         traj = dyn.rollout(model, [x0], u)
         jac = adjoint.linearize_window(model, traj, u)
         lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
-        H_at[trial] = adjoint.hessian(terms, model, traj, u, jac, lam)
+        H_at[trial] = model_hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H_at[0], H_at[1], atol=1e-12)
 
 
@@ -131,7 +132,7 @@ def test_hessian_identity_for_pure_control_penalty():
     terms = table(spec, 2)
     jac = adjoint.linearize_window(model, traj, u)
     lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
-    H = adjoint.hessian(terms, model, traj, u, jac, lam)
+    H = model_hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H[0], np.eye(6), atol=1e-14)
 
 
@@ -140,8 +141,8 @@ def stack_of_one(problem, u):
     g, Hessian), the agent axis dropped from all but jac."""
     traj = dyn.rollout(problem.model, [problem.x0], u[None], problem.k0)
     jac, lam, g = sweep([problem], u[None], traj, problem.terms)
-    Hmat = adjoint.hessian(problem.terms, problem.model, traj, u[None], jac, lam,
-                           k0=problem.k0)
+    Hmat = model_hessian(problem.terms, problem.model, traj, u[None], jac, lam,
+                         k0=problem.k0)
     return traj[0], jac, lam[0], g[0], Hmat[0]
 
 
@@ -343,7 +344,7 @@ def test_batched_derivatives_equal_stage_loop_oracles(kind, H, terminal, leader)
     np.testing.assert_array_equal(lam[0], loop_costate(1, traj, u, one, nb, spec))
     np.testing.assert_array_equal(adjoint.gradient(terms, u[None], jac, lam)[0],
                                   loop_gradient(1, u, one, lam[0], spec))
-    Hs = adjoint.hessian(terms, model, traj[None], u[None], jac, lam, k0=k0)
+    Hs = model_hessian(terms, model, traj[None], u[None], jac, lam, k0=k0)
     assert_hessian_close(Hs[0], dense_hessian(1, model, traj, u, one, lam[0], spec, k0=k0))
     np.testing.assert_array_equal(Hs, Hs.transpose(0, 2, 1))
 
@@ -387,7 +388,7 @@ def test_stacked_derivatives_equal_per_agent_oracles(kind, H):
     assert [len(senders) for senders in terms.senders] == [3, 1, 2]
     lam = adjoint.costate_sweep(terms, traj, u, jac, bundles)
     g = adjoint.gradient(terms, u, jac, lam)
-    Hs = adjoint.hessian(terms, model, traj, u, jac, lam, k0=k0)
+    Hs = model_hessian(terms, model, traj, u, jac, lam, k0=k0)
     for a, (i, nb) in enumerate(zip(agents, bundles)):
         np.testing.assert_array_equal(traj[a], dyn.rollout(model, x0[a:a + 1], u[a:a + 1],
                                                            k0)[0])
@@ -403,8 +404,8 @@ def test_stacked_derivatives_equal_per_agent_oracles(kind, H):
         np.testing.assert_array_equal(lam_a[0], lam[a])
         np.testing.assert_array_equal(adjoint.gradient(alone, u[a:a + 1], row, lam_a)[0], g[a])
         np.testing.assert_array_equal(
-            Hs[a], adjoint.hessian(alone, model, traj[a:a + 1], u[a:a + 1], row, lam_a,
-                                   k0=k0)[0])
+            Hs[a], model_hessian(alone, model, traj[a:a + 1], u[a:a + 1], row, lam_a,
+                                 k0=k0)[0])
     np.testing.assert_array_equal(Hs, Hs.transpose(0, 2, 1))
 
 
@@ -440,7 +441,7 @@ def test_leader_is_neighbour_zero(kind, weights):
         lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
         return (local_cost(1, traj[0], u[0], nb, spec), lam,
                 adjoint.gradient(terms, u, jac, lam),
-                adjoint.hessian(terms, model, traj, u, jac, lam, k0=k0))
+                model_hessian(terms, model, traj, u, jac, lam, k0=k0))
 
     got = derivatives(with_leader, NeighborBundle(others, leader=lead))
     want = derivatives(twin, NeighborBundle({**others, 4: lead}))
@@ -486,7 +487,7 @@ def test_hessian_asymmetry_names_the_agent():
     terms = table(spec, traj.shape[2], agents)
     lam = adjoint.costate_sweep(terms, traj, u, jac, bundles)
     with pytest.raises(NumericError, match=r"^agent 2: Hessian asymmetry"):
-        adjoint.hessian(terms, broken, traj, u, jac, lam, k0=k0)
+        model_hessian(terms, broken, traj, u, jac, lam, k0=k0)
 
 
 # The costate and the forward sensitivities are banded triangular solves
@@ -555,7 +556,7 @@ def test_banded_kernels_equal_stage_loops(K, H, p, m):
     lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
     np.testing.assert_array_equal(lam, stage_loop_costate(terms, trajs, us, jac, bundles))
     np.testing.assert_array_equal(
-        adjoint.hessian(terms, model, trajs, us, jac, lam, k0=3),
+        model_hessian(terms, model, trajs, us, jac, lam, k0=3),
         stage_loop_hessian(terms, model, trajs, us, jac, lam, k0=3))
 
 
@@ -569,7 +570,7 @@ def test_nan_in_one_row_stays_in_that_row(row, t):
     A = A.copy()
     A[row, t, 1, 0] = np.nan
     lam = adjoint.costate_sweep(terms, trajs, us, (A, B), bundles)
-    Hs = adjoint.hessian(terms, model, trajs, us, (A, B), lam_ok, k0=0)
+    Hs = model_hessian(terms, model, trajs, us, (A, B), lam_ok, k0=0)
     want = stage_loop_hessian(terms, model, trajs, us, (A, B), lam_ok, k0=0)
     others = [a for a in range(3) if a != row]
     np.testing.assert_array_equal(lam[others], lam_ok[others])

@@ -21,6 +21,8 @@ from optcons.errors import NumericError
 from optcons.solver import (REG_FLOOR, LocalProblem, SolverConfig, banded_direction,
                             banded_pays, ocp_direction, regularize, sweep)
 
+from conftest import model_hessian
+
 L_MAX = 10
 
 
@@ -56,7 +58,7 @@ def group_window(model, K, H, seed, d=0.0):
 
 def dense_directions(problems, terms, us, trajs, swept, r):
     jac, lam, g = swept
-    Hs = adjoint.hessian(terms, problems[0].model, trajs, us, jac, lam)
+    Hs = model_hessian(terms, problems[0].model, trajs, us, jac, lam)
     return ocp_direction(g, [regularize(Hm, REG_FLOOR) for Hm in Hs], 1.0, r, L_MAX)
 
 
@@ -172,6 +174,26 @@ def test_rows_left_to_the_dense_path_equal_it_bit_for_bit(case, monkeypatch):
     if case == "asymmetric":
         assert want.startswith("NumericError: agent 1: Hessian asymmetry")
     assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("case,hessians", [("dense", 1), ("banded", 0), ("mixed", 1)])
+def test_one_second_order_action_per_group_round(case, hessians, monkeypatch):
+    # Both paths read the group-round's one curvature call, and the dense
+    # path's Hessian calls no model function of its own.
+    model, H = {"dense": (model_of("first"), 8), "banded": (model_of("first"), 64),
+                "mixed": (curved_linear(lambda X: np.where(X[..., :1] > 0, -40.0, 0.0)[..., 0]),
+                          64)}[case]
+    window = group_window(model, 4, H, seed=2)
+    calls = {"rollout": 0, "linearize": 0, "second_order_action": 0, "hessian": 0}
+    for owner, name in [(dyn, "rollout"), (dyn, "linearize"), (dyn, "second_order_action"),
+                        (adjoint, "hessian")]:
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert not isinstance(round_outcome(*window), str)
+    assert calls == {"rollout": 0, "linearize": 0, "second_order_action": 1,
+                     "hessian": hessians}
 
 
 def test_mixed_stack_rows_equal_their_stacks_of_one():

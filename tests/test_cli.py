@@ -169,6 +169,36 @@ def test_long_unicycle_window_falls_back_to_the_dense_path(tmp_path, capsys, mon
     assert len(solved) == 10 and not solved[-1]
 
 
+def pair_scenario(path, Q, x2):
+    """Two linear agents (A = B = I) on a mutual pair with weight Q, R = 1,
+    N_p = 2 and T = 1, from (0, 0) and x2."""
+    path.write_text(json.dumps({
+        "name": path.stem, "topology": {"n": 2, "edges": [[1, 2], [2, 1]]},
+        "models": {"default": {"type": "linear", "A": [[1, 0], [0, 1]],
+                               "B": [[1, 0], [0, 1]]}},
+        "cost": {"Q": Q, "R": 1}, "mpc": {"N_p": 2, "T": 1},
+        "initial_states": {"1": [0, 0], "2": x2}}))
+    return str(path)
+
+
+def test_semidefinite_weight_rounding_runs(tmp_path, capsys):
+    # Q = [[1, 1], [1, 1]] is exactly semidefinite; this gap along its null
+    # vector evaluates a window cost of -2.98e-08 by rounding, which reads 0.
+    path = pair_scenario(tmp_path / "psd.json", [[1, 1], [1, 1]],
+                         [-18911.900093307788, 18911.900094089342])
+    assert run_cli("check", path) == 0
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 0
+    assert (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_weight_negative_beyond_rounding_exits_1_at_check(tmp_path, capsys):
+    path = pair_scenario(tmp_path / "neg.json", [[1, 0], [0, -5e-11]], [0, 1e6])
+    capsys.readouterr()
+    assert run_cli("check", path) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: Q[(1, 2)] must be positive semidefinite (min eigenvalue -5.00e-11)")
+
+
 def test_python_m_optcons_runs_the_cli():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

@@ -145,6 +145,12 @@ def chain_kwargs(**changes):
     (lambda: pair_kwargs(initial_states={1: [1.0], 2: [0.0, 0.0]}), "vectors of one length"),
     (lambda: pair_kwargs(initial_states={1: [1.0, 0.0], 2: [0.0, 0.0]}),
      r"agent 1: model state_dim 1 != 2; agent 2"),
+    (lambda: pair_kwargs(initial_states={1: [1.0]}),
+     r"^models and initial states must cover agents 1..n$"),
+    (lambda: pair_kwargs(initial_states={1: [1.0], 2: [0.0], 3: [0.0]}),
+     r"^models and initial states must cover agents 1..n$"),
+    (lambda: pair_kwargs(models={1: dyn.linear([[1.0]], [[1.0]])}),
+     r"^models and initial states must cover agents 1..n$"),
     (lambda: chain_kwargs(leader_x0=[0.1]), r"leader x0 has shape \(1,\), expected \(2,\)"),
     (lambda: chain_kwargs(leader_x0=[[0.1, 0.0]]), r"leader x0 has shape \(1, 2\)"),
     (lambda: chain_kwargs(leader_x0=0.1), r"leader x0 has shape \(\)"),

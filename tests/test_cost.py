@@ -3,8 +3,8 @@ import pytest
 
 from optcons import CostSpec, Topology, global_cost, local_cost, scenarios
 from optcons.coordinator import Session
-from optcons.cost import NeighborBundle
-from optcons.errors import ConfigError
+from optcons.cost import NeighborBundle, local_costs
+from optcons.errors import ConfigError, NumericError
 
 from conftest import mutual_pair_topology, random_psd, random_spd
 
@@ -226,3 +226,80 @@ def test_tiny_symmetrization_applied_silently():
     spec = CostSpec(Q={(1, 2): nearly}, R={1: np.eye(1), 2: np.eye(1)})
     spec.validate(top, 2, {1: 1, 2: 1})
     np.testing.assert_array_equal(spec.Q[(1, 2)], spec.Q[(1, 2)].T)
+
+
+def test_semidefinite_form_rounding_below_zero_reads_zero():
+    # Q = [[1, 1], [1, 1]] is exactly semidefinite, and errors near its null
+    # vector (g, -g) evaluate below zero by rounding alone (-2.98e-08 at the
+    # first gap): relative to the magnitudes summed that is rounding, so the
+    # cost reads 0.  Over random gaps the raw forms do go negative.
+    top = mutual_pair_topology()
+    spec = CostSpec(Q={(1, 2): np.ones((2, 2))}, R={1: np.eye(2)})
+    terms = spec.group_terms([1], 2)
+    rng = np.random.default_rng(0)
+    gaps = np.concatenate([[18911.900093307788], 10 ** rng.uniform(2, 6, size=300)])
+    negative = 0
+    for g in gaps:
+        x_j = np.array([-g, g + rng.uniform(-1e-9, 1e-9) * g])
+        trajs = np.zeros((1, 3, 2))
+        nb = NeighborBundle({2: np.tile(x_j, (3, 1))})
+        u = np.zeros((1, 2, 2))
+        raw = np.einsum("tp,pq,tq->", np.tile(x_j, (2, 1)), spec.Q[(1, 2)], np.tile(x_j, (2, 1)))
+        negative += raw < 0.0
+        assert local_costs(terms, trajs, u, [nb]) == [0.0 if raw <= 0.0 else 0.5 * raw]
+    assert negative > 0
+
+
+def test_negative_cost_beyond_rounding_is_a_numeric_error():
+    # A weight with a real negative eigenvalue, bypassing validate, makes a
+    # cost that no rounding explains: a NumericError naming the agent.
+    spec = CostSpec(Q={(1, 2): np.diag([1.0, -5e-11])}, R={1: np.eye(1)})
+    nb = NeighborBundle({2: np.tile([0.0, 1e6], (2, 1))})
+    with pytest.raises(NumericError, match=r"^agent 1: negative cost -2.50e\+01 with "
+                                           r"semidefinite weights, beyond its rounding"):
+        local_cost(1, np.zeros((2, 2)), np.zeros((1, 1)), nb, spec)
+
+
+def test_semidefinite_tolerance_scales_with_the_weight():
+    # An exact rank-1 weight 1e6 v v^T shows a negative eigenvalue of a few
+    # eps times its size and loads; a -5e-11 eigenvalue on a unit weight is
+    # far beyond rounding and is refused.
+    top = mutual_pair_topology()
+    v = np.array([1.0, 2.0, 3.0])
+    rank_one = CostSpec.uniform(top, 3, q=1e6 * np.outer(v, v), r=1.0,
+                                control_dims={1: 2, 2: 2})
+    assert np.linalg.eigvalsh(rank_one.Q[(1, 2)]).min() < -1e-10
+    rank_one.validate(top, 3, {1: 2, 2: 2})
+    tilted = CostSpec.uniform(top, 2, q=np.diag([1.0, -5e-11]), r=1.0)
+    with pytest.raises(ConfigError, match=r"Q\[\(1, 2\)\] must be positive semidefinite "
+                                          r"\(min eigenvalue -5.00e-11\)"):
+        tilted.validate(top, 2, {1: 1, 2: 1})
+
+
+def test_validate_rejects_offset_keys_that_name_no_node():
+    # Offsets are keyed by agent 1..n or by 0, the leader; any other key is
+    # refused instead of being dropped from the error table.
+    spec = scenarios.load_preset("formation")
+    spec.cost.offsets[9] = np.zeros(3)
+    spec.cost.offsets[-1] = np.zeros(3)
+    with pytest.raises(ConfigError) as err:
+        Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
+                spec.initial_states, leader_model=spec.leader_model,
+                leader_x0=spec.leader_x0)
+    assert err.value.violations == ["offset[9] names no agent 1..4 or leader 0",
+                                    "offset[-1] names no agent 1..4 or leader 0"]
+
+
+def test_matrix_weights_and_their_shapes():
+    # uniform takes a matrix weight as given and refuses one of the wrong
+    # shape; validate reports a non-square weight by key.
+    top = mutual_pair_topology()
+    q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    spec = CostSpec.uniform(top, 2, q=q, r=np.eye(1))
+    np.testing.assert_array_equal(spec.Q[(1, 2)], q)
+    with pytest.raises(ValueError, match=r"^weight has shape \(3, 3\), expected \(2, 2\)$"):
+        CostSpec.uniform(top, 2, q=np.eye(3), r=1.0)
+    spec.Q[(2, 1)] = np.ones((2, 3))
+    with pytest.raises(ConfigError) as err:
+        spec.validate(top, 2, {1: 1, 2: 1})
+    assert err.value.violations == ["Q[(2, 1)] is not square"]

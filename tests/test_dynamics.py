@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -223,6 +225,19 @@ def test_rollout_rejects_misshapen_initial_state():
     for x0 in ([1.0], 1.0, np.zeros(4), np.zeros((1, 4)), np.zeros(3)):
         with pytest.raises(ValueError, match="initial state"):
             dyn.rollout(m, x0, np.zeros((1, 2, 2)))
+
+
+def test_a_step_of_the_wrong_shape_is_rejected():
+    # step and rollout check what the model's step function returns before
+    # they use it.
+    base = dyn.linear(np.eye(2), np.eye(2))
+    model = dataclasses.replace(base, step_fn=lambda X, U, k: X[:, :1])
+    with pytest.raises(ValueError, match=rf"^{re.escape(model.name)}: step returned "
+                                         rf"shape \(1, 1\)$"):
+        dyn.step(model, [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match=rf"^{re.escape(model.name)}: step returned "
+                                         rf"shape \(3, 1\)$"):
+        dyn.rollout(model, np.zeros((3, 2)), np.zeros((3, 4, 2)))
 
 
 def test_step_dimension_mismatch():
