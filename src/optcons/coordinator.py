@@ -186,8 +186,7 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
             terms = problems[0].spec.group_terms([terms.agents[a] for a in rest], trajs.shape[2])
         Hs = adjoint.hessian(terms, [J[rest] for J in jac], M[rest])
         try:
-            d[rest] = ocp_direction(g[rest], [regularize(Hmat, REG_FLOOR) for Hmat in Hs],
-                                    cfg.c, r, cfg.L_max)
+            d[rest] = ocp_direction(g[rest], regularize(Hs, REG_FLOOR), cfg.c, r, cfg.L_max)
         except NumericError as exc:
             raise NumericError(f"agent {terms.agents[exc.row]}, round {r}: {exc}") from exc
     return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
@@ -474,13 +473,14 @@ class Session:
         cost_now = global_cost([terms for *_, terms in self.groups], window.trajectories,
                                u, self.topology, leader_traj=window.leader_trajectory)
 
-        for i in sorted(self.x):
-            applied = u[i][0]
-            self.x[i] = dyn.step(self.models[i], self.x[i], applied, t)
-            self.control_hist[i].append(applied.copy())
-            self.state_hist[i].append(self.x[i].copy())
+        for model, agents, _ in self.groups:
+            applied = np.array([u[i][0] for i in agents])
+            self.x.update(zip(agents, dyn.step(model, [self.x[i] for i in agents], applied, t)))
+            for i, a in zip(agents, applied):
+                self.control_hist[i].append(a)
+                self.state_hist[i].append(self.x[i].copy())
         if self.xl is not None:
-            self.xl = dyn.step(self.leader_model, self.xl, np.zeros(0), t)
+            self.xl = dyn.step(self.leader_model, self.xl[None], np.zeros((1, 0)), t)[0]
             self.leader_hist.append(self.xl.copy())
 
         self.last_window = window if self.mpc.warm_start else None

@@ -116,9 +116,10 @@ class CostSpec:
         """Check PSD/PD-ness, symmetry, and cross references; symmetrize in place.
 
         R is checked for the agents that ``control_dims`` maps to their
-        control dimension.  A call whose arguments and tables (keys, types
-        and bytes) equal those that the last passing call left behind
-        returns at once.
+        control dimension.  A semidefinite weight read below 0 by rounding is
+        stored as V max(L, 0) V^T, plus that bound on its diagonal if still so.
+        A call whose arguments and tables (keys, types and bytes) equal those
+        that the last passing call left behind returns at once.
         """
         if (self._validated is not None
                 and self._snapshot(topology, state_dim, control_dims) == self._validated):
@@ -142,7 +143,6 @@ class CostSpec:
                 S = 0.5 * (S + S.transpose(0, 2, 1))
                 lows = np.linalg.eigvalsh(S).min(axis=1) if rows else [np.inf] * len(same)
                 for key, M, drift, lo in zip(same, S, drifts, lows):
-                    table[key] = M
                     # eigvalsh's rounding: a few dim eps max|M_ij| below 0 is semidefinite.
                     tol = 0.0 if lo >= 0.0 else 4 * rows * np.finfo(float).eps * abs(M).max()
                     if drift > 1e-9:
@@ -152,6 +152,14 @@ class CostSpec:
                         kind = "definite" if strict else "semidefinite"
                         found[key].append(f"{name}[{key}] must be positive {kind} "
                                           f"(min eigenvalue {lo:.2e})")
+                    elif lo < 0.0:  # no cost may go negative along this eigenvalue
+                        w, V = np.linalg.eigh(M)
+                        M = (V * np.maximum(w, 0.0)) @ V.T
+                        M = 0.5 * (M + M.T)
+                        # Loaded again, as from the echo, M must pass unchanged.
+                        if np.linalg.eigvalsh(M)[0] < 0.0:
+                            M = M + tol * np.eye(rows)
+                    table[key] = M
             return found
 
         for name, table in (("Q", self.Q), ("D", self.D)):

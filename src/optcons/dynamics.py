@@ -5,11 +5,11 @@ Conventions used package-wide:
 * a state trajectory is an ``(H+1, p)`` array, a control sequence an
   ``(H, m)`` array with ``H`` controls; flattening is time-major
   (``controls.reshape(-1)``, u(0) first);
-* ``rollout``, the window functions and a Model's own functions take a
-  stack of K agents along a leading axis, e.g. windows ``(K, H, m)``;
-  one agent is a stack of one;
-* ``step(x, u, k)`` maps state x and control u at time index k to the next
-  state; k only matters for time-varying (leader) models;
+* ``step``, ``rollout``, the window functions and a Model's own functions
+  take a stack of K agents along a leading axis, e.g. states ``(K, p)``,
+  windows ``(K, H, m)``; one agent is a stack of one;
+* ``step(x, u, k)`` maps states x and controls u at time index k to the
+  next states; k only matters for time-varying (leader) models;
 * derivatives are taken a window at a time: ``linearize`` and
   ``second_order_action`` read the stage states X = traj[:, :H] and
   controls U of windows whose stage t sits at time k0 + t, and return one
@@ -54,47 +54,36 @@ class Model:
     name: str = "model"
 
 
-def _check_dims(model: Model, x, u):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (model.state_dim,):
-        raise ValueError(
-            f"{model.name}: state has shape {x.shape}, expected ({model.state_dim},)")
-    if u.shape != (model.control_dim,):
-        raise ValueError(
-            f"{model.name}: control has shape {u.shape}, expected ({model.control_dim},)")
-    return x, u
-
-
-def _check_window(model: Model, X, U, *extra):
-    """The windows' stage inputs as float arrays; X (K, H, p), U (K, H, m)
-    and every extra array (K, H, p).  Returns (K, H) and the arrays."""
+def _check_inputs(model: Model, kind: str, X, U, *extra):
+    """A stack's stage inputs as float arrays: X (*L, p), U (*L, m) and every
+    extra array (*L, p), with L = (K,) for a "step" and (K, H) for a
+    "window".  Returns L and the arrays."""
     arrays = [np.asarray(a, dtype=float) for a in (X, U) + extra]
-    KH, p = arrays[0].shape[:2], model.state_dim
-    expected = (KH + (p,), KH + (model.control_dim,)) + (KH + (p,),) * len(extra)
+    L, p = arrays[0].shape[:1 + (kind == "window")], model.state_dim
+    expected = (L + (p,), L + (model.control_dim,)) + (L + (p,),) * len(extra)
     shapes = tuple(a.shape for a in arrays)
     if shapes != expected:
-        raise ValueError(f"{model.name}: window inputs have shapes {shapes}, "
+        raise ValueError(f"{model.name}: {kind} inputs have shapes {shapes}, "
                          f"expected {expected}")
-    return KH, arrays
+    return L, arrays
 
 
 def step(model: Model, x, u, k: int = 0) -> np.ndarray:
-    """Evaluate x(k+1) = f(x, u, k) for one agent, validating shapes and
-    finiteness."""
-    x, u = _check_dims(model, x, u)
-    out = np.asarray(model.step_fn(x[None], u[None], k), dtype=float)
-    if out.shape != (1, model.state_dim):
+    """Evaluate x(k+1) = f(x, u, k) for a stack of K agents, states x (K, p)
+    and controls u (K, m); returns (K, p), validating shapes and finiteness."""
+    (K,), (x, u) = _check_inputs(model, "step", x, u)
+    out = np.asarray(model.step_fn(x, u, k), dtype=float)
+    if out.shape != (K, model.state_dim):
         raise ValueError(f"{model.name}: step returned shape {out.shape}")
     if not np.isfinite(out).all():
         raise NumericError(f"{model.name}: non-finite state at k={k}")
-    return out[0]
+    return out
 
 
 def linearize(model: Model, X, U, k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Stage Jacobians of a stack of windows: (df/dx, df/du) at
     (X[a, t], U[a, t], k0 + t), stacked as (K, H, p, p) and (K, H, p, m)."""
-    KH, (X, U) = _check_window(model, X, U)
+    KH, (X, U) = _check_inputs(model, "window", X, U)
     p, m = model.state_dim, model.control_dim
     A, B = model.jac_fn(X, U, k0)
     if (A.shape, B.shape) != (KH + (p, p), KH + (p, m)):
@@ -103,29 +92,24 @@ def linearize(model: Model, X, U, k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fd_jacobian(model: Model, x, u, k: int = 0, h: float = 1e-6):
-    """Central-difference Jacobians of step at one stage; oracle for
-    linearize."""
+    """Central-difference Jacobians of step at one stage, x (p,) and u (m,);
+    oracle for linearize.  The 2(p+m) perturbed points are one stack."""
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    x, u = _check_dims(model, x, u)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     p, m = model.state_dim, model.control_dim
-    A = np.empty((p, p))
-    for a in range(p):
-        e = np.zeros(p)
-        e[a] = h
-        A[:, a] = (step(model, x + e, u, k) - step(model, x - e, u, k)) / (2.0 * h)
-    B = np.empty((p, m))
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = h
-        B[:, a] = (step(model, x, u + e, k) - step(model, x, u - e, k)) / (2.0 * h)
-    return A, B
+    ex, eu = h * np.eye(p), h * np.eye(m)
+    out = step(model, np.concatenate([x + ex, x - ex, np.tile(x, (2 * m, 1))]),
+               np.concatenate([np.tile(u, (2 * p, 1)), u + eu, u - eu]), k)
+    A = (out[:p] - out[p:2 * p]) / (2.0 * h)
+    B = (out[2 * p:2 * p + m] - out[2 * p + m:]) / (2.0 * h)
+    return A.T.copy(), B.T.copy()
 
 
 def second_order_action(model: Model, X, U, k0: int, Lam) -> np.ndarray:
     """(K, H, p+m, p+m) stack of the Lam[a, t]-weighted second derivatives
     of f at (X[a, t], U[a, t], k0 + t); Lam holds lambda(1..H)."""
-    KH, (X, U, Lam) = _check_window(model, X, U, Lam)
+    KH, (X, U, Lam) = _check_inputs(model, "window", X, U, Lam)
     n = model.state_dim + model.control_dim
     M = model.second_order_fn(X, U, k0, Lam)
     if M.shape != KH + (n, n):

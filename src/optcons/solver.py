@@ -103,33 +103,52 @@ def sweep(problems, us, trajs, terms):
     return jac, lam, adjoint.gradient(terms, us, jac, lam)
 
 
-def regularize(Hmat: np.ndarray, floor: float) -> np.ndarray:
-    """Shift H so its smallest eigenvalue is at least ``floor``.
+def _cholesky_rows(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Which rows (K,) of a stack of blocks (K, ..., s, s) complete a Cholesky
+    factorization of every block (its lower triangle) once the row's
+    ``shift`` (K,) is added to its diagonals: one batched call, then rows
+    one at a time only if it fails.  A shift that is not finite fails."""
+    ok = np.isfinite(shift)
+    B, d = blocks[ok], np.arange(blocks.shape[-1])
+    B.T[d, d] += shift[ok]  # every block's diagonal, rows last
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        for a, row in zip(np.flatnonzero(ok), B):
+            try:
+                np.linalg.cholesky(row)
+            except np.linalg.LinAlgError:
+                ok[a] = False
+    return ok
 
-    The eigenvalue path shifts by floor - lo, lo the smallest eigenvalue
-    ``eigvalsh`` computes from H's lower triangle, and returns H itself (the
-    same object) when lo >= floor.  One Cholesky factorization (dpotrf) of
-    the lower triangle of H - (floor + delta) I, delta = 2 n^2 eps
-    max|H_ij|, runs first and skips that path when it completes: it then
+
+def regularize(Hs: np.ndarray, floor: float) -> np.ndarray:
+    """Shift each Hessian of a stack Hs (K, n, n) so its smallest eigenvalue
+    is at least ``floor``; returns Hs itself (the same object) when no row
+    moves, else a new stack.
+
+    The eigenvalue path shifts a row H by floor - lo, lo the smallest
+    eigenvalue ``eigvalsh`` computes from H's lower triangle, and leaves it
+    when lo >= floor.  A Cholesky certificate (``_cholesky_rows``) of the
+    lower triangle of H - (floor + delta) I, delta = 2 n^2 eps max|H_ij|,
+    runs first and skips that path for the rows where it completes: it then
     proves lambda_min(H) >= floor + n^2 eps max|H_ij|, since the rounding
     error of a completed Cholesky, gamma_{n+1} tr H (Rump, "Verification of
     positive definiteness", BIT 2006), is below n^2 eps max|H_ij|; and
     eigvalsh, backward stable to n eps ||H||_2 <= n^2 eps max|H_ij|, would
-    find lo >= floor.  Every other H (certificate failed, or an entry not
-    finite) takes the eigenvalue path, so the output is that path's in
-    every case.
+    find lo >= floor.  Every other row (certificate failed, or an entry not
+    finite) takes the eigenvalue path, so each row of the output is that
+    path's in every case, and equals its stack of one's.
     """
-    n = Hmat.shape[0]
-    scale = abs(Hmat).max()
-    if scale < np.inf:
-        M = np.array(Hmat, dtype=float, order="F")
-        M.flat[::n + 1] -= floor + 2 * n * n * np.finfo(float).eps * scale
-        if dpotrf(M, lower=1, clean=0, overwrite_a=1)[1] == 0:
-            return Hmat
-    lo = float(np.linalg.eigvalsh(Hmat).min())
-    if lo < floor:
-        Hmat = Hmat + (floor - lo) * np.eye(n)
-    return Hmat
+    n = Hs.shape[-1]
+    delta = 2 * n * n * np.finfo(float).eps * abs(Hs).max(axis=(1, 2))
+    out = Hs
+    for a in np.flatnonzero(~_cholesky_rows(Hs, -(floor + delta))):
+        lo = float(np.linalg.eigvalsh(Hs[a]).min())
+        if lo < floor:
+            out = Hs.copy() if out is Hs else out
+            out[a] = Hs[a] + (floor - lo) * np.eye(n)
+    return out
 
 
 def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.ndarray:
@@ -196,25 +215,13 @@ def banded_certificate(blocks: np.ndarray, m: int, floor: float) -> np.ndarray:
     passes, and H is held to within its own rounding of the 2 floor bound,
     a floor above what ``regularize`` needs: a shift that the dense path
     could still apply is smaller than the rounding of its H, and the two
-    directions agree to rounding.  Non-finite windows fail; when any block
-    fails, each window is tested alone.
+    directions agree to rounding.  Non-finite windows fail.
     """
     K, H, s = blocks.shape[:2] + blocks.shape[-1:]
     B = blocks.copy()
-    diag = B.reshape(K, H, s * s)[..., ::s + 1]
-    diag[..., s - m:] -= 2 * floor
-    scale = abs(B).reshape(K, H * s * s).max(axis=1)
-    ok = scale < np.inf
-    diag += (2 * s * s * np.finfo(float).eps * np.where(ok, scale, 0.0))[:, None, None]
-    try:
-        np.linalg.cholesky(B[ok])
-    except np.linalg.LinAlgError:
-        for a in np.flatnonzero(ok):
-            try:
-                np.linalg.cholesky(B[a])
-            except np.linalg.LinAlgError:
-                ok[a] = False
-    return ok
+    B.reshape(K, H, s * s)[..., (s + 1) * (s - m)::s + 1] -= 2 * floor
+    return _cholesky_rows(B, 2 * s * s * np.finfo(float).eps
+                          * abs(B).reshape(K, H * s * s).max(axis=1))
 
 
 def banded_direction(g: np.ndarray, terms: GroupTerms, jac, M: np.ndarray, c: float,

@@ -59,7 +59,7 @@ def group_window(model, K, H, seed, d=0.0):
 def dense_directions(problems, terms, us, trajs, swept, r):
     jac, lam, g = swept
     Hs = model_hessian(terms, problems[0].model, trajs, us, jac, lam)
-    return ocp_direction(g, [regularize(Hm, REG_FLOOR) for Hm in Hs], 1.0, r, L_MAX)
+    return ocp_direction(g, regularize(Hs, REG_FLOOR), 1.0, r, L_MAX)
 
 
 def banded(problems, terms, us, trajs, swept, r):

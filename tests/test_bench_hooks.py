@@ -45,12 +45,16 @@ def test_traced_session_step_calls_every_published_span(monkeypatch):
     assert not missing
     assert calls["dynamics.linearize"] == calls["adjoint.costate_sweep"]
     assert calls["dynamics.second_order_action"] == calls["adjoint.hessian"]
+    # One regularize per Hessian stack, and one closed-loop dynamics.step per
+    # model group plus one for the leader: no call per agent.
+    assert calls["solver.regularize"] == calls["adjoint.hessian"]
+    assert calls["dynamics.step"] == len(session.groups) + 1
 
 
 def test_traced_leaderless_run_calls_every_published_span(monkeypatch, tmp_path):
     # The leaderless path, from loading to the artifacts, with the rounds
     # capped so that window 0's cold start stays short: every published
-    # span must be called, the per-agent dynamics.step of Session.step and
+    # span must be called, the per-group dynamics.step of Session.step and
     # the window cost's cost.global_cost among them.
     tracer_mod = load_tracer(monkeypatch)
     tracer = tracer_mod.Tracer()
@@ -65,6 +69,10 @@ def test_traced_leaderless_run_calls_every_published_span(monkeypatch, tmp_path)
     assert calls["cost.global_cost"] == 2
     assert calls["dynamics.linearize"] == calls["adjoint.costate_sweep"]
     assert calls["dynamics.second_order_action"] == calls["adjoint.hessian"]
+    # The one model group, no leader: one dynamics.step per closed-loop step.
+    assert calls["solver.regularize"] == calls["adjoint.hessian"]
+    assert len({id(model) for model in spec.models.values()}) == 1
+    assert calls["dynamics.step"] == len(result.rounds)
 
 
 def test_traced_exchange_counts_stale_deliveries(monkeypatch):

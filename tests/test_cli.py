@@ -191,6 +191,23 @@ def test_semidefinite_weight_rounding_runs(tmp_path, capsys):
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
+def test_weight_negative_within_rounding_runs_as_semidefinite(tmp_path, capsys):
+    # Q's -4e-16 eigenvalue lies within eigvalsh's rounding of 0, so the
+    # loader accepts Q and keeps its semidefinite part diag(1, 0): the 1e6 gap
+    # along the dropped eigenvector then costs 0, not -4e-4.  The resolved
+    # echo loads back to the same weights, bit for bit.
+    path = pair_scenario(tmp_path / "semidef.json", [[1, 0], [0, -4e-16]], [0, 1e6])
+    assert run_cli("check", path) == 0
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 0
+    spec = scenarios.load_scenario(path)
+    assert spec.cost.Q[(1, 2)].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    again = scenarios.load_scenario(spec.resolved)
+    assert again.resolved == spec.resolved
+    for table, echo in ((spec.cost.Q, again.cost.Q), (spec.cost.R, again.cost.R)):
+        assert {k: v.tobytes() for k, v in table.items()} == {
+            k: v.tobytes() for k, v in echo.items()}
+
+
 def test_weight_negative_beyond_rounding_exits_1_at_check(tmp_path, capsys):
     path = pair_scenario(tmp_path / "neg.json", [[1, 0], [0, -5e-11]], [0, 1e6])
     capsys.readouterr()

@@ -393,9 +393,9 @@ def test_definite_hessians_skip_eigvalsh(monkeypatch):
     summary = session.step()
     assert summary["rounds"] > 1 and calls == []
     H = np.diag([1.0, -0.5])
-    out = solver.regularize(H, solver.REG_FLOOR)
+    out = solver.regularize(H[None], solver.REG_FLOOR)
     assert len(calls) == 1
-    np.testing.assert_array_equal(out, H + (solver.REG_FLOOR + 0.5) * np.eye(2))
+    np.testing.assert_array_equal(out, [H + (solver.REG_FLOOR + 0.5) * np.eye(2)])
 
 
 def test_one_leader_rollout_per_window(monkeypatch):
@@ -624,8 +624,8 @@ def test_shared_models_equal_groups_of_one(tmp_path, name, overrides, groups):
 def test_one_shot_stop_rule_runs_before_the_hessians(monkeypatch, scalar_chain):
     # The gradient stop rule is tested after the round's sweeps, so the
     # converged round builds no Hessian: the one-shot scalar chain stops at
-    # round 7 after 7 rounds x 2 agents of updates, and so does every
-    # solve_local iteration count.
+    # round 7 after 7 rounds x 2 agents of updates, one regularize call per
+    # model group and round, and so does every solve_local iteration count.
     calls = []
     regularize = coordinator.regularize
 
@@ -637,7 +637,9 @@ def test_one_shot_stop_rule_runs_before_the_hessians(monkeypatch, scalar_chain):
     spec = scenarios.load_preset("scalar_chain")
     res = scenarios.run_scenario(spec)
     assert res.converged and res.rounds == 7
-    assert len(calls) == res.rounds * spec.topology.n == 14
+    groups = len({id(model) for model in spec.models.values()})
+    assert len(calls) == res.rounds * groups
+    assert sum(len(Hs) for Hs, _ in calls) == res.rounds * spec.topology.n == 14
     calls.clear()
     local = solve_local(scalar_chain, np.zeros((1, 1)), SolverConfig(eps=1e-12))
     assert local.converged and local.iterations >= 1
@@ -662,11 +664,11 @@ def count_direction_calls(monkeypatch, models):
 
 def test_one_direction_per_group_and_round(monkeypatch):
     # A model group's Newton directions are one ocp_direction call on its
-    # stack; regularize still runs once per agent.
+    # stack, and so are its regularized Hessians.
     n = scenarios.load_preset("leader_follower").topology.n
     rounds, directions, regularized = count_direction_calls(monkeypatch, dict)
     assert rounds > 1
-    assert directions == rounds and regularized == n * rounds
+    assert directions == regularized == rounds
     monkeypatch.undo()
     rounds, directions, regularized = count_direction_calls(
         monkeypatch, lambda models: {i: replace(m) for i, m in models.items()})
@@ -684,14 +686,41 @@ def test_numeric_failure_names_the_agent_and_round(monkeypatch):
     assert [agents for _, agents, _ in session.groups] == [[1, 2, 3], [4]]
     calls = []
 
-    def indefinite_second(Hmat, floor):
-        calls.append(Hmat)
-        return -3.0 * spec.solver.c * np.eye(len(Hmat)) if len(calls) == 2 else Hmat
+    def indefinite_second(Hs, floor):
+        calls.append(Hs)
+        if len(calls) == 1:
+            Hs = Hs.copy()
+            Hs[1] = -3.0 * spec.solver.c * np.eye(Hs.shape[1])
+        return Hs
 
     monkeypatch.setattr(coordinator, "regularize", indefinite_second)
     with pytest.raises(NumericError, match=r"^agent 2, round 0: G \+ H is not "
                                            r"positive definite: 1-th leading minor"):
         session.step()
+
+
+@pytest.mark.parametrize("name", ["leader_follower", "agv_rendezvous", "scalar_chain"])
+def test_stepped_states_are_stage_one_of_the_final_rollouts(name):
+    # Session.step applies each window's first controls through dyn.step,
+    # once per model group and once for the leader; stage 1 of the window's
+    # final rollouts is that same state, bit for bit, for the agents and the
+    # leader alike.  scalar_chain, a one-shot preset, runs 4-stage windows.
+    spec = scenarios.load_preset(name)
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                      spec.mpc or MpcConfig(N_p=4, T=3), spec.initial_states,
+                      leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    for _ in range(3):
+        session.step()
+        window = session.last_window
+        for i in session.order:
+            np.testing.assert_array_equal(window.trajectories[i][1], session.x[i])
+            np.testing.assert_array_equal(np.signbit(window.trajectories[i][1]),
+                                          np.signbit(session.x[i]))
+        if name == "leader_follower":
+            np.testing.assert_array_equal(window.leader_trajectory[1], session.xl)
+            np.testing.assert_array_equal(np.signbit(window.leader_trajectory[1]),
+                                          np.signbit(session.xl))
+    assert (session.xl is None) == (name != "leader_follower")
 
 
 def spy_known_stages(monkeypatch):

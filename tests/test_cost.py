@@ -276,6 +276,24 @@ def test_semidefinite_tolerance_scales_with_the_weight():
         tilted.validate(top, 2, {1: 1, 2: 1})
 
 
+def test_weight_kept_as_its_semidefinite_part_validates_unchanged():
+    # The exact rank-1 weight v v^T shows a computed eigenvalue of -3.5e-18
+    # and is stored as its semidefinite part; eigvalsh reads that part below
+    # 0 again, so it also gets the rounding margin on its diagonal, and a
+    # second validate (as when the resolved echo is loaded) leaves it as is.
+    top = mutual_pair_topology()
+    v = np.array([1.0, 26.0]) / 7.0
+    spec = CostSpec.uniform(top, 2, q=np.outer(v, v), r=1.0)
+    assert -1e-17 < np.linalg.eigvalsh(spec.Q[(1, 2)])[0] < 0.0
+    spec.validate(top, 2, {1: 1, 2: 1})
+    stored = spec.Q[(1, 2)]
+    assert np.linalg.eigvalsh(stored)[0] >= 0.0
+    np.testing.assert_allclose(stored, np.outer(v, v), rtol=0, atol=1e-13)
+    again = CostSpec.uniform(top, 2, q=stored.copy(), r=1.0)
+    again.validate(top, 2, {1: 1, 2: 1})
+    assert again.Q[(1, 2)].tobytes() == stored.tobytes()
+
+
 def test_validate_rejects_offset_keys_that_name_no_node():
     # Offsets are keyed by agent 1..n or by 0, the leader; any other key is
     # refused instead of being dropped from the error table.

@@ -11,26 +11,26 @@ from optcons.errors import NumericError
 
 def test_unicycle_step_origin():
     m = dyn.unicycle(0.05)
-    out = dyn.step(m, [0.0, 0.0, 0.0], [1.0, 0.0])
-    np.testing.assert_allclose(out, [0.05, 0.0, 0.0])
+    out = dyn.step(m, [[0.0, 0.0, 0.0]], [[1.0, 0.0]])
+    np.testing.assert_allclose(out, [[0.05, 0.0, 0.0]])
 
 
 def test_unicycle_step_quarter_turn():
     m = dyn.unicycle(0.05)
-    out = dyn.step(m, [0.0, 0.0, np.pi / 2], [2.0, 1.0])
-    np.testing.assert_allclose(out, [0.0, 0.1, np.pi / 2 + 0.05], atol=1e-15)
+    out = dyn.step(m, [[0.0, 0.0, np.pi / 2]], [[2.0, 1.0]])
+    np.testing.assert_allclose(out, [[0.0, 0.1, np.pi / 2 + 0.05]], atol=1e-15)
 
 
 def test_follower_fixed_point():
     m = dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, mode="sum")
-    out = dyn.step(m, [0.0, 0.0], [0.0])
-    np.testing.assert_allclose(out, [0.0, 0.0])
+    out = dyn.step(m, [[0.0, 0.0]], [[0.0]])
+    np.testing.assert_allclose(out, [[0.0, 0.0]])
 
 
 def test_leader_vanishing_forcing_at_k0():
     m = dyn.leader_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
-    out = dyn.step(m, [0.0, 0.0], np.zeros(0), k=0)
-    np.testing.assert_allclose(out, [0.0, 0.0])
+    out = dyn.step(m, [[0.0, 0.0]], np.zeros((1, 0)), k=0)
+    np.testing.assert_allclose(out, [[0.0, 0.0]])
 
 
 def test_linear_jacobians_constant():
@@ -196,7 +196,7 @@ def test_nonfinite_state_raises_with_context():
                     lambda X, U, k0, Lam: np.zeros(X.shape[:2] + (2, 2)),
                     name="exploder")
     with pytest.raises(NumericError, match="exploder"):
-        dyn.step(bad, [1.0], [0.0], k=7)
+        dyn.step(bad, [[1.0]], [[0.0]], k=7)
     with pytest.raises(NumericError, match="step 0"):
         dyn.rollout(bad, [[1.0]], np.zeros((1, 2, 1)))
 
@@ -207,10 +207,10 @@ def test_rollout_failure_names_first_bad_stage_and_keeps_its_warnings():
     # stepped on its own.
     m = dyn.unicycle(1.0)
     u = np.array([[0.0, 1e308], [0.0, 1e308], [1.0, 0.0]])
-    x1 = dyn.step(m, [0.0, 0.0, 0.0], u[0])
+    x1 = dyn.step(m, [[0.0, 0.0, 0.0]], u[:1])
     with warnings.catch_warnings(record=True) as alone:
         warnings.simplefilter("always")
-        m.step_fn(x1[None], u[1][None], 5)
+        m.step_fn(x1, u[1:2], 5)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(NumericError) as exc:
@@ -234,7 +234,7 @@ def test_a_step_of_the_wrong_shape_is_rejected():
     model = dataclasses.replace(base, step_fn=lambda X, U, k: X[:, :1])
     with pytest.raises(ValueError, match=rf"^{re.escape(model.name)}: step returned "
                                          rf"shape \(1, 1\)$"):
-        dyn.step(model, [0.0, 0.0], [0.0, 0.0])
+        dyn.step(model, [[0.0, 0.0]], [[0.0, 0.0]])
     with pytest.raises(ValueError, match=rf"^{re.escape(model.name)}: step returned "
                                          rf"shape \(3, 1\)$"):
         dyn.rollout(model, np.zeros((3, 2)), np.zeros((3, 4, 2)))
@@ -242,10 +242,14 @@ def test_a_step_of_the_wrong_shape_is_rejected():
 
 def test_step_dimension_mismatch():
     m = dyn.unicycle()
-    with pytest.raises(ValueError):
-        dyn.step(m, [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        dyn.step(m, [0.0, 0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="step inputs have shapes"):
+        dyn.step(m, [[0.0, 0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="step inputs have shapes"):
+        dyn.step(m, [[0.0, 0.0, 0.0]], [[0.0]])
+    with pytest.raises(ValueError, match="step inputs have shapes"):
+        dyn.step(m, [[0.0, 0.0, 0.0]] * 2, [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="step inputs have shapes"):
+        dyn.step(m, [0.0, 0.0, 0.0], [0.0, 0.0])
 
 
 # The per-stage formulas that the window functions replaced, kept as
@@ -435,8 +439,10 @@ def test_stacked_rollout_equals_per_agent_steps(kind, K):
         for t in range(H):
             x = f(x, u[a, t], k0 + t)
             assert_bits_equal(trajs[a, t + 1], x)
-        assert_bits_equal(dyn.step(model, trajs[a, H - 1], u[a, H - 1], k0 + H - 1),
-                          trajs[a, H])
+        assert_bits_equal(dyn.step(model, trajs[a:a + 1, H - 1], u[a:a + 1, H - 1],
+                                   k0 + H - 1)[0], trajs[a, H])
+    assert_bits_equal(dyn.step(model, trajs[:, H - 1], u[:, H - 1], k0 + H - 1),
+                      trajs[:, H])
 
 
 def test_rollout_rejects_misshapen_controls():

@@ -146,10 +146,10 @@ def test_direction_error_names_the_indefinite_row(r):
 
 
 def test_regularize_shifts_indefinite():
-    H = np.diag([1.0, -0.5])
+    H = np.diag([1.0, -0.5])[None]
     out = regularize(H, 1e-8)
     assert np.linalg.eigvalsh(out).min() >= 1e-8 - 1e-15
-    H_ok = np.diag([1.0, 2.0])
+    H_ok = np.diag([1.0, 2.0])[None]
     np.testing.assert_array_equal(regularize(H_ok, 1e-8), H_ok)
 
 
@@ -206,19 +206,33 @@ def outcome(fn, Hmat, floor):
 def test_regularize_certificate_equals_eigvalsh_path(n):
     floor = 1e-8
     rng = np.random.default_rng(n)
+    rows = []
     for Hmat in certificate_cases(rng, n, floor):
-        before = Hmat.copy()
+        Hs = Hmat[None]
+        before = Hs.copy()
         with np.errstate(invalid="ignore"):
             want = outcome(eigvalsh_regularize, Hmat, floor)
-            got = outcome(regularize, Hmat, floor)
-        np.testing.assert_array_equal(Hmat, before)
+            got = outcome(regularize, Hs, floor)
+        np.testing.assert_array_equal(Hs, before)
         if isinstance(want, type):
             assert got is want
             continue
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(got[0], want)
+        np.testing.assert_array_equal(np.signbit(got[0]), np.signbit(want))
         # perfbench's tracer counts a shift as `out is not Hmat`.
-        assert (got is Hmat) == (want is Hmat)
+        assert (got is Hs) == (want is Hmat)
+        rows.append((Hmat, got[0], want is not Hmat))
+    # The rows of one stack equal their stacks of one, and the stack itself
+    # comes back exactly when none of its rows moves.
+    Hs = np.array([Hmat for Hmat, *_ in rows])
+    with np.errstate(invalid="ignore"):
+        got = regularize(Hs, floor)
+    for row, (_, want, _) in zip(got, rows):
+        np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(np.signbit(row), np.signbit(want))
+    assert (got is Hs) == (not any(shifted for *_, shifted in rows))
+    kept = np.array([Hmat for Hmat, _, shifted in rows if not shifted])
+    assert regularize(kept, floor) is kept
 
 
 def test_solve_local_stationary_start(scalar_chain):
