@@ -10,6 +10,8 @@ Conventions used package-wide:
   windows ``(K, H, m)``; one agent is a stack of one;
 * ``step(x, u, k)`` maps states x and controls u at time index k to the
   next states; k only matters for time-varying (leader) models;
+* ``rollout`` steps windows by the model's optional ``step_fn.window``
+  (the unicycle's running sums), bit for bit as the ``step_fn`` loop;
 * derivatives are taken a window at a time: ``linearize`` and
   ``second_order_action`` read the stage states X = traj[:, :H] and
   controls U of windows whose stage t sits at time k0 + t, and return one
@@ -44,6 +46,11 @@ class Model:
       state-then-control.
 
     Both return fresh C-contiguous arrays.
+
+    An optional ``step_fn.window(X, U, k)`` fills stages 1..L of states X
+    (K, L+1, p) in place from stage 0 under controls U (K, L, m), stage t at
+    time k + t, bit for bit as L ``step_fn`` calls; a replaced ``step_fn``
+    drops it.
     """
 
     state_dim: int
@@ -123,11 +130,13 @@ def rollout(model: Model, x0, controls, k0: int = 0, known=None) -> np.ndarray:
 
     ``known`` (K, s, p), s < H, gives stages 1..s when they are already
     known (a warm window's shifted predecessor); stepping starts at stage s.
-    ``step_fn`` runs once per stepped stage on the whole stack, its output
-    shape compared each time; finiteness is checked once for all windows.
-    Floating-point warnings are held back while stepping: the first stage
-    with a state that is not finite is evaluated again so that its own
-    warnings surface, and the error names it.
+    The model's window function, if it has one, steps two or more stages at
+    once; otherwise ``step_fn`` runs once per stepped stage on the whole
+    stack, its output shape compared each time.  Finiteness is checked once
+    for all stepped stages.  Floating-point warnings are held back while
+    stepping: the first stage with a state that is not finite is evaluated
+    again by ``step_fn`` so that its own warnings surface, and the error
+    names it.
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -145,15 +154,18 @@ def rollout(model: Model, x0, controls, k0: int = 0, known=None) -> np.ndarray:
     s = 0 if known is None else len(known[0])
     if s:
         states[:, 1:s + 1] = known
+    window = getattr(f, "window", None)
     with np.errstate(all="ignore"):
-        for t in range(s, H):
-            out = f(states[:, t], controls[:, t], k0 + t)
-            if out.shape != (K, p):
-                raise ValueError(f"{model.name}: step returned shape {out.shape}")
-            states[:, t + 1] = out
-    finite = np.isfinite(states[:, 1:]).all(axis=(0, 2))
-    if not finite.all():
-        t = int(np.argmin(finite))
+        if window is not None and H - s > 1:
+            window(states[:, s:], controls[:, s:], k0 + s)
+        else:
+            for t in range(s, H):
+                out = f(states[:, t], controls[:, t], k0 + t)
+                if out.shape != (K, p):
+                    raise ValueError(f"{model.name}: step returned shape {out.shape}")
+                states[:, t + 1] = out
+    if not np.isfinite(states[:, s + 1:]).all():
+        t = s + int(np.argmin(np.isfinite(states[:, s + 1:]).all(axis=(0, 2))))
         f(states[:, t], controls[:, t], k0 + t)
         raise NumericError(f"rollout failed at step {t}: {model.name}: "
                            f"non-finite state at k={k0 + t}")
@@ -177,6 +189,18 @@ def unicycle(delta: float = 0.05) -> Model:
         out[:, 1] = x[:, 1] + delta * v * np.sin(th)
         out[:, 2] = th + delta * u[:, 1]
         return out
+
+    def window(X, U, k):
+        # Running sums in f's order: the headings first, then x and y from
+        # (delta * v) * cos/sin of the heading each stage starts from.
+        X[:, 1:, 2] = delta * U[..., 1]
+        np.add.accumulate(X[..., 2], axis=1, out=X[..., 2])
+        dv, th = delta * U[..., 0], X[:, :-1, 2]
+        X[:, 1:, 0] = dv * np.cos(th)
+        X[:, 1:, 1] = dv * np.sin(th)
+        np.add.accumulate(X[..., :2], axis=1, out=X[..., :2])
+
+    f.window = window
 
     def jac(X, U, k0):
         v = U[..., 0]
@@ -214,6 +238,10 @@ def _autonomous(base: Model, control: Callable, name: str) -> Model:
 
     def f(x, u, k):
         return base.step_fn(x, np.broadcast_to(control(k), (len(x), m)), k)
+
+    base_window = getattr(base.step_fn, "window", None)
+    if base_window is not None:
+        f.window = lambda X, U, k: base_window(X, schedule(U, k), k)
 
     def jac(X, U, k0):
         A, _ = base.jac_fn(X, schedule(X, k0), k0)
@@ -298,8 +326,12 @@ def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
         comps = [0] if mode == "first" else list(range(p))
 
         def f(x, u, k):
-            forcing = amp * sum(np.sin(x[:, a:a + 1]) for a in comps)
-            return _mv(A, x) + b * (u[:, :1] + forcing)
+            # sum()'s left fold; "+ 0.0" maps -0.0 to 0.0 as its start 0 does.
+            s = np.sin(x[:, :len(comps)])
+            forcing = s[:, :1] + 0.0
+            for a in comps[1:]:
+                forcing += s[:, a:a + 1]
+            return _mv(A, x) + b * (u[:, :1] + amp * forcing)
 
         def jac(X, U, k0):
             G = np.zeros(X.shape)

@@ -796,3 +796,28 @@ def test_non_finite_new_stage_fails_like_a_fresh_rollout():
     assert str(warm.value) == str(fresh.value)
     assert str(warm.value) == (f"rollout failed at step {H - 1}: {model.name}: "
                                f"non-finite state at k={session.t + H - 1}")
+
+
+def test_non_finite_new_stage_fails_like_a_fresh_rollout_on_unicycles():
+    # The same on the formation preset, whose unicycles roll out whole
+    # windows by running sums: the replaced step function carries no window
+    # function, so every stage goes through it and a fresh rollout fails too.
+    spec = scenarios.load_preset("formation")
+    H, model = spec.mpc.N_p, spec.models[1]
+    assert hasattr(model.step_fn, "window")
+
+    def blows_up(x, u, k):
+        out = model.step_fn(x, u, k)
+        return np.full_like(out, np.inf) if k >= H else out
+
+    broken = replace(model, step_fn=blows_up)
+    _, session = preset_session("formation", models={i: broken for i in spec.models})
+    session.step()
+    u0 = session._initial_window()
+    with pytest.raises(NumericError) as fresh:
+        dyn.rollout(broken, [session.x[1]], u0[1][None], session.t)
+    with pytest.raises(NumericError) as warm:
+        session.step()
+    assert str(warm.value) == str(fresh.value)
+    assert str(warm.value) == (f"rollout failed at step {H - 1}: {model.name}: "
+                               f"non-finite state at k={session.t + H - 1}")

@@ -445,6 +445,66 @@ def test_stacked_rollout_equals_per_agent_steps(kind, K):
                       trajs[:, H])
 
 
+def stage_loop(model):
+    """The model with its step function wrapped, so that rollout steps it
+    stage by stage instead of through its window function."""
+    return dataclasses.replace(model, step_fn=lambda x, u, k: model.step_fn(x, u, k))
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("kind", ["unicycle", "unicycle_drift"])
+def test_window_function_equals_stage_loop(kind, K):
+    # The running sums fill every stepped stage as the step_fn loop does, bit
+    # for bit, from a cold start (s = 0) and after s known stages; each row
+    # equals its stack of one.
+    model, _ = STEP_ORACLES[kind]()
+    loop = stage_loop(model)
+    assert hasattr(model.step_fn, "window") and not hasattr(loop.step_fn, "window")
+    p, m = model.state_dim, model.control_dim
+    rng = np.random.default_rng(10 + K)
+    H, k0 = 8, int(rng.integers(0, 40))
+    x0 = signed_with_zeros(rng, (K, p), 2.0)
+    u = signed_with_zeros(rng, (K, H, m), 1.0)
+    full = dyn.rollout(loop, x0, u, k0)
+    for s in (0, 1, H - 1):
+        known = full[:, 1:s + 1] if s else None
+        assert_bits_equal(dyn.rollout(model, x0, u, k0, known), full)
+        stepped = full.copy()
+        stepped[:, s + 1:] = np.nan
+        model.step_fn.window(stepped[:, s:], u[:, s:], k0 + s)
+        assert_bits_equal(stepped, full)
+        for a in range(K):
+            one = dyn.rollout(model, x0[a:a + 1], u[a:a + 1], k0,
+                              None if known is None else known[a:a + 1])
+            assert_bits_equal(one[0], full[a])
+
+
+def test_overflow_after_known_stages_fails_as_the_stage_loop_does():
+    # Row 1's heading overflows at stage 5, three stages after the known
+    # ones, and stage 6 takes cos(inf).  The running sums and the stage loop
+    # name the same first bad stage with the same message and warnings.
+    model = dyn.unicycle(1.0)
+    loop = stage_loop(model)
+    H, s, k0 = 6, 2, 9
+    u = np.zeros((2, H, 2))
+    u[:, :, 0] = 0.5
+    u[1, 3:5, 1] = 1e308
+    u[1, 5] = (1.0, 0.0)
+    x0 = np.array([[0.0, 0.0, 0.0], [1.0, -0.0, 0.25]])
+    known = dyn.rollout(model, x0, u[:, :s], k0)[:, 1:]
+    outcomes = []
+    for each in (model, loop):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as exc:
+                dyn.rollout(each, x0, u, k0, known)
+        outcomes.append((str(exc.value), [str(w.message) for w in seen]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (f"rollout failed at step 4: {model.name}: "
+                              f"non-finite state at k={k0 + 4}")
+    assert outcomes[0][1]
+
+
 def test_rollout_rejects_misshapen_controls():
     # Controls are never reshaped: an (8, 1) window on the 2-input unicycle
     # is not 4 stages, and a (2, 3) window on a 1-input model is not 6.
