@@ -95,10 +95,10 @@ def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
     K, H, p = trajs.shape[0], us.shape[1], trajs.shape[2]
 
     E = local_errors(terms, trajs, us, bundles)
+    sources = E @ terms.Q
+    sources[:, H] = (terms.D @ E[:, H, :, None])[..., 0]  # the terminal D e(H)
     src = np.zeros((K, H + 1, p))
-    np.add.at(src, terms.rows, E @ terms.Q)
-    src[:, H] = 0.0
-    np.add.at(src[:, H], terms.rows, (terms.D @ E[:, H, :, None])[..., 0])
+    np.add.at(src, terms.rows, sources)
     return _band_solve(A, src.reshape(-1, 1), "T").reshape(K, H + 1, p)
 
 
@@ -202,6 +202,22 @@ def kkt_band(blocks, jac, c: float):
     return band.T, m + 2 * p - 1, rows
 
 
+@functools.lru_cache(maxsize=8)
+def _hessian_layout(K: int, H: int, p: int, m: int):
+    """Where ``hessian`` puts things, as flat indices: B's entries, in its
+    (K, H, p, m) order, in the sensitivity right-hand side (H, m, K, H+1,
+    p), B(t) at stage t's columns and state t+1's rows; and the entries of
+    the (K, H, m, m) diagonal blocks in the (K, H*m, H*m) Hessians."""
+    a, t, i, j = np.ix_(np.arange(K), np.arange(H), np.arange(p), np.arange(m))
+    rhs = (((t * m + j) * K + a) * (H + 1) + t + 1) * p + i
+    a, t, i, j = np.ix_(np.arange(K), np.arange(H), np.arange(m), np.arange(m))
+    diag = (a * H * m + t * m + i) * H * m + t * m + j
+    layout = rhs.ravel(), diag.ravel()
+    for idx in layout:
+        idx.setflags(write=False)
+    return layout
+
+
 def hessian(terms: GroupTerms, jac, M) -> np.ndarray:
     """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
     neighbors frozen, as a (K, H*m, H*m) array.
@@ -227,8 +243,9 @@ def hessian(terms: GroupTerms, jac, M) -> np.ndarray:
     Mxx, Mxu = M[..., :p, :p], M[..., :p, p:]
     Mux, Muu = M[..., p:, :p], M[..., p:, p:]
 
-    rhs = np.zeros((H, m, K, H + 1, p))  # B(t) in stage t's columns, state t+1's rows
-    rhs[np.arange(H), :, :, np.arange(1, H + 1)] = B.transpose(1, 3, 0, 2)
+    at_rhs, at_diag = _hessian_layout(K, H, p, m)
+    rhs = np.zeros(n * K * (H + 1) * p)
+    rhs[at_rhs] = B.reshape(-1)
     dxs = _band_solve(A, rhs.reshape(n, -1).T, "N").T.reshape(n, K, H + 1, p)
     dxs = np.ascontiguousarray(dxs.transpose(1, 2, 3, 0))
 
@@ -238,17 +255,17 @@ def hessian(terms: GroupTerms, jac, M) -> np.ndarray:
     Hs = S.transpose(0, 2, 1) @ (W @ dxs[:, 1:]).reshape(K, H * p, n)
     Hs += (Mux @ dxs[:, :H]).reshape(K, n, n)
     Hs += (Mxu.transpose(0, 1, 3, 2) @ dxs[:, :H]).reshape(K, n, n).transpose(0, 2, 1)
-    diag = Hs.reshape(K, H, m, H, m)
-    rows, idx = np.arange(K)[:, None], np.arange(H)
-    diag[rows, idx, :, idx, :] += terms.R[:, None] + Muu
+    Hs.reshape(-1)[at_diag] += (terms.R[:, None] + Muu).reshape(-1)
 
-    scale = np.linalg.norm(Hs, axis=(1, 2))
-    drift = np.linalg.norm(Hs - Hs.transpose(0, 2, 1), axis=(1, 2))
-    bad = np.flatnonzero((scale > 0) & (drift > 1e-8 * scale))
+    # Squared Frobenius norms: asymmetry beyond 1e-8 relative.
+    scale = np.einsum("kij,kij->k", Hs, Hs)
+    skew = Hs - Hs.transpose(0, 2, 1)
+    drift = np.einsum("kij,kij->k", skew, skew)
+    bad = np.flatnonzero((scale > 0) & (drift > 1e-16 * scale))
     if bad.size:
         a = bad[0]
         raise NumericError(f"agent {terms.agents[a]}: Hessian asymmetry "
-                           f"{drift[a] / scale[a]:.2e} exceeds tolerance")
+                           f"{np.sqrt(drift[a] / scale[a]):.2e} exceeds tolerance")
     return 0.5 * (Hs + Hs.transpose(0, 2, 1))
 
 

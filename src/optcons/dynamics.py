@@ -201,12 +201,12 @@ def unicycle(delta: float = 0.05) -> Model:
         np.add.accumulate(X[..., :2], axis=1, out=X[..., :2])
 
     f.window = window
+    eye = np.eye(3)
 
     def jac(X, U, k0):
         v = U[..., 0]
         s, c = np.sin(X[..., 2]), np.cos(X[..., 2])
-        A = np.zeros(X.shape[:2] + (3, 3))
-        A[..., [0, 1, 2], [0, 1, 2]] = 1.0
+        A = np.broadcast_to(eye, X.shape[:2] + (3, 3)).copy()
         A[..., 0, 2] = -delta * v * s
         A[..., 1, 2] = delta * v * c
         B = np.zeros(X.shape[:2] + (3, 2))

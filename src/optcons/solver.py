@@ -15,7 +15,11 @@ geometric recursion whose depth grows with the outer iteration counter:
 
 after which u <- u - d.  On a quadratic the error contracts by
 rho((G+H)^-1 G)^{r+1} per outer step r, which is what makes the scheme
-superlinear; ``contraction_factor`` computes that spectral radius.
+superlinear; ``contraction_factor`` computes that spectral radius.  The
+last iterate, after N = min(r, L_max) + 1 terms, is d = sum_{l<N} P^l d^0
+with P = (G+H)^-1 G, which the dense path's inverse form evaluates by
+repeated squaring (binary powering; Knuth, TAOCP vol. 2, 4.6.3): about
+2 log2 N stacked products instead of N - 1 matvecs.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dposv, dpotrs
 
 from . import adjoint, dynamics as dyn
 from .cost import CostSpec, GroupTerms, NeighborBundle, local_costs
@@ -109,8 +113,10 @@ def _cholesky_rows(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
     ``shift`` (K,) is added to its diagonals: one batched call, then rows
     one at a time only if it fails.  A shift that is not finite fails."""
     ok = np.isfinite(shift)
-    B, d = blocks[ok], np.arange(blocks.shape[-1])
-    B.T[d, d] += shift[ok]  # every block's diagonal, rows last
+    B, shift = (blocks.copy(), shift) if ok.all() else (blocks[ok], shift[ok])
+    s = B.shape[-1]
+    diag = B.reshape(B.shape[:-2] + (s * s,))[..., ::s + 1].T  # every block's diagonal, rows last
+    diag += shift
     try:
         np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
@@ -155,37 +161,50 @@ def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.nd
     """Inner recursion producing a model group's directions d (K, n) from
     gradients g (K, n) and Hessians Hs (K, n, n) at outer iteration r, G = c I.
 
-    Each row's Cholesky factor (dpotrf) of c I + H serves min(r, L_max) + 1
-    applications of (G+H)^-1: below n / INVERSE_N_PER_DEPTH, cho_solve's
-    triangular solves (dpotrs), which d equals bit for bit up to signed zeros;
-    else stacked matvecs with (G+H)^-1 (dpotrs on I), equal to rounding.
+    d is the sum of the N = min(r, L_max) + 1 terms P^l b, P = (G+H)^-1 G
+    and b = (G+H)^-1 g, after one dposv (dpotrf, then dpotrs) per row.
+    Below n / INVERSE_N_PER_DEPTH terms, dposv solves for b and cho_solve's
+    triangular solves (dpotrs) run the recursion, which d equals bit for bit
+    up to signed zeros.  Else dposv turns [[c I, g], [0, 1]] into T = [[P,
+    b], [0, 1]], whose powers T^k = [[P^k, S_k], [0, 1]] hold the sum's
+    first k terms S_k, and the squares T^(2^j) for N's binary digits give
+    d = S_N in about 2 log2 N stacked products (S_{a+k} = S_k + P^k S_a,
+    P^2k = P^k P^k), equal to rounding.
     Non-finite input raises ValueError; a row whose c I + H is not positive
     definite raises NumericError with that ``row``.
     """
     g = np.asarray(g, dtype=float)[..., None]
     K, n, _ = g.shape
-    inverse = INVERSE_N_PER_DEPTH * (min(r, L_max) + 1) >= n
-    eye = np.eye(n)
-    GH = np.add(Hs, c * eye)
+    N = min(r, L_max) + 1
+    inverse = INVERSE_N_PER_DEPTH * N >= n
+    cI = c * np.eye(n)
+    GH = np.add(Hs, cI)
     if not (np.isfinite(GH).all() and np.isfinite(g).all()):
         raise ValueError("array must not contain infs or NaNs")
     d = np.empty_like(g)
+    if inverse:
+        T = np.zeros((K, n + 1, n + 1))
+        T[:, :n, :n] = cI
+        T[:, :n, n:] = g
+        T[:, n, n] = 1.0
     for a in range(K):
-        cho, info = dpotrf(GH[a], clean=0)
+        cho, x, info = dposv(GH[a], T[a, :n] if inverse else g[a])
         if info > 0:
             raise NumericError(f"G + H is not positive definite: {info}-th leading "
                                f"minor of the array is not positive definite", row=a)
         if inverse:
-            GH[a] = dpotrs(cho, eye)[0]
+            T[a, :n] = x
             continue
-        d[a], _ = dpotrs(cho, g[a])
-        for _ in range(min(r, L_max)):
+        d[a] = x
+        for _ in range(N - 1):
             d[a], _ = dpotrs(cho, g[a] + c * d[a])
     if inverse:
-        b = GH @ g
-        P, d = c * GH, b
-        for _ in range(min(r, L_max)):
-            d = P @ d + b
+        x, d = T, None  # x = T^(2^j) for N's binary digit j, lowest first
+        for j, bit in enumerate(bin(N)[:1:-1]):
+            x = x @ x if j else x
+            if bit == "1":
+                d = x[..., n:] if d is None else x @ d
+        d = d[:, :n]
     return d[..., 0]
 
 

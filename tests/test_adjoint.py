@@ -560,6 +560,21 @@ def test_banded_kernels_equal_stage_loops(K, H, p, m):
         stage_loop_hessian(terms, model, trajs, us, jac, lam, k0=3))
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_curvature_blocks_land_where_the_stage_loop_puts_them(K):
+    """An M whose blocks are symmetric only to 1e-13 (within the asymmetry
+    tolerance): each R + Muu block and cross term sits where the stage loop
+    puts it, bit for bit, transposes included."""
+    terms, model, trajs, us, jac, bundles = banded_case(K, 8, 3, 2, seed=11)
+    rng = np.random.default_rng(12)
+    M = rng.normal(size=(K, 8, 5, 5))
+    M = M + M.transpose(0, 1, 3, 2) + 1e-13 * rng.normal(size=M.shape)
+    curved = dataclasses.replace(model, second_order_fn=lambda X, U, k0, Lam: M.copy())
+    lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
+    np.testing.assert_array_equal(model_hessian(terms, curved, trajs, us, jac, lam, k0=3),
+                                  stage_loop_hessian(terms, curved, trajs, us, jac, lam, k0=3))
+
+
 @pytest.mark.parametrize("t", [0, 7])
 @pytest.mark.parametrize("row", [0, 1, 2])
 def test_nan_in_one_row_stays_in_that_row(row, t):

@@ -102,15 +102,16 @@ def test_direction_equals_cho_solve_recursion(n):
 @pytest.mark.parametrize("K", [1, 3, 4])
 @pytest.mark.parametrize("n", [1, 16, 32, 64])
 def test_direction_stack_rows_equal_cho_solve_recursion(K, n):
-    # L_max = 20 puts some depths of every n > 1 on either side of the switch
-    # from the solves to the inverse; each row of a stack also equals its own
-    # stack of one bit for bit.
+    # Every depth N = min(r, L_max) + 1 up to L_max + 1 = 21, so every binary
+    # digit pattern that the inverse's repeated squaring meets, and for every
+    # n > 1 depths on either side of the switch from the solves to the
+    # inverse; each row of a stack also equals its own stack of one bit for bit.
     rng = np.random.default_rng(100 * K + n)
     L_max, c = 20, 0.5
     g = rng.normal(size=(K, n))
     Hs = np.array([signed_zero_hessian(rng, n) for _ in range(K)])
     paths = set()
-    for r in (0, 1, 2, 3, L_max, L_max + 3):
+    for r in range(L_max + 4):
         paths.add(uses_inverse(n, r, L_max))
         d = ocp_direction(g, Hs, c, r, L_max)
         assert d.shape == (K, n)
@@ -131,7 +132,7 @@ def test_direction_errors():
         ocp_direction(np.ones((1, 2)), np.diag([1.0, np.inf])[None], c, r=0)
 
 
-@pytest.mark.parametrize("r", [0, 20])
+@pytest.mark.parametrize("r", [0, 3, 4, 7, 15, 20])
 def test_direction_error_names_the_indefinite_row(r):
     # Both paths factor every row first and report the first row whose
     # c I + H is not positive definite, with its leading-minor index.
@@ -233,6 +234,50 @@ def test_regularize_certificate_equals_eigvalsh_path(n):
     assert (got is Hs) == (not any(shifted for *_, shifted in rows))
     kept = np.array([Hmat for Hmat, _, shifted in rows if not shifted])
     assert regularize(kept, floor) is kept
+
+
+def cholesky_mask(blocks, shift):
+    """Oracle: one np.linalg.cholesky per row of the shifted blocks."""
+    ok = np.isfinite(shift)
+    for a in np.flatnonzero(ok):
+        try:
+            np.linalg.cholesky(blocks[a] + shift[a] * np.eye(blocks.shape[-1]))
+        except np.linalg.LinAlgError:
+            ok[a] = False
+    return ok
+
+
+@pytest.mark.parametrize("shape", [(4, 16, 16), (1, 16, 16), (4, 8, 5, 5), (1, 8, 5, 5)])
+@pytest.mark.parametrize("case", ["pass", "one fails", "edge", "non-finite shift",
+                                  "all non-finite"])
+def test_cholesky_rows_equal_per_row_cholesky(shape, case):
+    # "edge" shifts each row to 1e-6 above (even rows) or below (odd rows)
+    # the point where its smallest block eigenvalue reaches 0, so only the
+    # diagonals' own shift decides.
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    K, s = shape[0], shape[-1]
+    blocks = np.array([random_spd(rng, s) for _ in range(np.prod(shape[:-2]))]).reshape(shape)
+    shift = rng.uniform(-0.05, 0.05, size=K)
+    lo = np.linalg.eigvalsh(blocks).reshape(K, -1).min(axis=1)
+    if case == "one fails":
+        shift[-1] = -50.0
+    elif case == "edge":
+        shift = -lo + np.where(np.arange(K) % 2, -1e-6, 1e-6)
+    elif case == "non-finite shift":
+        shift[K // 2] = np.nan if K > 1 else np.inf
+    elif case == "all non-finite":
+        shift[:] = np.nan
+    before = blocks.copy()
+    with np.errstate(invalid="ignore"):
+        got = solver._cholesky_rows(blocks, shift)
+    np.testing.assert_array_equal(blocks, before)
+    assert got.dtype == bool and got.shape == (K,)
+    np.testing.assert_array_equal(got, cholesky_mask(blocks, shift))
+    assert got.all() == (case == "pass" or case == "edge" and K == 1)
+    if case == "edge":
+        np.testing.assert_array_equal(got, np.arange(K) % 2 == 0)
+    if case == "pass" and len(shape) == 3:
+        assert regularize(blocks, 1e-8) is blocks
 
 
 def test_solve_local_stationary_start(scalar_chain):
