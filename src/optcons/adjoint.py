@@ -5,8 +5,8 @@ along a leading axis, and the stack's cost-term table (``GroupTerms``);
 each recursion over the stages is one banded solve for the stack, and a
 row equals that agent's stack of one bit for bit.  They read the windows'
 (A, B) from one ``linearize_window`` per update, and the Hessian also the
-update's one ``dyn.second_order_action`` M, so none calls the model.  L
-below is unit lower block-bidiagonal, -A(t) at (t+1, t).
+update's ``stage_blocks``, so none calls the model.  L below is unit lower
+block-bidiagonal, -A(t) at (t+1, t).
 
 The gradient comes from the costate lambda = L^-T src, whose sources are
 summed per row from all of the stack's errors at once: the costate lambda(t)
@@ -22,15 +22,15 @@ coordinate are one solve with L (zero initial condition; a unit control
 perturbation enters as B(t) at its stage), and the Hessian is S^T W S over
 the stacked sensitivities S, plus the control-state curvature cross terms
 and the R and control-curvature diagonal blocks, one stacked matmul per
-term.  It equals the stage-by-stage assembly with a backward second-order
-costate pass to rounding.
+term, each read from the stage blocks.  It equals the stage-by-stage
+assembly with a backward second-order costate pass to rounding.
 
 The Newton step needs only (c I + H)^-1, and that has a form without H:
 (c I + H) d = b is the KKT system of the quadratic model over (u, x) with
 the linearized dynamics as constraints.  In stage order it is banded, its
 bandwidth independent of H (Wright, JOTA 1993; Rao, Wright and Rawlings,
-JOTA 1998); ``stage_blocks`` are its Lagrangian curvature blocks and
-``kkt_band`` writes a stack's system as one LAPACK band.
+JOTA 1998); its Lagrangian curvature blocks are the same ``stage_blocks``
+and ``kkt_band`` writes a stack's system as one LAPACK band.
 
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
@@ -66,9 +66,8 @@ def _band_solve(A, rhs, trans: str) -> np.ndarray:
     ab = np.zeros((K, H + 1, p, 2 * p))
     band = ab.reshape(K, H + 1, -1)[:, :H, p:].reshape(K, H, p, 2 * p - 1)[..., :p]
     np.negative(A.transpose(0, 1, 3, 2), out=band)
-    x, info = dtbtrs(ab.reshape(-1, 2 * p).T, rhs, uplo="L", trans=trans, diag="U")
-    if info:
-        raise NumericError(f"banded solve failed: dtbtrs info={info}")
+    # A unit triangle is never singular: dtbtrs's info stays 0.
+    x, _ = dtbtrs(ab.reshape(-1, 2 * p).T, rhs, uplo="L", trans=trans, diag="U")
     if K > 1 and not np.isfinite(x).all():
         # Rows meet only at zeros of the band, and 0 * nan is nan: solve
         # each row alone so that a non-finite row stays in that row.
@@ -122,18 +121,17 @@ def gradient(terms: GroupTerms, us, jac, lambdas) -> np.ndarray:
 
 def stage_blocks(terms: GroupTerms, M) -> np.ndarray:
     """The curvature blocks of the local cost's Lagrangian in (x, u), one
-    per stage, (K, H, p+m, p+m): [[W(t), Mxu(t)], [Mux(t), R + Muu(t)]] for
-    t >= 1, with W(t) = C_stage + Mxx(t), and at t = 0, whose state x(0) is
-    fixed, [[C_term, 0], [0, R + Muu(0)]]: the terminal curvature W(H) takes
-    the free slot, so that each window's Lagrangian Hessian is the blocks'
-    direct sum."""
-    p = terms.C_stage.shape[-1]
-    blocks = np.array(M, dtype=float)
-    blocks[:, 1:, :p, :p] += terms.C_stage[:, None]
+    per stage, (K, H, p+m, p+m), from M of ``dyn.second_order_action``:
+    M(t) plus the table's ``curvature``, [[W(t), Mxu(t)], [Mux(t), R +
+    Muu(t)]] with W(t) = C_stage + Mxx(t), for t >= 1, and at t = 0, whose
+    state x(0) is fixed, [[C_term, 0], [0, R + Muu(0)]]: the terminal
+    curvature W(H) takes the free slot, so that each window's Lagrangian
+    Hessian is the blocks' direct sum."""
+    p = terms.C_term.shape[-1]
+    blocks = M + terms.curvature[:, None]
     blocks[:, 0, :p, :p] = terms.C_term
     blocks[:, 0, :p, p:] = 0.0
     blocks[:, 0, p:, :p] = 0.0
-    blocks[..., p:, p:] += terms.R[:, None]
     return blocks
 
 
@@ -218,30 +216,27 @@ def _hessian_layout(K: int, H: int, p: int, m: int):
     return layout
 
 
-def hessian(terms: GroupTerms, jac, M) -> np.ndarray:
+def hessian(blocks, jac) -> np.ndarray:
     """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
-    neighbors frozen, as a (K, H*m, H*m) array.
+    neighbors frozen, as a (K, H*m, H*m) array, from their ``stage_blocks``
+    and the windows' (A, B) ``jac``.
 
     Column s*m + a is the response to a unit perturbation of u(s)[a].  The
     forward state sensitivities dx(t+1) = A(t) dx(t) [+ B(t) at the
-    perturbed stage] over the windows' (A, B) ``jac``, all H*m columns of
-    every agent, are one banded solve with L whose right-hand side holds
-    B(t) in state t+1's rows and stage t's columns.
-    With S = dx(1..H) stacked as (K, H*p, H*m) and the state curvatures
-    W(t) = C_stage + Mxx(t) for t < H, W(H) = C_term (C_stage, C_term and R
-    from ``terms``), the Hessian is
+    perturbed stage], all H*m columns of every agent, are one banded solve
+    with L whose right-hand side holds B(t) in state t+1's rows and stage
+    t's columns.  With S = dx(1..H) stacked as (K, H*p, H*m), the Hessian is
     S^T (W S) + Mux dx(0..H-1) + dx(0..H-1)^T Mxu, plus R + Muu(t) on the
-    diagonal blocks; M (K, H, p+m, p+m) holds the model's lambda(t+1)-weighted
-    second derivatives, from ``dyn.second_order_action``.  The cross term
-    reads both Mux and Mxu, so a model whose M is not symmetric makes H
-    asymmetric: beyond 1e-8 relative that is a broken model derivative and
-    raises NumericError.  Every matrix is then symmetrized.
+    diagonal blocks, all read from the blocks: W(t) = C_stage + Mxx(t) from
+    stage t's for 1 <= t < H, W(H) = C_term from stage 0's, whose zero cross
+    terms only meet dx(0) = 0.  The cross term reads both Mux and Mxu, so a
+    model whose M is not symmetric makes H asymmetric: beyond 1e-8 relative
+    that is a broken model derivative and raises NumericError with that
+    ``row``.  Every matrix is then symmetrized.
     """
     A, B = jac
     K, H, p, m = B.shape
     n = H * m
-    Mxx, Mxu = M[..., :p, :p], M[..., :p, p:]
-    Mux, Muu = M[..., p:, :p], M[..., p:, p:]
 
     at_rhs, at_diag = _hessian_layout(K, H, p, m)
     rhs = np.zeros(n * K * (H + 1) * p)
@@ -249,13 +244,13 @@ def hessian(terms: GroupTerms, jac, M) -> np.ndarray:
     dxs = _band_solve(A, rhs.reshape(n, -1).T, "N").T.reshape(n, K, H + 1, p)
     dxs = np.ascontiguousarray(dxs.transpose(1, 2, 3, 0))
 
-    W = np.concatenate([terms.C_stage[:, None] + Mxx[:, 1:], terms.C_term[:, None]],
-                       axis=1)
+    W = np.concatenate([blocks[:, 1:, :p, :p], blocks[:, :1, :p, :p]], axis=1)
     S = dxs[:, 1:].reshape(K, H * p, n)
     Hs = S.transpose(0, 2, 1) @ (W @ dxs[:, 1:]).reshape(K, H * p, n)
+    Mxu, Mux = blocks[..., :p, p:], blocks[..., p:, :p]
     Hs += (Mux @ dxs[:, :H]).reshape(K, n, n)
     Hs += (Mxu.transpose(0, 1, 3, 2) @ dxs[:, :H]).reshape(K, n, n).transpose(0, 2, 1)
-    Hs.reshape(-1)[at_diag] += (terms.R[:, None] + Muu).reshape(-1)
+    Hs.reshape(-1)[at_diag] += blocks[..., p:, p:].reshape(-1)
 
     # Squared Frobenius norms: asymmetry beyond 1e-8 relative.
     scale = np.einsum("kij,kij->k", Hs, Hs)
@@ -264,56 +259,49 @@ def hessian(terms: GroupTerms, jac, M) -> np.ndarray:
     bad = np.flatnonzero((scale > 0) & (drift > 1e-16 * scale))
     if bad.size:
         a = bad[0]
-        raise NumericError(f"agent {terms.agents[a]}: Hessian asymmetry "
-                           f"{np.sqrt(drift[a] / scale[a]):.2e} exceeds tolerance")
+        raise NumericError(f"Hessian asymmetry {np.sqrt(drift[a] / scale[a]):.2e} "
+                           f"exceeds tolerance", row=a)
     return 0.5 * (Hs + Hs.transpose(0, 2, 1))
+
+
+def _central_differences(fn, u, h, rel: float) -> np.ndarray:
+    """Central differences of fn at the flattened window u, one row per
+    coordinate k, with step h, or rel (1 + |u_k|) when h is None."""
+    flat = np.asarray(u, dtype=float).reshape(-1)
+    if h is not None and not h > 0.0:
+        raise ValueError(f"finite-difference step must be positive, got {h}")
+    rows = []
+    for idx in range(flat.size):
+        hk = h if h is not None else rel * (1.0 + abs(flat[idx]))
+        e = np.zeros(flat.size)
+        e[idx] = hk
+        rows.append((fn(flat + e) - fn(flat - e)) / (2.0 * hk))
+    return np.array(rows)
 
 
 def fd_gradient(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
                 spec: CostSpec, k0: int = 0, h=None) -> np.ndarray:
     """Central differences of local_cost; the gradient's independent oracle."""
-    u_i = np.asarray(u_i, dtype=float)
-    H, m = u_i.shape
-    flat = u_i.reshape(-1)
-    if h is not None and not h > 0.0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
+    H, m = np.shape(u_i)
 
     def value(vec):
         u = vec.reshape(H, m)
-        traj = dyn.rollout(model, [x0], u[None], k0)[0]
-        return local_cost(i, traj, u, nb, spec)
+        return local_cost(i, dyn.rollout(model, [x0], u[None], k0)[0], u, nb, spec)
 
-    g = np.empty(flat.size)
-    for idx in range(flat.size):
-        hk = h if h is not None else 1e-6 * (1.0 + abs(flat[idx]))
-        e = np.zeros(flat.size)
-        e[idx] = hk
-        g[idx] = (value(flat + e) - value(flat - e)) / (2.0 * hk)
-    return g
+    return _central_differences(value, u_i, h, 1e-6)
 
 
 def fd_hessian(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
                spec: CostSpec, k0: int = 0, h=None) -> np.ndarray:
     """Central differences of the sweep gradient; the Hessian's oracle."""
-    u_i = np.asarray(u_i, dtype=float)
-    H, m = u_i.shape
-    flat = u_i.reshape(-1)
-    if h is not None and not h > 0.0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
-
+    H, m = np.shape(u_i)
     terms = spec.group_terms([i], model.state_dim)
 
     def grad(vec):
         u = vec.reshape(1, H, m)
         traj = dyn.rollout(model, [x0], u, k0)
         jac = linearize_window(model, traj, u, k0)
-        lam = costate_sweep(terms, traj, u, jac, [nb])
-        return gradient(terms, u, jac, lam)[0]
+        return gradient(terms, u, jac, costate_sweep(terms, traj, u, jac, [nb]))[0]
 
-    Hmat = np.empty((flat.size, flat.size))
-    for idx in range(flat.size):
-        hk = h if h is not None else 1e-4 * (1.0 + abs(flat[idx]))
-        e = np.zeros(flat.size)
-        e[idx] = hk
-        Hmat[:, idx] = (grad(flat + e) - grad(flat - e)) / (2.0 * hk)
+    Hmat = _central_differences(grad, u_i, h, 1e-4).T
     return 0.5 * (Hmat + Hmat.T)

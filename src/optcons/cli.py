@@ -89,7 +89,7 @@ def _cmd_gradcheck(args) -> int:
     g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                problem.nb, problem.spec, k0=problem.k0)
     M = dyn.second_order_action(problem.model, trajs[:, :-1], us, problem.k0, lam[:, 1:])
-    Hmat = adjoint.hessian(problem.terms, jac, M)[0]
+    Hmat = adjoint.hessian(adjoint.stage_blocks(problem.terms, M), jac)[0]
     H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                               problem.nb, problem.spec, k0=problem.k0)
 

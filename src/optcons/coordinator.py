@@ -155,14 +155,15 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
     rollouts and ``sweep`` at outer iteration r, ``terms`` the group's
     cost-term table; returns (new windows, step norms).  ``etas`` maps
     agents to the baseline's step sizes, updated in place.  A failed
-    direction or backtracking raises NumericError naming agent and round.
+    Hessian, direction or backtracking raises NumericError naming agent
+    and round, where the kernels name only the failing row.
 
-    The group-round's one ``dyn.second_order_action`` feeds both paths.
-    Where ``banded_pays`` for the window size and depth, the rows that
-    ``banded_direction`` certifies get its directions; the rest get the
-    dense path's: Hessians, ``regularize`` and ``ocp_direction``, on the
-    group's own arrays when no row was certified, else on a stack of just
-    those rows."""
+    Both paths read the ``adjoint.stage_blocks`` of the group-round's one
+    ``dyn.second_order_action``.  Where ``banded_pays`` for the window size
+    and depth, the rows that ``banded_direction`` certifies get its
+    directions; the rest get the dense path's: Hessians, ``regularize`` and
+    ``ocp_direction``, on the group's own arrays when no row was
+    certified, else on a stack of just those rows."""
     jac, lam, g = swept
     if cfg.method == "msa":
         new, steps = us.copy(), [0.0] * len(problems)
@@ -176,19 +177,18 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
         return new, steps
     K, H, m = us.shape
     M = dyn.second_order_action(problems[0].model, trajs[:, :H], us, problems[0].k0, lam[:, 1:])
+    blocks = adjoint.stage_blocks(terms, M)
     d, solved = np.zeros((K, H * m)), np.zeros(K, dtype=bool)
     if banded_pays(H * m, r, cfg.L_max):
-        d, solved = banded_direction(g, terms, jac, M, cfg.c, r, cfg.L_max)
+        d, solved = banded_direction(g, blocks, jac, cfg.c, r, cfg.L_max)
     if not solved.all():
-        rest = slice(None)  # the rows for the dense path
-        if solved.any():
-            rest = np.flatnonzero(~solved)
-            terms = problems[0].spec.group_terms([terms.agents[a] for a in rest], trajs.shape[2])
-        Hs = adjoint.hessian(terms, [J[rest] for J in jac], M[rest])
+        rest = ~solved if solved.any() else slice(None)  # the rows for the dense path
         try:
+            Hs = adjoint.hessian(blocks[rest], [J[rest] for J in jac])
             d[rest] = ocp_direction(g[rest], regularize(Hs, REG_FLOOR), cfg.c, r, cfg.L_max)
         except NumericError as exc:
-            raise NumericError(f"agent {terms.agents[exc.row]}, round {r}: {exc}") from exc
+            agent = terms.agents[np.flatnonzero(~solved)[exc.row]]
+            raise NumericError(f"agent {agent}, round {r}: {exc}") from exc
     return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
 
 

@@ -105,11 +105,14 @@ class CostSpec:
         C_stage, C_term = np.zeros((2, len(senders), p, p))
         np.add.at(C_stage, rows, Q)
         np.add.at(C_term, rows, D)
+        R = np.array([self.R[i] for i in agents])
+        curvature = np.zeros((len(agents), p + R.shape[-1], p + R.shape[-1]))
+        curvature[:, :p, :p], curvature[:, p:, p:] = C_stage, R
         return GroupTerms(
             agents=tuple(agents), senders=tuple(senders), rows=rows, Q=Q, D=D,
             d_i=np.array(d_i, dtype=float).reshape(T, 1, p),
             d_j=np.array(d_j, dtype=float).reshape(T, 1, p),
-            C_stage=C_stage, C_term=C_term, R=np.array([self.R[i] for i in agents]))
+            C_stage=C_stage, C_term=C_term, R=R, curvature=curvature)
 
     def validate(self, topology: Topology, state_dim: int,
                  control_dims: dict[int, int]) -> None:
@@ -216,7 +219,8 @@ class GroupTerms:
     Q[k], D[k] (T, p, p) and the two ends' offsets d_i[k], d_j[k] (T, 1, p);
     terms run row by row, each row's in ``CostSpec.terms`` order.  C_stage,
     C_term (K, p, p) are each row's state curvatures, its Q and D summed in
-    term order, and R (K, m, m) its control weights."""
+    term order, R (K, m, m) its control weights, and ``curvature`` (K, p+m,
+    p+m) [[C_stage, 0], [0, R]], the part of the stage blocks that is fixed."""
 
     agents: tuple
     senders: tuple
@@ -228,6 +232,7 @@ class GroupTerms:
     C_stage: np.ndarray
     C_term: np.ndarray
     R: np.ndarray
+    curvature: np.ndarray
 
 
 @dataclass(frozen=True)

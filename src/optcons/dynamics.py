@@ -88,13 +88,17 @@ def step(model: Model, x, u, k: int = 0) -> np.ndarray:
 
 
 def linearize(model: Model, X, U, k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Stage Jacobians of a stack of windows: (df/dx, df/du) at
-    (X[a, t], U[a, t], k0 + t), stacked as (K, H, p, p) and (K, H, p, m)."""
+    """Stage Jacobians of a stack of windows: (df/dx, df/du) at (X[a, t],
+    U[a, t], k0 + t), stacked as (K, H, p, p) and (K, H, p, m); a non-finite
+    entry raises NumericError naming its stage's time k0 + t."""
     KH, (X, U) = _check_inputs(model, "window", X, U)
     p, m = model.state_dim, model.control_dim
     A, B = model.jac_fn(X, U, k0)
     if (A.shape, B.shape) != (KH + (p, p), KH + (p, m)):
         raise ValueError(f"{model.name}: jac returned shapes {A.shape} and {B.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        t = np.argmin(np.isfinite(A).all(axis=(0, 2, 3)) & np.isfinite(B).all(axis=(0, 2, 3)))
+        raise NumericError(f"{model.name}: non-finite Jacobian at k={k0 + t}")
     return A, B
 
 
@@ -114,13 +118,17 @@ def fd_jacobian(model: Model, x, u, k: int = 0, h: float = 1e-6):
 
 
 def second_order_action(model: Model, X, U, k0: int, Lam) -> np.ndarray:
-    """(K, H, p+m, p+m) stack of the Lam[a, t]-weighted second derivatives
-    of f at (X[a, t], U[a, t], k0 + t); Lam holds lambda(1..H)."""
+    """(K, H, p+m, p+m) stack of the Lam[a, t]-weighted second derivatives of
+    f at (X[a, t], U[a, t], k0 + t), Lam holding lambda(1..H); non-finite
+    entries fail as in ``linearize``."""
     KH, (X, U, Lam) = _check_inputs(model, "window", X, U, Lam)
     n = model.state_dim + model.control_dim
     M = model.second_order_fn(X, U, k0, Lam)
     if M.shape != KH + (n, n):
         raise ValueError(f"{model.name}: second_order returned shape {M.shape}")
+    if not np.isfinite(M).all():
+        t = np.argmin(np.isfinite(M).all(axis=(0, 2, 3)))
+        raise NumericError(f"{model.name}: non-finite second-order action at k={k0 + t}")
     return M
 
 

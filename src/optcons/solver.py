@@ -6,7 +6,7 @@ the dense Hessians (``regularize`` and ``ocp_direction``: triangular solves
 or an inverse) or, for long windows (``banded_pays``) whose Hessians a
 certificate proves need no shift (``banded_certificate``), from one banded
 KKT factorization per group that never forms them (``banded_direction``);
-both read the group-round's one second-order action M.
+both read the group-round's one set of ``adjoint.stage_blocks``.
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:
@@ -243,29 +243,27 @@ def banded_certificate(blocks: np.ndarray, m: int, floor: float) -> np.ndarray:
                           * abs(B).reshape(K, H * s * s).max(axis=1))
 
 
-def banded_direction(g: np.ndarray, terms: GroupTerms, jac, M: np.ndarray, c: float,
-                     r: int, L_max: int = 10):
+def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
+                     L_max: int = 10):
     """``ocp_direction``'s inner recursion on a model group's windows
     without their Hessians, at outer iteration r, G = c I: returns (d, ok),
     the directions (K, n) of the rows that ``ok`` (K,) marks, from
-    gradients g (K, n), the group's cost-term table, the windows' (A, B)
-    ``jac`` and their second-order action M (``dyn.second_order_action``).
+    gradients g (K, n), the windows' ``adjoint.stage_blocks`` and their
+    (A, B) ``jac``.
 
     One dgbtrf factors the solved rows' ``adjoint.kkt_band``, and each of
     the min(r, L_max) + 1 applications of (G+H)^-1 is one dgbtrs with
     g + c d in the u rows.  d equals ``ocp_direction(g, [regularize(H,
     REG_FLOOR) ...])`` to rounding (within 1e-12 relative on the built-in
-    models).  A row is left to the dense path, its d zero, when its M is not
-    exactly symmetric, its ``banded_certificate`` fails, an entry is not
-    finite or dgbtrf finds a zero pivot in it; so a row's outcome, like its
-    d, equals its stack of one's bit for bit.
+    models).  A row is left to the dense path, its d zero, when its blocks
+    are not exactly symmetric, its ``banded_certificate`` fails, its
+    gradient is not finite or dgbtrf finds a zero pivot in it; so a row's
+    outcome, like its d, equals its stack of one's bit for bit.  The
+    windows' (A, B) are finite, as ``dyn.linearize`` returns them.
     """
     A, B = jac
     K, H, p, m = B.shape
-    g = np.asarray(g, dtype=float)
-    blocks = adjoint.stage_blocks(terms, M)
-    ok = ((M == M.swapaxes(-1, -2)).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=1)
-          & np.isfinite(A.reshape(K, -1)).all(axis=1) & np.isfinite(B.reshape(K, -1)).all(axis=1))
+    ok = (blocks == blocks.swapaxes(-1, -2)).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=1)
     ok[ok] = banded_certificate(blocks[ok], m, REG_FLOOR)
     rows = np.flatnonzero(ok)
     while rows.size:

@@ -12,12 +12,12 @@ from optcons.solver import LocalProblem
 
 def model_hessian(terms, model, trajs, us, jac, lam, k0=0):
     """``adjoint.hessian`` of windows us (K, H, m) with rollouts trajs and
-    costates lam, its M from one ``dyn.second_order_action`` call, as the
-    round loop computes it."""
+    costates lam, its stage blocks from one ``dyn.second_order_action``
+    call, as the round loop computes it."""
     us = np.asarray(us, dtype=float)
     M = dyn.second_order_action(model, np.asarray(trajs, dtype=float)[:, :us.shape[1]], us,
                                 k0, lam[:, 1:])
-    return adjoint.hessian(terms, jac, M)
+    return adjoint.hessian(adjoint.stage_blocks(terms, M), jac)
 
 
 def mutual_pair_topology():

@@ -326,3 +326,58 @@ def test_criterion_9_scheduling_independence(tmp_path):
     ok = same and elapsed < 30
     assert report(9, "scheduling independence", ok,
                   f"artifact bytes identical={same}, {elapsed:.1f}s")
+
+
+# -- criterion 10: network fixed point ----------------------------------------
+
+def test_criterion_10_network_fixed_point():
+    # Each agent minimizes its own slice of the cost with its neighbours'
+    # trajectories frozen, so converged rounds stop at the Nash point of the
+    # slices: every agent's own gradient zero at once.  On a linear network
+    # the stacked exact gradients are affine in the stacked controls, so
+    # their unit-vector differences give the dense system of that point.
+    start = time.perf_counter()
+    from optcons.coordinator import run_algorithm1
+    from optcons.graph import Topology
+    A, H, p, m, agents = np.array([[1.0, 0.1], [0.0, 1.0]]), 4, 2, 2, (1, 2, 3)
+    model = dyn.linear(A, 0.5 * np.eye(2))
+    leader_model, leader_x0 = dyn.linear(A, np.zeros((2, 0))), np.array([0.5, -0.2])
+    x0 = {1: [1.0, 0.0], 2: [-1.0, 0.5], 3: [0.0, -0.5]}
+    ring = [[1, 2], [2, 3], [3, 1]]
+    networks = {
+        "bidirectional ring": Topology.from_edge_list(3, ring + [[j, i] for i, j in ring]),
+        "directed ring": Topology.from_edge_list(3, ring),
+        "chain, leader at 1": Topology.from_edge_list(3, [[1, 2], [2, 1], [2, 3], [3, 2]],
+                                                      leader_links=[1]),
+    }
+    gaps, rounds, converged = [], [], True
+    for top in networks.values():
+        spec = CostSpec.uniform(top, p, q=2.0, r=1.0, d=1.0, w=3.0, e=1.0,
+                                control_dims={i: m for i in agents})
+        lead = (leader_model, leader_x0) if top.leader_links else (None, None)
+        res = run_algorithm1(top, {i: model for i in agents}, spec,
+                             SolverConfig(eps=1e-12, max_outer=300), H, x0, *lead)
+        leader_traj = None if lead[0] is None else dyn.rollout(
+            leader_model, [leader_x0], np.zeros((1, H, 0)))[0]
+        terms = spec.group_terms(list(agents), p)
+
+        def gradients(U):
+            trajs = dyn.rollout(model, [x0[i] for i in agents], U)
+            problems = [LocalProblem(i, model, np.asarray(x0[i]), NeighborBundle(
+                {j: trajs[j - 1] for j in neighbors(top, i)},
+                leader=leader_traj if i in top.leader_links else None), spec)
+                for i in agents]
+            return sweep(problems, U, trajs, terms)[2].reshape(-1)
+
+        g0 = gradients(np.zeros((3, H, m)))
+        J = np.column_stack([gradients(e.reshape(3, H, m)) - g0 for e in np.eye(3 * H * m)])
+        nash = np.linalg.solve(J, -g0)
+        got = np.concatenate([res.controls[i].reshape(-1) for i in agents])
+        gaps.append(np.linalg.norm(got - nash) / np.linalg.norm(nash))
+        rounds.append(res.rounds)
+        converged &= res.converged
+    elapsed = time.perf_counter() - start
+    ok = converged and max(gaps) <= 1e-10 and elapsed < 10
+    assert report(10, "network fixed point", ok, ", ".join(
+        f"{name} {r} rounds, gap {gap:.1e}" for name, r, gap in zip(networks, rounds, gaps))
+        + f", {elapsed:.1f}s")

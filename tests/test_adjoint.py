@@ -9,7 +9,8 @@ from optcons.cost import NeighborBundle, local_cost, local_errors
 from optcons import dynamics as dyn
 from optcons.errors import NumericError
 from optcons.graph import LEADER
-from optcons.solver import sweep
+from optcons.coordinator import _round_update
+from optcons.solver import LocalProblem, SolverConfig, sweep
 
 from conftest import (model_hessian, mutual_pair_topology, random_instance, random_psd,
                       random_spd)
@@ -473,7 +474,8 @@ def test_costate_sweep_names_the_agent_of_a_bad_bundle():
 
 def test_hessian_asymmetry_names_the_agent():
     """A model whose second_order_fn breaks Mxu = Mux^T (by 1e-3 relative) on
-    one row of a stack makes the assembled Hessian asymmetric there."""
+    one row of a stack makes the assembled Hessian asymmetric there, and
+    the group-round's error names that row's agent and the round."""
     model, spec, agents, bundles, x0, u, k0 = oracle_stack("unicycle", 8, seed=8)
 
     def skewed(X, U, k0, Lam):
@@ -483,11 +485,12 @@ def test_hessian_asymmetry_names_the_agent():
 
     broken = dataclasses.replace(model, second_order_fn=skewed)
     traj = dyn.rollout(broken, x0, u, k0)
-    jac = adjoint.linearize_window(broken, traj, u, k0)
     terms = table(spec, traj.shape[2], agents)
-    lam = adjoint.costate_sweep(terms, traj, u, jac, bundles)
-    with pytest.raises(NumericError, match=r"^agent 2: Hessian asymmetry"):
-        model_hessian(terms, broken, traj, u, jac, lam, k0=k0)
+    problems = [LocalProblem(i, broken, x0[a], nb, spec, k0)
+                for a, (i, nb) in enumerate(zip(agents, bundles))]
+    swept = sweep(problems, u, traj, terms)
+    with pytest.raises(NumericError, match=r"^agent 2, round 4: Hessian asymmetry"):
+        _round_update(problems, terms, u, traj, swept, SolverConfig(), 4, {})
 
 
 # The costate and the forward sensitivities are banded triangular solves
@@ -558,6 +561,24 @@ def test_banded_kernels_equal_stage_loops(K, H, p, m):
     np.testing.assert_array_equal(
         model_hessian(terms, model, trajs, us, jac, lam, k0=3),
         stage_loop_hessian(terms, model, trajs, us, jac, lam, k0=3))
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_stage_blocks_are_the_lagrangian_blocks(K):
+    """Each stage block against its definition, bit for bit: [[C_stage +
+    Mxx, Mxu], [Mux, R + Muu]] for t >= 1 and, x(0) being fixed, [[C_term,
+    0], [0, R + Muu(0)]] at t = 0."""
+    terms = banded_case(K, 8, 3, 2, seed=13)[0]
+    M = np.random.default_rng(14).normal(size=(K, 8, 5, 5))
+    blocks = adjoint.stage_blocks(terms, M)
+    for a in range(K):
+        for t in range(8):
+            Mxx, Mxu, Mux, Muu = M[a, t, :3, :3], M[a, t, :3, 3:], M[a, t, 3:, :3], M[a, t, 3:, 3:]
+            if t == 0:
+                Mxu, Mux = np.zeros((3, 2)), np.zeros((2, 3))
+            W = terms.C_term[a] if t == 0 else terms.C_stage[a] + Mxx
+            np.testing.assert_array_equal(blocks[a, t],
+                                          np.block([[W, Mxu], [Mux, terms.R[a] + Muu]]))
 
 
 @pytest.mark.parametrize("K", [1, 3])

@@ -65,7 +65,7 @@ def dense_directions(problems, terms, us, trajs, swept, r):
 def banded(problems, terms, us, trajs, swept, r):
     jac, lam, g = swept
     M = dyn.second_order_action(problems[0].model, trajs[:, :-1], us, 0, lam[:, 1:])
-    return banded_direction(g, terms, jac, M, 1.0, r, L_MAX)
+    return banded_direction(g, adjoint.stage_blocks(terms, M), jac, 1.0, r, L_MAX)
 
 
 @pytest.mark.parametrize("r", [0, 3, L_MAX])
@@ -143,24 +143,31 @@ def curved_linear(kappa):
     return dataclasses.replace(base, second_order_fn=so, name="curved")
 
 
-def asymmetric_linear():
+def asymmetric_linear(scale=0.5, first_row=0):
+    """The chain model with Mux = scale lam_1 and Mxu = 0 in the stack's rows
+    from ``first_row`` on."""
     base = dyn.linear(dyn.FOLLOWER_A, dyn.FOLLOWER_B)
 
     def so(X, U, k0, Lam):
         M = np.zeros(X.shape[:2] + (3, 3))
-        M[..., 2, 0] = 0.5 * Lam[..., 0]
+        M[first_row:, :, 2, 0] = scale * Lam[first_row:, :, 0]
         return M
 
     return dataclasses.replace(base, second_order_fn=so, name="asymmetric")
 
 
-@pytest.mark.parametrize("case", ["unicycle", "asymmetric", "nonfinite"])
+@pytest.mark.parametrize("case", ["unicycle", "asymmetric", "nonfinite", "slightly_asymmetric",
+                                  "asymmetric_last_rows"])
 def test_rows_left_to_the_dense_path_equal_it_bit_for_bit(case, monkeypatch):
     # A unicycle window fails the certificate, an M that breaks Mxu = Mux^T
     # ends in the dense path's "Hessian asymmetry" and a non-finite gradient
-    # in its own error: each outcome is the dense path's exactly.
+    # in its own error: each outcome is the dense path's exactly.  Blocks
+    # asymmetric by 1e-3 would pass the certificate, which reads one
+    # triangle; and when only the last rows break symmetry, the error of the
+    # mixed group-round's dense stack names the agent of the group's row.
     model = {"unicycle": model_of("unicycle"), "asymmetric": asymmetric_linear(),
-             "nonfinite": model_of("first")}[case]
+             "nonfinite": model_of("first"), "slightly_asymmetric": asymmetric_linear(1e-3),
+             "asymmetric_last_rows": asymmetric_linear(first_row=1)}[case]
     problems, terms, us, trajs, (jac, lam, g) = group_window(model, 3, 64 // model.control_dim,
                                                              seed=5)
     if case == "nonfinite":
@@ -171,29 +178,35 @@ def test_rows_left_to_the_dense_path_equal_it_bit_for_bit(case, monkeypatch):
     got = round_outcome(*window)
     dense_only(monkeypatch)
     want = round_outcome(*window)
-    if case == "asymmetric":
-        assert want.startswith("NumericError: agent 1: Hessian asymmetry")
+    if case.endswith("asymmetric"):
+        assert banded(*window, 3)[1].tolist() == [False] * 3
+        assert want.startswith("NumericError: agent 1, round 3: Hessian asymmetry")
+    if case == "asymmetric_last_rows":
+        assert banded(*window, 3)[1].tolist() == [True, False, False]
+        assert want.startswith("NumericError: agent 2, round 3: Hessian asymmetry")
     assert_same_outcome(got, want)
 
 
 @pytest.mark.parametrize("case,hessians", [("dense", 1), ("banded", 0), ("mixed", 1)])
 def test_one_second_order_action_per_group_round(case, hessians, monkeypatch):
-    # Both paths read the group-round's one curvature call, and the dense
-    # path's Hessian calls no model function of its own.
+    # Both paths read the group-round's one curvature call through its one
+    # set of stage blocks, the dense path's Hessian calls no model function
+    # of its own, and no group-round walks the cost spec again.
     model, H = {"dense": (model_of("first"), 8), "banded": (model_of("first"), 64),
                 "mixed": (curved_linear(lambda X: np.where(X[..., :1] > 0, -40.0, 0.0)[..., 0]),
                           64)}[case]
     window = group_window(model, 4, H, seed=2)
-    calls = {"rollout": 0, "linearize": 0, "second_order_action": 0, "hessian": 0}
+    calls = {"rollout": 0, "linearize": 0, "second_order_action": 0, "hessian": 0,
+             "stage_blocks": 0, "terms": 0}
     for owner, name in [(dyn, "rollout"), (dyn, "linearize"), (dyn, "second_order_action"),
-                        (adjoint, "hessian")]:
+                        (adjoint, "hessian"), (adjoint, "stage_blocks"), (CostSpec, "terms")]:
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     assert not isinstance(round_outcome(*window), str)
     assert calls == {"rollout": 0, "linearize": 0, "second_order_action": 1,
-                     "hessian": hessians}
+                     "hessian": hessians, "stage_blocks": 1, "terms": 0}
 
 
 def test_mixed_stack_rows_equal_their_stacks_of_one():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -108,19 +109,21 @@ def test_bench_table_ocp_beats_msa(capsys):
 
 
 def test_gradcheck_writes_csv_and_reports_small_error(tmp_path, capsys):
-    out = tmp_path / "gc"
-    code = run_cli("gradcheck", "leader_follower", "--agent", "2", "--t", "1",
-                   "--out", str(out))
-    assert code == 0
-    msg = capsys.readouterr().out
-    g_err = float(msg.split("gradient rel error")[1].split(",")[0])
-    h_err = float(msg.split("hessian rel error")[1].strip())
-    assert g_err < 1e-5 and h_err < 1e-3
-    files = list(out.glob("gradcheck_agent2_t1.csv"))
-    assert len(files) == 1
-    text = files[0].read_text()
-    assert text.startswith("index,grad,fd_grad,abs_diff")
-    assert "row,col,hessian,fd_hessian,abs_diff" in text
+    # The unicycle's curvature has the Mxu/Mux cross terms that
+    # linear_sine's lacks.
+    for preset, agent, t in (("leader_follower", "2", "1"), ("agv_rendezvous", "1", "0")):
+        out = tmp_path / preset
+        code = run_cli("gradcheck", preset, "--agent", agent, "--t", t, "--out", str(out))
+        assert code == 0
+        msg = capsys.readouterr().out
+        g_err = float(msg.split("gradient rel error")[1].split(",")[0])
+        h_err = float(msg.split("hessian rel error")[1].strip())
+        assert g_err < 1e-5 and h_err < 1e-3
+        files = list(out.glob(f"gradcheck_agent{agent}_t{t}.csv"))
+        assert len(files) == 1
+        text = files[0].read_text()
+        assert text.startswith("index,grad,fd_grad,abs_diff")
+        assert "row,col,hessian,fd_hessian,abs_diff" in text
 
 
 def test_gradcheck_agent_out_of_range(tmp_path):
@@ -167,6 +170,49 @@ def test_long_unicycle_window_falls_back_to_the_dense_path(tmp_path, capsys, mon
         "numeric failure: agent 2, round 9: G + H is not positive definite: "
         "60-th leading minor of the array is not positive definite\n")
     assert len(solved) == 10 and not solved[-1]
+
+
+def nan_at(model, entry):
+    """``model`` with a nan in its second window (k0 = 1), in row 0 (agent
+    1): in df/dx ("A") or df/du ("B") at stage 0, or in the second-order
+    action ("M") at stage 1."""
+    if entry == "M":
+        def second_order(X, U, k0, Lam):
+            M = model.second_order_fn(X, U, k0, Lam)
+            if k0 == 1:
+                M[0, 1, 0, 0] = float("nan")
+            return M
+        return dataclasses.replace(model, second_order_fn=second_order)
+
+    def jac(X, U, k0):
+        A, B = model.jac_fn(X, U, k0)
+        if k0 == 1:
+            (A if entry == "A" else B)[0, 0, 0, 0] = float("nan")
+        return A, B
+    return dataclasses.replace(model, jac_fn=jac)
+
+
+@pytest.mark.parametrize("entry,message", [("A", "Jacobian at k=1"), ("B", "Jacobian at k=1"),
+                                           ("M", "second-order action at k=2")])
+@pytest.mark.parametrize("preset", ["leader_follower", "formation"])
+def test_non_finite_derivative_exits_2_naming_its_stage(preset, entry, message, tmp_path,
+                                                        capsys, monkeypatch):
+    # A nan in a model derivative fails where the model returns it, like a
+    # non-finite state in dynamics.step, instead of deep in the direction.
+    load = scenarios.load_scenario
+
+    def broken(*args):
+        spec = load(*args)
+        swapped = {}
+        spec.models.update({i: swapped.setdefault(id(m), nan_at(m, entry))
+                            for i, m in spec.models.items()})
+        return spec
+
+    monkeypatch.setattr(scenarios, "load_scenario", broken)
+    name = scenarios.load_preset(preset).models[1].name
+    code = run_cli("run", preset, "--set", "mpc.T=2", "--out", str(tmp_path / "nan"))
+    assert code == 2
+    assert capsys.readouterr().err == f"numeric failure: {name}: non-finite {message}\n"
 
 
 def pair_scenario(path, Q, x2):
