@@ -32,6 +32,12 @@ bandwidth independent of H (Wright, JOTA 1993; Rao, Wright and Rawlings,
 JOTA 1998); its Lagrangian curvature blocks are the same ``stage_blocks``
 and ``kkt_band`` writes a stack's system as one LAPACK band.
 
+The same L rolls a window out as a whole: its states X solve the stage
+defects F_t(X) = f(x_t, u_t) - x_{t+1} = 0, and Newton on F is X <- X +
+L^-1 [0; F], one banded solve per iteration for the stack, started from
+the window's previous round (``newton_rollout``; Lim et al., ICLR 2024,
+and Gonzalez et al., NeurIPS 2024, on Newton over a sequence's length).
+
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
 """
@@ -74,6 +80,84 @@ def _band_solve(A, rhs, trans: str) -> np.ndarray:
         rows = np.split(rhs, K)
         x = np.concatenate([_band_solve(A[a:a + 1], rows[a], trans) for a in range(K)])
     return x
+
+
+# The shortest window that ``newton_rollout`` pays for (``newton_pays``)
+# and its iteration cap.  Measured per rollout of a 4-agent stack (p = 2,
+# m = 1) on the inputs of the rounds r >= 1 of leader_follower windows
+# (mpc.T=10, N_p = H), with the preset's linear_sine follower (3 iterations
+# in most rollouts, 4-5 in the rest): median microseconds, stage loop /
+# Newton, and the ratio of the mean times (2-core VM, numpy 2.4):
+#
+#       H   loop / Newton  ratio
+#       8    129 / 331     2.67
+#      16    253 / 344     1.45
+#      24    367 / 391     1.11
+#      28    475 / 399     0.90
+#      32    479 / 368     0.80
+#      48    746 / 429     0.62
+#      64    997 / 555     0.59
+NEWTON_MIN_H = 28
+NEWTON_MAX_ITER = 5
+
+
+def newton_pays(model: dyn.Model, H: int) -> bool:
+    """Whether a warm round's windows of length H roll out by
+    ``newton_rollout``: the model has the all-stages hook ``step_fn.stages``
+    and no window function (which steps as fast), and H >= NEWTON_MIN_H."""
+    f = model.step_fn
+    return H >= NEWTON_MIN_H and hasattr(f, "stages") and not hasattr(f, "window")
+
+
+def newton_rollout(model: dyn.Model, us, k0: int, guess, A) -> np.ndarray:
+    """The rollouts (K, H+1, p) of windows us (K, H, m), stage t at time k0
+    + t, from the stage-0 states of ``guess`` (K, H+1, p), by Newton on the
+    stage defects started from ``guess``: F = ``step_fn.stages`` minus the
+    next states, delta = L^-1 [0; F] by one ``_band_solve`` per iteration,
+    with A (K, H, p, p) the Jacobians at the guess for the first iteration
+    and one ``dyn.linearize`` of the moving rows for each later one.
+
+    A row stops once max |delta| <= 1e-15 max(1, max |X|) over its states,
+    after taking that delta, and is not updated again.  A row whose states
+    turn non-finite, or that still moves after NEWTON_MAX_ITER iterations,
+    is rolled out by ``dyn.rollout`` instead, with the other such rows (and
+    every moving row if a Jacobian is not finite); the loop's errors and
+    warnings are then its own, as the stopped rows are finite.  So, but for
+    a non-finite Jacobian, a row equals its stack of one bit for bit; it
+    agrees with the loop to rounding.
+    """
+    us = np.asarray(us, dtype=float)
+    X = np.array(guess, dtype=float)
+    K, H, _ = us.shape
+    stopped = np.zeros(K, dtype=bool)
+    rows, Xr, Ur = np.arange(K), X, us  # the moving rows of X, their states, controls
+    with np.errstate(all="ignore"):
+        for it in range(NEWTON_MAX_ITER):
+            if it:
+                try:
+                    A = dyn.linearize(model, Xr[:, :H], Ur, k0)[0]
+                except NumericError:
+                    break
+            F = model.step_fn.stages(Xr[:, :H], Ur, k0)
+            if F.shape != Ur.shape[:2] + X.shape[2:]:
+                raise ValueError(f"{model.name}: stages returned shape {F.shape}")
+            rhs = np.zeros(Xr.shape)
+            np.subtract(F, Xr[:, 1:], out=rhs[:, 1:])
+            delta = _band_solve(A, rhs.reshape(-1, 1), "N").reshape(len(rows), -1)
+            scale = np.maximum(1.0, np.abs(Xr).reshape(len(rows), -1).max(axis=1))
+            done = np.abs(delta).max(axis=1) <= 1e-15 * scale  # False where nan
+            Xr[:, 1:] += delta.reshape(Xr.shape)[:, 1:]
+            X[rows[done]] = Xr[done]
+            stopped[rows[done]] = True
+            # A non-finite F or delta leaves its row's states non-finite.
+            moving = ~done & np.isfinite(Xr).reshape(len(rows), -1).all(axis=1)
+            if not moving.any():
+                break
+            rows, Xr, Ur = rows[moving], Xr[moving], Ur[moving]
+    rest = ~stopped
+    if rest.any():
+        X[rest] = dyn.rollout(model, X[rest, 0], us[rest], k0)
+    return X
 
 
 def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:

@@ -4,9 +4,11 @@ the receding-horizon closed loop for leaderless and leader-follower runs.
 Within a round every agent rolls out its current window controls,
 broadcasts the predicted trajectory to its listeners, receives its
 neighbors' (and possibly the leader's) predictions, and performs one
-accelerated update on its own window.  Rounds repeat until every agent's
-control change falls under tolerance, then the first control of each
-window is applied and the horizon shifts.
+accelerated update on its own window.  After a window's first round, long
+windows of a model with the all-stages hook roll out by Newton from the
+previous round's trajectories (``adjoint.newton_rollout``).  Rounds repeat
+until every agent's control change falls under tolerance, then the first
+control of each window is applied and the horizon shifts.
 
 The one-shot finite-horizon algorithm runs the same rounds on a single
 window; only the stop rule differs (gradient norms tested before the
@@ -401,17 +403,30 @@ class Session:
         return [(model, agents, self.spec.group_terms(agents, self.p))
                 for model, agents in groups.values()]
 
-    def _rollouts(self, u, last=None):
+    @cached_property
+    def row_terms(self):
+        """Every agent's cost-term table, a stack of one, sliced from its
+        group's, for the round's ``LocalProblem``s."""
+        return {i: terms.row(a) for _, agents, terms in self.groups
+                for a, i in enumerate(agents)}
+
+    def _rollouts(self, u, last=None, guesses=None):
         """Each model group's stacked windows u and rollouts, as (us, trajs)
         pairs in ``groups`` order, and every agent's rollout by index.  Given
         ``last``, the previous window's result, u is its controls shifted by
         a stage: x is its stage 1, so its stages 2..H are stages 1..H-1 bit
-        for bit and only the new last stage is stepped."""
+        for bit and only the new last stage is stepped.  Given ``guesses``,
+        the previous round's (rollouts, A) per group, the groups that
+        ``adjoint.newton_pays`` for roll out by ``adjoint.newton_rollout``
+        from them."""
         stacks, trajs = [], {}
-        for model, agents, _ in self.groups:
+        for g, (model, agents, _) in enumerate(self.groups):
             us = np.array([u[i] for i in agents])
-            known = None if last is None else [last.trajectories[i][2:] for i in agents]
-            stack = dyn.rollout(model, [self.x[i] for i in agents], us, self.t, known)
+            if guesses is not None and adjoint.newton_pays(model, us.shape[1]):
+                stack = adjoint.newton_rollout(model, us, self.t, *guesses[g])
+            else:
+                known = None if last is None else [last.trajectories[i][2:] for i in agents]
+                stack = dyn.rollout(model, [self.x[i] for i in agents], us, self.t, known)
             stacks.append((us, stack))
             trajs.update(zip(agents, stack))
         return stacks, trajs
@@ -433,18 +448,20 @@ class Session:
         costs = []
         converged = False
         rounds = self.cfg.max_outer
+        guesses = None
         for r in range(self.cfg.max_outer):
-            stacks, trajs = self._rollouts(u, self.last_window if r == 0 else None)
+            stacks, trajs = self._rollouts(u, self.last_window if r == 0 else None, guesses)
             bundles = self._exchange(trajs, leader_traj, r)
             if one_shot:
                 costs.append(global_cost([terms for *_, terms in self.groups], trajs, u,
                                          self.topology, leader_traj=leader_traj))
             sweeps = []
             for (model, agents, terms), (us, group_trajs) in zip(self.groups, stacks):
-                problems = [LocalProblem(i, model, self.x[i], bundles[i], self.spec, t)
-                            for i in agents]
+                problems = [LocalProblem(i, model, self.x[i], bundles[i], self.spec, t,
+                                         self.row_terms[i]) for i in agents]
                 sweeps.append((problems, terms, us, group_trajs,
                               sweep(problems, us, group_trajs, terms)))
+            guesses = [(group_trajs, jac[0]) for *_, group_trajs, (jac, _, _) in sweeps]
             if one_shot and max(_grad_norms(sweeps)) < self.cfg.eps:
                 converged, rounds = True, r
                 break

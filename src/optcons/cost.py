@@ -234,6 +234,17 @@ class GroupTerms:
     R: np.ndarray
     curvature: np.ndarray
 
+    def row(self, a: int) -> GroupTerms:
+        """Row a's table, a stack of one, equal to its ``group_terms`` without
+        walking the spec again."""
+        k = self.rows == a
+        return GroupTerms(
+            agents=self.agents[a:a + 1], senders=self.senders[a:a + 1],
+            rows=np.zeros(np.count_nonzero(k), dtype=np.intp), Q=self.Q[k], D=self.D[k],
+            d_i=self.d_i[k], d_j=self.d_j[k], C_stage=self.C_stage[a:a + 1],
+            C_term=self.C_term[a:a + 1], R=self.R[a:a + 1],
+            curvature=self.curvature[a:a + 1])
+
 
 @dataclass(frozen=True)
 class NeighborBundle:

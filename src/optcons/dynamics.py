@@ -12,6 +12,10 @@ Conventions used package-wide:
   next states; k only matters for time-varying (leader) models;
 * ``rollout`` steps windows by the model's optional ``step_fn.window``
   (the unicycle's running sums), bit for bit as the ``step_fn`` loop;
+* a model's optional ``step_fn.stages(X, U, k0)`` evaluates f at every
+  stage of a stack of windows in one call, (K, H, p) from X (K, H, p) and U
+  (K, H, m), stage t at time k0 + t; it is no rollout, but it lets
+  ``adjoint.newton_rollout`` roll a window out as a whole;
 * derivatives are taken a window at a time: ``linearize`` and
   ``second_order_action`` read the stage states X = traj[:, :H] and
   controls U of windows whose stage t sits at time k0 + t, and return one
@@ -49,8 +53,11 @@ class Model:
 
     An optional ``step_fn.window(X, U, k)`` fills stages 1..L of states X
     (K, L+1, p) in place from stage 0 under controls U (K, L, m), stage t at
-    time k + t, bit for bit as L ``step_fn`` calls; a replaced ``step_fn``
-    drops it.
+    time k + t, bit for bit as L ``step_fn`` calls.  An optional
+    ``step_fn.stages(X, U, k0)``, shaped like ``jac_fn``, returns f at every
+    stage as (K, H, p), the next states of X (K, H, p) under U (K, H, m)
+    with stage t at time k0 + t; ``adjoint.newton_rollout`` solves a
+    window's stage defects with it.  A replaced ``step_fn`` drops both.
     """
 
     state_dim: int
@@ -343,7 +350,7 @@ def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
 
         def jac(X, U, k0):
             G = np.zeros(X.shape)
-            G[..., comps] = amp * np.cos(X[..., comps])
+            G[..., :len(comps)] = amp * np.cos(X[..., :len(comps)])
             return A + b[:, None] * G[..., None, :], jac_u(X)
 
         def so(X, U, k0, Lam):
@@ -356,6 +363,11 @@ def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
             M[..., idx, idx] = lb * C
             return M
 
+    def stages(X, U, k0):
+        # f ignores k: every window's stages are the rows of one call.
+        return f(X.reshape(-1, p), U.reshape(-1, 1), k0).reshape(X.shape)
+
+    f.stages = stages
     return Model(p, 1, f, jac, so, name=f"linear_sine({mode},amp={amp})")
 
 

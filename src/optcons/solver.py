@@ -24,7 +24,7 @@ repeated squaring (binary powering; Knuth, TAOCP vol. 2, 4.6.3): about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,10 +82,14 @@ class LocalProblem:
     nb: NeighborBundle
     spec: CostSpec
     k0: int = 0
+    table: GroupTerms | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def terms(self) -> GroupTerms:
-        """The problem's cost-term table, a stack of one."""
+        """The problem's cost-term table, a stack of one: ``table`` if given,
+        else tabulated from ``spec`` on first use."""
+        if self.table is not None:
+            return self.table
         return self.spec.group_terms([self.i], self.model.state_dim)
 
     def cost(self, u, traj=None) -> float:

@@ -12,7 +12,7 @@ from optcons.coordinator import (MpcConfig, Session, consensus_error, run_algori
 from optcons import dynamics as dyn
 from optcons.errors import ConfigError, NumericError, PreconditionError
 from optcons.solver import LocalProblem, SolverConfig
-from optcons import coordinator, scenarios, solver
+from optcons import adjoint, coordinator, scenarios, solver
 
 from conftest import mutual_pair_topology
 
@@ -376,6 +376,24 @@ def test_cost_terms_walks_do_not_grow_with_rounds(monkeypatch):
     assert rounds[1] == [1, 1] and min(rounds[100]) > 1
 
 
+def test_msa_walks_the_cost_terms_once_per_agent(monkeypatch):
+    # The baseline's LocalProblems are rebuilt every round, and their costs
+    # read each agent's row of its group's table: one CostSpec.terms walk per
+    # agent and session, as with ocp.
+    walks = []
+    terms = CostSpec.terms
+
+    def counted(self, i, p):
+        walks.append(i)
+        return terms(self, i, p)
+
+    monkeypatch.setattr(CostSpec, "terms", counted)
+    spec, session = leader_follower_session(["solver.method=msa"])
+    rounds = [session.step()["rounds"] for _ in range(2)]
+    assert min(rounds) > 1
+    assert sorted(walks) == session.order
+
+
 def test_definite_hessians_skip_eigvalsh(monkeypatch):
     # Every window Hessian of the preset is >= R = I, so regularize's
     # Cholesky certificate passes on each and no eigvalsh runs; an
@@ -699,13 +717,18 @@ def test_numeric_failure_names_the_agent_and_round(monkeypatch):
         session.step()
 
 
-@pytest.mark.parametrize("name", ["leader_follower", "agv_rendezvous", "scalar_chain"])
-def test_stepped_states_are_stage_one_of_the_final_rollouts(name):
+@pytest.mark.parametrize("name, overrides", [
+    ("leader_follower", []), ("agv_rendezvous", []), ("scalar_chain", []),
+    ("leader_follower", ["mpc.N_p=64"])],
+    ids=["leader_follower", "agv_rendezvous", "scalar_chain", "leader_follower-N_p=64"])
+def test_stepped_states_are_stage_one_of_the_final_rollouts(name, overrides):
     # Session.step applies each window's first controls through dyn.step,
     # once per model group and once for the leader; stage 1 of the window's
     # final rollouts is that same state, bit for bit, for the agents and the
     # leader alike.  scalar_chain, a one-shot preset, runs 4-stage windows.
-    spec = scenarios.load_preset(name)
+    # At N_p=64 the rounds r >= 1 roll out by Newton, the final rollout
+    # still by the stage loop.
+    spec = scenarios.load_preset(name, overrides=overrides)
     session = Session(spec.topology, spec.models, spec.cost, spec.solver,
                       spec.mpc or MpcConfig(N_p=4, T=3), spec.initial_states,
                       leader_model=spec.leader_model, leader_x0=spec.leader_x0)
@@ -721,6 +744,33 @@ def test_stepped_states_are_stage_one_of_the_final_rollouts(name):
             np.testing.assert_array_equal(np.signbit(window.leader_trajectory[1]),
                                           np.signbit(session.xl))
     assert (session.xl is None) == (name != "leader_follower")
+
+
+def test_newton_rollouts_keep_the_stage_loops_round_counts(monkeypatch):
+    # The tracking_long shape: leader_follower with 64-stage windows, whose
+    # rounds r >= 1 roll out by Newton on the stage defects.  With the switch
+    # out of reach every rollout is the stage loop's; each window takes the
+    # same rounds either way and the final errors agree to rounding.
+    newton, calls = adjoint.newton_rollout, []
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(adjoint, "newton_rollout", counted)
+    results, newton_calls = [], []
+    for min_h in (adjoint.NEWTON_MIN_H, 10 ** 9):
+        monkeypatch.setattr(adjoint, "NEWTON_MIN_H", min_h)
+        _, session = leader_follower_session(["mpc.N_p=64", "mpc.T=6"])
+        results.append(session.run())
+        newton_calls.append(len(calls))
+        calls.clear()
+    # One group: every round after a window's first is one Newton rollout.
+    assert newton_calls == [(results[0].rounds - 1).sum(), 0]
+    assert newton_calls[0] > 0
+    np.testing.assert_array_equal(results[0].rounds, results[1].rounds)
+    assert results[0].converged.all() and results[1].converged.all()
+    np.testing.assert_allclose(results[0].max_errors, results[1].max_errors, rtol=1e-10)
 
 
 def spy_known_stages(monkeypatch):
