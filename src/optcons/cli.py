@@ -72,10 +72,11 @@ def _window_problem(spec: scenarios.ScenarioSpec, agent: int, step: int):
                       seed=spec.seed, error_mask=spec.error_mask)
     for _ in range(step):
         session.step()
-    u = session._initial_window()
-    bundles = session._exchange(session._rollouts(u)[1], session._leader_window(), 0)
-    return (LocalProblem(agent, spec.models[agent], session.x[agent],
-                         bundles[agent], spec.cost, k0=session.t), u[agent])
+    us = session._initial_window()
+    trajs = session._by_agent(session._rollouts(us))
+    bundles = session._exchange(trajs, session._leader_window(), 0)
+    return (LocalProblem(agent, spec.models[agent], session.x[agent], bundles[agent],
+                         spec.cost, k0=session.t), session._by_agent(us)[agent])
 
 
 def _cmd_gradcheck(args) -> int:
@@ -85,7 +86,7 @@ def _cmd_gradcheck(args) -> int:
     problem, u = _window_problem(spec, args.agent, args.t)
     us = u[None]
     trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-    jac, lam, (g,) = sweep([problem], us, trajs, problem.terms)
+    jac, lam, (g,) = sweep(problem.model, problem.k0, problem.terms, [problem.nb], us, trajs)
     g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                problem.nb, problem.spec, k0=problem.k0)
     M = dyn.second_order_action(problem.model, trajs[:, :-1], us, problem.k0, lam[:, 1:])

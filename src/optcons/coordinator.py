@@ -19,7 +19,10 @@ All cross-agent data flows through read-only copies of the round's
 broadcasts, taken at a barrier, and every update reads only its round's
 copies, so the order in which agents are solved does not change any
 result, and agents that share one Model object (a model group) are rolled
-out, swept and given their Hessians as one stack.
+out, swept and given their Hessians as one stack.  A window's round state is
+each group's windows (K, H, m) and rollouts (K, H+1, p); per-agent dicts are
+built from them only for the exchange, the one-shot global cost and the
+window's result.
 Message-drop injection (for the disturbance experiments) draws one
 Bernoulli number per (receiver, sender) pair of the session's delivery
 list, in its fixed order, from a dedicated generator, keeping runs
@@ -30,7 +33,7 @@ receiver reuse the sender's last delivered trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .errors import ConfigError, NumericError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
 from .solver import (MSA_ETA0, REG_FLOOR, SolverConfig, LocalProblem, backtrack_step,
-                     banded_direction, banded_pays, ocp_direction, regularize, sweep)
+                     banded_direction, banded_pays, ocp_direction, regularize, sweep, window_cost)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,7 @@ class FiniteHorizonResult:
     converged: bool
     grad_norms: np.ndarray
     global_costs: list
+    stacks: list = field(default_factory=list, repr=False)  # the dicts' (us, trajs) per group
 
 
 @dataclass(frozen=True)
@@ -152,13 +156,14 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     return errors, (max(errors.values()) if errors else 0.0)
 
 
-def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, etas):
-    """One update of a model group's windows us (K, H, m) from their
-    rollouts and ``sweep`` at outer iteration r, ``terms`` the group's
-    cost-term table; returns (new windows, step norms).  ``etas`` maps
-    agents to the baseline's step sizes, updated in place.  A failed
-    Hessian, direction or backtracking raises NumericError naming agent
-    and round, where the kernels name only the failing row.
+def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig, r: int, etas):
+    """One update of a model group's windows us (K, H, m), stage t at time
+    k0 + t, from their rollouts and ``sweep`` at outer iteration r, ``terms``
+    the group's cost-term table and ``bundles`` each row's neighbours;
+    returns (new windows, step norms).  ``etas`` maps agents to the
+    baseline's step sizes, updated in place.  A gradient that is not finite,
+    or a failed Hessian, direction or backtracking, raises NumericError
+    naming agent and round, where the kernels name only the failing row.
 
     Both paths read the ``adjoint.stage_blocks`` of the group-round's one
     ``dyn.second_order_action``.  Where ``banded_pays`` for the window size
@@ -167,18 +172,22 @@ def _round_update(problems, terms, us, trajs, swept, cfg: SolverConfig, r: int, 
     ``ocp_direction``, on the group's own arrays when no row was
     certified, else on a stack of just those rows."""
     jac, lam, g = swept
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"agent {terms.agents[np.argmin(finite)]}, round {r}: "
+                           f"non-finite gradient")
     if cfg.method == "msa":
-        new, steps = us.copy(), [0.0] * len(problems)
-        for a, problem in enumerate(problems):
-            J = problem.cost(us[a], trajs[a])
+        new, steps = us.copy(), [0.0] * len(us)
+        for a, i in enumerate(terms.agents):
+            cost = partial(window_cost, model, trajs[a, 0], k0, terms.row(a), bundles[a])
+            J = cost(us[a], trajs[a])
             try:
-                new[a], _, etas[problem.i], steps[a] = backtrack_step(
-                    problem.cost, us[a], g[a], J, etas[problem.i])
+                new[a], _, etas[i], steps[a] = backtrack_step(cost, us[a], g[a], J, etas[i])
             except NumericError as exc:
-                raise NumericError(f"agent {problem.i}, round {r}: {exc}") from exc
+                raise NumericError(f"agent {i}, round {r}: {exc}") from exc
         return new, steps
     K, H, m = us.shape
-    M = dyn.second_order_action(problems[0].model, trajs[:, :H], us, problems[0].k0, lam[:, 1:])
+    M = dyn.second_order_action(model, trajs[:, :H], us, k0, lam[:, 1:])
     blocks = adjoint.stage_blocks(terms, M)
     d, solved = np.zeros((K, H * m)), np.zeros(K, dtype=bool)
     if banded_pays(H * m, r, cfg.L_max):
@@ -217,14 +226,15 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     u = np.asarray(u0, dtype=float).copy()
     etas = {problem.i: MSA_ETA0}
     history = [u.reshape(-1).copy()]
+    group = (problem.model, problem.k0, problem.terms, [problem.nb])
     for r in range(cfg.max_outer + 1):
         us = u[None]
         trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-        swept = sweep([problem], us, trajs, problem.terms)
+        swept = sweep(*group, us, trajs)
         gnorm = float(np.linalg.norm(swept[2][0]))
         if gnorm < cfg.eps or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
-        new, _ = _round_update([problem], problem.terms, us, trajs, swept, cfg, r, etas)
+        new, _ = _round_update(*group, us, trajs, swept, cfg, r, etas)
         u = new[0]
         history.append(u.reshape(-1).copy())
 
@@ -344,15 +354,13 @@ class Session:
         self.max_errors.append(max(norms.tolist(), default=0.0))
 
     def _initial_window(self):
-        H = self.mpc.N_p
-        if self.last_window is not None:
-            out = {}
-            for i, u in self.last_window.controls.items():
-                shifted = np.zeros_like(u)
-                shifted[:-1] = u[1:]
-                out[i] = shifted
-            return out
-        return {i: np.zeros((H, self.models[i].control_dim)) for i in self.x}
+        """Each model group's first windows (K, H, m), in ``groups`` order: the
+        last window's shifted by a stage, a zero stage last, or zeros."""
+        if self.last_window is None:
+            return [np.zeros((len(agents), self.mpc.N_p, model.control_dim))
+                    for model, agents, _ in self.groups]
+        return [np.concatenate([us[:, 1:], np.zeros_like(us[:, :1])], axis=1)
+                for us, _ in self.last_window.stacks]
 
     def _exchange(self, trajs, leader_traj, r):
         """Barrier exchange with optional message dropping; returns each
@@ -403,33 +411,27 @@ class Session:
         return [(model, agents, self.spec.group_terms(agents, self.p))
                 for model, agents in groups.values()]
 
-    @cached_property
-    def row_terms(self):
-        """Every agent's cost-term table, a stack of one, sliced from its
-        group's, for the round's ``LocalProblem``s."""
-        return {i: terms.row(a) for _, agents, terms in self.groups
-                for a, i in enumerate(agents)}
+    def _by_agent(self, stacks) -> dict:
+        """Per-group stacks, in ``groups`` order, as their rows by agent index."""
+        return {i: row for (_, agents, _), stack in zip(self.groups, stacks)
+                for i, row in zip(agents, stack)}
 
-    def _rollouts(self, u, last=None, guesses=None):
-        """Each model group's stacked windows u and rollouts, as (us, trajs)
-        pairs in ``groups`` order, and every agent's rollout by index.  Given
-        ``last``, the previous window's result, u is its controls shifted by
-        a stage: x is its stage 1, so its stages 2..H are stages 1..H-1 bit
-        for bit and only the new last stage is stepped.  Given ``guesses``,
-        the previous round's (rollouts, A) per group, the groups that
-        ``adjoint.newton_pays`` for roll out by ``adjoint.newton_rollout``
-        from them."""
-        stacks, trajs = [], {}
-        for g, (model, agents, _) in enumerate(self.groups):
-            us = np.array([u[i] for i in agents])
-            if guesses is not None and adjoint.newton_pays(model, us.shape[1]):
-                stack = adjoint.newton_rollout(model, us, self.t, *guesses[g])
+    def _rollouts(self, us, last=None, guesses=None) -> list:
+        """The rollouts of each model group's windows us, in ``groups``
+        order.  Given ``last``, the previous window's result, us are its
+        windows shifted by a stage: x is its stage 1, so its stages 2..H are
+        stages 1..H-1 bit for bit and only the new last stage is stepped.
+        Given ``guesses``, the previous round's (rollouts, A) per group, the
+        groups that ``adjoint.newton_pays`` for roll out by
+        ``adjoint.newton_rollout`` from them."""
+        out = []
+        for g, ((model, agents, _), u) in enumerate(zip(self.groups, us)):
+            if guesses is not None and adjoint.newton_pays(model, u.shape[1]):
+                out.append(adjoint.newton_rollout(model, u, self.t, *guesses[g]))
             else:
-                known = None if last is None else [last.trajectories[i][2:] for i in agents]
-                stack = dyn.rollout(model, [self.x[i] for i in agents], us, self.t, known)
-            stacks.append((us, stack))
-            trajs.update(zip(agents, stack))
-        return stacks, trajs
+                known = None if last is None else last.stacks[g][1][:, 2:]
+                out.append(dyn.rollout(model, [self.x[i] for i in agents], u, self.t, known))
+        return out
 
     def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
         """Run rounds on the current window until the stop rule fires.
@@ -441,8 +443,7 @@ class Session:
         round's updates, so a consensus fixed point stops at round zero.
         The result's gradient norms are the last round's.
         """
-        t = self.t
-        u = self._initial_window()
+        us = self._initial_window()
         leader_traj = self._leader_window(self.last_window)
         msa_etas = {i: MSA_ETA0 for i in self.x}
         costs = []
@@ -450,34 +451,31 @@ class Session:
         rounds = self.cfg.max_outer
         guesses = None
         for r in range(self.cfg.max_outer):
-            stacks, trajs = self._rollouts(u, self.last_window if r == 0 else None, guesses)
-            bundles = self._exchange(trajs, leader_traj, r)
+            trajs = self._rollouts(us, self.last_window if r == 0 else None, guesses)
+            bundles = self._exchange(self._by_agent(trajs), leader_traj, r)
             if one_shot:
-                costs.append(global_cost([terms for *_, terms in self.groups], trajs, u,
+                costs.append(global_cost([terms for *_, terms in self.groups],
+                                         self._by_agent(trajs), self._by_agent(us),
                                          self.topology, leader_traj=leader_traj))
-            sweeps = []
-            for (model, agents, terms), (us, group_trajs) in zip(self.groups, stacks):
-                problems = [LocalProblem(i, model, self.x[i], bundles[i], self.spec, t,
-                                         self.row_terms[i]) for i in agents]
-                sweeps.append((problems, terms, us, group_trajs,
-                              sweep(problems, us, group_trajs, terms)))
-            guesses = [(group_trajs, jac[0]) for *_, group_trajs, (jac, _, _) in sweeps]
+            group_args = [(model, self.t, terms, [bundles[i] for i in agents], u, x)
+                          for (model, agents, terms), u, x in zip(self.groups, us, trajs)]
+            sweeps = [(*args, sweep(*args)) for args in group_args]
+            guesses = [(x, jac[0]) for *_, x, (jac, _, _) in sweeps]
             if one_shot and max(_grad_norms(sweeps)) < self.cfg.eps:
                 converged, rounds = True, r
                 break
-            steps = []
-            for problems, *stack in sweeps:
-                new, group_steps = _round_update(problems, *stack, self.cfg, r, msa_etas)
-                u.update(zip([problem.i for problem in problems], new))
-                steps += group_steps
-            if not one_shot and max(steps) < self.cfg.eps:
+            updated = [_round_update(*group, self.cfg, r, msa_etas) for group in sweeps]
+            us = [new for new, _ in updated]
+            if not one_shot and max(max(steps) for _, steps in updated) < self.cfg.eps:
                 converged, rounds = True, r + 1
                 break
 
+        final = self._rollouts(us)
         return FiniteHorizonResult(
-            controls=u, trajectories=self._rollouts(u)[1],
+            controls=self._by_agent(us), trajectories=self._by_agent(final),
             leader_trajectory=leader_traj, rounds=rounds, converged=converged,
             grad_norms=np.array(_grad_norms(sweeps)), global_costs=costs,
+            stacks=list(zip(us, final)),
         )
 
     # -- public API ---------------------------------------------------------
@@ -486,12 +484,11 @@ class Session:
         """Advance one closed-loop step; returns a per-window summary."""
         t = self.t
         window = self._solve_window()
-        u = window.controls
         cost_now = global_cost([terms for *_, terms in self.groups], window.trajectories,
-                               u, self.topology, leader_traj=window.leader_trajectory)
+                               window.controls, self.topology, window.leader_trajectory)
 
-        for model, agents, _ in self.groups:
-            applied = np.array([u[i][0] for i in agents])
+        for (model, agents, _), (us, _) in zip(self.groups, window.stacks):
+            applied = us[:, 0]
             self.x.update(zip(agents, dyn.step(model, [self.x[i] for i in agents], applied, t)))
             for i, a in zip(agents, applied):
                 self.control_hist[i].append(a)

@@ -1,6 +1,6 @@
 """The pieces of the update, which ``coordinator`` assembles: the
 frozen-neighbor window problem, the stacked sweep over a model group's
-problems, their Newton-type directions, the slow first-order baseline's
+windows, their Newton-type directions, the slow first-order baseline's
 backtracking step, and the contraction diagnostic.  A direction comes from
 the dense Hessians (``regularize`` and ``ocp_direction``: triangular solves
 or an inverse) or, for long windows (``banded_pays``) whose Hessians a
@@ -24,7 +24,7 @@ repeated squaring (binary powering; Knuth, TAOCP vol. 2, 4.6.3): about
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -82,32 +82,33 @@ class LocalProblem:
     nb: NeighborBundle
     spec: CostSpec
     k0: int = 0
-    table: GroupTerms | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def terms(self) -> GroupTerms:
-        """The problem's cost-term table, a stack of one: ``table`` if given,
-        else tabulated from ``spec`` on first use."""
-        if self.table is not None:
-            return self.table
+        """The problem's cost-term table, a stack of one, tabulated on first use."""
         return self.spec.group_terms([self.i], self.model.state_dim)
 
     def cost(self, u, traj=None) -> float:
         """Local cost at u, rolling u out unless its rollout ``traj`` is given."""
-        us = np.asarray(u, dtype=float)[None]
-        trajs = (dyn.rollout(self.model, [self.x0], us, self.k0) if traj is None
-                 else np.asarray(traj, dtype=float)[None])
-        return local_costs(self.terms, trajs, us, [self.nb])[0]
+        return window_cost(self.model, self.x0, self.k0, self.terms, self.nb, u, traj)
 
 
-def sweep(problems, us, trajs, terms):
-    """Linearization, costates and gradients (one row each) of subproblems
-    that share one model and k0, at windows us (K, H, m) with rollouts
-    trajs (K, H+1, p) and the problems' cost-term table ``terms``; returns
-    (jac, lam, g), jac the windows' (A, B)."""
-    head = problems[0]
-    jac = adjoint.linearize_window(head.model, trajs, us, head.k0)
-    lam = adjoint.costate_sweep(terms, trajs, us, jac, [problem.nb for problem in problems])
+def window_cost(model, x0, k0, terms, nb, u, traj=None) -> float:
+    """Local cost of the agent of ``terms``, a table of one, at window u with
+    neighbours frozen in ``nb``, rolling u out from x0 at k0 unless ``traj``."""
+    us = np.asarray(u, dtype=float)[None]
+    trajs = (dyn.rollout(model, [x0], us, k0) if traj is None
+             else np.asarray(traj, dtype=float)[None])
+    return local_costs(terms, trajs, us, [nb])[0]
+
+
+def sweep(model, k0, terms, bundles, us, trajs):
+    """Linearization, costates and gradients (one row each) of a model
+    group's windows us (K, H, m), stage t at time k0 + t, with rollouts
+    trajs (K, H+1, p), cost-term table ``terms`` and each row's neighbour
+    bundle; returns (jac, lam, g), jac the windows' (A, B)."""
+    jac = adjoint.linearize_window(model, trajs, us, k0)
+    lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
     return jac, lam, adjoint.gradient(terms, us, jac, lam)
 
 

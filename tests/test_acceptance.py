@@ -54,7 +54,8 @@ def test_criterion_1_adjoint_exactness():
         kind = "unicycle" if k % 2 == 0 else "linear_sine"
         problem, u = random_instance(rng, kind)
         traj = dyn.rollout(problem.model, [problem.x0], u[None])
-        jac, lam, g = sweep([problem], u[None], traj, problem.terms)
+        jac, lam, g = sweep(problem.model, problem.k0, problem.terms, [problem.nb], u[None],
+                            traj)
         g = g[0]
         g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                    problem.nb, problem.spec)
@@ -363,11 +364,10 @@ def test_criterion_10_network_fixed_point():
 
         def gradients(U):
             trajs = dyn.rollout(model, [x0[i] for i in agents], U)
-            problems = [LocalProblem(i, model, np.asarray(x0[i]), NeighborBundle(
-                {j: trajs[j - 1] for j in neighbors(top, i)},
-                leader=leader_traj if i in top.leader_links else None), spec)
-                for i in agents]
-            return sweep(problems, U, trajs, terms)[2].reshape(-1)
+            bundles = [NeighborBundle({j: trajs[j - 1] for j in neighbors(top, i)},
+                                      leader=leader_traj if i in top.leader_links else None)
+                       for i in agents]
+            return sweep(model, 0, terms, bundles, U, trajs)[2].reshape(-1)
 
         g0 = gradients(np.zeros((3, H, m)))
         J = np.column_stack([gradients(e.reshape(3, H, m)) - g0 for e in np.eye(3 * H * m)])

@@ -10,7 +10,7 @@ from optcons import dynamics as dyn
 from optcons.errors import NumericError
 from optcons.graph import LEADER
 from optcons.coordinator import _round_update
-from optcons.solver import LocalProblem, SolverConfig, sweep
+from optcons.solver import SolverConfig, sweep
 
 from conftest import (model_hessian, mutual_pair_topology, random_instance, random_psd,
                       random_spd)
@@ -141,7 +141,7 @@ def stack_of_one(problem, u):
     """The stacked sweep and Hessian of one subproblem at u: (traj, jac, lam,
     g, Hessian), the agent axis dropped from all but jac."""
     traj = dyn.rollout(problem.model, [problem.x0], u[None], problem.k0)
-    jac, lam, g = sweep([problem], u[None], traj, problem.terms)
+    jac, lam, g = sweep(problem.model, problem.k0, problem.terms, [problem.nb], u[None], traj)
     Hmat = model_hessian(problem.terms, problem.model, traj, u[None], jac, lam,
                          k0=problem.k0)
     return traj[0], jac, lam[0], g[0], Hmat[0]
@@ -486,11 +486,9 @@ def test_hessian_asymmetry_names_the_agent():
     broken = dataclasses.replace(model, second_order_fn=skewed)
     traj = dyn.rollout(broken, x0, u, k0)
     terms = table(spec, traj.shape[2], agents)
-    problems = [LocalProblem(i, broken, x0[a], nb, spec, k0)
-                for a, (i, nb) in enumerate(zip(agents, bundles))]
-    swept = sweep(problems, u, traj, terms)
+    swept = sweep(broken, k0, terms, bundles, u, traj)
     with pytest.raises(NumericError, match=r"^agent 2, round 4: Hessian asymmetry"):
-        _round_update(problems, terms, u, traj, swept, SolverConfig(), 4, {})
+        _round_update(broken, k0, terms, bundles, u, traj, swept, SolverConfig(), 4, {})
 
 
 # The costate and the forward sensitivities are banded triangular solves

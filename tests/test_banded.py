@@ -18,8 +18,8 @@ from optcons import dynamics as dyn
 from optcons.coordinator import _round_update
 from optcons.cost import NeighborBundle
 from optcons.errors import NumericError
-from optcons.solver import (REG_FLOOR, LocalProblem, SolverConfig, banded_direction,
-                            banded_pays, ocp_direction, regularize, sweep)
+from optcons.solver import (REG_FLOOR, SolverConfig, banded_direction, banded_pays,
+                            ocp_direction, regularize, sweep)
 
 from conftest import model_hessian
 
@@ -36,8 +36,8 @@ def model_of(kind):
 
 def group_window(model, K, H, seed, d=0.0):
     """A model group of agents 1..K on a bidirectional chain of K+1 agents,
-    random windows and neighbour trajectories: (problems, terms, us, trajs,
-    swept).  d is the terminal weight; 0 leaves C_term semidefinite."""
+    random windows and neighbour trajectories: (model, terms, bundles, us,
+    trajs, swept).  d is the terminal weight; 0 leaves C_term semidefinite."""
     rng = np.random.default_rng(seed)
     p, m = model.state_dim, model.control_dim
     n = K + 1
@@ -50,21 +50,28 @@ def group_window(model, K, H, seed, d=0.0):
     us = 0.3 * rng.normal(size=(K, H, m))
     x0 = 3.0 * rng.normal(size=(K, p))
     trajs = dyn.rollout(model, x0, us, 0)
-    problems = [LocalProblem(i, model, x0[a], NeighborBundle(
-        {j: rng.normal(size=(H + 1, p)) for j in terms.senders[a]}), spec)
-        for a, i in enumerate(agents)]
-    return problems, terms, us, trajs, sweep(problems, us, trajs, terms)
+    bundles = [NeighborBundle({j: rng.normal(size=(H + 1, p)) for j in terms.senders[a]})
+               for a in range(K)]
+    return model, terms, bundles, us, trajs, sweep(model, 0, terms, bundles, us, trajs)
 
 
-def dense_directions(problems, terms, us, trajs, swept, r):
+def row_window(window, a):
+    """Row a of a ``group_window``, a stack of one."""
+    model, terms, bundles, us, trajs, ((A, B), lam, g) = window
+    rows = slice(a, a + 1)
+    return (model, terms.row(a), bundles[rows], us[rows], trajs[rows],
+            ((A[rows], B[rows]), lam[rows], g[rows]))
+
+
+def dense_directions(model, terms, bundles, us, trajs, swept, r):
     jac, lam, g = swept
-    Hs = model_hessian(terms, problems[0].model, trajs, us, jac, lam)
+    Hs = model_hessian(terms, model, trajs, us, jac, lam)
     return ocp_direction(g, regularize(Hs, REG_FLOOR), 1.0, r, L_MAX)
 
 
-def banded(problems, terms, us, trajs, swept, r):
+def banded(model, terms, bundles, us, trajs, swept, r):
     jac, lam, g = swept
-    M = dyn.second_order_action(problems[0].model, trajs[:, :-1], us, 0, lam[:, 1:])
+    M = dyn.second_order_action(model, trajs[:, :-1], us, 0, lam[:, 1:])
     return banded_direction(g, adjoint.stage_blocks(terms, M), jac, 1.0, r, L_MAX)
 
 
@@ -85,13 +92,11 @@ def test_banded_direction_equals_dense_path(kind, H, K, r):
 @pytest.mark.parametrize("H", [1, 8, 64])
 @pytest.mark.parametrize("kind", ["linear", "first", "diag"])
 def test_banded_row_equals_its_stack_of_one(kind, H):
-    problems, terms, us, trajs, swept = group_window(model_of(kind), 4, H, seed=7)
-    jac, lam, g = swept
-    d, ok = banded(problems, terms, us, trajs, swept, 3)
+    window = group_window(model_of(kind), 4, H, seed=7)
+    d, ok = banded(*window, 3)
     assert ok.all()
-    for a, problem in enumerate(problems):
-        row = banded([problem], problem.terms, us[a:a + 1], trajs[a:a + 1],
-                     ((jac[0][a:a + 1], jac[1][a:a + 1]), lam[a:a + 1], g[a:a + 1]), 3)
+    for a in range(4):
+        row = banded(*row_window(window, a), 3)
         assert row[1].all()
         np.testing.assert_array_equal(row[0][0], d[a])
 
@@ -114,10 +119,11 @@ def dense_only(monkeypatch):
     monkeypatch.setattr(solver, "BANDED_MIN_N", 10 ** 9)
 
 
-def round_outcome(problems, terms, us, trajs, swept, r=3):
+def round_outcome(model, terms, bundles, us, trajs, swept, r=3):
     """_round_update's new windows, or the text of its error."""
     try:
-        return _round_update(problems, terms, us, trajs, swept, SolverConfig(), r, {})[0]
+        return _round_update(model, 0, terms, bundles, us, trajs, swept, SolverConfig(), r,
+                             {})[0]
     except (NumericError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -161,18 +167,18 @@ def asymmetric_linear(scale=0.5, first_row=0):
 def test_rows_left_to_the_dense_path_equal_it_bit_for_bit(case, monkeypatch):
     # A unicycle window fails the certificate, an M that breaks Mxu = Mux^T
     # ends in the dense path's "Hessian asymmetry" and a non-finite gradient
-    # in its own error: each outcome is the dense path's exactly.  Blocks
+    # in the round's error, before either path: each outcome is the dense
+    # path's exactly.  Blocks
     # asymmetric by 1e-3 would pass the certificate, which reads one
     # triangle; and when only the last rows break symmetry, the error of the
     # mixed group-round's dense stack names the agent of the group's row.
     model = {"unicycle": model_of("unicycle"), "asymmetric": asymmetric_linear(),
              "nonfinite": model_of("first"), "slightly_asymmetric": asymmetric_linear(1e-3),
              "asymmetric_last_rows": asymmetric_linear(first_row=1)}[case]
-    problems, terms, us, trajs, (jac, lam, g) = group_window(model, 3, 64 // model.control_dim,
-                                                             seed=5)
+    window = group_window(model, 3, 64 // model.control_dim, seed=5)
+    *_, us, _, (_, _, g) = window
     if case == "nonfinite":
         g[1, 5] = np.nan
-    window = (problems, terms, us, trajs, (jac, lam, g))
     assert banded_pays(us.shape[1] * us.shape[2], 3, L_MAX)
     assert not banded(*window, 3)[1].all()
     got = round_outcome(*window)
@@ -214,21 +220,19 @@ def test_mixed_stack_rows_equal_their_stacks_of_one():
     # others the banded one, within one group-round; each row's update equals
     # its stack of one's bit for bit.
     model = curved_linear(lambda X: np.where(X[..., :1] > 0, -40.0, 0.0)[..., 0])
-    problems, terms, us, trajs, swept = group_window(model, 4, 64, seed=2)
-    jac, lam, g = swept
-    ok = banded(problems, terms, us, trajs, swept, 3)[1]
+    window = group_window(model, 4, 64, seed=2)
+    ok = banded(*window, 3)[1]
     assert ok.any() and not ok.all()
-    new = round_outcome(problems, terms, us, trajs, swept)
-    for a, problem in enumerate(problems):
-        one = round_outcome([problem], problem.terms, us[a:a + 1], trajs[a:a + 1],
-                            ((jac[0][a:a + 1], jac[1][a:a + 1]), lam[a:a + 1], g[a:a + 1]))
+    new = round_outcome(*window)
+    for a in range(4):
+        one = round_outcome(*row_window(window, a))
         np.testing.assert_array_equal(one[0], new[a])
 
 
 def test_zero_pivot_row_falls_back_and_the_others_stay_banded(monkeypatch):
     # dgbtrf reports a zero pivot in row 1 of the stack: that row is taken by
     # the dense path, and the band of the others is factored again.
-    problems, terms, us, trajs, swept = group_window(model_of("first"), 3, 64, seed=4)
+    window = group_window(model_of("first"), 3, 64, seed=4)
     real = solver.dgbtrf
     calls = []
 
@@ -237,13 +241,13 @@ def test_zero_pivot_row_falls_back_and_the_others_stay_banded(monkeypatch):
         calls.append(band.shape[1])
         return lu, piv, (info or 64 * 5 + 1) if len(calls) == 1 else info
 
-    clean = round_outcome(problems, terms, us, trajs, swept)
+    clean = round_outcome(*window)
     monkeypatch.setattr(solver, "dgbtrf", dgbtrf)
-    d, ok = banded(problems, terms, us, trajs, swept, 3)
+    d, ok = banded(*window, 3)
     assert ok.tolist() == [True, False, True] and calls == [3 * 64 * 5, 2 * 64 * 5]
     calls.clear()
-    got = round_outcome(problems, terms, us, trajs, swept)
+    got = round_outcome(*window)
     dense_only(monkeypatch)
-    want = round_outcome(problems, terms, us, trajs, swept)
+    want = round_outcome(*window)
     np.testing.assert_array_equal(got[1], want[1])
     np.testing.assert_array_equal(got[[0, 2]], clean[[0, 2]])

@@ -262,6 +262,32 @@ def test_weight_negative_beyond_rounding_exits_1_at_check(tmp_path, capsys):
         "error: Q[(1, 2)] must be positive semidefinite (min eigenvalue -5.00e-11)")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["mpc", "horizon", "msa", "unicycle"])
+def test_non_finite_gradient_exits_2_naming_agent_and_round(mode, tmp_path, capsys):
+    # States at +-1e308 overflow in the edge errors, so the costates and the
+    # gradients are not finite.  The round names the first such agent before
+    # either method's update, instead of a raw ValueError from the direction,
+    # a rollout failure of msa's first trial step, or a curvature error that
+    # names no agent.
+    raw = {"name": "overflow", "topology": {"n": 2, "edges": [[1, 2], [2, 1]]},
+           "models": {"default": {"type": "linear", "A": [[1, 0], [0, 1]],
+                                  "B": [[1, 0], [0, 1]]}},
+           "cost": {"Q": 1, "R": 1}, "mpc": {"N_p": 2, "T": 1},
+           "initial_states": {"1": [1e308, 0], "2": [-1e308, 0]}}
+    if mode == "horizon":
+        raw["horizon"] = raw.pop("mpc")["N_p"]
+    if mode == "unicycle":
+        raw["models"] = {"default": {"type": "unicycle"}}
+        raw["initial_states"] = {"1": [1e308, 0, 0], "2": [-1e308, 0, 0]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    extra = ["--set", "solver.method=msa"] if mode == "msa" else []
+    assert run_cli("run", str(path), *extra, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "numeric failure: agent 1, round 0: non-finite gradient\n"
+
+
 def test_python_m_optcons_runs_the_cli():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

@@ -377,9 +377,8 @@ def test_cost_terms_walks_do_not_grow_with_rounds(monkeypatch):
 
 
 def test_msa_walks_the_cost_terms_once_per_agent(monkeypatch):
-    # The baseline's LocalProblems are rebuilt every round, and their costs
-    # read each agent's row of its group's table: one CostSpec.terms walk per
-    # agent and session, as with ocp.
+    # The baseline's backtracking costs read each agent's row of its group's
+    # table: one CostSpec.terms walk per agent and session, as with ocp.
     walks = []
     terms = CostSpec.terms
 
@@ -392,6 +391,27 @@ def test_msa_walks_the_cost_terms_once_per_agent(monkeypatch):
     rounds = [session.step()["rounds"] for _ in range(2)]
     assert min(rounds) > 1
     assert sorted(walks) == session.order
+
+
+@pytest.mark.parametrize("method", ["ocp", "msa"])
+def test_round_loop_builds_no_local_problem(method, monkeypatch):
+    # The rounds keep each model group's windows as arrays and hand sweep and
+    # _round_update the group's model, table and bundles: neither MPC steps
+    # nor the one-shot run build a LocalProblem.
+    built, init = [], LocalProblem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalProblem, "__init__", counted)
+    _, session = leader_follower_session([f"solver.method={method}"])
+    assert sum(session.step()["rounds"] for _ in range(2)) > 2
+    spec = scenarios.load_preset("scalar_chain", overrides=[f"solver.method={method}"])
+    result = run_algorithm1(spec.topology, spec.models, spec.cost, spec.solver, spec.horizon,
+                            spec.initial_states, spec.leader_model, spec.leader_x0)
+    assert result.rounds > 0
+    assert built == []
 
 
 def test_definite_hessians_skip_eigvalsh(monkeypatch):
@@ -481,8 +501,10 @@ def test_round_update_is_first_iterate_of_solve_local(method):
     # does on the same frozen-neighbor problem and starting controls.
     spec, session = leader_follower_session(
         [f"solver.method={method}", "solver.max_outer=1"])
-    u0 = session._initial_window()
-    bundles = session._exchange(session._rollouts(u0)[1], session._leader_window(), 0)
+    us = session._initial_window()
+    u0 = session._by_agent(us)
+    bundles = session._exchange(session._by_agent(session._rollouts(us)),
+                                session._leader_window(), 0)
     problems = {i: LocalProblem(i, spec.models[i], session.x[i], bundles[i],
                                 spec.cost, session.t) for i in session.order}
     summary = session.step()
@@ -802,7 +824,8 @@ def test_warm_round_zero_rollouts_equal_fresh_ones(monkeypatch, name):
 
     monkeypatch.setattr(session, "_exchange", round_zero)
     for step in range(3):
-        u0, x, xl, t = session._initial_window(), dict(session.x), session.xl, session.t
+        u0 = session._by_agent(session._initial_window())
+        x, xl, t = dict(session.x), session.xl, session.t
         calls.clear()
         session.step()
         shifted = [k for k in calls if k is not None]
@@ -838,7 +861,7 @@ def test_non_finite_new_stage_fails_like_a_fresh_rollout():
     broken = replace(model, step_fn=blows_up)
     _, session = preset_session("leader_follower", models={i: broken for i in spec.models})
     session.step()
-    u0 = session._initial_window()
+    u0 = session._by_agent(session._initial_window())
     with pytest.raises(NumericError) as fresh:
         dyn.rollout(broken, [session.x[1]], u0[1][None], session.t)
     with pytest.raises(NumericError) as warm:
@@ -863,7 +886,7 @@ def test_non_finite_new_stage_fails_like_a_fresh_rollout_on_unicycles():
     broken = replace(model, step_fn=blows_up)
     _, session = preset_session("formation", models={i: broken for i in spec.models})
     session.step()
-    u0 = session._initial_window()
+    u0 = session._by_agent(session._initial_window())
     with pytest.raises(NumericError) as fresh:
         dyn.rollout(broken, [session.x[1]], u0[1][None], session.t)
     with pytest.raises(NumericError) as warm:
