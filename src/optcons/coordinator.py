@@ -7,13 +7,13 @@ neighbors' (and possibly the leader's) predictions, and performs one
 accelerated update on its own window.  After a window's first round, long
 windows of a model with the all-stages hook roll out by Newton from the
 previous round's trajectories (``adjoint.newton_rollout``).  Rounds repeat
-until every agent's control change falls under tolerance, then the first
-control of each window is applied and the horizon shifts.
+until every agent's control change falls under tolerance; the next round's
+rollout is the window's result, whose first controls are applied.
 
 The one-shot finite-horizon algorithm runs the same rounds on a single
 window; only the stop rule differs (gradient norms tested before the
-round's updates are applied, instead of step norms after).  ``solve_local``
-iterates the same update on one frozen-neighbor window.
+round's updates, instead of the last step norms before the exchange).
+``solve_local`` iterates the same update on one frozen-neighbor window.
 
 All cross-agent data flows through read-only copies of the round's
 broadcasts, taken at a barrier, and every update reads only its round's
@@ -434,24 +434,25 @@ class Session:
         return out
 
     def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
-        """Run rounds on the current window until the stop rule fires.
+        """Run rounds (roll out, test, exchange, update) until a stop rule fires.
 
-        MPC steps stop once every agent's step norm after the update is
-        under ``cfg.eps`` and count that round.  One-shot runs record the
-        global cost of each round's rollout and stop once every gradient
-        norm is under ``cfg.eps``, tested after the sweeps and before the
-        round's updates, so a consensus fixed point stops at round zero.
-        The result's gradient norms are the last round's.
+        MPC steps stop at the rollout after updates whose step norms are all
+        under ``cfg.eps``; one-shot runs record each rollout's global cost and
+        stop once every gradient norm is under ``cfg.eps``, tested after the
+        sweeps and before the updates, so a consensus fixed point stops at
+        round zero.  The result holds the last rollout, the last sweep's
+        gradient norms and in ``rounds`` the number of updates applied.
         """
         us = self._initial_window()
         leader_traj = self._leader_window(self.last_window)
         msa_etas = {i: MSA_ETA0 for i in self.x}
         costs = []
         converged = False
-        rounds = self.cfg.max_outer
         guesses = None
-        for r in range(self.cfg.max_outer):
+        for r in range(self.cfg.max_outer + 1):
             trajs = self._rollouts(us, self.last_window if r == 0 else None, guesses)
+            if converged or r == self.cfg.max_outer:
+                break
             bundles = self._exchange(self._by_agent(trajs), leader_traj, r)
             if one_shot:
                 costs.append(global_cost([terms for *_, terms in self.groups],
@@ -462,20 +463,17 @@ class Session:
             sweeps = [(*args, sweep(*args)) for args in group_args]
             guesses = [(x, jac[0]) for *_, x, (jac, _, _) in sweeps]
             if one_shot and max(_grad_norms(sweeps)) < self.cfg.eps:
-                converged, rounds = True, r
+                converged = True
                 break
             updated = [_round_update(*group, self.cfg, r, msa_etas) for group in sweeps]
             us = [new for new, _ in updated]
-            if not one_shot and max(max(steps) for _, steps in updated) < self.cfg.eps:
-                converged, rounds = True, r + 1
-                break
+            converged = not one_shot and max(max(steps) for _, steps in updated) < self.cfg.eps
 
-        final = self._rollouts(us)
         return FiniteHorizonResult(
-            controls=self._by_agent(us), trajectories=self._by_agent(final),
-            leader_trajectory=leader_traj, rounds=rounds, converged=converged,
+            controls=self._by_agent(us), trajectories=self._by_agent(trajs),
+            leader_trajectory=leader_traj, rounds=r, converged=converged,
             grad_norms=np.array(_grad_norms(sweeps)), global_costs=costs,
-            stacks=list(zip(us, final)),
+            stacks=list(zip(us, trajs)),
         )
 
     # -- public API ---------------------------------------------------------
@@ -488,7 +486,7 @@ class Session:
                                window.controls, self.topology, window.leader_trajectory)
 
         for (model, agents, _), (us, _) in zip(self.groups, window.stacks):
-            applied = us[:, 0]
+            applied = us[:, 0].copy()  # rows of their own, not views pinning the window
             self.x.update(zip(agents, dyn.step(model, [self.x[i] for i in agents], applied, t)))
             for i, a in zip(agents, applied):
                 self.control_hist[i].append(a)

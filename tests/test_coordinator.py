@@ -453,10 +453,10 @@ def test_one_leader_rollout_per_window(monkeypatch):
 
 
 def test_msa_update_reuses_round_rollout(monkeypatch):
-    # Every rollout of an msa step is a round broadcast (one per model
-    # group), the window's single leader rollout, a backtracking trial or the
-    # final window rollout (one per group); the cost at the current controls
-    # comes from the broadcast rollout.
+    # Every rollout of an msa step is a round's rollout (one per model group,
+    # the last one the window's result and never broadcast), the window's
+    # single leader rollout or a backtracking trial; the cost at the current
+    # controls comes from the broadcast rollout.
     spec, session = leader_follower_session(["solver.method=msa"])
     rollout, backtrack = dyn.rollout, coordinator.backtrack_step
     rollouts, trials = [], []
@@ -478,6 +478,43 @@ def test_msa_update_reuses_round_rollout(monkeypatch):
     assert groups == 1
     assert summary["rounds"] > 1
     assert len(rollouts) == summary["rounds"] * groups + 1 + len(trials) + groups
+
+
+def test_one_shot_result_is_its_last_rounds_rollout(monkeypatch):
+    # Each round of a one-shot run rolls out the agents' controls once, and
+    # the run's result is the rollout of its stopping round: one rollout
+    # per update plus that one, none made after the round loop.
+    rollout, calls = dyn.rollout, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rollout(*args, **kwargs)
+
+    spec = scenarios.load_preset("scalar_chain")
+    monkeypatch.setattr(dyn, "rollout", counted)
+    result = run_algorithm1(spec.topology, spec.models, spec.cost, spec.solver, spec.horizon,
+                            spec.initial_states, spec.leader_model, spec.leader_x0)
+    assert spec.leader_model is None and len({id(m) for m in spec.models.values()}) == 1
+    assert result.converged and result.rounds > 0
+    assert len(calls) == result.rounds + 1
+    agents = sorted(result.controls)
+    fresh = rollout(spec.models[1], [spec.initial_states[i] for i in agents],
+                    np.array([result.controls[i] for i in agents]), 0)
+    np.testing.assert_array_equal([result.trajectories[i] for i in agents], fresh)
+
+
+def test_control_history_holds_rows_of_its_own():
+    # Session.step records each agent's applied control; the record must
+    # not be a view into the window's (K, H, m) controls, which it would
+    # keep alive for the rest of the run.
+    _, session = leader_follower_session(["mpc.N_p=64"])
+    for _ in range(3):
+        seen = {i: len(h) for i, h in session.control_hist.items()}
+        session.step()
+        stacks = [us for us, _ in session.last_window.stacks]
+        for i, hist in session.control_hist.items():
+            [row] = hist[seen[i]:]
+            assert not any(np.shares_memory(row, us) for us in stacks)
 
 
 def test_msa_backtracking_collapse_names_agent_and_round(monkeypatch, scalar_chain):
@@ -748,8 +785,8 @@ def test_stepped_states_are_stage_one_of_the_final_rollouts(name, overrides):
     # once per model group and once for the leader; stage 1 of the window's
     # final rollouts is that same state, bit for bit, for the agents and the
     # leader alike.  scalar_chain, a one-shot preset, runs 4-stage windows.
-    # At N_p=64 the rounds r >= 1 roll out by Newton, the final rollout
-    # still by the stage loop.
+    # At N_p=64 the rounds r >= 1 roll out by Newton, the window's last
+    # rollout included, and stage 1 is still the stage loop's bit for bit.
     spec = scenarios.load_preset(name, overrides=overrides)
     session = Session(spec.topology, spec.models, spec.cost, spec.solver,
                       spec.mpc or MpcConfig(N_p=4, T=3), spec.initial_states,
@@ -770,9 +807,10 @@ def test_stepped_states_are_stage_one_of_the_final_rollouts(name, overrides):
 
 def test_newton_rollouts_keep_the_stage_loops_round_counts(monkeypatch):
     # The tracking_long shape: leader_follower with 64-stage windows, whose
-    # rounds r >= 1 roll out by Newton on the stage defects.  With the switch
-    # out of reach every rollout is the stage loop's; each window takes the
-    # same rounds either way and the final errors agree to rounding.
+    # rounds r >= 1 roll out by Newton on the stage defects, the rollout of
+    # the window's result included.  With the switch out of reach every
+    # rollout is the stage loop's; each window takes the same rounds either
+    # way and the final errors agree to rounding.
     newton, calls = adjoint.newton_rollout, []
 
     def counted(*args):
@@ -787,8 +825,9 @@ def test_newton_rollouts_keep_the_stage_loops_round_counts(monkeypatch):
         results.append(session.run())
         newton_calls.append(len(calls))
         calls.clear()
-    # One group: every round after a window's first is one Newton rollout.
-    assert newton_calls == [(results[0].rounds - 1).sum(), 0]
+    # One group: each of a window's updates is followed by one Newton
+    # rollout, the last of them the window's result.
+    assert newton_calls == [results[0].rounds.sum(), 0]
     assert newton_calls[0] > 0
     np.testing.assert_array_equal(results[0].rounds, results[1].rounds)
     assert results[0].converged.all() and results[1].converged.all()
