@@ -16,14 +16,10 @@ cost with respect to u(t) (neighbors frozen); the H residuals of a window
 are two stacked matmuls.
 
 The Hessian is the exact second derivative of the same local cost with
-respect to the flattened control sequence, assembled by condensing (Bock
-and Plitt, IFAC 1984): the forward state sensitivities of every control
-coordinate are one solve with L (zero initial condition; a unit control
-perturbation enters as B(t) at its stage), and the Hessian is S^T W S over
-the stacked sensitivities S, plus the control-state curvature cross terms
-and the R and control-curvature diagonal blocks, one stacked matmul per
-term, each read from the stage blocks.  It equals the stage-by-stage
-assembly with a backward second-order costate pass to rounding.
+respect to the flattened control sequence, condensed from the forward
+state sensitivities, one solve with L (Bock and Plitt, IFAC 1984; see
+``hessian``).  It equals the stage-by-stage assembly with a backward
+second-order costate pass to rounding.
 
 The Newton step needs only (c I + H)^-1, and that has a form without H:
 (c I + H) d = b is the KKT system of the quadratic model over (u, x) with
@@ -32,11 +28,9 @@ bandwidth independent of H (Wright, JOTA 1993; Rao, Wright and Rawlings,
 JOTA 1998); its Lagrangian curvature blocks are the same ``stage_blocks``
 and ``kkt_band`` writes a stack's system as one LAPACK band.
 
-The same L rolls a window out as a whole: its states X solve the stage
-defects F_t(X) = f(x_t, u_t) - x_{t+1} = 0, and Newton on F is X <- X +
-L^-1 [0; F], one banded solve per iteration for the stack, started from
-the window's previous round (``newton_rollout``; Lim et al., ICLR 2024,
-and Gonzalez et al., NeurIPS 2024, on Newton over a sequence's length).
+The same L rolls a window out as a whole, by Newton on its stage defects
+(``newton_rollout``; Lim et al., ICLR 2024, and Gonzalez et al., NeurIPS
+2024, on Newton over a sequence's length).
 
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
@@ -214,8 +208,7 @@ def stage_blocks(terms: GroupTerms, M) -> np.ndarray:
     p = terms.C_term.shape[-1]
     blocks = M + terms.curvature[:, None]
     blocks[:, 0, :p, :p] = terms.C_term
-    blocks[:, 0, :p, p:] = 0.0
-    blocks[:, 0, p:, :p] = 0.0
+    blocks[:, 0, :p, p:] = blocks[:, 0, p:, :p] = 0.0
     return blocks
 
 
@@ -263,8 +256,8 @@ def kkt_band(blocks, jac, c: float):
     block diagonal with half-bandwidth kl = m + 2p - 1.  Its entries are
     the ``stage_blocks`` (the u(t) diagonal plus c), B(t)^T and B(t)
     between u(t) and nu(t+1), A(t) and A(t)^T between nu(t+1) and x(t), and
-    -I between nu(t+1) and x(t+1).  Eliminating x and nu leaves exactly
-    c I + H, the un-symmetrized Hessian of ``hessian``, on the u unknowns.
+    -I between nu(t+1) and x(t+1).  Eliminating x and nu leaves c I + H,
+    H the Hessian of ``hessian`` in exact arithmetic, on the u unknowns.
 
     Returns (band, kl, rows): ``band`` in LAPACK's general band storage for
     dgbtrf, (3 kl + 1, N) and F-ordered, and ``rows`` the u unknowns'
@@ -310,13 +303,12 @@ def hessian(blocks, jac) -> np.ndarray:
     perturbed stage], all H*m columns of every agent, are one banded solve
     with L whose right-hand side holds B(t) in state t+1's rows and stage
     t's columns.  With S = dx(1..H) stacked as (K, H*p, H*m), the Hessian is
-    S^T (W S) + Mux dx(0..H-1) + dx(0..H-1)^T Mxu, plus R + Muu(t) on the
-    diagonal blocks, all read from the blocks: W(t) = C_stage + Mxx(t) from
+    S^T (W S) + C + C^T with C = Mux dx(0..H-1), plus R + Muu(t) on the
+    diagonal blocks, all read from the blocks, symmetric as
+    ``dyn.second_order_action`` returns M: W(t) = C_stage + Mxx(t) from
     stage t's for 1 <= t < H, W(H) = C_term from stage 0's, whose zero cross
-    terms only meet dx(0) = 0.  The cross term reads both Mux and Mxu, so a
-    model whose M is not symmetric makes H asymmetric: beyond 1e-8 relative
-    that is a broken model derivative and raises NumericError with that
-    ``row``.  Every matrix is then symmetrized.
+    terms only meet dx(0) = 0.  Every matrix is then symmetrized, since
+    S^T (W S) is symmetric only to rounding.
     """
     A, B = jac
     K, H, p, m = B.shape
@@ -331,20 +323,10 @@ def hessian(blocks, jac) -> np.ndarray:
     W = np.concatenate([blocks[:, 1:, :p, :p], blocks[:, :1, :p, :p]], axis=1)
     S = dxs[:, 1:].reshape(K, H * p, n)
     Hs = S.transpose(0, 2, 1) @ (W @ dxs[:, 1:]).reshape(K, H * p, n)
-    Mxu, Mux = blocks[..., :p, p:], blocks[..., p:, :p]
-    Hs += (Mux @ dxs[:, :H]).reshape(K, n, n)
-    Hs += (Mxu.transpose(0, 1, 3, 2) @ dxs[:, :H]).reshape(K, n, n).transpose(0, 2, 1)
+    C = (blocks[..., p:, :p] @ dxs[:, :H]).reshape(K, n, n)
+    Hs += C
+    Hs += C.transpose(0, 2, 1)
     Hs.reshape(-1)[at_diag] += blocks[..., p:, p:].reshape(-1)
-
-    # Squared Frobenius norms: asymmetry beyond 1e-8 relative.
-    scale = np.einsum("kij,kij->k", Hs, Hs)
-    skew = Hs - Hs.transpose(0, 2, 1)
-    drift = np.einsum("kij,kij->k", skew, skew)
-    bad = np.flatnonzero((scale > 0) & (drift > 1e-16 * scale))
-    if bad.size:
-        a = bad[0]
-        raise NumericError(f"Hessian asymmetry {np.sqrt(drift[a] / scale[a]):.2e} "
-                           f"exceeds tolerance", row=a)
     return 0.5 * (Hs + Hs.transpose(0, 2, 1))
 
 

@@ -22,12 +22,9 @@ result, and agents that share one Model object (a model group) are rolled
 out, swept and given their Hessians as one stack.  A window's round state is
 each group's windows (K, H, m) and rollouts (K, H+1, p); per-agent dicts are
 built from them only for the exchange, the one-shot global cost and the
-window's result.
-Message-drop injection (for the disturbance experiments) draws one
-Bernoulli number per (receiver, sender) pair of the session's delivery
-list, in its fixed order, from a dedicated generator, keeping runs
-reproducible and schedule-independent; a dropped message makes the
-receiver reuse the sender's last delivered trajectory.
+window's result.  Message drops (for the disturbance experiments) are
+drawn in ``Session._exchange``, reproducibly and independent of the
+solves' order, and a dropped message's last delivered payload stands in.
 """
 
 from __future__ import annotations
@@ -161,8 +158,8 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
     k0 + t, from their rollouts and ``sweep`` at outer iteration r, ``terms``
     the group's cost-term table and ``bundles`` each row's neighbours;
     returns (new windows, step norms).  ``etas`` maps agents to the
-    baseline's step sizes, updated in place.  A gradient that is not finite,
-    or a failed Hessian, direction or backtracking, raises NumericError
+    baseline's step sizes, updated in place.  A non-finite gradient, a bad
+    curvature, or a failed direction or backtracking raises NumericError
     naming agent and round, where the kernels name only the failing row.
 
     Both paths read the ``adjoint.stage_blocks`` of the group-round's one
@@ -187,19 +184,19 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
                 raise NumericError(f"agent {i}, round {r}: {exc}") from exc
         return new, steps
     K, H, m = us.shape
-    M = dyn.second_order_action(model, trajs[:, :H], us, k0, lam[:, 1:])
-    blocks = adjoint.stage_blocks(terms, M)
     d, solved = np.zeros((K, H * m)), np.zeros(K, dtype=bool)
-    if banded_pays(H * m, r, cfg.L_max):
-        d, solved = banded_direction(g, blocks, jac, cfg.c, r, cfg.L_max)
-    if not solved.all():
-        rest = ~solved if solved.any() else slice(None)  # the rows for the dense path
-        try:
+    try:  # a failing kernel's row is one of the unsolved rows
+        M = dyn.second_order_action(model, trajs[:, :H], us, k0, lam[:, 1:])
+        blocks = adjoint.stage_blocks(terms, M)
+        if banded_pays(H * m, r, cfg.L_max):
+            d, solved = banded_direction(g, blocks, jac, cfg.c, r, cfg.L_max)
+        if not solved.all():
+            rest = ~solved if solved.any() else slice(None)  # the rows for the dense path
             Hs = adjoint.hessian(blocks[rest], [J[rest] for J in jac])
             d[rest] = ocp_direction(g[rest], regularize(Hs, REG_FLOOR), cfg.c, r, cfg.L_max)
-        except NumericError as exc:
-            agent = terms.agents[np.flatnonzero(~solved)[exc.row]]
-            raise NumericError(f"agent {agent}, round {r}: {exc}") from exc
+    except NumericError as exc:
+        agent = terms.agents[np.flatnonzero(~solved)[exc.row]]
+        raise NumericError(f"agent {agent}, round {r}: {exc}") from exc
     return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
 
 
@@ -240,13 +237,15 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
 
 
 def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSpec | None,
-                   leader_model=None, leader_x0=None, error_mask=None) -> list[str]:
+                   leader_model=None, leader_x0=None, error_mask=None,
+                   initial_states=None) -> list[str]:
     """The problems that span a run's inputs, for ``Session`` and the loader:
     the agents' ``models`` and the leader of state dimension p, the leader
     autonomous with an x0 of shape (p,), an error mask of distinct integer
-    components in 0..p-1 (a bool is not one), and ``spec.validate``'s.
-    Checks that need p are skipped while it is None; pass a leader and a
-    spec only where they exist."""
+    components in 0..p-1 (a bool is not one), ``spec.validate``'s, and, if
+    all else passes, finite norms of the ``edge_table`` deviations of the n
+    ``initial_states`` and the leader's x0.  Checks that need p are skipped
+    while it is None; pass a leader and a spec only where they exist."""
     problems = [f"agent {i}: model state_dim {model.state_dim} != {p}" for i, model in
                 sorted(models.items()) if p is not None and model.state_dim != p]
     if leader_model is not None and p is not None and (
@@ -270,11 +269,19 @@ def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSp
     bad = [c for c in mask if p is not None and c not in range(p)]
     if bad:
         problems.append(f"error_mask: components {bad} out of range 0..{p - 1}")
-    if spec is not None and p is not None:
-        try:
-            spec.validate(topology, p, {i: m.control_dim for i, m in models.items()})
-        except ConfigError as exc:
-            problems += exc.violations
+    if spec is None or p is None:
+        return problems
+    try:
+        spec.validate(topology, p, {i: m.control_dim for i, m in models.items()})
+    except ConfigError as exc:
+        problems += exc.violations
+    if not problems and len(initial_states or ()) == topology.n:
+        table = edge_table(topology, p, spec.offsets, leader=leader_x0 is not None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(edge_errors(table, initial_states, leader_x0)[1])
+        if not finite.all():
+            bad = [pair for pair, ok in zip(table.pairs, finite) if not ok]
+            problems.append(f"initial_states: non-finite deviation norms on pairs {bad}")
     return problems
 
 
@@ -297,7 +304,6 @@ class Session:
         self.spec = spec
         self.cfg = solver_cfg
         self.mpc = mpc_cfg
-        self.error_mask = error_mask
 
         self.leader_mode = bool(topology.leader_links)
         if self.leader_mode:
@@ -317,7 +323,7 @@ class Session:
                               f"got shapes {sorted(shapes)}")
         [(self.p,)] = shapes
         problems = input_problems(topology, {i: models[i] for i in agents}, self.p,
-                                  spec, leader_model, leader_x0, error_mask)
+                                  spec, leader_model, leader_x0, error_mask, initial_states)
         if problems:
             raise ConfigError(problems)
 

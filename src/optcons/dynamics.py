@@ -12,10 +12,8 @@ Conventions used package-wide:
   next states; k only matters for time-varying (leader) models;
 * ``rollout`` steps windows by the model's optional ``step_fn.window``
   (the unicycle's running sums), bit for bit as the ``step_fn`` loop;
-* a model's optional ``step_fn.stages(X, U, k0)`` evaluates f at every
-  stage of a stack of windows in one call, (K, H, p) from X (K, H, p) and U
-  (K, H, m), stage t at time k0 + t; it is no rollout, but it lets
-  ``adjoint.newton_rollout`` roll a window out as a whole;
+* a model's optional ``step_fn.stages`` evaluates f at every stage of
+  windows in one call (see ``Model``); it is no rollout;
 * derivatives are taken a window at a time: ``linearize`` and
   ``second_order_action`` read the stage states X = traj[:, :H] and
   controls U of windows whose stage t sits at time k0 + t, and return one
@@ -46,8 +44,8 @@ class Model:
     * ``jac_fn(X, U, k0)`` returns the stage Jacobians df/dx and df/du
       stacked as (K, H, p, p) and (K, H, p, m);
     * ``second_order_fn(X, U, k0, Lam)`` returns the (K, H, p+m, p+m) stack
-      of Lam[a, t]-weighted second derivatives of f, ordered
-      state-then-control.
+      of Lam[a, t]-weighted second derivatives of f, symmetric blocks
+      ordered state-then-control (``second_order_action`` checks them).
 
     Both return fresh C-contiguous arrays.
 
@@ -126,16 +124,29 @@ def fd_jacobian(model: Model, x, u, k: int = 0, h: float = 1e-6):
 
 def second_order_action(model: Model, X, U, k0: int, Lam) -> np.ndarray:
     """(K, H, p+m, p+m) stack of the Lam[a, t]-weighted second derivatives of
-    f at (X[a, t], U[a, t], k0 + t), Lam holding lambda(1..H); non-finite
-    entries fail as in ``linearize``."""
+    f at (X[a, t], U[a, t], k0 + t), Lam holding lambda(1..H), and the one
+    check that curvature is symmetric: an exactly symmetric M is returned as
+    it is, a row asymmetric within 1e-8 relative (Frobenius) symmetrized; a
+    row beyond that, or non-finite, raises NumericError with that ``row``,
+    naming its own first such stage's time, as its stack of one would."""
     KH, (X, U, Lam) = _check_inputs(model, "window", X, U, Lam)
-    n = model.state_dim + model.control_dim
     M = model.second_order_fn(X, U, k0, Lam)
-    if M.shape != KH + (n, n):
+    if M.shape != KH + (model.state_dim + model.control_dim,) * 2:
         raise ValueError(f"{model.name}: second_order returned shape {M.shape}")
-    if not np.isfinite(M).all():
-        t = np.argmin(np.isfinite(M).all(axis=(0, 2, 3)))
-        raise NumericError(f"{model.name}: non-finite second-order action at k={k0 + t}")
+    MT = M.swapaxes(-1, -2)
+    if np.isfinite(M).all() and (M == MT).all():
+        return M
+    bad, drift = ~np.isfinite(M).all(axis=(2, 3)), None  # bad: (K, H) failing stages
+    if not bad.any():
+        drift, scale = (np.square(S).sum(axis=(1, 2, 3)) for S in (M - MT, M))
+        fix = (drift > 0) & (drift <= 1e-16 * scale)
+        M[fix] = 0.5 * (M[fix] + MT[fix])
+        bad = (M != MT).any(axis=(2, 3))
+    if bad.any():
+        a = int(bad.any(axis=1).argmax())
+        what = ("non-finite second-order action" if drift is None else
+                f"second-order action asymmetric by {np.sqrt(drift[a] / scale[a]):.2e}")
+        raise NumericError(f"{model.name}: {what} at k={k0 + bad[a].argmax()}", row=a)
     return M
 
 

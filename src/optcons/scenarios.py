@@ -546,7 +546,7 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
 
     # Session's checks (cost: only with whole weight tables; graph: only with all n states).
     problems += input_problems(topology, models, p, cost if tables_ok else None,
-                               leader_model, leader_x0, mask)
+                               leader_model, leader_x0, mask, initial_states)
     if len(initial_states) == n:
         try:
             (require_spanning_tree if topology.leader_links

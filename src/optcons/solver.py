@@ -260,15 +260,15 @@ def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
     the min(r, L_max) + 1 applications of (G+H)^-1 is one dgbtrs with
     g + c d in the u rows.  d equals ``ocp_direction(g, [regularize(H,
     REG_FLOOR) ...])`` to rounding (within 1e-12 relative on the built-in
-    models).  A row is left to the dense path, its d zero, when its blocks
-    are not exactly symmetric, its ``banded_certificate`` fails, its
-    gradient is not finite or dgbtrf finds a zero pivot in it; so a row's
-    outcome, like its d, equals its stack of one's bit for bit.  The
-    windows' (A, B) are finite, as ``dyn.linearize`` returns them.
+    models).  A row is left to the dense path, its d zero, when its
+    ``banded_certificate`` fails, its gradient is not finite or dgbtrf finds
+    a zero pivot in it; so a row's outcome, like its d, equals its stack of
+    one's bit for bit.  The windows' (A, B) are finite and their blocks
+    symmetric, as ``dyn.linearize`` and ``dyn.second_order_action`` ensure.
     """
     A, B = jac
     K, H, p, m = B.shape
-    ok = (blocks == blocks.swapaxes(-1, -2)).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=1)
+    ok = np.isfinite(g).all(axis=1)
     ok[ok] = banded_certificate(blocks[ok], m, REG_FLOOR)
     rows = np.flatnonzero(ok)
     while rows.size:

@@ -10,7 +10,7 @@ from optcons import dynamics as dyn
 from optcons.errors import NumericError
 from optcons.graph import LEADER
 from optcons.coordinator import _round_update
-from optcons.solver import SolverConfig, sweep
+from optcons.solver import SolverConfig, banded_pays, sweep
 
 from conftest import (model_hessian, mutual_pair_topology, random_instance, random_psd,
                       random_spd)
@@ -474,21 +474,27 @@ def test_costate_sweep_names_the_agent_of_a_bad_bundle():
 
 def test_hessian_asymmetry_names_the_agent():
     """A model whose second_order_fn breaks Mxu = Mux^T (by 1e-3 relative) on
-    one row of a stack makes the assembled Hessian asymmetric there, and
-    the group-round's error names that row's agent and the round."""
-    model, spec, agents, bundles, x0, u, k0 = oracle_stack("unicycle", 8, seed=8)
+    one row of a stack fails where M enters, before either direction path:
+    on an 8-stage window, which takes the dense path, and on a 64-stage
+    one, which ``banded_pays`` for, the group-round's error names that
+    row's agent, the round and the row's first stage."""
+    for H in (8, 64):
+        model, spec, agents, bundles, x0, u, k0 = oracle_stack("unicycle", H, seed=8)
 
-    def skewed(X, U, k0, Lam):
-        M = model.second_order_fn(X, U, k0, Lam)
-        M[1, :, :3, 3:] *= 1.0 + 1e-3
-        return M
+        def skewed(X, U, k0, Lam):
+            M = model.second_order_fn(X, U, k0, Lam)
+            M[1, :, :3, 3:] *= 1.0 + 1e-3
+            return M
 
-    broken = dataclasses.replace(model, second_order_fn=skewed)
-    traj = dyn.rollout(broken, x0, u, k0)
-    terms = table(spec, traj.shape[2], agents)
-    swept = sweep(broken, k0, terms, bundles, u, traj)
-    with pytest.raises(NumericError, match=r"^agent 2, round 4: Hessian asymmetry"):
-        _round_update(broken, k0, terms, bundles, u, traj, swept, SolverConfig(), 4, {})
+        broken = dataclasses.replace(model, second_order_fn=skewed)
+        traj = dyn.rollout(broken, x0, u, k0)
+        terms = table(spec, traj.shape[2], agents)
+        swept = sweep(broken, k0, terms, bundles, u, traj)
+        assert banded_pays(u[0].size, 4, SolverConfig().L_max) == (H == 64)
+        message = (rf"^agent 2, round 4: {re.escape(model.name)}: second-order action "
+                   rf"asymmetric by \d\.\d\de-04 at k={k0}$")
+        with pytest.raises(NumericError, match=message):
+            _round_update(broken, k0, terms, bundles, u, traj, swept, SolverConfig(), 4, {})
 
 
 # The costate and the forward sensitivities are banded triangular solves
@@ -509,11 +515,13 @@ def stage_loop_costate(terms, trajs, us, jac, bundles):
 
 
 def stage_loop_hessian(terms, model, trajs, us, jac, lam, k0):
+    # The model's M as it returns it: the cross terms read Mux alone, its
+    # transpose standing in for Mxu, whatever Mxu holds.
     K, H, m = us.shape
     p, n = trajs.shape[2], H * m
     A, B = jac
-    M = dyn.second_order_action(model, trajs[:, :H], us, k0, lam[:, 1:])
-    Mxx, Mxu, Mux, Muu = M[..., :p, :p], M[..., :p, p:], M[..., p:, :p], M[..., p:, p:]
+    M = model.second_order_fn(trajs[:, :H], us, k0, lam[:, 1:])
+    Mxx, Mux, Muu = M[..., :p, :p], M[..., p:, :p], M[..., p:, p:]
     dxs = np.zeros((K, H + 1, p, n))
     for t in range(H):
         np.matmul(A[:, t], dxs[:, t], out=dxs[:, t + 1])
@@ -522,8 +530,9 @@ def stage_loop_hessian(terms, model, trajs, us, jac, lam, k0):
                        axis=1)
     S = dxs[:, 1:].reshape(K, H * p, n)
     Hs = S.transpose(0, 2, 1) @ (W @ dxs[:, 1:]).reshape(K, H * p, n)
-    Hs += (Mux @ dxs[:, :H]).reshape(K, n, n)
-    Hs += (Mxu.transpose(0, 1, 3, 2) @ dxs[:, :H]).reshape(K, n, n).transpose(0, 2, 1)
+    C = (Mux @ dxs[:, :H]).reshape(K, n, n)
+    Hs += C
+    Hs += C.transpose(0, 2, 1)
     diag = Hs.reshape(K, H, m, H, m)
     rows, idx = np.arange(K)[:, None], np.arange(H)
     diag[rows, idx, :, idx, :] += terms.R[:, None] + Muu
@@ -581,17 +590,19 @@ def test_stage_blocks_are_the_lagrangian_blocks(K):
 
 @pytest.mark.parametrize("K", [1, 3])
 def test_curvature_blocks_land_where_the_stage_loop_puts_them(K):
-    """An M whose blocks are symmetric only to 1e-13 (within the asymmetry
-    tolerance): each R + Muu block and cross term sits where the stage loop
-    puts it, bit for bit, transposes included."""
+    """Raw blocks of an M with no symmetry at all, which
+    ``dyn.second_order_action`` would refuse: each R + Muu block and cross
+    term sits where the stage loop puts it, bit for bit, transposes
+    included, and the cross terms read Mux alone."""
     terms, model, trajs, us, jac, bundles = banded_case(K, 8, 3, 2, seed=11)
-    rng = np.random.default_rng(12)
-    M = rng.normal(size=(K, 8, 5, 5))
-    M = M + M.transpose(0, 1, 3, 2) + 1e-13 * rng.normal(size=M.shape)
+    M = np.random.default_rng(12).normal(size=(K, 8, 5, 5))
     curved = dataclasses.replace(model, second_order_fn=lambda X, U, k0, Lam: M.copy())
     lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
-    np.testing.assert_array_equal(model_hessian(terms, curved, trajs, us, jac, lam, k0=3),
-                                  stage_loop_hessian(terms, curved, trajs, us, jac, lam, k0=3))
+    want = stage_loop_hessian(terms, curved, trajs, us, jac, lam, k0=3)
+    np.testing.assert_array_equal(adjoint.hessian(adjoint.stage_blocks(terms, M.copy()), jac),
+                                  want)
+    M[..., :3, 3:] = 0.0
+    np.testing.assert_array_equal(adjoint.hessian(adjoint.stage_blocks(terms, M), jac), want)
 
 
 @pytest.mark.parametrize("t", [0, 7])

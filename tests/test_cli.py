@@ -198,7 +198,9 @@ def nan_at(model, entry):
 def test_non_finite_derivative_exits_2_naming_its_stage(preset, entry, message, tmp_path,
                                                         capsys, monkeypatch):
     # A nan in a model derivative fails where the model returns it, like a
-    # non-finite state in dynamics.step, instead of deep in the direction.
+    # non-finite state in dynamics.step, instead of deep in the direction;
+    # the curvature's error, raised in the round's update, names agent and
+    # round too.
     load = scenarios.load_scenario
 
     def broken(*args):
@@ -212,7 +214,8 @@ def test_non_finite_derivative_exits_2_naming_its_stage(preset, entry, message, 
     name = scenarios.load_preset(preset).models[1].name
     code = run_cli("run", preset, "--set", "mpc.T=2", "--out", str(tmp_path / "nan"))
     assert code == 2
-    assert capsys.readouterr().err == f"numeric failure: {name}: non-finite {message}\n"
+    where = "agent 1, round 0: " if entry == "M" else ""
+    assert capsys.readouterr().err == f"numeric failure: {where}{name}: non-finite {message}\n"
 
 
 def pair_scenario(path, Q, x2):
@@ -266,24 +269,26 @@ def test_weight_negative_beyond_rounding_exits_1_at_check(tmp_path, capsys):
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["mpc", "horizon", "msa", "unicycle"])
 def test_non_finite_gradient_exits_2_naming_agent_and_round(mode, tmp_path, capsys):
-    # States at +-1e308 overflow in the edge errors, so the costates and the
-    # gradients are not finite.  The round names the first such agent before
-    # either method's update, instead of a raw ValueError from the direction,
-    # a rollout failure of msa's first trial step, or a curvature error that
-    # names no agent.
+    # A Q of 1e305 weighs the states' gap of 2e3 beyond float64, so the
+    # costates and the gradients are not finite.  The round names the first
+    # such agent before either method's update, instead of a raw ValueError
+    # from the direction, a rollout failure of msa's first trial step, or a
+    # curvature error.  (States whose gap itself overflows are refused at
+    # load: test_scenarios.py.)
     raw = {"name": "overflow", "topology": {"n": 2, "edges": [[1, 2], [2, 1]]},
            "models": {"default": {"type": "linear", "A": [[1, 0], [0, 1]],
                                   "B": [[1, 0], [0, 1]]}},
-           "cost": {"Q": 1, "R": 1}, "mpc": {"N_p": 2, "T": 1},
-           "initial_states": {"1": [1e308, 0], "2": [-1e308, 0]}}
+           "cost": {"Q": 1e305, "R": 1}, "mpc": {"N_p": 2, "T": 1},
+           "initial_states": {"1": [1e3, 0], "2": [-1e3, 0]}}
     if mode == "horizon":
         raw["horizon"] = raw.pop("mpc")["N_p"]
     if mode == "unicycle":
         raw["models"] = {"default": {"type": "unicycle"}}
-        raw["initial_states"] = {"1": [1e308, 0, 0], "2": [-1e308, 0, 0]}
+        raw["initial_states"] = {"1": [1e3, 0, 0], "2": [-1e3, 0, 0]}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(raw))
     extra = ["--set", "solver.method=msa"] if mode == "msa" else []
+    assert run_cli("check", str(path)) == 0
     assert run_cli("run", str(path), *extra, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == "numeric failure: agent 1, round 0: non-finite gradient\n"
 

@@ -168,6 +168,11 @@ def chain_kwargs(**changes):
     (lambda: chain_kwargs(error_mask=[0, False]),
      r"^error_mask: components \[False\] are not integers$"),
     (lambda: chain_kwargs(error_mask=np.array([0.0, 1.0])), r"^error_mask: components \[np"),
+    (lambda: pair_kwargs(initial_states={1: [1e308], 2: [-1e308]}),
+     r"^initial_states: non-finite deviation norms on pairs \['1-2', '2-1'\]$"),
+    (lambda: chain_kwargs(leader_x0=[-1e308, 0.0], initial_states={1: [1e308, 0.0], 2: [0.0, 0.0],
+                                                                  3: [0.0, 0.0], 4: [0.0, 0.0]}),
+     r"^initial_states: non-finite deviation norms on pairs \['2-1', '1-l'\]$"),
 ])
 def test_session_rejects_malformed_inputs_early(kwargs, match):
     # Shapes and dimensions are checked before anything is built, with a

@@ -379,6 +379,48 @@ def test_window_shapes_checked():
                                 np.zeros((1, 2, 3)))
 
 
+@pytest.mark.parametrize("case", ["exact", "within", "beyond", "nonfinite"])
+def test_second_order_action_holds_curvature_symmetric(case):
+    # Rows 0 and 3 of M are exactly symmetric; rows 1 and 2 break it (or hold
+    # a nan) from stages 5 and 2 on.  An exact M comes back as the model
+    # returned it.  Rows asymmetric within 1e-8 relative come back
+    # symmetrized, the others untouched.  Beyond that, or with a nan, the
+    # error has row 1 and that row's own first stage, and reads as row 1's
+    # stack of one's.
+    K, H, k0 = 4, 8, 10
+    M = np.random.default_rng(3).normal(size=(K, H, 3, 3))
+    M += M.swapaxes(-1, -2)
+    for a, t in [(1, 5), (2, 2)]:
+        if case == "nonfinite":
+            M[a, t, 0, 1] = np.nan
+        elif case != "exact":
+            M[a, t:, 0, 1] *= 1.0 + {"within": 1e-12, "beyond": 1e-3}[case]
+    # Row a's windows start at state (a, 0), which picks its rows of M.
+    model = dataclasses.replace(dyn.linear(np.eye(2), np.ones((2, 1))),
+                                second_order_fn=lambda X, U, k0, Lam:
+                                M[X[:, 0, 0].astype(int)].copy())
+    X = np.zeros((K, H, 2))
+    X[..., 0] = np.arange(K)[:, None]
+    U, Lam = np.zeros((K, H, 1)), np.zeros((K, H, 2))
+    if case in ("exact", "within"):
+        got = dyn.second_order_action(model, X, U, k0, Lam)
+        want = M.copy()
+        want[1:3] = 0.5 * (M[1:3] + M[1:3].swapaxes(-1, -2))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, got.swapaxes(-1, -2))
+        return
+    errors = []
+    for rows in (slice(None), slice(1, 2)):
+        with pytest.raises(NumericError) as err:
+            dyn.second_order_action(model, X[rows], U[rows], k0, Lam[rows])
+        errors.append((str(err.value), err.value.row))
+    assert [row for _, row in errors] == [1, 0]
+    assert errors[0][0] == errors[1][0]
+    what = ("non-finite second-order action" if case == "nonfinite"
+            else r"second-order action asymmetric by \d\.\d\de-0\d")
+    assert re.fullmatch(f"linear: {what} at k={k0 + 5}", errors[0][0])
+
+
 # The per-agent step formulas that the stacked step functions replaced, kept
 # as oracles: a rollout of a stack of agents must equal, row for row and bit
 # for bit, stepping each agent alone through these.

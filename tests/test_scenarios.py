@@ -250,6 +250,10 @@ def _on_preset(override):
     ("cost.offsets.1=[1,2,3]", "offset[1] has shape (3,), expected (2,)"),
     ('models.1={"type":"unicycle"}', "agent 1: model state_dim 3 != 2"),
     ("leader.x0=[1,2,3]", "leader x0 has shape (3,), expected (2,)"),
+    ('initial_states={"1":[1e308,0],"2":[-1e308,0],"3":[0,0],"4":[0,0]}',
+     "initial_states: non-finite deviation norms on pairs ['2-1', '3-2', '1-l']"),
+    ('cost.offsets={"1":[1e308,0],"l":[-1e308,0]}',
+     "initial_states: non-finite deviation norms on pairs ['2-1', '1-l']"),
     ('leader.model={"type":"unicycle_drift"}',
      "leader model must be autonomous (control_dim 0) with state_dim 2, "
      "got unicycle_drift(v=0.5,w=0.0) with 3, 0"),
