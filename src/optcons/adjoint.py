@@ -30,7 +30,10 @@ and ``kkt_band`` writes a stack's system as one LAPACK band.
 
 The same L rolls a window out as a whole, by Newton on its stage defects
 (``newton_rollout``; Lim et al., ICLR 2024, and Gonzalez et al., NeurIPS
-2024, on Newton over a sequence's length).
+2024, on Newton over a sequence's length), started from the states that
+the banded direction predicts (a tangential predictor; Diehl, Bock and
+Schlöder, SIAM J. Control Optim. 2005) and relinearized only in rows whose
+steps contract slowly.
 
 Finite-difference twins of both quantities serve as independent oracles in
 the tests and as a debugging aid.
@@ -56,30 +59,39 @@ def linearize_window(model: dyn.Model, trajs, us, k0: int = 0):
     return dyn.linearize(model, np.asarray(trajs, dtype=float)[:, :us.shape[1]], us, k0)
 
 
-def _band_solve(A, rhs, trans: str) -> np.ndarray:
-    """Solve L x = rhs, or L^T x = rhs with trans "T", for the stack's rows
-    of H+1 states set block-diagonally: one dtbtrs (kd = 2p-1).  ``rhs`` and
-    the result are F-ordered (K (H+1) p, r) arrays."""
+def _lower_band(A) -> np.ndarray:
+    """The band of L for ``_band_solve`` from a stack's Jacobians A (K, H,
+    p, p), as (K, H+1, p, 2p): row a's band is its [a]."""
     K, H, p, _ = A.shape
-    # ab.reshape(-1, 2p).T is the band, band[d, c] = L[c + d, c]: in state
-    # t's (p, 2p) block, -A[a, t, i, j] sits at 2p j + p + i - j.
+    # ab.reshape(-1, 2p).T is LAPACK's band, band[d, c] = L[c + d, c]: in
+    # state t's (p, 2p) block, -A[a, t, i, j] sits at 2p j + p + i - j.
     ab = np.zeros((K, H + 1, p, 2 * p))
     band = ab.reshape(K, H + 1, -1)[:, :H, p:].reshape(K, H, p, 2 * p - 1)[..., :p]
     np.negative(A.transpose(0, 1, 3, 2), out=band)
+    return ab
+
+
+def _band_solve(ab, rhs, trans: str) -> np.ndarray:
+    """Solve L x = rhs, or L^T x = rhs with trans "T", for the stack's rows
+    of H+1 states set block-diagonally, L's band ``ab`` from
+    ``_lower_band``: one dtbtrs (kd = 2p-1).  ``rhs`` and the result are
+    F-ordered (K (H+1) p, r) arrays."""
+    K, p = ab.shape[0], ab.shape[2]
     # A unit triangle is never singular: dtbtrs's info stays 0.
     x, _ = dtbtrs(ab.reshape(-1, 2 * p).T, rhs, uplo="L", trans=trans, diag="U")
     if K > 1 and not np.isfinite(x).all():
         # Rows meet only at zeros of the band, and 0 * nan is nan: solve
         # each row alone so that a non-finite row stays in that row.
         rows = np.split(rhs, K)
-        x = np.concatenate([_band_solve(A[a:a + 1], rows[a], trans) for a in range(K)])
+        x = np.concatenate([_band_solve(ab[a:a + 1], rows[a], trans) for a in range(K)])
     return x
 
 
-# The shortest window that ``newton_rollout`` pays for (``newton_pays``)
-# and its iteration cap.  Measured per rollout of a 4-agent stack (p = 2,
-# m = 1) on the inputs of the rounds r >= 1 of leader_follower windows
-# (mpc.T=10, N_p = H), with the preset's linear_sine follower (3 iterations
+# The shortest window that ``newton_rollout`` pays for (``newton_pays``),
+# its iteration cap and its relinearization threshold.  NEWTON_MIN_H was
+# measured per rollout of a 4-agent stack (p = 2, m = 1) on the inputs of
+# the rounds r >= 1 of leader_follower windows (mpc.T=10, N_p = H), with
+# the preset's linear_sine follower, started from the guess (3 iterations
 # in most rollouts, 4-5 in the rest): median microseconds, stage loop /
 # Newton, and the ratio of the mean times (2-core VM, numpy 2.4):
 #
@@ -91,8 +103,31 @@ def _band_solve(A, rhs, trans: str) -> np.ndarray:
 #      32    479 / 368     0.80
 #      48    746 / 429     0.62
 #      64    997 / 555     0.59
+#
+# NEWTON_THETA is the contraction a row's delta must reach, against the one
+# before it, for the row to keep its Jacobians (theta = 0 is exact Newton,
+# inf the chord method).  Measured from the predicted states on 6 seed-0
+# tracking_long episodes (1,098 group-rounds, 4,392 Newton rows; the stage
+# loop's fallbacks are all in their cold window 0) and on the 24 rows of the
+# amp = 0.1 stage-loop cases in tests/test_newton_rollout.py, started from
+# their first Newton iterate:
+#
+#               tracking_long                        amp = 0.1
+#     theta   iterations  linearize   fallback    fallback  iterations
+#             / rollout   / group-round  rows       rows      / row
+#     0         2.28        2.28          0          0        3.62
+#     1e-4      2.28        1.27          0          0        3.62
+#     1e-3      2.29        1.07          0          0        3.79
+#     1e-2      2.29        1.06         19          9        4.88
+#     1e-1      2.29        1.01         90         12        5.00
+#     inf       2.29        1.00         95         12        5.00
+#
+# Started from the guess with theta = 0, as before the predicted start,
+# tracking_long made 2.90 iterations per rollout and 2.90 linearize calls
+# per group-round.
 NEWTON_MIN_H = 28
 NEWTON_MAX_ITER = 5
+NEWTON_THETA = 1e-3
 
 
 def newton_pays(model: dyn.Model, H: int) -> bool:
@@ -103,13 +138,25 @@ def newton_pays(model: dyn.Model, H: int) -> bool:
     return H >= NEWTON_MIN_H and hasattr(f, "stages") and not hasattr(f, "window")
 
 
-def newton_rollout(model: dyn.Model, us, k0: int, guess, A) -> np.ndarray:
+def newton_rollout(model: dyn.Model, us, k0: int, guess, A, step=None) -> np.ndarray:
     """The rollouts (K, H+1, p) of windows us (K, H, m), stage t at time k0
     + t, from the stage-0 states of ``guess`` (K, H+1, p), by Newton on the
-    stage defects started from ``guess``: F = ``step_fn.stages`` minus the
-    next states, delta = L^-1 [0; F] by one ``_band_solve`` per iteration,
-    with A (K, H, p, p) the Jacobians at the guess for the first iteration
-    and one ``dyn.linearize`` of the moving rows for each later one.
+    stage defects: F = ``step_fn.stages`` minus the next states, delta =
+    L^-1 [0; F] by one ``_band_solve`` per iteration, L's band built from
+    A (K, H, p, p), the Jacobians at the guess, and kept from one
+    iteration to the next but in the rows relinearized.
+
+    A row starts from guess + [0; step], ``step`` (K, H, p) the predicted
+    state change of ``solver.banded_direction``; a zero row, or no
+    ``step``, starts from the guess.  For a control-affine f with Jacobians
+    at the guess, the predicted start is the first Newton iterate from the
+    guess in exact arithmetic, so it saves that iteration.  A row keeps its
+    A (at first, the guess's) while each delta shrinks to at most
+    NEWTON_THETA times the one before it, the step counting as the one
+    before the first (chord iterations; Kelley, "Iterative Methods for
+    Linear and Nonlinear Equations", SIAM 1995, ch. 5); a row whose delta
+    did not, or with no step before it, is relinearized by one
+    ``dyn.linearize`` of those rows before the next iteration.
 
     A row stops once max |delta| <= 1e-15 max(1, max |X|) over its states,
     after taking that delta, and is not updated again.  A row whose states
@@ -123,13 +170,19 @@ def newton_rollout(model: dyn.Model, us, k0: int, guess, A) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     X = np.array(guess, dtype=float)
     K, H, _ = us.shape
-    stopped = np.zeros(K, dtype=bool)
-    rows, Xr, Ur = np.arange(K), X, us  # the moving rows of X, their states, controls
+    last = np.zeros(K)  # each row's step before its next delta
+    if step is not None:
+        X[:, 1:] += step
+        last = np.abs(step).reshape(K, -1).max(axis=1)
+    stopped, stale = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
+    # The moving rows of X, their states, controls and L's band.
+    rows, Xr, Ur, band = np.arange(K), X, us, _lower_band(A)
     with np.errstate(all="ignore"):
-        for it in range(NEWTON_MAX_ITER):
-            if it:
+        for _ in range(NEWTON_MAX_ITER):
+            if stale.any():
                 try:
-                    A = dyn.linearize(model, Xr[:, :H], Ur, k0)[0]
+                    A = dyn.linearize(model, Xr[stale, :H], Ur[stale], k0)[0]
+                    band[stale] = _lower_band(A)
                 except NumericError:
                     break
             F = model.step_fn.stages(Xr[:, :H], Ur, k0)
@@ -137,17 +190,23 @@ def newton_rollout(model: dyn.Model, us, k0: int, guess, A) -> np.ndarray:
                 raise ValueError(f"{model.name}: stages returned shape {F.shape}")
             rhs = np.zeros(Xr.shape)
             np.subtract(F, Xr[:, 1:], out=rhs[:, 1:])
-            delta = _band_solve(A, rhs.reshape(-1, 1), "N").reshape(len(rows), -1)
+            delta = _band_solve(band, rhs.reshape(-1, 1), "N").reshape(len(rows), -1)
+            size = np.abs(delta).max(axis=1)
             scale = np.maximum(1.0, np.abs(Xr).reshape(len(rows), -1).max(axis=1))
-            done = np.abs(delta).max(axis=1) <= 1e-15 * scale  # False where nan
+            done = size <= 1e-15 * scale  # False where nan
             Xr[:, 1:] += delta.reshape(Xr.shape)[:, 1:]
-            X[rows[done]] = Xr[done]
-            stopped[rows[done]] = True
+            if done.any():
+                X[rows[done]] = Xr[done]
+                stopped[rows[done]] = True
             # A non-finite F or delta leaves its row's states non-finite.
             moving = ~done & np.isfinite(Xr).reshape(len(rows), -1).all(axis=1)
             if not moving.any():
                 break
-            rows, Xr, Ur = rows[moving], Xr[moving], Ur[moving]
+            stale = ~(size <= NEWTON_THETA * last)
+            if not moving.all():
+                rows, Xr, Ur, band = rows[moving], Xr[moving], Ur[moving], band[moving]
+                stale, size = stale[moving], size[moving]
+            last = size
     rest = ~stopped
     if rest.any():
         X[rest] = dyn.rollout(model, X[rest, 0], us[rest], k0)
@@ -176,7 +235,7 @@ def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
     sources[:, H] = (terms.D @ E[:, H, :, None])[..., 0]  # the terminal D e(H)
     src = np.zeros((K, H + 1, p))
     np.add.at(src, terms.rows, sources)
-    return _band_solve(A, src.reshape(-1, 1), "T").reshape(K, H + 1, p)
+    return _band_solve(_lower_band(A), src.reshape(-1, 1), "T").reshape(K, H + 1, p)
 
 
 def gradient(terms: GroupTerms, us, jac, lambdas) -> np.ndarray:
@@ -216,8 +275,9 @@ def stage_blocks(terms: GroupTerms, M) -> np.ndarray:
 def _kkt_layout(K: int, H: int, p: int, m: int):
     """Where ``kkt_band`` puts things: the constant band (the -I between
     each nu(t+1) and x(t+1)), the flat band positions of the per-round
-    entries in ``kkt_band``'s order, those of the u rows' diagonals, and
-    the u unknowns' indices in g's (K, H*m) order."""
+    entries in ``kkt_band``'s order, those of the u rows' diagonals, the
+    u unknowns' indices in g's (K, H*m) order and the x unknowns' in
+    (K, H, p) order."""
     s = m + 2 * p
     kl = s - 1
     ld = 3 * kl + 1
@@ -240,7 +300,7 @@ def _kkt_layout(K: int, H: int, p: int, m: int):
     index = np.concatenate([at(xu, xu), at(xr[:, -1:], xr[:, -1:]), at(ur[:, :1], ur[:, :1]),
                             at(ur, nur), at(nur, ur),
                             at(nur[:, 1:], xr[:, :-1]), at(xr[:, :-1], nur[:, 1:])])
-    layout = template, index, (ur * ld + 2 * kl).ravel(), ur.ravel()
+    layout = template, index, (ur * ld + 2 * kl).ravel(), ur.ravel(), xr.ravel()
     for a in layout:
         a.setflags(write=False)
     return layout
@@ -259,14 +319,15 @@ def kkt_band(blocks, jac, c: float):
     -I between nu(t+1) and x(t+1).  Eliminating x and nu leaves c I + H,
     H the Hessian of ``hessian`` in exact arithmetic, on the u unknowns.
 
-    Returns (band, kl, rows): ``band`` in LAPACK's general band storage for
-    dgbtrf, (3 kl + 1, N) and F-ordered, and ``rows`` the u unknowns'
-    indices in g's (K, H*m) order.  The layout is built once per (K, H, p,
-    m); each call copies its constant part and assigns the rest at once.
+    Returns (band, kl, rows, states): ``band`` in LAPACK's general band
+    storage for dgbtrf, (3 kl + 1, N) and F-ordered, ``rows`` the u
+    unknowns' indices in g's (K, H*m) order and ``states`` the x unknowns'
+    in (K, H, p) order.  The layout is built once per (K, H, p, m); each
+    call copies its constant part and assigns the rest at once.
     """
     A, B = jac
     K, H, p, m = B.shape
-    template, index, diag, rows = _kkt_layout(K, H, p, m)
+    template, index, diag, rows, states = _kkt_layout(K, H, p, m)
     band = template.copy()
     flat = band.reshape(-1)
     flat[index] = np.concatenate([
@@ -274,7 +335,7 @@ def kkt_band(blocks, jac, c: float):
         B.transpose(0, 1, 3, 2).ravel(), B.ravel(),
         A[:, 1:].ravel(), A[:, 1:].transpose(0, 1, 3, 2).ravel()])
     flat[diag] += c
-    return band.T, m + 2 * p - 1, rows
+    return band.T, m + 2 * p - 1, rows, states
 
 
 @functools.lru_cache(maxsize=8)
@@ -317,7 +378,7 @@ def hessian(blocks, jac) -> np.ndarray:
     at_rhs, at_diag = _hessian_layout(K, H, p, m)
     rhs = np.zeros(n * K * (H + 1) * p)
     rhs[at_rhs] = B.reshape(-1)
-    dxs = _band_solve(A, rhs.reshape(n, -1).T, "N").T.reshape(n, K, H + 1, p)
+    dxs = _band_solve(_lower_band(A), rhs.reshape(n, -1).T, "N").T.reshape(n, K, H + 1, p)
     dxs = np.ascontiguousarray(dxs.transpose(1, 2, 3, 0))
 
     W = np.concatenate([blocks[:, 1:, :p, :p], blocks[:, :1, :p, :p]], axis=1)

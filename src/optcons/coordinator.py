@@ -5,10 +5,12 @@ Within a round every agent rolls out its current window controls,
 broadcasts the predicted trajectory to its listeners, receives its
 neighbors' (and possibly the leader's) predictions, and performs one
 accelerated update on its own window.  After a window's first round, long
-windows of a model with the all-stages hook roll out by Newton from the
-previous round's trajectories (``adjoint.newton_rollout``).  Rounds repeat
-until every agent's control change falls under tolerance; the next round's
-rollout is the window's result, whose first controls are applied.
+windows of a model with the all-stages hook roll out by Newton
+(``adjoint.newton_rollout``), started from the previous round's
+trajectories plus the state change that its banded update predicts, and
+relinearized only in the rows whose Newton steps contract slowly.  Rounds
+repeat until every agent's control change falls under tolerance; the next
+round's rollout is the window's result, whose first controls are applied.
 
 The one-shot finite-horizon algorithm runs the same rounds on a single
 window; only the stop rule differs (gradient norms tested before the
@@ -153,21 +155,35 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     return errors, (max(errors.values()) if errors else 0.0)
 
 
+def _sweep(model, k0, terms, bundles, us, trajs, r: int):
+    """``sweep`` of a model group's windows at outer iteration r; a
+    non-finite Jacobian raises NumericError naming agent and round, where
+    ``dyn.linearize`` names only the failing row."""
+    try:
+        return sweep(model, k0, terms, bundles, us, trajs)
+    except NumericError as exc:
+        raise NumericError(f"agent {terms.agents[exc.row]}, round {r}: {exc}") from exc
+
+
 def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig, r: int, etas):
     """One update of a model group's windows us (K, H, m), stage t at time
     k0 + t, from their rollouts and ``sweep`` at outer iteration r, ``terms``
     the group's cost-term table and ``bundles`` each row's neighbours;
-    returns (new windows, step norms).  ``etas`` maps agents to the
-    baseline's step sizes, updated in place.  A non-finite gradient, a bad
-    curvature, or a failed direction or backtracking raises NumericError
-    naming agent and round, where the kernels name only the failing row.
+    returns (new windows, step norms, predicted state change).  ``etas``
+    maps agents to the baseline's step sizes, updated in place.  A
+    non-finite gradient, a bad curvature, or a failed direction or
+    backtracking raises NumericError naming agent and round, where the
+    kernels name only the failing row.
 
     Both paths read the ``adjoint.stage_blocks`` of the group-round's one
     ``dyn.second_order_action``.  Where ``banded_pays`` for the window size
     and depth, the rows that ``banded_direction`` certifies get its
     directions; the rest get the dense path's: Hessians, ``regularize`` and
     ``ocp_direction``, on the group's own arrays when no row was
-    certified, else on a stack of just those rows."""
+    certified, else on a stack of just those rows.  Where the next round's
+    windows roll out by Newton (``adjoint.newton_pays``), the predicted
+    state change is minus ``banded_direction``'s state responses, zero in
+    the dense path's rows, and None otherwise."""
     jac, lam, g = swept
     finite = np.isfinite(g).all(axis=1)
     if not finite.all():
@@ -182,14 +198,14 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
                 new[a], _, etas[i], steps[a] = backtrack_step(cost, us[a], g[a], J, etas[i])
             except NumericError as exc:
                 raise NumericError(f"agent {i}, round {r}: {exc}") from exc
-        return new, steps
+        return new, steps, None
     K, H, m = us.shape
-    d, solved = np.zeros((K, H * m)), np.zeros(K, dtype=bool)
+    d, solved, x = np.zeros((K, H * m)), np.zeros(K, dtype=bool), None
     try:  # a failing kernel's row is one of the unsolved rows
         M = dyn.second_order_action(model, trajs[:, :H], us, k0, lam[:, 1:])
         blocks = adjoint.stage_blocks(terms, M)
         if banded_pays(H * m, r, cfg.L_max):
-            d, solved = banded_direction(g, blocks, jac, cfg.c, r, cfg.L_max)
+            d, solved, x = banded_direction(g, blocks, jac, cfg.c, r, cfg.L_max)
         if not solved.all():
             rest = ~solved if solved.any() else slice(None)  # the rows for the dense path
             Hs = adjoint.hessian(blocks[rest], [J[rest] for J in jac])
@@ -197,7 +213,8 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
     except NumericError as exc:
         agent = terms.agents[np.flatnonzero(~solved)[exc.row]]
         raise NumericError(f"agent {agent}, round {r}: {exc}") from exc
-    return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist()
+    step = -x if x is not None and adjoint.newton_pays(model, H) else None
+    return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist(), step
 
 
 def _grad_norms(sweeps):
@@ -227,11 +244,11 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     for r in range(cfg.max_outer + 1):
         us = u[None]
         trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-        swept = sweep(*group, us, trajs)
+        swept = _sweep(*group, us, trajs, r)
         gnorm = float(np.linalg.norm(swept[2][0]))
         if gnorm < cfg.eps or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
-        new, _ = _round_update(*group, us, trajs, swept, cfg, r, etas)
+        new, _, _ = _round_update(*group, us, trajs, swept, cfg, r, etas)
         u = new[0]
         history.append(u.reshape(-1).copy())
 
@@ -427,9 +444,9 @@ class Session:
         order.  Given ``last``, the previous window's result, us are its
         windows shifted by a stage: x is its stage 1, so its stages 2..H are
         stages 1..H-1 bit for bit and only the new last stage is stepped.
-        Given ``guesses``, the previous round's (rollouts, A) per group, the
-        groups that ``adjoint.newton_pays`` for roll out by
-        ``adjoint.newton_rollout`` from them."""
+        Given ``guesses``, the previous round's (rollouts, A, predicted
+        state change) per group, the groups that ``adjoint.newton_pays`` for
+        roll out by ``adjoint.newton_rollout`` from them."""
         out = []
         for g, ((model, agents, _), u) in enumerate(zip(self.groups, us)):
             if guesses is not None and adjoint.newton_pays(model, u.shape[1]):
@@ -466,14 +483,15 @@ class Session:
                                          self.topology, leader_traj=leader_traj))
             group_args = [(model, self.t, terms, [bundles[i] for i in agents], u, x)
                           for (model, agents, terms), u, x in zip(self.groups, us, trajs)]
-            sweeps = [(*args, sweep(*args)) for args in group_args]
-            guesses = [(x, jac[0]) for *_, x, (jac, _, _) in sweeps]
+            sweeps = [(*args, _sweep(*args, r)) for args in group_args]
             if one_shot and max(_grad_norms(sweeps)) < self.cfg.eps:
                 converged = True
                 break
             updated = [_round_update(*group, self.cfg, r, msa_etas) for group in sweeps]
-            us = [new for new, _ in updated]
-            converged = not one_shot and max(max(steps) for _, steps in updated) < self.cfg.eps
+            us = [new for new, _, _ in updated]
+            guesses = [(x, jac[0], step) for (*_, x, (jac, _, _)), (_, _, step)
+                       in zip(sweeps, updated)]
+            converged = not one_shot and max(max(steps) for _, steps, _ in updated) < self.cfg.eps
 
         return FiniteHorizonResult(
             controls=self._by_agent(us), trajectories=self._by_agent(trajs),

@@ -94,16 +94,19 @@ def step(model: Model, x, u, k: int = 0) -> np.ndarray:
 
 def linearize(model: Model, X, U, k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Stage Jacobians of a stack of windows: (df/dx, df/du) at (X[a, t],
-    U[a, t], k0 + t), stacked as (K, H, p, p) and (K, H, p, m); a non-finite
-    entry raises NumericError naming its stage's time k0 + t."""
+    U[a, t], k0 + t), stacked as (K, H, p, p) and (K, H, p, m); a row with
+    a non-finite entry raises NumericError with that ``row``, naming its
+    own first such stage's time k0 + t, as its stack of one would."""
     KH, (X, U) = _check_inputs(model, "window", X, U)
     p, m = model.state_dim, model.control_dim
     A, B = model.jac_fn(X, U, k0)
     if (A.shape, B.shape) != (KH + (p, p), KH + (p, m)):
         raise ValueError(f"{model.name}: jac returned shapes {A.shape} and {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        t = np.argmin(np.isfinite(A).all(axis=(0, 2, 3)) & np.isfinite(B).all(axis=(0, 2, 3)))
-        raise NumericError(f"{model.name}: non-finite Jacobian at k={k0 + t}")
+        bad = ~(np.isfinite(A).all(axis=(2, 3)) & np.isfinite(B).all(axis=(2, 3)))
+        a = int(bad.any(axis=1).argmax())
+        raise NumericError(f"{model.name}: non-finite Jacobian at k={k0 + bad[a].argmax()}",
+                           row=a)
     return A, B
 
 

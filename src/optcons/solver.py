@@ -251,20 +251,25 @@ def banded_certificate(blocks: np.ndarray, m: int, floor: float) -> np.ndarray:
 def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
                      L_max: int = 10):
     """``ocp_direction``'s inner recursion on a model group's windows
-    without their Hessians, at outer iteration r, G = c I: returns (d, ok),
-    the directions (K, n) of the rows that ``ok`` (K,) marks, from
-    gradients g (K, n), the windows' ``adjoint.stage_blocks`` and their
-    (A, B) ``jac``.
+    without their Hessians, at outer iteration r, G = c I: returns (d, ok,
+    x), the directions (K, n) of the rows that ``ok`` (K,) marks and their
+    state responses x (K, H, p), from gradients g (K, n), the windows'
+    ``adjoint.stage_blocks`` and their (A, B) ``jac``.
 
     One dgbtrf factors the solved rows' ``adjoint.kkt_band``, and each of
     the min(r, L_max) + 1 applications of (G+H)^-1 is one dgbtrs with
     g + c d in the u rows.  d equals ``ocp_direction(g, [regularize(H,
     REG_FLOOR) ...])`` to rounding (within 1e-12 relative on the built-in
-    models).  A row is left to the dense path, its d zero, when its
-    ``banded_certificate`` fails, its gradient is not finite or dgbtrf finds
-    a zero pivot in it; so a row's outcome, like its d, equals its stack of
-    one's bit for bit.  The windows' (A, B) are finite and their blocks
-    symmetric, as ``dyn.linearize`` and ``dyn.second_order_action`` ensure.
+    models).  x is the last dgbtrs's x unknowns, which its constraint rows
+    tie to its u unknowns, d: x(t+1) = A(t) x(t) + B(t) d(t) from x(0) = 0,
+    the linearized dynamics' response to d at no extra cost, so the states
+    of the windows u - d are predicted to first order as the rollouts
+    minus [0; x] (``adjoint.newton_rollout`` starts there).  A row is left
+    to the dense path, its d and x zero, when its ``banded_certificate``
+    fails, its gradient is not finite or dgbtrf finds a zero pivot in it;
+    so a row's outcome, like its d and x, equals its stack of one's bit for
+    bit.  The windows' (A, B) are finite and their blocks symmetric, as
+    ``dyn.linearize`` and ``dyn.second_order_action`` ensure.
     """
     A, B = jac
     K, H, p, m = B.shape
@@ -272,24 +277,25 @@ def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
     ok[ok] = banded_certificate(blocks[ok], m, REG_FLOOR)
     rows = np.flatnonzero(ok)
     while rows.size:
-        band, kl, u = adjoint.kkt_band(blocks[rows], (A[rows], B[rows]), c)
+        band, kl, u, xs = adjoint.kkt_band(blocks[rows], (A[rows], B[rows]), c)
         lu, piv, info = dgbtrf(band, kl, kl, overwrite_ab=1)
         if not info:
             break
         ok[rows[(info - 1) // (H * (m + 2 * p))]] = False
         rows = np.flatnonzero(ok)
-    d = np.zeros((K, H * m))
+    d, x = np.zeros((K, H * m)), np.zeros((K, H, p))
     if not rows.size:
-        return d, ok
+        return d, ok, x
     g = g[rows].reshape(-1)
     b = np.zeros(band.shape[1])
     b[u] = g
-    x = dgbtrs(lu, kl, kl, b, piv)[0][u]
+    sol = dgbtrs(lu, kl, kl, b, piv)[0]
     for _ in range(min(r, L_max)):
-        b[u] = g + c * x
-        x = dgbtrs(lu, kl, kl, b, piv)[0][u]
-    d[rows] = x.reshape(rows.size, H * m)
-    return d, ok
+        b[u] = g + c * sol[u]
+        sol = dgbtrs(lu, kl, kl, b, piv)[0]
+    d[rows] = sol[u].reshape(rows.size, H * m)
+    x[rows] = sol[xs].reshape(rows.size, H, p)
+    return d, ok, x
 
 
 def contraction_factor(Hmat: np.ndarray, G: np.ndarray) -> float:

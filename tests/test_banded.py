@@ -77,32 +77,47 @@ def banded(model, terms, bundles, us, trajs, swept, r):
     return banded_direction(g, adjoint.stage_blocks(terms, M), jac, 1.0, r, L_MAX)
 
 
+def linear_response(jac, d):
+    """The states x(1..H) of x(t+1) = A(t) x(t) + B(t) d(t) from x(0) = 0,
+    (K, H, p), by one ``adjoint._band_solve``."""
+    A, B = jac
+    K, H, p, m = B.shape
+    rhs = np.zeros((K, H + 1, p))
+    rhs[:, 1:] = (B @ d.reshape(K, H, m, 1))[..., 0]
+    x = adjoint._band_solve(adjoint._lower_band(A), rhs.reshape(-1, 1), "N")
+    return x.reshape(K, H + 1, p)[:, 1:]
+
+
 @pytest.mark.parametrize("r", [0, 3, L_MAX])
 @pytest.mark.parametrize("K", [1, 4])
-@pytest.mark.parametrize("H", [1, 2, 8, 64])
+@pytest.mark.parametrize("H", [1, 2, 8, 32, 64])
 @pytest.mark.parametrize("kind", ["linear", "sum", "first", "diag", "nearly_symmetric"])
 def test_banded_direction_equals_dense_path(kind, H, K, r):
     # Every built-in model whose stage blocks are convex passes the
     # certificate, and the directions agree with the dense path to 1e-12;
     # so does an M symmetric only to 1e-13, which dyn.second_order_action
-    # symmetrizes for both paths.
+    # symmetrizes for both paths.  The state unknowns are the linearized
+    # dynamics' response to the direction, to 1e-12.
     window = group_window(model_of(kind), K, H, seed=H + K)
-    d, ok = banded(*window, r)
+    d, ok, x = banded(*window, r)
     want = dense_directions(*window, r)
     assert ok.all()
     assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+    response = linear_response(window[-1][0], d)
+    assert np.linalg.norm(x - response) <= 1e-12 * np.linalg.norm(response)
 
 
 @pytest.mark.parametrize("H", [1, 8, 64])
 @pytest.mark.parametrize("kind", ["linear", "first", "diag"])
 def test_banded_row_equals_its_stack_of_one(kind, H):
     window = group_window(model_of(kind), 4, H, seed=7)
-    d, ok = banded(*window, 3)
+    d, ok, x = banded(*window, 3)
     assert ok.all()
     for a in range(4):
         row = banded(*row_window(window, a), 3)
         assert row[1].all()
         np.testing.assert_array_equal(row[0][0], d[a])
+        np.testing.assert_array_equal(row[2][0], x[a])
 
 
 def test_semidefinite_terminal_weight_is_certified_and_unicycles_are_not():
@@ -248,8 +263,9 @@ def test_zero_pivot_row_falls_back_and_the_others_stay_banded(monkeypatch):
 
     clean = round_outcome(*window)
     monkeypatch.setattr(solver, "dgbtrf", dgbtrf)
-    d, ok = banded(*window, 3)
+    d, ok, x = banded(*window, 3)
     assert ok.tolist() == [True, False, True] and calls == [3 * 64 * 5, 2 * 64 * 5]
+    assert not x[1].any() and x[[0, 2]].any(axis=(1, 2)).all()
     calls.clear()
     got = round_outcome(*window)
     dense_only(monkeypatch)

@@ -199,8 +199,8 @@ def test_non_finite_derivative_exits_2_naming_its_stage(preset, entry, message, 
                                                         capsys, monkeypatch):
     # A nan in a model derivative fails where the model returns it, like a
     # non-finite state in dynamics.step, instead of deep in the direction;
-    # the curvature's error, raised in the round's update, names agent and
-    # round too.
+    # the error names the agent of the failing row and the round, whether
+    # the round's sweep (A, B) or its update (M) raised it.
     load = scenarios.load_scenario
 
     def broken(*args):
@@ -214,8 +214,8 @@ def test_non_finite_derivative_exits_2_naming_its_stage(preset, entry, message, 
     name = scenarios.load_preset(preset).models[1].name
     code = run_cli("run", preset, "--set", "mpc.T=2", "--out", str(tmp_path / "nan"))
     assert code == 2
-    where = "agent 1, round 0: " if entry == "M" else ""
-    assert capsys.readouterr().err == f"numeric failure: {where}{name}: non-finite {message}\n"
+    assert capsys.readouterr().err == (f"numeric failure: agent 1, round 0: {name}: "
+                                       f"non-finite {message}\n")
 
 
 def pair_scenario(path, Q, x2):

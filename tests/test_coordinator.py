@@ -536,6 +536,18 @@ def test_msa_backtracking_collapse_names_agent_and_round(monkeypatch, scalar_cha
         solve_local(scalar_chain, np.zeros((1, 1)), SolverConfig(method="msa"))
 
 
+def test_solve_local_names_agent_and_round_of_a_non_finite_jacobian(scalar_chain):
+    # The sweep's linearization fails in round 1 of solve_local, after the
+    # first update has moved u off zero; the error names agent and round as
+    # the session's sweep does.
+    model = scalar_chain.model
+    broken = replace(model, jac_fn=lambda X, U, k0: tuple(
+        np.where(U != 0.0, np.nan, J) for J in model.jac_fn(X, U, k0)))
+    with pytest.raises(NumericError, match=r"^agent 1, round 1: linear: non-finite Jacobian "
+                                           r"at k=0$"):
+        solve_local(replace(scalar_chain, model=broken), np.zeros((1, 1)), SolverConfig())
+
+
 @pytest.mark.parametrize("method", ["ocp", "msa"])
 def test_round_update_is_first_iterate_of_solve_local(method):
     # The round loop and solve_local run one update: a session's first round
@@ -837,6 +849,34 @@ def test_newton_rollouts_keep_the_stage_loops_round_counts(monkeypatch):
     np.testing.assert_array_equal(results[0].rounds, results[1].rounds)
     assert results[0].converged.all() and results[1].converged.all()
     np.testing.assert_allclose(results[0].max_errors, results[1].max_errors, rtol=1e-10)
+
+
+def test_long_windows_linearize_about_once_per_group_round(monkeypatch):
+    # The tracking_long shape (leader_follower, N_p=64, 30 steps): the sweep
+    # linearizes once per group-round, and the Newton rollouts, started from
+    # the update's predicted states, relinearize only in the cold window 0,
+    # whose large steps contract by less than NEWTON_THETA.  The counts are
+    # exact; the stage loop's rollouts made 531 calls for the same rounds.
+    linearize, calls = dyn.linearize, []
+    update, group_rounds = coordinator._round_update, []
+
+    def counted_linearize(*args):
+        calls.append(args[3])
+        return linearize(*args)
+
+    def counted_update(*args):
+        group_rounds.append(args[1])
+        return update(*args)
+
+    monkeypatch.setattr(dyn, "linearize", counted_linearize)
+    monkeypatch.setattr(coordinator, "_round_update", counted_update)
+    _, session = leader_follower_session(["mpc.N_p=64"])
+    result = session.run()
+    assert result.converged.all()
+    assert len(group_rounds) == result.rounds.sum() == 183
+    assert len(calls) == 197 and len(calls) / len(group_rounds) < 1.2
+    assert calls.count(0) == group_rounds.count(0) + 14
+    assert [k for k in calls if k] == [k for k in group_rounds if k]
 
 
 def spy_known_stages(monkeypatch):

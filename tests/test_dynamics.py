@@ -421,6 +421,33 @@ def test_second_order_action_holds_curvature_symmetric(case):
     assert re.fullmatch(f"linear: {what} at k={k0 + 5}", errors[0][0])
 
 
+@pytest.mark.parametrize("entry", ["A", "B"])
+def test_linearize_names_the_failing_rows_own_stage(entry):
+    # Rows 1 and 2 hold a nan in df/dx or df/du at stages 5 and 2: the error
+    # has row 1 and that row's own first such stage, not the first over all
+    # rows, and reads as row 1's stack of one's.
+    K, H, k0 = 4, 8, 10
+    base = dyn.linear(np.eye(2), np.ones((2, 1)))
+
+    def jac(X, U, k0):
+        A, B = base.jac_fn(X, U, k0)
+        for a, t in [(1, 5), (2, 2)]:
+            (A if entry == "A" else B)[X[:, 0, 0] == a, t, 0, 0] = np.nan
+        return A, B
+
+    model = dataclasses.replace(base, jac_fn=jac)
+    X = np.zeros((K, H, 2))
+    X[..., 0] = np.arange(K)[:, None]
+    U = np.zeros((K, H, 1))
+    errors = []
+    for rows in (slice(None), slice(1, 2)):
+        with pytest.raises(NumericError) as err:
+            dyn.linearize(model, X[rows], U[rows], k0)
+        errors.append((str(err.value), err.value.row))
+    assert errors == [(f"linear: non-finite Jacobian at k={k0 + 5}", 1),
+                      (f"linear: non-finite Jacobian at k={k0 + 5}", 0)]
+
+
 # The per-agent step formulas that the stacked step functions replaced, kept
 # as oracles: a rollout of a stack of agents must equal, row for row and bit
 # for bit, stepping each agent alone through these.

@@ -32,6 +32,17 @@ def warm_round(model, K, H, steps, k0=3, seed=1):
     return us, k0, guess, A
 
 
+def first_iterate(model, us, k0, guess, A):
+    """The first Newton step from the guess, L^-1 [0; F], in stages 1..H:
+    for these control-affine models, the state change that
+    ``solver.banded_direction``'s state responses predict."""
+    H = us.shape[1]
+    rhs = np.zeros(guess.shape)
+    rhs[:, 1:] = model.step_fn.stages(guess[:, :H], us, k0) - guess[:, 1:]
+    x = adjoint._band_solve(adjoint._lower_band(A), rhs.reshape(-1, 1), "N")
+    return x.reshape(guess.shape)[:, 1:]
+
+
 def spy(monkeypatch, name):
     """The calls that newton_rollout makes to dyn.<name>, by their args."""
     fn, calls = getattr(dyn, name), []
@@ -57,17 +68,61 @@ def test_newton_rollout_matches_the_stage_loop(monkeypatch, mode, H):
     assert abs(X - loop).max() <= 1e-14 * max(1.0, abs(loop).max())
 
 
+@pytest.mark.parametrize("H", [16, 64])
+@pytest.mark.parametrize("mode", ["sum", "first", "diag"])
+def test_a_predicted_start_matches_the_stage_loop_row_for_row(monkeypatch, mode, H):
+    # Started from the predicted states, every row agrees with the stage loop
+    # to rounding, without a fallback, and equals its stack of one bit for
+    # bit.
+    model = sine_model(mode)
+    us, k0, guess, A = warm_round(model, 4, H, [0.02] * 4)
+    step = first_iterate(model, us, k0, guess, A)
+    loop = dyn.rollout(model, guess[:, 0], us, k0)
+    rollouts = spy(monkeypatch, "rollout")
+    X = adjoint.newton_rollout(model, us, k0, guess, A, step)
+    assert not rollouts
+    np.testing.assert_array_equal(X[:, 0], guess[:, 0])
+    assert abs(X - loop).max() <= 1e-14 * max(1.0, abs(loop).max())
+    for a in range(4):
+        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], A[a:a + 1],
+                                     step[a:a + 1])
+        np.testing.assert_array_equal(one[0], X[a])
+
+
+def test_only_the_rows_whose_step_did_not_shrink_are_relinearized(monkeypatch):
+    # Row 0 starts from its predicted states, and its first delta is far
+    # below NEWTON_THETA times the step: it keeps the guess's A.  Row 1 has
+    # no step (a zero row), so it starts from the guess and is relinearized
+    # alone before its second iteration.  Each equals its stack of one.
+    model = sine_model("sum")
+    us, k0, guess, A = warm_round(model, 2, 32, [0.002] * 2)
+    step = first_iterate(model, us, k0, guess, A)
+    step[1] = 0.0
+    linearized = spy(monkeypatch, "linearize")
+    X = adjoint.newton_rollout(model, us, k0, guess, A, step)
+    assert [len(args[1]) for args in linearized] == [1]
+    np.testing.assert_array_equal(linearized[0][2], us[1:2])
+    for a in range(2):
+        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], A[a:a + 1],
+                                     step[a:a + 1])
+        np.testing.assert_array_equal(one[0], X[a])
+    np.testing.assert_array_equal(X[1], adjoint.newton_rollout(model, us[1:], k0, guess[1:],
+                                                               A[1:])[0])
+
+
 def test_a_row_equals_its_stack_of_one(monkeypatch):
     # Row 2 moves 25 times further than the others, so it needs more
-    # iterations: the last linearization covers it alone.  The rows that
-    # stopped earlier are left as they were, bit for bit.
+    # iterations.  No row has a step before its first delta, so each is
+    # relinearized once; then row 2 alone, whose second delta shrank least,
+    # and the others keep their A.  The rows that stopped earlier are left
+    # as they were, bit for bit.
     model = sine_model("sum")
     us, k0, guess, A = warm_round(model, 4, 32, [0.002, 0.002, 0.05, 0.002])
     rollouts, linearized = spy(monkeypatch, "rollout"), spy(monkeypatch, "linearize")
     X = adjoint.newton_rollout(model, us, k0, guess, A)
     assert not rollouts
-    assert len(linearized[0][1]) == 4 and len(linearized[-1][1]) == 1
-    np.testing.assert_array_equal(linearized[-1][1], X[2:3, :32])
+    assert [len(args[1]) for args in linearized] == [4, 1]
+    np.testing.assert_array_equal(linearized[-1][2], us[2:3])
     for a in range(4):
         one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], A[a:a + 1])
         np.testing.assert_array_equal(one[0], X[a])
