@@ -6,7 +6,9 @@ each recursion over the stages is one banded solve for the stack, and a
 row equals that agent's stack of one bit for bit.  They read the windows'
 (A, B) from one ``linearize_window`` per update, and the Hessian also the
 update's ``stage_blocks``, so none calls the model.  L below is unit lower
-block-bidiagonal, -A(t) at (t+1, t).
+block-bidiagonal, -A(t) at (t+1, t); its band (``_lower_band``) is built
+once per round, from that linearization, and the costate sweep, the dense
+rows' Hessians and the next round's Newton rollouts all read it.
 
 The gradient comes from the costate lambda = L^-T src, whose sources are
 summed per row from all of the stack's errors at once: the costate lambda(t)
@@ -138,13 +140,14 @@ def newton_pays(model: dyn.Model, H: int) -> bool:
     return H >= NEWTON_MIN_H and hasattr(f, "stages") and not hasattr(f, "window")
 
 
-def newton_rollout(model: dyn.Model, us, k0: int, guess, A, step=None) -> np.ndarray:
+def newton_rollout(model: dyn.Model, us, k0: int, guess, band, step=None) -> np.ndarray:
     """The rollouts (K, H+1, p) of windows us (K, H, m), stage t at time k0
     + t, from the stage-0 states of ``guess`` (K, H+1, p), by Newton on the
     stage defects: F = ``step_fn.stages`` minus the next states, delta =
-    L^-1 [0; F] by one ``_band_solve`` per iteration, L's band built from
-    A (K, H, p, p), the Jacobians at the guess, and kept from one
-    iteration to the next but in the rows relinearized.
+    L^-1 [0; F] by one ``_band_solve`` per iteration, ``band`` L's band
+    (``_lower_band``) from the Jacobians A at the guess, kept from one
+    iteration to the next but in the rows relinearized, whose bands are
+    rebuilt in a copy (the given band is not written).
 
     A row starts from guess + [0; step], ``step`` (K, H, p) the predicted
     state change of ``solver.banded_direction``; a zero row, or no
@@ -176,12 +179,13 @@ def newton_rollout(model: dyn.Model, us, k0: int, guess, A, step=None) -> np.nda
         last = np.abs(step).reshape(K, -1).max(axis=1)
     stopped, stale = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
     # The moving rows of X, their states, controls and L's band.
-    rows, Xr, Ur, band = np.arange(K), X, us, _lower_band(A)
+    rows, Xr, Ur = np.arange(K), X, us
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_MAX_ITER):
             if stale.any():
                 try:
                     A = dyn.linearize(model, Xr[stale, :H], Ur[stale], k0)[0]
+                    band = band.copy()
                     band[stale] = _lower_band(A)
                 except NumericError:
                     break
@@ -213,13 +217,13 @@ def newton_rollout(model: dyn.Model, us, k0: int, guess, A, step=None) -> np.nda
     return X
 
 
-def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
+def costate_sweep(terms: GroupTerms, trajs, us, band, bundles) -> np.ndarray:
     """Backward costate recursion of a stack of agents; returns the
     (K, H+1, p) array of lambda(t), one row per agent.
 
     ``terms`` is the stack's table from ``CostSpec.group_terms``,
-    ``bundles`` gives each row's neighbor bundle and ``jac`` the windows'
-    (A, B) from ``linearize_window``.  lambda(H) collects the terminal
+    ``bundles`` gives each row's neighbor bundle and ``band`` is L's band
+    (``_lower_band``) from the windows' A.  lambda(H) collects the terminal
     weights and lambda(t) = sum_j Q_ij e_ij(t) + lambda(t+1) A(t) for t < H,
     the leader being neighbour 0: one banded solve with L^T for the stack.
     Each row's sources are summed in term order from all of the stack's
@@ -227,7 +231,6 @@ def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
     """
     trajs = np.asarray(trajs, dtype=float)
     us = np.asarray(us, dtype=float)
-    A, _ = jac
     K, H, p = trajs.shape[0], us.shape[1], trajs.shape[2]
 
     E = local_errors(terms, trajs, us, bundles)
@@ -235,7 +238,7 @@ def costate_sweep(terms: GroupTerms, trajs, us, jac, bundles) -> np.ndarray:
     sources[:, H] = (terms.D @ E[:, H, :, None])[..., 0]  # the terminal D e(H)
     src = np.zeros((K, H + 1, p))
     np.add.at(src, terms.rows, sources)
-    return _band_solve(_lower_band(A), src.reshape(-1, 1), "T").reshape(K, H + 1, p)
+    return _band_solve(band, src.reshape(-1, 1), "T").reshape(K, H + 1, p)
 
 
 def gradient(terms: GroupTerms, us, jac, lambdas) -> np.ndarray:
@@ -354,10 +357,10 @@ def _hessian_layout(K: int, H: int, p: int, m: int):
     return layout
 
 
-def hessian(blocks, jac) -> np.ndarray:
+def hessian(blocks, B, band) -> np.ndarray:
     """Exact (H*m, H*m) Hessians of a stack of agents' local costs,
-    neighbors frozen, as a (K, H*m, H*m) array, from their ``stage_blocks``
-    and the windows' (A, B) ``jac``.
+    neighbors frozen, as a (K, H*m, H*m) array, from their ``stage_blocks``,
+    the windows' B and L's band (``_lower_band``) from their A.
 
     Column s*m + a is the response to a unit perturbation of u(s)[a].  The
     forward state sensitivities dx(t+1) = A(t) dx(t) [+ B(t) at the
@@ -371,14 +374,13 @@ def hessian(blocks, jac) -> np.ndarray:
     terms only meet dx(0) = 0.  Every matrix is then symmetrized, since
     S^T (W S) is symmetric only to rounding.
     """
-    A, B = jac
     K, H, p, m = B.shape
     n = H * m
 
     at_rhs, at_diag = _hessian_layout(K, H, p, m)
     rhs = np.zeros(n * K * (H + 1) * p)
     rhs[at_rhs] = B.reshape(-1)
-    dxs = _band_solve(_lower_band(A), rhs.reshape(n, -1).T, "N").T.reshape(n, K, H + 1, p)
+    dxs = _band_solve(band, rhs.reshape(n, -1).T, "N").T.reshape(n, K, H + 1, p)
     dxs = np.ascontiguousarray(dxs.transpose(1, 2, 3, 0))
 
     W = np.concatenate([blocks[:, 1:, :p, :p], blocks[:, :1, :p, :p]], axis=1)
@@ -428,7 +430,8 @@ def fd_hessian(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
         u = vec.reshape(1, H, m)
         traj = dyn.rollout(model, [x0], u, k0)
         jac = linearize_window(model, traj, u, k0)
-        return gradient(terms, u, jac, costate_sweep(terms, traj, u, jac, [nb]))[0]
+        lam = costate_sweep(terms, traj, u, _lower_band(jac[0]), [nb])
+        return gradient(terms, u, jac, lam)[0]
 
     Hmat = _central_differences(grad, u_i, h, 1e-4).T
     return 0.5 * (Hmat + Hmat.T)

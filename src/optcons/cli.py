@@ -86,11 +86,12 @@ def _cmd_gradcheck(args) -> int:
     problem, u = _window_problem(spec, args.agent, args.t)
     us = u[None]
     trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-    jac, lam, (g,) = sweep(problem.model, problem.k0, problem.terms, [problem.nb], us, trajs)
+    (_, B), band, lam, (g,) = sweep(problem.model, problem.k0, problem.terms, [problem.nb],
+                                    us, trajs)
     g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
                                problem.nb, problem.spec, k0=problem.k0)
     M = dyn.second_order_action(problem.model, trajs[:, :-1], us, problem.k0, lam[:, 1:])
-    Hmat = adjoint.hessian(adjoint.stage_blocks(problem.terms, M), jac)[0]
+    Hmat = adjoint.hessian(adjoint.stage_blocks(problem.terms, M), B, band)[0]
     H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
                               problem.nb, problem.spec, k0=problem.k0)
 

@@ -77,8 +77,9 @@ class RunResult:
 
 @dataclass
 class FiniteHorizonResult:
-    """Output of the round loop on one window; ``global_costs`` holds one
-    entry per round in one-shot runs and stays empty in MPC steps."""
+    """Output of the round loop on one window; in one-shot runs
+    ``global_costs`` holds one entry per round and ``grad_norms`` each
+    agent's at the last sweep, and in MPC steps both stay empty."""
 
     controls: dict
     trajectories: dict
@@ -184,7 +185,7 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
     windows roll out by Newton (``adjoint.newton_pays``), the predicted
     state change is minus ``banded_direction``'s state responses, zero in
     the dense path's rows, and None otherwise."""
-    jac, lam, g = swept
+    jac, band, lam, g = swept
     finite = np.isfinite(g).all(axis=1)
     if not finite.all():
         raise NumericError(f"agent {terms.agents[np.argmin(finite)]}, round {r}: "
@@ -208,19 +209,13 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
             d, solved, x = banded_direction(g, blocks, jac, cfg.c, r, cfg.L_max)
         if not solved.all():
             rest = ~solved if solved.any() else slice(None)  # the rows for the dense path
-            Hs = adjoint.hessian(blocks[rest], [J[rest] for J in jac])
+            Hs = adjoint.hessian(blocks[rest], jac[1][rest], band[rest])
             d[rest] = ocp_direction(g[rest], regularize(Hs, REG_FLOOR), cfg.c, r, cfg.L_max)
     except NumericError as exc:
         agent = terms.agents[np.flatnonzero(~solved)[exc.row]]
         raise NumericError(f"agent {agent}, round {r}: {exc}") from exc
     step = -x if x is not None and adjoint.newton_pays(model, H) else None
     return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist(), step
-
-
-def _grad_norms(sweeps):
-    """Every agent's gradient norm, one ``norm`` per row, from a round's
-    per-group tuples whose last entry is the group's ``sweep``."""
-    return [float(np.linalg.norm(g)) for *_, (_, _, G) in sweeps for g in G]
 
 
 @dataclass
@@ -245,7 +240,7 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
         us = u[None]
         trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
         swept = _sweep(*group, us, trajs, r)
-        gnorm = float(np.linalg.norm(swept[2][0]))
+        gnorm = float(np.linalg.norm(swept[-1][0]))
         if gnorm < cfg.eps or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
         new, _, _ = _round_update(*group, us, trajs, swept, cfg, r, etas)
@@ -444,9 +439,10 @@ class Session:
         order.  Given ``last``, the previous window's result, us are its
         windows shifted by a stage: x is its stage 1, so its stages 2..H are
         stages 1..H-1 bit for bit and only the new last stage is stepped.
-        Given ``guesses``, the previous round's (rollouts, A, predicted
-        state change) per group, the groups that ``adjoint.newton_pays`` for
-        roll out by ``adjoint.newton_rollout`` from them."""
+        Given ``guesses``, the previous round's (rollouts, L's band from its
+        sweep, predicted state change) per group, the groups that
+        ``adjoint.newton_pays`` for roll out by ``adjoint.newton_rollout``
+        from them."""
         out = []
         for g, ((model, agents, _), u) in enumerate(zip(self.groups, us)):
             if guesses is not None and adjoint.newton_pays(model, u.shape[1]):
@@ -463,13 +459,14 @@ class Session:
         under ``cfg.eps``; one-shot runs record each rollout's global cost and
         stop once every gradient norm is under ``cfg.eps``, tested after the
         sweeps and before the updates, so a consensus fixed point stops at
-        round zero.  The result holds the last rollout, the last sweep's
-        gradient norms and in ``rounds`` the number of updates applied.
+        round zero.  The result holds the last rollout, in one-shot runs the
+        last sweep's gradient norms, and in ``rounds`` the number of updates
+        applied.
         """
         us = self._initial_window()
         leader_traj = self._leader_window(self.last_window)
         msa_etas = {i: MSA_ETA0 for i in self.x}
-        costs = []
+        costs, grad_norms = [], []
         converged = False
         guesses = None
         for r in range(self.cfg.max_outer + 1):
@@ -484,19 +481,21 @@ class Session:
             group_args = [(model, self.t, terms, [bundles[i] for i in agents], u, x)
                           for (model, agents, terms), u, x in zip(self.groups, us, trajs)]
             sweeps = [(*args, _sweep(*args, r)) for args in group_args]
-            if one_shot and max(_grad_norms(sweeps)) < self.cfg.eps:
-                converged = True
-                break
+            if one_shot:
+                grad_norms = [float(np.linalg.norm(g)) for *_, (*_, G) in sweeps for g in G]
+                if max(grad_norms) < self.cfg.eps:
+                    converged = True
+                    break
             updated = [_round_update(*group, self.cfg, r, msa_etas) for group in sweeps]
             us = [new for new, _, _ in updated]
-            guesses = [(x, jac[0], step) for (*_, x, (jac, _, _)), (_, _, step)
+            guesses = [(x, band, step) for (*_, x, (_, band, _, _)), (_, _, step)
                        in zip(sweeps, updated)]
             converged = not one_shot and max(max(steps) for _, steps, _ in updated) < self.cfg.eps
 
         return FiniteHorizonResult(
             controls=self._by_agent(us), trajectories=self._by_agent(trajs),
             leader_trajectory=leader_traj, rounds=r, converged=converged,
-            grad_norms=np.array(_grad_norms(sweeps)), global_costs=costs,
+            grad_norms=np.array(grad_norms), global_costs=costs,
             stacks=list(zip(us, trajs)),
         )
 

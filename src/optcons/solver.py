@@ -6,7 +6,10 @@ the dense Hessians (``regularize`` and ``ocp_direction``: triangular solves
 or an inverse) or, for long windows (``banded_pays``) whose Hessians a
 certificate proves need no shift (``banded_certificate``), from one banded
 KKT factorization per group that never forms them (``banded_direction``);
-both read the group-round's one set of ``adjoint.stage_blocks``.
+both read the group-round's one set of ``adjoint.stage_blocks``.  The
+certificate factors only windows whose stage blocks have cross terms: for
+diagonal blocks the Cholesky's pivots are the diagonal entries themselves,
+so their signs decide it exactly.
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:
@@ -106,10 +109,14 @@ def sweep(model, k0, terms, bundles, us, trajs):
     """Linearization, costates and gradients (one row each) of a model
     group's windows us (K, H, m), stage t at time k0 + t, with rollouts
     trajs (K, H+1, p), cost-term table ``terms`` and each row's neighbour
-    bundle; returns (jac, lam, g), jac the windows' (A, B)."""
+    bundle; returns (jac, band, lam, g), jac the windows' (A, B) and band
+    the group-round's one band of L (``adjoint._lower_band``), which the
+    costate sweep, the dense rows' Hessians and the next round's Newton
+    rollouts read."""
     jac = adjoint.linearize_window(model, trajs, us, k0)
-    lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
-    return jac, lam, adjoint.gradient(terms, us, jac, lam)
+    band = adjoint._lower_band(jac[0])
+    lam = adjoint.costate_sweep(terms, trajs, us, band, bundles)
+    return jac, band, lam, adjoint.gradient(terms, us, jac, lam)
 
 
 def _cholesky_rows(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -240,12 +247,27 @@ def banded_certificate(blocks: np.ndarray, m: int, floor: float) -> np.ndarray:
     a floor above what ``regularize`` needs: a shift that the dense path
     could still apply is smaller than the rounding of its H, and the two
     directions agree to rounding.  Non-finite windows fail.
+
+    A window whose blocks have no nonzero off-diagonal entry is decided
+    from its diagonals alone, without the factorization: it passes iff its
+    delta is finite and every diagonal entry of B plus delta is > 0, that
+    is, its smallest diagonal entry is > -delta (a rounded sum has the sign
+    of the exact one).  That is the Cholesky's decision exactly, since its
+    pivots are then the shifted diagonal entries themselves: the
+    factorization subtracts only products with exact zeros (0 or -0.0),
+    which leave an entry as it is.  Every other window is factored.
     """
     K, H, s = blocks.shape[:2] + blocks.shape[-1:]
-    B = blocks.copy()
-    B.reshape(K, H, s * s)[..., (s + 1) * (s - m)::s + 1] -= 2 * floor
-    return _cholesky_rows(B, 2 * s * s * np.finfo(float).eps
-                          * abs(B).reshape(K, H * s * s).max(axis=1))
+    B = blocks.reshape(K, H, s * s).copy()
+    B[..., (s + 1) * (s - m)::s + 1] -= 2 * floor
+    size = abs(B)
+    delta = 2 * s * s * np.finfo(float).eps * size.reshape(K, H * s * s).max(axis=1)
+    ok = np.isfinite(delta) & (B[..., ::s + 1].min(axis=(1, 2)) > -delta)
+    size[..., ::s + 1] = 0.0  # the off-diagonal entries' sizes
+    crossed = np.flatnonzero(size.reshape(K, H * s * s).any(axis=1))
+    if crossed.size:
+        ok[crossed] = _cholesky_rows(B[crossed].reshape(-1, H, s, s), delta[crossed])
+    return ok
 
 
 def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
@@ -274,17 +296,16 @@ def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
     A, B = jac
     K, H, p, m = B.shape
     ok = np.isfinite(g).all(axis=1)
-    ok[ok] = banded_certificate(blocks[ok], m, REG_FLOOR)
-    rows = np.flatnonzero(ok)
-    while rows.size:
+    ok[ok] = banded_certificate(blocks if ok.all() else blocks[ok], m, REG_FLOOR)
+    while ok.any():
+        rows = slice(None) if ok.all() else np.flatnonzero(ok)  # no copies if all are in
         band, kl, u, xs = adjoint.kkt_band(blocks[rows], (A[rows], B[rows]), c)
         lu, piv, info = dgbtrf(band, kl, kl, overwrite_ab=1)
         if not info:
             break
-        ok[rows[(info - 1) // (H * (m + 2 * p))]] = False
-        rows = np.flatnonzero(ok)
+        ok[np.flatnonzero(ok)[(info - 1) // (H * (m + 2 * p))]] = False
     d, x = np.zeros((K, H * m)), np.zeros((K, H, p))
-    if not rows.size:
+    if not ok.any():
         return d, ok, x
     g = g[rows].reshape(-1)
     b = np.zeros(band.shape[1])
@@ -293,8 +314,8 @@ def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
     for _ in range(min(r, L_max)):
         b[u] = g + c * sol[u]
         sol = dgbtrs(lu, kl, kl, b, piv)[0]
-    d[rows] = sol[u].reshape(rows.size, H * m)
-    x[rows] = sol[xs].reshape(rows.size, H, p)
+    d[rows] = sol[u].reshape(-1, H * m)
+    x[rows] = sol[xs].reshape(-1, H, p)
     return d, ok, x
 
 

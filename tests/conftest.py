@@ -17,7 +17,7 @@ def model_hessian(terms, model, trajs, us, jac, lam, k0=0):
     us = np.asarray(us, dtype=float)
     M = dyn.second_order_action(model, np.asarray(trajs, dtype=float)[:, :us.shape[1]], us,
                                 k0, lam[:, 1:])
-    return adjoint.hessian(adjoint.stage_blocks(terms, M), jac)
+    return adjoint.hessian(adjoint.stage_blocks(terms, M), jac[1], adjoint._lower_band(jac[0]))
 
 
 def mutual_pair_topology():

@@ -35,7 +35,7 @@ def test_costate_hand_sweep():
     u = np.zeros((1, 1, 1))
     traj = dyn.rollout(model, [[1.0]], u)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+    lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), [nb])
     np.testing.assert_allclose(lam.ravel(), [2.0, 1.0])
 
 
@@ -47,7 +47,7 @@ def test_costate_zero_at_consensus():
     nb = NeighborBundle({2: traj[0].copy()})
     u = np.zeros((1, 3, 2))
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(table(spec, 2), traj, u, jac, [nb])
+    lam = adjoint.costate_sweep(table(spec, 2), traj, u, adjoint._lower_band(jac[0]), [nb])
     np.testing.assert_array_equal(lam, np.zeros((1, 4, 2)))
 
 
@@ -59,7 +59,7 @@ def test_costate_leader_mode_on_leader_trajectory():
     nb = NeighborBundle({}, leader=traj[0].copy())
     u = np.zeros((1, 2, 1))
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(table(spec, 2), traj, u, jac, [nb])
+    lam = adjoint.costate_sweep(table(spec, 2), traj, u, adjoint._lower_band(jac[0]), [nb])
     np.testing.assert_array_equal(lam, np.zeros((1, 3, 2)))
 
 
@@ -69,14 +69,14 @@ def test_gradient_hand_values():
     u = np.zeros((1, 1, 1))
     traj = dyn.rollout(model, [[1.0]], u)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+    lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), [nb])
     g = adjoint.gradient(terms, u, jac, lam)
     np.testing.assert_allclose(g, [[1.0]])
 
     u_star = np.array([[[-0.5]]])
     traj = dyn.rollout(model, [[1.0]], u_star)
     jac = adjoint.linearize_window(model, traj, u_star)
-    lam = adjoint.costate_sweep(terms, traj, u_star, jac, [nb])
+    lam = adjoint.costate_sweep(terms, traj, u_star, adjoint._lower_band(jac[0]), [nb])
     g = adjoint.gradient(terms, u_star, jac, lam)
     np.testing.assert_allclose(g, [[0.0]], atol=1e-15)
 
@@ -88,7 +88,7 @@ def test_gradient_zero_when_stationary_sources_vanish():
     traj = np.zeros((1, 4, 1))
     nb0 = NeighborBundle({2: np.zeros((4, 1))})
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb0])
+    lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), [nb0])
     g = adjoint.gradient(terms, u, jac, lam)
     np.testing.assert_array_equal(g, np.zeros((1, 3)))
 
@@ -99,7 +99,7 @@ def test_hessian_hand_value():
     u = np.zeros((1, 1, 1))
     traj = dyn.rollout(model, [[1.0]], u)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+    lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), [nb])
     H = model_hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H, [[[2.0]]])
 
@@ -117,7 +117,7 @@ def test_hessian_constant_for_lq():
         u = rng.normal(size=(1, 4, 2))
         traj = dyn.rollout(model, [x0], u)
         jac = adjoint.linearize_window(model, traj, u)
-        lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+        lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), [nb])
         H_at[trial] = model_hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H_at[0], H_at[1], atol=1e-12)
 
@@ -132,7 +132,7 @@ def test_hessian_identity_for_pure_control_penalty():
     nb = NeighborBundle({2: np.zeros((4, 2))})
     terms = table(spec, 2)
     jac = adjoint.linearize_window(model, traj, u)
-    lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+    lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), [nb])
     H = model_hessian(terms, model, traj, u, jac, lam)
     np.testing.assert_allclose(H[0], np.eye(6), atol=1e-14)
 
@@ -141,7 +141,7 @@ def stack_of_one(problem, u):
     """The stacked sweep and Hessian of one subproblem at u: (traj, jac, lam,
     g, Hessian), the agent axis dropped from all but jac."""
     traj = dyn.rollout(problem.model, [problem.x0], u[None], problem.k0)
-    jac, lam, g = sweep(problem.model, problem.k0, problem.terms, [problem.nb], u[None], traj)
+    jac, _, lam, g = sweep(problem.model, problem.k0, problem.terms, [problem.nb], u[None], traj)
     Hmat = model_hessian(problem.terms, problem.model, traj, u[None], jac, lam,
                          k0=problem.k0)
     return traj[0], jac, lam[0], g[0], Hmat[0]
@@ -163,7 +163,7 @@ def test_fd_gradient_exact_on_quadratic():
     u = np.array([[0.3]])
     traj = dyn.rollout(model, [[1.0]], u[None])
     jac = adjoint.linearize_window(model, traj, u[None])
-    lam = adjoint.costate_sweep(terms, traj, u[None], jac, [nb])
+    lam = adjoint.costate_sweep(terms, traj, u[None], adjoint._lower_band(jac[0]), [nb])
     g_exact = adjoint.gradient(terms, u[None], jac, lam)[0]
     for h in (1e-2, 1e-4):
         g_fd = adjoint.fd_gradient(1, model, [1.0], u, nb, spec, h=h)
@@ -340,7 +340,7 @@ def test_batched_derivatives_equal_stage_loop_oracles(kind, H, terminal, leader)
                                                  seed=H + 10 * terminal + 100 * leader)
     jac = adjoint.linearize_window(model, traj[None], u[None], k0)
     terms = table(spec, traj.shape[1])
-    lam = adjoint.costate_sweep(terms, traj[None], u[None], jac, [nb])
+    lam = adjoint.costate_sweep(terms, traj[None], u[None], adjoint._lower_band(jac[0]), [nb])
     one = (jac[0][0], jac[1][0])
     np.testing.assert_array_equal(lam[0], loop_costate(1, traj, u, one, nb, spec))
     np.testing.assert_array_equal(adjoint.gradient(terms, u[None], jac, lam)[0],
@@ -387,7 +387,7 @@ def test_stacked_derivatives_equal_per_agent_oracles(kind, H):
     jac = adjoint.linearize_window(model, traj, u, k0)
     terms = table(spec, traj.shape[2], agents)
     assert [len(senders) for senders in terms.senders] == [3, 1, 2]
-    lam = adjoint.costate_sweep(terms, traj, u, jac, bundles)
+    lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), bundles)
     g = adjoint.gradient(terms, u, jac, lam)
     Hs = model_hessian(terms, model, traj, u, jac, lam, k0=k0)
     for a, (i, nb) in enumerate(zip(agents, bundles)):
@@ -401,7 +401,8 @@ def test_stacked_derivatives_equal_per_agent_oracles(kind, H):
                                                   spec, k0=k0))
         row = (jac[0][a:a + 1], jac[1][a:a + 1])
         alone = table(spec, traj.shape[2], [i])
-        lam_a = adjoint.costate_sweep(alone, traj[a:a + 1], u[a:a + 1], row, [nb])
+        lam_a = adjoint.costate_sweep(alone, traj[a:a + 1], u[a:a + 1],
+                                      adjoint._lower_band(row[0]), [nb])
         np.testing.assert_array_equal(lam_a[0], lam[a])
         np.testing.assert_array_equal(adjoint.gradient(alone, u[a:a + 1], row, lam_a)[0], g[a])
         np.testing.assert_array_equal(
@@ -439,7 +440,7 @@ def test_leader_is_neighbour_zero(kind, weights):
 
     def derivatives(spec, nb):
         terms = table(spec, p)
-        lam = adjoint.costate_sweep(terms, traj, u, jac, [nb])
+        lam = adjoint.costate_sweep(terms, traj, u, adjoint._lower_band(jac[0]), [nb])
         return (local_cost(1, traj[0], u[0], nb, spec), lam,
                 adjoint.gradient(terms, u, jac, lam),
                 model_hessian(terms, model, traj, u, jac, lam, k0=k0))
@@ -469,7 +470,7 @@ def test_costate_sweep_names_the_agent_of_a_bad_bundle():
     ]
     for trajs, bad, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            adjoint.costate_sweep(terms, trajs, u, jac, bad)
+            adjoint.costate_sweep(terms, trajs, u, adjoint._lower_band(jac[0]), bad)
 
 
 def test_hessian_asymmetry_names_the_agent():
@@ -563,7 +564,7 @@ def banded_case(K, H, p, m, seed):
 @pytest.mark.parametrize("K", [1, 3])
 def test_banded_kernels_equal_stage_loops(K, H, p, m):
     terms, model, trajs, us, jac, bundles = banded_case(K, H, p, m, seed=K + H + p + m)
-    lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
+    lam = adjoint.costate_sweep(terms, trajs, us, adjoint._lower_band(jac[0]), bundles)
     np.testing.assert_array_equal(lam, stage_loop_costate(terms, trajs, us, jac, bundles))
     np.testing.assert_array_equal(
         model_hessian(terms, model, trajs, us, jac, lam, k0=3),
@@ -597,12 +598,14 @@ def test_curvature_blocks_land_where_the_stage_loop_puts_them(K):
     terms, model, trajs, us, jac, bundles = banded_case(K, 8, 3, 2, seed=11)
     M = np.random.default_rng(12).normal(size=(K, 8, 5, 5))
     curved = dataclasses.replace(model, second_order_fn=lambda X, U, k0, Lam: M.copy())
-    lam = adjoint.costate_sweep(terms, trajs, us, jac, bundles)
+    band = adjoint._lower_band(jac[0])
+    lam = adjoint.costate_sweep(terms, trajs, us, band, bundles)
     want = stage_loop_hessian(terms, curved, trajs, us, jac, lam, k0=3)
-    np.testing.assert_array_equal(adjoint.hessian(adjoint.stage_blocks(terms, M.copy()), jac),
-                                  want)
+    got = adjoint.hessian(adjoint.stage_blocks(terms, M.copy()), jac[1], band)
+    np.testing.assert_array_equal(got, want)
     M[..., :3, 3:] = 0.0
-    np.testing.assert_array_equal(adjoint.hessian(adjoint.stage_blocks(terms, M), jac), want)
+    got = adjoint.hessian(adjoint.stage_blocks(terms, M), jac[1], band)
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("t", [0, 7])
@@ -611,10 +614,10 @@ def test_nan_in_one_row_stays_in_that_row(row, t):
     """The rows of the stacked band meet only at its zero entries; a nan in
     one row's A does not cross them into the neighbouring rows."""
     terms, model, trajs, us, (A, B), bundles = banded_case(3, 8, 2, 1, seed=5)
-    lam_ok = adjoint.costate_sweep(terms, trajs, us, (A, B), bundles)
+    lam_ok = adjoint.costate_sweep(terms, trajs, us, adjoint._lower_band(A), bundles)
     A = A.copy()
     A[row, t, 1, 0] = np.nan
-    lam = adjoint.costate_sweep(terms, trajs, us, (A, B), bundles)
+    lam = adjoint.costate_sweep(terms, trajs, us, adjoint._lower_band(A), bundles)
     Hs = model_hessian(terms, model, trajs, us, (A, B), lam_ok, k0=0)
     want = stage_loop_hessian(terms, model, trajs, us, (A, B), lam_ok, k0=0)
     others = [a for a in range(3) if a != row]

@@ -59,20 +59,20 @@ def group_window(model, K, H, seed, d=0.0):
 
 def row_window(window, a):
     """Row a of a ``group_window``, a stack of one."""
-    model, terms, bundles, us, trajs, ((A, B), lam, g) = window
+    model, terms, bundles, us, trajs, ((A, B), band, lam, g) = window
     rows = slice(a, a + 1)
     return (model, terms.row(a), bundles[rows], us[rows], trajs[rows],
-            ((A[rows], B[rows]), lam[rows], g[rows]))
+            ((A[rows], B[rows]), band[rows], lam[rows], g[rows]))
 
 
 def dense_directions(model, terms, bundles, us, trajs, swept, r):
-    jac, lam, g = swept
+    jac, _, lam, g = swept
     Hs = model_hessian(terms, model, trajs, us, jac, lam)
     return ocp_direction(g, regularize(Hs, REG_FLOOR), 1.0, r, L_MAX)
 
 
 def banded(model, terms, bundles, us, trajs, swept, r):
-    jac, lam, g = swept
+    jac, _, lam, g = swept
     M = dyn.second_order_action(model, trajs[:, :-1], us, 0, lam[:, 1:])
     return banded_direction(g, adjoint.stage_blocks(terms, M), jac, 1.0, r, L_MAX)
 
@@ -197,7 +197,7 @@ def test_rows_left_to_the_dense_path_equal_it_bit_for_bit(case, monkeypatch):
              "nonfinite": model_of("first"), "slightly_asymmetric": asymmetric_linear(1e-3),
              "asymmetric_last_rows": asymmetric_linear(first_row=1)}[case]
     window = group_window(model, 3, 64 // model.control_dim, seed=5)
-    *_, us, _, (_, _, g) = window
+    *_, us, _, (*_, g) = window
     if case == "nonfinite":
         g[1, 5] = np.nan
     assert banded_pays(us.shape[1] * us.shape[2], 3, L_MAX)
@@ -272,3 +272,124 @@ def test_zero_pivot_row_falls_back_and_the_others_stay_banded(monkeypatch):
     want = round_outcome(*window)
     np.testing.assert_array_equal(got[1], want[1])
     np.testing.assert_array_equal(got[[0, 2]], clean[[0, 2]])
+
+
+def cholesky_certificate(blocks, m, floor):
+    """``banded_certificate``'s decision with every row through
+    ``_cholesky_rows``: the blocks of L - 2 floor P_u, each shifted by its
+    row's delta."""
+    K, H, s = blocks.shape[:2] + blocks.shape[-1:]
+    B = blocks.copy()
+    B.reshape(K, H, s * s)[..., (s + 1) * (s - m)::s + 1] -= 2 * floor
+    delta = 2 * s * s * np.finfo(float).eps * abs(B).reshape(K, H * s * s).max(axis=1)
+    return solver._cholesky_rows(B, delta)
+
+
+def cholesky_calls(monkeypatch):
+    """The shapes of the stacks handed to np.linalg.cholesky from now on."""
+    calls, real = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda B: calls.append(B.shape) or real(B))
+    return calls
+
+
+def diagonal_rows(floor, H=4, p=2, m=1):
+    """Named rows (H, p+m, p+m) of diagonal stage blocks, one entry of each
+    set to exactly 1 so that every row's delta is 2 s^2 eps."""
+    delta = 2 * (p + m) ** 2 * np.finfo(float).eps
+
+    def row(diag, u=None):
+        blocks = np.zeros((H, p + m, p + m))
+        idx = np.arange(p + m)
+        blocks[:, idx, idx] = 0.5
+        blocks[1, 0, 0] = 1.0
+        blocks[0, :p, :p] = np.diag(diag)
+        if u is not None:
+            blocks[2, p:, p:] = np.diag(u)
+        return blocks
+
+    rows = {
+        "positive": row([0.25, 0.75]),
+        "zero terminal": row([0.0, 0.0]),
+        "negative within delta": row([-delta / 4, 0.5]),
+        "negative at -delta": row([-delta, 0.5]),
+        "negative beyond delta": row([0.5, -2 * delta]),
+        "u at 2 floor": row([0.5, 0.5], u=[2 * floor] * m),
+        "u below 2 floor": row([0.5, 0.5], u=[floor] * m),
+        "negative zero off-diagonals": row([0.5, 0.5]),
+    }
+    rows["negative zero off-diagonals"][:, 0, 1] = -0.0
+    rows["negative zero off-diagonals"][:, 1, 0] = -0.0
+    rows["all zero but u at 2 floor"] = np.zeros((H, p + m, p + m))
+    rows["all zero but u at 2 floor"][:, p:, p:] = 2 * floor * np.eye(m)
+    rows["nan diagonal"] = row([np.nan, 0.5])
+    rows["inf diagonal"] = row([np.inf, 0.5])
+    rows["-inf diagonal"] = row([0.5, -np.inf])
+    return rows
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_diagonal_blocks_are_decided_as_the_cholesky_decides(K, monkeypatch):
+    # Rows of diagonal stage blocks skip the factorization; each row's
+    # decision equals _cholesky_rows' bit for bit, and its stack of one's,
+    # at zero diagonals, -0.0 off the diagonal, negative diagonals within
+    # and beyond the rounding margin delta, u at exactly 2 floor, and
+    # non-finite entries.
+    rows = diagonal_rows(REG_FLOOR)
+    names = list(rows)
+    assert len(names) % K == 0
+    calls = cholesky_calls(monkeypatch)
+    got = []
+    for at in range(0, len(names), K):
+        stack = np.array([rows[name] for name in names[at:at + K]])
+        want = cholesky_certificate(stack, 1, REG_FLOOR)
+        calls.clear()
+        ok = solver.banded_certificate(stack, 1, REG_FLOOR)
+        assert calls == []
+        np.testing.assert_array_equal(ok, want)
+        for a in range(K):
+            assert solver.banded_certificate(stack[a:a + 1], 1, REG_FLOOR)[0] == ok[a]
+        got += ok.tolist()
+    decided = dict(zip(names, got))
+    assert [name for name in rows if decided[name]] == [
+        "positive", "zero terminal", "negative within delta", "u at 2 floor",
+        "negative zero off-diagonals"]
+
+
+def test_random_diagonal_blocks_are_decided_as_the_cholesky_decides(monkeypatch):
+    # Diagonal entries drawn around the margin: zeros of both signs, small
+    # multiples of delta of either sign, and u entries at and near 2 floor.
+    rng = np.random.default_rng(3)
+    K, H, s, m = 60, 5, 3, 1
+    delta = 2 * s * s * np.finfo(float).eps
+    picks = np.array([0.0, -0.0, 0.5, 1.0, 2 * REG_FLOOR, 2 * REG_FLOOR - delta,
+                      -delta / 2, -delta, -2 * delta, delta, 2 * REG_FLOOR + delta / 2])
+    diag = np.full((K, H * s), 0.5)
+    for a in range(K):  # two entries of each row, stage 0's first left at 1
+        diag[a, rng.choice(np.arange(1, H * s), size=2, replace=False)] = rng.choice(picks, 2)
+    diag[:, 0] = 1.0  # every row's max|B| is 1, so its delta is the one above
+    stack = np.zeros((K, H, s, s))
+    stack[..., np.arange(s), np.arange(s)] = diag.reshape(K, H, s)
+    want = cholesky_certificate(stack, m, REG_FLOOR)
+    calls = cholesky_calls(monkeypatch)
+    ok = solver.banded_certificate(stack, m, REG_FLOOR)
+    assert calls == []
+    np.testing.assert_array_equal(ok, want)
+    assert 0 < ok.sum() < K
+
+
+def test_blocks_with_a_cross_term_still_take_the_cholesky(monkeypatch):
+    # In a mixed stack only the rows with a nonzero off-diagonal entry reach
+    # the factorization: one that it certifies and one that it refuses,
+    # although every diagonal entry of the latter is positive.
+    rows = diagonal_rows(REG_FLOOR)
+    crossed, refused = rows["positive"].copy(), rows["positive"].copy()
+    crossed[3, 0, 1] = crossed[3, 1, 0] = 0.1
+    refused[1, 0, 2] = refused[1, 2, 0] = 1.0
+    stack = np.array([rows["positive"], crossed, rows["negative beyond delta"], refused])
+    want = cholesky_certificate(stack, 1, REG_FLOOR)
+    calls = cholesky_calls(monkeypatch)
+    ok = solver.banded_certificate(stack, 1, REG_FLOOR)
+    assert ok.tolist() == [True, True, False, False]
+    np.testing.assert_array_equal(ok, want)
+    # One batched call for the two crossed rows, then each alone, as it failed.
+    assert calls == [(2,) + stack.shape[1:]] + [stack.shape[1:]] * 2

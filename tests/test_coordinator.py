@@ -360,6 +360,63 @@ def test_one_linearization_per_update(monkeypatch):
         assert seen == [(spec.topology.n, spec.mpc.N_p)] * summary["rounds"]
 
 
+def spy_on(monkeypatch, owner, name, seen, key=lambda *args: args):
+    """Record key(*args) of every call of owner.<name> in ``seen``."""
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        seen.append(key(*args))
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_banded_group_round_builds_one_band_of_l_and_no_cholesky(monkeypatch):
+    # In a warm 64-stage window every group-round takes the banded direction
+    # and its next round rolls out by Newton.  L's band is built once from
+    # each sweep's A: the costate sweep and the next round's Newton rollout
+    # read it.  The preset's stage blocks are diagonal, so the certificate
+    # decides them without a Cholesky.
+    _, session = leader_follower_session(["mpc.N_p=64"])
+    session.step()
+    sweep_As, built, newton, cholesky, certified = [], [], [], [], []
+    linearize_window, certificate = adjoint.linearize_window, solver.banded_certificate
+
+    def linearized(*args):
+        jac = linearize_window(*args)
+        sweep_As.append(jac[0])
+        return jac
+
+    def certifying(*args):
+        before = len(cholesky)
+        ok = certificate(*args)
+        certified.append((ok.all(), len(cholesky) - before))
+        return ok
+
+    monkeypatch.setattr(adjoint, "linearize_window", linearized)
+    monkeypatch.setattr(solver, "banded_certificate", certifying)
+    spy_on(monkeypatch, adjoint, "_lower_band", built, key=lambda A: A)
+    spy_on(monkeypatch, adjoint, "newton_rollout", newton)
+    spy_on(monkeypatch, np.linalg, "cholesky", cholesky)
+    rounds = session.step()["rounds"]
+    assert rounds > 1 and len(sweep_As) == len(newton) == rounds
+    assert [sum(A is B for B in built) for A in sweep_As] == [1] * rounds
+    assert certified == [(True, 0)] * rounds
+
+
+def test_a_dense_group_round_builds_one_band_of_l(monkeypatch):
+    # The dense path's Hessian reads the band that the costate sweep read.
+    _, session = preset_session("formation", ["mpc.T=2", "solver.max_outer=3"])
+    sweeps, built, hessians = [], [], []
+    spy_on(monkeypatch, adjoint, "costate_sweep", sweeps)
+    spy_on(monkeypatch, adjoint, "_lower_band", built)
+    spy_on(monkeypatch, adjoint, "hessian", hessians)
+    rounds = session.step()["rounds"]
+    assert rounds > 1 and len(sweeps) == len(hessians) == len(built) == rounds
+    for (*_, band, _), (_, _, read) in zip(sweeps, hessians):
+        assert read.base is band or read is band
+
+
 def test_cost_terms_walks_do_not_grow_with_rounds(monkeypatch):
     # Each model group's cost-term table is built once, at the first window,
     # and the sweeps, Hessians and global_cost read it: one CostSpec.terms

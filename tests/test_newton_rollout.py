@@ -22,24 +22,24 @@ def sine_model(mode, p=3, amp=0.1, seed=0):
 def warm_round(model, K, H, steps, k0=3, seed=1):
     """A warm round's inputs: the new windows us (K, H, m), each row the
     previous round's moved by ``steps[a]`` times a random step, and that
-    round's rollouts and state Jacobians."""
+    round's rollouts and the band of L from their state Jacobians."""
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(K, model.state_dim))
     before = rng.normal(size=(K, H, model.control_dim))
     guess = dyn.rollout(model, x0, before, k0)
     A, _ = dyn.linearize(model, guess[:, :H], before, k0)
     us = before + np.reshape(steps, (K, 1, 1)) * rng.normal(size=before.shape)
-    return us, k0, guess, A
+    return us, k0, guess, adjoint._lower_band(A)
 
 
-def first_iterate(model, us, k0, guess, A):
+def first_iterate(model, us, k0, guess, band):
     """The first Newton step from the guess, L^-1 [0; F], in stages 1..H:
     for these control-affine models, the state change that
     ``solver.banded_direction``'s state responses predict."""
     H = us.shape[1]
     rhs = np.zeros(guess.shape)
     rhs[:, 1:] = model.step_fn.stages(guess[:, :H], us, k0) - guess[:, 1:]
-    x = adjoint._band_solve(adjoint._lower_band(A), rhs.reshape(-1, 1), "N")
+    x = adjoint._band_solve(band, rhs.reshape(-1, 1), "N")
     return x.reshape(guess.shape)[:, 1:]
 
 
@@ -59,10 +59,10 @@ def spy(monkeypatch, name):
 @pytest.mark.parametrize("mode", ["sum", "first", "diag"])
 def test_newton_rollout_matches_the_stage_loop(monkeypatch, mode, H):
     model = sine_model(mode)
-    us, k0, guess, A = warm_round(model, 4, H, [0.02] * 4)
+    us, k0, guess, band = warm_round(model, 4, H, [0.02] * 4)
     loop = dyn.rollout(model, guess[:, 0], us, k0)
     rollouts = spy(monkeypatch, "rollout")
-    X = adjoint.newton_rollout(model, us, k0, guess, A)
+    X = adjoint.newton_rollout(model, us, k0, guess, band)
     assert not rollouts
     np.testing.assert_array_equal(X[:, 0], guess[:, 0])
     assert abs(X - loop).max() <= 1e-14 * max(1.0, abs(loop).max())
@@ -75,16 +75,16 @@ def test_a_predicted_start_matches_the_stage_loop_row_for_row(monkeypatch, mode,
     # to rounding, without a fallback, and equals its stack of one bit for
     # bit.
     model = sine_model(mode)
-    us, k0, guess, A = warm_round(model, 4, H, [0.02] * 4)
-    step = first_iterate(model, us, k0, guess, A)
+    us, k0, guess, band = warm_round(model, 4, H, [0.02] * 4)
+    step = first_iterate(model, us, k0, guess, band)
     loop = dyn.rollout(model, guess[:, 0], us, k0)
     rollouts = spy(monkeypatch, "rollout")
-    X = adjoint.newton_rollout(model, us, k0, guess, A, step)
+    X = adjoint.newton_rollout(model, us, k0, guess, band, step)
     assert not rollouts
     np.testing.assert_array_equal(X[:, 0], guess[:, 0])
     assert abs(X - loop).max() <= 1e-14 * max(1.0, abs(loop).max())
     for a in range(4):
-        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], A[a:a + 1],
+        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], band[a:a + 1],
                                      step[a:a + 1])
         np.testing.assert_array_equal(one[0], X[a])
 
@@ -95,19 +95,19 @@ def test_only_the_rows_whose_step_did_not_shrink_are_relinearized(monkeypatch):
     # no step (a zero row), so it starts from the guess and is relinearized
     # alone before its second iteration.  Each equals its stack of one.
     model = sine_model("sum")
-    us, k0, guess, A = warm_round(model, 2, 32, [0.002] * 2)
-    step = first_iterate(model, us, k0, guess, A)
+    us, k0, guess, band = warm_round(model, 2, 32, [0.002] * 2)
+    step = first_iterate(model, us, k0, guess, band)
     step[1] = 0.0
     linearized = spy(monkeypatch, "linearize")
-    X = adjoint.newton_rollout(model, us, k0, guess, A, step)
+    X = adjoint.newton_rollout(model, us, k0, guess, band, step)
     assert [len(args[1]) for args in linearized] == [1]
     np.testing.assert_array_equal(linearized[0][2], us[1:2])
     for a in range(2):
-        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], A[a:a + 1],
+        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], band[a:a + 1],
                                      step[a:a + 1])
         np.testing.assert_array_equal(one[0], X[a])
     np.testing.assert_array_equal(X[1], adjoint.newton_rollout(model, us[1:], k0, guess[1:],
-                                                               A[1:])[0])
+                                                               band[1:])[0])
 
 
 def test_a_row_equals_its_stack_of_one(monkeypatch):
@@ -117,14 +117,14 @@ def test_a_row_equals_its_stack_of_one(monkeypatch):
     # and the others keep their A.  The rows that stopped earlier are left
     # as they were, bit for bit.
     model = sine_model("sum")
-    us, k0, guess, A = warm_round(model, 4, 32, [0.002, 0.002, 0.05, 0.002])
+    us, k0, guess, band = warm_round(model, 4, 32, [0.002, 0.002, 0.05, 0.002])
     rollouts, linearized = spy(monkeypatch, "rollout"), spy(monkeypatch, "linearize")
-    X = adjoint.newton_rollout(model, us, k0, guess, A)
+    X = adjoint.newton_rollout(model, us, k0, guess, band)
     assert not rollouts
     assert [len(args[1]) for args in linearized] == [4, 1]
     np.testing.assert_array_equal(linearized[-1][2], us[2:3])
     for a in range(4):
-        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], A[a:a + 1])
+        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], band[a:a + 1])
         np.testing.assert_array_equal(one[0], X[a])
 
 
@@ -133,11 +133,11 @@ def test_a_non_finite_stage_fails_as_the_stage_loop_does():
     # stack to the stage loop, whose error and overflow warning are the only
     # ones raised.
     model = dyn.linear_sine(0.5 * np.eye(3), [4.0, -1.0, 0.5], 0.1, "first")
-    us, k0, guess, A = warm_round(model, 3, 32, [0.02] * 3)
+    us, k0, guess, band = warm_round(model, 3, 32, [0.02] * 3)
     us[1, 5] = 1e308
     outcomes = []
     for rollout in (lambda: dyn.rollout(model, guess[:, 0], us, k0),
-                    lambda: adjoint.newton_rollout(model, us, k0, guess, A)):
+                    lambda: adjoint.newton_rollout(model, us, k0, guess, band)):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(NumericError) as exc:
@@ -154,9 +154,9 @@ def test_hitting_the_cap_returns_the_stage_loop(monkeypatch):
     # then the stage loop's, bit for bit.
     monkeypatch.setattr(adjoint, "NEWTON_MAX_ITER", 2)
     model = sine_model("diag")
-    us, k0, guess, A = warm_round(model, 4, 16, [1.0] * 4)
+    us, k0, guess, band = warm_round(model, 4, 16, [1.0] * 4)
     rollouts = spy(monkeypatch, "rollout")
-    X = adjoint.newton_rollout(model, us, k0, guess, A)
+    X = adjoint.newton_rollout(model, us, k0, guess, band)
     assert len(rollouts) == 1
     np.testing.assert_array_equal(X, dyn.rollout(model, guess[:, 0], us, k0))
 
@@ -166,14 +166,14 @@ def test_a_row_at_the_cap_leaves_the_others_their_stacks_of_one(monkeypatch):
     # rolled out by the stage loop, and every row equals its stack of one.
     monkeypatch.setattr(adjoint, "NEWTON_MAX_ITER", 3)
     model = sine_model("diag")
-    us, k0, guess, A = warm_round(model, 4, 16, [1e-4, 1.0, 1e-4, 1e-4])
+    us, k0, guess, band = warm_round(model, 4, 16, [1e-4, 1.0, 1e-4, 1e-4])
     loop = dyn.rollout(model, guess[:, 0], us, k0)
     rollouts = spy(monkeypatch, "rollout")
-    X = adjoint.newton_rollout(model, us, k0, guess, A)
+    X = adjoint.newton_rollout(model, us, k0, guess, band)
     assert len(rollouts) == 1 and len(rollouts[0][1]) == 1
     np.testing.assert_array_equal(X[1], loop[1])
     for a in range(4):
-        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], A[a:a + 1])
+        one = adjoint.newton_rollout(model, us[a:a + 1], k0, guess[a:a + 1], band[a:a + 1])
         np.testing.assert_array_equal(one[0], X[a])
     assert len(rollouts) == 2  # only row 1's stack of one reached the loop
 
