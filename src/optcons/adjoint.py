@@ -165,10 +165,10 @@ def newton_rollout(model: dyn.Model, us, k0: int, guess, band, step=None) -> np.
     after taking that delta, and is not updated again.  A row whose states
     turn non-finite, or that still moves after NEWTON_MAX_ITER iterations,
     is rolled out by ``dyn.rollout`` instead, with the other such rows (and
-    every moving row if a Jacobian is not finite); the loop's errors and
-    warnings are then its own, as the stopped rows are finite.  So, but for
-    a non-finite Jacobian, a row equals its stack of one bit for bit; it
-    agrees with the loop to rounding.
+    every moving row if a Jacobian is not finite); the loop's errors (their
+    ``row`` in this stack) and warnings are then its own, as the stopped
+    rows are finite.  So, but for a non-finite Jacobian, a row equals its
+    stack of one bit for bit; it agrees with the loop to rounding.
     """
     us = np.asarray(us, dtype=float)
     X = np.array(guess, dtype=float)
@@ -211,9 +211,12 @@ def newton_rollout(model: dyn.Model, us, k0: int, guess, band, step=None) -> np.
                 rows, Xr, Ur, band = rows[moving], Xr[moving], Ur[moving], band[moving]
                 stale, size = stale[moving], size[moving]
             last = size
-    rest = ~stopped
-    if rest.any():
-        X[rest] = dyn.rollout(model, X[rest, 0], us[rest], k0)
+    rest = np.flatnonzero(~stopped)
+    if rest.size:
+        try:
+            X[rest] = dyn.rollout(model, X[rest, 0], us[rest], k0)
+        except NumericError as exc:
+            raise NumericError(str(exc), row=int(rest[exc.row])) from exc
     return X
 
 

@@ -21,28 +21,30 @@ All cross-agent data flows through read-only copies of the round's
 broadcasts, taken at a barrier, and every update reads only its round's
 copies, so the order in which agents are solved does not change any
 result, and agents that share one Model object (a model group) are rolled
-out, swept and given their Hessians as one stack.  A window's round state is
-each group's windows (K, H, m) and rollouts (K, H+1, p); per-agent dicts are
-built from them only for the exchange, the one-shot global cost and the
-window's result.  Message drops (for the disturbance experiments) are
-drawn in ``Session._exchange``, reproducibly and independent of the
-solves' order, and a dropped message's last delivered payload stands in.
+out, swept, updated and given their Hessians as one stack.  A window's
+round state is each group's windows (K, H, m), rollouts (K, H+1, p) and
+baseline step sizes (K,); a group's update reads only those, its cost-term
+table and its bundles, and per-agent dicts are built only for the
+exchange, the one-shot global cost and the window's result.  Message drops
+(for the disturbance experiments) are drawn in ``Session._exchange``,
+reproducibly and independent of the solves' order, and a dropped message's
+last delivered payload stands in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import adjoint, dynamics as dyn
-from .cost import CostSpec, NeighborBundle, global_cost
+from .cost import CostSpec, NeighborBundle, global_cost, local_costs
 from .errors import ConfigError, NumericError
 from .graph import (LEADER, Topology, neighbors, require_spanning_tree,
                     require_strongly_connected)
 from .solver import (MSA_ETA0, REG_FLOOR, SolverConfig, LocalProblem, backtrack_step,
-                     banded_direction, banded_pays, ocp_direction, regularize, sweep, window_cost)
+                     banded_direction, banded_pays, ocp_direction, regularize, sweep)
 
 
 @dataclass(frozen=True)
@@ -170,33 +172,37 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
     """One update of a model group's windows us (K, H, m), stage t at time
     k0 + t, from their rollouts and ``sweep`` at outer iteration r, ``terms``
     the group's cost-term table and ``bundles`` each row's neighbours;
-    returns (new windows, step norms, predicted state change).  ``etas``
-    maps agents to the baseline's step sizes, updated in place.  A
-    non-finite gradient, a bad curvature, or a failed direction or
-    backtracking raises NumericError naming agent and round, where the
-    kernels name only the failing row.
+    returns (new windows, step norms, predicted state change).  ``etas`` (K,)
+    holds the baseline's step sizes, updated in place.  A non-finite
+    gradient, a bad curvature, or a failed direction or backtracking raises
+    NumericError naming agent and round, where the kernels name only the row.
 
-    Both paths read the ``adjoint.stage_blocks`` of the group-round's one
-    ``dyn.second_order_action``.  Where ``banded_pays`` for the window size
-    and depth, the rows that ``banded_direction`` certifies get its
+    The baseline backtracks row by row on the whole table: one
+    ``local_costs`` call gives every J, and a trial of row a rolls out that
+    row alone and costs the table with its window and rollout swapped in.
+    The other paths read the ``adjoint.stage_blocks`` of the group-round's
+    one ``dyn.second_order_action``.  Where ``banded_pays`` for the window
+    size and depth, the rows that ``banded_direction`` certifies get its
     directions; the rest get the dense path's: Hessians, ``regularize`` and
-    ``ocp_direction``, on the group's own arrays when no row was
-    certified, else on a stack of just those rows.  Where the next round's
-    windows roll out by Newton (``adjoint.newton_pays``), the predicted
-    state change is minus ``banded_direction``'s state responses, zero in
-    the dense path's rows, and None otherwise."""
+    ``ocp_direction``, on the group's own arrays when no row was certified,
+    else on a stack of just those rows.  Where the banded path ran, the
+    predicted state change is minus its state responses (zero in the dense
+    path's rows), else None."""
     jac, band, lam, g = swept
     finite = np.isfinite(g).all(axis=1)
     if not finite.all():
         raise NumericError(f"agent {terms.agents[np.argmin(finite)]}, round {r}: "
                            f"non-finite gradient")
     if cfg.method == "msa":
+        J = local_costs(terms, trajs, us, bundles)
         new, steps = us.copy(), [0.0] * len(us)
         for a, i in enumerate(terms.agents):
-            cost = partial(window_cost, model, trajs[a, 0], k0, terms.row(a), bundles[a])
-            J = cost(us[a], trajs[a])
+            def cost(u):  # row a's trial
+                U, X = us.copy(), trajs.copy()
+                U[a], X[a] = u, dyn.rollout(model, trajs[a:a + 1, 0], u[None], k0)[0]
+                return local_costs(terms, X, U, bundles)[a]
             try:
-                new[a], _, etas[i], steps[a] = backtrack_step(cost, us[a], g[a], J, etas[i])
+                new[a], _, etas[a], steps[a] = backtrack_step(cost, us[a], g[a], J[a], etas[a])
             except NumericError as exc:
                 raise NumericError(f"agent {i}, round {r}: {exc}") from exc
         return new, steps, None
@@ -214,7 +220,7 @@ def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig
     except NumericError as exc:
         agent = terms.agents[np.flatnonzero(~solved)[exc.row]]
         raise NumericError(f"agent {agent}, round {r}: {exc}") from exc
-    step = -x if x is not None and adjoint.newton_pays(model, H) else None
+    step = None if x is None else -x
     return us - d.reshape(us.shape), np.linalg.norm(d, axis=1).tolist(), step
 
 
@@ -233,7 +239,7 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     update, is under ``cfg.eps``; ``cfg.method`` picks the update,
     ``history`` holds every iterate."""
     u = np.asarray(u0, dtype=float).copy()
-    etas = {problem.i: MSA_ETA0}
+    etas = np.array([MSA_ETA0])
     history = [u.reshape(-1).copy()]
     group = (problem.model, problem.k0, problem.terms, [problem.nb])
     for r in range(cfg.max_outer + 1):
@@ -323,8 +329,9 @@ class Session:
                 raise ConfigError("topology has leader links but no leader model/state")
             require_spanning_tree(topology)
         else:
+            if leader_model is not None or leader_x0 is not None:
+                raise ConfigError("leader model/state given but topology has no leader links")
             require_strongly_connected(topology)
-            leader_model = leader_x0 = None
 
         agents = set(range(1, topology.n + 1))
         if set(initial_states) != agents or not agents <= set(models):
@@ -465,7 +472,7 @@ class Session:
         """
         us = self._initial_window()
         leader_traj = self._leader_window(self.last_window)
-        msa_etas = {i: MSA_ETA0 for i in self.x}
+        msa_etas = [np.full(len(agents), MSA_ETA0) for _, agents, _ in self.groups]
         costs, grad_norms = [], []
         converged = False
         guesses = None
@@ -486,7 +493,7 @@ class Session:
                 if max(grad_norms) < self.cfg.eps:
                     converged = True
                     break
-            updated = [_round_update(*group, self.cfg, r, msa_etas) for group in sweeps]
+            updated = [_round_update(*sw, self.cfg, r, e) for sw, e in zip(sweeps, msa_etas)]
             us = [new for new, _, _ in updated]
             guesses = [(x, band, step) for (*_, x, (_, band, _, _)), (_, _, step)
                        in zip(sweeps, updated)]

@@ -11,7 +11,8 @@ index equals ``i`` (its own edges, the leader link as an edge to neighbour
 cost is the sum of the local slices, each directed edge counted once.
 ``CostSpec.group_terms`` tabulates a stack of agents' terms once, as
 stacked weights and offsets, and ``local_errors`` forms all of a stack's
-errors from it in one expression, for the costates and both costs.
+errors from it in one expression, for the costates and both costs (the
+baseline's trials included: no table is cut by row).
 """
 
 from __future__ import annotations
@@ -233,17 +234,6 @@ class GroupTerms:
     C_term: np.ndarray
     R: np.ndarray
     curvature: np.ndarray
-
-    def row(self, a: int) -> GroupTerms:
-        """Row a's table, a stack of one, equal to its ``group_terms`` without
-        walking the spec again."""
-        k = self.rows == a
-        return GroupTerms(
-            agents=self.agents[a:a + 1], senders=self.senders[a:a + 1],
-            rows=np.zeros(np.count_nonzero(k), dtype=np.intp), Q=self.Q[k], D=self.D[k],
-            d_i=self.d_i[k], d_j=self.d_j[k], C_stage=self.C_stage[a:a + 1],
-            C_term=self.C_term[a:a + 1], R=self.R[a:a + 1],
-            curvature=self.curvature[a:a + 1])
 
 
 @dataclass(frozen=True)

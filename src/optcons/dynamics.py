@@ -82,13 +82,15 @@ def _check_inputs(model: Model, kind: str, X, U, *extra):
 
 def step(model: Model, x, u, k: int = 0) -> np.ndarray:
     """Evaluate x(k+1) = f(x, u, k) for a stack of K agents, states x (K, p)
-    and controls u (K, m); returns (K, p), validating shapes and finiteness."""
+    and controls u (K, m); returns (K, p), validating shapes; a non-finite
+    state raises NumericError with the first such ``row``."""
     (K,), (x, u) = _check_inputs(model, "step", x, u)
     out = np.asarray(model.step_fn(x, u, k), dtype=float)
     if out.shape != (K, model.state_dim):
         raise ValueError(f"{model.name}: step returned shape {out.shape}")
     if not np.isfinite(out).all():
-        raise NumericError(f"{model.name}: non-finite state at k={k}")
+        a = int(np.isfinite(out).all(axis=1).argmin())
+        raise NumericError(f"{model.name}: non-finite state at k={k}", row=a)
     return out
 
 
@@ -163,9 +165,9 @@ def rollout(model: Model, x0, controls, k0: int = 0, known=None) -> np.ndarray:
     once; otherwise ``step_fn`` runs once per stepped stage on the whole
     stack, its output shape compared each time.  Finiteness is checked once
     for all stepped stages.  Floating-point warnings are held back while
-    stepping: the first stage with a state that is not finite is evaluated
-    again by ``step_fn`` so that its own warnings surface, and the error
-    names it.
+    stepping: a non-finite state raises NumericError with the first failing
+    ``row``, naming that row's first failing stage, which ``step_fn`` steps
+    again, the row alone, so that its warnings surface, as its stack of one.
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -194,10 +196,12 @@ def rollout(model: Model, x0, controls, k0: int = 0, known=None) -> np.ndarray:
                     raise ValueError(f"{model.name}: step returned shape {out.shape}")
                 states[:, t + 1] = out
     if not np.isfinite(states[:, s + 1:]).all():
-        t = s + int(np.argmin(np.isfinite(states[:, s + 1:]).all(axis=(0, 2))))
-        f(states[:, t], controls[:, t], k0 + t)
+        bad = ~np.isfinite(states[:, s + 1:]).all(axis=2)  # (K, H-s) failing stages
+        a = int(bad.any(axis=1).argmax())
+        t = s + int(bad[a].argmax())
+        f(states[a:a + 1, t], controls[a:a + 1, t], k0 + t)
         raise NumericError(f"rollout failed at step {t}: {model.name}: "
-                           f"non-finite state at k={k0 + t}")
+                           f"non-finite state at k={k0 + t}", row=a)
     return states
 
 

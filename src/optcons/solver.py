@@ -1,15 +1,16 @@
 """The pieces of the update, which ``coordinator`` assembles: the
 frozen-neighbor window problem, the stacked sweep over a model group's
 windows, their Newton-type directions, the slow first-order baseline's
-backtracking step, and the contraction diagnostic.  A direction comes from
-the dense Hessians (``regularize`` and ``ocp_direction``: triangular solves
-or an inverse) or, for long windows (``banded_pays``) whose Hessians a
-certificate proves need no shift (``banded_certificate``), from one banded
-KKT factorization per group that never forms them (``banded_direction``);
-both read the group-round's one set of ``adjoint.stage_blocks``.  The
-certificate factors only windows whose stage blocks have cross terms: for
-diagonal blocks the Cholesky's pivots are the diagonal entries themselves,
-so their signs decide it exactly.
+backtracking step (its trials costed on whole tables), and the contraction
+diagnostic.  A direction comes from the dense Hessians (``regularize`` and
+``ocp_direction``: triangular solves or an inverse) or, for long windows
+(``banded_pays``) whose Hessians a certificate proves need no shift
+(``banded_certificate``), from one banded KKT factorization per group that
+never forms them (``banded_direction``); both read the group-round's one
+set of ``adjoint.stage_blocks``.  The certificate factors only windows
+whose stage blocks have cross terms: for diagonal blocks the Cholesky's
+pivots are the diagonal entries themselves, so their signs decide it
+exactly.
 
 The accelerated update refines a regularized Newton step through an inner
 geometric recursion whose depth grows with the outer iteration counter:
@@ -93,16 +94,10 @@ class LocalProblem:
 
     def cost(self, u, traj=None) -> float:
         """Local cost at u, rolling u out unless its rollout ``traj`` is given."""
-        return window_cost(self.model, self.x0, self.k0, self.terms, self.nb, u, traj)
-
-
-def window_cost(model, x0, k0, terms, nb, u, traj=None) -> float:
-    """Local cost of the agent of ``terms``, a table of one, at window u with
-    neighbours frozen in ``nb``, rolling u out from x0 at k0 unless ``traj``."""
-    us = np.asarray(u, dtype=float)[None]
-    trajs = (dyn.rollout(model, [x0], us, k0) if traj is None
-             else np.asarray(traj, dtype=float)[None])
-    return local_costs(terms, trajs, us, [nb])[0]
+        us = np.asarray(u, dtype=float)[None]
+        trajs = (dyn.rollout(self.model, [self.x0], us, self.k0) if traj is None
+                 else np.asarray(traj, dtype=float)[None])
+        return local_costs(self.terms, trajs, us, [self.nb])[0]
 
 
 def sweep(model, k0, terms, bundles, us, trajs):

@@ -36,19 +36,22 @@ def model_of(kind):
     return dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, mode=kind)
 
 
+def chain_spec(K, p, m, d=0.0):
+    """The weights of a bidirectional chain of K+1 agents, terminal weight d."""
+    n = K + 1
+    top = Topology.from_edge_list(n, [[i, j] for i in range(1, n + 1)
+                                      for j in (i - 1, i + 1) if 1 <= j <= n])
+    return CostSpec.uniform(top, p, q=30.0, r=1.0, d=d,
+                            control_dims={i: m for i in range(1, n + 1)})
+
+
 def group_window(model, K, H, seed, d=0.0):
-    """A model group of agents 1..K on a bidirectional chain of K+1 agents,
+    """A model group of agents 1..K on a ``chain_spec`` of K+1 agents,
     random windows and neighbour trajectories: (model, terms, bundles, us,
     trajs, swept).  d is the terminal weight; 0 leaves C_term semidefinite."""
     rng = np.random.default_rng(seed)
     p, m = model.state_dim, model.control_dim
-    n = K + 1
-    top = Topology.from_edge_list(n, [[i, j] for i in range(1, n + 1)
-                                      for j in (i - 1, i + 1) if 1 <= j <= n])
-    spec = CostSpec.uniform(top, p, q=30.0, r=1.0, d=d,
-                            control_dims={i: m for i in range(1, n + 1)})
-    agents = list(range(1, K + 1))
-    terms = spec.group_terms(agents, p)
+    terms = chain_spec(K, p, m, d).group_terms(list(range(1, K + 1)), p)
     us = 0.3 * rng.normal(size=(K, H, m))
     x0 = 3.0 * rng.normal(size=(K, p))
     trajs = dyn.rollout(model, x0, us, 0)
@@ -58,10 +61,12 @@ def group_window(model, K, H, seed, d=0.0):
 
 
 def row_window(window, a):
-    """Row a of a ``group_window``, a stack of one."""
+    """Row a of a ``group_window`` of terminal weight 0, a stack of one."""
     model, terms, bundles, us, trajs, ((A, B), band, lam, g) = window
     rows = slice(a, a + 1)
-    return (model, terms.row(a), bundles[rows], us[rows], trajs[rows],
+    p, m = model.state_dim, model.control_dim
+    row_terms = chain_spec(len(terms.agents), p, m).group_terms([terms.agents[a]], p)
+    return (model, row_terms, bundles[rows], us[rows], trajs[rows],
             ((A[rows], B[rows]), band[rows], lam[rows], g[rows]))
 
 
@@ -233,6 +238,19 @@ def test_one_second_order_action_per_group_round(case, hessians, monkeypatch):
     assert not isinstance(round_outcome(*window), str)
     assert calls == {"rollout": 0, "linearize": 0, "second_order_action": 1,
                      "hessian": hessians, "stage_blocks": 1, "terms": 0}
+
+
+def test_banded_round_returns_the_predicted_state_change():
+    # Whenever the banded path runs, the update returns minus its state
+    # responses, whether or not the model's windows roll out by Newton:
+    # dyn.linear has no all-stages hook, so the next round does not read it.
+    window = group_window(model_of("linear"), 3, 64, seed=6)
+    model, terms, bundles, us, trajs, swept = window
+    assert banded_pays(us[0].size, 3, L_MAX) and not adjoint.newton_pays(model, 64)
+    _, ok, x = banded(*window, 3)
+    assert ok.all()
+    step = _round_update(model, 0, terms, bundles, us, trajs, swept, SolverConfig(), 3, None)[2]
+    np.testing.assert_array_equal(step, -x)
 
 
 def test_mixed_stack_rows_equal_their_stacks_of_one():

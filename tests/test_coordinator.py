@@ -151,6 +151,9 @@ def chain_kwargs(**changes):
      r"^models and initial states must cover agents 1..n$"),
     (lambda: pair_kwargs(models={1: dyn.linear([[1.0]], [[1.0]])}),
      r"^models and initial states must cover agents 1..n$"),
+    (lambda: pair_kwargs(leader_model=dyn.linear([[1.0]], np.zeros((1, 0))),
+                         leader_x0=[0.0]),
+     r"^leader model/state given but topology has no leader links$"),
     (lambda: chain_kwargs(leader_x0=[0.1]), r"leader x0 has shape \(1,\), expected \(2,\)"),
     (lambda: chain_kwargs(leader_x0=[[0.1, 0.0]]), r"leader x0 has shape \(1, 2\)"),
     (lambda: chain_kwargs(leader_x0=0.1), r"leader x0 has shape \(\)"),
@@ -624,6 +627,34 @@ def test_round_update_is_first_iterate_of_solve_local(method):
         res = solve_local(problem, u0[i], spec.solver)
         assert len(res.history) == 2
         np.testing.assert_array_equal(session.last_window.controls[i].reshape(-1), res.history[1])
+
+
+def test_msa_group_round_costs_the_whole_table(monkeypatch):
+    # The baseline's backtracking reads only its group's arrays: every
+    # local_costs call of an msa group-round costs the group's K-row table,
+    # the first one the J of all rows at the round's windows and rollouts,
+    # and each trial the same arrays with one row's window and rollout
+    # swapped in.
+    spec, session = leader_follower_session(["solver.method=msa", "solver.max_outer=1"])
+    [(_, agents, terms)] = session.groups
+    us = session._initial_window()
+    [trajs], [us] = session._rollouts(us), us
+    real, calls = coordinator.local_costs, []
+
+    def spy(table, X, U, bundles):
+        out = real(table, X, U, bundles)
+        calls.append((table, X, U, out))
+        return out
+
+    monkeypatch.setattr(coordinator, "local_costs", spy)
+    assert session.step()["rounds"] == 1
+    assert len(calls) > len(agents)
+    assert all(table is terms and len(out) == len(agents) for table, _, _, out in calls)
+    np.testing.assert_array_equal(calls[0][1], trajs)
+    np.testing.assert_array_equal(calls[0][2], us)
+    for _, X, U, _ in calls[1:]:
+        swapped = (X != trajs).any(axis=(1, 2)) | (U != us).any(axis=(1, 2))
+        assert np.count_nonzero(swapped) <= 1
 
 
 def test_message_drops_deterministic_and_stale_reuse():

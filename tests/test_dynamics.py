@@ -220,6 +220,28 @@ def test_rollout_failure_names_first_bad_stage_and_keeps_its_warnings():
     assert [str(w.message) for w in seen] == [str(w.message) for w in alone]
 
 
+def test_rollout_and_step_name_the_first_failing_row():
+    # Row 0 overflows at stage 5 and row 1 at stage 2: the error is row 0's,
+    # with the text and warnings of its stack of one, though row 1 fails at
+    # an earlier stage; a step names its first non-finite row too.
+    m = dyn.linear([[1.0]], [[1.0]])
+    u = np.zeros((2, 8, 1))
+    u[0, 4:6] = u[1, 1:3] = 1e308
+    outcomes = []
+    for rows in (slice(0, 1), slice(None)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as exc:
+                dyn.rollout(m, np.zeros((2, 1))[rows], u[rows], k0=3)
+        outcomes.append((str(exc.value), exc.value.row, [str(w.message) for w in seen]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == ("rollout failed at step 5: linear: non-finite state at k=8", 0)
+    assert outcomes[0][2]
+    with pytest.raises(NumericError, match=r"^linear: non-finite state at k=2$") as exc:
+        dyn.step(m, [[0.0], [np.inf], [np.inf]], np.zeros((3, 1)), 2)
+    assert exc.value.row == 1
+
+
 def test_rollout_rejects_misshapen_initial_state():
     m = dyn.unicycle()
     for x0 in ([1.0], 1.0, np.zeros(4), np.zeros((1, 4)), np.zeros(3)):

@@ -130,8 +130,8 @@ def test_a_row_equals_its_stack_of_one(monkeypatch):
 
 def test_a_non_finite_stage_fails_as_the_stage_loop_does():
     # Row 1's control overflows b u at stage 5: the Newton rollout hands the
-    # stack to the stage loop, whose error and overflow warning are the only
-    # ones raised.
+    # stack to the stage loop, whose error, naming row 1 of the stack, and
+    # overflow warning are the only ones raised.
     model = dyn.linear_sine(0.5 * np.eye(3), [4.0, -1.0, 0.5], 0.1, "first")
     us, k0, guess, band = warm_round(model, 3, 32, [0.02] * 3)
     us[1, 5] = 1e308
@@ -142,11 +142,12 @@ def test_a_non_finite_stage_fails_as_the_stage_loop_does():
             warnings.simplefilter("always")
             with pytest.raises(NumericError) as exc:
                 rollout()
-        outcomes.append((str(exc.value), [(w.category, str(w.message)) for w in seen]))
+        outcomes.append((str(exc.value), exc.value.row,
+                         [(w.category, str(w.message)) for w in seen]))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == (f"rollout failed at step 5: {model.name}: "
-                              f"non-finite state at k={k0 + 5}")
-    assert outcomes[0][1]
+    assert outcomes[0][:2] == (f"rollout failed at step 5: {model.name}: "
+                               f"non-finite state at k={k0 + 5}", 1)
+    assert outcomes[0][2]
 
 
 def test_hitting_the_cap_returns_the_stage_loop(monkeypatch):
