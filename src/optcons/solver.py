@@ -29,11 +29,11 @@ repeated squaring (binary powering; Knuth, TAOCP vol. 2, 4.6.3): about
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dposv, dpotrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dposv, dpotrf, dpotrs
 
 from . import adjoint, dynamics as dyn
 from .cost import CostSpec, GroupTerms, NeighborBundle, local_costs
@@ -117,8 +117,9 @@ def sweep(model, k0, terms, bundles, us, trajs):
 def _cholesky_rows(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Which rows (K,) of a stack of blocks (K, ..., s, s) complete a Cholesky
     factorization of every block (its lower triangle) once the row's
-    ``shift`` (K,) is added to its diagonals: one batched call, then rows
-    one at a time only if it fails.  A shift that is not finite fails."""
+    ``shift`` (K,) is added to its diagonals, for ``banded_certificate``:
+    one batched call, then rows one at a time only if it fails.  A shift
+    that is not finite fails."""
     ok = np.isfinite(shift)
     B, shift = (blocks.copy(), shift) if ok.all() else (blocks[ok], shift[ok])
     s = B.shape[-1]
@@ -138,30 +139,50 @@ def _cholesky_rows(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def regularize(Hs: np.ndarray, floor: float) -> np.ndarray:
     """Shift each Hessian of a stack Hs (K, n, n) so its smallest eigenvalue
     is at least ``floor``; returns Hs itself (the same object) when no row
-    moves, else a new stack.
+    moves, else a new stack.  A row with an entry that is not finite raises
+    NumericError("non-finite Hessian") with that ``row``.
 
     The eigenvalue path shifts a row H by floor - lo, lo the smallest
     eigenvalue ``eigvalsh`` computes from H's lower triangle, and leaves it
-    when lo >= floor.  A Cholesky certificate (``_cholesky_rows``) of the
-    lower triangle of H - (floor + delta) I, delta = 2 n^2 eps max|H_ij|,
-    runs first and skips that path for the rows where it completes: it then
-    proves lambda_min(H) >= floor + n^2 eps max|H_ij|, since the rounding
-    error of a completed Cholesky, gamma_{n+1} tr H (Rump, "Verification of
-    positive definiteness", BIT 2006), is below n^2 eps max|H_ij|; and
-    eigvalsh, backward stable to n eps ||H||_2 <= n^2 eps max|H_ij|, would
-    find lo >= floor.  Every other row (certificate failed, or an entry not
-    finite) takes the eigenvalue path, so each row of the output is that
-    path's in every case, and equals its stack of one's.
+    when lo >= floor.  A Cholesky certificate of the lower triangle of
+    H - (floor + delta) I, delta = 2 n^2 eps max|H_ij|, runs first and skips
+    that path for the rows where it completes: it then proves lambda_min(H)
+    >= floor + n^2 eps max|H_ij|, since the rounding error of a completed
+    Cholesky, gamma_{n+1} tr H (Rump, "Verification of positive
+    definiteness", BIT 2006), is below n^2 eps max|H_ij|; and eigvalsh,
+    backward stable to n eps ||H||_2 <= n^2 eps max|H_ij|, would find lo >=
+    floor.  The certificate is one dpotrf per row on one scratch copy of the
+    shifted stack, each row passed transposed (Fortran order, so factored in
+    place) as the upper triangle, which is the C-lower one eigvalsh reads.
+    Every other row takes the eigenvalue path, so each row of the output is
+    that path's in every case, and equals its stack of one's.
     """
-    n = Hs.shape[-1]
+    K, n = Hs.shape[:2]
     delta = 2 * n * n * np.finfo(float).eps * abs(Hs).max(axis=(1, 2))
+    finite = np.isfinite(delta)
+    if not finite.all():
+        raise NumericError("non-finite Hessian", row=int(np.argmin(finite)))
+    B = Hs.copy()
+    B.reshape(K, n * n)[:, ::n + 1] -= (floor + delta)[:, None]
     out = Hs
-    for a in np.flatnonzero(~_cholesky_rows(Hs, -(floor + delta))):
-        lo = float(np.linalg.eigvalsh(Hs[a]).min())
-        if lo < floor:
-            out = Hs.copy() if out is Hs else out
-            out[a] = Hs[a] + (floor - lo) * np.eye(n)
+    for a in range(K):
+        if dpotrf(B[a].T, lower=0, clean=0, overwrite_a=1)[1]:
+            lo = float(np.linalg.eigvalsh(Hs[a]).min())
+            if lo < floor:
+                out = Hs.copy() if out is Hs else out
+                out[a] = Hs[a] + (floor - lo) * np.eye(n)
     return out
+
+
+@lru_cache(maxsize=32)
+def _inverse_template(K: int, n: int, c: float) -> np.ndarray:
+    """T's constant part for ``ocp_direction``, [[c I, 0], [0, 1]] (K, n+1,
+    n+1), read-only so that every call with these sizes can share it."""
+    T = np.zeros((K, n + 1, n + 1))
+    T[:, :n, :n] = c * np.eye(n)
+    T[:, n, n] = 1.0
+    T.flags.writeable = False
+    return T
 
 
 def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.ndarray:
@@ -176,7 +197,10 @@ def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.nd
     b], [0, 1]], whose powers T^k = [[P^k, S_k], [0, 1]] hold the sum's
     first k terms S_k, and the squares T^(2^j) for N's binary digits give
     d = S_N in about 2 log2 N stacked products (S_{a+k} = S_k + P^k S_a,
-    P^2k = P^k P^k), equal to rounding.
+    P^2k = P^k P^k), equal to rounding.  Its right-hand sides [c I, g] sit
+    transposed in one C-ordered stack, so each row's is Fortran-ordered and
+    dposv solves it in place; T's constant part comes from a shared
+    read-only template (``_inverse_template``), which c I is also read from.
     Non-finite input raises ValueError; a row whose c I + H is not positive
     definite raises NumericError with that ``row``.
     """
@@ -184,28 +208,27 @@ def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.nd
     K, n, _ = g.shape
     N = min(r, L_max) + 1
     inverse = INVERSE_N_PER_DEPTH * N >= n
-    cI = c * np.eye(n)
-    GH = np.add(Hs, cI)
+    template = _inverse_template(K, n, c)
+    GH = np.add(Hs, template[0, :n, :n])
     if not (np.isfinite(GH).all() and np.isfinite(g).all()):
         raise ValueError("array must not contain infs or NaNs")
-    d = np.empty_like(g)
-    if inverse:
-        T = np.zeros((K, n + 1, n + 1))
-        T[:, :n, :n] = cI
-        T[:, :n, n:] = g
-        T[:, n, n] = 1.0
+    if inverse:  # row a's [c I, g] is X[a].T
+        X = np.concatenate((template[:, :n, :n], g.transpose(0, 2, 1)), axis=1)
+    else:
+        d = np.empty_like(g)
     for a in range(K):
-        cho, x, info = dposv(GH[a], T[a, :n] if inverse else g[a])
+        cho, x, info = dposv(GH[a], X[a].T if inverse else g[a], overwrite_b=inverse)
         if info > 0:
             raise NumericError(f"G + H is not positive definite: {info}-th leading "
                                f"minor of the array is not positive definite", row=a)
         if inverse:
-            T[a, :n] = x
             continue
         d[a] = x
         for _ in range(N - 1):
             d[a], _ = dpotrs(cho, g[a] + c * d[a])
     if inverse:
+        T = template.copy()
+        T[:, :n] = X.transpose(0, 2, 1)
         x, d = T, None  # x = T^(2^j) for N's binary digit j, lowest first
         for j, bit in enumerate(bin(N)[:1:-1]):
             x = x @ x if j else x

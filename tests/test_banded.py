@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from optcons import CostSpec, Topology, adjoint, solver
+from optcons import CostSpec, Topology, adjoint, coordinator, solver
 from optcons import dynamics as dyn
 from optcons.coordinator import _round_update
 from optcons.cost import NeighborBundle
@@ -251,6 +251,25 @@ def test_banded_round_returns_the_predicted_state_change():
     assert ok.all()
     step = _round_update(model, 0, terms, bundles, us, trajs, swept, SolverConfig(), 3, None)[2]
     np.testing.assert_array_equal(step, -x)
+
+
+@pytest.mark.parametrize("H", [8, 64])
+def test_round_step_norms_equal_linalg_norm(H, monkeypatch):
+    # The step norms are np.linalg.norm(d, axis=1) bit for bit, d the
+    # directions that the round applied: the dense path's at H = 8 and the
+    # banded path's at H = 64.
+    seen = []
+    for name in ("ocp_direction", "banded_direction"):
+        def spy(*args, real=getattr(coordinator, name)):
+            seen.append(real(*args))
+            return seen[-1]
+        monkeypatch.setattr(coordinator, name, spy)
+    model, terms, bundles, us, trajs, swept = group_window(model_of("linear"), 3, H, seed=6)
+    steps = _round_update(model, 0, terms, bundles, us, trajs, swept, SolverConfig(), 3,
+                          None)[1]
+    [out] = seen
+    d = out[0] if H == 64 else out
+    assert steps == np.linalg.norm(d, axis=1).tolist()
 
 
 def test_mixed_stack_rows_equal_their_stacks_of_one():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from optcons import cli, coordinator, scenarios
+from optcons import adjoint, cli, coordinator, scenarios
 from optcons.errors import ConfigError
 
 
@@ -291,6 +291,40 @@ def test_non_finite_gradient_exits_2_naming_agent_and_round(mode, tmp_path, caps
     assert run_cli("check", str(path)) == 0
     assert run_cli("run", str(path), *extra, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == "numeric failure: agent 1, round 0: non-finite gradient\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["overflow", "nan"])
+def test_non_finite_hessian_exits_2_naming_agent_and_round(case, tmp_path, capsys,
+                                                           monkeypatch):
+    # "overflow": A = 1e40 I carries agent 1's 1e-300 to finite costates and
+    # gradients, but the Hessian's sensitivity products overflow, where
+    # eigvalsh used to fail with "Eigenvalues did not converge".  "nan": a
+    # nan in the upper triangle of row 1's Hessian, which eigvalsh does not
+    # read, so it used to pass regularize and escape the direction as a raw
+    # ValueError.  Both name the row's agent and round.
+    path = tmp_path / "hessian.json"
+    path.write_text(json.dumps({
+        "name": "hessian", "topology": {"n": 2, "edges": [[1, 2], [2, 1]]},
+        "models": {"default": {"type": "linear", "A": [[1e40, 0], [0, 1e40]],
+                               "B": [[1, 0], [0, 1]]}},
+        "cost": {"Q": 1, "R": 1}, "mpc": {"N_p": 8, "T": 1},
+        "initial_states": {"1": [1e-300, 0], "2": [0, 0]}}))
+    scenario, agent = str(path), 1
+    if case == "nan":
+        real = adjoint.hessian
+
+        def nan_row(*args):
+            Hs = real(*args)
+            Hs[1, 0, -1] = float("nan")
+            return Hs
+
+        monkeypatch.setattr(adjoint, "hessian", nan_row)
+        scenario, agent = "formation", 2
+    assert run_cli("check", scenario) == 0
+    assert run_cli("run", scenario, "--set", "mpc.T=1", "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (f"numeric failure: agent {agent}, round 0: "
+                                       f"non-finite Hessian\n")
 
 
 def test_python_m_optcons_runs_the_cli():

@@ -53,6 +53,35 @@ def test_unicycle_linearize_hand_values():
     np.testing.assert_allclose(B[0, 0], [[0.05, 0], [0, 0], [0, 0.05]])
 
 
+def broadcast_unicycle_jac(delta, X, U):
+    """Oracle: the unicycle's (A, B) with A's identity copied from a
+    broadcast eye, as the model first built it."""
+    v = U[..., 0]
+    s, c = np.sin(X[..., 2]), np.cos(X[..., 2])
+    A = np.broadcast_to(np.eye(3), X.shape[:2] + (3, 3)).copy()
+    A[..., 0, 2] = -delta * v * s
+    A[..., 1, 2] = delta * v * c
+    B = np.zeros(X.shape[:2] + (3, 2))
+    B[..., 0, 0] = delta * c
+    B[..., 1, 0] = delta * s
+    B[..., 2, 1] = delta
+    return A, B
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 8), (3, 33)])
+def test_unicycle_jac_is_fresh_and_equals_broadcast_formula(shape):
+    rng = np.random.default_rng(shape[1])
+    m = dyn.unicycle(0.05)
+    for _ in range(3):
+        X, U = rng.normal(size=shape + (3,)), rng.normal(size=shape + (2,))
+        U[0, 0, 0] = -0.0  # signed zeros in A's and B's formulas
+        got, again = m.jac_fn(X, U, 0), m.jac_fn(X, U, 0)
+        for out, want, other in zip(got, broadcast_unicycle_jac(0.05, X, U), again):
+            assert out.tobytes() == want.tobytes() and out.shape == want.shape
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert not any(np.shares_memory(out, x) for x in (other, X, U))
+
+
 def test_follower_linearize_structure():
     # d/dx of b*(u + amp(sin x1 + sin x2)) at 0 adds amp * b per column.
     m = dyn.linear_sine(dyn.FOLLOWER_A, dyn.FOLLOWER_B, amp=0.01, mode="sum")

@@ -106,15 +106,22 @@ def test_direction_stack_rows_equal_cho_solve_recursion(K, n):
     # digit pattern that the inverse's repeated squaring meets, and for every
     # n > 1 depths on either side of the switch from the solves to the
     # inverse; each row of a stack also equals its own stack of one bit for bit.
+    # The inputs stay as they were, and a second call with the same sizes and
+    # c returns the same bits, so the inverse's shared template of T's
+    # constant part is never written.
     rng = np.random.default_rng(100 * K + n)
     L_max, c = 20, 0.5
     g = rng.normal(size=(K, n))
     Hs = np.array([signed_zero_hessian(rng, n) for _ in range(K)])
+    before = g.copy(), Hs.copy()
     paths = set()
     for r in range(L_max + 4):
         paths.add(uses_inverse(n, r, L_max))
         d = ocp_direction(g, Hs, c, r, L_max)
         assert d.shape == (K, n)
+        assert ocp_direction(g, Hs, c, r, L_max).tobytes() == d.tobytes()
+        np.testing.assert_array_equal(g, before[0])
+        np.testing.assert_array_equal(Hs, before[1])
         for a in range(K):
             assert_close_rel(d[a], cho_direction(g[a], Hs[a], c, r, L_max))
             np.testing.assert_array_equal(
@@ -196,13 +203,6 @@ def certificate_cases(rng, n, floor):
     return cases + symmetric
 
 
-def outcome(fn, Hmat, floor):
-    try:
-        return fn(Hmat, floor)
-    except np.linalg.LinAlgError as exc:
-        return type(exc)
-
-
 @pytest.mark.parametrize("n", [1, 2, 16, 64])
 def test_regularize_certificate_equals_eigvalsh_path(n):
     floor = 1e-8
@@ -211,13 +211,17 @@ def test_regularize_certificate_equals_eigvalsh_path(n):
     for Hmat in certificate_cases(rng, n, floor):
         Hs = Hmat[None]
         before = Hs.copy()
-        with np.errstate(invalid="ignore"):
-            want = outcome(eigvalsh_regularize, Hmat, floor)
-            got = outcome(regularize, Hs, floor)
-        np.testing.assert_array_equal(Hs, before)
-        if isinstance(want, type):
-            assert got is want
+        if not np.isfinite(Hmat).all():
+            # The eigenvalue path raises LinAlgError on these or lets a NaN
+            # through; regularize names the row instead.
+            with pytest.raises(NumericError, match="^non-finite Hessian$") as exc:
+                regularize(Hs, floor)
+            assert exc.value.row == 0
+            np.testing.assert_array_equal(Hs, before)
             continue
+        want = eigvalsh_regularize(Hmat, floor)
+        got = regularize(Hs, floor)
+        np.testing.assert_array_equal(Hs, before)
         np.testing.assert_array_equal(got[0], want)
         np.testing.assert_array_equal(np.signbit(got[0]), np.signbit(want))
         # perfbench's tracer counts a shift as `out is not Hmat`.
@@ -226,14 +230,29 @@ def test_regularize_certificate_equals_eigvalsh_path(n):
     # The rows of one stack equal their stacks of one, and the stack itself
     # comes back exactly when none of its rows moves.
     Hs = np.array([Hmat for Hmat, *_ in rows])
-    with np.errstate(invalid="ignore"):
-        got = regularize(Hs, floor)
+    got = regularize(Hs, floor)
     for row, (_, want, _) in zip(got, rows):
         np.testing.assert_array_equal(row, want)
         np.testing.assert_array_equal(np.signbit(row), np.signbit(want))
     assert (got is Hs) == (not any(shifted for *_, shifted in rows))
     kept = np.array([Hmat for Hmat, _, shifted in rows if not shifted])
     assert regularize(kept, floor) is kept
+    # A stack names its first non-finite row.
+    for bad in (np.nan, np.inf):
+        Hs[[2, 4], 0, 0] = bad
+        with pytest.raises(NumericError, match="^non-finite Hessian$") as exc:
+            regularize(Hs, floor)
+        assert exc.value.row == 2
+
+
+def test_regularize_makes_no_numpy_cholesky_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.cholesky called")
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    Hs = np.array([np.diag([1.0, 2.0]), np.diag([1.0, -0.5])])
+    out = regularize(Hs, 1e-8)
+    np.testing.assert_array_equal(out[0], Hs[0])
+    assert np.linalg.eigvalsh(out[1]).min() >= 1e-8 - 1e-15
 
 
 def cholesky_mask(blocks, shift):
