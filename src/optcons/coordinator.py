@@ -11,11 +11,15 @@ trajectories plus the state change that its banded update predicts, and
 relinearized only in the rows whose Newton steps contract slowly.  Rounds
 repeat until every agent's control change falls under tolerance; the next
 round's rollout is the window's result, whose first controls are applied.
+A round's body is: roll out, test both stop rules in one block, and set
+the next iterate from ``Session._round_map``'s plain update.
 
 The one-shot finite-horizon algorithm runs the same rounds on a single
-window; only the stop rule differs (gradient norms tested before the
-round's updates, instead of the last step norms before the exchange).
-``solve_local`` iterates the same update on one frozen-neighbor window.
+window; only the stop rule differs: gradient norms, tested on each
+rollout's sweep, instead of the last step norms before the exchange, so
+its global costs, one per rollout, and gradient norms end with the
+returned iterate's, also at the cap.  ``solve_local`` iterates the same
+update on one frozen-neighbor window.
 
 All cross-agent data flows through read-only copies of the round's
 broadcasts, taken at a barrier, and every update reads only its round's
@@ -80,8 +84,9 @@ class RunResult:
 @dataclass
 class FiniteHorizonResult:
     """Output of the round loop on one window; in one-shot runs
-    ``global_costs`` holds one entry per round and ``grad_norms`` each
-    agent's at the last sweep, and in MPC steps both stay empty."""
+    ``global_costs`` holds one entry per rollout, the last the returned
+    iterate's, and ``grad_norms`` each agent's at the returned controls, and
+    in MPC steps both stay empty."""
 
     controls: dict
     trajectories: dict
@@ -158,14 +163,16 @@ def consensus_error(states: dict, topology: Topology, offsets: dict | None = Non
     return errors, (max(errors.values()) if errors else 0.0)
 
 
-def _sweep(model, k0, terms, bundles, us, trajs, r: int):
-    """``sweep`` of a model group's windows at outer iteration r; a
-    non-finite Jacobian raises NumericError naming agent and round, where
-    ``dyn.linearize`` names only the failing row."""
+def _named(agents, r, kernel, *args):
+    """``kernel(*args)`` on a model group's stack at round r; a NumericError
+    naming its failing row is raised again naming that row's agent
+    (``agents[row]``) and the round, or as it is when r is None."""
     try:
-        return sweep(model, k0, terms, bundles, us, trajs)
+        return kernel(*args)
     except NumericError as exc:
-        raise NumericError(f"agent {terms.agents[exc.row]}, round {r}: {exc}") from exc
+        if r is None:
+            raise
+        raise NumericError(f"agent {agents[exc.row]}, round {r}: {exc}") from exc
 
 
 def _round_update(model, k0, terms, bundles, us, trajs, swept, cfg: SolverConfig, r: int, etas):
@@ -245,8 +252,8 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     group = (problem.model, problem.k0, problem.terms, [problem.nb])
     for r in range(cfg.max_outer + 1):
         us = u[None]
-        trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-        swept = _sweep(*group, us, trajs, r)
+        trajs = _named([problem.i], r, dyn.rollout, problem.model, [problem.x0], us, problem.k0)
+        swept = _named([problem.i], r, sweep, *group, us, trajs)
         gnorm = float(np.linalg.norm(swept[-1][0]))
         if gnorm < cfg.eps or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
@@ -442,63 +449,66 @@ class Session:
         return {i: row for (_, agents, _), stack in zip(self.groups, stacks)
                 for i, row in zip(agents, stack)}
 
-    def _rollouts(self, us, last=None, guesses=None) -> list:
-        """The rollouts of each model group's windows us, in ``groups``
-        order.  Given ``last``, the previous window's result, us are its
-        windows shifted by a stage: x is its stage 1, so its stages 2..H are
-        stages 1..H-1 bit for bit and only the new last stage is stepped.
-        Given ``guesses``, the previous round's (rollouts, L's band from its
-        sweep, predicted state change) per group, the groups that
-        ``adjoint.newton_pays`` for roll out by ``adjoint.newton_rollout``
-        from them."""
+    def _rollouts(self, us, r=None, guesses=None) -> list:
+        """The rollouts of each model group's windows us, in ``groups`` order,
+        at round r of the window (None: outside the rounds; see ``_named``).
+        At round 0 after a warm-started window, us are its windows shifted by
+        a stage: x is its stage 1, so its stages 2..H are stages 1..H-1 bit
+        for bit and only the new last stage is stepped.  Given ``guesses``,
+        the previous round's (rollouts, L's band from its sweep, predicted
+        state change) per group, the groups that ``adjoint.newton_pays`` for
+        roll out by ``adjoint.newton_rollout`` from them."""
+        last = self.last_window if r == 0 else None
         out = []
         for g, ((model, agents, _), u) in enumerate(zip(self.groups, us)):
             if guesses is not None and adjoint.newton_pays(model, u.shape[1]):
-                out.append(adjoint.newton_rollout(model, u, self.t, *guesses[g]))
+                kernel, args = adjoint.newton_rollout, (model, u, self.t, *guesses[g])
             else:
                 known = None if last is None else last.stacks[g][1][:, 2:]
-                out.append(dyn.rollout(model, [self.x[i] for i in agents], u, self.t, known))
+                kernel, args = dyn.rollout, (model, [self.x[i] for i in agents], u, self.t, known)
+            out.append(_named(agents, r, kernel, *args))
         return out
 
-    def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
-        """Run rounds (roll out, test, exchange, update) until a stop rule fires.
+    def _round_map(self, sweeps, r: int, etas):
+        """Round r's plain update of each model group's ``sweeps`` (its
+        ``_round_update`` arguments, then the sweep), ``etas`` its ``msa`` step
+        sizes: the new windows, step norms and next Newton rollouts' guesses."""
+        new, steps, dxs = zip(*[_round_update(*s, self.cfg, r, e) for s, e in zip(sweeps, etas)])
+        return new, steps, [(x, band, dx) for (*_, x, (_, band, _, _)), dx in zip(sweeps, dxs)]
 
-        MPC steps stop at the rollout after updates whose step norms are all
-        under ``cfg.eps``; one-shot runs record each rollout's global cost and
-        stop once every gradient norm is under ``cfg.eps``, tested after the
-        sweeps and before the updates, so a consensus fixed point stops at
-        round zero.  The result holds the last rollout, in one-shot runs the
-        last sweep's gradient norms, and in ``rounds`` the number of updates
-        applied.
+    def _solve_window(self, one_shot: bool = False) -> FiniteHorizonResult:
+        """Run rounds (roll out, test, update) until a stop rule fires.
+
+        MPC steps stop, before the exchange, at the rollout after updates
+        whose step norms are all under ``cfg.eps``; one-shot runs sweep each
+        rollout, record its global cost and stop once every gradient norm is
+        under ``cfg.eps`` (a fixed point stops at round zero); both at round
+        ``cfg.max_outer``.  The result holds the last rollout, the updates
+        applied as ``rounds`` and, one-shot, one global cost per rollout and
+        the gradient norms, both ending with the returned iterate's.
         """
         us = self._initial_window()
         leader_traj = self._leader_window(self.last_window)
         msa_etas = [np.full(len(agents), MSA_ETA0) for _, agents, _ in self.groups]
-        costs, grad_norms = [], []
-        converged = False
-        guesses = None
+        costs, grad_norms, guesses = [], [], None
         for r in range(self.cfg.max_outer + 1):
-            trajs = self._rollouts(us, self.last_window if r == 0 else None, guesses)
-            if converged or r == self.cfg.max_outer:
+            trajs = self._rollouts(us, r, guesses)
+            converged = r > 0 and max(map(max, steps)) < self.cfg.eps
+            if not one_shot and (converged or r == self.cfg.max_outer):
                 break
             bundles = self._exchange(self._by_agent(trajs), leader_traj, r)
+            sweeps = [(model, self.t, terms, [bundles[i] for i in agents], u, x)
+                      for (model, agents, terms), u, x in zip(self.groups, us, trajs)]
+            sweeps = [(*sw, _named(sw[2].agents, r, sweep, *sw)) for sw in sweeps]
             if one_shot:
-                costs.append(global_cost([terms for *_, terms in self.groups],
-                                         self._by_agent(trajs), self._by_agent(us),
-                                         self.topology, leader_traj=leader_traj))
-            group_args = [(model, self.t, terms, [bundles[i] for i in agents], u, x)
-                          for (model, agents, terms), u, x in zip(self.groups, us, trajs)]
-            sweeps = [(*args, _sweep(*args, r)) for args in group_args]
-            if one_shot:
+                costs.append(global_cost([t for *_, t in self.groups], self._by_agent(trajs),
+                                         self._by_agent(us), self.topology, leader_traj))
                 grad_norms = [float(np.linalg.norm(g)) for *_, (*_, G) in sweeps for g in G]
-                if max(grad_norms) < self.cfg.eps:
-                    converged = True
+                converged = max(grad_norms) < self.cfg.eps
+                if converged or r == self.cfg.max_outer:
                     break
-            updated = [_round_update(*sw, self.cfg, r, e) for sw, e in zip(sweeps, msa_etas)]
-            us = [new for new, _, _ in updated]
-            guesses = [(x, band, step) for (*_, x, (_, band, _, _)), (_, _, step)
-                       in zip(sweeps, updated)]
-            converged = not one_shot and max(max(steps) for _, steps, _ in updated) < self.cfg.eps
+            plain, steps, guesses = self._round_map(sweeps, r, msa_etas)
+            us = plain
 
         return FiniteHorizonResult(
             controls=self._by_agent(us), trajectories=self._by_agent(trajs),

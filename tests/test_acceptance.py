@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, adjoint, scenarios
-from optcons.coordinator import Session, solve_local
+from optcons.coordinator import Session, run_algorithm1, solve_local
 from optcons.cost import NeighborBundle
 from optcons.graph import neighbors
 from optcons import dynamics as dyn
@@ -329,16 +329,16 @@ def test_criterion_9_scheduling_independence(tmp_path):
                   f"artifact bytes identical={same}, {elapsed:.1f}s")
 
 
-# -- criterion 10: network fixed point ----------------------------------------
+# -- criteria 10 and 11 share three linear networks --------------------------
 
-def test_criterion_10_network_fixed_point():
-    # Each agent minimizes its own slice of the cost with its neighbours'
-    # trajectories frozen, so converged rounds stop at the Nash point of the
-    # slices: every agent's own gradient zero at once.  On a linear network
-    # the stacked exact gradients are affine in the stacked controls, so
-    # their unit-vector differences give the dense system of that point.
+@pytest.fixture(scope="module")
+def linear_networks():
+    """Three ``linear`` agents (H=4, m=2) on three networks.  Per network:
+    ``run_algorithm1``'s arguments before and after its solver config, and
+    the dense system of the stacked exact gradients, g(u) = J u + g0: on a
+    linear network they are affine in the stacked controls, so unit-vector
+    differences of ``sweep`` give J.  Also the set-up's seconds."""
     start = time.perf_counter()
-    from optcons.coordinator import run_algorithm1
     from optcons.graph import Topology
     A, H, p, m, agents = np.array([[1.0, 0.1], [0.0, 1.0]]), 4, 2, 2, (1, 2, 3)
     model = dyn.linear(A, 0.5 * np.eye(2))
@@ -351,13 +351,11 @@ def test_criterion_10_network_fixed_point():
         "chain, leader at 1": Topology.from_edge_list(3, [[1, 2], [2, 1], [2, 3], [3, 2]],
                                                       leader_links=[1]),
     }
-    gaps, rounds, converged = [], [], True
-    for top in networks.values():
+    systems = {}
+    for name, top in networks.items():
         spec = CostSpec.uniform(top, p, q=2.0, r=1.0, d=1.0, w=3.0, e=1.0,
                                 control_dims={i: m for i in agents})
         lead = (leader_model, leader_x0) if top.leader_links else (None, None)
-        res = run_algorithm1(top, {i: model for i in agents}, spec,
-                             SolverConfig(eps=1e-12, max_outer=300), H, x0, *lead)
         leader_traj = None if lead[0] is None else dyn.rollout(
             leader_model, [leader_x0], np.zeros((1, H, 0)))[0]
         terms = spec.group_terms(list(agents), p)
@@ -371,13 +369,82 @@ def test_criterion_10_network_fixed_point():
 
         g0 = gradients(np.zeros((3, H, m)))
         J = np.column_stack([gradients(e.reshape(3, H, m)) - g0 for e in np.eye(3 * H * m)])
+        systems[name] = ((top, {i: model for i in agents}, spec), (H, x0, *lead), J, g0)
+    return systems, time.perf_counter() - start
+
+
+# -- criterion 10: network fixed point ----------------------------------------
+
+def test_criterion_10_network_fixed_point(linear_networks):
+    # Each agent minimizes its own slice of the cost with its neighbours'
+    # trajectories frozen, so converged rounds stop at the Nash point of the
+    # slices: every agent's own gradient zero at once, J u + g0 = 0.
+    networks, setup_s = linear_networks
+    start = time.perf_counter()
+    gaps, rounds, converged = [], [], True
+    for before, after, J, g0 in networks.values():
+        res = run_algorithm1(*before, SolverConfig(eps=1e-12, max_outer=300), *after)
         nash = np.linalg.solve(J, -g0)
-        got = np.concatenate([res.controls[i].reshape(-1) for i in agents])
+        got = np.concatenate([res.controls[i].reshape(-1) for i in sorted(res.controls)])
         gaps.append(np.linalg.norm(got - nash) / np.linalg.norm(nash))
         rounds.append(res.rounds)
         converged &= res.converged
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start + setup_s
     ok = converged and max(gaps) <= 1e-10 and elapsed < 10
     assert report(10, "network fixed point", ok, ", ".join(
         f"{name} {r} rounds, gap {gap:.1e}" for name, r, gap in zip(networks, rounds, gaps))
         + f", {elapsed:.1f}s")
+
+
+# -- criterion 11: round-loop model ------------------------------------------
+
+def test_criterion_11_round_loop_model(linear_networks, monkeypatch):
+    # Criterion 10 checks where the rounds end; this checks every round on
+    # the way.  On a linear network each agent's window Hessian is its
+    # diagonal block D_i of J, so a round is exactly
+    # u <- u - sum_{l<N} P^l (cI + D)^-1 g(u), D = blockdiag(D_i),
+    # P = c (cI + D)^-1 and N = min(r, L_max) + 1, the dense model of the
+    # inner recursion.  A spy on Session._round_map reads every round's
+    # plain update, the next iterate; the model, iterated to the same
+    # gradient stop rule, must match each one and the round count.
+    networks, setup_s = linear_networks
+    start = time.perf_counter()
+    cfg = SolverConfig(eps=1e-12, max_outer=300)
+    seen, round_map = [], Session._round_map
+
+    def spy(session, sweeps, r, etas):
+        out = round_map(session, sweeps, r, etas)
+        [new] = out[0]  # one model group
+        seen.append(new.reshape(-1).copy())
+        return out
+
+    monkeypatch.setattr(Session, "_round_map", spy)
+    gaps, rounds, same_rounds = [], [], True
+    for before, after, J, g0 in networks.values():
+        seen.clear()
+        res = run_algorithm1(*before, cfg, *after)
+        agents = np.split(np.arange(len(g0)), len(res.controls))
+        maps = []  # per agent sum_{l<N} P^l (cI + D_i)^-1, per depth N
+        for rows in agents:
+            inv = np.linalg.inv(cfg.c * np.eye(len(rows)) + J[np.ix_(rows, rows)])
+            terms = [inv]
+            for _ in range(cfg.L_max):
+                terms.append(cfg.c * inv @ terms[-1])
+            maps.append(np.cumsum(terms, axis=0))
+        u, model = np.zeros_like(g0), []
+        for r in range(cfg.max_outer + 1):
+            g = J @ u + g0
+            if max(np.linalg.norm(g[rows]) for rows in agents) < cfg.eps:
+                break
+            N = min(r, cfg.L_max) + 1
+            u = u - np.concatenate([M[N - 1] @ g[rows] for M, rows in zip(maps, agents)])
+            model.append(u)
+        same_rounds &= len(seen) == len(model) == res.rounds
+        gaps.append(max(np.linalg.norm(got - want) / np.linalg.norm(want)
+                        for got, want in zip(seen, model)))
+        rounds.append(res.rounds)
+    elapsed = time.perf_counter() - start + setup_s
+    ok = same_rounds and max(gaps) <= 1e-10 and elapsed < 5
+    assert report(11, "round-loop model", ok, ", ".join(
+        f"{name} {r} rounds, worst gap {gap:.1e}"
+        for name, r, gap in zip(networks, rounds, gaps)) + f", {elapsed:.1f}s")

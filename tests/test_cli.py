@@ -327,6 +327,28 @@ def test_non_finite_hessian_exits_2_naming_agent_and_round(case, tmp_path, capsy
                                        f"non-finite Hessian\n")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["mpc", "horizon"])
+def test_rollout_failure_exits_2_naming_agent_and_round(mode, tmp_path, capsys):
+    # A = 1e200 I overflows agent 2's state at its second step; agent 1
+    # starts at 0 and never does.  The rollout's error names only the row
+    # of its model group's stack; the round names the row's agent and the
+    # round, as for every other round error.
+    raw = {"name": "rollout", "topology": {"n": 2, "edges": [[1, 2], [2, 1]]},
+           "models": {"default": {"type": "linear", "A": [[1e200, 0], [0, 1e200]],
+                                  "B": [[1, 0], [0, 1]]}},
+           "cost": {"Q": 1, "R": 1}, "mpc": {"N_p": 8, "T": 1},
+           "initial_states": {"1": [0, 0], "2": [0, 1]}}
+    if mode == "horizon":
+        raw["horizon"] = raw.pop("mpc")["N_p"]
+    path = tmp_path / "rollout.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("check", str(path)) == 0
+    assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == ("numeric failure: agent 2, round 0: rollout failed at "
+                                       "step 1: linear: non-finite state at k=1\n")
+
+
 def test_python_m_optcons_runs_the_cli():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

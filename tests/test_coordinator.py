@@ -10,8 +10,10 @@ from optcons import CostSpec, Topology
 from optcons.coordinator import (MpcConfig, Session, consensus_error, run_algorithm1,
                                  solve_local)
 from optcons import dynamics as dyn
+from optcons.cost import NeighborBundle, global_cost
 from optcons.errors import ConfigError, NumericError, PreconditionError
-from optcons.solver import LocalProblem, SolverConfig
+from optcons.graph import neighbors
+from optcons.solver import LocalProblem, SolverConfig, sweep
 from optcons import adjoint, coordinator, scenarios, solver
 
 from conftest import mutual_pair_topology
@@ -568,6 +570,30 @@ def test_one_shot_result_is_its_last_rounds_rollout(monkeypatch):
     np.testing.assert_array_equal([result.trajectories[i] for i in agents], fresh)
 
 
+@pytest.mark.parametrize("max_outer", [3, 100], ids=["capped", "converged"])
+def test_one_shot_metrics_hold_the_returned_iterate(max_outer, tmp_path):
+    # A one-shot run sweeps and costs every rollout it makes, the one it
+    # returns included, whether it converges or hits max_outer: the global
+    # costs hold one entry per rollout, and metrics.json the global cost and
+    # the gradient norms at the returned trajectories and controls.
+    spec = scenarios.load_preset("scalar_chain", overrides=[f"solver.max_outer={max_outer}"])
+    res = scenarios.run_scenario(spec)
+    assert (res.converged, res.rounds) == ((False, 3) if max_outer == 3 else (True, 7))
+    assert len(res.global_costs) == res.rounds + 1
+    arts = scenarios.emit_results(res, spec, tmp_path)
+    with open(arts.metrics_json) as fh:
+        metrics = json.load(fh)
+    agents = sorted(res.controls)
+    terms = spec.cost.group_terms(agents, spec.models[1].state_dim)
+    bundles = [NeighborBundle({j: res.trajectories[j] for j in neighbors(spec.topology, i)})
+               for i in agents]
+    *_, G = sweep(spec.models[1], 0, terms, bundles, np.array([res.controls[i] for i in agents]),
+                  np.array([res.trajectories[i] for i in agents]))
+    assert metrics["final_global_cost"] == global_cost([terms], res.trajectories, res.controls,
+                                                       spec.topology)
+    assert metrics["max_grad_norm"] == max(np.linalg.norm(g) for g in G)
+
+
 def test_control_history_holds_rows_of_its_own():
     # Session.step records each agent's applied control; the record must
     # not be a view into the window's (K, H, m) controls, which it would
@@ -1022,7 +1048,8 @@ def test_cold_windows_take_full_rollouts(monkeypatch):
 def test_non_finite_new_stage_fails_like_a_fresh_rollout():
     # The model blows up from k = N_p on: the first window never steps
     # there, and the second fails at its new last stage with the message a
-    # full rollout of the same window gives.
+    # full rollout of the same window gives, named by agent and round as
+    # every round error is.
     spec = scenarios.load_preset("leader_follower")
     H, model = spec.mpc.N_p, spec.models[1]
 
@@ -1038,9 +1065,9 @@ def test_non_finite_new_stage_fails_like_a_fresh_rollout():
         dyn.rollout(broken, [session.x[1]], u0[1][None], session.t)
     with pytest.raises(NumericError) as warm:
         session.step()
-    assert str(warm.value) == str(fresh.value)
-    assert str(warm.value) == (f"rollout failed at step {H - 1}: {model.name}: "
-                               f"non-finite state at k={session.t + H - 1}")
+    assert str(warm.value) == f"agent 1, round 0: {fresh.value}"
+    assert str(fresh.value) == (f"rollout failed at step {H - 1}: {model.name}: "
+                                f"non-finite state at k={session.t + H - 1}")
 
 
 def test_non_finite_new_stage_fails_like_a_fresh_rollout_on_unicycles():
@@ -1063,6 +1090,6 @@ def test_non_finite_new_stage_fails_like_a_fresh_rollout_on_unicycles():
         dyn.rollout(broken, [session.x[1]], u0[1][None], session.t)
     with pytest.raises(NumericError) as warm:
         session.step()
-    assert str(warm.value) == str(fresh.value)
-    assert str(warm.value) == (f"rollout failed at step {H - 1}: {model.name}: "
-                               f"non-finite state at k={session.t + H - 1}")
+    assert str(warm.value) == f"agent 1, round 0: {fresh.value}"
+    assert str(fresh.value) == (f"rollout failed at step {H - 1}: {model.name}: "
+                                f"non-finite state at k={session.t + H - 1}")
