@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from . import dynamics as dyn
-from .cost import CostSpec, GroupTerms, NeighborBundle, local_cost, local_errors
+from .cost import GroupTerms, local_errors
 from .errors import NumericError
 
 
@@ -397,44 +397,26 @@ def hessian(blocks, B, band) -> np.ndarray:
 
 
 def _central_differences(fn, u, h, rel: float) -> np.ndarray:
-    """Central differences of fn at the flattened window u, one row per
-    coordinate k, with step h, or rel (1 + |u_k|) when h is None."""
-    flat = np.asarray(u, dtype=float).reshape(-1)
+    """Central differences of fn at the window u, one row per coordinate k of
+    u flattened, with step h, or rel (1 + |u_k|) when h is None."""
+    u = np.asarray(u, dtype=float)
     if h is not None and not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
     rows = []
-    for idx in range(flat.size):
-        hk = h if h is not None else rel * (1.0 + abs(flat[idx]))
-        e = np.zeros(flat.size)
-        e[idx] = hk
-        rows.append((fn(flat + e) - fn(flat - e)) / (2.0 * hk))
+    for idx in range(u.size):
+        hk = h if h is not None else rel * (1.0 + abs(u.flat[idx]))
+        e = np.zeros(u.shape)
+        e.flat[idx] = hk
+        rows.append((fn(u + e) - fn(u - e)) / (2.0 * hk))
     return np.array(rows)
 
 
-def fd_gradient(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
-                spec: CostSpec, k0: int = 0, h=None) -> np.ndarray:
-    """Central differences of local_cost; the gradient's independent oracle."""
-    H, m = np.shape(u_i)
-
-    def value(vec):
-        u = vec.reshape(H, m)
-        return local_cost(i, dyn.rollout(model, [x0], u[None], k0)[0], u, nb, spec)
-
-    return _central_differences(value, u_i, h, 1e-6)
+def fd_gradient(problem, u, h=None) -> np.ndarray:
+    """Central differences of a ``solver.LocalProblem``'s cost; the gradient's oracle."""
+    return _central_differences(problem.cost, u, h, 1e-6)
 
 
-def fd_hessian(i: int, model: dyn.Model, x0, u_i, nb: NeighborBundle,
-               spec: CostSpec, k0: int = 0, h=None) -> np.ndarray:
-    """Central differences of the sweep gradient; the Hessian's oracle."""
-    H, m = np.shape(u_i)
-    terms = spec.group_terms([i], model.state_dim)
-
-    def grad(vec):
-        u = vec.reshape(1, H, m)
-        traj = dyn.rollout(model, [x0], u, k0)
-        jac = linearize_window(model, traj, u, k0)
-        lam = costate_sweep(terms, traj, u, _lower_band(jac[0]), [nb])
-        return gradient(terms, u, jac, lam)[0]
-
-    Hmat = _central_differences(grad, u_i, h, 1e-4).T
+def fd_hessian(problem, u, h=None) -> np.ndarray:
+    """Central differences of its sweep gradient; the Hessian's oracle."""
+    Hmat = _central_differences(problem.gradient, u, h, 1e-4)
     return 0.5 * (Hmat + Hmat.T)

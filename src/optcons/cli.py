@@ -15,10 +15,9 @@ import time
 
 import numpy as np
 
-from . import adjoint, dynamics as dyn, scenarios
+from . import adjoint, scenarios
 from .coordinator import MpcConfig, Session, run_algorithm1
 from .errors import ConfigError, NumericError, PreconditionError
-from .solver import LocalProblem, sweep
 
 
 def _resolve_source(token: str) -> str:
@@ -59,24 +58,19 @@ def _cmd_check(args) -> int:
 
 
 def _window_problem(spec: scenarios.ScenarioSpec, agent: int, step: int):
-    """Reconstruct agent's frozen-neighbor window at MPC step `step` (a
-    finite-horizon scenario has only the window at step 0)."""
+    """Agent's (LocalProblem, window) at MPC step `step`, from
+    ``Session.local_problems`` (a finite-horizon scenario has only step 0)."""
     if step < 0:
         raise ConfigError(f"--t must be >= 0, got {step}")
     if spec.mpc is None and step != 0:
         raise ConfigError("finite-horizon scenarios only support --t 0")
     session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc or MpcConfig(N_p=spec.horizon, T=1),
-                      spec.initial_states,
+                      spec.mpc or MpcConfig(N_p=spec.horizon, T=1), spec.initial_states,
                       leader_model=spec.leader_model, leader_x0=spec.leader_x0,
                       seed=spec.seed, error_mask=spec.error_mask)
     for _ in range(step):
         session.step()
-    us = session._initial_window()
-    trajs = session._by_agent(session._rollouts(us))
-    bundles = session._exchange(trajs, session._leader_window(), 0)
-    return (LocalProblem(agent, spec.models[agent], session.x[agent], bundles[agent],
-                         spec.cost, k0=session.t), session._by_agent(us)[agent])
+    return session.local_problems()[agent]
 
 
 def _cmd_gradcheck(args) -> int:
@@ -84,16 +78,8 @@ def _cmd_gradcheck(args) -> int:
     if not 1 <= args.agent <= spec.topology.n:
         raise ConfigError(f"agent {args.agent} out of range 1..{spec.topology.n}")
     problem, u = _window_problem(spec, args.agent, args.t)
-    us = u[None]
-    trajs = dyn.rollout(problem.model, [problem.x0], us, problem.k0)
-    (_, B), band, lam, (g,) = sweep(problem.model, problem.k0, problem.terms, [problem.nb],
-                                    us, trajs)
-    g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
-                               problem.nb, problem.spec, k0=problem.k0)
-    M = dyn.second_order_action(problem.model, trajs[:, :-1], us, problem.k0, lam[:, 1:])
-    Hmat = adjoint.hessian(adjoint.stage_blocks(problem.terms, M), B, band)[0]
-    H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
-                              problem.nb, problem.spec, k0=problem.k0)
+    g, Hmat = problem.gradient(u), problem.hessian(u)
+    g_fd, H_fd = adjoint.fd_gradient(problem, u), adjoint.fd_hessian(problem, u)
 
     out_dir = args.out or scenarios.default_out_dir(spec)
     os.makedirs(out_dir, exist_ok=True)
@@ -173,8 +159,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "check": _cmd_check,
                 "gradcheck": _cmd_gradcheck, "bench": _cmd_bench}
-    try:
-        return handlers[args.command](args)
+    try:  # the typed checks report every non-finite result; numpy's warnings would repeat them
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (ConfigError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -249,15 +249,13 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
     u = np.asarray(u0, dtype=float).copy()
     etas = np.array([MSA_ETA0])
     history = [u.reshape(-1).copy()]
-    group = (problem.model, problem.k0, problem.terms, [problem.nb])
     for r in range(cfg.max_outer + 1):
-        us = u[None]
-        trajs = _named([problem.i], r, dyn.rollout, problem.model, [problem.x0], us, problem.k0)
-        swept = _named([problem.i], r, sweep, *group, us, trajs)
+        us, trajs, swept = _named([problem.i], r, problem.sweep, u)
         gnorm = float(np.linalg.norm(swept[-1][0]))
         if gnorm < cfg.eps or r == cfg.max_outer:
             return SolveResult(u, r, gnorm, gnorm < cfg.eps, history=history)
-        new, _, _ = _round_update(*group, us, trajs, swept, cfg, r, etas)
+        new, _, _ = _round_update(problem.model, problem.k0, problem.terms, [problem.nb],
+                                  us, trajs, swept, cfg, r, etas)
         u = new[0]
         history.append(u.reshape(-1).copy())
 
@@ -518,6 +516,19 @@ class Session:
         )
 
     # -- public API ---------------------------------------------------------
+
+    def local_problems(self) -> dict:
+        """{i: (LocalProblem, window (H, m))}: the windows the next step starts
+        from, rolled out afresh, every neighbour's (and linked leader's)
+        rollout delivered; draws no drop and changes no session state."""
+        us = self._initial_window()
+        sent = {**self._by_agent(self._rollouts(us)), LEADER: self._leader_window()}
+        got = {i: ({}, u) for i, u in sorted(self._by_agent(us).items())}
+        for i, j in self.links:
+            got[i][0][j] = sent[j]
+        return {i: (LocalProblem(i, self.models[i], self.x[i].copy(),
+                                 NeighborBundle(nb, leader=nb.pop(LEADER, None)), self.spec,
+                                 self.t), u) for i, (nb, u) in got.items()}
 
     def step(self) -> dict:
         """Advance one closed-loop step; returns a per-window summary."""

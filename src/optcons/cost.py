@@ -130,17 +130,19 @@ class CostSpec:
             return
         problems = []
 
-        def sym_psd(name, table, keys, strict):
-            """Symmetrize table[key] in place for each key; returns each key's
-            problems, from one stacked check per shape of matrix."""
+        def sym_psd(name, table, keys, strict, dim=None):
+            """Symmetrize table[key] in place for each key (square, dim x dim if
+            given); returns each key's problems, one stacked check per shape."""
             found, shapes = {key: [] for key in keys}, {}
             for key in keys:
                 table[key] = np.asarray(table[key], dtype=float)
                 shapes.setdefault(table[key].shape, []).append(key)
             for (rows, cols), same in shapes.items():
-                if rows != cols:
+                if rows != cols or dim not in (None, rows):
                     for key in same:
-                        found[key].append(f"{name}[{key}] is not square")
+                        found[key].append(f"{name}[{key}] is not square" if rows != cols else
+                                          f"{name}[{key}] has shape {(rows, cols)}, "
+                                          f"expected ({dim}, {dim})")
                     continue
                 S = np.stack([table[k] for k in same])
                 drifts = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
@@ -167,7 +169,7 @@ class CostSpec:
             return found
 
         for name, table in (("Q", self.Q), ("D", self.D)):
-            found = sym_psd(name, table, list(table), strict=False)
+            found = sym_psd(name, table, list(table), strict=False, dim=state_dim)
             for edge in found:
                 if tuple(edge) not in topology.edges:
                     problems.append(f"{name} references non-edge {tuple(edge)}")
@@ -183,7 +185,7 @@ class CostSpec:
                 if self.R[i].shape != (want, want):
                     problems.append(f"R[{i}] has shape {self.R[i].shape}, agent has m={want}")
         for name, table in (("W", self.W), ("E", self.E)):
-            found = sym_psd(name, table, list(table), strict=False)
+            found = sym_psd(name, table, list(table), strict=False, dim=state_dim)
             for i in found:
                 if i not in topology.leader_links:
                     problems.append(f"{name}[{i}] given but agent {i} has no leader link")

@@ -92,12 +92,29 @@ class LocalProblem:
         """The problem's cost-term table, a stack of one, tabulated on first use."""
         return self.spec.group_terms([self.i], self.model.state_dim)
 
-    def cost(self, u, traj=None) -> float:
-        """Local cost at u, rolling u out unless its rollout ``traj`` is given."""
+    def cost(self, u) -> float:
+        """The local cost at the window u (H, m)."""
         us = np.asarray(u, dtype=float)[None]
-        trajs = (dyn.rollout(self.model, [self.x0], us, self.k0) if traj is None
-                 else np.asarray(traj, dtype=float)[None])
+        trajs = dyn.rollout(self.model, [self.x0], us, self.k0)
         return local_costs(self.terms, trajs, us, [self.nb])[0]
+
+    def sweep(self, u):
+        """The window u (H, m) as a stack of one, rolled out and swept:
+        (us, trajs, (jac, band, lam, g)), as the round loop sweeps it."""
+        us = np.asarray(u, dtype=float)[None]
+        trajs = dyn.rollout(self.model, [self.x0], us, self.k0)
+        return us, trajs, sweep(self.model, self.k0, self.terms, [self.nb], us, trajs)
+
+    def gradient(self, u) -> np.ndarray:
+        """The exact gradient (H*m,) of the local cost at u."""
+        return self.sweep(u)[2][3][0]
+
+    def hessian(self, u) -> np.ndarray:
+        """The exact Hessian (H*m, H*m) of the local cost at u, by the round
+        update's ``second_order_action``, ``stage_blocks`` and ``hessian``."""
+        us, trajs, ((_, B), band, lam, _) = self.sweep(u)
+        M = dyn.second_order_action(self.model, trajs[:, :-1], us, self.k0, lam[:, 1:])
+        return adjoint.hessian(adjoint.stage_blocks(self.terms, M), B, band)[0]
 
 
 def sweep(model, k0, terms, bundles, us, trajs):

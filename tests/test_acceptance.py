@@ -57,12 +57,10 @@ def test_criterion_1_adjoint_exactness():
         jac, _, lam, g = sweep(problem.model, problem.k0, problem.terms, [problem.nb], u[None],
                             traj)
         g = g[0]
-        g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
-                                   problem.nb, problem.spec)
+        g_fd = adjoint.fd_gradient(problem, u)
         worst_g = max(worst_g, np.linalg.norm(g - g_fd) / (1 + np.linalg.norm(g_fd)))
         H = model_hessian(problem.terms, problem.model, traj, u[None], jac, lam)[0]
-        H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
-                                  problem.nb, problem.spec)
+        H_fd = adjoint.fd_hessian(problem, u)
         worst_h = max(worst_h, np.linalg.norm(H - H_fd) / (1 + np.linalg.norm(H_fd)))
         scale = max(np.linalg.norm(H), 1e-300)
         worst_sym = max(worst_sym, np.linalg.norm(H - H.T) / scale)
@@ -174,8 +172,8 @@ def test_criterion_5_rendezvous_position_errors(rendezvous_run):
                            np.zeros((1, N_p, spec.models[j].control_dim)), T)[0]
             for j in neighbors(spec.topology, i)})
         u0 = np.zeros((N_p, spec.models[i].control_dim))
-        g = adjoint.fd_gradient(i, spec.models[i], final[i], u0, nb, spec.cost, k0=T)
-        H = adjoint.fd_hessian(i, spec.models[i], final[i], u0, nb, spec.cost, k0=T)
+        window = LocalProblem(i, spec.models[i], final[i], nb, spec.cost, k0=T)
+        g, H = adjoint.fd_gradient(window, u0), adjoint.fd_hessian(window, u0)
         worst_g = max(worst_g, np.abs(g).max())
         min_eig = min(min_eig, np.linalg.eigvalsh(H).min())
     plateau_ok = (spread < 1e-9 and along < 1e-9 and worst_g < 1e-6

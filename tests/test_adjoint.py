@@ -147,16 +147,15 @@ def stack_of_one(problem, u):
     return traj[0], jac, lam[0], g[0], Hmat[0]
 
 
-def test_fd_oracles_hand_values():
-    model, spec, nb = scalar_chain_pieces()
+def test_fd_oracles_hand_values(scalar_chain):
     u = np.zeros((1, 1))
-    g = adjoint.fd_gradient(1, model, [1.0], u, nb, spec)
+    g = adjoint.fd_gradient(scalar_chain, u)
     assert g[0] == pytest.approx(1.0, abs=1e-6)
-    H = adjoint.fd_hessian(1, model, [1.0], u, nb, spec)
+    H = adjoint.fd_hessian(scalar_chain, u)
     assert H[0, 0] == pytest.approx(2.0, abs=1e-4)
 
 
-def test_fd_gradient_exact_on_quadratic():
+def test_fd_gradient_exact_on_quadratic(scalar_chain):
     # Central differences are exact on quadratics regardless of h.
     model, spec, nb = scalar_chain_pieces()
     terms = table(spec, 1)
@@ -166,16 +165,15 @@ def test_fd_gradient_exact_on_quadratic():
     lam = adjoint.costate_sweep(terms, traj, u[None], adjoint._lower_band(jac[0]), [nb])
     g_exact = adjoint.gradient(terms, u[None], jac, lam)[0]
     for h in (1e-2, 1e-4):
-        g_fd = adjoint.fd_gradient(1, model, [1.0], u, nb, spec, h=h)
+        g_fd = adjoint.fd_gradient(scalar_chain, u, h=h)
         np.testing.assert_allclose(g_fd, g_exact, atol=1e-9)
 
 
-def test_fd_rejects_nonpositive_step():
-    model, spec, nb = scalar_chain_pieces()
+def test_fd_rejects_nonpositive_step(scalar_chain):
     with pytest.raises(ValueError):
-        adjoint.fd_gradient(1, model, [1.0], np.zeros((1, 1)), nb, spec, h=0.0)
+        adjoint.fd_gradient(scalar_chain, np.zeros((1, 1)), h=0.0)
     with pytest.raises(ValueError):
-        adjoint.fd_hessian(1, model, [1.0], np.zeros((1, 1)), nb, spec, h=-1e-6)
+        adjoint.fd_hessian(scalar_chain, np.zeros((1, 1)), h=-1e-6)
 
 
 @pytest.mark.parametrize("kind", ["unicycle", "linear_sine"])
@@ -184,8 +182,7 @@ def test_gradient_matches_fd_on_random_instances(kind):
     for _ in range(25):
         problem, u = random_instance(rng, kind)
         g = stack_of_one(problem, u)[3]
-        g_fd = adjoint.fd_gradient(problem.i, problem.model, problem.x0, u,
-                                   problem.nb, problem.spec)
+        g_fd = adjoint.fd_gradient(problem, u)
         assert np.linalg.norm(g - g_fd) / (1 + np.linalg.norm(g_fd)) < 1e-5
 
 
@@ -195,12 +192,23 @@ def test_hessian_matches_fd_on_random_instances(kind):
     for _ in range(10):
         problem, u = random_instance(rng, kind)
         H = stack_of_one(problem, u)[4]
-        H_fd = adjoint.fd_hessian(problem.i, problem.model, problem.x0, u,
-                                  problem.nb, problem.spec)
+        H_fd = adjoint.fd_hessian(problem, u)
         rel = np.linalg.norm(H - H_fd) / (1 + np.linalg.norm(H_fd))
         assert rel < 1e-3
         drift = np.linalg.norm(H - H.T)
         assert drift <= 1e-8 * max(np.linalg.norm(H), 1e-30)
+
+
+@pytest.mark.parametrize("kind", ["unicycle", "linear_sine"])
+def test_local_problem_derivatives_are_the_rounds(kind):
+    # LocalProblem.gradient and .hessian are the round's stacked sweep and
+    # Hessian (model_hessian), row 0, bit for bit.
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        problem, u = random_instance(rng, kind)
+        _, _, _, g, H = stack_of_one(problem, u)
+        np.testing.assert_array_equal(problem.gradient(u), g)
+        np.testing.assert_array_equal(problem.hessian(u), H)
 
 
 # Per-agent oracles for the stacked assembly: the single-agent costate

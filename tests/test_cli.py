@@ -265,8 +265,6 @@ def test_weight_negative_beyond_rounding_exits_1_at_check(tmp_path, capsys):
         "error: Q[(1, 2)] must be positive semidefinite (min eigenvalue -5.00e-11)")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["mpc", "horizon", "msa", "unicycle"])
 def test_non_finite_gradient_exits_2_naming_agent_and_round(mode, tmp_path, capsys):
     # A Q of 1e305 weighs the states' gap of 2e3 beyond float64, so the
@@ -293,7 +291,6 @@ def test_non_finite_gradient_exits_2_naming_agent_and_round(mode, tmp_path, caps
     assert capsys.readouterr().err == "numeric failure: agent 1, round 0: non-finite gradient\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", ["overflow", "nan"])
 def test_non_finite_hessian_exits_2_naming_agent_and_round(case, tmp_path, capsys,
                                                            monkeypatch):
@@ -327,7 +324,6 @@ def test_non_finite_hessian_exits_2_naming_agent_and_round(case, tmp_path, capsy
                                        f"non-finite Hessian\n")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["mpc", "horizon"])
 def test_rollout_failure_exits_2_naming_agent_and_round(mode, tmp_path, capsys):
     # A = 1e200 I overflows agent 2's state at its second step; agent 1

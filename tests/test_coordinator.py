@@ -14,7 +14,7 @@ from optcons.cost import NeighborBundle, global_cost
 from optcons.errors import ConfigError, NumericError, PreconditionError
 from optcons.graph import neighbors
 from optcons.solver import LocalProblem, SolverConfig, sweep
-from optcons import adjoint, coordinator, scenarios, solver
+from optcons import adjoint, cli, coordinator, scenarios, solver
 
 from conftest import mutual_pair_topology
 
@@ -142,6 +142,13 @@ def chain_kwargs(**changes):
                      leader_model=leader, leader_x0=[0.1, 0.0]), **changes)
 
 
+def chain_weight(name, key, value):
+    """``chain_kwargs`` with the cost table ``name``'s entry ``key`` set."""
+    kwargs = chain_kwargs()
+    getattr(kwargs["spec"], name)[key] = value
+    return kwargs
+
+
 @pytest.mark.parametrize("kwargs, match", [
     (lambda: pair_kwargs(initial_states={1: 1.0, 2: 0.0}), "vectors of one length"),
     (lambda: pair_kwargs(initial_states={1: [1.0], 2: [0.0, 0.0]}), "vectors of one length"),
@@ -178,6 +185,12 @@ def chain_kwargs(**changes):
     (lambda: chain_kwargs(leader_x0=[-1e308, 0.0], initial_states={1: [1e308, 0.0], 2: [0.0, 0.0],
                                                                   3: [0.0, 0.0], 4: [0.0, 0.0]}),
      r"^initial_states: non-finite deviation norms on pairs \['2-1', '1-l'\]$"),
+    (lambda: chain_weight("Q", (2, 1), np.eye(3)),
+     r"^Q\[\(2, 1\)\] has shape \(3, 3\), expected \(2, 2\)$"),
+    (lambda: chain_weight("D", (2, 1), np.eye(1)),
+     r"^D\[\(2, 1\)\] has shape \(1, 1\), expected \(2, 2\)$"),
+    (lambda: chain_weight("W", 1, np.eye(3)), r"^W\[1\] has shape \(3, 3\), expected \(2, 2\)$"),
+    (lambda: chain_weight("E", 1, np.eye(1)), r"^E\[1\] has shape \(1, 1\), expected \(2, 2\)$"),
 ])
 def test_session_rejects_malformed_inputs_early(kwargs, match):
     # Shapes and dimensions are checked before anything is built, with a
@@ -641,18 +654,61 @@ def test_round_update_is_first_iterate_of_solve_local(method):
     # does on the same frozen-neighbor problem and starting controls.
     spec, session = leader_follower_session(
         [f"solver.method={method}", "solver.max_outer=1"])
-    us = session._initial_window()
-    u0 = session._by_agent(us)
-    bundles = session._exchange(session._by_agent(session._rollouts(us)),
-                                session._leader_window(), 0)
-    problems = {i: LocalProblem(i, spec.models[i], session.x[i], bundles[i],
-                                spec.cost, session.t) for i in session.order}
+    problems = session.local_problems()
     summary = session.step()
     assert summary["rounds"] == 1
-    for i, problem in problems.items():
-        res = solve_local(problem, u0[i], spec.solver)
+    for i, (problem, u0) in problems.items():
+        res = solve_local(problem, u0, spec.solver)
         assert len(res.history) == 2
         np.testing.assert_array_equal(session.last_window.controls[i].reshape(-1), res.history[1])
+
+
+def test_local_problems_deliver_every_fresh_rollout_with_drops():
+    # With message drops the round's exchange may hand an agent a stale
+    # payload; the window snapshot delivers every neighbour's and the
+    # leader's fresh rollout of the windows the next step starts from, and
+    # gradcheck checks that snapshot's window.
+    spec, session = preset_session("formation", ["mpc.drop_probability=0.5"])
+    for _ in range(2):
+        session.step()
+    problems = session.local_problems()
+    fresh = {i: dyn.rollout(p.model, [p.x0], u[None], p.k0)[0] for i, (p, u) in problems.items()}
+    leader = dyn.rollout(spec.leader_model, [session.xl], np.zeros((1, spec.mpc.N_p, 0)), 2)[0]
+    gradcheck, u = cli._window_problem(spec, 2, 2)
+    for i, (problem, _) in [*problems.items(), (2, (gradcheck, u))]:
+        assert (problem.i, problem.k0) == (i, 2)
+        assert sorted(problem.nb.trajectories) == neighbors(spec.topology, i)
+        for j, payload in problem.nb.trajectories.items():
+            np.testing.assert_array_equal(payload, fresh[j])
+        if i in spec.topology.leader_links:
+            np.testing.assert_array_equal(problem.nb.leader, leader)
+        else:
+            assert problem.nb.leader is None
+    np.testing.assert_array_equal(u, problems[2][1])
+    np.testing.assert_array_equal(gradcheck.x0, problems[2][0].x0)
+
+
+def test_local_problems_leave_the_run_unchanged():
+    # The snapshot draws no drop and touches no held payload: a run that
+    # takes it before every step equals one that does not, bit for bit.
+    def run(snapshot):
+        _, session = preset_session("formation", ["mpc.drop_probability=0.5", "mpc.T=4"])
+        while session.t < session.mpc.T:
+            if snapshot:
+                rng, held = session.rng.bit_generator.state, dict(session.held)
+                session.local_problems()
+                assert session.rng.bit_generator.state == rng
+                assert session.held.keys() == held.keys()
+                assert all(session.held[k] is v for k, v in held.items())
+            session.step()
+        return session.result()
+
+    a, b = run(False), run(True)
+    for name in ("states", "controls"):
+        for i in a.states:
+            np.testing.assert_array_equal(getattr(a, name)[i], getattr(b, name)[i])
+    for name in ("leader_states", "max_errors", "window_costs", "rounds", "converged"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_msa_group_round_costs_the_whole_table(monkeypatch):
