@@ -50,8 +50,6 @@ class CostSpec:
     W: dict = field(default_factory=dict)
     E: dict = field(default_factory=dict)
     offsets: dict = field(default_factory=dict)
-    # The arguments and table snapshot of the last validate call that passed.
-    _validated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def uniform(cls, topology: Topology, p: int, q, r, d=0.0, w=0.0, e=0.0,
@@ -117,100 +115,96 @@ class CostSpec:
 
     def validate(self, topology: Topology, state_dim: int,
                  control_dims: dict[int, int]) -> None:
-        """Check PSD/PD-ness, symmetry, and cross references; symmetrize in place.
+        """Check shapes, PSD/PD-ness, symmetry and cross references; symmetrize in place.
 
-        R is checked for the agents that ``control_dims`` maps to their
-        control dimension.  A semidefinite weight read below 0 by rounding is
-        stored as V max(L, 0) V^T, plus that bound on its diagonal if still so.
-        A call whose arguments and tables (keys, types and bytes) equal those
-        that the last passing call left behind returns at once.
+        Q, D, W and E must be (state_dim, state_dim), and R is checked for
+        the agents that ``control_dims`` maps to their control dimension.  A
+        table's entries are converted by one ``np.array`` call when they
+        share a shape, and the weights of one strictness and size are
+        checked as one stack, with one ``eigvalsh``.  A semidefinite weight
+        read below 0 by rounding is stored as V max(L, 0) V^T, plus that
+        bound on its diagonal if still so.
         """
-        if (self._validated is not None
-                and self._snapshot(topology, state_dim, control_dims) == self._validated):
-            return
-        problems = []
-
-        def sym_psd(name, table, keys, strict, dim=None):
-            """Symmetrize table[key] in place for each key (square, dim x dim if
-            given); returns each key's problems, one stacked check per shape."""
-            found, shapes = {key: [] for key in keys}, {}
-            for key in keys:
-                table[key] = np.asarray(table[key], dtype=float)
-                shapes.setdefault(table[key].shape, []).append(key)
-            for (rows, cols), same in shapes.items():
-                if rows != cols or dim not in (None, rows):
-                    for key in same:
-                        found[key].append(f"{name}[{key}] is not square" if rows != cols else
-                                          f"{name}[{key}] has shape {(rows, cols)}, "
-                                          f"expected ({dim}, {dim})")
+        found, groups = {}, {}  # (name, key) -> its problems; (strict, size) -> parts
+        for name, table, strict in (("Q", self.Q, False), ("D", self.D, False),
+                                    ("R", self.R, True), ("W", self.W, False),
+                                    ("E", self.E, False)):
+            keys = [i for i in sorted(control_dims) if i in table] if strict else list(table)
+            try:
+                stack = np.array([table[key] for key in keys], dtype=float)
+            except ValueError:  # entries of different shapes: converted one by one
+                stack = [np.asarray(table[key], dtype=float) for key in keys]
+            else:
+                size = stack.shape[-1]
+                if stack.shape[1:] == (size, size) and (strict or size == state_dim):
+                    groups.setdefault((strict, size), []).append((name, table, keys, stack))
                     continue
-                S = np.stack([table[k] for k in same])
-                drifts = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-                S = 0.5 * (S + S.transpose(0, 2, 1))
-                lows = np.linalg.eigvalsh(S).min(axis=1) if rows else [np.inf] * len(same)
-                for key, M, drift, lo in zip(same, S, drifts, lows):
-                    # eigvalsh's rounding: a few dim eps max|M_ij| below 0 is semidefinite.
-                    tol = 0.0 if lo >= 0.0 else 4 * rows * np.finfo(float).eps * abs(M).max()
-                    if drift > 1e-9:
-                        found[key].append(f"{name}[{key}] is asymmetric "
-                                          f"(max drift {drift:.2e})")
-                    if lo <= 0.0 if strict else lo < -tol:
-                        kind = "definite" if strict else "semidefinite"
-                        found[key].append(f"{name}[{key}] must be positive {kind} "
-                                          f"(min eigenvalue {lo:.2e})")
-                    elif lo < 0.0:  # no cost may go negative along this eigenvalue
-                        w, V = np.linalg.eigh(M)
-                        M = (V * np.maximum(w, 0.0)) @ V.T
-                        M = 0.5 * (M + M.T)
-                        # Loaded again, as from the echo, M must pass unchanged.
-                        if np.linalg.eigvalsh(M)[0] < 0.0:
-                            M = M + tol * np.eye(rows)
-                    table[key] = M
-            return found
-
+            for key, M in zip(keys, stack):
+                want = control_dims[key] if strict else state_dim
+                if M.ndim == 2 and M.shape[0] != M.shape[1]:
+                    found[name, key] = [f"{name}[{key}] is not square"]
+                elif M.ndim != 2 or M.shape[0] != want and not strict:
+                    found[name, key] = [f"{name}[{key}] has shape {M.shape}, "
+                                        f"expected ({want}, {want})"]
+                else:
+                    groups.setdefault((strict, len(M)), []).append((name, table, [key], M[None]))
+        for (strict, size), parts in groups.items():
+            S = np.concatenate([stack for *_, stack in parts]) if len(parts) > 1 else parts[0][3]
+            drifts = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+            S = 0.5 * (S + S.transpose(0, 2, 1))
+            lows = np.linalg.eigvalsh(S)[:, 0] if size else np.full(len(S), np.inf)  # ascending
+            flagged = np.flatnonzero((drifts > 1e-9) | (lows <= 0.0 if strict else lows < 0.0))
+            for k in flagged.tolist():
+                name, key = [(name, key) for name, _, keys, _ in parts for key in keys][k]
+                M, drift, lo, problems = S[k], drifts[k], lows[k], []
+                # eigvalsh's rounding: a few dim eps max|M_ij| below 0 is semidefinite.
+                tol = 0.0 if lo >= 0.0 else 4 * size * np.finfo(float).eps * abs(M).max()
+                if drift > 1e-9:
+                    problems.append(f"{name}[{key}] is asymmetric (max drift {drift:.2e})")
+                if lo <= 0.0 if strict else lo < -tol:
+                    kind = "definite" if strict else "semidefinite"
+                    problems.append(f"{name}[{key}] must be positive {kind} "
+                                    f"(min eigenvalue {lo:.2e})")
+                elif lo < 0.0:  # no cost may go negative along this eigenvalue
+                    w, V = np.linalg.eigh(M)
+                    M = (V * np.maximum(w, 0.0)) @ V.T
+                    M = 0.5 * (M + M.T)
+                    # Loaded again, as from the echo, M must pass unchanged.
+                    if np.linalg.eigvalsh(M)[0] < 0.0:
+                        M = M + tol * np.eye(size)
+                    S[k] = M
+                if problems:
+                    found[name, key] = problems
+            rows = iter(S)
+            for _, table, keys, _ in parts:  # zip stops on keys, leaving the next part's rows
+                table.update(zip(keys, rows))
+        problems = []
         for name, table in (("Q", self.Q), ("D", self.D)):
-            found = sym_psd(name, table, list(table), strict=False, dim=state_dim)
-            for edge in found:
+            for edge in table:
                 if tuple(edge) not in topology.edges:
                     problems.append(f"{name} references non-edge {tuple(edge)}")
-                problems += found[edge]
-        found = sym_psd("R", self.R, [i for i in sorted(control_dims) if i in self.R],
-                        strict=True)
+                problems += found.get((name, edge), ())
         for i in sorted(control_dims):
             if i not in self.R:
                 problems.append(f"R missing for agent {i}")
-            else:
-                problems += found[i]
-                want = control_dims[i]
-                if self.R[i].shape != (want, want):
-                    problems.append(f"R[{i}] has shape {self.R[i].shape}, agent has m={want}")
+                continue
+            problems += found.get(("R", i), ())
+            shape, want = np.shape(self.R[i]), control_dims[i]
+            if len(shape) == 2 and shape != (want, want):
+                problems.append(f"R[{i}] has shape {shape}, agent has m={want}")
         for name, table in (("W", self.W), ("E", self.E)):
-            found = sym_psd(name, table, list(table), strict=False, dim=state_dim)
-            for i in found:
+            for i in table:
                 if i not in topology.leader_links:
                     problems.append(f"{name}[{i}] given but agent {i} has no leader link")
-                problems += found[i]
+                problems += found.get((name, i), ())
         for i, d in self.offsets.items():
             if i not in range(topology.n + 1):
                 problems.append(f"offset[{i}] names no agent 1..{topology.n} or leader 0")
-            if np.asarray(d).shape != (state_dim,):
-                problems.append(f"offset[{i}] has shape {np.asarray(d).shape}, "
+            if np.shape(d) != (state_dim,):
+                problems.append(f"offset[{i}] has shape {np.shape(d)}, "
                                 f"expected ({state_dim},)")
         if problems:
             raise ConfigError(problems)
-        self._validated = self._snapshot(topology, state_dim, control_dims)
-
-    def _snapshot(self, topology, state_dim, control_dims):
-        """validate's arguments and every table's entries as (key, type,
-        dtype, shape, bytes)."""
-        tables = []
-        for table in (self.Q, self.R, self.D, self.W, self.E, self.offsets):
-            entries = []
-            for k, value in table.items():
-                arr = np.asarray(value)
-                entries.append((k, type(value), arr.dtype.str, arr.shape, arr.tobytes()))
-            tables.append(tuple(entries))
-        return topology, state_dim, tuple(sorted(control_dims.items())), tuple(tables)
 
 
 @dataclass(frozen=True)

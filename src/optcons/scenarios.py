@@ -335,28 +335,30 @@ def list_presets() -> list[str]:
 
 def load_scenario(source, overrides=None) -> ScenarioSpec:
     """Load and validate a scenario from a path, JSON text, or raw dict;
-    a path that cannot be read, or a source of another type, raises
-    ConfigError."""
-    if isinstance(source, dict):
-        raw = json.loads(json.dumps(source))
-    else:
-        if isinstance(source, os.PathLike) or (isinstance(source, str)
-                                               and os.path.exists(source)):
-            try:
-                with open(source) as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read scenario {os.fspath(source)!r}: {exc}")
-        elif isinstance(source, str):
-            text = source
-        else:
-            raise ConfigError("scenario source must be a dict, JSON text or a path, "
-                              f"got {type(source).__name__}")
+    a path that cannot be read, a dict that JSON cannot encode, or a source
+    of another type, raises ConfigError."""
+    if isinstance(source, dict):  # copied through JSON text, as a file would load
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+            text = json.dumps(source)
+        except (TypeError, ValueError) as exc:  # the message names the type or the cycle
+            raise ConfigError(f"scenario dict is not JSON: {exc}") from None
+    elif isinstance(source, os.PathLike) or (isinstance(source, str)
+                                             and os.path.exists(source)):
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read scenario {os.fspath(source)!r}: {exc}")
+    elif isinstance(source, str):
+        text = source
+    else:
+        raise ConfigError("scenario source must be a dict, JSON text or a path, "
+                          f"got {type(source).__name__}")
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
     apply_overrides(raw, overrides)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, Topology, global_cost, local_cost, scenarios
-from optcons.coordinator import Session
+from optcons import dynamics as dyn
+from optcons.coordinator import MpcConfig, Session
 from optcons.cost import NeighborBundle, local_costs
 from optcons.errors import ConfigError, NumericError
+from optcons.solver import SolverConfig
 
 from conftest import mutual_pair_topology, random_psd, random_spd
 
@@ -152,7 +154,8 @@ def test_validate_rejects_dangling_edge_and_collects_all():
 
 def test_validate_keeps_problem_order_with_one_eigvalsh_per_shape(monkeypatch):
     # Each entry's cross-reference problem comes before its own; the
-    # eigenvalues come from one eigvalsh per table and matrix shape.
+    # eigenvalues come from one eigvalsh per strictness and matrix size,
+    # across tables (Q's and W's semidefinite 2 x 2 weights in one stack).
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -176,13 +179,12 @@ def test_validate_keeps_problem_order_with_one_eigvalsh_per_shape(monkeypatch):
         "W[1] given but agent 1 has no leader link",
         "W[1] must be positive semidefinite (min eigenvalue -1.00e+00)",
     ]
-    assert shapes == [(3, 2, 2), (1, 1, 1), (1, 2, 2), (1, 2, 2)]
+    assert shapes == [(4, 2, 2), (1, 1, 1), (1, 2, 2)]
 
 
 def test_validate_repeats_only_on_changed_tables(monkeypatch):
-    # A passing call is remembered with its arguments and a snapshot of the
-    # symmetrized tables: the same call again runs no check, while new
-    # arguments or a changed entry run the full check.
+    # Every call runs the full check, the same call again included, so new
+    # arguments and a changed entry, replaced or mutated in place, are seen.
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -199,7 +201,7 @@ def test_validate_repeats_only_on_changed_tables(monkeypatch):
     first = len(calls)
     assert first > 0
     spec.validate(top, 2, {1: 1, 2: 1})
-    assert len(calls) == first
+    assert len(calls) == 2 * first
     with pytest.raises(ConfigError, match="R\\[2\\] has shape"):
         spec.validate(top, 2, {1: 1, 2: 2})
     spec.Q[(2, 1)] = 2.0 * np.eye(2)
@@ -208,6 +210,45 @@ def test_validate_repeats_only_on_changed_tables(monkeypatch):
     spec.Q[(2, 1)][0, 0] = -1.0      # mutated in place
     with pytest.raises(ConfigError, match="must be positive semidefinite"):
         spec.validate(top, 2, {1: 1, 2: 1})
+
+
+def test_validate_again_leaves_every_table_bitwise_equal():
+    # A second call, never skipped, passes and changes nothing: Q[(1, 2)]
+    # takes the tiny-asymmetry symmetrization and D[(1, 2)], the exact
+    # rank-1 v v^T whose computed eigenvalue is -3.5e-18, the clip.
+    top = mutual_pair_topology()
+    v = np.array([1.0, 26.0]) / 7.0
+    spec = CostSpec.uniform(top, 2, q=1.0, r=1.0, d=np.outer(v, v))
+    spec.Q[(1, 2)] = np.array([[1.0, 1e-12], [0.0, 1.0]])
+    spec.validate(top, 2, {1: 1, 2: 1})
+    assert spec.Q[(1, 2)][1, 0] == 5e-13
+    assert not np.array_equal(spec.D[(1, 2)], np.outer(v, v))
+
+    def tables():
+        return [(name, key, value.tobytes()) for name in ("Q", "R", "D", "W", "E")
+                for key, value in getattr(spec, name).items()]
+
+    first = tables()
+    spec.validate(top, 2, {1: 1, 2: 1})
+    assert tables() == first
+
+
+@pytest.mark.parametrize("value, shape", [(2.0, ()), (np.ones(2), (2,)),
+                                          (np.ones((2, 2, 2)), (2, 2, 2))])
+@pytest.mark.parametrize("name, key", [("Q", (1, 2)), ("D", (1, 2)), ("R", 1), ("W", 1),
+                                       ("E", 1)])
+def test_session_refuses_a_weight_that_is_not_a_matrix(name, key, value, shape):
+    # The two-agent identity pair (p = m = 2), agent 1 linked to a leader;
+    # the loader makes matrices of scalars, Python callers may not.
+    top = Topology.from_edge_list(2, [[1, 2, 1.0], [2, 1, 1.0]], leader_links=[1])
+    spec = CostSpec.uniform(top, 2, q=1.0, r=1.0, d=1.0, w=1.0, e=1.0,
+                            control_dims={1: 2, 2: 2})
+    getattr(spec, name)[key] = value
+    pair, leader = dyn.linear(np.eye(2), np.eye(2)), dyn.linear(np.eye(2), np.zeros((2, 0)))
+    with pytest.raises(ConfigError) as err:
+        Session(top, {1: pair, 2: pair}, spec, SolverConfig(), MpcConfig(N_p=2, T=1),
+                {1: np.zeros(2), 2: np.ones(2)}, leader_model=leader, leader_x0=np.zeros(2))
+    assert err.value.violations == [f"{name}[{key}] has shape {shape}, expected (2, 2)"]
 
 
 def test_session_rechecks_a_weight_mutated_after_loading():

@@ -90,6 +90,16 @@ def test_load_scenario_rejects_other_source_types(source):
         scenarios.load_scenario(source)
 
 
+def test_load_scenario_refuses_a_dict_that_json_cannot_encode():
+    # The dict is copied through JSON; a numpy array in it names its type.
+    raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
+    raw["initial_states"]["1"] = np.array(raw["initial_states"]["1"])
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_scenario(raw)
+    assert err.value.violations == [
+        "scenario dict is not JSON: Object of type ndarray is not JSON serializable"]
+
+
 def test_leader_section_consistency():
     raw = json.loads(pathlib.Path(scenarios.preset_path("scalar_chain")).read_text())
     raw["leader"] = {"model": {"type": "leader_sine", "A": [[1.0]], "B": [1.0]},
