@@ -46,9 +46,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from . import dynamics as dyn
+from ._lapack import dtbtrs
 from .cost import GroupTerms, local_errors
 from .errors import NumericError
 

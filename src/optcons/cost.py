@@ -150,6 +150,15 @@ class CostSpec:
                     groups.setdefault((strict, len(M)), []).append((name, table, [key], M[None]))
         for (strict, size), parts in groups.items():
             S = np.concatenate([stack for *_, stack in parts]) if len(parts) > 1 else parts[0][3]
+            finite = np.isfinite(S).all(axis=(1, 2))
+            if not finite.all():  # named, and kept out of the pass below and as given
+                entries = [(name, table, key) for name, table, keys, _ in parts for key in keys]
+                for (name, _, key), ok in zip(entries, finite.tolist()):
+                    if not ok:
+                        found[name, key] = [f"{name}[{key}] is not finite"]
+                parts = [(name, table, [key], None)
+                         for (name, table, key), ok in zip(entries, finite.tolist()) if ok]
+                S = S[finite]
             drifts = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
             S = 0.5 * (S + S.transpose(0, 2, 1))
             lows = np.linalg.eigvalsh(S)[:, 0] if size else np.full(len(S), np.inf)  # ascending

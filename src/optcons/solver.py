@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dposv, dpotrf, dpotrs
 
 from . import adjoint, dynamics as dyn
+from ._lapack import dgbtrf, dgbtrs, dposv, dpotrf, dpotrs
 from .cost import CostSpec, GroupTerms, NeighborBundle, local_costs
 from .errors import NumericError, PreconditionError
 
@@ -362,9 +361,11 @@ def contraction_factor(Hmat: np.ndarray, G: np.ndarray) -> float:
         raise PreconditionError("Hessian must be positive definite")
     if np.linalg.eigvalsh(0.5 * (G + G.T)).min() <= 0:
         raise PreconditionError("G must be positive definite")
-    # Generalized symmetric-definite problem G v = w (G+H) v.
-    w = scipy.linalg.eigh(G, G + Hmat, eigvals_only=True)
-    return float(np.max(np.abs(w)))
+    # Generalized symmetric-definite problem G v = w (G+H) v, reduced by
+    # G + H = C C^T to the symmetric C^-1 G C^-T (Golub & Van Loan, 8.7.2).
+    Ci = np.linalg.inv(np.linalg.cholesky(G + Hmat))
+    S = Ci @ G @ Ci.T
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (S + S.T)))))
 
 
 def backtrack_step(cost_fn, u, g, J, eta):

@@ -251,6 +251,43 @@ def test_session_refuses_a_weight_that_is_not_a_matrix(name, key, value, shape):
     assert err.value.violations == [f"{name}[{key}] has shape {shape}, expected (2, 2)"]
 
 
+def test_validate_reports_non_finite_weights_and_keeps_them_as_given():
+    # NaN and +-inf entries are named, not put through the stacked drift,
+    # symmetrization and eigvalsh pass (whose subtraction would warn under
+    # the suite's warnings-as-errors); the finite weights are still checked.
+    top = mutual_pair_topology()
+    spec = CostSpec.uniform(top, p=2, q=1.0, r=1.0, d=1.0)
+    nan_q = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    spec.Q[(1, 2)] = nan_q
+    spec.R[1] = [[np.inf]]
+    spec.D[(2, 1)] = -np.eye(2)
+    with pytest.raises(ConfigError) as err:
+        spec.validate(top, 2, {1: 1, 2: 1})
+    assert err.value.violations == [
+        "Q[(1, 2)] is not finite",
+        "D[(2, 1)] must be positive semidefinite (min eigenvalue -1.00e+00)",
+        "R[1] is not finite",
+    ]
+    assert np.array_equal(spec.Q[(1, 2)], nan_q, equal_nan=True)
+
+
+@pytest.mark.parametrize("name, key", [("Q", (1, 2)), ("D", (2, 1)), ("R", 2), ("W", 1),
+                                       ("E", 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_session_refuses_a_non_finite_weight(name, key, bad):
+    top = Topology.from_edge_list(2, [[1, 2, 1.0], [2, 1, 1.0]], leader_links=[1])
+    spec = CostSpec.uniform(top, 2, q=1.0, r=1.0, d=1.0, w=1.0, e=1.0,
+                            control_dims={1: 2, 2: 2})
+    weight = np.eye(2)
+    weight[1, 0] = bad
+    getattr(spec, name)[key] = weight
+    pair, leader = dyn.linear(np.eye(2), np.eye(2)), dyn.linear(np.eye(2), np.zeros((2, 0)))
+    with pytest.raises(ConfigError) as err:
+        Session(top, {1: pair, 2: pair}, spec, SolverConfig(), MpcConfig(N_p=2, T=1),
+                {1: np.zeros(2), 2: np.ones(2)}, leader_model=leader, leader_x0=np.zeros(2))
+    assert err.value.violations == [f"{name}[{key}] is not finite"]
+
+
 def test_session_rechecks_a_weight_mutated_after_loading():
     spec = scenarios.load_preset("formation")
     spec.cost.Q[min(spec.topology.edges)][0, 0] = -5.0

@@ -430,6 +430,16 @@ def test_contraction_factor_matches_symmetric_eigensolve():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_contraction_factor_matches_scipy_generalized_eigh(n):
+    # Oracle: LAPACK's generalized symmetric-definite eigensolver (dsygvd).
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        H, G = random_spd(rng, n), random_spd(rng, n)
+        want = np.abs(scipy.linalg.eigh(G, G + H, eigvals_only=True)).max()
+        assert contraction_factor(H, G) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_contraction_factor_in_unit_interval():
     rng = np.random.default_rng(12)
     for _ in range(200):
