@@ -299,12 +299,22 @@ def _mv(M, x):
     return (M @ x[..., None])[..., 0]
 
 
-def linear(A, B) -> Model:
-    """x+ = A x + B u."""
+def _square(A) -> np.ndarray:
+    """A as a (p, p) float array; any other shape raises ValueError."""
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A has shape {A.shape}, expected a square matrix")
+    return A
+
+
+def linear(A, B) -> Model:
+    """x+ = A x + B u, with A (p, p) and B (p, m) or, for m = 1, (p,)."""
+    A = _square(A)
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
+    if B.ndim != 2 or B.shape[0] != len(A):
+        raise ValueError(f"B has shape {B.shape}, expected ({len(A)}, m) for A {A.shape}")
     p, m = B.shape
 
     return Model(
@@ -328,13 +338,16 @@ def linear_sine(A, b, amp: float = 0.01, mode: str = "sum") -> Model:
     * ``"diag"``  - b is reinterpreted as diag(b) acting on the state-wise
       sine vector: x+ = A x + diag(b) (u * 1 + amp sin(x))
 
-    The control enters linearly, so only the forcing curves f.
+    The control enters linearly, so only the forcing curves f.  A is
+    (p, p) and b has p entries.
     """
     if mode not in ("sum", "first", "diag"):
         raise ValueError(f"unknown sine mode {mode!r}")
-    A = np.asarray(A, dtype=float)
+    A = _square(A)
     b = np.asarray(b, dtype=float).reshape(-1)
     p = A.shape[0]
+    if b.size != p:
+        raise ValueError(f"b has {b.size} entries, expected {p} for A {A.shape}")
     idx = np.arange(p)
 
     def jac_u(X):

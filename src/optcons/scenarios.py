@@ -180,6 +180,25 @@ def _agent_key(key: str, n: int, where: str, problems: list) -> int | None:
     return i
 
 
+def _finite(value) -> bool:
+    """True when a raw config value (JSON types only) holds no number that
+    ``_non_finite`` would report; one walk that formats nothing."""
+    stack = [value]
+    try:
+        while stack:
+            item = stack.pop()
+            kind = type(item)
+            if kind is dict:
+                stack.extend(item.values())
+            elif kind is list:
+                stack.extend(item)
+            elif (kind is float or kind is int) and not math.isfinite(item):
+                return False
+    except OverflowError:  # an integer beyond any float
+        return False
+    return True
+
+
 def _non_finite(value, where: str, problems: list):
     """Record every non-finite number in a raw config value: JSON 1e400,
     NaN and Infinity parse to inf or nan (and a huge integer has no float),
@@ -364,8 +383,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
     apply_overrides(raw, overrides)
 
     problems: list[str] = []
-    _non_finite(raw, "", problems)
-    if problems:
+    if not _finite(raw):
+        _non_finite(raw, "", problems)
         raise ConfigError(problems)
     _check_keys(raw, _TOP.keys() | {"error_mask", "topology", "models", "leader", "cost",
                                     "solver", "mpc", "horizon", "initial_states"},
@@ -446,17 +465,27 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         for key in models_cfg:
             if key != "default":
                 _agent_key(key, n, "models", problems)
-        # Agents with one resolved model config share a Model: rounds stack them.
-        shared = {}
+        # Agents with one resolved model config share a Model: rounds stack
+        # them.  A config object (every agent on the default is one) is built
+        # and echoed once, unless that reports a problem: then each agent
+        # builds it again, so that its problems carry the agent's prefix.
+        built, shared = {}, {}
         for i in agents:
             cfg = models_cfg.get(str(i), default_cfg)
             if cfg is None:
                 problems.append(f"models: no model for agent {i} and no default")
                 continue
-            model = _build_model(cfg, f"models[{i}]", problems)
-            if model is not None:
-                model_echo[str(i)] = _model_echo(cfg)
-                models[i] = shared.setdefault(json.dumps(model_echo[str(i)]), model)
+            entry = built.get(id(cfg))
+            if entry is None:
+                known = len(problems)
+                model = _build_model(cfg, f"models[{i}]", problems)
+                if model is None:
+                    continue
+                echo = _model_echo(cfg)
+                entry = shared.setdefault(json.dumps(echo), model), echo
+                if len(problems) == known:
+                    built[id(cfg)] = entry
+            models[i], model_echo[str(i)] = entry
 
     # Leader ----------------------------------------------------------------
     leader_cfg = raw.get("leader")

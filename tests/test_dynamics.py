@@ -740,3 +740,23 @@ def test_driven_leaders_equal_old_factories(kind, amp):
         new, old = model.second_order_fn(X, U, k0, Lam), so(X, U, k0, Lam)
         assert new.shape == old.shape and new.flags.c_contiguous
         assert_bits_equal(new, old)
+
+
+@pytest.mark.parametrize("factory, A, B, message", [
+    (dyn.linear, np.eye(2), np.ones((3, 1)), r"B has shape \(3, 1\), expected \(2, m\)"),
+    (dyn.linear, np.ones((2, 3)), np.ones((2, 1)), r"A has shape \(2, 3\), expected a square"),
+    (dyn.linear, np.ones(2), np.ones((2, 1)), r"A has shape \(2,\), expected a square"),
+    (dyn.linear, np.eye(2), 1.0, r"B has shape \(\), expected \(2, m\)"),
+    (dyn.linear_sine, np.eye(2), np.ones(3), "b has 3 entries, expected 2"),
+    (dyn.leader_sine, np.eye(2), np.ones(3), "b has 3 entries, expected 2"),
+    (dyn.leader_sine, np.ones((1, 2, 2)), np.ones(2), r"A has shape \(1, 2, 2\)"),
+])
+def test_linear_factories_refuse_shapes_that_disagree(factory, A, B, message):
+    with pytest.raises(ValueError, match=message):
+        factory(A, B)
+
+
+def test_linear_factories_take_a_column_b_and_no_controls():
+    assert (dyn.linear(np.eye(2), [1.0, 0.0]).control_dim,
+            dyn.linear(np.eye(2), np.zeros((2, 0))).control_dim,
+            dyn.linear_sine(np.eye(2), [[1.0], [0.0]]).state_dim) == (1, 0, 2)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from optcons import cli, scenarios
+from optcons import dynamics as dyn
+from optcons.coordinator import Session
 from optcons.errors import ConfigError
 from optcons.solver import SolverConfig
 
@@ -397,3 +399,143 @@ def test_emitted_config_reloads_to_identical_artifacts(tmp_path, name, overrides
     for field in ("trajectories_csv", "errors_csv", "metrics_json", "config_json"):
         a, b = getattr(first, field), getattr(second, field)
         assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes(), field
+
+
+# -- model configs: one build per config, shapes checked ----------------------
+
+def ring_scenario(models, states=None):
+    """A directed 4-ring of agents with the given ``models`` section."""
+    states = states or [[0, 0], [0, 1], [1, 0], [1, 1]]
+    return {"name": "ring", "topology": {"n": 4, "edges": [[2, 1], [3, 2], [4, 3], [1, 4]]},
+            "models": models, "cost": {"Q": 1, "R": 1}, "mpc": {"N_p": 2, "T": 1},
+            "initial_states": {str(i + 1): x for i, x in enumerate(states)}}
+
+
+EYE = [[1, 0], [0, 1]]
+
+
+def per_agent(message):
+    return [message.format(i=i) for i in range(1, 5)]
+
+
+def with_leader_b(b):
+    raw = json.loads(pathlib.Path(scenarios.preset_path("leader_follower")).read_text())
+    raw["leader"]["model"]["B"] = b
+    return raw
+
+
+# Models whose A and B disagree: each loaded, and `check` passed it, until the
+# factories checked the shapes; `run` then died in numpy.
+MISMATCHED = {
+    "linear A 2x2 B 3x1": (
+        ring_scenario({"default": {"type": "linear", "A": EYE, "B": [[1], [0], [0]]}},
+                      [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]]),
+        per_agent("models[{i}]: bad model parameters "
+                  "(B has shape (3, 1), expected (2, m) for A (2, 2))")),
+    "linear A 2x3": (
+        ring_scenario({"default": {"type": "linear", "A": [[1, 0, 0], [0, 1, 0]],
+                                   "B": [[1], [0]]}}),
+        per_agent("models[{i}]: bad model parameters "
+                  "(A has shape (2, 3), expected a square matrix)")),
+    "linear 1-D A": (
+        ring_scenario({"default": {"type": "linear", "A": [1, 0], "B": [[1], [0]]}}),
+        per_agent("models[{i}]: bad model parameters "
+                  "(A has shape (2,), expected a square matrix)")),
+    "linear_sine sum b of 3": (
+        ring_scenario({"default": {"type": "linear_sine", "A": EYE, "B": [1, 0, 0]}}),
+        per_agent("models[{i}]: bad model parameters "
+                  "(b has 3 entries, expected 2 for A (2, 2))")),
+    "linear_sine diag b of 3": (
+        ring_scenario({"default": {"type": "linear_sine", "A": EYE, "B": [1, 0, 0],
+                                   "mode": "diag"}}),
+        per_agent("models[{i}]: bad model parameters "
+                  "(b has 3 entries, expected 2 for A (2, 2))")),
+    "leader_sine b of 3": (
+        with_leader_b([0.87, -1.8, 1.0]),
+        ["leader.model: bad model parameters (b has 3 entries, expected 2 for A (2, 2))"]),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED)
+def test_mismatched_model_shapes_are_config_errors(case):
+    raw, problems = MISMATCHED[case]
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_scenario(raw)
+    assert err.value.violations == problems
+
+
+@pytest.mark.parametrize("case", MISMATCHED)
+def test_check_refuses_mismatched_model_shapes(case, tmp_path, capsys):
+    raw, problems = MISMATCHED[case]
+    path = tmp_path / "mismatched.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert problems[0] in err and "Traceback" not in err
+
+
+def count_builds(monkeypatch, kind):
+    """Count the calls of the dynamics factory ``kind`` that the loader makes."""
+    calls = []
+    factory = getattr(dyn, kind)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return factory(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, kind, counting)
+    return calls
+
+
+def test_agents_on_the_default_model_share_one_build(monkeypatch):
+    calls = count_builds(monkeypatch, "linear")
+    spec = scenarios.load_scenario(ring_scenario({"default": {"type": "linear", "A": EYE,
+                                                              "B": [[1], [0]]}}))
+    assert len(calls) == 1
+    assert len({id(model) for model in spec.models.values()}) == 1
+    assert [spec.resolved["models"][str(i)] for i in range(2, 5)] == [
+        spec.resolved["models"]["1"]] * 3
+
+
+def test_configs_equal_with_their_defaults_share_one_model(monkeypatch):
+    calls = count_builds(monkeypatch, "linear_sine")
+    short = {"type": "linear_sine", "A": EYE, "B": [1, 0]}
+    spec = scenarios.load_scenario(ring_scenario({
+        "default": short, "2": {**short, "amp": 0.01, "mode": "sum"},
+        "3": {**short, "amp": 0.02}}))
+    assert len(calls) == 3  # the default once, agents 2 and 3 once each
+    assert spec.models[1] is spec.models[2] is spec.models[4]
+    assert spec.models[3] is not spec.models[1]
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
+                      spec.initial_states)
+    assert [agents for _, agents, _ in session.groups] == [[1, 2, 4], [3]]
+
+
+@pytest.mark.parametrize("default, problem", [
+    ({"type": "linear", "A": EYE, "B": [[1], [0]], "x": 1}, "models[{i}]: unknown key 'x'"),
+    ({"type": "linear", "A": EYE, "B": [[1], [0], [0]]},
+     "models[{i}]: bad model parameters (B has shape (3, 1), expected (2, m) for A (2, 2))"),
+    ({"type": "linear", "A": EYE}, "models[{i}]: bad model parameters ('B')"),
+])
+def test_a_bad_shared_default_is_reported_once_per_agent(default, problem):
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_scenario(ring_scenario({"default": default}))
+    assert err.value.violations == per_agent(problem)
+
+
+def test_non_finite_numbers_are_reported_in_document_order():
+    big = "1" + "0" * 399
+    text = ('{"name": "x", "topology": {"n": 2, "edges": [[1, 2, NaN], [2, 1, 1e400]]},'
+            ' "cost": {"Q": {"1-2": [[1, -Infinity], [0, 1]], "default": Infinity},'
+            ' "offsets": {"1": [0, 1e-400]}},'
+            ' "initial_states": {"1": [0, %s], "2": [[Infinity]]}}' % big)
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_scenario(text)
+    assert err.value.violations == [
+        "topology.edges[0][2]: expected a finite number, got nan",
+        "topology.edges[1][2]: expected a finite number, got inf",
+        "cost.Q.1-2[0][1]: expected a finite number, got -inf",
+        "cost.Q.default: expected a finite number, got inf",
+        f"initial_states.1[1]: expected a finite number, got {big}",
+        "initial_states.2[0][0]: expected a finite number, got inf",
+    ]
