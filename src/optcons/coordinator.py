@@ -139,8 +139,23 @@ def edge_errors(table: EdgeTable, states: dict, leader=None) -> tuple[np.ndarray
     nodes = [np.zeros_like(agents[0]) if leader is None else leader] + agents
     Z = np.array(nodes, dtype=float).swapaxes(0, -2) - table.offsets
     dev = Z[..., table.receivers, :] - Z[..., table.senders, :]
-    M = dev if table.mask is None else dev[..., table.mask]
-    return dev, np.sqrt((M[..., None, :] @ M[..., :, None])[..., 0, 0])
+    return dev, _norms(dev if table.mask is None else dev[..., table.mask])
+
+
+def _norms(M: np.ndarray) -> np.ndarray:
+    """The norms of the vectors on M's last axis, each the square root of one
+    dot product."""
+    return np.sqrt((M[..., None, :] @ M[..., :, None])[..., 0, 0])
+
+
+def _non_finite_pairs(pairs, norms) -> list[str]:
+    """The problem of initial deviations whose norms (one per pair) are not
+    finite, or none."""
+    finite = np.isfinite(norms)
+    if finite.all():
+        return []
+    bad = [pair for pair, ok in zip(pairs, finite) if not ok]
+    return [f"initial_states: non-finite deviation norms on pairs {bad}"]
 
 
 def deviations(states: dict, topology: Topology, offsets: dict | None = None,
@@ -268,8 +283,14 @@ def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSp
     autonomous with an x0 of shape (p,), an error mask of distinct integer
     components in 0..p-1 (a bool is not one), ``spec.validate``'s, and, if
     all else passes, finite norms of the ``edge_table`` deviations of the n
-    ``initial_states`` and the leader's x0.  Checks that need p are skipped
-    while it is None; pass a leader and a spec only where they exist."""
+    ``initial_states`` and the leader's x0 (``Session`` passes no states and
+    checks them on the deviations of its first recorded errors).  Checks
+    that need p are skipped while it is None; pass a leader and a spec only
+    where they exist.
+
+    The loader and ``Session`` each run it, on purpose and without a cache:
+    ``Session`` is the public gate that every Python caller passes, and
+    ``optcons check`` must refuse what a run would."""
     problems = [f"agent {i}: model state_dim {model.state_dim} != {p}" for i, model in
                 sorted(models.items()) if p is not None and model.state_dim != p]
     if leader_model is not None and p is not None and (
@@ -302,10 +323,8 @@ def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSp
     if not problems and len(initial_states or ()) == topology.n:
         table = edge_table(topology, p, spec.offsets, leader=leader_x0 is not None)
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(edge_errors(table, initial_states, leader_x0)[1])
-        if not finite.all():
-            bad = [pair for pair, ok in zip(table.pairs, finite) if not ok]
-            problems.append(f"initial_states: non-finite deviation norms on pairs {bad}")
+            problems += _non_finite_pairs(table.pairs,
+                                          edge_errors(table, initial_states, leader_x0)[1])
     return problems
 
 
@@ -348,15 +367,24 @@ class Session:
                               f"got shapes {sorted(shapes)}")
         [(self.p,)] = shapes
         problems = input_problems(topology, {i: models[i] for i in agents}, self.p,
-                                  spec, leader_model, leader_x0, error_mask, initial_states)
+                                  spec, leader_model, leader_x0, error_mask)
         if problems:
             raise ConfigError(problems)
 
         self.x = {i: np.asarray(initial_states[i], dtype=float).copy()
                   for i in range(1, topology.n + 1)}
+        self.xl = None if leader_x0 is None else np.asarray(leader_x0, dtype=float).copy()
         self.order = sorted(self.x)
+        # input_problems' last check, on the deviations that give the first
+        # recorded errors: their norms unmasked must be finite.
         self.error_table = edge_table(topology, self.p, spec.offsets, error_mask,
                                       leader=self.leader_mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev, norms = edge_errors(self.error_table, self.x, self.xl)
+            problems = _non_finite_pairs(self.error_table.pairs,
+                                         norms if error_mask is None else _norms(dev))
+        if problems:
+            raise ConfigError(problems)
         # Every (receiver, sender) pair, in the order the drop stream is
         # drawn: receivers ascending, each one's senders ascending, the
         # leader last.
@@ -364,21 +392,25 @@ class Session:
                       neighbors(topology, i) + [LEADER] * (i in topology.leader_links)]
         self.held = {}  # each pair's last delivered payload
         self.leader_model = leader_model
-        self.xl = None if leader_x0 is None else np.asarray(leader_x0, dtype=float).copy()
         self.t = 0
         self.last_window = None  # the previous window's result, kept to warm-start
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
 
         self.state_hist = {i: [self.x[i].copy()] for i in self.x}
         self.control_hist = {i: [] for i in self.x}
         self.leader_hist = [self.xl.copy()] if self.xl is not None else None
-        self.max_errors = []
+        self.max_errors = [max(norms.tolist(), default=0.0)]
         self.window_costs = []
         self.round_counts = []
         self.window_converged = []
-        self._record_errors()
 
     # -- internal helpers ---------------------------------------------------
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The drop stream, ``np.random.default_rng(seed)``, built at its first
+        draw: a run without drops never builds it, nor imports numpy.random."""
+        return np.random.default_rng(self.seed)
 
     def _record_errors(self):
         _, norms = edge_errors(self.error_table, self.x, self.xl)

@@ -35,6 +35,32 @@ def _as_weight(value, dim: int) -> np.ndarray:
     return arr
 
 
+# eigvalsh's LAPACK routine (dsyevd) scales a matrix whose largest |entry|
+# lies outside [2^-485, 2^485], which rounds its eigenvalues, and sorts them
+# by insertion (keeping equal ones, 0.0 and -0.0, in order) up to 21 of them.
+_UNSCALED = (2.0 ** -485, 2.0 ** 485)
+
+
+def _diagonal_lows(S: np.ndarray) -> np.ndarray | None:
+    """``np.linalg.eigvalsh(S)[:, 0]`` bit for bit, from the diagonals, for a
+    stack S (k, n, n) of finite weights with no nonzero off-diagonal entry,
+    n <= 21 and every nonzero entry's size within ``_UNSCALED``; else None.
+
+    Such a matrix is its own tridiagonal form, split into 1 x 1 blocks, so
+    its eigenvalues are its diagonal entries unchanged, and the smallest
+    comes first from a stable sort, as from eigvalsh's.  Its drift is 0 and
+    symmetrizing it leaves its entries' values as they are."""
+    k, n = S.shape[:2]
+    diag = S.reshape(k, n * n)[:, ::n + 1]
+    nonzero = np.count_nonzero(diag)
+    if not 0 < n <= 21 or np.count_nonzero(S) != nonzero:
+        return None
+    size = abs(diag)
+    if np.count_nonzero((size >= _UNSCALED[0]) & (size <= _UNSCALED[1])) != nonzero:
+        return None
+    return np.sort(diag, axis=1, kind="stable")[:, 0]
+
+
 @dataclass
 class CostSpec:
     """Weight matrices and formation offsets for one scenario.
@@ -159,9 +185,12 @@ class CostSpec:
                 parts = [(name, table, [key], None)
                          for (name, table, key), ok in zip(entries, finite.tolist()) if ok]
                 S = S[finite]
-            drifts = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+            lows = _diagonal_lows(S)
+            drifts = (np.zeros(len(S)) if lows is not None else
+                      np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0))
             S = 0.5 * (S + S.transpose(0, 2, 1))
-            lows = np.linalg.eigvalsh(S)[:, 0] if size else np.full(len(S), np.inf)  # ascending
+            if lows is None:
+                lows = np.linalg.eigvalsh(S)[:, 0] if size else np.full(len(S), np.inf)
             flagged = np.flatnonzero((drifts > 1e-9) | (lows <= 0.0 if strict else lows < 0.0))
             for k in flagged.tolist():
                 name, key = [(name, key) for name, _, keys, _ in parts for key in keys][k]

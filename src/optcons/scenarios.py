@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import islice
@@ -180,23 +181,49 @@ def _agent_key(key: str, n: int, where: str, problems: list) -> int | None:
     return i
 
 
-def _finite(value) -> bool:
-    """True when a raw config value (JSON types only) holds no number that
-    ``_non_finite`` would report; one walk that formats nothing."""
-    stack = [value]
+_FLOAT_MAX = sys.float_info.max
+
+
+class _NotPlain(Exception):
+    """Raised by ``_plain_copy`` on what only json itself copies exactly."""
+
+
+def _not_plain():
+    raise _NotPlain
+
+
+def _plain_copy(item):
+    """A copy of a value made of dicts with ASCII str keys, lists, ASCII
+    strings, finite floats, integers within float range, bools and None;
+    anything else raises _NotPlain."""
+    kind = type(item)
+    if kind is dict:
+        return {(key if type(key) is str and key.isascii() else _not_plain()): _plain_copy(val)
+                for key, val in item.items()}
+    if kind is list:
+        return [_plain_copy(val) for val in item]
+    if (kind is float and item - item == 0.0 or kind is str and item.isascii()
+            or kind is int and -_FLOAT_MAX <= item <= _FLOAT_MAX
+            or item is None or kind is bool):
+        return item
+    raise _NotPlain
+
+
+def _json_copy(value) -> tuple:
+    """(copy, plain): ``json.loads(json.dumps(value))``, and whether it was
+    made by ``_plain_copy``'s one walk, so that it holds no number that
+    ``_non_finite`` would report.
+
+    Anything else goes through json's text, which copies it or raises json's
+    TypeError or ValueError: a tuple, a subclass (np.float64), a key that is
+    not a str (1 becomes "1", and keys that collide keep the first one's
+    place and the last one's value), text that is not ASCII (json joins a
+    surrogate pair), a non-finite number, another type, or a circular
+    reference (which the walk meets as unbounded recursion)."""
     try:
-        while stack:
-            item = stack.pop()
-            kind = type(item)
-            if kind is dict:
-                stack.extend(item.values())
-            elif kind is list:
-                stack.extend(item)
-            elif (kind is float or kind is int) and not math.isfinite(item):
-                return False
-    except OverflowError:  # an integer beyond any float
-        return False
-    return True
+        return _plain_copy(value), True
+    except (_NotPlain, RecursionError):
+        return json.loads(json.dumps(value)), False
 
 
 def _non_finite(value, where: str, problems: list):
@@ -355,37 +382,40 @@ def list_presets() -> list[str]:
 def load_scenario(source, overrides=None) -> ScenarioSpec:
     """Load and validate a scenario from a path, JSON text, or raw dict;
     a path that cannot be read, a dict that JSON cannot encode, or a source
-    of another type, raises ConfigError."""
-    if isinstance(source, dict):  # copied through JSON text, as a file would load
+    of another type, raises ConfigError.  A dict is copied as its JSON text
+    would load, so ``overrides`` never change the caller's."""
+    if isinstance(source, dict):
         try:
-            text = json.dumps(source)
+            raw, plain = _json_copy(source)
         except (TypeError, ValueError) as exc:  # the message names the type or the cycle
             raise ConfigError(f"scenario dict is not JSON: {exc}") from None
-    elif isinstance(source, os.PathLike) or (isinstance(source, str)
-                                             and os.path.exists(source)):
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read scenario {os.fspath(source)!r}: {exc}")
-    elif isinstance(source, str):
-        text = source
     else:
-        raise ConfigError("scenario source must be a dict, JSON text or a path, "
-                          f"got {type(source).__name__}")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        if isinstance(source, os.PathLike) or (isinstance(source, str)
+                                               and os.path.exists(source)):
+            try:
+                with open(source) as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read scenario {os.fspath(source)!r}: {exc}")
+        elif isinstance(source, str):
+            text = source
+        else:
+            raise ConfigError("scenario source must be a dict, JSON text or a path, "
+                              f"got {type(source).__name__}")
+        try:
+            raw, plain = _json_copy(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
     apply_overrides(raw, overrides)
 
     problems: list[str] = []
-    if not _finite(raw):
+    if not plain or overrides:  # a number that may not be finite, or an override's
         _non_finite(raw, "", problems)
-        raise ConfigError(problems)
+        if problems:
+            raise ConfigError(problems)
     _check_keys(raw, _TOP.keys() | {"error_mask", "topology", "models", "leader", "cost",
                                     "solver", "mpc", "horizon", "initial_states"},
                 "scenario", problems)

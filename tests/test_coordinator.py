@@ -200,6 +200,34 @@ def test_session_rejects_malformed_inputs_early(kwargs, match):
         Session(**kwargs())
 
 
+@pytest.mark.parametrize("error_mask", [None, [1]])
+def test_session_forms_its_initial_deviations_once(monkeypatch, error_mask):
+    # The check that the initial deviation norms are finite and the first
+    # recorded error read one edge table and one edge_errors call: with a
+    # mask, the unmasked norms come from the same deviations.
+    calls = []
+    for name in ("edge_table", "edge_errors"):
+        real = getattr(coordinator, name)
+        monkeypatch.setattr(coordinator, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    session = Session(**chain_kwargs(error_mask=error_mask))
+    assert calls == ["edge_table", "edge_errors"]
+    monkeypatch.undo()
+    assert session.max_errors == [consensus_error(session.x, session.topology,
+                                                  session.spec.offsets, error_mask,
+                                                  leader_state=session.xl)[1]]
+    # A gap that overflows off the mask is refused as without one, and
+    # after every other problem only.
+    states = {1: [0.0, 0.0], 2: [1e200, 0.0], 3: [0.0, 0.0], 4: [0.0, 0.0]}
+    with pytest.raises(ConfigError) as err:
+        Session(**chain_kwargs(error_mask=error_mask, initial_states=states))
+    assert err.value.violations == [
+        "initial_states: non-finite deviation norms on pairs ['2-1', '3-2']"]
+    with pytest.raises(ConfigError) as err:
+        Session(**chain_kwargs(error_mask=[5], initial_states=states))
+    assert err.value.violations == ["error_mask: components [5] out of range 0..1"]
+
+
 def test_leader_follower_requires_spanning_tree():
     # agent 4 unreachable from the leader
     top = Topology.from_edge_list(4, [[2, 1, 1.0], [3, 2, 1.0]], leader_links=[1])
@@ -347,6 +375,34 @@ def test_exchange_lists_each_agents_senders_once(monkeypatch):
             delivered.add(pair)
     assert replayed
     assert stale_deliveries(rounds) == replayed
+
+
+def test_drops_draw_the_seed_stream_built_at_the_first_exchange():
+    # A session builds its generator at its first draw, not with the
+    # session, and drops exactly the links that np.random.default_rng(seed)
+    # drops, drawn one number per pair of ``links`` each round; a run
+    # without drops never builds one.
+    spec = scenarios.load_preset("leader_follower", overrides=[
+        "mpc.T=3", "mpc.drop_probability=0.4", "seed=5"])
+    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
+                      spec.mpc, spec.initial_states,
+                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
+                      seed=spec.seed)
+    assert "rng" not in vars(session)
+    rounds = watch_exchange(session)
+    session.run()
+    fresh, delivered, replayed = np.random.default_rng(5), set(), []
+    for r in range(len(rounds)):
+        for pair, x in zip(session.links, fresh.random(len(session.links))):
+            if x < 0.4 and pair in delivered:
+                replayed.append((r, *pair))
+            delivered.add(pair)
+    assert replayed
+    assert stale_deliveries(rounds) == replayed
+    assert session.rng.bit_generator.state == fresh.bit_generator.state
+    spec, quiet = preset_session("leader_follower", ["mpc.T=2"])
+    quiet.run()
+    assert "rng" not in vars(quiet)
 
 
 def preset_session(name, overrides=(), models=None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optcons import CostSpec, Topology, global_cost, local_cost, scenarios
+from optcons import CostSpec, Topology, cost, global_cost, local_cost, scenarios
 from optcons import dynamics as dyn
 from optcons.coordinator import MpcConfig, Session
 from optcons.cost import NeighborBundle, local_costs
@@ -179,7 +179,7 @@ def test_validate_keeps_problem_order_with_one_eigvalsh_per_shape(monkeypatch):
         "W[1] given but agent 1 has no leader link",
         "W[1] must be positive semidefinite (min eigenvalue -1.00e+00)",
     ]
-    assert shapes == [(4, 2, 2), (1, 1, 1), (1, 2, 2)]
+    assert shapes == [(4, 2, 2)]  # R's diagonal stacks are read from their diagonals
 
 
 def test_validate_repeats_only_on_changed_tables(monkeypatch):
@@ -399,3 +399,85 @@ def test_matrix_weights_and_their_shapes():
     with pytest.raises(ConfigError) as err:
         spec.validate(top, 2, {1: 1, 2: 1})
     assert err.value.violations == ["Q[(2, 1)] is not square"]
+
+
+# Diagonal entries that the diagonal rule must read as eigvalsh does: signed
+# zeros, negatives within (-1e-17) and beyond the semidefinite tolerance,
+# sizes at and beyond the bounds where LAPACK scales a matrix (2^-485 and
+# 2^485) and so rounds its eigenvalues.
+DIAGONAL_ENTRIES = [0.0, -0.0, 1.0, 2.0, -1e-17, -1e-3, -1.0, 1e-160, -3e-161, 2.0**-485,
+                    -2.0**-485, 2.0**485, 3e300, -1e-300, 5e-324]
+
+
+def test_diagonal_lows_equal_eigvalsh_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 21, 22):
+        S = np.zeros((400, n, n))
+        S[:, range(n), range(n)] = rng.choice(DIAGONAL_ENTRIES, size=(400, n))
+        S[:200, range(n), range(n)] *= rng.choice([1.0, 1e-9], size=(200, 1))
+        lows = cost._diagonal_lows(S)
+        if lows is not None:
+            assert lows.tobytes() == np.linalg.eigvalsh(S)[:, 0].tobytes()
+        for k in range(0, 400, 7):  # each matrix as a stack of one
+            lows = cost._diagonal_lows(S[k:k + 1])
+            if lows is not None:
+                assert lows.tobytes() == np.linalg.eigvalsh(S[k:k + 1])[:, 0].tobytes()
+    # The rule reads 1 x 1 to 21 x 21 diagonals whose nonzero entries' sizes
+    # lie within the bounds, the first of equal smallest entries, 0.0 or
+    # -0.0, first; it declines a cross term, any nonzero size beyond the
+    # bounds and n = 22, whose sort need not keep 0.0 and -0.0 in order.
+    assert cost._diagonal_lows(np.diag([-0.0, 0.0, 2.0])[None]).tobytes() == \
+        np.array([-0.0]).tobytes()
+    assert cost._diagonal_lows(np.diag([0.0] * 20 + [-0.0])[None]).tobytes() == \
+        np.array([0.0]).tobytes()
+    assert cost._diagonal_lows(np.diag([2.0**-485, -2.0**485])[None]).tolist() == [-2.0**485]
+    assert cost._diagonal_lows(np.array([[[1.0, 1e-300], [1e-300, 1.0]]])) is None
+    assert cost._diagonal_lows(np.diag([1e-160, 1.0])[None]) is None
+    assert cost._diagonal_lows(np.diag([1e300, 1.0])[None]) is None
+    assert cost._diagonal_lows(np.eye(22)[None]) is None
+
+
+def validated(spec, top, p, control_dims):
+    try:
+        spec.validate(top, p, control_dims)
+    except ConfigError as exc:
+        problems = exc.violations
+    else:
+        problems = None
+    return problems, [(name, key, value.tobytes()) for name in ("Q", "R", "D", "W", "E")
+                      for key, value in getattr(spec, name).items()]
+
+
+def leader_pair_spec(p, m, weights):
+    top = Topology.from_edge_list(2, [[1, 2, 1.0], [2, 1, 1.0]], leader_links=[1])
+    spec = CostSpec.uniform(top, p, q=1.0, r=1.0, d=0.0, w=2.0, e=0.0,
+                            control_dims={1: m, 2: m})
+    for (name, key), value in weights.items():
+        getattr(spec, name)[key] = np.array(value, dtype=float)
+    return top, spec
+
+
+@pytest.mark.parametrize("p, m, weights", [
+    (2, 1, {("Q", (1, 2)): np.diag([-0.0, 1.0]), ("D", (2, 1)): np.diag([0.0, -0.0]),
+            ("R", 1): [[-0.0]], ("R", 2): [[0.0]]}),
+    (2, 1, {("Q", (1, 2)): [[1.0, -0.0], [0.0, 2.0]], ("W", 1): [[-0.0, 0.0], [-0.0, 0.0]]}),
+    (2, 1, {("Q", (1, 2)): np.diag([1.0, -1e-17]), ("E", 1): np.diag([-1e-17, 0.0]),
+            ("D", (1, 2)): np.diag([-1e-3, 1.0])}),
+    (2, 1, {("R", 1): [[-1.0]], ("R", 2): [[1e-17]], ("Q", (2, 1)): np.diag([-1.0, -2.0])}),
+    (2, 2, {("R", 1): np.diag([1.0, 0.0]), ("R", 2): np.diag([-0.0, 0.0])}),
+    (2, 2, {("R", 1): np.diag([1.0, -0.0]), ("R", 2): [[2.0, 1.0], [1.0, 2.0]]}),
+    (2, 1, {("Q", (1, 2)): np.diag([1.0, -1e-17]), ("Q", (2, 1)): [[1.0, 0.5], [0.5, 1.0]],
+            ("D", (2, 1)): np.diag([-0.0, -1e-3])}),
+    (2, 1, {("Q", (1, 2)): np.diag([1e-160, -3e-176]), ("D", (1, 2)): np.diag([3e300, -1e-300]),
+            ("R", 1): [[1e-200]]}),
+    (3, 1, {("Q", (1, 2)): np.diag([1.0, 0.0, -1e-17]), ("W", 1): np.diag([-0.0, 1.0, -5.0])}),
+])
+def test_diagonal_rule_validates_as_eigvalsh_does(monkeypatch, p, m, weights):
+    # The same problems, in the same order, and bitwise the same tables,
+    # with diagonal stacks read from their diagonals and with every stack
+    # put through the drift, symmetrization and eigvalsh pass.
+    top, spec = leader_pair_spec(p, m, weights)
+    fast = validated(spec, top, p, {1: m, 2: m})
+    top, spec = leader_pair_spec(p, m, weights)
+    monkeypatch.setattr(cost, "_diagonal_lows", lambda S: None)
+    assert validated(spec, top, p, {1: m, 2: m}) == fast
