@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import adjoint, scenarios
-from .coordinator import MpcConfig, Session, run_algorithm1
+from .coordinator import run_algorithm1
 from .errors import ConfigError, NumericError, PreconditionError
 
 
@@ -58,16 +58,13 @@ def _cmd_check(args) -> int:
 
 
 def _window_problem(spec: scenarios.ScenarioSpec, agent: int, step: int):
-    """Agent's (LocalProblem, window) at MPC step `step`, from
-    ``Session.local_problems`` (a finite-horizon scenario has only step 0)."""
+    """Agent's (LocalProblem, window) at MPC step `step`, from its session's
+    ``local_problems`` (a finite-horizon scenario has only step 0)."""
     if step < 0:
         raise ConfigError(f"--t must be >= 0, got {step}")
     if spec.mpc is None and step != 0:
         raise ConfigError("finite-horizon scenarios only support --t 0")
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc or MpcConfig(N_p=spec.horizon, T=1), spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                      seed=spec.seed, error_mask=spec.error_mask)
+    session = scenarios.new_session(spec)
     for _ in range(step):
         session.step()
     return session.local_problems()[agent]

@@ -148,14 +148,21 @@ def _norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt((M[..., None, :] @ M[..., :, None])[..., 0, 0])
 
 
-def _non_finite_pairs(pairs, norms) -> list[str]:
-    """The problem of initial deviations whose norms (one per pair) are not
-    finite, or none."""
-    finite = np.isfinite(norms)
+def initial_deviations(topology: Topology, p: int, offsets: dict, states: dict,
+                       leader_x0=None, error_mask=None) -> tuple:
+    """(table, norms, problems): the ``edge_table`` of a run's first recorded
+    errors (leader links with a ``leader_x0``), the masked norms of the
+    deviations of the n ``states`` and the leader's x0, and the problem of
+    pairs whose norms unmasked are not finite, or none.  The loader and
+    ``Session`` both run it once ``input_problems`` passes."""
+    table = edge_table(topology, p, offsets, error_mask, leader=leader_x0 is not None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev, norms = edge_errors(table, states, leader_x0)
+        finite = np.isfinite(norms if error_mask is None else _norms(dev))
     if finite.all():
-        return []
-    bad = [pair for pair, ok in zip(pairs, finite) if not ok]
-    return [f"initial_states: non-finite deviation norms on pairs {bad}"]
+        return table, norms, []
+    bad = [pair for pair, ok in zip(table.pairs, finite) if not ok]
+    return table, norms, [f"initial_states: non-finite deviation norms on pairs {bad}"]
 
 
 def deviations(states: dict, topology: Topology, offsets: dict | None = None,
@@ -276,17 +283,14 @@ def solve_local(problem: LocalProblem, u0, cfg: SolverConfig) -> SolveResult:
 
 
 def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSpec | None,
-                   leader_model=None, leader_x0=None, error_mask=None,
-                   initial_states=None) -> list[str]:
+                   leader_model=None, leader_x0=None, error_mask=None) -> list[str]:
     """The problems that span a run's inputs, for ``Session`` and the loader:
     the agents' ``models`` and the leader of state dimension p, the leader
     autonomous with an x0 of shape (p,), an error mask of distinct integer
-    components in 0..p-1 (a bool is not one), ``spec.validate``'s, and, if
-    all else passes, finite norms of the ``edge_table`` deviations of the n
-    ``initial_states`` and the leader's x0 (``Session`` passes no states and
-    checks them on the deviations of its first recorded errors).  Checks
-    that need p are skipped while it is None; pass a leader and a spec only
-    where they exist.
+    components in 0..p-1 (a bool is not one) and ``spec.validate``'s; where
+    none is found, both go on to ``initial_deviations``.  Checks that need p
+    are skipped while it is None; pass a leader and a spec only where they
+    exist.
 
     The loader and ``Session`` each run it, on purpose and without a cache:
     ``Session`` is the public gate that every Python caller passes, and
@@ -320,18 +324,13 @@ def input_problems(topology: Topology, models: dict, p: int | None, spec: CostSp
         spec.validate(topology, p, {i: m.control_dim for i, m in models.items()})
     except ConfigError as exc:
         problems += exc.violations
-    if not problems and len(initial_states or ()) == topology.n:
-        table = edge_table(topology, p, spec.offsets, leader=leader_x0 is not None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            problems += _non_finite_pairs(table.pairs,
-                                          edge_errors(table, initial_states, leader_x0)[1])
     return problems
 
 
 class Session:
     """Round loop over a shared topology: receding-horizon steps through
     step()/run(), or one finite-horizon window through run_algorithm1.  The
-    loader's checks are its own: the graph assumption and ``input_problems``.
+    loader's checks are its own: the graph's, ``input_problems``, ``initial_deviations``.
 
     Each round rolls out and solves the agents in ``order`` (the sorted
     agent indices), stacked by model group; since every update reads only
@@ -375,14 +374,8 @@ class Session:
                   for i in range(1, topology.n + 1)}
         self.xl = None if leader_x0 is None else np.asarray(leader_x0, dtype=float).copy()
         self.order = sorted(self.x)
-        # input_problems' last check, on the deviations that give the first
-        # recorded errors: their norms unmasked must be finite.
-        self.error_table = edge_table(topology, self.p, spec.offsets, error_mask,
-                                      leader=self.leader_mode)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dev, norms = edge_errors(self.error_table, self.x, self.xl)
-            problems = _non_finite_pairs(self.error_table.pairs,
-                                         norms if error_mask is None else _norms(dev))
+        self.error_table, norms, problems = initial_deviations(
+            topology, self.p, spec.offsets, self.x, self.xl, error_mask)
         if problems:
             raise ConfigError(problems)
         # Every (receiver, sender) pair, in the order the drop stream is

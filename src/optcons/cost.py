@@ -159,7 +159,7 @@ class CostSpec:
             try:
                 stack = np.array([table[key] for key in keys], dtype=float)
             except ValueError:  # entries of different shapes: converted one by one
-                stack = [np.asarray(table[key], dtype=float) for key in keys]
+                stack = [np.array(table[key], dtype=float) for key in keys]
             else:
                 size = stack.shape[-1]
                 if stack.shape[1:] == (size, size) and (strict or size == state_dim):
@@ -188,7 +188,8 @@ class CostSpec:
             lows = _diagonal_lows(S)
             drifts = (np.zeros(len(S)) if lows is not None else
                       np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0))
-            S = 0.5 * (S + S.transpose(0, 2, 1))
+            skew = drifts > 0.0  # the rest keep their bits: 2 S would overflow above 9e307
+            S[skew] = 0.5 * (S[skew] + S[skew].transpose(0, 2, 1))
             if lows is None:
                 lows = np.linalg.eigvalsh(S)[:, 0] if size else np.full(len(S), np.inf)
             flagged = np.flatnonzero((drifts > 1e-9) | (lows <= 0.0 if strict else lows < 0.0))

@@ -6,7 +6,7 @@ examples).  Weight entries accept a scalar-times-identity shorthand
 everywhere, or a table keyed by edge ``"i-j"`` / agent ``"i"`` with an
 optional ``"default"``.  Validation gathers every violation before
 failing, and unknown keys are rejected rather than ignored; the checks that
-span sections are ``Session``'s (``coordinator.input_problems``, the graph's).
+span sections are ``Session``'s (``coordinator``'s input checks, the graph's).
 
 Runs are deterministic; the seed feeds only the message-drop stream.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .coordinator import (FiniteHorizonResult, MpcConfig, Session, edge_errors,
-                          edge_table, input_problems, run_algorithm1)
+                          edge_table, initial_deviations, input_problems)
 from .cost import CostSpec
 from .errors import ConfigError, PreconditionError
 from .graph import Topology, require_spanning_tree, require_strongly_connected
@@ -354,7 +354,7 @@ def apply_overrides(raw: dict, assignments) -> dict:
         path, _, text = item.partition("=")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long for int()
             value = text
         node = raw
         parts = path.split(".")
@@ -407,6 +407,8 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except ValueError as exc:  # an integer too long for int(), without a position
+            raise ConfigError(f"parse error: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
     apply_overrides(raw, overrides)
@@ -605,9 +607,13 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
         problems.append(f"error_mask: expected a list of component indices, "
                         f"got {error_mask!r}")
 
-    # Session's checks (cost: only with whole weight tables; graph: only with all n states).
-    problems += input_problems(topology, models, p, cost if tables_ok else None,
-                               leader_model, leader_x0, mask, initial_states)
+    # Session's checks (cost: with whole weight tables; deviations, graph: with all n states).
+    shared = input_problems(topology, models, p, cost if tables_ok else None,
+                            leader_model, leader_x0, mask)
+    if not shared and tables_ok and len(initial_states) == n:
+        shared = initial_deviations(topology, p, cost.offsets, initial_states,
+                                    leader_x0, mask)[2]
+    problems += shared
     if len(initial_states) == n:
         try:
             (require_spanning_tree if topology.leader_links
@@ -664,17 +670,18 @@ def load_preset(name: str, overrides=None) -> ScenarioSpec:
 # Execution and artifacts
 # ---------------------------------------------------------------------------
 
+def new_session(spec: ScenarioSpec) -> Session:
+    """The spec's ``Session``; a finite-horizon spec's has one window of its horizon."""
+    return Session(spec.topology, spec.models, spec.cost, spec.solver,
+                   spec.mpc or MpcConfig(N_p=spec.horizon, T=1), spec.initial_states,
+                   leader_model=spec.leader_model, leader_x0=spec.leader_x0,
+                   seed=spec.seed, error_mask=spec.error_mask)
+
+
 def run_scenario(spec: ScenarioSpec):
-    """Run the scenario; returns RunResult (MPC) or FiniteHorizonResult."""
-    if spec.mpc is not None:
-        return Session(spec.topology, spec.models, spec.cost, spec.solver,
-                       spec.mpc, spec.initial_states,
-                       leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                       seed=spec.seed, error_mask=spec.error_mask).run()
-    return run_algorithm1(
-        spec.topology, spec.models, spec.cost, spec.solver, spec.horizon,
-        spec.initial_states, leader_model=spec.leader_model,
-        leader_x0=spec.leader_x0)
+    """Run the scenario; returns RunResult (MPC) or FiniteHorizonResult (one-shot)."""
+    session = new_session(spec)
+    return session.run() if spec.mpc is not None else session._solve_window(one_shot=True)
 
 
 def steps_to_threshold(max_errors: np.ndarray, threshold: float) -> int | None:

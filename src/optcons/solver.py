@@ -322,15 +322,14 @@ def banded_direction(g: np.ndarray, blocks: np.ndarray, jac, c: float, r: int,
     of the windows u - d are predicted to first order as the rollouts
     minus [0; x] (``adjoint.newton_rollout`` starts there).  A row is left
     to the dense path, its d and x zero, when its ``banded_certificate``
-    fails, its gradient is not finite or dgbtrf finds a zero pivot in it;
-    so a row's outcome, like its d and x, equals its stack of one's bit for
-    bit.  The windows' (A, B) are finite and their blocks symmetric, as
-    ``dyn.linearize`` and ``dyn.second_order_action`` ensure.
+    fails or dgbtrf finds a zero pivot in it; so a row's outcome, like its d
+    and x, equals its stack of one's bit for bit.  The gradients, as the
+    caller ``_round_update`` ensures, and the windows' (A, B) are finite and
+    their blocks symmetric, as ``dyn.linearize`` and ``dyn.second_order_action`` do.
     """
     A, B = jac
     K, H, p, m = B.shape
-    ok = np.isfinite(g).all(axis=1)
-    ok[ok] = banded_certificate(blocks if ok.all() else blocks[ok], m, REG_FLOOR)
+    ok = banded_certificate(blocks, m, REG_FLOOR)
     while ok.any():
         rows = slice(None) if ok.all() else np.flatnonzero(ok)  # no copies if all are in
         band, kl, u, xs = adjoint.kkt_band(blocks[rows], (A[rows], B[rows]), c)

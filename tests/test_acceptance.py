@@ -307,11 +307,7 @@ def test_criterion_9_scheduling_independence(tmp_path):
     blobs = {}
     for reverse in (False, True):
         # The same run with the agents solved in reverse order.
-        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                          spec.mpc, spec.initial_states,
-                          leader_model=spec.leader_model,
-                          leader_x0=spec.leader_x0, seed=spec.seed,
-                          error_mask=spec.error_mask)
+        session = scenarios.new_session(spec)
         if reverse:
             session.order.reverse()
         arts = scenarios.emit_results(session.run(), spec,

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from optcons import scenarios
-from optcons.coordinator import Session
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -34,9 +33,7 @@ def test_traced_session_step_calls_every_published_span(monkeypatch):
     spec = scenarios.load_preset("leader_follower")
     tracer = tracer_mod.Tracer()
     with tracer.installed():
-        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                          spec.mpc, spec.initial_states,
-                          leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+        session = scenarios.new_session(spec)
         summary = session.step()
     assert summary["rounds"] > 1
     calls = {span: tracer.stats[span][0] for span in tracer_mod.PUBLISHED_SPANS}
@@ -84,10 +81,7 @@ def test_traced_exchange_counts_stale_deliveries(monkeypatch):
                                  ["mpc.drop_probability=0.3", "mpc.T=3"])
     tracer = tracer_mod.Tracer()
     with tracer.installed():
-        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                          spec.mpc, spec.initial_states,
-                          leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                          seed=spec.seed)
+        session = scenarios.new_session(spec)
         result = session.run()
     rounds = int(result.rounds.sum())
     assert tracer.stats["coordinator.exchange"][0] == rounds

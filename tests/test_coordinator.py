@@ -284,10 +284,7 @@ def test_scheduling_independence_bitwise():
     spec = scenarios.load_preset("leader_follower", overrides=["mpc.T=8"])
     runs = {}
     for reverse in (False, True):
-        session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                          spec.mpc, spec.initial_states,
-                          leader_model=spec.leader_model,
-                          leader_x0=spec.leader_x0, seed=spec.seed)
+        session = scenarios.new_session(spec)
         if reverse:
             session.order.reverse()
         runs[reverse] = session.run()
@@ -331,9 +328,7 @@ def stale_deliveries(rounds):
 
 def test_protocol_locality_instrumented():
     spec = scenarios.load_preset("leader_follower", overrides=["mpc.T=3"])
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc, spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    session = scenarios.new_session(spec)
     rounds = watch_exchange(session)
     session.run()
     allowed = set(spec.topology.edges) | {(i, 0) for i in spec.topology.leader_links}
@@ -353,10 +348,7 @@ def test_exchange_lists_each_agents_senders_once(monkeypatch):
                         lambda topology, i: calls.append(i) or real(topology, i))
     spec = scenarios.load_preset("leader_follower",
                                  overrides=["mpc.T=3", "mpc.drop_probability=0.3"])
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc, spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                      seed=spec.seed)
+    session = scenarios.new_session(spec)
     rounds = watch_exchange(session)
     session.run()
     assert calls == [1, 2, 3, 4]
@@ -384,10 +376,7 @@ def test_drops_draw_the_seed_stream_built_at_the_first_exchange():
     # without drops never builds one.
     spec = scenarios.load_preset("leader_follower", overrides=[
         "mpc.T=3", "mpc.drop_probability=0.4", "seed=5"])
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc, spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                      seed=spec.seed)
+    session = scenarios.new_session(spec)
     assert "rng" not in vars(session)
     rounds = watch_exchange(session)
     session.run()
@@ -407,9 +396,7 @@ def test_drops_draw_the_seed_stream_built_at_the_first_exchange():
 
 def preset_session(name, overrides=(), models=None):
     spec = scenarios.load_preset(name, overrides=list(overrides))
-    return spec, Session(spec.topology, models or spec.models, spec.cost, spec.solver,
-                         spec.mpc, spec.initial_states,
-                         leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    return spec, scenarios.new_session(replace(spec, models=models) if models else spec)
 
 
 def leader_follower_session(overrides=()):
@@ -800,10 +787,7 @@ def test_message_drops_deterministic_and_stale_reuse():
                                  overrides=["mpc.T=6", "mpc.drop_probability=0.4"])
 
     def run(seed):
-        s = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                    spec.mpc, spec.initial_states,
-                    leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                    seed=seed)
+        s = scenarios.new_session(replace(spec, seed=seed))
         rounds = watch_exchange(s)
         return s.run(), stale_deliveries(rounds)
 
@@ -829,10 +813,7 @@ def test_drop_probability_zero_ignores_seed():
 def test_delivered_payloads_are_read_only_copies():
     spec = scenarios.load_preset("leader_follower",
                                  overrides=["mpc.T=3", "mpc.drop_probability=0.3"])
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc, spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0,
-                      seed=spec.seed)
+    session = scenarios.new_session(spec)
     rounds = watch_exchange(session)
     session.run()
     assert stale_deliveries(rounds)
@@ -887,10 +868,7 @@ def run_grouped(spec, models, out_dir):
     """Run spec's MPC session on ``models`` and write its artifacts; returns
     the session, the result and the stale deliveries it saw (payloads that
     differ from the sender's trajectory of that round)."""
-    session = Session(spec.topology, models, spec.cost, spec.solver, spec.mpc,
-                      spec.initial_states, leader_model=spec.leader_model,
-                      leader_x0=spec.leader_x0, seed=spec.seed,
-                      error_mask=spec.error_mask)
+    session = scenarios.new_session(replace(spec, models=models))
     exchange, stale = session._exchange, []
 
     def counted(trajs, leader_traj, r):
@@ -976,9 +954,7 @@ def count_direction_calls(monkeypatch, models):
             return _fn(*args)
         monkeypatch.setattr(coordinator, name, counted)
     spec = scenarios.load_preset("leader_follower")
-    session = Session(spec.topology, models(spec.models), spec.cost, spec.solver,
-                      spec.mpc, spec.initial_states, leader_model=spec.leader_model,
-                      leader_x0=spec.leader_x0)
+    session = scenarios.new_session(replace(spec, models=models(spec.models)))
     return session.step()["rounds"], calls["ocp_direction"], calls["regularize"]
 
 
@@ -1000,9 +976,7 @@ def test_numeric_failure_names_the_agent_and_round(monkeypatch):
     # its middle row (agent 2) fails in the first round.
     spec = scenarios.load_preset("leader_follower", overrides=[
         "mpc.T=2", f"models.4={json.dumps(MIXED_DIAG)}"])
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
-                      spec.initial_states, leader_model=spec.leader_model,
-                      leader_x0=spec.leader_x0)
+    session = scenarios.new_session(spec)
     assert [agents for _, agents, _ in session.groups] == [[1, 2, 3], [4]]
     calls = []
 
@@ -1031,9 +1005,7 @@ def test_stepped_states_are_stage_one_of_the_final_rollouts(name, overrides):
     # At N_p=64 the rounds r >= 1 roll out by Newton, the window's last
     # rollout included, and stage 1 is still the stage loop's bit for bit.
     spec = scenarios.load_preset(name, overrides=overrides)
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver,
-                      spec.mpc or MpcConfig(N_p=4, T=3), spec.initial_states,
-                      leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    session = scenarios.new_session(spec if spec.mpc else replace(spec, horizon=4))
     for _ in range(3):
         session.step()
         window = session.last_window

@@ -292,9 +292,7 @@ def test_session_rechecks_a_weight_mutated_after_loading():
     spec = scenarios.load_preset("formation")
     spec.cost.Q[min(spec.topology.edges)][0, 0] = -5.0
     with pytest.raises(ConfigError, match="must be positive semidefinite"):
-        Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
-                spec.initial_states, leader_model=spec.leader_model,
-                leader_x0=spec.leader_x0)
+        scenarios.new_session(spec)
 
 
 def test_tiny_symmetrization_applied_silently():
@@ -304,6 +302,23 @@ def test_tiny_symmetrization_applied_silently():
     spec = CostSpec(Q={(1, 2): nearly}, R={1: np.eye(1), 2: np.eye(1)})
     spec.validate(top, 2, {1: 1, 2: 1})
     np.testing.assert_array_equal(spec.Q[(1, 2)], spec.Q[(1, 2)].T)
+
+
+def test_validate_symmetrizes_only_the_weights_that_drift():
+    # An exactly symmetric weight keeps its bits, however large: 0.5 (S + S^T)
+    # would turn 1e308 into inf.  R's entries differ in shape, so each is
+    # converted on its own; the nearly symmetric one is stored symmetrized
+    # while the caller's array keeps its bits.
+    top = mutual_pair_topology()
+    nearly = np.eye(2)
+    nearly[0, 1] = 1e-12
+    spec = CostSpec(Q={(1, 2): 1e308 * np.eye(2)}, R={1: np.array([[1e308]]), 2: nearly})
+    for _ in range(2):
+        spec.validate(top, 2, {1: 1, 2: 2})
+        assert spec.R[1].tolist() == [[1e308]]
+        assert spec.Q[(1, 2)].tolist() == [[1e308, 0.0], [0.0, 1e308]]
+        assert spec.R[2].tolist() == [[1.0, 5e-13], [5e-13, 1.0]]
+    assert nearly.tolist() == [[1.0, 1e-12], [0.0, 1.0]]
 
 
 def test_semidefinite_form_rounding_below_zero_reads_zero():
@@ -379,9 +394,7 @@ def test_validate_rejects_offset_keys_that_name_no_node():
     spec.cost.offsets[9] = np.zeros(3)
     spec.cost.offsets[-1] = np.zeros(3)
     with pytest.raises(ConfigError) as err:
-        Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
-                spec.initial_states, leader_model=spec.leader_model,
-                leader_x0=spec.leader_x0)
+        scenarios.new_session(spec)
     assert err.value.violations == ["offset[9] names no agent 1..4 or leader 0",
                                     "offset[-1] names no agent 1..4 or leader 0"]
 

@@ -19,12 +19,9 @@ import sys
 {before}
 import optcons
 from optcons import scenarios
-from optcons.coordinator import Session
 
 spec = scenarios.load_preset("leader_follower")
-session = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
-                  spec.initial_states, leader_model=spec.leader_model,
-                  leader_x0=spec.leader_x0, seed=spec.seed, error_mask=spec.error_mask)
+session = scenarios.new_session(spec)
 session.step()
 scenarios.emit_results(session.result(), spec, sys.argv[1])
 print("scipy.linalg" in sys.modules, "numpy.random" in sys.modules)

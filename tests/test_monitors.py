@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, Topology, scenarios
-from optcons.coordinator import Session, consensus_error, deviations
+from optcons.coordinator import consensus_error, deviations
 from optcons.cost import NeighborBundle, local_costs, local_errors, global_cost
 from optcons.graph import LEADER, neighbors
 
@@ -243,9 +243,7 @@ def test_global_cost_needs_the_leader_trajectory():
 
 def test_step_window_costs_equal_per_term_loop():
     spec = scenarios.load_preset("leader_follower", overrides=["mpc.T=3"])
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
-                      spec.initial_states, leader_model=spec.leader_model,
-                      leader_x0=spec.leader_x0)
+    session = scenarios.new_session(spec)
     for _ in range(3):
         summary = session.step()
         window = session.last_window

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import sys
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from optcons import cli, scenarios
 from optcons import dynamics as dyn
-from optcons.coordinator import Session
+from optcons.coordinator import Session, run_algorithm1
 from optcons.errors import ConfigError
 from optcons.solver import SolverConfig
 
@@ -84,6 +85,29 @@ def test_validation_collects_multiple_violations():
 def test_parse_error_reports_line():
     with pytest.raises(ConfigError, match="line"):
         scenarios.load_scenario('{"name": "x",\n  broken\n}')
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+def test_an_integer_too_long_for_int_is_a_parse_error(tmp_path, capsys):
+    # json refuses an integer of more than 4,300 digits with a ValueError
+    # that is not a JSONDecodeError: from text or a path it is a parse
+    # problem, check exits 1 without a traceback, and an override's text
+    # stays the string it is.
+    digits = "9" * 5001
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"name": {digits}}}')
+    for source in (path.read_text(), path, str(path)):
+        with pytest.raises(ConfigError) as err:
+            scenarios.load_scenario(source)
+        [problem] = err.value.violations
+        assert problem.startswith("parse error: ") and "4300" in problem
+    assert cli.main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error: ") and "Traceback" not in err
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("scalar_chain", [f"seed={digits}"])
+    assert err.value.violations == [f"seed: expected an integer, got '{digits}'"]
 
 
 @pytest.mark.parametrize("source", [b"{}", 5, None])
@@ -401,6 +425,54 @@ def test_emitted_config_reloads_to_identical_artifacts(tmp_path, name, overrides
         assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes(), field
 
 
+@pytest.mark.parametrize("mask", [None, [1]])
+@pytest.mark.parametrize("preset", ["leader_follower", "agv_rendezvous"])
+@pytest.mark.parametrize("gap", ["initial_states", "cost.offsets"])
+def test_loader_and_session_refuse_initial_deviations_alike(preset, mask, gap):
+    # coordinator.initial_deviations checks the initial deviations for both,
+    # with and without a leader: a gap of 1e200 at agent 1, off the mask [1]
+    # or not, is one problem of the same text, naming agent 1's pairs.
+    overrides = [f"error_mask={json.dumps(mask)}"]
+    spec = scenarios.load_preset(preset, overrides)
+    table = spec.initial_states if gap == "initial_states" else spec.cost.offsets
+    far = np.zeros(len(spec.initial_states[1])) + table.get(1, 0.0)
+    far[0] += 1e200
+    with pytest.raises(ConfigError) as loader:
+        scenarios.load_preset(preset, overrides + [f"{gap}.1={json.dumps(far.tolist())}"])
+    table[1] = far
+    with pytest.raises(ConfigError) as session:
+        scenarios.new_session(spec)
+    assert loader.value.violations == session.value.violations
+    [problem] = session.value.violations
+    assert problem.startswith("initial_states: non-finite deviation norms on pairs [")
+    assert "'1-2'" in problem or "'2-1'" in problem
+    assert ("'1-l'" in problem) == (preset == "leader_follower")
+
+
+@pytest.mark.parametrize("name, overrides", [
+    *[(name, [] if name == "scalar_chain" else ["mpc.T=2"]) for name in scenarios.list_presets()],
+    ("leader_follower", ["mpc.T=3", "mpc.drop_probability=0.3", "seed=5"])])
+def test_run_scenario_writes_what_the_spelled_out_runs_write(tmp_path, name, overrides):
+    # run_scenario's session comes from new_session: its four artifacts
+    # equal, byte for byte, those of a Session (MPC) or run_algorithm1
+    # (finite horizon) given the spec's fields one by one.
+    spec = scenarios.load_preset(name, overrides)
+    if spec.mpc is None:
+        spelled = run_algorithm1(spec.topology, spec.models, spec.cost, spec.solver,
+                                 spec.horizon, spec.initial_states,
+                                 leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+    else:
+        spelled = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
+                          spec.initial_states, leader_model=spec.leader_model,
+                          leader_x0=spec.leader_x0, seed=spec.seed,
+                          error_mask=spec.error_mask).run()
+    first = scenarios.emit_results(scenarios.run_scenario(spec), spec, tmp_path / "a")
+    second = scenarios.emit_results(spelled, spec, tmp_path / "b")
+    for field in ("trajectories_csv", "errors_csv", "metrics_json", "config_json"):
+        a, b = getattr(first, field), getattr(second, field)
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes(), field
+
+
 # -- model configs: one build per config, shapes checked ----------------------
 
 def ring_scenario(models, states=None):
@@ -506,8 +578,7 @@ def test_configs_equal_with_their_defaults_share_one_model(monkeypatch):
     assert len(calls) == 3  # the default once, agents 2 and 3 once each
     assert spec.models[1] is spec.models[2] is spec.models[4]
     assert spec.models[3] is not spec.models[1]
-    session = Session(spec.topology, spec.models, spec.cost, spec.solver, spec.mpc,
-                      spec.initial_states)
+    session = scenarios.new_session(spec)
     assert [agents for _, agents, _ in session.groups] == [[1, 2, 4], [3]]
 
 
