@@ -1,13 +1,14 @@
 """Command-line front end: run scenarios, validate configs, dump adjoint
 oracles, and compare solver methods.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 iteration cap hit (artifacts are still written).
+Exit codes: 0 success, 1 configuration error or artifacts that cannot be
+written, 2 numeric failure, 3 iteration cap hit (artifacts are still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,7 +17,6 @@ import time
 import numpy as np
 
 from . import adjoint, scenarios
-from .coordinator import run_algorithm1
 from .errors import ConfigError, NumericError, PreconditionError
 
 
@@ -107,10 +107,7 @@ def _cmd_bench(args) -> int:
         overrides = list(args.set or []) + [f"solver.method={method}"]
         mspec = scenarios.load_scenario(_resolve_source(args.scenario), overrides)
         start = time.perf_counter()
-        result = run_algorithm1(mspec.topology, mspec.models, mspec.cost,
-                                mspec.solver, horizon, mspec.initial_states,
-                                leader_model=mspec.leader_model,
-                                leader_x0=mspec.leader_x0)
+        result = scenarios.run_scenario(dataclasses.replace(mspec, mpc=None, horizon=horizon))
         wall = time.perf_counter() - start
         rows.append((method, result.rounds, result.converged,
                      result.global_costs[-1], wall))
@@ -159,7 +156,7 @@ def main(argv=None) -> int:
     try:  # the typed checks report every non-finite result; numpy's warnings would repeat them
         with np.errstate(all="ignore"):
             return handlers[args.command](args)
-    except (ConfigError, PreconditionError) as exc:
+    except (ConfigError, PreconditionError, OSError) as exc:  # OSError: writing the artifacts
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, np.linalg.LinAlgError) as exc:

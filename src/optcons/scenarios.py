@@ -219,7 +219,8 @@ def _json_copy(value) -> tuple:
     not a str (1 becomes "1", and keys that collide keep the first one's
     place and the last one's value), text that is not ASCII (json joins a
     surrogate pair), a non-finite number, another type, or a circular
-    reference (which the walk meets as unbounded recursion)."""
+    reference (which the walk meets as unbounded recursion, and json as
+    ValueError); a value nested past json's own depth raises RecursionError."""
     try:
         return _plain_copy(value), True
     except (_NotPlain, RecursionError):
@@ -354,7 +355,7 @@ def apply_overrides(raw: dict, assignments) -> dict:
         path, _, text = item.partition("=")
         try:
             value = json.loads(text)
-        except ValueError:  # not JSON, or an integer too long for int()
+        except (ValueError, RecursionError):  # not JSON, too long an integer, or too deep
             value = text
         node = raw
         parts = path.split(".")
@@ -381,9 +382,17 @@ def list_presets() -> list[str]:
 
 def load_scenario(source, overrides=None) -> ScenarioSpec:
     """Load and validate a scenario from a path, JSON text, or raw dict;
-    a path that cannot be read, a dict that JSON cannot encode, or a source
-    of another type, raises ConfigError.  A dict is copied as its JSON text
+    a path that cannot be read, a dict that JSON cannot encode, a source
+    nested deeper than json or the checks can recurse, or a source of
+    another type, raises ConfigError.  A dict is copied as its JSON text
     would load, so ``overrides`` never change the caller's."""
+    try:
+        return _load_scenario(source, overrides)
+    except RecursionError as exc:  # json's parser and encoder and the checks recurse per level
+        raise ConfigError(f"scenario is nested too deeply: {exc}") from None
+
+
+def _load_scenario(source, overrides) -> ScenarioSpec:
     if isinstance(source, dict):
         try:
             raw, plain = _json_copy(source)
@@ -425,6 +434,11 @@ def load_scenario(source, overrides=None) -> ScenarioSpec:
            for key, (kind, default) in _TOP.items()}
     if top["seed"] < 0:
         problems.append(f"seed: expected a non-negative integer, got {top['seed']}")
+    name = top["name"]  # the run's directory under the default output folder
+    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+        problems.append(f"name: expected one path component, got {name!r}")
+    if "\0" in (top["out_dir"] or ""):  # no file system takes it
+        problems.append(f"out_dir: expected a path without NUL, got {top['out_dir']!r}")
     error_mask = raw.get("error_mask")
 
     # Topology ------------------------------------------------------------

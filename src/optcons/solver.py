@@ -155,7 +155,8 @@ def _cholesky_rows(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def regularize(Hs: np.ndarray, floor: float) -> np.ndarray:
     """Shift each Hessian of a stack Hs (K, n, n) so its smallest eigenvalue
     is at least ``floor``; returns Hs itself (the same object) when no row
-    moves, else a new stack.  A row with an entry that is not finite raises
+    moves, else a new stack, every entry of which is finite: a row with an
+    entry that is not finite, before or after its shift, raises
     NumericError("non-finite Hessian") with that ``row``.
 
     The eigenvalue path shifts a row H by floor - lo, lo the smallest
@@ -187,6 +188,8 @@ def regularize(Hs: np.ndarray, floor: float) -> np.ndarray:
             if lo < floor:
                 out = Hs.copy() if out is Hs else out
                 out[a] = Hs[a] + (floor - lo) * np.eye(n)
+                if not np.isfinite(out[a]).all():
+                    raise NumericError("non-finite Hessian", row=a)
     return out
 
 
@@ -217,8 +220,9 @@ def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.nd
     transposed in one C-ordered stack, so each row's is Fortran-ordered and
     dposv solves it in place; T's constant part comes from a shared
     read-only template (``_inverse_template``), which c I is also read from.
-    Non-finite input raises ValueError; a row whose c I + H is not positive
-    definite raises NumericError with that ``row``.
+    A row whose c I + H is not positive definite raises NumericError with
+    that ``row``.  The gradients and Hessians are finite, as the caller
+    ``_round_update`` ensures (its gradient gate and ``regularize``).
     """
     g = np.asarray(g, dtype=float)[..., None]
     K, n, _ = g.shape
@@ -226,8 +230,6 @@ def ocp_direction(g: np.ndarray, Hs, c: float, r: int, L_max: int = 10) -> np.nd
     inverse = INVERSE_N_PER_DEPTH * N >= n
     template = _inverse_template(K, n, c)
     GH = np.add(Hs, template[0, :n, :n])
-    if not (np.isfinite(GH).all() and np.isfinite(g).all()):
-        raise ValueError("array must not contain infs or NaNs")
     if inverse:  # row a's [c I, g] is X[a].T
         X = np.concatenate((template[:, :n, :n], g.transpose(0, 2, 1)), axis=1)
     else:

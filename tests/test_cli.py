@@ -108,6 +108,24 @@ def test_bench_table_ocp_beats_msa(capsys):
     assert ocp_rounds < msa_rounds
 
 
+@pytest.mark.parametrize("preset", ["scalar_chain", "leader_follower"])
+def test_bench_rows_are_run_algorithm1s(preset, capsys):
+    # bench runs each method one-shot on the spec's horizon (an MPC preset's
+    # N_p) through run_scenario; its rounds, convergence and final cost are
+    # run_algorithm1's on the spec's fields given one by one.
+    assert run_cli("bench", preset) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["ocp", "msa"]
+    for method, rounds, converged, cost, _ in rows:
+        spec = scenarios.load_preset(preset, [f"solver.method={method}"])
+        res = coordinator.run_algorithm1(
+            spec.topology, spec.models, spec.cost, spec.solver,
+            spec.horizon or spec.mpc.N_p, spec.initial_states,
+            leader_model=spec.leader_model, leader_x0=spec.leader_x0)
+        assert (int(rounds), converged, cost) == (
+            res.rounds, str(res.converged), f"{res.global_costs[-1]:.6e}")
+
+
 def test_gradcheck_writes_csv_and_reports_small_error(tmp_path, capsys):
     # The unicycle's curvature has the Mxu/Mux cross terms that
     # linear_sine's lacks.
@@ -343,6 +361,27 @@ def test_rollout_failure_exits_2_naming_agent_and_round(mode, tmp_path, capsys):
     assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == ("numeric failure: agent 2, round 0: rollout failed at "
                                        "step 1: linear: non-finite state at k=1\n")
+
+
+@pytest.mark.parametrize("command, name, message", [
+    (["run"], "x" * 300, "error: [Errno 36] File name too long: "),
+    (["gradcheck", "--agent", "1"], "x" * 300, "error: [Errno 36] File name too long: "),
+    (["run"], "a/../../b", "error: name: expected one path component, got 'a/../../b'")],
+    ids=["overlong-run", "overlong-gradcheck", "parent-dirs"])
+def test_artifacts_that_cannot_be_written_exit_1(command, name, message, tmp_path,
+                                                 monkeypatch, capsys):
+    # A name longer than a path component may be is accepted, and the
+    # artifacts fail to write; one with "../" is refused at load, so nothing
+    # is written outside the output folder.  All exit 1 without a traceback.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("OPTCONS_OUT_DIR", raising=False)
+    assert run_cli(command[0], "leader_follower", *command[1:], "--set",
+                   f"name={json.dumps(name)}", "--set", "mpc.T=1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
 
 
 def test_python_m_optcons_runs_the_cli():

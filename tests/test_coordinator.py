@@ -993,6 +993,29 @@ def test_numeric_failure_names_the_agent_and_round(monkeypatch):
         session.step()
 
 
+def test_overflowing_shift_names_the_agent_and_round(monkeypatch):
+    # A finite Hessian whose regularizing shift overflows (agent 3's, the
+    # last row of the 3-stack, at round 1) is refused by regularize, so
+    # ocp_direction never reads it and the round names the agent.
+    spec = scenarios.load_preset("leader_follower", overrides=[
+        "mpc.T=2", f"models.4={json.dumps(MIXED_DIAG)}"])
+    session = scenarios.new_session(spec)
+    real, calls = adjoint.hessian, []
+
+    def overflowing_second(blocks, B, band):
+        Hs = real(blocks, B, band)
+        calls.append(len(Hs))
+        if len(calls) == 3:  # round 1's first group
+            Hs[2] = np.diag(np.r_[1e308, np.full(Hs.shape[1] - 1, -1e308)])
+        return Hs
+
+    monkeypatch.setattr(adjoint, "hessian", overflowing_second)
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"^agent 3, round 1: non-finite Hessian$"):
+        session.step()
+    assert calls == [3, 1, 3]
+
+
 @pytest.mark.parametrize("name, overrides", [
     ("leader_follower", []), ("agv_rendezvous", []), ("scalar_chain", []),
     ("leader_follower", ["mpc.N_p=64"])],

@@ -110,6 +110,70 @@ def test_an_integer_too_long_for_int_is_a_parse_error(tmp_path, capsys):
     assert err.value.violations == [f"seed: expected an integer, got '{digits}'"]
 
 
+def nested_lists(depth: int):
+    """[[...[]...]], ``depth`` lists deep, built without recursion."""
+    outer = node = []
+    for _ in range(depth - 1):
+        node.append([])
+        node = node[0]
+    return outer
+
+
+@pytest.mark.parametrize("entry", ["text", "path", "dict"])
+def test_a_source_nested_too_deeply_is_a_config_error(entry, tmp_path, capsys):
+    # json's parser (text, path) and its encoder (a dict's copy) recurse once
+    # per level and raise RecursionError past their limit (Python's recursion
+    # limit on 3.10 and 3.11, a C limit of at most 10,000 levels on 3.12), so
+    # 100,000 levels pass every version's; the loader reports it as its one
+    # problem, and check exits 1 without a traceback.
+    text = '{"name": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    source = {"text": text, "path": tmp_path / "deep.json",
+              "dict": {"name": nested_lists(100_000)}}[entry]
+    if entry == "path":
+        source.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_scenario(source)
+    [problem] = err.value.violations
+    assert problem.startswith("scenario is nested too deeply: maximum recursion depth exceeded")
+    if entry == "path":
+        assert cli.main(["check", str(source)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario is nested too deeply: ") and "Traceback" not in err
+
+
+def test_an_override_nested_too_deeply_stays_text():
+    # An override's text that json cannot parse for its depth (100,000
+    # levels, past every version's limit) stays the string it is, like other
+    # text that is not JSON; one that json parses but the checks cannot walk
+    # (500 lists deep) is a ConfigError too.
+    text = "[" * 100_000 + "]" * 100_000
+    assert scenarios.apply_overrides({}, [f"name={text}"]) == {"name": text}
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("leader_follower", [f"initial_states.1={text}"])
+    assert err.value.violations[0] == (f"initial_states[1]: expected a vector of numbers, "
+                                       f"got '{text}'")
+    with pytest.raises(ConfigError, match="^scenario is nested too deeply: "):
+        scenarios.load_preset("leader_follower",
+                              ["initial_states.1=" + "[" * 500 + "1" + "]" * 500])
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a/../../b", "/abs", "runs/", "a\0b"])
+def test_name_must_be_one_path_component(name):
+    # The name is the run's directory under the default output folder, so a
+    # name that is not one path component would write elsewhere or nowhere.
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("scalar_chain", [f"name={json.dumps(name)}"])
+    assert err.value.violations == [f"name: expected one path component, got {name!r}"]
+
+
+def test_out_dir_must_not_hold_nul():
+    # os.makedirs raises ValueError, not OSError, on a NUL, so run would end
+    # in a traceback after its last window.
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("scalar_chain", ['out_dir="runs/a\\u0000b"'])
+    assert err.value.violations == ["out_dir: expected a path without NUL, got 'runs/a\\x00b'"]
+
+
 @pytest.mark.parametrize("source", [b"{}", 5, None])
 def test_load_scenario_rejects_other_source_types(source):
     with pytest.raises(ConfigError, match="dict, JSON text or a path"):
