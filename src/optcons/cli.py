@@ -99,17 +99,21 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    """Run each of ``--methods`` one-shot on the scenario's horizon (an MPC
+    scenario's N_p), loaded once; every method is checked before any runs."""
     spec = _load(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    horizon = spec.horizon if spec.horizon is not None else spec.mpc.N_p
+    one_shot = dataclasses.replace(spec, mpc=None, horizon=spec.horizon or spec.mpc.N_p)
+    try:
+        solvers = [dataclasses.replace(spec.solver, method=m.strip())
+                   for m in args.methods.split(",") if m.strip()]
+    except ValueError as exc:  # SolverConfig's unknown method, as the loader reports it
+        raise ConfigError(f"solver: {exc}") from None
     rows = []
-    for method in methods:
-        overrides = list(args.set or []) + [f"solver.method={method}"]
-        mspec = scenarios.load_scenario(_resolve_source(args.scenario), overrides)
+    for solver in solvers:
         start = time.perf_counter()
-        result = scenarios.run_scenario(dataclasses.replace(mspec, mpc=None, horizon=horizon))
+        result = scenarios.run_scenario(dataclasses.replace(one_shot, solver=solver))
         wall = time.perf_counter() - start
-        rows.append((method, result.rounds, result.converged,
+        rows.append((solver.method, result.rounds, result.converged,
                      result.global_costs[-1], wall))
     print(f"{'method':<8}{'rounds':>8}{'converged':>11}{'final_cost':>16}{'seconds':>10}")
     for method, rounds, conv, cost_v, wall in rows:

@@ -165,20 +165,11 @@ def initial_deviations(topology: Topology, p: int, offsets: dict, states: dict,
     return table, norms, [f"initial_states: non-finite deviation norms on pairs {bad}"]
 
 
-def deviations(states: dict, topology: Topology, offsets: dict | None = None,
-               leader_state=None) -> dict:
-    """Offset-corrected deviation z_i - z_j, z = x - d, per directed edge
-    ("i-j") and, given the leader's state, per leader link ("i-l")."""
-    table = edge_table(topology, np.shape(states[1])[-1], offsets,
-                       leader=leader_state is not None)
-    return dict(zip(table.pairs, edge_errors(table, states, leader_state)[0]))
-
-
 def consensus_error(states: dict, topology: Topology, offsets: dict | None = None,
                     mask=None, leader_state=None) -> tuple[dict, float]:
-    """Norms of the ``deviations``: ({"i-j": error, ..., "i-l": error, ...},
-    max over entries); ``mask`` restricts the norm to the given state
-    components."""
+    """({"i-j": error, ..., "i-l": error, ...}, max): the norms of deviations
+    z_i - z_j, z = x - d, per edge and, given the leader's state, per leader
+    link; ``mask`` restricts the norm to the given state components."""
     table = edge_table(topology, np.shape(states[1])[-1], offsets, mask,
                        leader=leader_state is not None)
     errors = dict(zip(table.pairs, edge_errors(table, states, leader_state)[1].tolist()))
@@ -556,7 +547,9 @@ class Session:
                                  self.t), u) for i, (nb, u) in got.items()}
 
     def step(self) -> dict:
-        """Advance one closed-loop step; returns a per-window summary."""
+        """Advance one closed-loop step; returns a per-window summary.  Each model
+        group applies its first controls by one ``dyn.step``; the leader moves to
+        stage 1 of its window's rollout, stepped by its model from its state now."""
         t = self.t
         window = self._solve_window()
         cost_now = global_cost([terms for *_, terms in self.groups], window.trajectories,
@@ -569,7 +562,7 @@ class Session:
                 self.control_hist[i].append(a)
                 self.state_hist[i].append(self.x[i].copy())
         if self.xl is not None:
-            self.xl = dyn.step(self.leader_model, self.xl[None], np.zeros((1, 0)), t)[0]
+            self.xl = window.leader_trajectory[1].copy()
             self.leader_hist.append(self.xl.copy())
 
         self.last_window = window if self.mpc.warm_start else None

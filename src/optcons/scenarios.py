@@ -340,9 +340,10 @@ def _weight_table(value, keys: list, key_fmt, dim_of, where: str, problems: list
             if M is not None:
                 out[k] = M
     else:
-        # One matrix, and a malformed weight's one problem, per dimension.
+        # One matrix, and a malformed weight's one problem, per dimension;
+        # with no keys (no leader links) the weight is still checked, at dim_of(None).
         by_dim = {dim: _weight_matrix(value, dim, where, problems)
-                  for dim in dict.fromkeys(map(dim_of, keys))}
+                  for dim in dict.fromkeys(map(dim_of, keys or [None]))}
         out = {k: by_dim[dim_of(k)].copy() for k in keys if by_dim[dim_of(k)] is not None}
     return out
 
@@ -577,9 +578,9 @@ def _load_scenario(source, overrides) -> ScenarioSpec:
                           lambda i: models[i].control_dim if i in models else 1,
                           "cost.R", problems)
         W = _weight_table(cost_cfg.get("W", 0.0), links, str,
-                          lambda i: p, "cost.W", problems) if links else {}
+                          lambda i: p, "cost.W", problems)
         E = _weight_table(cost_cfg.get("E", 0.0), links, str,
-                          lambda i: p, "cost.E", problems) if links else {}
+                          lambda i: p, "cost.E", problems)
         tables_ok = len(problems) == known
         offsets = {}
         for key, val in _section(cost_cfg, "offsets", problems, "cost.").items():

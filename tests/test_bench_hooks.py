@@ -43,9 +43,10 @@ def test_traced_session_step_calls_every_published_span(monkeypatch):
     assert calls["dynamics.linearize"] == calls["adjoint.costate_sweep"]
     assert calls["dynamics.second_order_action"] == calls["adjoint.hessian"]
     # One regularize per Hessian stack, and one closed-loop dynamics.step per
-    # model group plus one for the leader: no call per agent.
+    # model group: no call per agent, and none for the leader, whose next
+    # state is stage 1 of its window's rollout.
     assert calls["solver.regularize"] == calls["adjoint.hessian"]
-    assert calls["dynamics.step"] == len(session.groups) + 1
+    assert calls["dynamics.step"] == len(session.groups)
 
 
 def test_traced_leaderless_run_calls_every_published_span(monkeypatch, tmp_path):

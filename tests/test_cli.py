@@ -126,6 +126,39 @@ def test_bench_rows_are_run_algorithm1s(preset, capsys):
             res.rounds, str(res.converged), f"{res.global_costs[-1]:.6e}")
 
 
+def test_bench_loads_its_scenario_once(monkeypatch, capsys):
+    real, calls = scenarios.load_scenario, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "load_scenario", counted)
+    assert run_cli("bench", "leader_follower") == 0
+    assert len(calls) == 1
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["ocp", "msa"]
+
+
+def test_bench_refuses_an_unknown_method_before_any_runs(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(scenarios, "run_scenario", lambda spec: runs.append(spec))
+    assert run_cli("bench", "leader_follower", "--methods", "ocp,foo") == 1
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err == "error: solver: unknown method 'foo'\n"
+
+
+@pytest.mark.parametrize("override, message", [
+    ('cost.W={"7":5}', "cost.W: entry '7' does not match any edge/agent in the topology"),
+    ("cost.W=[[1,2]]", "cost.W: expected a scalar or 3x3 matrix, got shape (1, 2)"),
+])
+def test_check_refuses_leader_weights_without_leader_links(override, message, capsys):
+    assert run_cli("check", "agv_rendezvous", "--set", override) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_gradcheck_writes_csv_and_reports_small_error(tmp_path, capsys):
     # The unicycle's curvature has the Mxu/Mux cross terms that
     # linear_sine's lacks.

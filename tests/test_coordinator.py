@@ -1022,11 +1022,12 @@ def test_overflowing_shift_names_the_agent_and_round(monkeypatch):
     ids=["leader_follower", "agv_rendezvous", "scalar_chain", "leader_follower-N_p=64"])
 def test_stepped_states_are_stage_one_of_the_final_rollouts(name, overrides):
     # Session.step applies each window's first controls through dyn.step,
-    # once per model group and once for the leader; stage 1 of the window's
-    # final rollouts is that same state, bit for bit, for the agents and the
-    # leader alike.  scalar_chain, a one-shot preset, runs 4-stage windows.
-    # At N_p=64 the rounds r >= 1 roll out by Newton, the window's last
-    # rollout included, and stage 1 is still the stage loop's bit for bit.
+    # once per model group; stage 1 of the window's final rollouts is that
+    # same state, bit for bit.  scalar_chain, a one-shot preset, runs
+    # 4-stage windows.  At N_p=64 the rounds r >= 1 roll out by Newton, the
+    # window's last rollout included, and stage 1 is still the stage loop's
+    # bit for bit.  (The leader takes its stage 1 by construction; see
+    # test_leader_states_are_a_step_chain_from_x0.)
     spec = scenarios.load_preset(name, overrides=overrides)
     session = scenarios.new_session(spec if spec.mpc else replace(spec, horizon=4))
     for _ in range(3):
@@ -1036,11 +1037,28 @@ def test_stepped_states_are_stage_one_of_the_final_rollouts(name, overrides):
             np.testing.assert_array_equal(window.trajectories[i][1], session.x[i])
             np.testing.assert_array_equal(np.signbit(window.trajectories[i][1]),
                                           np.signbit(session.x[i]))
-        if name == "leader_follower":
-            np.testing.assert_array_equal(window.leader_trajectory[1], session.xl)
-            np.testing.assert_array_equal(np.signbit(window.leader_trajectory[1]),
-                                          np.signbit(session.xl))
-    assert (session.xl is None) == (name != "leader_follower")
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("leader_follower", []), ("leader_follower", ["mpc.N_p=64"]), ("formation", []),
+    ("formation", ["mpc.warm_start=false"]), ("leader_follower", ["mpc.warm_start=false"]),
+    ("formation", ["mpc.drop_probability=0.3"]),
+    ("leader_follower", ["mpc.drop_probability=0.3"])],
+    ids=["leader_follower", "leader_follower-N_p=64", "formation", "formation-cold",
+         "leader_follower-cold", "formation-drops", "leader_follower-drops"])
+def test_leader_states_are_a_step_chain_from_x0(name, overrides):
+    # Session.step moves the leader to stage 1 of its window's rollout, made
+    # by the stage loop, the model's window hook (formation's unicycle_drift,
+    # in every cold window) or the previous window's shifted stages; the
+    # closed-loop leader states must equal dyn.step applied from x0, step
+    # by step, bit for bit and signed zeros included.
+    spec = scenarios.load_preset(name, overrides=overrides + ["mpc.T=6"])
+    states = scenarios.run_scenario(spec).leader_states
+    chain = [spec.leader_x0]
+    for t in range(spec.mpc.T):
+        chain.append(dyn.step(spec.leader_model, chain[-1][None], np.zeros((1, 0)), t)[0])
+    assert states.shape == (spec.mpc.T + 1, len(spec.leader_x0))
+    assert states.tobytes() == np.array(chain).tobytes()
 
 
 def test_newton_rollouts_keep_the_stage_loops_round_counts(monkeypatch):

@@ -1,7 +1,7 @@
 """The closed-loop monitors against per-pair and per-term oracles.
 
-``deviations``/``consensus_error`` (one stacked ``edge_errors`` call over
-an edge table) must equal a per-edge ``np.linalg.norm`` loop bit for bit,
+The deviations and ``consensus_error`` (one stacked ``edge_errors`` call
+over an edge table) must equal a per-edge ``np.linalg.norm`` loop bit for bit,
 and ``local_costs``/``global_cost`` (three stacked products) must equal a
 per-term loop.  The oracles below are the loops that the stacked forms
 replaced, kept here as they were.  Bitwise means equal bytes, so a
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from optcons import CostSpec, Topology, scenarios
-from optcons.coordinator import consensus_error, deviations
+from optcons.coordinator import consensus_error, edge_errors, edge_table
 from optcons.cost import NeighborBundle, local_costs, local_errors, global_cost
 from optcons.graph import LEADER, neighbors
 
@@ -108,7 +108,8 @@ def test_consensus_error_equals_per_edge_norms_bitwise(p, leader):
         if rng.random() < 0.5:
             offsets[LEADER] = rng.normal(size=p)
         want = deviations_oracle(states, top, offsets, leader_state)
-        got = deviations(states, top, offsets, leader_state)
+        table = edge_table(top, p, offsets, leader=leader_state is not None)
+        got = dict(zip(table.pairs, edge_errors(table, states, leader_state)[0]))
         assert list(got) == list(want)
         for pair in want:
             assert_bitwise(got[pair], want[pair])

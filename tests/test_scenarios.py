@@ -383,6 +383,30 @@ def test_malformed_weight_reported_once(override, message):
     assert err.value.violations == [message]
 
 
+@pytest.mark.parametrize("override, message", [
+    ('cost.W={"7":5}', "cost.W: entry '7' does not match any edge/agent in the topology"),
+    ('cost.W={"1":5}', "cost.W: entry '1' does not match any edge/agent in the topology"),
+    ('cost.E={"2":[[1,0,0],[0,1,0],[0,0,1]]}',
+     "cost.E: entry '2' does not match any edge/agent in the topology"),
+    ("cost.W=[[1,2]]", "cost.W: expected a scalar or 3x3 matrix, got shape (1, 2)"),
+    ('cost.E="x"', "cost.E: expected a number or a matrix, got 'x'"),
+])
+def test_leader_weights_without_leader_links_are_checked(override, message):
+    # agv_rendezvous has no leader links: W and E are parsed as with them,
+    # so an entry names no link and a number or matrix is checked at p = 3.
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("agv_rendezvous", overrides=[override])
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("override", ["cost.W={}", "cost.E={}", "cost.W=0", "cost.E=2.5",
+                                      "cost.W=[[1,0,0],[0,1,0],[0,0,1]]"])
+def test_leader_weights_without_leader_links_load_empty(override):
+    spec = scenarios.load_preset("agv_rendezvous", overrides=[override])
+    assert spec.cost.W == {} and spec.cost.E == {}
+    assert spec.resolved["cost"]["W"] == {} and spec.resolved["cost"]["E"] == {}
+
+
 def test_null_section_takes_the_defaults():
     spec = scenarios.load_preset("leader_follower", overrides=["solver=null"])
     assert spec.solver == SolverConfig()
