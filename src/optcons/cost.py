@@ -25,13 +25,13 @@ from .errors import ConfigError, NumericError
 from .graph import LEADER, Topology
 
 
-def _as_weight(value, dim: int) -> np.ndarray:
-    """Scalar c -> c*I, else a (dim, dim) matrix."""
+def as_weight(value, dim: int) -> np.ndarray:
+    """Scalar c -> c*I, else a (dim, dim) matrix: every weight's one rule."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return float(arr) * np.eye(dim)
     if arr.shape != (dim, dim):
-        raise ValueError(f"weight has shape {arr.shape}, expected ({dim}, {dim})")
+        raise ValueError(f"expected a scalar or {dim}x{dim} matrix, got shape {arr.shape}")
     return arr
 
 
@@ -67,7 +67,8 @@ class CostSpec:
 
     Q, D are keyed by directed edge (i, j); R by agent; W, E by
     leader-linked agent, as the leader's Q and D; offsets by agent (key
-    0 = leader offset).  Missing D/E/offsets entries default to zero.
+    0 = leader offset, which needs leader links).  Missing D/E/offsets
+    entries default to zero.
     """
 
     Q: dict = field(default_factory=dict)
@@ -82,11 +83,11 @@ class CostSpec:
                 control_dims=None, offsets=None) -> "CostSpec":
         """Same weight on every edge / agent, scalars meaning c*I."""
         control_dims = control_dims or {}
-        Q = {edge: _as_weight(q, p) for edge in topology.edges}
-        D = {edge: _as_weight(d, p) for edge in topology.edges}
-        R = {i: _as_weight(r, control_dims.get(i, 1)) for i in range(1, topology.n + 1)}
-        W = {i: _as_weight(w, p) for i in topology.leader_links}
-        E = {i: _as_weight(e, p) for i in topology.leader_links}
+        Q = {edge: as_weight(q, p) for edge in topology.edges}
+        D = {edge: as_weight(d, p) for edge in topology.edges}
+        R = {i: as_weight(r, control_dims.get(i, 1)) for i in range(1, topology.n + 1)}
+        W = {i: as_weight(w, p) for i in topology.leader_links}
+        E = {i: as_weight(e, p) for i in topology.leader_links}
         return cls(Q=Q, R=R, D=D, W=W, E=E, offsets=dict(offsets or {}))
 
     def offset(self, i: int, p: int) -> np.ndarray:
@@ -239,6 +240,8 @@ class CostSpec:
         for i, d in self.offsets.items():
             if i not in range(topology.n + 1):
                 problems.append(f"offset[{i}] names no agent 1..{topology.n} or leader 0")
+            elif i == LEADER and not topology.leader_links:
+                problems.append("offset[0] given but the topology has no leader links")
             if np.shape(d) != (state_dim,):
                 problems.append(f"offset[{i}] has shape {np.shape(d)}, "
                                 f"expected ({state_dim},)")

@@ -27,7 +27,7 @@ import numpy as np
 from . import dynamics as dyn
 from .coordinator import (FiniteHorizonResult, MpcConfig, Session, edge_errors,
                           edge_table, initial_deviations, input_problems)
-from .cost import CostSpec
+from .cost import CostSpec, as_weight
 from .errors import ConfigError, PreconditionError
 from .graph import Topology, require_spanning_tree, require_strongly_connected
 from .solver import SolverConfig
@@ -253,11 +253,16 @@ def _numbers(value) -> bool:
     return _is_number(value)
 
 
-def _vector(value, where: str, problems: list) -> np.ndarray | None:
+def _floats(value) -> np.ndarray | None:
+    """JSON numbers as one float array; None for anything else, ragged lists included."""
     try:
-        vec = np.asarray(value, dtype=float) if _numbers(value) else None
+        return np.asarray(value, dtype=float) if _numbers(value) else None
     except ValueError:
-        vec = None
+        return None
+
+
+def _vector(value, where: str, problems: list) -> np.ndarray | None:
+    vec = _floats(value)
     if vec is None or vec.ndim != 1:
         problems.append(f"{where}: expected a vector of numbers, got {value!r}")
         return None
@@ -283,13 +288,9 @@ def _build_model(cfg: dict, where: str, problems: list) -> dyn.Model | None:
     if len(problems) > known:
         return None
     try:
-        if kind in ("unicycle", "unicycle_drift"):
-            return getattr(dyn, kind)(**args)
-        A = np.array(cfg["A"], dtype=float)
-        B = np.array(cfg["B"], dtype=float)
-        if kind == "linear":
-            return dyn.linear(A, B)
-        return getattr(dyn, kind)(A, B.reshape(-1), **args)
+        return getattr(dyn, kind)(*[np.array(cfg[key], dtype=float)
+                                    for key, default in _MODELS[kind].items() if default is None],
+                                  **args)
     except (KeyError, ValueError, TypeError) as exc:
         problems.append(f"{where}: bad model parameters ({exc})")
     return None
@@ -303,48 +304,46 @@ def _model_echo(cfg: dict) -> dict:
 
 
 def _weight_matrix(value, dim: int, where: str, problems: list) -> np.ndarray | None:
-    try:
-        arr = np.asarray(value, dtype=float) if _numbers(value) else None
-    except ValueError:
-        arr = None
+    arr = _floats(value)
     if arr is None:
         problems.append(f"{where}: expected a number or a matrix, got {value!r}")
         return None
-    if arr.ndim == 0:
-        return float(arr) * np.eye(dim)
-    if arr.shape != (dim, dim):
-        problems.append(f"{where}: expected a scalar or {dim}x{dim} matrix, "
-                        f"got shape {arr.shape}")
+    try:
+        return as_weight(arr, dim)
+    except ValueError as exc:
+        problems.append(f"{where}: {exc}")
         return None
-    return arr
 
 
 def _weight_table(value, keys: list, key_fmt, dim_of, where: str, problems: list) -> dict:
-    """Expand a scalar / matrix / keyed-table weight config to all keys."""
-    out = {}
-    if isinstance(value, dict):
-        default = value.get("default")
-        labeled = {k: v for k, v in value.items() if k != "default"}
+    """A weight config as a matrix per key.  A bare number or matrix is the
+    table {"default": value}.  Each label (key_fmt of a key) is checked at its
+    key's dim_of, and a given default once per dim_of of the keys that read
+    it, or of every key when none does (dim_of(None) with no keys).  A key
+    whose dim_of is None is known but gets no entry."""
+    table = value if isinstance(value, dict) else {"default": value}
+    labels = {}
+    if len(table) > ("default" in table):  # only labels need key_fmt
         known = {key_fmt(k): k for k in keys}
-        for label in labeled:
-            if label not in known:
-                problems.append(f"{where}: entry {label!r} does not match any "
-                                f"edge/agent in the topology")
-        for k in keys:
-            raw = labeled.get(key_fmt(k), default)
-            if raw is None:
-                problems.append(f"{where}: missing entry for {key_fmt(k)} "
-                                f"and no default")
-                continue
-            M = _weight_matrix(raw, dim_of(k), f"{where}[{key_fmt(k)}]", problems)
-            if M is not None:
-                out[k] = M
-    else:
-        # One matrix, and a malformed weight's one problem, per dimension;
-        # with no keys (no leader links) the weight is still checked, at dim_of(None).
-        by_dim = {dim: _weight_matrix(value, dim, where, problems)
-                  for dim in dict.fromkeys(map(dim_of, keys or [None]))}
-        out = {k: by_dim[dim_of(k)].copy() for k in keys if by_dim[dim_of(k)] is not None}
+        problems += [f"{where}: entry {label!r} does not match any edge/agent in the topology"
+                     for label in table if label != "default" and label not in known]
+        labels = {k: label for label, k in known.items() if label in table}
+    dims = {k: d for k in keys if (d := dim_of(k)) is not None}
+    if "default" in table:
+        readers = [d for k, d in dims.items() if k not in labels]
+        default = {d: _weight_matrix(table["default"], d, where, problems)
+                   for d in dict.fromkeys(readers or dims.values() or [dim_of(None)])}
+    out = {}
+    for k, d in dims.items():
+        if k in labels:
+            M = _weight_matrix(table[labels[k]], d, f"{where}[{labels[k]}]", problems)
+        elif "default" in table:
+            M = default[d]
+        else:
+            problems.append(f"{where}: missing entry for {key_fmt(k)} and no default")
+            continue
+        if M is not None:
+            out[k] = M.copy()
     return out
 
 
@@ -568,19 +567,16 @@ def _load_scenario(source, overrides) -> ScenarioSpec:
         _check_keys(cost_cfg, {"Q", "R", "D", "W", "E", "offsets"}, "cost", problems)
         edges = sorted(topology.edges)
         links = sorted(topology.leader_links)
-        edge_fmt = lambda e: f"{e[0]}-{e[1]}"
+        edge_fmt, at_p = (lambda e: f"{e[0]}-{e[1]}"), (lambda k: p)
         known = len(problems)
-        Q = _weight_table(cost_cfg.get("Q", 0.0), edges, edge_fmt,
-                          lambda e: p, "cost.Q", problems)
-        D = _weight_table(cost_cfg.get("D", 0.0), edges, edge_fmt,
-                          lambda e: p, "cost.D", problems)
+        Q = _weight_table(cost_cfg.get("Q", 0.0), edges, edge_fmt, at_p, "cost.Q", problems)
+        D = _weight_table(cost_cfg.get("D", 0.0), edges, edge_fmt, at_p, "cost.D", problems)
+        # An agent whose model failed keeps its R label known, and gets no R.
         R = _weight_table(cost_cfg.get("R", 1.0), agents, str,
-                          lambda i: models[i].control_dim if i in models else 1,
+                          lambda i: models[i].control_dim if i in models else None,
                           "cost.R", problems)
-        W = _weight_table(cost_cfg.get("W", 0.0), links, str,
-                          lambda i: p, "cost.W", problems)
-        E = _weight_table(cost_cfg.get("E", 0.0), links, str,
-                          lambda i: p, "cost.E", problems)
+        W = _weight_table(cost_cfg.get("W", 0.0), links, str, at_p, "cost.W", problems)
+        E = _weight_table(cost_cfg.get("E", 0.0), links, str, at_p, "cost.E", problems)
         tables_ok = len(problems) == known
         offsets = {}
         for key, val in _section(cost_cfg, "offsets", problems, "cost.").items():

@@ -399,6 +399,15 @@ def test_validate_rejects_offset_keys_that_name_no_node():
                                     "offset[-1] names no agent 1..4 or leader 0"]
 
 
+def test_validate_rejects_a_leader_offset_without_leader_links():
+    # Session refuses what the loader refuses: no leader, no leader offset.
+    spec = scenarios.load_preset("agv_rendezvous")
+    spec.cost.offsets[0] = np.zeros(3)
+    with pytest.raises(ConfigError) as err:
+        scenarios.new_session(spec)
+    assert err.value.violations == ["offset[0] given but the topology has no leader links"]
+
+
 def test_matrix_weights_and_their_shapes():
     # uniform takes a matrix weight as given and refuses one of the wrong
     # shape; validate reports a non-square weight by key.
@@ -406,7 +415,8 @@ def test_matrix_weights_and_their_shapes():
     q = np.array([[2.0, 0.5], [0.5, 1.0]])
     spec = CostSpec.uniform(top, 2, q=q, r=np.eye(1))
     np.testing.assert_array_equal(spec.Q[(1, 2)], q)
-    with pytest.raises(ValueError, match=r"^weight has shape \(3, 3\), expected \(2, 2\)$"):
+    with pytest.raises(ValueError,
+                       match=r"^expected a scalar or 2x2 matrix, got shape \(3, 3\)$"):
         CostSpec.uniform(top, 2, q=np.eye(3), r=1.0)
     spec.Q[(2, 1)] = np.ones((2, 3))
     with pytest.raises(ConfigError) as err:

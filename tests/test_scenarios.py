@@ -371,13 +371,26 @@ def test_malformed_override_message(override, message):
     assert err.value.violations == [message]
 
 
+FORMATION_EDGES = ["1-2", "1-4", "2-1", "2-3", "3-2", "3-4", "4-1", "4-3"]
+
+
 @pytest.mark.parametrize("override, message", [
     ("cost.Q=[[1,2]]", "cost.Q: expected a scalar or 3x3 matrix, got shape (1, 2)"),
     ('cost.R="x"', "cost.R: expected a number or a matrix, got 'x'"),
+    ("cost.Q=" + json.dumps({**dict.fromkeys(FORMATION_EDGES[4:], 10), "default": "x"}),
+     "cost.Q: expected a number or a matrix, got 'x'"),
+    ("cost.Q=" + json.dumps({**dict.fromkeys(FORMATION_EDGES, 10), "default": "x"}),
+     "cost.Q: expected a number or a matrix, got 'x'"),
+    ('cost.R={"1":1,"2":1,"3":1,"4":1,"default":[[1,2]]}',
+     "cost.R: expected a scalar or 2x2 matrix, got shape (1, 2)"),
+    ('cost.Q={"1-2":null,"default":1}', "cost.Q[1-2]: expected a number or a matrix, got None"),
+    ('cost.Q={"default":null}', "cost.Q: expected a number or a matrix, got None"),
 ])
 def test_malformed_weight_reported_once(override, message):
     # Once per distinct dimension, not per edge or agent, and without the
-    # validation follow-ons of the entries it leaves out.
+    # validation follow-ons of the entries it leaves out.  A default is
+    # checked whether 4 edges read it or none does, and a null entry is a
+    # bad value, not a missing one.
     with pytest.raises(ConfigError) as err:
         scenarios.load_preset("formation", overrides=[override])
     assert err.value.violations == [message]
@@ -390,10 +403,13 @@ def test_malformed_weight_reported_once(override, message):
      "cost.E: entry '2' does not match any edge/agent in the topology"),
     ("cost.W=[[1,2]]", "cost.W: expected a scalar or 3x3 matrix, got shape (1, 2)"),
     ('cost.E="x"', "cost.E: expected a number or a matrix, got 'x'"),
+    ('cost.W={"default":"x"}', "cost.W: expected a number or a matrix, got 'x'"),
+    ('cost.offsets={"l":[0,0,0]}', "offset[0] given but the topology has no leader links"),
 ])
 def test_leader_weights_without_leader_links_are_checked(override, message):
     # agv_rendezvous has no leader links: W and E are parsed as with them,
-    # so an entry names no link and a number or matrix is checked at p = 3.
+    # so an entry names no link and a number, matrix or default is checked
+    # at p = 3; an offset for the leader is refused.
     with pytest.raises(ConfigError) as err:
         scenarios.load_preset("agv_rendezvous", overrides=[override])
     assert err.value.violations == [message]
@@ -405,6 +421,15 @@ def test_leader_weights_without_leader_links_load_empty(override):
     spec = scenarios.load_preset("agv_rendezvous", overrides=[override])
     assert spec.cost.W == {} and spec.cost.E == {}
     assert spec.resolved["cost"]["W"] == {} and spec.resolved["cost"]["E"] == {}
+
+
+@pytest.mark.parametrize("r", ["[[1,0],[0,1]]", '{"2":[[1,2]],"default":1}'])
+def test_agent_without_a_model_gets_no_control_weight(r):
+    # Its R label stays known, and no R is checked at a dimension it lacks.
+    with pytest.raises(ConfigError) as err:
+        scenarios.load_preset("agv_rendezvous",
+                              overrides=['models.2={"type":"nope"}', f"cost.R={r}"])
+    assert err.value.violations == ["models[2]: unknown model type 'nope'"]
 
 
 def test_null_section_takes_the_defaults():
